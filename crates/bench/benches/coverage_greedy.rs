@@ -1,16 +1,16 @@
 //! Microbench: argmax + greedy maximum coverage over a sketch pool (TRIM
 //! Line 7 / TRIM-B Line 8) across batch sizes and pool sizes.
 //!
-//! Three contenders per configuration:
+//! Two contenders per configuration:
 //!
 //! * `naive` — the pre-refactor baseline reconstructed here: `Vec<Vec<u32>>`
 //!   inverted index, full rescans (no exhausted-node compaction);
-//! * `eager` — the arena pool + compacted-scan eager greedy;
-//! * `celf`  — the arena pool + CELF lazy greedy (the engine default).
+//! * `eager` — the columnar pool + the engine's compacted-scan greedy, whose
+//!   timing includes building the node→sets transpose on every call.
 //!
-//! The pool-size sweep also reports `SketchPool::heap_bytes()` next to the
-//! naive layout's footprint, so both the speed and the memory side of the
-//! arena layout stay visible in CI's bench smoke run.
+//! The pool-size sweep also reports the pool's and a used engine's heap
+//! bytes next to the naive layout's footprint, so both the speed and the
+//! memory side of the layout stay visible in CI's bench smoke run.
 
 mod common;
 
@@ -18,14 +18,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use smin_diffusion::{Model, ResidualState};
-use smin_sampling::{
-    greedy_max_coverage, lazy_greedy_max_coverage, CoverageEngine, MrrSampler, RootCountDist,
-    SketchPool,
-};
+use smin_sampling::{greedy_max_coverage, CoverageEngine, MrrSampler, RootCountDist, SketchPool};
 use std::hint::black_box;
 
 /// Pre-refactor pool layout and greedy, kept verbatim as the regression
-/// baseline the arena engine is measured against.
+/// baseline the coverage engine is measured against.
 struct NaivePool {
     node_sets: Vec<Vec<u32>>,
     sets: Vec<Vec<u32>>,
@@ -133,25 +130,24 @@ fn bench_greedy(c: &mut Criterion) {
     // Pool-size sweep at a fixed mid batch, reporting memory footprints.
     for &sets in &[1_024usize, 4_096, 16_384] {
         let (pool, naive) = build_pools(sets);
+        let mut engine = CoverageEngine::new();
+        // engine vs naive must agree before we time anything
+        assert_eq!(engine.select(&pool, 8).covered, naive.greedy(8));
         println!(
-            "pool {sets:>6} sets: arena heap = {:>9} B, naive heap = {:>9} B",
+            "pool {sets:>6} sets: pool heap = {:>9} B, engine heap = {:>9} B, naive heap = {:>9} B",
             pool.heap_bytes(),
+            engine.heap_bytes(),
             naive.heap_bytes()
         );
-        // arena vs naive must agree before we time anything
-        assert_eq!(greedy_max_coverage(&pool, 8).covered, naive.greedy(8));
         group.bench_with_input(BenchmarkId::new("naive/b8", sets), &sets, |bench, _| {
             bench.iter(|| black_box(naive.greedy(8)))
         });
         group.bench_with_input(BenchmarkId::new("eager/b8", sets), &sets, |bench, _| {
             bench.iter(|| black_box(greedy_max_coverage(&pool, 8).covered))
         });
-        group.bench_with_input(BenchmarkId::new("celf/b8", sets), &sets, |bench, _| {
-            bench.iter(|| black_box(lazy_greedy_max_coverage(&pool, 8).covered))
-        });
     }
 
-    // Batch sweep on the standard pool: argmax + all three strategies, the
+    // Batch sweep on the standard pool: argmax + both contenders, the
     // engine reused across iterations the way TrimScratch holds it.
     let (pool, naive) = build_pools(4_096);
     let mut engine = CoverageEngine::new();
@@ -159,14 +155,11 @@ fn bench_greedy(c: &mut Criterion) {
         bench.iter(|| black_box(engine.argmax(&pool)))
     });
     for &b in &[1usize, 2, 4, 8, 32] {
-        assert_eq!(lazy_greedy_max_coverage(&pool, b).covered, naive.greedy(b));
+        assert_eq!(greedy_max_coverage(&pool, b).covered, naive.greedy(b));
         group.bench_with_input(BenchmarkId::new("naive", b), &b, |bench, &b| {
             bench.iter(|| black_box(naive.greedy(b)));
         });
         group.bench_with_input(BenchmarkId::new("eager", b), &b, |bench, &b| {
-            bench.iter(|| black_box(engine.select_eager(&pool, b).covered));
-        });
-        group.bench_with_input(BenchmarkId::new("celf", b), &b, |bench, &b| {
             bench.iter(|| black_box(engine.select(&pool, b).covered));
         });
     }

@@ -8,15 +8,15 @@
 //! style:
 //!
 //! * `BENCH_coverage.json` — the per-pick kernels: the argmax candidate
-//!   scan and the b = 8 greedy strategies (eager compacted scan vs CELF),
-//!   plus `SketchPool::heap_bytes()` per pool size. Also folds in the two
+//!   scan and the b = 8 greedy selection (the compacted eager scan, its
+//!   node→sets transpose build included), plus `SketchPool::heap_bytes()`
+//!   plus the engine's retained bytes per pool size. Also folds in the two
 //!   Criterion-only fixtures so their medians ride the recorded
 //!   trajectory: `trim_round` (Algorithms 2/3 across thread counts, the
 //!   `trim_round` bench fixture) and `rounding` (the §3.3 root-count
 //!   rounding ablation, the `ablation_rounding` bench fixture);
 //! * `BENCH_select.json` — deep selections (b = 64) where `commit_pick`
-//!   and the CELF reheap dominate, plus the CELF heap-operation counts
-//!   that pin the single-winner fast path.
+//!   dominates.
 //!
 //! ```text
 //! perf [--smoke] [--iters K] [--out-dir DIR]
@@ -184,33 +184,27 @@ fn run(args: &PerfArgs) -> Result<(), String> {
 
         // Per-pick kernels: the argmax candidate scan (averaged over 64
         // back-to-back runs — single runs sit at timer resolution) and the
-        // b = 8 strategies.
+        // b = 8 greedy selection.
         let argmax = time_us(args.iters, 64, || {
             std::hint::black_box(engine.argmax(&pool));
         });
         let eager_b8 = time_us(args.iters, 1, || {
-            std::hint::black_box(engine.select_eager(&pool, 8).covered);
-        });
-        let celf_b8 = time_us(args.iters, 1, || {
             std::hint::black_box(engine.select(&pool, 8).covered);
         });
 
-        // Deep selections: commit_pick and the CELF reheap dominate.
+        // Deep selections: commit_pick dominates.
         let eager_b64 = time_us(args.iters, 1, || {
-            std::hint::black_box(engine.select_eager(&pool, 64).covered);
-        });
-        let celf_b64 = time_us(args.iters, 1, || {
             std::hint::black_box(engine.select(&pool, 64).covered);
         });
 
+        // The pool plus everything the engine keeps between calls, its
+        // transpose included: all memory a warm selection retains.
+        let heap = pool.heap_bytes() + engine.heap_bytes();
         println!(
-            "pool {sets:>6}: argmax {:9.1} us | b8 eager {:9.1} us, celf {:9.1} us | b64 eager {:9.1} us, celf {:9.1} us | heap {} B",
+            "pool {sets:>6}: argmax {:9.1} us | b8 {:9.1} us | b64 {:9.1} us | heap {heap} B",
             argmax.median(),
             eager_b8.median(),
-            celf_b8.median(),
             eager_b64.median(),
-            celf_b64.median(),
-            pool.heap_bytes(),
         );
 
         coverage_rows.push(format!(
@@ -218,20 +212,15 @@ fn run(args: &PerfArgs) -> Result<(), String> {
                \"sets\": {sets},\n      \
                \"heap_bytes\": {heap},\n      \
                \"argmax_us\": {argmax},\n      \
-               \"eager_b8_us\": {eager},\n      \
-               \"celf_b8_us\": {celf}\n    }}",
-            heap = pool.heap_bytes(),
+               \"eager_b8_us\": {eager}\n    }}",
             argmax = argmax.json(),
             eager = eager_b8.json(),
-            celf = celf_b8.json(),
         ));
         select_rows.push(format!(
             "    {{\n      \
                \"sets\": {sets},\n      \
-               \"eager_b64_us\": {eager},\n      \
-               \"celf_b64_us\": {celf}\n    }}",
+               \"eager_b64_us\": {eager}\n    }}",
             eager = eager_b64.json(),
-            celf = celf_b64.json(),
         ));
     }
 

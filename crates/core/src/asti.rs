@@ -27,12 +27,13 @@ use std::time::Instant;
 /// coverage engine).
 ///
 /// A long-running service keeps one session per cached graph and recycles it
-/// across requests: the sketch-pool arena, worker buffers, and coverage
-/// engine retain the capacity learned on earlier runs, so a warm request
-/// performs no cold allocations. Reuse never changes results — every run
-/// resets the logical state ([`ResidualState::reset`], `SketchPool::reset`)
-/// before touching it, so `asti_in` on a recycled session is bit-identical
-/// to [`asti`] on a fresh one (pinned by tests).
+/// across requests: the sketch pool, worker buffers, and coverage engine
+/// (its transpose buffers included) retain the capacity learned on earlier
+/// runs, so a warm request performs no cold allocations. Reuse never
+/// changes results — every run resets the logical state
+/// ([`ResidualState::reset`], `SketchPool::reset`) before touching it, so
+/// `asti_in` on a recycled session is bit-identical to [`asti`] on a fresh
+/// one (pinned by tests).
 pub struct AstiSession {
     n: usize,
     scratch: TrimScratch,
@@ -54,10 +55,11 @@ impl AstiSession {
         self.n
     }
 
-    /// Heap bytes currently retained by the session's sketch pool —
+    /// Heap bytes currently retained by the session's sketch pool and
+    /// coverage engine (whose transpose buffers hold the inverted index) —
     /// observability for services reporting per-graph warm-state size.
     pub fn pool_heap_bytes(&self) -> usize {
-        self.scratch.pool().heap_bytes()
+        self.scratch.pool().heap_bytes() + self.scratch.engine().heap_bytes()
     }
 
     /// Per-stage select timings (sketch generation vs coverage selection)
@@ -65,13 +67,6 @@ impl AstiSession {
     /// Observability only — headers, `/metrics`, trace logs — never bodies.
     pub fn stage_micros(&self) -> crate::trim::StageMicros {
         self.scratch.stage_micros()
-    }
-
-    /// CELF heap / scan traffic of the most recent coverage selection —
-    /// the sampling layer's instrumentation counters, surfaced for the
-    /// session layer's metrics.
-    pub fn select_traffic(&self) -> smin_sampling::coverage::SelectTraffic {
-        self.scratch.engine().select_traffic()
     }
 }
 
@@ -98,8 +93,8 @@ pub fn asti(
 }
 
 /// [`asti`] on a caller-owned [`AstiSession`], recycling the session's
-/// sketch-pool arena and worker scratch instead of reallocating. Selections
-/// are identical whether the session is cold or warm.
+/// sketch pool, coverage engine and worker scratch instead of reallocating.
+/// Selections are identical whether the session is cold or warm.
 ///
 /// Additional error: [`AsmError::SessionMismatch`] when the session was
 /// sized for a different node count than `g`.
@@ -413,7 +408,7 @@ mod tests {
     fn warm_session_reuse_is_bit_identical_to_fresh() {
         // The service reuse pattern: one session, many runs. Every run on
         // the warm session must match a cold `asti` on identical inputs,
-        // and the warm pool must retain its arena capacity between runs.
+        // and the warm pool must retain its buffer capacity between runs.
         let mut rng = SmallRng::seed_from_u64(31);
         let pairs = smin_graph::generators::erdos_renyi(50, 100, &mut rng);
         let g = smin_graph::generators::assemble(
@@ -457,7 +452,7 @@ mod tests {
             );
             warm_bytes = session.pool_heap_bytes();
         }
-        assert!(warm_bytes > 0, "session retained no arena capacity");
+        assert!(warm_bytes > 0, "session retained no pool capacity");
     }
 
     #[test]

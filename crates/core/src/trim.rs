@@ -94,7 +94,7 @@ impl TrimScratch {
     }
 
     /// The shared coverage engine as of the last round (tests inspect its
-    /// instrumentation counters — scan compaction, CELF heap traffic).
+    /// scan-compaction counter).
     pub fn engine(&self) -> &CoverageEngine {
         &self.engine
     }

@@ -116,9 +116,9 @@ pub fn trim_b(
     let mut iterations = 0;
     loop {
         iterations += 1;
-        // CELF lazy greedy (the engine default) — identical selections to
-        // eager greedy by the shared tie-breaking, without rescanning nodes
-        // whose cached gain submodularity proves still fresh.
+        // Line 8: greedy maximum coverage. The engine rebuilds its
+        // node→sets transpose on every call; each call after the first
+        // follows a doubling, so a kept index would be stale anyway.
         let greedy = {
             let _span = smin_obs::Span::enter(&mut stage.coverage);
             engine.select(pool, b)

@@ -5,26 +5,29 @@
 //! `ρ_b = 1 − (1 − 1/b)^b` of the optimum for `b` picks (Vazirani 2003),
 //! which is the factor TRIM-B's stopping rule divides by.
 //!
-//! All selection paths — TRIM's argmax, eager greedy, CELF lazy greedy, and
-//! the bound-driven `greedy_until` loops of the non-adaptive baselines —
-//! share one marginal-maintenance implementation ([`CoverageEngine`]) and
-//! one tie-breaking rule (higher gain first, then smaller node id), so every
-//! algorithm returns identical selections on identical pools. CELF is the
-//! default strategy ([`CoverageEngine::select`]); the eager scan survives as
-//! the reference implementation and as the small-`b` fast path.
+//! All selection paths — TRIM's argmax, TRIM-B's `b`-pick greedy, and the
+//! bound-driven `select_until` loops of the non-adaptive baselines — share
+//! one greedy loop over one marginal-maintenance implementation
+//! ([`CoverageEngine`]) and one tie-breaking rule (higher gain first, then
+//! smaller node id), so every algorithm returns identical selections on
+//! identical pools.
+//!
+//! Greedy needs the node→sets inverted index, which the pool does not keep.
+//! Every greedy call starts by building it as a counting-sort CSR transpose
+//! of the pool's sets (a prefix sum of the coverage counts, then a scatter
+//! of set ids in set order) into buffers the engine keeps across calls.
+//! Nothing is cached between calls: TRIM-B runs greedy once per doubling,
+//! after the pool has grown, so a kept index would be stale every time.
 //!
 //! The hot paths run on word-parallel kernels: `commit_pick` batches newly
 //! covered sets 64 at a time against the covered mask's words before
-//! touching marginals, the candidate scans walk in unrolled 4-wide strides,
-//! and the CELF reheap takes a single-winner fast path when a refreshed top
-//! still beats the rest of the heap — all bit-identical to the scalar
-//! reference scans they replaced (same tie-breaking total order).
+//! touching marginals, and the candidate scans walk in unrolled 4-wide
+//! strides — all bit-identical to the scalar reference scans they replaced
+//! (same tie-breaking total order).
 
 use crate::pool::SketchPool;
 use smin_graph::cast::u32_of;
 use smin_graph::{FixedBitSet, NodeId, Ones};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Result of a greedy cover run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -112,7 +115,7 @@ pub(crate) fn best_node(nodes: &[NodeId], gain: &[u32]) -> Option<(NodeId, u32)>
     result
 }
 
-/// Compacting candidate scan shared by the eager strategies: drops
+/// Compacting candidate scan behind every greedy pick: drops
 /// permanently-exhausted nodes (zero marginal — submodularity keeps them
 /// zero) out of `scan` in place while tracking the best candidate in four
 /// independent lanes, exactly like [`best_node`]. Returns the pick with
@@ -152,49 +155,31 @@ fn scan_best(scan: &mut Vec<NodeId>, gain: &[u32]) -> Option<(NodeId, u32)> {
 }
 
 /// Reusable marginal-coverage maintenance shared by every greedy/argmax
-/// consumer. All buffers are retained across calls, so a `CoverageEngine`
-/// embedded in per-round scratch (e.g. `TrimScratch`) makes repeated
-/// selection allocation-free after the first round.
+/// consumer. All buffers, the transpose included, are retained across
+/// calls, so a `CoverageEngine` embedded in per-round scratch (e.g.
+/// `TrimScratch`) makes repeated selection allocation-free once it has seen
+/// its largest pool.
 #[derive(Default)]
 pub struct CoverageEngine {
     /// Marginal coverage of each node under the current partial selection.
     marginal: Vec<u32>,
     /// Sets already covered by the current partial selection.
     set_covered: FixedBitSet,
-    /// CELF priority queue: (cached gain, Reverse(node)) — pops highest
-    /// gain, then smallest id, matching [`best_node`] exactly.
-    heap: BinaryHeap<(u32, Reverse<NodeId>)>,
-    /// Round in which each node's cached gain was recomputed (CELF).
-    fresh_round: Vec<u32>,
-    /// Compact scan list for the eager path: nodes whose marginal is still
-    /// positive. Exhausted nodes are swapped out during the scan and never
-    /// revisited — submodularity guarantees a zero marginal stays zero.
+    /// The pool's node→sets transpose, rebuilt by every greedy call:
+    /// `node_sets[node_off[v]..node_off[v + 1]]` are the sets containing
+    /// `v`, in ascending id order.
+    node_off: Vec<usize>,
+    node_sets: Vec<u32>,
+    /// Compact scan list: nodes whose marginal is still positive. Exhausted
+    /// nodes are swapped out during the scan and never revisited —
+    /// submodularity guarantees a zero marginal stays zero.
     scan: Vec<NodeId>,
-    /// Nodes examined by the most recent eager select (instrumentation; the
+    /// Nodes examined by the most recent selection (instrumentation; the
     /// compaction regression test pins this).
     pub last_scanned: usize,
     /// `(word index, mask)` batches of the pick being committed: the set-id
     /// list of the picked node compressed 64 ids per word.
     word_buf: Vec<(u32, u64)>,
-    /// Heap pops by the most recent [`CoverageEngine::select`]
-    /// (instrumentation; the fast-path regression test pins this).
-    pub last_heap_pops: usize,
-    /// Heap re-pushes by the most recent [`CoverageEngine::select`] —
-    /// refreshed entries that could not take the single-winner fast path.
-    pub last_heap_pushes: usize,
-}
-
-/// Instrumentation counters of the most recent coverage selection — CELF
-/// heap traffic and eager-scan volume, surfaced as one typed snapshot so
-/// the session layer can report them without reaching into engine fields.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SelectTraffic {
-    /// Heap pops by the most recent [`CoverageEngine::select`].
-    pub heap_pops: usize,
-    /// Heap re-pushes by the most recent [`CoverageEngine::select`].
-    pub heap_pushes: usize,
-    /// Nodes examined by the most recent [`CoverageEngine::select_eager`].
-    pub scanned: usize,
 }
 
 impl CoverageEngine {
@@ -203,147 +188,79 @@ impl CoverageEngine {
         CoverageEngine::default()
     }
 
-    /// The instrumentation counters of the most recent selection.
-    pub fn select_traffic(&self) -> SelectTraffic {
-        SelectTraffic {
-            heap_pops: self.last_heap_pops,
-            heap_pushes: self.last_heap_pushes,
-            scanned: self.last_scanned,
-        }
+    /// Heap bytes retained by the engine's buffers, the transpose included.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.marginal.capacity() * size_of::<u32>()
+            + self.set_covered.heap_bytes()
+            + self.node_off.capacity() * size_of::<usize>()
+            + self.node_sets.capacity() * size_of::<u32>()
+            + self.scan.capacity() * size_of::<NodeId>()
+            + self.word_buf.capacity() * size_of::<(u32, u64)>()
     }
 
-    /// Loads `pool`'s coverage counts into the marginal buffer and clears
-    /// the covered-set mask.
+    /// Starts a greedy run on `pool`: loads its coverage counts as the
+    /// marginals, clears the covered-set mask, rebuilds the transpose, and
+    /// fills the scan list with every covered node.
     fn begin(&mut self, pool: &SketchPool) {
         self.marginal.clear();
         self.marginal.extend_from_slice(pool.coverage_counts());
         self.set_covered.grow(pool.len());
         self.set_covered.clear();
+        pool.transpose_into(&mut self.node_off, &mut self.node_sets);
+        self.scan.clear();
+        self.scan.extend_from_slice(pool.touched_nodes());
+        self.last_scanned = 0;
     }
 
     /// Commits `v` into the partial selection: marks its sets covered and
-    /// decrements every co-member's marginal. The single mutation point all
-    /// strategies share.
+    /// decrements every co-member's marginal.
     ///
-    /// Word-parallel: `v`'s set-id list arrives in strictly increasing order
-    /// (insertion order), so it compresses into one `(word, mask)` pair per
+    /// Word-parallel: `v`'s transposed row lists its set ids in strictly
+    /// increasing order, so it compresses into one `(word, mask)` pair per
     /// touched word of the covered mask. Each batch then hits `set_covered`
     /// with a single [`FixedBitSet::insert_word`] — up to 64 membership
     /// tests in one fetch/or — and only the returned freshly-set bits walk
     /// their set members to decrement marginals.
     fn commit_pick(&mut self, pool: &SketchPool, v: NodeId) {
         self.word_buf.clear();
-        let word_buf = &mut self.word_buf;
-        // for_each drives SetsOf's chunked fold — one arena-chunk slice at a
-        // time instead of per-id iterator stepping.
-        pool.sets_of(v).for_each(|s| {
+        let row = &self.node_sets[self.node_off[v as usize]..self.node_off[v as usize + 1]];
+        for &s in row {
             let wi = s >> 6;
             let bit = 1u64 << (s & 63);
-            match word_buf.last_mut() {
+            match self.word_buf.last_mut() {
                 Some((w, mask)) if *w == wi => *mask |= bit,
-                _ => word_buf.push((wi, bit)),
+                _ => self.word_buf.push((wi, bit)),
             }
-        });
-        let marginal = &mut self.marginal;
-        let set_covered = &mut self.set_covered;
-        for &(wi, mask) in self.word_buf.iter() {
-            let mut fresh = set_covered.insert_word(wi as usize, mask);
+        }
+        for &(wi, mask) in &self.word_buf {
+            let mut fresh = self.set_covered.insert_word(wi as usize, mask);
             while fresh != 0 {
                 let s = (wi << 6) | fresh.trailing_zeros();
                 fresh &= fresh - 1;
                 for &u in pool.set(s) {
-                    marginal[u as usize] -= 1;
+                    self.marginal[u as usize] -= 1;
                 }
             }
         }
         debug_assert_eq!(self.marginal[v as usize], 0);
     }
 
-    /// Sets covered by the most recent selection, as a word-skipping
-    /// iterator of set ids over the engine's covered mask.
-    pub fn covered_sets(&self) -> Ones<'_> {
-        self.set_covered.ones()
-    }
-
-    /// `argmax_v Λ_R(v)` with the shared tie-breaking; `None` when the pool
-    /// covers nothing. This is exactly the first pick of a greedy run.
-    pub fn argmax(&self, pool: &SketchPool) -> Option<(NodeId, u32)> {
-        best_node(pool.touched_nodes(), pool.coverage_counts())
-    }
-
-    /// Picks up to `b` nodes greedily maximizing marginal set coverage —
-    /// CELF lazy greedy (Leskovec et al. 2007), the default strategy.
-    ///
-    /// Identical output to [`CoverageEngine::select_eager`] (same
-    /// tie-breaking) but skips recomputing marginals that submodularity
-    /// proves stale; wins when `b` is large relative to how quickly gains
-    /// decay.
-    pub fn select(&mut self, pool: &SketchPool, b: usize) -> GreedyCover {
+    /// The one greedy loop behind every selection: picks the live candidate
+    /// with the largest marginal (shared tie-breaking) until
+    /// `done(picks, covered)` holds or coverage runs out. Each pick rescans
+    /// the live candidate list, compacting out nodes whose marginal dropped
+    /// to zero, so a run costs `O(n + picks·|live| + Σ|R|)`, the transpose
+    /// build included.
+    fn greedy(
+        &mut self,
+        pool: &SketchPool,
+        mut done: impl FnMut(usize, u32) -> bool,
+    ) -> GreedyCover {
         self.begin(pool);
-        self.heap.clear();
-        for &v in pool.touched_nodes() {
-            self.heap.push((self.marginal[v as usize], Reverse(v)));
-        }
-        self.fresh_round.clear();
-        self.fresh_round.resize(pool.n(), 0);
-        self.last_heap_pops = 0;
-        self.last_heap_pushes = 0;
-
-        let mut seeds = Vec::with_capacity(b);
+        let mut seeds = Vec::new();
         let mut covered = 0u32;
-        for round in 1..=u32_of(b) {
-            let picked = loop {
-                let Some(&(gain, Reverse(v))) = self.heap.peek() else {
-                    break None;
-                };
-                if gain == 0 {
-                    break None;
-                }
-                let current = self.marginal[v as usize];
-                if self.fresh_round[v as usize] == round || current == gain {
-                    // cached value is exact for this round
-                    self.heap.pop();
-                    self.last_heap_pops += 1;
-                    break Some((v, current));
-                }
-                self.heap.pop();
-                self.last_heap_pops += 1;
-                self.fresh_round[v as usize] = round;
-                if current == 0 {
-                    continue;
-                }
-                // Single-winner fast path: the heap holds at most one entry
-                // per node and the keys are a strict total order, so if the
-                // refreshed entry still beats the next top it would survive
-                // the push + re-pop round-trip untouched — commit directly.
-                match self.heap.peek() {
-                    Some(&top) if (current, Reverse(v)) < top => {
-                        self.heap.push((current, Reverse(v)));
-                        self.last_heap_pushes += 1;
-                    }
-                    _ => break Some((v, current)),
-                }
-            };
-            let Some((v, gain)) = picked else { break };
-            seeds.push(v);
-            covered += gain;
-            self.commit_pick(pool, v);
-        }
-        GreedyCover { seeds, covered }
-    }
-
-    /// Eager greedy: rescans the live candidate list every pick, compacting
-    /// out nodes whose marginal has dropped to zero so exhausted nodes are
-    /// never rescanned. Runs in `O(b·|live| + Σ|R|)`.
-    pub fn select_eager(&mut self, pool: &SketchPool, b: usize) -> GreedyCover {
-        self.begin(pool);
-        self.scan.clear();
-        self.scan.extend_from_slice(pool.touched_nodes());
-        self.last_scanned = 0;
-
-        let mut seeds = Vec::with_capacity(b);
-        let mut covered = 0u32;
-        for _ in 0..b {
+        while !done(seeds.len(), covered) {
             self.last_scanned += self.scan.len();
             let Some((v, gain)) = scan_best(&mut self.scan, &self.marginal) else {
                 break;
@@ -355,6 +272,25 @@ impl CoverageEngine {
         GreedyCover { seeds, covered }
     }
 
+    /// Sets covered by the most recent selection, as a word-skipping
+    /// iterator of set ids over the engine's covered mask.
+    pub fn covered_sets(&self) -> Ones<'_> {
+        self.set_covered.ones()
+    }
+
+    /// `argmax_v Λ_R(v)` with the shared tie-breaking; `None` when the pool
+    /// covers nothing. This is exactly the first pick of a greedy run, and
+    /// needs no transpose.
+    pub fn argmax(&self, pool: &SketchPool) -> Option<(NodeId, u32)> {
+        best_node(pool.touched_nodes(), pool.coverage_counts())
+    }
+
+    /// Picks up to `b` nodes greedily maximizing marginal set coverage
+    /// (TRIM-B Line 8).
+    pub fn select(&mut self, pool: &SketchPool, b: usize) -> GreedyCover {
+        self.greedy(pool, |picks, _| picks >= b)
+    }
+
     /// Greedy picks until `bound(Λ(S))` reaches `target` or coverage runs
     /// out (the stopping rule of the non-adaptive baselines). Returns the
     /// cover and whether the target was reached.
@@ -364,36 +300,15 @@ impl CoverageEngine {
         target: f64,
         bound: impl Fn(f64) -> f64,
     ) -> (GreedyCover, bool) {
-        self.begin(pool);
-        self.scan.clear();
-        self.scan.extend_from_slice(pool.touched_nodes());
-
-        let mut seeds = Vec::new();
-        let mut covered = 0u32;
-        let reached = loop {
-            if bound(covered as f64) >= target {
-                break true;
-            }
-            let Some((v, gain)) = scan_best(&mut self.scan, &self.marginal) else {
-                break false;
-            };
-            seeds.push(v);
-            covered += gain;
-            self.commit_pick(pool, v);
-        };
-        (GreedyCover { seeds, covered }, reached)
+        let cover = self.greedy(pool, |_, covered| bound(f64::from(covered)) >= target);
+        let reached = bound(f64::from(cover.covered)) >= target;
+        (cover, reached)
     }
 }
 
-/// Picks up to `b` nodes greedily maximizing marginal set coverage (eager
-/// reference scan; see [`CoverageEngine::select_eager`]).
+/// Picks up to `b` nodes greedily maximizing marginal set coverage on a
+/// fresh engine (see [`CoverageEngine::select`]).
 pub fn greedy_max_coverage(pool: &SketchPool, b: usize) -> GreedyCover {
-    CoverageEngine::new().select_eager(pool, b)
-}
-
-/// CELF-style lazy greedy: identical output to [`greedy_max_coverage`]
-/// (same tie-breaking) via [`CoverageEngine::select`].
-pub fn lazy_greedy_max_coverage(pool: &SketchPool, b: usize) -> GreedyCover {
     CoverageEngine::new().select(pool, b)
 }
 
@@ -481,7 +396,10 @@ mod tests {
                 opt: &mut u32,
             ) {
                 if cur.len() == b {
-                    *opt = (*opt).max(pool.coverage_of_set(cur));
+                    let union = (0..pool.len() as u32)
+                        .filter(|&s| pool.set(s).iter().any(|v| cur.contains(v)))
+                        .count();
+                    *opt = (*opt).max(union as u32);
                     return;
                 }
                 for i in start..nodes.len() {
@@ -502,10 +420,14 @@ mod tests {
     }
 
     #[test]
-    fn lazy_greedy_matches_simple_greedy_exactly() {
+    fn reused_engine_matches_fresh_greedy_exactly() {
+        // One engine across pools of varying node and set counts, so its
+        // transpose buffers grow and shrink: every selection must equal a
+        // fresh engine's on the same pool.
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(31);
+        let mut engine = CoverageEngine::new();
         for case in 0..30 {
             let n = 2 + (case % 20);
             let sets = 1 + (case * 7) % 50;
@@ -518,9 +440,9 @@ mod tests {
                 pool.add_set(&s);
             }
             for b in [1usize, 2, 3, 8] {
-                let simple = greedy_max_coverage(&pool, b);
-                let lazy = lazy_greedy_max_coverage(&pool, b);
-                assert_eq!(simple, lazy, "case {case}, b = {b}");
+                let fresh = greedy_max_coverage(&pool, b);
+                let reused = engine.select(&pool, b);
+                assert_eq!(fresh, reused, "case {case}, b = {b}");
             }
         }
     }
@@ -528,17 +450,17 @@ mod tests {
     #[test]
     fn engine_reuse_across_pools_is_clean() {
         // One engine serving different pools back to back (the TrimScratch
-        // pattern) must never leak covered-set or marginal state.
+        // pattern) must never leak covered-set, marginal or transpose state.
         let mut engine = CoverageEngine::new();
         let big = pool_from(&[&[0, 1], &[1, 2], &[2], &[3]], 4);
         let small = pool_from(&[&[0]], 2);
         for _ in 0..3 {
             let g = engine.select(&big, 2);
-            assert_eq!(g, lazy_greedy_max_coverage(&big, 2));
+            assert_eq!(g, greedy_max_coverage(&big, 2));
             let g = engine.select(&small, 1);
             assert_eq!(g.seeds, vec![0]);
             assert_eq!(g.covered, 1);
-            let g = engine.select_eager(&big, 4);
+            let g = engine.select(&big, 4);
             assert_eq!(g.covered, 4);
         }
     }
@@ -563,7 +485,7 @@ mod tests {
             }
         }
         let mut engine = CoverageEngine::new();
-        let g = engine.select_eager(&pool, clusters);
+        let g = engine.select(&pool, clusters);
         assert_eq!(g.seeds.len(), clusters);
         assert_eq!(g.covered as usize, clusters * sets_per);
         let naive_visits = clusters * n;
@@ -573,8 +495,8 @@ mod tests {
             engine.last_scanned,
             naive_visits
         );
-        // and the compacted scan returns exactly what CELF returns
-        assert_eq!(g, engine.select(&pool, clusters));
+        // every hub ties at gain 50, so they come out in id order
+        assert_eq!(g.seeds, (0..clusters as NodeId).collect::<Vec<_>>());
     }
 
     #[test]
@@ -598,11 +520,15 @@ mod tests {
     }
 
     #[test]
-    fn lazy_greedy_empty_pool() {
+    fn empty_pool_selects_nothing() {
         let pool = SketchPool::new(4);
-        let g = lazy_greedy_max_coverage(&pool, 3);
+        let mut engine = CoverageEngine::new();
+        let g = engine.select(&pool, 3);
         assert!(g.seeds.is_empty());
         assert_eq!(g.covered, 0);
+        let (g, reached) = engine.select_until(&pool, 1.0, |c| c);
+        assert!(!reached);
+        assert!(g.seeds.is_empty());
     }
 
     #[test]

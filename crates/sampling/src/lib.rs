@@ -7,13 +7,13 @@
 //! * [`mrr`] — the paper's multi-root RR sets with randomized rounding of
 //!   the root count (`E[k] = n_i/η_i`), the sampler that makes *truncated*
 //!   spread estimation accurate (Theorem 3.3);
-//! * [`pool`] — a columnar sketch pool (flat CSR sets + chunked-arena
-//!   inverted index) with incremental coverage counts, supporting the
-//!   argmax and greedy-cover queries of TRIM / TRIM-B;
+//! * [`pool`] — a columnar sketch pool (flat CSR sets) with incremental
+//!   coverage counts, answering TRIM's argmax directly;
 //! * [`coverage`] — the shared [`CoverageEngine`](coverage::CoverageEngine):
-//!   one marginal-maintenance implementation behind TRIM's argmax, eager
-//!   greedy, CELF lazy greedy (the default), and the bound-driven greedy of
-//!   the non-adaptive baselines, with the `ρ_b = 1 − (1−1/b)^b` guarantee;
+//!   one greedy loop behind TRIM's argmax, TRIM-B's batch selection, and the
+//!   bound-driven greedy of the non-adaptive baselines, with the
+//!   `ρ_b = 1 − (1−1/b)^b` guarantee. Each greedy call builds the pool's
+//!   node→sets inverted index as a CSR transpose;
 //! * [`bounds`] — the martingale concentration bounds of Appendix A
 //!   (Lemma A.2) that drive the stopping rules;
 //! * [`parallel`] — deterministic multi-threaded sketch generation
@@ -30,8 +30,8 @@ pub mod parallel;
 pub mod pool;
 pub mod rr;
 
-pub use coverage::{greedy_max_coverage, lazy_greedy_max_coverage, CoverageEngine, GreedyCover};
+pub use coverage::{greedy_max_coverage, CoverageEngine, GreedyCover};
 pub use mrr::{sample_root_count, MrrSampler, RootCountDist};
 pub use parallel::{resolve_threads, GenStats, SketchGenPool, SketchJob};
-pub use pool::{SetsOf, SketchPool};
+pub use pool::SketchPool;
 pub use rr::ReverseSampler;

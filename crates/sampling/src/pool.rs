@@ -1,9 +1,8 @@
 //! Sketch pool: columnar storage for sampled (m)RR sets with incremental
 //! coverage counts.
 //!
-//! TRIM needs `argmax_v Λ_R(v)` after every doubling; TRIM-B additionally
-//! needs greedy maximum coverage, which requires the node→sets inverted
-//! index. Both are maintained incrementally as sets arrive so a doubling
+//! TRIM needs only `argmax_v Λ_R(v)` after every doubling, so the pool keeps
+//! exactly what that query reads, maintained as sets arrive so a doubling
 //! never re-scans old sets.
 //!
 //! # Memory layout
@@ -12,60 +11,28 @@
 //! per-node or per-set heap allocations:
 //!
 //! * `set_nodes` + `set_off` — the sets themselves, flattened CSR-style;
-//! * the node→sets inverted index lives in one **chunked arena**: each node
-//!   owns a linked list of chunks (a `next` pointer followed by set-ids)
-//!   inside a single `Vec<u32>`. Chunk capacities grow geometrically
-//!   ([`INIT_CAP`] ids, doubling per link up to [`MAX_CAP`]), so a node in
-//!   `k` sets is spread over `O(log k)` chunks — the list walk is a handful
-//!   of pointer-chases into mostly-contiguous slices, not one dependent
-//!   load per entry. Appending a set touches only each member's tail chunk,
-//!   and `reset` is a truncation instead of `n` individual `Vec::clear`s.
-//!   The arena replaces the former `Vec<Vec<u32>>` (one heap allocation per
-//!   node, realloc churn on every doubling) that dominated pool rebuild
-//!   cost in the doubling loops.
+//! * `coverage[v] = Λ_R(v)`, plus the `touched` list of nodes with non-zero
+//!   coverage.
 //!
-//! The pool is rebuilt and re-queried hundreds of times per adaptive run
-//! (the doubling structure of Algorithm 2/3), which is exactly the reuse
-//! pattern the arena is shaped for: capacity learned in round one is kept
-//! forever.
+//! The pool keeps no node→sets inverted index. Greedy maximum coverage
+//! (TRIM-B and the non-adaptive baselines) is its only reader, and the
+//! coverage engine builds it at the start of every greedy call with
+//! `SketchPool::transpose_into`, a counting-sort transpose into buffers the
+//! engine owns. Appending a set therefore costs one copy plus one counter
+//! bump per member.
+//!
+//! The pool is refilled hundreds of times per adaptive run (the doubling
+//! structure of Algorithm 2/3); [`SketchPool::reset`] keeps every buffer's
+//! capacity, so a warm pool refills without reallocating.
 
-use smin_graph::cast::u32_of;
-use smin_graph::{GenStamp, NodeId};
-use std::cell::RefCell;
-
-/// Ids in a node's first chunk: one cache line including the `next` pointer.
-const INIT_CAP: u32 = 15;
-/// Chunk-capacity ceiling (16 KiB chunks); `next_cap` doubles up to here.
-const MAX_CAP: u32 = 4095;
-/// Null chunk reference (word index into the arena).
-const NONE: u32 = u32::MAX;
-
-/// Capacity of the chunk allocated after one of capacity `cap`:
-/// 15 → 31 → 63 → … → [`MAX_CAP`]. Both the appender and the iterator derive
-/// the sequence from this one function, so no capacity header is stored.
-#[inline]
-fn next_cap(cap: u32) -> u32 {
-    (cap * 2 + 1).min(MAX_CAP)
-}
+use smin_graph::NodeId;
 
 /// A pool of reverse-reachable sets over nodes `0..n`.
 #[derive(Clone, Debug)]
 pub struct SketchPool {
-    n: usize,
     /// Flattened node lists, one slice per set.
     set_nodes: Vec<NodeId>,
     set_off: Vec<usize>,
-    /// Chunked arena holding every node's inverted-index list. A chunk is
-    /// `[next, id, id, …]`; references are word indices into this vector.
-    arena: Vec<u32>,
-    /// First chunk of each node's list ([`NONE`] when empty).
-    head: Vec<u32>,
-    /// Last chunk of each node's list (append target).
-    tail: Vec<u32>,
-    /// Capacity of each node's tail chunk.
-    tail_cap: Vec<u32>,
-    /// Free id slots remaining in each node's tail chunk.
-    tail_free: Vec<u32>,
     /// `coverage[v] = Λ_R(v)`, the number of sets containing `v`.
     coverage: Vec<u32>,
     /// Nodes with non-zero coverage, in first-touch order. Lets `argmax` and
@@ -73,40 +40,26 @@ pub struct SketchPool {
     /// reused across hundreds of adaptive rounds on a multi-million-node
     /// graph.
     touched: Vec<NodeId>,
-    /// Sets that were sampled empty (all roots dead) still count toward
-    /// `len()` — the estimator treats them as covering nothing.
-    empty_sets: usize,
-    /// Interior mutability keeps `coverage_of_set` a `&self` query (it is
-    /// pure) while letting it reuse the stamp buffer across calls.
-    seen: RefCell<GenStamp>,
 }
 
 impl SketchPool {
     /// An empty pool over `n` nodes.
     pub fn new(n: usize) -> Self {
         SketchPool {
-            n,
             set_nodes: Vec::new(),
             set_off: vec![0],
-            arena: Vec::new(),
-            head: vec![NONE; n],
-            tail: vec![NONE; n],
-            tail_cap: vec![0; n],
-            tail_free: vec![0; n],
             coverage: vec![0; n],
             touched: Vec::new(),
-            empty_sets: 0,
-            seen: RefCell::new(GenStamp::new()),
         }
     }
 
-    /// Empties the pool keeping all allocations, in O(touched + sets).
+    /// Empties the pool keeping all allocations, in O(touched).
     ///
     /// This is the pool-recycling contract the service layer builds on: a
-    /// reset pool must *retain* every buffer's capacity (arena, flattened
-    /// sets, per-node columns), so per-request rebuilds on a warm pool
-    /// perform no reallocation. Debug builds assert that [`heap_bytes`]
-    /// never shrinks across a reset.
+    /// reset pool must *retain* every buffer's capacity (flattened sets,
+    /// per-node columns), so per-request rebuilds on a warm pool perform no
+    /// reallocation. Debug builds assert that [`heap_bytes`] never shrinks
+    /// across a reset.
     ///
     /// [`heap_bytes`]: SketchPool::heap_bytes
     pub fn reset(&mut self) {
@@ -114,28 +67,23 @@ impl SketchPool {
         let bytes_before = self.heap_bytes();
         for &v in &self.touched {
             self.coverage[v as usize] = 0;
-            self.head[v as usize] = NONE;
-            self.tail[v as usize] = NONE;
-            self.tail_cap[v as usize] = 0;
-            self.tail_free[v as usize] = 0;
         }
         self.touched.clear();
-        self.arena.clear();
         self.set_nodes.clear();
         self.set_off.clear();
         self.set_off.push(0);
-        self.empty_sets = 0;
         #[cfg(debug_assertions)]
         debug_assert!(
             self.heap_bytes() >= bytes_before,
             "SketchPool::reset released capacity ({} -> {} bytes); recycled \
-             pools must keep their arenas",
+             pools must keep their buffers",
             bytes_before,
             self.heap_bytes()
         );
     }
 
-    /// Number of sets `|R|`.
+    /// Number of sets `|R|`. Sets that were sampled empty (all roots dead)
+    /// count too — the estimator treats them as covering nothing.
     #[inline]
     pub fn len(&self) -> usize {
         self.set_off.len() - 1
@@ -150,7 +98,7 @@ impl SketchPool {
     /// Number of nodes the pool indexes.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.coverage.len()
     }
 
     /// Total of all set sizes (drives the greedy cover cost).
@@ -159,76 +107,33 @@ impl SketchPool {
         self.set_nodes.len()
     }
 
-    /// Heap bytes currently held by the pool's buffers (arena, flattened
-    /// sets, per-node columns). Benchmarks report this to track the memory
-    /// side of the arena layout.
+    /// Heap bytes currently held by the pool's buffers (flattened sets,
+    /// per-node columns). Benchmarks and the service report this to track
+    /// retained warm-pool memory.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.set_nodes.capacity() * size_of::<NodeId>()
             + self.set_off.capacity() * size_of::<usize>()
-            + self.arena.capacity() * size_of::<u32>()
-            + self.head.capacity() * size_of::<u32>()
-            + self.tail.capacity() * size_of::<u32>()
-            + self.tail_cap.capacity() * size_of::<u32>()
-            + self.tail_free.capacity() * size_of::<u32>()
             + self.coverage.capacity() * size_of::<u32>()
             + self.touched.capacity() * size_of::<NodeId>()
-    }
-
-    /// Allocates one fresh chunk of `cap` ids, returning its word index.
-    #[inline]
-    fn alloc_chunk(&mut self, cap: u32) -> u32 {
-        let idx = self.arena.len();
-        // Chunk references are u32 word indices; the arena would need 16 GiB
-        // before this fires.
-        assert!(
-            idx + cap as usize + 1 < NONE as usize,
-            "sketch-pool arena word index overflow"
-        );
-        self.arena.resize(idx + cap as usize + 1, NONE);
-        u32_of(idx)
     }
 
     /// Adds one set; duplicates within `nodes` must already be removed
     /// (the samplers guarantee this).
     pub fn add_set(&mut self, nodes: &[NodeId]) {
-        let id = self.len();
-        // The inverted index stores set ids as u32; θ_max beyond u32::MAX
+        // Set ids are u32 (`set`, the transpose); θ_max beyond u32::MAX
         // would silently alias sets if this ever truncated.
         assert!(
-            id < u32::MAX as usize,
-            "SketchPool holds {id} sets; adding more would overflow the u32 set-id space"
+            self.len() < u32::MAX as usize,
+            "SketchPool holds {} sets; adding more would overflow the u32 set-id space",
+            self.len()
         );
-        let id = u32_of(id);
         for &v in nodes {
-            debug_assert!((v as usize) < self.n);
-            let vi = v as usize;
-            if self.tail_free[vi] == 0 {
-                // tail chunk full (or list empty): link in a fresh chunk,
-                // doubling the capacity so heavy nodes stay O(log k) chunks
-                let cap = if self.coverage[vi] == 0 {
-                    INIT_CAP
-                } else {
-                    next_cap(self.tail_cap[vi])
-                };
-                let chunk = self.alloc_chunk(cap);
-                if self.coverage[vi] == 0 {
-                    self.head[vi] = chunk;
-                    self.touched.push(v);
-                } else {
-                    self.arena[self.tail[vi] as usize] = chunk;
-                }
-                self.tail[vi] = chunk;
-                self.tail_cap[vi] = cap;
-                self.tail_free[vi] = cap;
+            let c = &mut self.coverage[v as usize];
+            if *c == 0 {
+                self.touched.push(v);
             }
-            let fill = self.tail_cap[vi] - self.tail_free[vi];
-            self.arena[self.tail[vi] as usize + 1 + fill as usize] = id;
-            self.tail_free[vi] -= 1;
-            self.coverage[vi] += 1;
-        }
-        if nodes.is_empty() {
-            self.empty_sets += 1;
+            *c += 1;
         }
         self.set_nodes.extend_from_slice(nodes);
         self.set_off.push(self.set_nodes.len());
@@ -238,19 +143,6 @@ impl SketchPool {
     #[inline]
     pub fn set(&self, id: u32) -> &[NodeId] {
         &self.set_nodes[self.set_off[id as usize]..self.set_off[id as usize + 1]]
-    }
-
-    /// Sets containing `v`, in insertion order. Walks the node's chunk list
-    /// inside the arena; the iterator is exact-sized (`Λ_R(v)` entries).
-    #[inline]
-    pub fn sets_of(&self, v: NodeId) -> SetsOf<'_> {
-        SetsOf {
-            arena: &self.arena,
-            chunk: self.head[v as usize],
-            cap: INIT_CAP,
-            pos: 0,
-            remaining: self.coverage[v as usize],
-        }
     }
 
     /// `Λ_R(v)`.
@@ -265,112 +157,61 @@ impl SketchPool {
         &self.coverage
     }
 
-    /// `Λ_R(S)` for a set of nodes: number of sets hit by at least one
-    /// member. Computed with a scan over the members' set lists against a
-    /// reusable generation-stamped buffer — no allocation per call.
-    pub fn coverage_of_set(&self, nodes: &[NodeId]) -> u32 {
-        let mut seen = self.seen.borrow_mut();
-        seen.begin(self.len());
-        let mut c = 0u32;
-        for &v in nodes {
-            self.sets_of(v).for_each(|s| {
-                if seen.mark(s as usize) {
-                    c += 1;
-                }
-            });
-        }
-        c
-    }
-
     /// Nodes that appear in at least one set (first-touch order).
     #[inline]
     pub fn touched_nodes(&self) -> &[NodeId] {
         &self.touched
     }
 
+    /// Writes the node→sets inverted index into the caller's buffers as a
+    /// CSR transpose: afterwards `sets[off[v]..off[v + 1]]` lists the sets
+    /// containing `v`, in ascending id order. Both buffers are overwritten
+    /// and keep their capacity, so a caller that holds them across calls
+    /// rebuilds without reallocating. O(n + Σ|R|).
+    ///
+    /// Counting sort: a prefix sum of the coverage counts gives each node's
+    /// start, then one scatter of set ids in set order fills the rows.
+    /// `off[v + 1]` serves as node `v`'s write cursor during the scatter and
+    /// finishes at `v`'s end, which is exactly `v + 1`'s start. The scatter
+    /// writes every slot of `sets`, so stale contents are never cleared.
+    pub(crate) fn transpose_into(&self, off: &mut Vec<usize>, sets: &mut Vec<u32>) {
+        off.clear();
+        off.push(0);
+        let mut start = 0usize;
+        off.extend(self.coverage.iter().map(|&c| {
+            let s = start;
+            start += c as usize;
+            s
+        }));
+        sets.resize(self.set_nodes.len(), 0);
+        for (id, w) in (0u32..).zip(self.set_off.windows(2)) {
+            for &v in &self.set_nodes[w[0]..w[1]] {
+                let cursor = &mut off[v as usize + 1];
+                sets[*cursor] = id;
+                *cursor += 1;
+            }
+        }
+    }
+
     /// `argmax_v Λ_R(v)`; `None` when the pool covers nothing. O(touched).
     ///
     /// Delegates to the coverage engine's shared candidate scan, so the tie
     /// rule (higher coverage, then smaller node id) is identical to the
-    /// first pick of every greedy strategy in [`crate::coverage`].
+    /// first pick of every greedy selection in [`crate::coverage`].
     pub fn argmax(&self) -> Option<(NodeId, u32)> {
         crate::coverage::best_node(&self.touched, &self.coverage)
     }
 }
 
-/// Iterator over the sets containing one node (see [`SketchPool::sets_of`]).
-#[derive(Clone, Debug)]
-pub struct SetsOf<'a> {
-    arena: &'a [u32],
-    /// Word index of the current chunk ([`NONE`] only when exhausted).
-    chunk: u32,
-    /// Capacity of the current chunk (replayed via [`next_cap`], so no
-    /// per-chunk header is needed).
-    cap: u32,
-    /// Ids consumed from the current chunk.
-    pos: u32,
-    remaining: u32,
-}
-
-impl Iterator for SetsOf<'_> {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        if self.remaining == 0 {
-            return None;
-        }
-        if self.pos == self.cap {
-            self.chunk = self.arena[self.chunk as usize];
-            self.cap = next_cap(self.cap);
-            self.pos = 0;
-        }
-        let id = self.arena[self.chunk as usize + 1 + self.pos as usize];
-        self.pos += 1;
-        self.remaining -= 1;
-        Some(id)
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining as usize, Some(self.remaining as usize))
-    }
-
-    /// Chunk-at-a-time traversal: internal iteration visits each chunk as a
-    /// slice, so `for_each`/`fold` consumers (the greedy hot path) pay one
-    /// `next`-pointer load per chunk — `O(log k)` chases for a node in `k`
-    /// sets — and iterate contiguous memory in between.
-    fn fold<B, F>(mut self, init: B, mut f: F) -> B
-    where
-        F: FnMut(B, u32) -> B,
-    {
-        let mut acc = init;
-        // A partially consumed chunk first (pos > 0 after external next()s).
-        while self.remaining > 0 {
-            let base = self.chunk as usize + 1 + self.pos as usize;
-            let take = (self.cap - self.pos).min(self.remaining) as usize;
-            for &id in &self.arena[base..base + take] {
-                acc = f(acc, id);
-            }
-            self.remaining -= u32_of(take);
-            if self.remaining > 0 {
-                self.chunk = self.arena[self.chunk as usize];
-                self.cap = next_cap(self.cap);
-                self.pos = 0;
-            }
-        }
-        acc
-    }
-}
-
-impl ExactSizeIterator for SetsOf<'_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The transposed row of `v`: the sets containing it.
     fn sets_of_vec(pool: &SketchPool, v: NodeId) -> Vec<u32> {
-        pool.sets_of(v).collect()
+        let (mut off, mut sets) = (Vec::new(), Vec::new());
+        pool.transpose_into(&mut off, &mut sets);
+        sets[off[v as usize]..off[v as usize + 1]].to_vec()
     }
 
     #[test]
@@ -421,14 +262,15 @@ mod tests {
         pool.add_set(&[2]);
         assert_eq!(sets_of_vec(&pool, 2), vec![0, 1]);
         assert_eq!(sets_of_vec(&pool, 0), vec![0]);
+        assert_eq!(sets_of_vec(&pool, 1), Vec::<u32>::new());
         assert_eq!(pool.set(0), &[0, 2]);
         assert_eq!(pool.set(1), &[2]);
     }
 
     #[test]
     fn inverted_index_spans_many_chunks() {
-        // One node in 100 sets: the chunk list is 100/7 ≈ 15 chunks long and
-        // must replay ids in exact insertion order.
+        // One node in 100 sets, another in every third: long rows must list
+        // ids in exact insertion order, and each row's length is Λ_R(v).
         let mut pool = SketchPool::new(2);
         for i in 0..100u32 {
             if i % 3 == 0 {
@@ -443,7 +285,39 @@ mod tests {
             sets_of_vec(&pool, 1),
             (0..100).filter(|i| i % 3 == 0).collect::<Vec<_>>()
         );
-        assert_eq!(pool.sets_of(0).len(), 100, "exact-size iterator");
+        let (mut off, mut sets) = (Vec::new(), Vec::new());
+        pool.transpose_into(&mut off, &mut sets);
+        assert_eq!(
+            off,
+            vec![0, 100, 134],
+            "row bounds are the count prefix sum"
+        );
+        assert_eq!(sets.len(), pool.total_size());
+    }
+
+    #[test]
+    fn transpose_reuses_buffers_across_growth_and_reset() {
+        // The engine's pattern: the same two buffers across a growing pool,
+        // a reset and a smaller refill. Nothing may leak between builds.
+        let (mut off, mut sets) = (Vec::new(), Vec::new());
+        let mut pool = SketchPool::new(4);
+        pool.add_set(&[0, 1]);
+        pool.add_set(&[1, 2]);
+        pool.transpose_into(&mut off, &mut sets);
+        assert_eq!(
+            (&off[..], &sets[..]),
+            (&[0, 1, 3, 4, 4][..], &[0, 0, 1, 1][..])
+        );
+        pool.add_set(&[3, 1]);
+        pool.transpose_into(&mut off, &mut sets);
+        assert_eq!(
+            (&off[..], &sets[..]),
+            (&[0, 1, 4, 5, 6][..], &[0, 0, 1, 2, 1, 2][..])
+        );
+        pool.reset();
+        pool.add_set(&[2]);
+        pool.transpose_into(&mut off, &mut sets);
+        assert_eq!((&off[..], &sets[..]), (&[0, 0, 0, 1, 1][..], &[0][..]));
     }
 
     #[test]
@@ -509,47 +383,16 @@ mod tests {
     }
 
     #[test]
-    fn coverage_of_set_unions() {
-        let mut pool = SketchPool::new(4);
-        pool.add_set(&[0, 1]);
-        pool.add_set(&[1, 2]);
-        pool.add_set(&[3]);
-        assert_eq!(pool.coverage_of_set(&[0, 2]), 2);
-        assert_eq!(pool.coverage_of_set(&[1]), 2);
-        assert_eq!(pool.coverage_of_set(&[0, 1, 2, 3]), 3);
-        assert_eq!(pool.coverage_of_set(&[]), 0);
-    }
-
-    #[test]
-    fn coverage_of_set_reuses_stamp_buffer_correctly() {
-        // Repeated and interleaved queries must be independent: the stamp
-        // buffer is shared across calls and must never leak marks.
-        let mut pool = SketchPool::new(4);
-        pool.add_set(&[0, 1]);
-        pool.add_set(&[1, 2]);
-        for _ in 0..3 {
-            assert_eq!(pool.coverage_of_set(&[1]), 2);
-            assert_eq!(pool.coverage_of_set(&[0]), 1);
-            assert_eq!(pool.coverage_of_set(&[0, 2]), 2);
-        }
-        // Growing the pool after queries must grow the buffer too.
-        pool.add_set(&[3]);
-        assert_eq!(pool.coverage_of_set(&[0, 1, 2, 3]), 3);
-        // And reset + refill must not see stale stamps.
-        pool.reset();
-        pool.add_set(&[2]);
-        assert_eq!(pool.coverage_of_set(&[2]), 1);
-        assert_eq!(pool.coverage_of_set(&[0]), 0);
-    }
-
-    #[test]
     fn clone_keeps_queries_independent() {
         let mut pool = SketchPool::new(3);
         pool.add_set(&[0, 1]);
         let cloned = pool.clone();
-        assert_eq!(pool.coverage_of_set(&[0]), 1);
-        assert_eq!(cloned.coverage_of_set(&[0]), 1);
-        assert_eq!(cloned.coverage_of_set(&[0]), 1);
+        pool.add_set(&[0]);
+        assert_eq!(pool.coverage(0), 2);
+        assert_eq!(sets_of_vec(&pool, 0), vec![0, 1]);
+        assert_eq!(cloned.coverage(0), 1);
+        assert_eq!(cloned.len(), 1);
+        assert_eq!(sets_of_vec(&cloned, 0), vec![0]);
     }
 
     #[test]

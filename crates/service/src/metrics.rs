@@ -76,14 +76,6 @@ pub struct ServiceMetrics {
     pub stage_coverage_micros: Histogram,
     /// Response-body serialization.
     pub stage_serialize_micros: Histogram,
-
-    // --- coverage-engine traffic (most recent computed selection) ---
-    /// CELF heap pops of the most recent computed (non-cached) selection.
-    pub coverage_last_heap_pops: Gauge,
-    /// CELF heap re-pushes of the most recent computed selection.
-    pub coverage_last_heap_pushes: Gauge,
-    /// Nodes scanned by the most recent computed eager selection.
-    pub coverage_last_scanned: Gauge,
 }
 
 impl ServiceMetrics {
@@ -198,17 +190,6 @@ pub fn render(state: &ServiceState) -> String {
             ("stage=\"serialize\"", m.stage_serialize_micros.snapshot()),
         ],
     );
-    expo::write_gauge_vec(
-        &mut out,
-        "smin_coverage_last_traffic",
-        "Coverage-engine traffic of the most recent computed selection.",
-        &[
-            ("kind=\"heap_pops\"", m.coverage_last_heap_pops.get()),
-            ("kind=\"heap_pushes\"", m.coverage_last_heap_pushes.get()),
-            ("kind=\"scanned\"", m.coverage_last_scanned.get()),
-        ],
-    );
-
     // Cache: the same counters /healthz reports, read from the same source.
     let (cached, hits, misses) = {
         let cache = state.cache();
@@ -267,7 +248,7 @@ pub fn render(state: &ServiceState) -> String {
     expo::write_gauge_vec(
         &mut out,
         "smin_graph_warm_pool_bytes",
-        "Heap bytes retained by shelved sketch pools, per graph.",
+        "Heap bytes retained by shelved sketch pools and coverage engines, per graph.",
         &borrow(&warm_bytes),
     );
 

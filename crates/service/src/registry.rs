@@ -1,7 +1,7 @@
 //! The cached-graph registry: graphs loaded once, served many times.
 //!
 //! Each registered graph owns a pool of warm [`AstiSession`]s — the sketch
-//! pool arena, worker scratch, coverage engine, and residual mask survive
+//! pool, worker scratch, coverage engine, and residual mask survive
 //! between requests, so a select on a warm graph performs no cold
 //! allocations. Sessions are checked out per request and checked back in
 //! afterwards; concurrent requests against the same graph each get their
@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 
 /// Warm sessions retained per graph; beyond this, returned sessions are
 /// dropped. Matches the realistic concurrency of one worker pool — keeping
-/// more would only hold dead arena memory.
+/// more would only hold dead pool memory.
 const MAX_WARM_SESSIONS: usize = 16;
 
 /// One registered graph plus its reusable per-request state.
@@ -62,7 +62,8 @@ impl GraphEntry {
         self.lock_sessions().len()
     }
 
-    /// Heap bytes retained by shelved sketch pools (observability).
+    /// Heap bytes retained by shelved sketch pools and coverage engines
+    /// (observability).
     pub fn warm_pool_bytes(&self) -> usize {
         self.lock_sessions()
             .iter()

@@ -704,20 +704,10 @@ fn run_select_item(
     }
     let body = compute_select_body(req, session, stages)?;
     // The session accumulated sketch/coverage splits while `asti_in` ran
-    // (reset at its entry), and the coverage engine kept its most recent
-    // selection's traffic — fold both into the registry here, once per
-    // computed item.
+    // (reset at its entry); fold them in here, once per computed item.
     let sm = session.stage_micros();
     stages.sketch = stages.sketch.saturating_add(sm.sketch);
     stages.coverage = stages.coverage.saturating_add(sm.coverage);
-    let traffic = session.select_traffic();
-    let m = state.metrics();
-    m.coverage_last_heap_pops
-        .set(u64::try_from(traffic.heap_pops).unwrap_or(u64::MAX));
-    m.coverage_last_heap_pushes
-        .set(u64::try_from(traffic.heap_pushes).unwrap_or(u64::MAX));
-    m.coverage_last_scanned
-        .set(u64::try_from(traffic.scanned).unwrap_or(u64::MAX));
     record_select(&req.entry);
     if req.use_cache {
         state
@@ -1193,7 +1183,7 @@ mod tests {
         );
         let entry = s.registry().get("g").unwrap();
         assert_eq!(entry.warm_sessions(), 1, "session returned to the shelf");
-        assert!(entry.warm_pool_bytes() > 0, "warm pool retains its arena");
+        assert!(entry.warm_pool_bytes() > 0, "warm pool retains its buffers");
         post(
             &s,
             "/v1/select",

@@ -181,6 +181,31 @@ fn expired_deadline_returns_deterministic_504() {
     }
 }
 
+#[test]
+fn deeply_nested_json_body_gets_400_and_the_server_survives() {
+    // 200k unclosed arrays: a parser without a nesting cap recurses once per
+    // level and overflows the handler thread's stack, aborting the process.
+    let hostile = "[".repeat(200_000);
+    for transport in [Transport::Threaded, Transport::Epoll] {
+        if transport == Transport::Epoll && !epoll_available() {
+            continue;
+        }
+        let mut handle = spawn(transport, |_| {});
+        let mut c = client(&handle);
+        let resp = c.post("/v1/select", &hostile).unwrap();
+        assert_eq!(resp.status, 400, "{transport:?}: {}", resp.text());
+        assert!(
+            resp.text().contains("invalid JSON body"),
+            "{transport:?}: {}",
+            resp.text()
+        );
+        let resp = c.get("/healthz").unwrap();
+        assert_eq!(resp.status, 200, "{transport:?}: server must survive");
+        drop(c);
+        handle.shutdown();
+    }
+}
+
 /// Writes `head` (a complete request head promising a body that never
 /// arrives) and returns everything the server sends before closing.
 fn stall_mid_body(addr: &str, head: &str) -> String {

@@ -1,9 +1,9 @@
-//! Kernel-equivalence properties: the word-parallel coverage kernels (PR:
-//! word-batched `commit_pick`, unrolled candidate scans, CELF single-winner
-//! fast path, word-skipping bitset primitives) must be observationally
-//! identical to the obviously-correct scalar references — bit for bit, on
-//! arbitrary random inputs, including pool sizes that straddle the 64-bit
-//! word boundaries of the covered mask.
+//! Kernel-equivalence properties: the word-parallel coverage kernels
+//! (word-batched `commit_pick` over the per-call node→sets transpose,
+//! unrolled candidate scans, word-skipping bitset primitives) must be
+//! observationally identical to the obviously-correct scalar references —
+//! bit for bit, on arbitrary random inputs, including pool sizes that
+//! straddle the 64-bit word boundaries of the covered mask.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -100,7 +100,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// CoverageEngine strategies vs a scalar reference greedy
+// CoverageEngine selections vs a scalar reference greedy
 // ---------------------------------------------------------------------------
 
 /// Scalar reference: full rescans, per-bit covered flags, the engine's
@@ -217,12 +217,9 @@ proptest! {
 
         for b in [1usize, 2, 7, 8, 63, 64, 65, 200] {
             let (seeds, covered, _) = reference.greedy(b, |_| false);
-            let celf = engine.select(&pool, b);
-            prop_assert_eq!(&celf.seeds, &seeds);
-            prop_assert_eq!(celf.covered, covered);
-            let eager = engine.select_eager(&pool, b);
-            prop_assert_eq!(&eager.seeds, &seeds);
-            prop_assert_eq!(eager.covered, covered);
+            let got = engine.select(&pool, b);
+            prop_assert_eq!(&got.seeds, &seeds);
+            prop_assert_eq!(got.covered, covered);
             // every covered set the kernels marked is genuinely covered
             prop_assert_eq!(engine.covered_sets().count(), covered as usize);
         }
@@ -239,91 +236,12 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// CELF single-winner fast path: pinned heap-operation counts
-// ---------------------------------------------------------------------------
-
-fn pool_from(sets: &[&[NodeId]], n: usize) -> SketchPool {
-    let mut p = SketchPool::new(n);
-    for s in sets {
-        p.add_set(s);
-    }
-    p
-}
-
-/// A refreshed top that still beats the rest of the heap must commit
-/// without the push + re-pop round-trip.
-#[test]
-fn celf_fast_path_skips_the_reheap() {
-    // node 0: sets 0..9 (gain 10); node 1: shares sets 0..2 plus own
-    // 10..14 (gain 8, refreshes to 5 after node 0); node 2: sets 15..18
-    // (gain 4). After picking node 0, node 1's stale top refreshes to 5,
-    // which still beats node 2's 4 — the fast path commits it directly.
-    let mut sets: Vec<Vec<NodeId>> = Vec::new();
-    for _ in 0..3 {
-        sets.push(vec![0, 1]); // shared
-    }
-    for _ in 0..7 {
-        sets.push(vec![0]);
-    }
-    for _ in 0..5 {
-        sets.push(vec![1]);
-    }
-    for _ in 0..4 {
-        sets.push(vec![2]);
-    }
-    let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
-    let pool = pool_from(&refs, 3);
-
-    let mut engine = CoverageEngine::new();
-    let g = engine.select(&pool, 3);
-    assert_eq!(g.seeds, vec![0, 1, 2]);
-    assert_eq!(g.covered, 19);
-    // round 1: pop node 0 (cached gain exact); round 2: pop node 1 stale,
-    // refresh 8 -> 5, fast path (5 > node 2's 4) commits with no push;
-    // round 3: pop node 2 (cached gain exact).
-    assert_eq!(engine.last_heap_pops, 3, "pop count drifted");
-    assert_eq!(engine.last_heap_pushes, 0, "fast path failed to engage");
-}
-
-/// A refreshed top that falls behind the heap must be pushed back — the
-/// fast path must not engage.
-#[test]
-fn celf_reheap_still_taken_when_refresh_loses() {
-    // node 0: sets 0..9; node 1: shares 6 of them plus own 2 (gain 8,
-    // refreshes to 2 after node 0 — now behind node 2's 4).
-    let mut sets: Vec<Vec<NodeId>> = Vec::new();
-    for _ in 0..6 {
-        sets.push(vec![0, 1]);
-    }
-    for _ in 0..4 {
-        sets.push(vec![0]);
-    }
-    for _ in 0..2 {
-        sets.push(vec![1]);
-    }
-    for _ in 0..4 {
-        sets.push(vec![2]);
-    }
-    let refs: Vec<&[NodeId]> = sets.iter().map(|s| s.as_slice()).collect();
-    let pool = pool_from(&refs, 3);
-
-    let mut engine = CoverageEngine::new();
-    let g = engine.select(&pool, 3);
-    assert_eq!(g.seeds, vec![0, 2, 1]);
-    assert_eq!(g.covered, 16);
-    // round 1: pop node 0; round 2: pop node 1 stale (8 -> 2, behind 4),
-    // push it back, pop node 2 fresh; round 3: pop node 1 (cached exact).
-    assert_eq!(engine.last_heap_pops, 4, "pop count drifted");
-    assert_eq!(engine.last_heap_pushes, 1, "push-back count drifted");
-}
-
-// ---------------------------------------------------------------------------
 // Thread-count identity through the kernelized engine
 // ---------------------------------------------------------------------------
 
 /// TRIM-B selections driven through the kernelized engine are byte-identical
 /// at 1 and 4 sketch-generation threads, and so is the engine's recorded
-/// heap traffic (selection is single-threaded downstream of the pool).
+/// scan volume (selection is single-threaded downstream of the pool).
 #[test]
 fn trim_b_selections_identical_across_thread_counts() {
     use seedmin::algo::trim::TrimScratch;
@@ -338,7 +256,7 @@ fn trim_b_selections_identical_across_thread_counts() {
     let g = assemble(500, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
     let residual = ResidualState::new(500);
 
-    let mut baseline: Option<(Vec<u32>, u32, usize, usize, usize)> = None;
+    let mut baseline: Option<(Vec<u32>, u32, usize, usize)> = None;
     for threads in [1usize, 4] {
         let params = TrimParams::with_eps(0.4).with_threads(threads);
         let mut scratch = TrimScratch::new(g.n());
@@ -358,15 +276,17 @@ fn trim_b_selections_identical_across_thread_counts() {
             out.seeds.clone(),
             out.coverage,
             out.sets_generated,
-            scratch.engine().last_heap_pops,
-            scratch.engine().last_heap_pushes,
+            scratch.engine().last_scanned,
         );
         match &baseline {
             None => baseline = Some(state),
             Some(base) => assert_eq!(&state, base, "{threads} threads diverged"),
         }
     }
-    let (seeds, _, _, pops, _) = baseline.unwrap();
+    let (seeds, _, _, scanned) = baseline.unwrap();
     assert!(!seeds.is_empty());
-    assert!(pops >= seeds.len(), "every committed pick costs >= 1 pop");
+    assert!(
+        scanned >= seeds.len(),
+        "every committed pick scans >= 1 node"
+    );
 }

@@ -1,15 +1,15 @@
-//! Layout-equivalence property: the arena-backed columnar [`SketchPool`]
-//! must be observationally identical to a naive reference pool
-//! (`Vec<Vec<u32>>` inverted index, the pre-refactor layout) on every query
-//! surface — coverage counts, argmax, union coverage, and greedy
-//! selections — for arbitrary random pools, including across `reset`.
+//! Layout-equivalence property: the columnar [`SketchPool`] and the
+//! coverage engine's per-call node→sets transpose must be observationally
+//! identical to a naive reference pool (`Vec<Vec<u32>>` inverted index, the
+//! pre-refactor layout) on every query surface — set contents, coverage
+//! counts, argmax, union coverage, and greedy selections — for arbitrary
+//! random pools, including across `reset` and across pool growth between
+//! two selections on one engine.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use seedmin::sampling::{
-    greedy_max_coverage, lazy_greedy_max_coverage, CoverageEngine, SketchPool,
-};
+use seedmin::sampling::{greedy_max_coverage, CoverageEngine, SketchPool};
 use smin_graph::NodeId;
 
 /// The reference layout: per-node `Vec`s, scans everything, obviously
@@ -116,23 +116,40 @@ fn random_sets() -> impl Strategy<Value = (usize, Vec<Vec<NodeId>>)> {
 }
 
 fn build_both(n: usize, sets: &[Vec<NodeId>]) -> (SketchPool, NaivePool) {
-    let mut arena = SketchPool::new(n);
+    let mut pool = SketchPool::new(n);
     let mut naive = NaivePool::new(n);
     for s in sets {
-        arena.add_set(s);
+        pool.add_set(s);
         naive.add_set(s);
     }
-    (arena, naive)
+    (pool, naive)
 }
 
-fn assert_equivalent(arena: &SketchPool, naive: &NaivePool) {
-    assert_eq!(arena.len(), naive.sets.len());
-    assert_eq!(arena.coverage_counts(), &naive.coverage_counts()[..]);
-    assert_eq!(arena.argmax(), naive.argmax());
-    // inverted index replays ids in insertion order
-    for v in 0..naive.n as u32 {
-        let got: Vec<u32> = arena.sets_of(v).collect();
-        assert_eq!(got, naive.node_sets[v as usize], "sets_of({v}) diverged");
+/// `Λ_R(S)` read off the pool's own sets: the number hit by any of `nodes`.
+fn union_coverage(pool: &SketchPool, nodes: &[NodeId]) -> u32 {
+    (0..pool.len() as u32)
+        .filter(|&s| pool.set(s).iter().any(|v| nodes.contains(v)))
+        .count() as u32
+}
+
+/// Every query surface of `pool` against `naive`, greedy selections
+/// included: a fresh engine per call and the caller's reused `engine` must
+/// both equal the naive greedy, pick for pick.
+fn assert_equivalent(pool: &SketchPool, naive: &NaivePool, engine: &mut CoverageEngine) {
+    assert_eq!(pool.len(), naive.sets.len());
+    for (i, set) in naive.sets.iter().enumerate() {
+        assert_eq!(pool.set(i as u32), &set[..], "set {i} diverged");
+    }
+    assert_eq!(pool.coverage_counts(), &naive.coverage_counts()[..]);
+    assert_eq!(pool.argmax(), naive.argmax());
+    for b in [1usize, 2, 3, 8] {
+        let (seeds, covered) = naive.greedy(b);
+        let fresh = greedy_max_coverage(pool, b);
+        assert_eq!(fresh.seeds, seeds, "fresh engine, b = {b}");
+        assert_eq!(fresh.covered, covered, "fresh engine, b = {b}");
+        let reused = engine.select(pool, b);
+        assert_eq!(reused.seeds, seeds, "reused engine, b = {b}");
+        assert_eq!(reused.covered, covered, "reused engine, b = {b}");
     }
 }
 
@@ -141,42 +158,52 @@ proptest! {
 
     #[test]
     fn arena_pool_matches_naive_reference((n, sets) in random_sets()) {
-        let (arena, naive) = build_both(n, &sets);
-        assert_equivalent(&arena, &naive);
+        let (pool, naive) = build_both(n, &sets);
+        assert_equivalent(&pool, &naive, &mut CoverageEngine::new());
 
         // union-coverage queries on a few deterministic member subsets
         let all: Vec<NodeId> = (0..n as u32).collect();
-        prop_assert_eq!(arena.coverage_of_set(&all), naive.coverage_of_set(&all));
+        prop_assert_eq!(union_coverage(&pool, &all), naive.coverage_of_set(&all));
         let evens: Vec<NodeId> = (0..n as u32).step_by(2).collect();
-        prop_assert_eq!(arena.coverage_of_set(&evens), naive.coverage_of_set(&evens));
-        prop_assert_eq!(arena.coverage_of_set(&[]), 0);
-
-        // greedy selections: eager, CELF, and persistent-engine paths must
-        // all equal the naive reference, pick for pick
-        let mut engine = CoverageEngine::new();
-        for b in [1usize, 2, 3, 8] {
-            let (seeds, covered) = naive.greedy(b);
-            let eager = greedy_max_coverage(&arena, b);
-            prop_assert_eq!(&eager.seeds, &seeds);
-            prop_assert_eq!(eager.covered, covered);
-            let lazy = lazy_greedy_max_coverage(&arena, b);
-            prop_assert_eq!(&lazy.seeds, &seeds);
-            let reused = engine.select(&arena, b);
-            prop_assert_eq!(&reused.seeds, &seeds);
-        }
+        prop_assert_eq!(union_coverage(&pool, &evens), naive.coverage_of_set(&evens));
+        prop_assert_eq!(union_coverage(&pool, &[]), 0);
     }
 
     #[test]
     fn arena_pool_matches_naive_after_reset((n, sets) in random_sets()) {
-        // Fill, reset, refill with the same sets shifted by one: the arena's
-        // recycled chunks must behave exactly like a fresh naive pool.
-        let (mut arena, _) = build_both(n, &sets);
-        arena.reset();
+        // Fill, select, reset, refill with the same sets reversed: the
+        // recycled pool and the engine that already selected on its first
+        // fill must behave exactly like a fresh naive pool.
+        let (mut pool, naive) = build_both(n, &sets);
+        let mut engine = CoverageEngine::new();
+        assert_equivalent(&pool, &naive, &mut engine);
+        pool.reset();
         let mut naive = NaivePool::new(n);
         for s in sets.iter().rev() {
-            arena.add_set(s);
+            pool.add_set(s);
             naive.add_set(s);
         }
-        assert_equivalent(&arena, &naive);
+        assert_equivalent(&pool, &naive, &mut engine);
+    }
+
+    #[test]
+    fn engine_reselects_correctly_after_the_pool_grows((n, sets) in random_sets()) {
+        // The TRIM-B doubling pattern: one engine selects, the pool grows
+        // by more sets, and the same engine selects again. The second
+        // selection must see the grown pool, not an index kept from the
+        // first.
+        let (first, more) = sets.split_at(sets.len() / 2);
+        let (mut pool, mut naive) = build_both(n, first);
+        let mut engine = CoverageEngine::new();
+        assert_equivalent(&pool, &naive, &mut engine);
+        for s in more {
+            pool.add_set(s);
+            naive.add_set(s);
+        }
+        assert_equivalent(&pool, &naive, &mut engine);
+        let (got, reached) = engine.select_until(&pool, f64::MAX, |c| c);
+        prop_assert!(!reached);
+        let all: Vec<NodeId> = (0..n as u32).collect();
+        prop_assert_eq!(got.covered, naive.coverage_of_set(&all));
     }
 }
