@@ -1,58 +1,20 @@
-//! Microbench: mRR-set generation cost, across η (root count `E[k] = n/η`
-//! shrinks as η grows — Lemma 3.8's EPT trade-off) and models (LT sets are
-//! cheaper: one in-edge per node).
-//!
-//! Two axes:
-//! * `mrr_generation` — single-set cost through [`MrrSampler`] (the
-//!   sequential per-sample view);
-//! * `mrr_generation_batch` — a TRIM-doubling-sized batch through
-//!   [`SketchGenPool`], swept over worker thread counts. The generated pool
-//!   is bit-identical across the sweep, so the thread axis shows pure
-//!   speedup.
+//! Microbench: mRR-set generation cost of a TRIM-doubling-sized batch
+//! through [`SketchGenPool`], swept over worker thread counts and η (root
+//! count `E[k] = n/η` shrinks as η grows — Lemma 3.8's EPT trade-off). The
+//! generated pool is bit-identical across the sweep, so the thread axis
+//! shows pure speedup. Single-set cost per model and η is a gated median in
+//! `BENCH_coverage.json` (`perf`'s `sampling` rows).
 
 mod common;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use smin_diffusion::{Model, ResidualState};
-use smin_sampling::{MrrSampler, RootCountDist, SketchGenPool, SketchJob, SketchPool};
+use smin_sampling::{RootCountDist, SketchGenPool, SketchJob, SketchPool};
 use std::hint::black_box;
 
 fn bench_mrr(c: &mut Criterion) {
     let g = common::bench_graph();
     let n = g.n();
-    let mut group = c.benchmark_group("mrr_generation");
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.sample_size(20);
-    for &eta in &[20usize, 100, 400] {
-        for model in [Model::IC, Model::LT] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{model}"), eta),
-                &eta,
-                |bench, &eta| {
-                    let residual = ResidualState::new(n);
-                    let mut sampler = MrrSampler::new(n);
-                    let mut rng = SmallRng::seed_from_u64(1);
-                    let mut out = Vec::new();
-                    bench.iter(|| {
-                        sampler.sample_into(
-                            &g,
-                            model,
-                            &residual,
-                            eta,
-                            RootCountDist::Randomized,
-                            &mut rng,
-                            &mut out,
-                        );
-                        black_box(out.len())
-                    });
-                },
-            );
-        }
-    }
-    group.finish();
 
     // One TRIM doubling's worth of sets, generated by the worker pool.
     const BATCH: usize = 4_096;

@@ -14,7 +14,9 @@
 //!   Criterion-only fixtures so their medians ride the recorded
 //!   trajectory: `trim_round` (Algorithms 2/3 across thread counts, the
 //!   `trim_round` bench fixture) and `rounding` (the §3.3 root-count
-//!   rounding ablation, the `ablation_rounding` bench fixture);
+//!   rounding ablation, the `ablation_rounding` bench fixture). Its
+//!   `sampling` rows time single mRR sets, the reverse BFS that dominates
+//!   every campaign (the `mrr_generation` fixture);
 //! * `BENCH_select.json` — deep selections (b = 64) where `commit_pick`
 //!   dominates.
 //!
@@ -226,6 +228,7 @@ fn run(args: &PerfArgs) -> Result<(), String> {
 
     let trim_rows = time_trim_rounds(args.iters);
     let rounding_rows = time_rounding(args.iters);
+    let sampling_rows = time_sampling(args.iters);
 
     std::fs::create_dir_all(&args.out_dir)
         .map_err(|e| format!("create --out-dir {}: {e}", args.out_dir))?;
@@ -246,9 +249,10 @@ fn run(args: &PerfArgs) -> Result<(), String> {
         Ok(())
     };
     let coverage_extra = format!(
-        ",\n  \"trim_round\": [\n{}\n  ],\n  \"rounding\": [\n{}\n  ]",
+        ",\n  \"trim_round\": [\n{}\n  ],\n  \"rounding\": [\n{}\n  ],\n  \"sampling\": [\n{}\n  ]",
         trim_rows.join(",\n"),
         rounding_rows.join(",\n"),
+        sampling_rows.join(",\n"),
     );
     write(
         "BENCH_coverage.json",
@@ -367,6 +371,68 @@ fn time_rounding(iters: usize) -> Vec<String> {
                 d.json(),
             ));
         }
+    }
+    rows
+}
+
+/// Sets per `sampling` measurement: single sets take 1–50 µs, so each
+/// measurement averages a run of them.
+const SAMPLE_REPS: usize = 256;
+
+/// The `mrr_generation` single-set fixture without Criterion: one mRR set
+/// through `MrrSampler::sample_into` on the bench graph, for IC and LT at
+/// η ∈ {20, 100, 400}, plus one IC row on a trivalency copy of the graph.
+/// Every node of the weighted-cascade graph shares one in-probability, so
+/// its rows run the reverse BFS's shared-probability loop; the trivalency
+/// row runs its per-edge loop.
+fn time_sampling(iters: usize) -> Vec<String> {
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use smin_diffusion::{Model, ResidualState};
+    use smin_graph::weights::apply_weights;
+    use smin_graph::WeightModel;
+    use smin_sampling::{MrrSampler, RootCountDist};
+
+    let wc = bench_graph();
+    let mut rng = SmallRng::seed_from_u64(0x7121);
+    let trivalency = apply_weights(&wc, WeightModel::Trivalency, &mut rng);
+    let mut cases = Vec::new();
+    for eta in [20usize, 100, 400] {
+        for model in [Model::IC, Model::LT] {
+            cases.push(("wc", &wc, model, eta));
+        }
+    }
+    cases.push(("trivalency", &trivalency, Model::IC, 20));
+
+    let mut rows = Vec::new();
+    for (weights, g, model, eta) in cases {
+        let n = g.n();
+        // The reverse CSR is built lazily: build it outside the timed runs.
+        std::hint::black_box(g.in_degree(0));
+        let residual = ResidualState::new(n);
+        let mut sampler = MrrSampler::new(n);
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut out = Vec::new();
+        let d = time_us(iters, SAMPLE_REPS, || {
+            sampler.sample_into(
+                g,
+                model,
+                &residual,
+                eta,
+                RootCountDist::Randomized,
+                &mut rng,
+                &mut out,
+            );
+            std::hint::black_box(out.len());
+        });
+        println!(
+            "sampling {model} {weights:>10} eta {eta:>3}: {:9.2} us/set",
+            d.median()
+        );
+        rows.push(format!(
+            "    {{ \"model\": \"{model}\", \"weights\": \"{weights}\", \"eta\": {eta}, \"sample_us\": {} }}",
+            d.json(),
+        ));
     }
     rows
 }

@@ -34,13 +34,33 @@ pub(crate) fn build_workers(m: usize) -> usize {
     t.min(8)
 }
 
-/// Reverse adjacency of a [`Graph`], stored interleaved: one
-/// `(source, forward edge id, probability)` record per reverse slot, so a
-/// reverse traversal touches a single cache line per edge.
+/// Reverse adjacency of a [`Graph`] in columns: one 16-byte [`InRange`]
+/// record per node, then the `src`, `eid` (forward edge id) and `prob`
+/// columns indexed by reverse slot. A reverse BFS over a node whose in-edges
+/// share one probability (every node under weighted cascade or uniform
+/// weights) loads its record once and then streams only `src`.
 #[derive(Clone, Debug)]
 struct RevCsr {
-    off: Vec<usize>,
-    adj: Vec<(NodeId, u32, f64)>,
+    nodes: Vec<InRange>,
+    src: Vec<NodeId>,
+    eid: Vec<u32>,
+    prob: Vec<f64>,
+}
+
+/// One node's reverse slots `start..end` and the probability all of its
+/// in-edges carry, NaN when they differ or there are none.
+#[derive(Clone, Copy, Debug)]
+struct InRange {
+    start: u32,
+    end: u32,
+    shared_p: f64,
+}
+
+impl InRange {
+    #[inline]
+    fn slots(self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
 }
 
 /// A directed probabilistic graph in compressed-sparse-row form.
@@ -86,8 +106,10 @@ impl Graph {
     /// The reverse CSR, built on first use.
     #[inline]
     fn rev(&self) -> &RevCsr {
-        self.rev
-            .get_or_init(|| build_reverse(self.n, &self.fwd_off, &self.fwd_dst, &self.fwd_prob))
+        self.rev.get_or_init(|| {
+            let workers = build_workers(self.m());
+            build_reverse(&self.fwd_off, &self.fwd_dst, &self.fwd_prob, workers)
+        })
     }
 
     /// Raw forward-CSR columns `(offsets, targets, probabilities)` for the
@@ -118,9 +140,7 @@ impl Graph {
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: NodeId) -> usize {
-        let v = v as usize;
-        let rev = self.rev();
-        rev.off[v + 1] - rev.off[v]
+        self.rev().nodes[v as usize].slots().len()
     }
 
     /// Outgoing neighbors of `u` with propagation probabilities, sorted by id.
@@ -149,11 +169,26 @@ impl Graph {
     /// Incoming neighbors of `v`: `(source, probability, forward edge index)`.
     #[inline]
     pub fn in_edges(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64, u32)> + '_ {
-        let v = v as usize;
         let rev = self.rev();
-        rev.adj[rev.off[v]..rev.off[v + 1]]
+        let r = rev.nodes[v as usize].slots();
+        rev.src[r.clone()]
             .iter()
-            .map(|&(u, e, p)| (u, p, e))
+            .copied()
+            .zip(rev.prob[r.clone()].iter().copied())
+            .zip(rev.eid[r].iter().copied())
+            .map(|((u, p), e)| (u, p, e))
+    }
+
+    /// Sources of `v`'s in-edges, in [`in_edges`](Self::in_edges) order,
+    /// with the probability every one of them carries. The probability is
+    /// `None` when `v` has no in-edges, when two in-edges carry different
+    /// probabilities (compared bit for bit), or when they carry NaN.
+    #[inline]
+    pub fn in_sources(&self, v: NodeId) -> (&[NodeId], Option<f64>) {
+        let rev = self.rev();
+        let rec = rev.nodes[v as usize];
+        let shared = (!rec.shared_p.is_nan()).then_some(rec.shared_p);
+        (&rev.src[rec.slots()], shared)
     }
 
     /// Probability attached to forward edge index `e`.
@@ -213,87 +248,152 @@ impl Graph {
     /// traversal has happened yet.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.fwd_off.len() * size_of::<usize>() * 2
+        self.fwd_off.len() * size_of::<usize>()
+            + self.n * size_of::<InRange>()
             + self.fwd_dst.len()
                 * (size_of::<NodeId>() * 2 + size_of::<f64>() * 2 + size_of::<u32>())
     }
 }
 
-/// Builds the reverse CSR from forward columns: a counting pass, a prefix
-/// sum, then the scatter. Above [`MIN_PARALLEL_EDGES`] the target-id space is
-/// split into contiguous ranges of roughly equal in-edge mass and each worker
-/// scatters only its own range into its own disjoint slice of the record
-/// array — slot positions are a pure function of the input, so the result is
-/// bit-identical for every worker count.
-fn build_reverse(n: usize, fwd_off: &[usize], fwd_dst: &[NodeId], fwd_prob: &[f64]) -> RevCsr {
+/// Builds the reverse CSR from forward columns: a counting pass and a prefix
+/// sum into the node records, then the scatter. With `workers > 1` the
+/// target-id space is split into contiguous ranges of roughly equal in-edge
+/// mass and each worker scatters only its own range into its own disjoint
+/// slices of the records and columns — slot positions are a pure function of
+/// the input, so the result is bit-identical for every worker count.
+fn build_reverse(
+    fwd_off: &[usize],
+    fwd_dst: &[NodeId],
+    fwd_prob: &[f64],
+    workers: usize,
+) -> RevCsr {
     let m = fwd_dst.len();
-    let mut off = vec![0usize; n + 1];
+    let mut nodes = vec![
+        InRange {
+            start: 0,
+            end: 0,
+            shared_p: f64::NAN,
+        };
+        fwd_off.len() - 1
+    ];
     for &v in fwd_dst {
-        off[v as usize + 1] += 1;
+        nodes[v as usize].end += 1;
     }
-    for i in 0..n {
-        off[i + 1] += off[i];
+    // `end` holds the in-degree until here; from here on it is the scatter
+    // cursor, which stops at the node's true end.
+    let mut acc = 0usize;
+    for rec in &mut nodes {
+        let deg = rec.end as usize;
+        rec.start = u32_of(acc);
+        rec.end = rec.start;
+        acc += deg;
     }
-    let mut adj: Vec<(NodeId, u32, f64)> = vec![(0, 0, 0.0); m];
-    let workers = build_workers(m);
+    let mut src: Vec<NodeId> = vec![0; m];
+    let mut eid: Vec<u32> = vec![0; m];
+    let mut prob: Vec<f64> = vec![0.0; m];
     if workers <= 1 {
-        scatter_reverse(0, n, fwd_off, fwd_dst, fwd_prob, &off, &mut adj);
+        scatter_reverse(
+            0, fwd_off, fwd_dst, fwd_prob, &mut nodes, &mut src, &mut eid, &mut prob,
+        );
     } else {
-        let bounds = balance_bounds(&off, workers);
+        let bounds = balance_bounds(&nodes, m, workers);
+        let slot_bounds: Vec<usize> = bounds
+            .iter()
+            .map(|&v| nodes.get(v).map_or(m, |r| r.start as usize))
+            .collect();
         std::thread::scope(|scope| {
-            let mut rest: &mut [(NodeId, u32, f64)] = &mut adj;
+            let mut nodes_rest: &mut [InRange] = &mut nodes;
+            let mut src_rest: &mut [NodeId] = &mut src;
+            let mut eid_rest: &mut [u32] = &mut eid;
+            let mut prob_rest: &mut [f64] = &mut prob;
             for w in 0..workers {
-                let (vlo, vhi) = (bounds[w], bounds[w + 1]);
-                let (mine, tail) = rest.split_at_mut(off[vhi] - off[vlo]);
-                rest = tail;
-                let off = &off;
+                let vlo = bounds[w];
+                let my_nodes = split_front(&mut nodes_rest, bounds[w + 1] - vlo);
+                let slots = slot_bounds[w + 1] - slot_bounds[w];
+                let my_src = split_front(&mut src_rest, slots);
+                let my_eid = split_front(&mut eid_rest, slots);
+                let my_prob = split_front(&mut prob_rest, slots);
                 scope.spawn(move || {
-                    scatter_reverse(vlo, vhi, fwd_off, fwd_dst, fwd_prob, off, mine);
+                    scatter_reverse(
+                        vlo, fwd_off, fwd_dst, fwd_prob, my_nodes, my_src, my_eid, my_prob,
+                    );
                 });
             }
         });
     }
-    RevCsr { off, adj }
+    RevCsr {
+        nodes,
+        src,
+        eid,
+        prob,
+    }
 }
 
-/// Scatters every forward edge whose target falls in `[vlo, vhi)` into `out`,
-/// which covers reverse slots `[rev_off[vlo], rev_off[vhi])`. Slot positions
-/// depend only on the input arrays (forward order within each target), so
-/// concurrent workers on disjoint ranges reproduce the sequential result.
+/// Splits the first `k` elements off `rest`.
+fn split_front<'a, T>(rest: &mut &'a mut [T], k: usize) -> &'a mut [T] {
+    let (front, tail) = std::mem::take(rest).split_at_mut(k);
+    *rest = tail;
+    front
+}
+
+/// Scatters every forward edge whose target falls in
+/// `[vlo, vlo + nodes.len())` into the column slices, which cover exactly
+/// that range's reverse slots, then records each node's shared probability.
+/// On entry each record's `end` equals its `start` and serves as the node's
+/// cursor. Slot positions depend only on the input arrays (forward order
+/// within each target), so concurrent workers on disjoint ranges reproduce
+/// the sequential result.
+#[allow(clippy::too_many_arguments)]
 fn scatter_reverse(
     vlo: usize,
-    vhi: usize,
     fwd_off: &[usize],
     fwd_dst: &[NodeId],
     fwd_prob: &[f64],
-    rev_off: &[usize],
-    out: &mut [(NodeId, u32, f64)],
+    nodes: &mut [InRange],
+    src: &mut [NodeId],
+    eid: &mut [u32],
+    prob: &mut [f64],
 ) {
-    let base = rev_off[vlo];
-    let mut cursor: Vec<usize> = rev_off[vlo..vhi].to_vec();
+    let base = nodes.first().map_or(0, |r| r.start as usize);
+    let targets = vlo..vlo + nodes.len();
     let n = fwd_off.len() - 1;
     for u in 0..n {
         for e in fwd_off[u]..fwd_off[u + 1] {
             let v = fwd_dst[e] as usize;
-            if (vlo..vhi).contains(&v) {
-                let slot = cursor[v - vlo];
-                cursor[v - vlo] += 1;
-                out[slot - base] = (u as NodeId, u32_of(e), fwd_prob[e]);
+            if targets.contains(&v) {
+                let rec = &mut nodes[v - vlo];
+                let slot = rec.end as usize - base;
+                rec.end += 1;
+                src[slot] = u as NodeId;
+                eid[slot] = u32_of(e);
+                prob[slot] = fwd_prob[e];
             }
         }
+    }
+    for rec in nodes {
+        rec.shared_p = shared_prob(&prob[rec.start as usize - base..rec.end as usize - base]);
+    }
+}
+
+/// The probability every entry of `probs` carries, compared bit for bit;
+/// NaN when two differ or `probs` is empty.
+fn shared_prob(probs: &[f64]) -> f64 {
+    match probs.split_first() {
+        Some((&p, rest)) if rest.iter().all(|q| q.to_bits() == p.to_bits()) => p,
+        _ => f64::NAN,
     }
 }
 
 /// Splits the target-id space `[0, n)` into `workers` contiguous ranges of
-/// roughly equal in-edge mass, returning the `workers + 1` boundary ids.
-fn balance_bounds(rev_off: &[usize], workers: usize) -> Vec<usize> {
-    let n = rev_off.len() - 1;
-    let m = rev_off[n];
+/// roughly equal in-edge mass (`m` in-edges in total), returning the
+/// `workers + 1` boundary ids.
+fn balance_bounds(nodes: &[InRange], m: usize, workers: usize) -> Vec<usize> {
+    let n = nodes.len();
     let mut bounds = Vec::with_capacity(workers + 1);
     bounds.push(0usize);
     for w in 1..workers {
         let target = m * w / workers;
-        let v = rev_off.partition_point(|&o| o < target).min(n);
+        let v = nodes.partition_point(|r| (r.start as usize) < target);
         bounds.push(v.max(bounds[w - 1]));
     }
     bounds.push(n);
@@ -302,7 +402,9 @@ fn balance_bounds(rev_off: &[usize], workers: usize) -> Vec<usize> {
 
 #[cfg(test)]
 mod tests {
+    use super::{build_reverse, InRange, MIN_PARALLEL_EDGES};
     use crate::builder::GraphBuilder;
+    use crate::NodeId;
 
     fn diamond() -> crate::Graph {
         // 0 -> 1 -> 3, 0 -> 2 -> 3
@@ -349,6 +451,82 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn in_sources_shares_only_identical_probabilities() {
+        let g = diamond();
+        assert_eq!(g.in_sources(0), (&[][..], None), "no in-edges");
+        assert_eq!(g.in_sources(1), (&[0][..], Some(0.5)));
+        assert_eq!(g.in_sources(2), (&[0][..], Some(0.25)));
+        assert_eq!(g.in_sources(3), (&[1, 2][..], None), "1.0 vs 0.75");
+        let halved = g.map_probabilities(|_, v, p| if v == 3 { 0.5 } else { p });
+        assert_eq!(halved.in_sources(3), (&[1, 2][..], Some(0.5)));
+    }
+
+    #[test]
+    fn memory_bytes_counts_the_node_records() {
+        // forward: 5 offsets (8 B) + 4 targets (4 B) + 4 probabilities
+        // (8 B); reverse: 4 node records (16 B) + 4 slots of source (4 B),
+        // forward edge id (4 B) and probability (8 B).
+        assert_eq!(std::mem::size_of::<InRange>(), 16);
+        assert_eq!(diamond().memory_bytes(), 40 + 48 + 64 + 64);
+    }
+
+    /// Forward columns of a pseudo-random graph with `MIN_PARALLEL_EDGES`
+    /// plus a few edges, so the parallel scatter actually splits. Every
+    /// fifth node's out-edges carry a per-edge probability, so some targets
+    /// share one in-probability and others do not.
+    fn parallel_sized_columns() -> (Vec<usize>, Vec<NodeId>, Vec<f64>) {
+        let n = 20_000usize;
+        let m = MIN_PARALLEL_EDGES + 1_000;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            state >> 33
+        };
+        let mut off = vec![0usize; n + 1];
+        let (mut dst, mut prob) = (Vec::with_capacity(m), Vec::with_capacity(m));
+        for e in 0..m {
+            let u = e * n / m;
+            off[u + 1] = e + 1;
+            let v = next() as usize % n;
+            dst.push(v as NodeId);
+            prob.push(if u.is_multiple_of(5) {
+                [0.5, 0.25, 0.125][e % 3]
+            } else {
+                0.25
+            });
+        }
+        for u in 0..n {
+            off[u + 1] = off[u + 1].max(off[u]);
+        }
+        (off, dst, prob)
+    }
+
+    #[test]
+    fn parallel_reverse_scatter_matches_sequential() {
+        let (off, dst, prob) = parallel_sized_columns();
+        assert!(dst.len() > MIN_PARALLEL_EDGES);
+        let seq = build_reverse(&off, &dst, &prob, 1);
+        let par = build_reverse(&off, &dst, &prob, 3);
+        let records = |nodes: &[InRange]| -> Vec<(u32, u32, u64)> {
+            nodes
+                .iter()
+                .map(|r| (r.start, r.end, r.shared_p.to_bits()))
+                .collect()
+        };
+        assert_eq!(records(&seq.nodes), records(&par.nodes));
+        assert_eq!(seq.src, par.src);
+        assert_eq!(seq.eid, par.eid);
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&seq.prob), bits(&par.prob));
+        // both kinds of node occur, so both branches of the record are pinned
+        let with_in = seq.nodes.iter().filter(|r| r.end > r.start);
+        let (shared, mixed): (Vec<&InRange>, Vec<_>) = with_in.partition(|r| !r.shared_p.is_nan());
+        assert!(!shared.is_empty() && !mixed.is_empty());
     }
 
     #[test]

@@ -14,8 +14,18 @@
 //!
 //! The sampler honors a residual alive-mask so the same code serves rounds
 //! `i > 1` on `G_i`.
+//!
+//! The dequeued node's in-edges come from [`Graph::in_sources`]: when they
+//! all share one probability (every node under weighted cascade and uniform
+//! weights) the loop streams only the source column against that constant,
+//! otherwise it reads each edge's probability from [`Graph::in_edges`]. Both
+//! run the same loop body over the same sources in the same order, so they
+//! draw the same coins, compare them against the same probabilities and
+//! count the same edges: which path runs changes the speed, never a sampled
+//! set.
 
 use rand::Rng;
+use smin_diffusion::Model;
 use smin_graph::{FixedBitSet, Graph, NodeId};
 
 /// Reusable scratch for reverse stochastic BFS on one graph.
@@ -24,7 +34,6 @@ pub struct ReverseSampler {
     /// `Vec<bool>`, so the mask for a million-node graph stays cache-resident
     /// across the thousands of samples each doubling round draws.
     visited: FixedBitSet,
-    queue: Vec<NodeId>,
 }
 
 impl ReverseSampler {
@@ -32,7 +41,6 @@ impl ReverseSampler {
     pub fn new(n: usize) -> Self {
         ReverseSampler {
             visited: FixedBitSet::new(n),
-            queue: Vec::new(),
         }
     }
 
@@ -40,63 +48,41 @@ impl ReverseSampler {
     ///
     /// Dead roots (per `alive`) are skipped. The returned set lists every
     /// alive node that reaches some root in the sampled world, roots
-    /// included. Returns the number of edges examined (the sampler's cost,
-    /// used by the EPT accounting in benchmarks).
+    /// included, in BFS order: `out` is the search queue. Returns the number
+    /// of edges examined (the sampler's cost, used by the EPT accounting in
+    /// benchmarks).
     pub fn sample_into(
         &mut self,
         g: &Graph,
-        model: smin_diffusion::Model,
+        model: Model,
         alive: Option<&[bool]>,
         roots: &[NodeId],
         rng: &mut impl Rng,
         out: &mut Vec<NodeId>,
     ) -> usize {
         out.clear();
-        self.queue.clear();
         let is_alive = |u: NodeId| alive.is_none_or(|a| a[u as usize]);
         for &r in roots {
             if is_alive(r) && self.visited.insert(r as usize) {
                 out.push(r);
-                self.queue.push(r);
             }
         }
         let mut edges_examined = 0usize;
         let mut head = 0;
-        while head < self.queue.len() {
-            let v = self.queue[head];
+        while head < out.len() {
+            let v = out[head];
             head += 1;
-            match model {
-                smin_diffusion::Model::IC => {
-                    for (u, p, _) in g.in_edges(v) {
-                        if !is_alive(u) {
-                            continue;
-                        }
-                        edges_examined += 1;
-                        if !self.visited.contains(u as usize) && rng.random::<f64>() < p {
-                            self.visited.insert(u as usize);
-                            out.push(u);
-                            self.queue.push(u);
-                        }
-                    }
+            let visited = &mut self.visited;
+            edges_examined += match g.in_sources(v) {
+                (srcs, Some(p)) => {
+                    let in_edges = srcs.iter().map(|&u| (u, p));
+                    expand(visited, model, in_edges, is_alive, rng, out)
                 }
-                smin_diffusion::Model::LT => {
-                    // v keeps exactly one live in-edge with prob p(u, v); if
-                    // the chosen source is dead the choice maps to "none",
-                    // which is exactly the induced-subgraph distribution.
-                    let mut r = rng.random::<f64>();
-                    for (u, p, _) in g.in_edges(v) {
-                        edges_examined += 1;
-                        if r < p {
-                            if is_alive(u) && self.visited.insert(u as usize) {
-                                out.push(u);
-                                self.queue.push(u);
-                            }
-                            break;
-                        }
-                        r -= p;
-                    }
+                (_, None) => {
+                    let in_edges = g.in_edges(v).map(|(u, p, _)| (u, p));
+                    expand(visited, model, in_edges, is_alive, rng, out)
                 }
-            }
+            };
         }
         // O(|set|) cleanup keeps repeated sampling allocation-free.
         for &u in out.iter() {
@@ -109,7 +95,7 @@ impl ReverseSampler {
     pub fn sample(
         &mut self,
         g: &Graph,
-        model: smin_diffusion::Model,
+        model: Model,
         alive: Option<&[bool]>,
         roots: &[NodeId],
         rng: &mut impl Rng,
@@ -118,6 +104,52 @@ impl ReverseSampler {
         self.sample_into(g, model, alive, roots, rng, &mut out);
         out
     }
+}
+
+/// Examines one dequeued node's `(source, probability)` in-edges, appends
+/// every newly reached alive source to `out`, and returns the number of
+/// edges examined.
+#[inline]
+fn expand(
+    visited: &mut FixedBitSet,
+    model: Model,
+    in_edges: impl Iterator<Item = (NodeId, f64)>,
+    is_alive: impl Fn(NodeId) -> bool,
+    rng: &mut impl Rng,
+    out: &mut Vec<NodeId>,
+) -> usize {
+    let mut examined = 0usize;
+    match model {
+        Model::IC => {
+            for (u, p) in in_edges {
+                if !is_alive(u) {
+                    continue;
+                }
+                examined += 1;
+                if !visited.contains(u as usize) && rng.random::<f64>() < p {
+                    visited.insert(u as usize);
+                    out.push(u);
+                }
+            }
+        }
+        Model::LT => {
+            // v keeps exactly one live in-edge with prob p(u, v); if the
+            // chosen source is dead the choice maps to "none", which is
+            // exactly the induced-subgraph distribution.
+            let mut r = rng.random::<f64>();
+            for (u, p) in in_edges {
+                examined += 1;
+                if r < p {
+                    if is_alive(u) && visited.insert(u as usize) {
+                        out.push(u);
+                    }
+                    break;
+                }
+                r -= p;
+            }
+        }
+    }
+    examined
 }
 
 #[cfg(test)]

@@ -3,7 +3,10 @@
 //! unrolled candidate scans, word-skipping bitset primitives) must be
 //! observationally identical to the obviously-correct scalar references —
 //! bit for bit, on arbitrary random inputs, including pool sizes that
-//! straddle the 64-bit word boundaries of the covered mask.
+//! straddle the 64-bit word boundaries of the covered mask. The reverse BFS
+//! behind every sketch, which reads a shared in-probability per node where
+//! one exists, must likewise reproduce a per-edge reference sampler set for
+//! set, edge count for edge count, coin for coin.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -289,4 +292,231 @@ fn trim_b_selections_identical_across_thread_counts() {
         scanned >= seeds.len(),
         "every committed pick scans >= 1 node"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Reverse BFS vs the per-edge reference sampler
+// ---------------------------------------------------------------------------
+
+/// The reverse BFS as it was before the reverse CSR carried a shared
+/// in-probability per node: every in-edge's probability read from
+/// `in_edges`, and a BFS queue kept apart from the output set.
+struct ReferenceSampler {
+    visited: Vec<bool>,
+    queue: Vec<NodeId>,
+}
+
+impl ReferenceSampler {
+    fn new(n: usize) -> Self {
+        ReferenceSampler {
+            visited: vec![false; n],
+            queue: Vec::new(),
+        }
+    }
+
+    fn sample_into(
+        &mut self,
+        g: &seedmin::graph::Graph,
+        model: seedmin::diffusion::Model,
+        alive: Option<&[bool]>,
+        roots: &[NodeId],
+        rng: &mut impl Rng,
+        out: &mut Vec<NodeId>,
+    ) -> usize {
+        use seedmin::diffusion::Model;
+        out.clear();
+        self.queue.clear();
+        let is_alive = |u: NodeId| alive.is_none_or(|a| a[u as usize]);
+        for &r in roots {
+            if is_alive(r) && !self.visited[r as usize] {
+                self.visited[r as usize] = true;
+                out.push(r);
+                self.queue.push(r);
+            }
+        }
+        let mut edges_examined = 0usize;
+        let mut head = 0;
+        while head < self.queue.len() {
+            let v = self.queue[head];
+            head += 1;
+            match model {
+                Model::IC => {
+                    for (u, p, _) in g.in_edges(v) {
+                        if !is_alive(u) {
+                            continue;
+                        }
+                        edges_examined += 1;
+                        if !self.visited[u as usize] && rng.random::<f64>() < p {
+                            self.visited[u as usize] = true;
+                            out.push(u);
+                            self.queue.push(u);
+                        }
+                    }
+                }
+                Model::LT => {
+                    let mut r = rng.random::<f64>();
+                    for (u, p, _) in g.in_edges(v) {
+                        edges_examined += 1;
+                        if r < p {
+                            if is_alive(u) && !self.visited[u as usize] {
+                                self.visited[u as usize] = true;
+                                out.push(u);
+                                self.queue.push(u);
+                            }
+                            break;
+                        }
+                        r -= p;
+                    }
+                }
+            }
+        }
+        for &u in out.iter() {
+            self.visited[u as usize] = false;
+        }
+        edges_examined
+    }
+}
+
+/// The four weightings the equivalence runs on, over one pinned Chung–Lu
+/// structure: weighted cascade (every node shares one in-probability),
+/// trivalency (almost no node with two or more in-edges shares), weighted
+/// cascade with every 13th edge halved (both kinds of node), and uniform
+/// `p = 1` (every node shares, every coin lands).
+fn equivalence_graphs() -> Vec<(&'static str, seedmin::graph::Graph)> {
+    use seedmin::graph::generators::{assemble, chung_lu_directed};
+    use seedmin::graph::WeightModel;
+
+    let n = 600;
+    let mut rng = SmallRng::seed_from_u64(0x5EED_0BF5);
+    let pairs = chung_lu_directed(n, 2_400, 2.1, &mut rng);
+    let weighted = |model, rng: &mut SmallRng| assemble(n, &pairs, true, model, rng).unwrap();
+    let wc = weighted(WeightModel::WeightedCascade, &mut rng);
+    let mut edge = 0usize;
+    let mixed = wc.map_probabilities(|_, _, p| {
+        edge += 1;
+        if edge.is_multiple_of(13) {
+            p / 2.0
+        } else {
+            p
+        }
+    });
+    vec![
+        ("trivalency", weighted(WeightModel::Trivalency, &mut rng)),
+        ("uniform-1", weighted(WeightModel::Uniform(1.0), &mut rng)),
+        ("wc", wc),
+        ("wc-mixed", mixed),
+    ]
+}
+
+/// Node counts sharing / not sharing one in-probability (in-degree ≥ 1).
+fn sharing_census(g: &seedmin::graph::Graph) -> (usize, usize) {
+    let with_in = (0..g.n() as u32).filter(|&v| g.in_degree(v) > 0);
+    with_in.fold((0, 0), |(shared, mixed), v| match g.in_sources(v).1 {
+        Some(_) => (shared + 1, mixed),
+        None => (shared, mixed + 1),
+    })
+}
+
+/// For every graph, both models, all nodes alive and about 10% killed:
+/// 2 000 random root sets (1–4 roots, dead and repeated roots included)
+/// give the reference's set, in the same order, with the same edge count,
+/// and leave both RNG streams at the same position.
+#[test]
+fn reverse_bfs_matches_per_edge_reference() {
+    use seedmin::diffusion::Model;
+    use seedmin::sampling::ReverseSampler;
+
+    for (name, g) in equivalence_graphs() {
+        let n = g.n();
+        let (shared, mixed) = sharing_census(&g);
+        match name {
+            "wc" | "uniform-1" => assert_eq!(mixed, 0, "{name}: every node shares"),
+            "trivalency" => assert!(mixed > shared / 2, "{name}: {shared} shared"),
+            _ => assert!(shared > 0 && mixed > 0, "{name}: {shared}/{mixed}"),
+        }
+        let mut mask_rng = SmallRng::seed_from_u64(0xDEAD);
+        let killed: Vec<bool> = (0..n).map(|_| mask_rng.random::<f64>() >= 0.1).collect();
+        for alive in [None, Some(killed.as_slice())] {
+            for model in [Model::IC, Model::LT] {
+                let mut sampler = ReverseSampler::new(n);
+                let mut reference = ReferenceSampler::new(n);
+                let mut rng = SmallRng::seed_from_u64(0xC01);
+                let mut ref_rng = rng.clone();
+                let mut root_rng = SmallRng::seed_from_u64(0x2007);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let mut total = 0usize;
+                for i in 0..2_000 {
+                    let k = root_rng.random_range(1..=4usize);
+                    let roots: Vec<NodeId> =
+                        (0..k).map(|_| root_rng.random_range(0..n as u32)).collect();
+                    let edges = sampler.sample_into(&g, model, alive, &roots, &mut rng, &mut got);
+                    let ref_edges =
+                        reference.sample_into(&g, model, alive, &roots, &mut ref_rng, &mut want);
+                    let case = format!("{name} {model} alive={} set {i}", alive.is_none());
+                    assert_eq!(got, want, "{case}");
+                    assert_eq!(edges, ref_edges, "{case}");
+                    total += edges;
+                }
+                assert!(total > 2_000, "{name} {model}: the sets grew");
+                assert_eq!(
+                    rng.random::<u64>(),
+                    ref_rng.random::<u64>(),
+                    "{name} {model}"
+                );
+            }
+        }
+    }
+}
+
+/// `SketchGenPool::generate` at 1 and 3 threads on the mixed graph, with
+/// about 10% of the nodes dead, reproduces the per-edge reference driven
+/// through the same per-set RNG streams and root draws.
+#[test]
+fn sketch_pool_generation_matches_per_edge_reference() {
+    use seedmin::diffusion::{DistinctDraw, Model, ResidualState};
+    use seedmin::sampling::{sample_root_count, RootCountDist, SketchGenPool, SketchJob};
+
+    let (_, g) = equivalence_graphs()
+        .into_iter()
+        .find(|(name, _)| *name == "wc-mixed")
+        .unwrap();
+    let n = g.n();
+    let mut residual = ResidualState::new(n);
+    for u in (0..n as u32).step_by(10) {
+        residual.kill(u);
+    }
+    let (sets, eta, base_seed) = (1_500usize, 40usize, 0xFEED_u64);
+    for model in [Model::IC, Model::LT] {
+        let mut reference = ReferenceSampler::new(n);
+        let mut draw = DistinctDraw::new();
+        let snapshot = residual.snapshot();
+        let (mut roots, mut set) = (Vec::new(), Vec::new());
+        let mut want: Vec<Vec<NodeId>> = Vec::with_capacity(sets);
+        let mut want_edges = 0usize;
+        for i in 0..sets {
+            let mut rng = SmallRng::seed_from_u64(base_seed ^ i as u64);
+            let k = sample_root_count(snapshot.n_alive(), eta, RootCountDist::Randomized, &mut rng);
+            draw.sample_from(&snapshot, k, &mut rng, &mut roots);
+            let alive = Some(snapshot.alive_mask());
+            want_edges += reference.sample_into(&g, model, alive, &roots, &mut rng, &mut set);
+            want.push(set.clone());
+        }
+        for threads in [1usize, 3] {
+            let job = SketchJob {
+                graph: &g,
+                model,
+                snapshot: residual.snapshot(),
+                eta_i: eta,
+                dist: RootCountDist::Randomized,
+                base_seed,
+            };
+            let mut pool = SketchPool::new(n);
+            let stats = SketchGenPool::new(n).generate(&job, sets, threads, &mut pool);
+            assert_eq!(stats.sets_generated, sets);
+            assert_eq!(stats.edges_examined, want_edges, "{model} t{threads}");
+            for (i, w) in want.iter().enumerate() {
+                assert_eq!(pool.set(i as u32), &w[..], "{model} t{threads} set {i}");
+            }
+        }
+    }
 }

@@ -25,7 +25,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn csr_roundtrip_counts((g, _) in small_graph()) {
+    fn csr_roundtrip_counts((g, seed) in small_graph()) {
         // every forward edge appears exactly once in reverse adjacency
         let fwd: usize = (0..g.n() as u32).map(|u| g.out_degree(u)).sum();
         let rev: usize = (0..g.n() as u32).map(|v| g.in_degree(v)).sum();
@@ -33,6 +33,25 @@ proptest! {
         prop_assert_eq!(rev, g.m());
         for (u, v, p) in g.edges() {
             prop_assert!(g.in_edges(v).any(|(src, q, _)| src == u && q == p));
+        }
+        // `in_sources` lists the in-edges' sources in order, with Some(p)
+        // iff every in-edge carries p (so None at zero in-degree); halving
+        // a seed-dependent third of the edges gives nodes of both kinds
+        let mixed = g.map_probabilities(|u, v, p| {
+            if (u64::from(u) + 2 * u64::from(v) + seed).is_multiple_of(3) { p / 2.0 } else { p }
+        });
+        for h in [&g, &mixed] {
+            for v in 0..h.n() as u32 {
+                let in_edges: Vec<(u32, f64, u32)> = h.in_edges(v).collect();
+                let (srcs, shared) = h.in_sources(v);
+                let want_srcs: Vec<u32> = in_edges.iter().map(|e| e.0).collect();
+                prop_assert_eq!(srcs, &want_srcs[..]);
+                let carried = in_edges
+                    .first()
+                    .map(|e| e.1)
+                    .filter(|&p| in_edges.iter().all(|e| e.1 == p));
+                prop_assert_eq!(shared, carried);
+            }
         }
     }
 
