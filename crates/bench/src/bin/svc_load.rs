@@ -17,9 +17,9 @@
 //!
 //! * `--connections N` opens N keep-alive connections and holds **all of
 //!   them open at once** while pinging `/healthz` on each — the epoll
-//!   event loop's whole point (the threaded transport pins one worker per
-//!   connection and would wedge long before N = 512 on 4 threads). Any
-//!   connect or ping failure exits non-zero.
+//!   event loop's whole point (a thread-per-connection server would wedge
+//!   long before N = 512 on 4 threads). Any connect or ping failure exits
+//!   non-zero.
 //! * `--batch K` measures the `/v1/select-batch` amortization: the same
 //!   uncached selections fired one-per-request and then K-per-batch, on a
 //!   small fixed graph where per-request overhead (framing, dispatch,

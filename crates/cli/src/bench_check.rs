@@ -146,7 +146,7 @@ pub fn compare(baseline: &Value, current: &Value, tol: f64) -> CheckReport {
 
 /// `asm bench-check --baseline FILE --current FILE [--tol F]`
 pub fn bench_check(args: &[String]) -> Result<(), String> {
-    let f = crate::flags::Flags::parse(args)?;
+    let f = crate::flags::Flags::parse(args, &["baseline", "current", "tol"])?;
     let baseline_path = f.require("baseline")?;
     let current_path = f.require("current")?;
     let tol: f64 = f.get_or("tol", 0.25)?;

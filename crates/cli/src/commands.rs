@@ -53,7 +53,12 @@ fn parse_weights(spec: &str) -> Result<WeightModel, String> {
 
 /// `asm generate`
 pub fn generate(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(
+        args,
+        &[
+            "kind", "n", "m", "gamma", "weights", "seed", "out", "attach", "k", "beta",
+        ],
+    )?;
     let kind = f.require("kind")?;
     let n: usize = f.get_parsed("n")?.ok_or("missing required --n")?;
     let seed: u64 = f.get_or("seed", 42)?;
@@ -94,7 +99,7 @@ pub fn generate(args: &[String]) -> Result<(), String> {
 
 /// `asm stats`
 pub fn stats(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, &[])?;
     let path = f.positional.first().ok_or("usage: asm stats <GRAPH>")?;
     let g = load_graph(path)?;
     let wcc = weakly_connected_components(&g);
@@ -126,7 +131,13 @@ pub fn stats(args: &[String]) -> Result<(), String> {
 
 /// `asm run`
 pub fn run(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(
+        args,
+        &[
+            "graph", "algo", "model", "eps", "seed", "worlds", "threads", "audit", "eta",
+            "eta-frac", "batch",
+        ],
+    )?;
     let g = load_graph(f.require("graph")?)?;
     let algo = f.require("algo")?;
     let model: Model = f
@@ -274,7 +285,18 @@ pub fn run(args: &[String]) -> Result<(), String> {
 /// `smin-service`). Blocks forever; graphs are registered and selections
 /// requested over the HTTP API.
 pub fn serve(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(
+        args,
+        &[
+            "addr",
+            "threads",
+            "graphs-dir",
+            "cache",
+            "state-dir",
+            "max-pending",
+            "trace-log",
+        ],
+    )?;
     let addr = f.get("addr").unwrap_or("127.0.0.1:7878").to_string();
     let workers: usize = match f.get_parsed("threads")? {
         Some(0) => return Err("--threads must be at least 1".into()),
@@ -294,7 +316,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     let cache_capacity: usize = f.get_or("cache", 1024)?;
     // Durable registry root: created on first use, restored on every boot.
     let state_dir = f.get("state-dir").map(std::path::PathBuf::from);
-    let transport = smin_service::Transport::parse(f.get("transport").unwrap_or("auto"))?;
     let max_pending: usize = f.get_or("max-pending", 1024)?;
     // Structured observability: one JSON line per request, written off the
     // request path by a dedicated log thread.
@@ -306,7 +327,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         graphs_dir: graphs_dir.clone(),
         state_dir: state_dir.clone(),
         cache_capacity,
-        transport,
         max_pending,
         trace_log: trace_log.clone(),
         ..smin_service::ServerConfig::default()
@@ -315,8 +335,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         smin_service::Server::bind(&config).map_err(|e| format!("{}: {e}", config.addr))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     println!(
-        "asm serve: listening on http://{addr} ({workers} workers, transport: {:?}, graphs dir: {}, state dir: {}, cache: {cache_capacity}, max pending: {max_pending}, trace log: {})",
-        server.resolved_transport(),
+        "asm serve: listening on http://{addr} ({workers} workers, graphs dir: {}, state dir: {}, cache: {cache_capacity}, max pending: {max_pending}, trace log: {})",
         graphs_dir
             .as_deref()
             .map_or("disabled".to_string(), |p| p.display().to_string()),
@@ -355,7 +374,7 @@ pub fn lint(args: &[String]) -> Result<(), String> {
         })
         .cloned()
         .collect();
-    let f = Flags::parse(&rest)?;
+    let f = Flags::parse(&rest, &["root", "format", "baseline"])?;
     let root = std::path::PathBuf::from(f.get("root").unwrap_or("."));
     if !root.is_dir() {
         return Err(format!("--root {}: not a directory", root.display()));
@@ -413,7 +432,7 @@ pub fn lint(args: &[String]) -> Result<(), String> {
 
 /// `asm pack` — encode any loadable graph as a `.smg` CSR snapshot.
 pub fn pack(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, &[])?;
     let [input, output] = f.positional.as_slice() else {
         return Err("usage: asm pack <GRAPH> <OUT.smg>".into());
     };
@@ -430,7 +449,7 @@ pub fn pack(args: &[String]) -> Result<(), String> {
 
 /// `asm inspect` — dump a `.smg` snapshot header without decoding columns.
 pub fn inspect(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, &[])?;
     let [path] = f.positional.as_slice() else {
         return Err("usage: asm inspect <FILE.smg>".into());
     };
@@ -459,7 +478,7 @@ pub fn inspect(args: &[String]) -> Result<(), String> {
 
 /// `asm convert`
 pub fn convert(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, &[])?;
     let [input, output] = f.positional.as_slice() else {
         return Err("usage: asm convert <IN> <OUT>".into());
     };
@@ -629,8 +648,8 @@ mod tests {
         assert!(err.contains("--graphs-dir"), "got: {err}");
         let err = serve(&to_args(&["--addr", "definitely:not:an:addr"])).unwrap_err();
         assert!(err.contains("definitely"), "got: {err}");
-        let err = serve(&to_args(&["--transport", "uring"])).unwrap_err();
-        assert!(err.contains("uring"), "got: {err}");
+        let err = serve(&to_args(&["--transport", "threaded"])).unwrap_err();
+        assert!(err.contains("--transport"), "got: {err}");
         let err = serve(&to_args(&[
             "--addr",
             "127.0.0.1:0",
@@ -639,6 +658,19 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("trace log"), "got: {err}");
+    }
+
+    #[test]
+    fn run_rejects_unknown_flags() {
+        // A misspelled --model must not silently run the IC default.
+        let args: Vec<String> = [
+            "--graph", "g.txt", "--algo", "asti", "--eta", "10", "--modle", "lt",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let err = run(&args).unwrap_err();
+        assert!(err.contains("--modle"), "got: {err}");
     }
 
     #[test]

@@ -11,11 +11,16 @@ pub struct Flags {
 
 impl Flags {
     /// Parses `args`; every `--key` consumes the following token as value.
-    pub fn parse(args: &[String]) -> Result<Flags, String> {
+    /// A key outside `known` (the command's flags) is an error, so a typo
+    /// never silently falls back to a default.
+    pub fn parse(args: &[String], known: &[&str]) -> Result<Flags, String> {
         let mut out = Flags::default();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
+                if !known.contains(&key) {
+                    return Err(format!("unknown flag --{key}"));
+                }
                 let v = it
                     .next()
                     .ok_or_else(|| format!("flag --{key} needs a value"))?;
@@ -68,7 +73,8 @@ mod tests {
     use super::*;
 
     fn parse(s: &[&str]) -> Result<Flags, String> {
-        Flags::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>())
+        let args: Vec<String> = s.iter().map(|x| x.to_string()).collect();
+        Flags::parse(&args, &["n", "seed", "out"])
     }
 
     #[test]

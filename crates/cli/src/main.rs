@@ -26,8 +26,7 @@ USAGE:
           (--eta N | --eta-frac F) [--model ic|lt] [--eps F] [--seed N]
           [--worlds K] [--threads T] [--audit FILE]
   asm serve [--addr HOST:PORT] [--graphs-dir DIR] [--state-dir DIR]
-            [--threads T] [--cache N] [--transport auto|epoll|threaded]
-            [--max-pending N]
+            [--threads T] [--cache N] [--max-pending N] [--trace-log FILE]
   asm lint [--root DIR] [--format human|json] [--baseline FILE]
            [--no-baseline] [--write-baseline]
   asm bench-check --baseline FILE --current FILE [--tol F]
@@ -61,19 +60,18 @@ memory with warm sketch-pool sessions; POST /v1/select runs TRIM / TRIM-B /
 ASTI with per-request eta, model, eps, batch, seed, and POST
 /v1/select-batch runs many items against one graph resolution and one warm
 session. Same request body => byte-identical response, for every thread
-count and both transports. --transport picks the service core: 'epoll' is
-the readiness event loop (one poll thread multiplexing every connection,
---threads dispatch workers), 'threaded' the portable worker-per-connection
-fallback, 'auto' (default) probes the kernel. --max-pending is the
-admission high-water mark: queued + running requests beyond it get a
-deterministic 429 (default 1024). Requests may carry X-Deadline-Millis; a
-request whose budget expires before dispatch gets a structured 504.
---threads sets the worker count (default SMIN_THREADS, then all cores);
---cache bounds the memoized-response count (default 1024, 0 disables). --state-dir
-makes the registry durable: every registered graph is snapshotted to
-DIR/graphs/<id>.smg and indexed in DIR/manifest.json, and a restarted
-server reloads all of them — same ids, same checksum-derived tokens — with
-no re-registration.
+count. The service core is an epoll readiness event loop (one poll thread
+multiplexing every connection, --threads dispatch workers; Linux x86-64 and
+aarch64 only). --max-pending is the admission high-water mark: queued +
+running requests beyond it get a deterministic 429 (default 1024).
+Requests may carry X-Deadline-Millis; a request whose budget expires
+before dispatch gets a structured 504. --threads sets the worker count
+(default SMIN_THREADS, then all cores); --cache bounds the
+memoized-response count (default 1024, 0 disables); --trace-log appends
+one JSON line per request to FILE. --state-dir makes the registry durable:
+every registered graph is snapshotted to DIR/graphs/<id>.smg and indexed in
+DIR/manifest.json, and a restarted server reloads all of them — same ids,
+same checksum-derived tokens — with no re-registration.
 
 bench-check gates the recorded performance trajectory: every \"median\"
 leaf in the committed --baseline artifact (BENCH_coverage.json,

@@ -92,8 +92,8 @@ impl ServiceError {
 
 /// Extracts the request's `X-Deadline-Millis` budget. `Ok(None)` when the
 /// header is absent; 400 when it is present but not a non-negative integer.
-/// Both transports call this at the same point (after parsing, before
-/// admission), keeping their status ordering identical.
+/// The event loop calls this after parsing and before admission, so a bad
+/// header is a 400 even when the server is overloaded.
 pub fn parse_deadline(req: &Request) -> Result<Option<u64>, ServiceError> {
     match req.header("x-deadline-millis") {
         None => Ok(None),

@@ -29,9 +29,9 @@
 //!   deadline headers) can neither grow the poll thread's stack nor
 //!   monopolize it.
 //!
-//! Responses are byte-identical to the threaded fallback transport
-//! ([`crate::server`]): both run [`handle`] on fully-parsed requests and
-//! serialize through [`Response::write_to`] — the wire tests pin this.
+//! This loop is the service's only transport: every request is framed by
+//! [`RequestParser`], answered by [`handle`], and serialized through
+//! [`Response::write_to`].
 
 use crate::error::{parse_deadline, ServiceError};
 use crate::http::{Request, RequestParser, Response, MAX_BUFFERED_BYTES};
@@ -422,7 +422,7 @@ fn dispatch_loop(
                 }
                 ServiceError::deadline_exceeded(d).to_response()
             }
-            _ => handle(state, &job.req),
+            _ => handle(state, &job.req, elapsed),
         };
         let mut bytes = Vec::new();
         // Writing into a Vec cannot fail.
@@ -805,8 +805,7 @@ impl Loop<'_> {
                 }
                 Parsed::Bad(message) => {
                     // Protocol violation: the stream position is
-                    // unknowable, so answer once and close — the same
-                    // contract as the threaded transport.
+                    // unknowable, so answer once and close.
                     self.state.metrics().errors_400.inc();
                     if let Some(trace) = self.state.trace() {
                         // No parsed request to name: method/path are null.
@@ -933,7 +932,7 @@ impl Loop<'_> {
     /// A deadline fired. Validate it is still current, then act on the
     /// connection's state: stuck write / idle / pre-head stall close
     /// silently; a stall after the head was parsed earns a 408 (the peer
-    /// committed to a request), matching the threaded transport.
+    /// committed to a request).
     fn expire(&mut self, e: WheelEntry) {
         enum Act {
             Close,

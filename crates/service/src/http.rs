@@ -1,13 +1,14 @@
-//! Minimal HTTP/1.1 framing over `std::io` streams.
+//! Minimal HTTP/1.1 framing.
 //!
 //! The service speaks exactly the subset a JSON API needs — request line,
 //! headers, `Content-Length` bodies, keep-alive — hand-rolled because the
-//! offline build has no HTTP crates. This module is the server side
-//! ([`read_request`]/[`Response`]); the matching client-side framing lives
-//! in [`crate::client`], and the integration tests drive one against the
-//! other to keep the two implementations honest.
+//! offline build has no HTTP crates. This module is the server side: the
+//! incremental [`RequestParser`] frames every request the event loop reads,
+//! and [`Response`] serializes every answer. The matching client-side
+//! framing lives in [`crate::client`], and the integration tests drive one
+//! against the other to keep the two implementations honest.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// Largest accepted request body (4 MiB): generous for JSON control-plane
 /// bodies, small enough that a misbehaving client cannot balloon a worker.
@@ -25,45 +26,10 @@ pub const MAX_HEADERS: usize = 100;
 /// pipelined backlog drains, bounding per-connection memory.
 pub const MAX_BUFFERED_BYTES: usize = MAX_BODY_BYTES + 2 * MAX_LINE_BYTES;
 
-/// A parse-level failure; mapped to a 400 close-connection response.
+/// A protocol violation; mapped to a 400 close-connection response.
 #[derive(Debug)]
 pub struct HttpError {
     pub message: String,
-    /// `true` when the failure is transport-level (timeout, reset, EOF
-    /// mid-request) rather than a protocol violation. Transport failures
-    /// close the connection silently — answering them with a 400 would
-    /// desync a keep-alive peer that sent nothing (e.g. an idle client
-    /// whose read timeout fired server-side).
-    pub is_io: bool,
-    /// `true` when the request line and all headers were already parsed
-    /// when the failure hit — i.e. the peer committed to a request and
-    /// stalled mid-body. Such a peer deserves a 408 before close rather
-    /// than the silent close an idle connection gets.
-    pub head_parsed: bool,
-    /// `true` when the underlying I/O failure was a read timeout
-    /// (`WouldBlock`/`TimedOut`) rather than a reset or EOF.
-    pub timed_out: bool,
-}
-
-impl HttpError {
-    fn protocol(message: impl Into<String>) -> HttpError {
-        HttpError {
-            message: message.into(),
-            is_io: false,
-            head_parsed: false,
-            timed_out: false,
-        }
-    }
-
-    fn io(message: impl Into<String>, kind: std::io::ErrorKind) -> HttpError {
-        use std::io::ErrorKind;
-        HttpError {
-            message: message.into(),
-            is_io: true,
-            head_parsed: false,
-            timed_out: matches!(kind, ErrorKind::WouldBlock | ErrorKind::TimedOut),
-        }
-    }
 }
 
 impl std::fmt::Display for HttpError {
@@ -73,11 +39,13 @@ impl std::fmt::Display for HttpError {
 }
 
 fn bad<T>(msg: impl Into<String>) -> Result<T, HttpError> {
-    Err(HttpError::protocol(msg))
+    Err(HttpError {
+        message: msg.into(),
+    })
 }
 
 /// One parsed request.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Request {
     pub method: String,
     pub path: String,
@@ -106,113 +74,12 @@ impl Request {
     }
 }
 
-/// Reads one line up to CRLF (or LF), enforcing [`MAX_LINE_BYTES`].
-/// `Ok(None)` signals clean EOF *before any byte* — the peer closed a
-/// keep-alive connection between requests.
-fn read_line<R: BufRead>(reader: &mut R) -> Result<Option<String>, HttpError> {
-    let mut buf = Vec::new();
-    let mut limited = std::io::Read::take(&mut *reader, MAX_LINE_BYTES as u64 + 1);
-    match limited.read_until(b'\n', &mut buf) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(HttpError::io(format!("read failed: {e}"), e.kind())),
-    }
-    if buf.len() > MAX_LINE_BYTES {
-        return bad("header line too long");
-    }
-    while matches!(buf.last(), Some(b'\n' | b'\r')) {
-        buf.pop();
-    }
-    match String::from_utf8(buf) {
-        Ok(s) => Ok(Some(s)),
-        Err(_) => bad("header line is not UTF-8"),
-    }
-}
-
-/// Parses one request from the stream. `Ok(None)` means the peer closed the
-/// connection cleanly before sending another request (normal keep-alive
-/// termination).
-pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpError> {
-    let Some(request_line) = read_line(reader)? else {
-        return Ok(None);
-    };
-    if request_line.is_empty() {
-        return bad("empty request line");
-    }
-    let mut parts = request_line.split_ascii_whitespace();
-    let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return bad(format!("malformed request line: {request_line:?}"));
-    };
-    if parts.next().is_some() || !version.starts_with("HTTP/1.") {
-        return bad(format!("malformed request line: {request_line:?}"));
-    }
-
-    let mut headers = Vec::new();
-    loop {
-        let Some(line) = read_line(reader)? else {
-            return Err(HttpError::io(
-                "connection closed mid-headers",
-                std::io::ErrorKind::UnexpectedEof,
-            ));
-        };
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return bad("too many headers");
-        }
-        let Some((k, v)) = line.split_once(':') else {
-            return bad(format!("malformed header: {line:?}"));
-        };
-        headers.push((k.trim().to_string(), v.trim().to_string()));
-    }
-
-    // The only body framing supported is Content-Length. A chunked body
-    // would otherwise be misread as pipelined requests (response desync),
-    // so reject it explicitly — the 400 closes the connection.
-    if headers
-        .iter()
-        .any(|(k, _)| k.eq_ignore_ascii_case("transfer-encoding"))
-    {
-        return bad("Transfer-Encoding is not supported; send a Content-Length body");
-    }
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .map(|(_, v)| v.parse::<usize>())
-        .transpose()
-        .map_err(|e| HttpError::protocol(format!("bad content-length: {e}")))?
-        .unwrap_or(0);
-    if content_length > MAX_BODY_BYTES {
-        return bad(format!("body of {content_length} bytes exceeds limit"));
-    }
-
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        std::io::Read::read_exact(reader, &mut body).map_err(|e| {
-            let mut err = HttpError::io(format!("body read failed: {e}"), e.kind());
-            err.head_parsed = true;
-            err
-        })?;
-    }
-
-    Ok(Some(Request {
-        method: method.to_string(),
-        path: path.to_string(),
-        version: version.to_string(),
-        headers,
-        body,
-    }))
-}
-
-/// Incremental HTTP/1.1 request parser for the non-blocking transport:
+/// Incremental HTTP/1.1 request parser, the service's one request framing:
 /// raw bytes go in via [`RequestParser::feed`] as they arrive off the
 /// socket, complete requests come out of [`RequestParser::try_next`] once
-/// they frame. Limits and error messages match [`read_request`] exactly —
-/// the proptest suite pins the two byte-for-byte equivalent at every
-/// possible split boundary — so both transports reject identical inputs
-/// with identical diagnostics.
+/// they frame. The unit tests pin its error messages, and the proptests
+/// pin that every chunking of a stream frames the same requests and fails
+/// with the same error as the whole stream fed at once.
 #[derive(Debug, Default)]
 pub struct RequestParser {
     /// Raw bytes; `start..` is unconsumed, `..start` is already parsed.
@@ -284,9 +151,8 @@ impl RequestParser {
         out
     }
 
-    /// One line ending in `\n`, trailing `\r`s stripped (mirrors
-    /// [`read_line`]'s tolerance for bare-LF peers). `Ok(None)` = the
-    /// terminator has not arrived yet.
+    /// One line ending in `\n`, trailing `\r`s stripped (bare-LF peers are
+    /// tolerated). `Ok(None)` = the terminator has not arrived yet.
     fn take_line(&mut self) -> Result<Option<String>, HttpError> {
         let pending = self.buf.get(self.scan..).unwrap_or(&[]);
         let Some(rel) = pending.iter().position(|&b| b == b'\n') else {
@@ -359,8 +225,10 @@ impl RequestParser {
                             .push((k.trim().to_string(), v.trim().to_string()));
                         continue;
                     }
-                    // Blank line: the head is complete. Same body-framing
-                    // rules as the blocking parser.
+                    // Blank line: the head is complete. The only body
+                    // framing supported is Content-Length: a chunked body
+                    // would otherwise be misread as pipelined requests
+                    // (response desync), so reject it explicitly.
                     if head
                         .headers
                         .iter()
@@ -376,7 +244,9 @@ impl RequestParser {
                         .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
                         .map(|(_, v)| v.parse::<usize>())
                         .transpose()
-                        .map_err(|e| HttpError::protocol(format!("bad content-length: {e}")))?
+                        .map_err(|e| HttpError {
+                            message: format!("bad content-length: {e}"),
+                        })?
                         .unwrap_or(0);
                     if content_length > MAX_BODY_BYTES {
                         return bad(format!("body of {content_length} bytes exceeds limit"));
@@ -497,8 +367,12 @@ impl Response {
 mod tests {
     use super::*;
 
+    /// Feeds `raw` whole and pulls the first request; `Ok(None)` means the
+    /// bytes do not complete one.
     fn parse(raw: &str) -> Result<Option<Request>, HttpError> {
-        read_request(&mut raw.as_bytes())
+        let mut p = RequestParser::new();
+        p.feed(raw.as_bytes());
+        p.try_next()
     }
 
     #[test]
@@ -548,11 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_headers_are_an_error() {
-        assert!(parse("GET / HTTP/1.1\r\nHost: x\r\n").is_err());
-    }
-
-    #[test]
     fn oversized_body_is_rejected_up_front() {
         let raw = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 5 << 20);
         assert!(parse(&raw).is_err());
@@ -566,20 +435,25 @@ mod tests {
     #[test]
     fn transfer_encoding_is_rejected_as_protocol_error() {
         let err = parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2f\r\n").unwrap_err();
-        assert!(!err.is_io, "protocol violation, not a transport failure");
         assert!(err.message.contains("Transfer-Encoding"), "{err}");
     }
 
     #[test]
     fn truncation_is_io_parse_garbage_is_not() {
-        // Mid-headers EOF and short bodies are transport-level (close
-        // silently); garbage framing is a protocol error (answer 400).
-        let io = parse("GET / HTTP/1.1\r\nHost: x\r\n").unwrap_err();
-        assert!(io.is_io);
-        let io = parse("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort").unwrap_err();
-        assert!(io.is_io);
-        let proto = parse("GARBAGE\r\n\r\n").unwrap_err();
-        assert!(!proto.is_io);
+        // A truncated head or a short body is not a protocol error: the
+        // parser waits for more bytes, and the transport's timers decide
+        // between a silent close and a 408. Garbage framing is a protocol
+        // error (answer 400).
+        for raw in [
+            "GET / HTTP/1.1\r\nHost: x\r\n",
+            "POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
+        ] {
+            let mut p = RequestParser::new();
+            p.feed(raw.as_bytes());
+            assert!(p.try_next().unwrap().is_none(), "{raw:?}");
+            assert!(p.mid_request(), "{raw:?}");
+        }
+        assert!(parse("GARBAGE\r\n\r\n").is_err());
     }
 
     #[test]
@@ -639,22 +513,35 @@ mod tests {
 
     #[test]
     fn incremental_parser_rejects_what_the_blocking_parser_rejects() {
-        // Identical inputs must produce identical diagnostics on both
-        // parsers — the transports answer 400 with the same message.
-        for raw in [
-            "GARBAGE\r\n\r\n",
-            "GET /\r\n\r\n",
-            "GET / SPDY/3\r\n\r\n",
-            "\r\n",
-            "POST / HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
-            "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-            "POST / HTTP/1.1\r\nnocolon\r\n\r\n",
+        // Every rejection's exact message: it reaches the peer verbatim in
+        // the 400 body (`malformed HTTP: …`).
+        let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE_BYTES));
+        let huge_body = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 5 << 20);
+        for (raw, want) in [
+            ("GARBAGE\r\n\r\n", r#"malformed request line: "GARBAGE""#),
+            ("GET /\r\n\r\n", r#"malformed request line: "GET /""#),
+            (
+                "GET / SPDY/3\r\n\r\n",
+                r#"malformed request line: "GET / SPDY/3""#,
+            ),
+            ("\r\n", "empty request line"),
+            (
+                "POST / HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+                "bad content-length: invalid digit found in string",
+            ),
+            (
+                "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+                "Transfer-Encoding is not supported; send a Content-Length body",
+            ),
+            (
+                "POST / HTTP/1.1\r\nnocolon\r\n\r\n",
+                r#"malformed header: "nocolon""#,
+            ),
+            (huge_body.as_str(), "body of 5242880 bytes exceeds limit"),
+            (long_line.as_str(), "header line too long"),
         ] {
-            let blocking = read_request(&mut raw.as_bytes()).unwrap_err();
-            let mut p = RequestParser::new();
-            p.feed(raw.as_bytes());
-            let incremental = p.try_next().unwrap_err();
-            assert_eq!(blocking.message, incremental.message, "input {raw:?}");
+            let err = parse(raw).unwrap_err();
+            assert_eq!(err.message, want, "input {raw:?}");
         }
     }
 
@@ -662,7 +549,19 @@ mod tests {
     fn incremental_parser_survives_every_split_boundary() {
         let raw: &[u8] = b"POST /v1/select HTTP/1.1\r\nHost: t\r\nX-Deadline-Millis: 250\r\n\
                            Content-Length: 11\r\n\r\n{\"graph\":1}";
-        let reference = read_request(&mut &raw[..]).unwrap().unwrap();
+        let expected = Request {
+            method: "POST".into(),
+            path: "/v1/select".into(),
+            version: "HTTP/1.1".into(),
+            headers: [
+                ("Host", "t"),
+                ("X-Deadline-Millis", "250"),
+                ("Content-Length", "11"),
+            ]
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .to_vec(),
+            body: b"{\"graph\":1}".to_vec(),
+        };
         for split in 0..=raw.len() {
             let mut p = RequestParser::new();
             p.feed(&raw[..split]);
@@ -677,11 +576,7 @@ mod tests {
                     .unwrap_or_else(|e| panic!("split {split}: {e}"))
                     .unwrap_or_else(|| panic!("split {split}: incomplete after full feed")),
             };
-            assert_eq!(req.method, reference.method, "split {split}");
-            assert_eq!(req.path, reference.path, "split {split}");
-            assert_eq!(req.version, reference.version, "split {split}");
-            assert_eq!(req.headers, reference.headers, "split {split}");
-            assert_eq!(req.body, reference.body, "split {split}");
+            assert_eq!(req, expected, "split {split}");
             assert!(
                 p.try_next().unwrap().is_none(),
                 "split {split}: phantom request"
@@ -694,8 +589,14 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// One deterministic request rendered from generated knobs.
-        fn raw_request(mi: usize, path_len: usize, body_len: usize, bare_lf: bool) -> Vec<u8> {
+        /// One deterministic request rendered from generated knobs, plus
+        /// the request it must parse back to.
+        fn raw_request(
+            mi: usize,
+            path_len: usize,
+            body_len: usize,
+            bare_lf: bool,
+        ) -> (Vec<u8>, Request) {
             let method = match mi % 3 {
                 0 => "GET",
                 1 => "POST",
@@ -710,7 +611,17 @@ mod tests {
             )
             .into_bytes();
             raw.extend_from_slice(&body);
-            raw
+            let expected = Request {
+                method: method.to_string(),
+                path,
+                version: "HTTP/1.1".to_string(),
+                headers: vec![
+                    ("Host".to_string(), "test".to_string()),
+                    ("Content-Length".to_string(), body_len.to_string()),
+                ],
+                body,
+            };
+            (raw, expected)
         }
 
         proptest! {
@@ -725,16 +636,11 @@ mod tests {
                 bare_lf in 0usize..2,
             ) {
                 // A pipelined two-request stream, sometimes with bare-LF
-                // line endings, parsed as `chunk`-sized arrivals.
-                let mut stream = raw_request(mi, path_len, body_len, bare_lf == 1);
-                stream.extend(raw_request(mi + 1, path_len / 2 + 1, body_len2, false));
-
-                let mut reader = &stream[..];
-                let mut expected = Vec::new();
-                while let Some(r) = read_request(&mut reader).unwrap() {
-                    expected.push(r);
-                }
-                prop_assert_eq!(expected.len(), 2);
+                // line endings, parsed as `chunk`-sized arrivals, must
+                // frame exactly the requests the generator wrote.
+                let (mut stream, first) = raw_request(mi, path_len, body_len, bare_lf == 1);
+                let (tail, second) = raw_request(mi + 1, path_len / 2 + 1, body_len2, false);
+                stream.extend(tail);
 
                 let mut parser = RequestParser::new();
                 let mut got = Vec::new();
@@ -744,15 +650,139 @@ mod tests {
                         got.push(r);
                     }
                 }
-                prop_assert_eq!(got.len(), expected.len());
-                for (g, e) in got.iter().zip(&expected) {
-                    prop_assert_eq!(&g.method, &e.method);
-                    prop_assert_eq!(&g.path, &e.path);
-                    prop_assert_eq!(&g.version, &e.version);
-                    prop_assert_eq!(&g.headers, &e.headers);
-                    prop_assert_eq!(&g.body, &e.body);
-                }
+                prop_assert_eq!(got, vec![first, second]);
                 prop_assert_eq!(parser.buffered_len(), 0);
+            }
+        }
+    }
+
+    mod fuzz {
+        //! `RequestParser` is the only code that frames untrusted bytes.
+        //! Hostile inputs — random bytes, and valid pipelined streams with
+        //! random damage — must never panic, and the outcome must not
+        //! depend on how the bytes were split across socket reads.
+
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        /// What a parser made of a stream: every request framed before the
+        /// first error or the end of input, then that error's message.
+        type Framed = (Vec<Request>, Option<String>);
+
+        /// Feeds `stream` as pieces of the given lengths (the remainder as
+        /// the last piece), pulling requests after every piece.
+        fn frame(stream: &[u8], cuts: &[usize]) -> Framed {
+            let mut p = RequestParser::new();
+            let mut requests = Vec::new();
+            let (mut fed, mut rest) = (0usize, stream);
+            for &cut in cuts.iter().chain(std::iter::once(&usize::MAX)) {
+                let (piece, tail) = rest.split_at(cut.min(rest.len()));
+                rest = tail;
+                p.feed(piece);
+                fed += piece.len();
+                loop {
+                    let next = p.try_next();
+                    assert!(p.buffered_len() <= fed, "buffered more than was fed");
+                    match next {
+                        Ok(Some(r)) => requests.push(r),
+                        Ok(None) => break,
+                        Err(e) => return (requests, Some(e.message)),
+                    }
+                }
+                if rest.is_empty() {
+                    break;
+                }
+            }
+            (requests, None)
+        }
+
+        /// A valid stream of one to three pipelined requests.
+        fn valid_stream(rng: &mut SmallRng) -> Vec<u8> {
+            let mut out = Vec::new();
+            for _ in 0..rng.random_range(1usize..=3) {
+                let method = ["GET", "POST", "DELETE"][rng.random_range(0usize..3)];
+                let eol = if rng.random_bool(0.2) { "\n" } else { "\r\n" };
+                let body: Vec<u8> = (0..rng.random_range(0usize..64))
+                    .map(|_| rng.random_range(b' '..=b'~'))
+                    .collect();
+                let head = format!(
+                    "{method} /v1/select HTTP/1.1{eol}Host: t{eol}X-Deadline-Millis: 50{eol}\
+                     Content-Length: {}{eol}{eol}",
+                    body.len()
+                );
+                out.extend_from_slice(head.as_bytes());
+                out.extend_from_slice(&body);
+            }
+            out
+        }
+
+        /// One random act of damage to `stream`.
+        fn mutate(rng: &mut SmallRng, stream: &mut Vec<u8>) {
+            let at = rng.random_range(0..=stream.len());
+            match rng.random_range(0u32..5) {
+                0 => stream.truncate(at),
+                1 => {
+                    if let Some(b) = stream.get_mut(at) {
+                        *b ^= rng.random_range(1u8..=255);
+                    }
+                }
+                2 => stream.insert(at, [b'\r', b'\n', b':'][rng.random_range(0usize..3)]),
+                3 => {
+                    // A huge Content-Length: past the body limit, past
+                    // `usize`, or just under the limit (the parser waits).
+                    let huge = ["99999999999999999999999", "4194305", "4194304"]
+                        [rng.random_range(0usize..3)];
+                    let text = String::from_utf8_lossy(stream).replacen(
+                        "Content-Length: ",
+                        &format!("Content-Length: {huge}"),
+                        1,
+                    );
+                    *stream = text.into_bytes();
+                }
+                _ => {
+                    // A line longer than `MAX_LINE_BYTES`.
+                    let run = vec![b'a'; MAX_LINE_BYTES + rng.random_range(0usize..16)];
+                    stream.splice(at..at, run);
+                }
+            }
+        }
+
+        /// Random piece lengths, from single bytes up to whole-stream.
+        fn cuts(rng: &mut SmallRng, len: usize) -> Vec<usize> {
+            let max = [1, 2, 7, 64, len.max(1)][rng.random_range(0usize..5)];
+            let mut out = Vec::new();
+            let mut total = 0;
+            while total < len {
+                let cut = rng.random_range(1..=max);
+                out.push(cut);
+                total += cut;
+            }
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn any_chunking_frames_like_the_whole_feed(seed in 0u64..u64::MAX) {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let stream = if rng.random_bool(0.3) {
+                    (0..rng.random_range(0usize..512))
+                        .map(|_| rng.random_range(0u8..=255))
+                        .collect()
+                } else {
+                    let mut s = valid_stream(&mut rng);
+                    for _ in 0..rng.random_range(1usize..=3) {
+                        mutate(&mut rng, &mut s);
+                    }
+                    s
+                };
+                let whole = frame(&stream, &[]);
+                for _ in 0..3 {
+                    let cuts = cuts(&mut rng, stream.len());
+                    prop_assert_eq!(frame(&stream, &cuts), whole);
+                }
             }
         }
     }

@@ -16,13 +16,10 @@
 //!   byte-identical JSON across restarts and thread counts, which makes the
 //!   bounded response cache ([`cache`]) sound — a repeated request is a
 //!   memory read.
-//! * **Std-only HTTP/1.1** ([`http`], [`server`]): hand-rolled framing over
-//!   `std::net`, keep-alive by default, served by one of two transports —
-//!   an epoll readiness event loop ([`event_loop`] over raw syscall shims
-//!   in [`platform`]) multiplexing every connection on one poll thread, or
-//!   the portable acceptor → worker-pool fallback. Both produce
-//!   byte-identical responses; [`server::Transport::Auto`] probes at bind
-//!   time.
+//! * **Std-only HTTP/1.1** ([`http`], [`server`]): hand-rolled incremental
+//!   framing over `std::net`, keep-alive by default, served by an epoll
+//!   readiness event loop ([`event_loop`] over raw syscall shims in
+//!   [`platform`]) that multiplexes every connection on one poll thread.
 //! * **Request-level protections**: `X-Deadline-Millis` budgets (504),
 //!   admission control at a pending-dispatch high-water mark (429), and
 //!   batched selection (`POST /v1/select-batch`) amortizing graph
@@ -30,9 +27,9 @@
 //! * **Observability** ([`metrics`], [`trace`]): a lock-free metric
 //!   registry ([`smin_obs`]) fed by the event loop, the session layer, and
 //!   the registry/cache, exposed at `GET /metrics` in the Prometheus text
-//!   format on both transports; optional per-request JSON trace lines via
-//!   `--trace-log`. Timing travels in headers and logs only — response
-//!   bodies stay byte-identical with instrumentation on.
+//!   format; optional per-request JSON trace lines via `--trace-log`.
+//!   Timing travels in headers and logs only — response bodies stay
+//!   byte-identical with instrumentation on.
 //!
 //! Per-request `threads` (or the `SMIN_THREADS` env var, resolved at
 //! request time) picks the sketch-generation worker count; it never changes

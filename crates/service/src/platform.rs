@@ -6,8 +6,7 @@
 //! are issued directly via inline assembly on Linux x86_64/aarch64 — the
 //! workspace's only `unsafe` surface, confined to the [`sys`] module. Every
 //! other target gets a stub whose [`Poller::new`] fails with
-//! `Unsupported`, which [`crate::server`] answers by falling back to the
-//! threaded transport at runtime; [`supported`] is that runtime probe.
+//! `Unsupported`, so the crate still builds there but serving fails.
 //!
 //! Only `epoll` itself needs raw syscalls: non-blocking mode, accept, read,
 //! and write all go through `std::net`, so the sockets stay ordinary
@@ -100,12 +99,6 @@ impl Drop for Poller {
     fn drop(&mut self) {
         sys::close(self.epfd);
     }
-}
-
-/// Runtime probe: can this process create an epoll instance? `false` routes
-/// [`crate::server::Transport::Auto`] to the threaded fallback.
-pub fn supported() -> bool {
-    Poller::new().is_ok()
 }
 
 #[cfg(all(
@@ -296,8 +289,8 @@ mod sys {
 )))]
 mod sys {
     //! Stub for targets without the raw-syscall shims: every entry point
-    //! fails with `Unsupported`, which routes `Transport::Auto` to the
-    //! threaded fallback loop.
+    //! fails with `Unsupported`, so [`crate::server::Server::run`] returns
+    //! that error.
 
     use super::EpollEvent;
 
@@ -336,12 +329,6 @@ mod sys {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn poller_probes_as_supported_on_linux() {
-        assert!(supported());
-    }
 
     #[cfg(target_os = "linux")]
     #[test]

@@ -16,10 +16,11 @@
 //!
 //! `/v1/select-batch` amortizes the per-request overhead: the graph is
 //! resolved once and one warm session is checked out for the whole batch,
-//! while each item keeps its own cache entry. Every element of `"results"`
-//! is byte-identical to the body the same item would get from
-//! `/v1/select` — session reuse never changes results (PR 4's contract),
-//! and the wire tests pin this equivalence.
+//! while each item keeps its own cache entry. `/v1/select` is the same
+//! path run on one item (`run_items`, then `select_response`), so every
+//! element of `"results"` is byte-identical to the body the same item
+//! would get from `/v1/select` — session reuse never changes results, and
+//! the wire tests pin this equivalence.
 
 use crate::cache::SelectCache;
 use crate::error::ServiceError;
@@ -54,8 +55,8 @@ pub struct ServiceState {
     /// `None` keeps the registry in-memory only.
     state_dir: Option<PathBuf>,
     started: Instant,
-    /// Shared metric registry, fed by both transports and scraped at
-    /// `GET /metrics`.
+    /// Shared metric registry, fed by the event loop and the session layer
+    /// and scraped at `GET /metrics`.
     metrics: ServiceMetrics,
     /// Per-request JSON trace lines (`--trace-log`); `None` disables.
     trace: Option<TraceLog>,
@@ -184,8 +185,10 @@ fn write_manifest(dir: &Path, registry: &Registry) -> Result<(), String> {
 }
 
 /// Routes one request. Never panics on malformed input — every failure
-/// becomes a structured JSON error.
-pub fn handle(state: &ServiceState, req: &Request) -> Response {
+/// becomes a structured JSON error. `queued_ms` is how long the request
+/// waited for a dispatch thread; it counts against the trace log's
+/// `deadline_remaining_ms`.
+pub fn handle(state: &ServiceState, req: &Request, queued_ms: u64) -> Response {
     // Scrapes return before any counter or trace mutation, so two
     // back-to-back scrapes with no intervening traffic are byte-identical.
     if req.method == "GET" && req.path == "/metrics" {
@@ -231,8 +234,8 @@ pub fn handle(state: &ServiceState, req: &Request) -> Response {
             .header("x-deadline-millis")
             .and_then(|v| v.trim().parse::<u64>().ok())
             .map(|d| {
-                let spent = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-                d.saturating_sub(spent)
+                let handled = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
+                d.saturating_sub(handled.saturating_add(queued_ms))
             });
         trace.emit(&TraceEvent {
             method: Some(&req.method),
@@ -717,50 +720,73 @@ fn run_select_item(
     Ok((body, false))
 }
 
-/// `POST /v1/select`
-///
-/// Runs the adaptive campaign against a world sampled from `seed` (the same
-/// convention as `asm run`: world RNG stream `seed + 1000`, algorithm RNG
-/// stream `seed`), on a session recycled from the graph's warm shelf.
-fn select(
+/// Runs parsed select items against one warm-session checkout: the path
+/// behind both `/v1/select` (one item) and `/v1/select-batch`. Returns
+/// every item's body and the `X-Cache` value — HIT, MISS, or BYPASS
+/// (`"cache": false`) per item, collapsed to one value when every item
+/// agrees and MIXED otherwise, so opting out of the cache is never
+/// reported as a miss. The first failing item's error goes through
+/// `item_err` with the item's index.
+fn run_items(
     state: &ServiceState,
-    http_req: &Request,
-    stages_out: &mut Option<StageMicrosLine>,
-) -> Result<Response, ServiceError> {
-    let mut stages = StageMicrosLine::default();
-    let req = {
-        let _span = smin_obs::Span::enter(&mut stages.resolve);
-        parse_select(state, &http_req.body)
-    }?;
-    // smin-lint: allow(no-wall-clock) -- feeds the X-Select-Micros header only; bodies stay bit-identical
-    let started = Instant::now();
-
+    entry: &GraphEntry,
+    reqs: &[SelectRequest],
+    stages: &mut StageMicrosLine,
+    item_err: impl Fn(usize, ServiceError) -> ServiceError,
+) -> Result<(Vec<Vec<u8>>, &'static str), ServiceError> {
+    // One warm session serves every item — the amortization the batch
+    // endpoint exists for. Session reuse never changes results.
     let mut session = {
         let _span = smin_obs::Span::enter(&mut stages.checkout);
-        req.entry.checkout_session()
+        entry.checkout_session()
     };
-    let result = run_select_item(state, &req, &mut session, &mut stages);
-    req.entry.checkin_session(session);
-    let (body, hit) = result?;
+    let ran: Result<Vec<(Vec<u8>, bool)>, ServiceError> = reqs
+        .iter()
+        .enumerate()
+        .map(|(i, req)| {
+            run_select_item(state, req, &mut session, stages).map_err(|e| item_err(i, e))
+        })
+        .collect();
+    entry.checkin_session(session);
+    let ran = ran?;
+    let hits = ran.iter().filter(|(_, hit)| *hit).count();
+    let bypassed = reqs.iter().filter(|r| !r.use_cache).count();
+    let cache = match (hits, bypassed) {
+        (_, b) if b == reqs.len() => "BYPASS",
+        (0, 0) => "MISS",
+        (h, 0) if h == reqs.len() => "HIT",
+        _ => "MIXED",
+    };
+    Ok((ran.into_iter().map(|(body, _)| body).collect(), cache))
+}
 
+/// The 200 both select endpoints send: folds the stage splits into the
+/// histograms and attaches `X-Cache`, `X-Select-Micros` (measured from
+/// `started`) and, when the request asked, `X-Stage-Micros`. Timing
+/// travels in headers, never bodies, so instrumentation cannot perturb
+/// the byte-identity contract.
+fn select_response(
+    state: &ServiceState,
+    http_req: &Request,
+    body: Vec<u8>,
+    cache: &str,
+    started: Instant,
+    stages: StageMicrosLine,
+    stages_out: &mut Option<StageMicrosLine>,
+) -> Response {
     observe_stages(state.metrics(), &stages);
-    let cache_status = match (req.use_cache, hit) {
-        (false, _) => "BYPASS",
-        (true, true) => "HIT",
-        (true, false) => "MISS",
-    };
     let mut resp = Response {
         status: 200,
         headers: Vec::new(),
         body,
     }
-    .with_header("X-Cache", cache_status)
+    .with_header("X-Cache", cache)
     .with_header("X-Select-Micros", started.elapsed().as_micros().to_string());
     if http_req.header("x-stage-micros").is_some() {
         resp = resp.with_header("X-Stage-Micros", format_stage_header(&stages));
     }
     *stages_out = Some(stages);
-    Ok(resp)
+    resp
 }
 
 /// Folds one request's stage splits into the exposition histograms.
@@ -772,14 +798,45 @@ fn observe_stages(m: &ServiceMetrics, s: &StageMicrosLine) {
     m.stage_serialize_micros.observe(s.serialize);
 }
 
-/// The opt-in `X-Stage-Micros` response header value. Timing travels in
-/// headers, never bodies, so instrumentation cannot perturb the
-/// byte-identity contract.
+/// The opt-in `X-Stage-Micros` response header value.
 fn format_stage_header(s: &StageMicrosLine) -> String {
     format!(
         "resolve={};checkout={};sketch={};coverage={};serialize={}",
         s.resolve, s.checkout, s.sketch, s.coverage, s.serialize
     )
+}
+
+/// `POST /v1/select`
+///
+/// Runs the adaptive campaign against a world sampled from `seed` (the same
+/// convention as `asm run`: world RNG stream `seed + 1000`, algorithm RNG
+/// stream `seed`), on a session recycled from the graph's warm shelf: a
+/// batch of one, answered with the item's body unwrapped.
+fn select(
+    state: &ServiceState,
+    http_req: &Request,
+    stages_out: &mut Option<StageMicrosLine>,
+) -> Result<Response, ServiceError> {
+    let mut stages = StageMicrosLine::default();
+    let req = {
+        let _span = smin_obs::Span::enter(&mut stages.resolve);
+        parse_select(state, &http_req.body)
+    }?;
+    // The single-select clock starts after resolve, the batch clock before
+    // it: clients that rebuild handler time from the headers rely on this.
+    // smin-lint: allow(no-wall-clock) -- feeds the X-Select-Micros header only; bodies stay bit-identical
+    let started = Instant::now();
+    let (mut bodies, cache) = run_items(
+        state,
+        &req.entry,
+        std::slice::from_ref(&req),
+        &mut stages,
+        |_, e| e,
+    )?;
+    let body = bodies.pop().unwrap_or_default();
+    Ok(select_response(
+        state, http_req, body, cache, started, stages, stages_out,
+    ))
 }
 
 /// `POST /v1/select-batch`
@@ -836,36 +893,7 @@ fn select_batch(
         let req = parse_select_fields(Arc::clone(&entry), item).map_err(|e| item_err(i, e))?;
         reqs.push(req);
     }
-
-    // One warm session serves the whole batch — this is the amortization
-    // the endpoint exists for. Session reuse never changes results, so the
-    // bodies below still match sequential `/v1/select` calls exactly.
-    let mut session = {
-        let _span = smin_obs::Span::enter(&mut stages.checkout);
-        entry.checkout_session()
-    };
-    let mut results = Vec::new();
-    let mut hits = 0usize;
-    let mut bypassed = 0usize;
-    let mut outcome = Ok(());
-    for (i, req) in reqs.iter().enumerate() {
-        match run_select_item(state, req, &mut session, &mut stages) {
-            Ok((bytes, hit)) => {
-                if !req.use_cache {
-                    bypassed += 1;
-                } else if hit {
-                    hits += 1;
-                }
-                results.push(bytes);
-            }
-            Err(e) => {
-                outcome = Err(item_err(i, e));
-                break;
-            }
-        }
-    }
-    entry.checkin_session(session);
-    outcome?;
+    let (results, cache) = run_items(state, &entry, &reqs, &mut stages, item_err)?;
 
     // Assembled by concatenation, not re-serialization: the item bodies
     // land in `results` byte-for-byte.
@@ -883,36 +911,9 @@ fn select_batch(
         body.extend_from_slice(item_body);
     }
     body.extend_from_slice(b"]}");
-
-    // Mirrors the single-select header per item — HIT, MISS, or BYPASS
-    // (`"cache": false`) — collapsed to one value when every item agrees
-    // and MIXED otherwise, so opting out of the cache is never reported
-    // as a miss.
-    let n = results.len();
-    let cache_status = if bypassed == n {
-        "BYPASS"
-    } else if bypassed > 0 {
-        "MIXED"
-    } else if hits == n {
-        "HIT"
-    } else if hits == 0 {
-        "MISS"
-    } else {
-        "MIXED"
-    };
-    observe_stages(state.metrics(), &stages);
-    let mut resp = Response {
-        status: 200,
-        headers: Vec::new(),
-        body,
-    }
-    .with_header("X-Cache", cache_status)
-    .with_header("X-Select-Micros", started.elapsed().as_micros().to_string());
-    if http_req.header("x-stage-micros").is_some() {
-        resp = resp.with_header("X-Stage-Micros", format_stage_header(&stages));
-    }
-    *stages_out = Some(stages);
-    Ok(resp)
+    Ok(select_response(
+        state, http_req, body, cache, started, stages, stages_out,
+    ))
 }
 
 #[cfg(test)]
@@ -931,7 +932,7 @@ mod tests {
             headers: Vec::new(),
             body: body.as_bytes().to_vec(),
         };
-        handle(state, &req)
+        handle(state, &req, 0)
     }
 
     fn get(state: &ServiceState, path: &str) -> Response {
@@ -942,7 +943,7 @@ mod tests {
             headers: Vec::new(),
             body: Vec::new(),
         };
-        handle(state, &req)
+        handle(state, &req, 0)
     }
 
     fn body_str(resp: &Response) -> String {
@@ -1000,9 +1001,9 @@ mod tests {
             headers: Vec::new(),
             body: Vec::new(),
         };
-        let resp = handle(&s, &req);
+        let resp = handle(&s, &req, 0);
         assert_eq!(resp.status, 200);
-        let resp = handle(&s, &req);
+        let resp = handle(&s, &req, 0);
         assert_eq!(resp.status, 404, "second delete is a 404");
     }
 
@@ -1154,14 +1155,14 @@ mod tests {
         // Tokens are content checksums: re-registering the *identical* graph
         // under the same id keeps its token, so the cached response (which is
         // still correct for those bytes) keeps hitting.
-        handle(&s, &delete);
+        handle(&s, &delete, 0);
         register_er(&s, "g", 60);
         let same = post(&s, "/v1/select", r#"{"graph":"g","eta":15,"seed":1}"#);
         assert_eq!(cache_of(&same).as_deref(), Some("HIT"));
         assert_eq!(same.body, a.body);
 
         // A *different* graph under the reused id changes the token: miss.
-        handle(&s, &delete);
+        handle(&s, &delete, 0);
         let resp = post(
             &s,
             "/v1/graphs",
@@ -1332,7 +1333,7 @@ mod tests {
             headers: Vec::new(),
             body: Vec::new(),
         };
-        assert_eq!(handle(&s, &req).status, 200);
+        assert_eq!(handle(&s, &req, 0).status, 200);
         assert!(!dir.join("graphs").join("web.smg").exists());
         drop(s);
         let s = ServiceState::with_state_dir(None, 8, Some(dir.clone())).unwrap();
@@ -1423,7 +1424,7 @@ mod tests {
             headers: vec![("x-stage-micros".into(), "1".into())],
             body: body.as_bytes().to_vec(),
         };
-        let traced = handle(&s, &req);
+        let traced = handle(&s, &req, 0);
         let header = traced
             .headers
             .iter()
@@ -1443,6 +1444,39 @@ mod tests {
             traced.body, plain.body,
             "timing lives in headers, never bodies"
         );
+    }
+
+    #[test]
+    fn trace_deadline_remaining_counts_queue_wait() {
+        let path = std::env::temp_dir().join("smin_routes_trace_queue_wait.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let mut s = state();
+        s.set_trace(TraceLog::open(&path).unwrap());
+        let req = Request {
+            method: "GET".into(),
+            path: "/healthz".into(),
+            version: "HTTP/1.1".into(),
+            headers: vec![("X-Deadline-Millis".into(), "50".into())],
+            body: Vec::new(),
+        };
+        // 40 of the 50 ms went by in the dispatch queue.
+        assert_eq!(handle(&s, &req, 40).status, 200);
+        drop(s); // closes the trace channel; the writer flushes and exits
+        let mut text = String::new();
+        for _ in 0..200 {
+            text = std::fs::read_to_string(&path).unwrap_or_default();
+            if !text.is_empty() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        let line: Value = serde_json::from_str(text.trim_end()).expect("one trace line");
+        let remaining = match json::field(&line, "deadline_remaining_ms") {
+            Some(Value::Number(ms)) => *ms,
+            other => panic!("deadline_remaining_ms: {other:?}"),
+        };
+        assert!(remaining <= 10.0, "queue wait not counted: {text}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

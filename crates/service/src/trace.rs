@@ -1,7 +1,7 @@
 //! Structured request tracing: one JSON line per request.
 //!
 //! `asm serve --trace-log <path>` opens a [`TraceLog`]; the session layer
-//! and both transports then emit one [`TraceEvent`] per request. Lines are
+//! and the event loop then emit one [`TraceEvent`] per request. Lines are
 //! built on the emitting thread but written by a dedicated log thread that
 //! owns the file behind a buffered writer — request threads only push onto
 //! an unbounded channel, so tracing never blocks the request path on disk
@@ -57,8 +57,8 @@ pub struct TraceEvent<'a> {
     pub micros: Option<StageMicrosLine>,
     /// `HIT` / `MISS` / `BYPASS` / `MIXED`, when a cache decision was made.
     pub cache: Option<&'a str>,
-    /// `X-Deadline-Millis` minus the time already spent, floored at zero;
-    /// `None` when the header was absent.
+    /// `X-Deadline-Millis` minus the time already spent (dispatch-queue
+    /// wait included), floored at zero; `None` when the header was absent.
     pub deadline_remaining_ms: Option<u64>,
 }
 

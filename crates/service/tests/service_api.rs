@@ -7,8 +7,8 @@
 //! (threads ∈ {1, 4} both explicit and via the `SMIN_THREADS` default that
 //! CI sweeps).
 //!
-//! Clients are dropped before `shutdown()`: closing the connection releases
-//! its worker immediately instead of waiting out the server's read timeout.
+//! Clients are dropped before `shutdown()`, so no keep-alive connection is
+//! still open when the server stops.
 
 use smin_service::{Client, Server, ServerConfig};
 

@@ -1,23 +1,21 @@
-//! Transport-equivalence and protection wire tests.
+//! Transport and protection wire tests.
 //!
-//! The epoll event loop and the threaded fallback must be observationally
-//! identical: same response bytes for `/v1/select`, `/v1/select-batch`,
-//! and every error shape (429 admission, 504 deadline, 408 mid-body
-//! stall, 400 malformed framing). These tests drive real servers over both
-//! transports and pin the equivalences the ISSUE requires.
+//! Real servers on ephemeral ports, driven over loopback: the batch
+//! endpoint against sequential selects, the exact bytes of the error
+//! shapes (429 admission, 504 deadline, 408 mid-body stall, 400 malformed
+//! bodies, 404s), pipelining, `/metrics`, and the trace log.
 
-use smin_service::{Client, Server, ServerConfig, ServerHandle, Transport};
+use smin_service::{Client, Server, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
 const REGISTER: &str = r#"{"id":"g","generate":{"kind":"er","n":120,"m":360,"seed":9}}"#;
 
-fn spawn(transport: Transport, tweak: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
+fn spawn(tweak: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
     let mut config = ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         cache_capacity: 64,
-        transport,
         ..ServerConfig::default()
     };
     tweak(&mut config);
@@ -29,10 +27,6 @@ fn spawn(transport: Transport, tweak: impl FnOnce(&mut ServerConfig)) -> ServerH
 
 fn client(handle: &ServerHandle) -> Client {
     Client::connect(&handle.addr().to_string()).expect("connect")
-}
-
-fn epoll_available() -> bool {
-    smin_service::platform::supported()
 }
 
 /// Select items that exercise distinct cache keys, algorithms, and one
@@ -48,137 +42,124 @@ fn batch_items() -> Vec<String> {
 
 #[test]
 fn select_batch_is_byte_identical_to_sequential_selects() {
-    for transport in [Transport::Threaded, Transport::Epoll] {
-        if transport == Transport::Epoll && !epoll_available() {
-            continue;
-        }
-        let mut handle = spawn(transport, |_| {});
-        let mut c = client(&handle);
-        assert_eq!(c.post("/v1/graphs", REGISTER).unwrap().status, 201);
+    let mut handle = spawn(|_| {});
+    let mut c = client(&handle);
+    assert_eq!(c.post("/v1/graphs", REGISTER).unwrap().status, 201);
 
-        let items = batch_items();
-        // Reference: N sequential /v1/select calls.
-        let mut sequential = Vec::new();
-        for item in &items {
-            let mut body = item.clone();
-            body.insert_str(1, r#""graph":"g","#);
-            let resp = c.post("/v1/select", &body).unwrap();
-            assert_eq!(resp.status, 200, "{}", resp.text());
-            sequential.push(resp.body);
-        }
-
-        // The batch response must be the exact concatenation of those
-        // bodies inside the batch envelope — not merely JSON-equal.
-        let batch_body = format!(r#"{{"graph":"g","items":[{}]}}"#, items.join(","));
-        let resp = c.post("/v1/select-batch", &batch_body).unwrap();
+    let items = batch_items();
+    // Reference: N sequential /v1/select calls.
+    let mut sequential = Vec::new();
+    for item in &items {
+        let mut body = item.clone();
+        body.insert_str(1, r#""graph":"g","#);
+        let resp = c.post("/v1/select", &body).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.text());
-        let mut expected = Vec::new();
-        expected.extend_from_slice(br#"{"graph":"g","count":4,"results":["#);
-        for (i, body) in sequential.iter().enumerate() {
-            if i > 0 {
-                expected.push(b',');
-            }
-            expected.extend_from_slice(body);
-        }
-        expected.extend_from_slice(b"]}");
-        assert_eq!(
-            resp.body, expected,
-            "{transport:?}: batch diverged from sequential selects"
-        );
-
-        drop(c);
-        handle.shutdown();
+        sequential.push(resp.body);
     }
+
+    // The batch response must be the exact concatenation of those
+    // bodies inside the batch envelope — not merely JSON-equal.
+    let batch_body = format!(r#"{{"graph":"g","items":[{}]}}"#, items.join(","));
+    let resp = c.post("/v1/select-batch", &batch_body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    let mut expected = Vec::new();
+    expected.extend_from_slice(br#"{"graph":"g","count":4,"results":["#);
+    for (i, body) in sequential.iter().enumerate() {
+        if i > 0 {
+            expected.push(b',');
+        }
+        expected.extend_from_slice(body);
+    }
+    expected.extend_from_slice(b"]}");
+    assert_eq!(
+        resp.body, expected,
+        "batch diverged from sequential selects"
+    );
+
+    drop(c);
+    handle.shutdown();
 }
 
 #[test]
 fn transports_serve_identical_bytes() {
-    if !epoll_available() {
-        return;
+    // The error bodies' exact bytes; no other test pins them over the wire.
+    const UNKNOWN_GRAPH: &str = r#"{"error":{"code":"unknown_graph","status":404,"message":"graph 'nope' is not registered"}}"#;
+    const NOT_JSON: &str = r#"{"error":{"code":"bad_request","status":400,"message":"invalid JSON body: JSON error: invalid literal at byte 0"}}"#;
+    const UNKNOWN_ROUTE: &str = r#"{"error":{"code":"unknown_route","status":404,"message":"no route for /no/such/route"}}"#;
+    let mut handle = spawn(|_| {});
+    let mut c = client(&handle);
+    assert_eq!(c.post("/v1/graphs", REGISTER).unwrap().status, 201);
+    let select = r#"{"graph":"g","eta":30,"seed":5,"cache":false}"#;
+    let batch = format!(r#"{{"graph":"g","items":[{}]}}"#, batch_items().join(","));
+    let single = c.post("/v1/select", select).unwrap();
+    assert_eq!(single.status, 200, "{}", single.text());
+    let batched = c.post("/v1/select-batch", &batch).unwrap();
+    assert_eq!(batched.status, 200, "{}", batched.text());
+    // The first batch item is the single select above.
+    let mut head = br#"{"graph":"g","count":4,"results":["#.to_vec();
+    head.extend_from_slice(&single.body);
+    head.push(b',');
+    assert!(batched.body.starts_with(&head), "{}", batched.text());
+    for (resp, want) in [
+        (
+            c.post("/v1/select", r#"{"graph":"nope","eta":1}"#),
+            UNKNOWN_GRAPH,
+        ),
+        (c.post("/v1/select", "not json"), NOT_JSON),
+        (c.get("/no/such/route"), UNKNOWN_ROUTE),
+    ] {
+        assert_eq!(resp.unwrap().text(), want);
     }
-    let collect = |transport: Transport| -> Vec<Vec<u8>> {
-        let mut handle = spawn(transport, |_| {});
-        let mut c = client(&handle);
-        assert_eq!(c.post("/v1/graphs", REGISTER).unwrap().status, 201);
-        let select = r#"{"graph":"g","eta":30,"seed":5,"cache":false}"#;
-        let batch = format!(r#"{{"graph":"g","items":[{}]}}"#, batch_items().join(","));
-        let bodies = vec![
-            c.post("/v1/select", select).unwrap().body,
-            c.post("/v1/select-batch", &batch).unwrap().body,
-            c.post("/v1/select", r#"{"graph":"nope","eta":1}"#)
-                .unwrap()
-                .body,
-            c.post("/v1/select", "not json").unwrap().body,
-            c.get("/no/such/route").unwrap().body,
-        ];
-        drop(c);
-        handle.shutdown();
-        bodies
-    };
-    let threaded = collect(Transport::Threaded);
-    let epoll = collect(Transport::Epoll);
-    assert_eq!(threaded.len(), epoll.len());
-    for (i, (t, e)) in threaded.iter().zip(&epoll).enumerate() {
-        assert_eq!(t, e, "response {i} differs between transports");
-    }
+    drop(c);
+    handle.shutdown();
 }
 
 #[test]
 fn overload_returns_deterministic_429_and_keeps_the_connection() {
     const WANT: &str = r#"{"error":{"code":"overloaded","status":429,"message":"pending request queue is full; retry later"}}"#;
-    for transport in [Transport::Threaded, Transport::Epoll] {
-        if transport == Transport::Epoll && !epoll_available() {
-            continue;
-        }
-        // max_pending = 0: every request is over the high-water mark, so
-        // the rejection is deterministic rather than load-dependent.
-        let mut handle = spawn(transport, |c| c.max_pending = 0);
-        let mut c = client(&handle);
-        for _ in 0..3 {
-            let resp = c.post("/v1/select", r#"{"graph":"g","eta":5}"#).unwrap();
-            assert_eq!(resp.status, 429, "{transport:?}");
-            assert_eq!(resp.text(), WANT, "{transport:?}: 429 body must be stable");
-        }
-        drop(c);
-        handle.shutdown();
+    // max_pending = 0: every request is over the high-water mark, so
+    // the rejection is deterministic rather than load-dependent.
+    let mut handle = spawn(|c| c.max_pending = 0);
+    let mut c = client(&handle);
+    for _ in 0..3 {
+        let resp = c.post("/v1/select", r#"{"graph":"g","eta":5}"#).unwrap();
+        assert_eq!(resp.status, 429);
+        assert_eq!(resp.text(), WANT, "429 body must be stable");
     }
+    drop(c);
+    handle.shutdown();
 }
 
 #[test]
 fn expired_deadline_returns_deterministic_504() {
     const WANT: &str = r#"{"error":{"code":"deadline_exceeded","status":504,"message":"deadline of 0ms exceeded before dispatch"}}"#;
-    for transport in [Transport::Threaded, Transport::Epoll] {
-        if transport == Transport::Epoll && !epoll_available() {
-            continue;
-        }
-        let mut handle = spawn(transport, |_| {});
-        let mut c = client(&handle);
-        // A zero budget is expired by definition on both transports.
-        let resp = c
-            .post_with_headers(
-                "/v1/select",
-                r#"{"graph":"g","eta":5}"#,
-                &[("X-Deadline-Millis", "0")],
-            )
-            .unwrap();
-        assert_eq!(resp.status, 504, "{transport:?}: {}", resp.text());
-        assert_eq!(resp.text(), WANT, "{transport:?}");
+    let mut handle = spawn(|_| {});
+    let mut c = client(&handle);
+    // A zero budget is expired by definition.
+    let resp = c
+        .post_with_headers(
+            "/v1/select",
+            r#"{"graph":"g","eta":5}"#,
+            &[("X-Deadline-Millis", "0")],
+        )
+        .unwrap();
+    assert_eq!(resp.status, 504, "{}", resp.text());
+    assert_eq!(resp.text(), WANT);
 
-        // A malformed budget is a 400 that keeps the connection alive.
-        let resp = c
-            .post_with_headers(
-                "/v1/select",
-                r#"{"graph":"g","eta":5}"#,
-                &[("X-Deadline-Millis", "soon")],
-            )
-            .unwrap();
-        assert_eq!(resp.status, 400, "{transport:?}");
-        assert!(resp.text().contains("X-Deadline-Millis"), "{transport:?}");
-        let resp = c.get("/healthz").unwrap();
-        assert_eq!(resp.status, 200, "{transport:?}: connection must survive");
-        drop(c);
-        handle.shutdown();
-    }
+    // A malformed budget is a 400 that keeps the connection alive.
+    let resp = c
+        .post_with_headers(
+            "/v1/select",
+            r#"{"graph":"g","eta":5}"#,
+            &[("X-Deadline-Millis", "soon")],
+        )
+        .unwrap();
+    assert_eq!(resp.status, 400);
+    assert!(resp.text().contains("X-Deadline-Millis"));
+    let resp = c.get("/healthz").unwrap();
+    assert_eq!(resp.status, 200, "connection must survive");
+    drop(c);
+    handle.shutdown();
 }
 
 #[test]
@@ -186,24 +167,15 @@ fn deeply_nested_json_body_gets_400_and_the_server_survives() {
     // 200k unclosed arrays: a parser without a nesting cap recurses once per
     // level and overflows the handler thread's stack, aborting the process.
     let hostile = "[".repeat(200_000);
-    for transport in [Transport::Threaded, Transport::Epoll] {
-        if transport == Transport::Epoll && !epoll_available() {
-            continue;
-        }
-        let mut handle = spawn(transport, |_| {});
-        let mut c = client(&handle);
-        let resp = c.post("/v1/select", &hostile).unwrap();
-        assert_eq!(resp.status, 400, "{transport:?}: {}", resp.text());
-        assert!(
-            resp.text().contains("invalid JSON body"),
-            "{transport:?}: {}",
-            resp.text()
-        );
-        let resp = c.get("/healthz").unwrap();
-        assert_eq!(resp.status, 200, "{transport:?}: server must survive");
-        drop(c);
-        handle.shutdown();
-    }
+    let mut handle = spawn(|_| {});
+    let mut c = client(&handle);
+    let resp = c.post("/v1/select", &hostile).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("invalid JSON body"), "{}", resp.text());
+    let resp = c.get("/healthz").unwrap();
+    assert_eq!(resp.status, 200, "server must survive");
+    drop(c);
+    handle.shutdown();
 }
 
 /// Writes `head` (a complete request head promising a body that never
@@ -219,63 +191,50 @@ fn stall_mid_body(addr: &str, head: &str) -> String {
 
 #[test]
 fn mid_body_stall_gets_408_before_close() {
-    for transport in [Transport::Threaded, Transport::Epoll] {
-        if transport == Transport::Epoll && !epoll_available() {
-            continue;
-        }
-        let mut handle = spawn(transport, |c| {
-            c.request_timeout_ms = 200;
-            c.idle_timeout_ms = 2_000;
-        });
-        let reply = stall_mid_body(
-            &handle.addr().to_string(),
-            "POST /v1/select HTTP/1.1\r\nHost: t\r\nContent-Length: 10\r\n\r\n{\"gr",
-        );
-        assert!(
-            reply.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
-            "{transport:?}: got {reply:?}"
-        );
-        assert!(
-            reply.contains(r#""code":"request_timeout""#),
-            "{transport:?}: got {reply:?}"
-        );
-        assert!(
-            reply.contains("Connection: close"),
-            "{transport:?}: a timed-out request cannot keep the stream"
-        );
-        handle.shutdown();
-    }
+    let mut handle = spawn(|c| {
+        c.request_timeout_ms = 200;
+        c.idle_timeout_ms = 2_000;
+    });
+    let reply = stall_mid_body(
+        &handle.addr().to_string(),
+        "POST /v1/select HTTP/1.1\r\nHost: t\r\nContent-Length: 10\r\n\r\n{\"gr",
+    );
+    assert!(
+        reply.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+        "got {reply:?}"
+    );
+    assert!(
+        reply.contains(r#""code":"request_timeout""#),
+        "got {reply:?}"
+    );
+    assert!(
+        reply.contains("Connection: close"),
+        "a timed-out request cannot keep the stream"
+    );
+    handle.shutdown();
 }
 
 #[test]
 fn idle_stall_before_any_request_closes_silently() {
-    for transport in [Transport::Threaded, Transport::Epoll] {
-        if transport == Transport::Epoll && !epoll_available() {
-            continue;
-        }
-        let mut handle = spawn(transport, |c| {
-            c.request_timeout_ms = 200;
-            c.idle_timeout_ms = 200;
-        });
-        // No bytes at all: the idle timeout closes without a response.
-        let mut s = TcpStream::connect(handle.addr()).expect("connect");
-        let mut out = Vec::new();
-        s.read_to_end(&mut out).expect("read until server close");
-        assert!(
-            out.is_empty(),
-            "{transport:?}: idle connections close silently, got {:?}",
-            String::from_utf8_lossy(&out)
-        );
-        handle.shutdown();
-    }
+    let mut handle = spawn(|c| {
+        c.request_timeout_ms = 200;
+        c.idle_timeout_ms = 200;
+    });
+    // No bytes at all: the idle timeout closes without a response.
+    let mut s = TcpStream::connect(handle.addr()).expect("connect");
+    let mut out = Vec::new();
+    s.read_to_end(&mut out).expect("read until server close");
+    assert!(
+        out.is_empty(),
+        "idle connections close silently, got {:?}",
+        String::from_utf8_lossy(&out)
+    );
+    handle.shutdown();
 }
 
 #[test]
 fn pipelined_requests_are_answered_in_order() {
-    if !epoll_available() {
-        return;
-    }
-    let mut handle = spawn(Transport::Epoll, |_| {});
+    let mut handle = spawn(|_| {});
     let mut s = TcpStream::connect(handle.addr()).expect("connect");
     // Two requests in one write; the second is only parsed after the
     // first response flushes (one-at-a-time backpressure), but both must
@@ -300,10 +259,7 @@ fn pipelined_requests_are_answered_in_order() {
 
 #[test]
 fn pipelined_sync_response_flood_is_answered_iteratively() {
-    if !epoll_available() {
-        return;
-    }
-    let mut handle = spawn(Transport::Epoll, |_| {});
+    let mut handle = spawn(|_| {});
     // Thousands of pipelined requests whose responses the poll thread
     // produces itself (400: malformed deadline header), padded with bodies
     // so the backlog tops the per-connection buffer cap. Regression for
@@ -358,166 +314,102 @@ fn pipelined_sync_response_flood_is_answered_iteratively() {
 
 #[test]
 fn metrics_are_exposed_on_both_transports() {
-    for transport in [Transport::Threaded, Transport::Epoll] {
-        if transport == Transport::Epoll && !epoll_available() {
-            continue;
-        }
-        let mut handle = spawn(transport, |_| {});
-        let mut c = client(&handle);
-        assert_eq!(c.post("/v1/graphs", REGISTER).unwrap().status, 201);
-        let select = r#"{"graph":"g","eta":30,"seed":5}"#;
-        assert_eq!(c.post("/v1/select", select).unwrap().status, 200);
-        assert_eq!(c.post("/v1/select", select).unwrap().status, 200);
-        assert_eq!(c.get("/healthz").unwrap().status, 200);
+    let mut handle = spawn(|_| {});
+    let mut c = client(&handle);
+    assert_eq!(c.post("/v1/graphs", REGISTER).unwrap().status, 201);
+    let select = r#"{"graph":"g","eta":30,"seed":5}"#;
+    assert_eq!(c.post("/v1/select", select).unwrap().status, 200);
+    assert_eq!(c.post("/v1/select", select).unwrap().status, 200);
+    assert_eq!(c.get("/healthz").unwrap().status, 200);
 
-        let resp = c.get("/metrics").unwrap();
-        assert_eq!(resp.status, 200, "{transport:?}");
-        assert_eq!(
-            resp.header("Content-Type"),
-            Some("text/plain; version=0.0.4"),
-            "{transport:?}"
-        );
-        let text = resp.text();
-        // Session-layer series populated by the traffic above.
-        assert!(
-            text.contains("smin_http_requests_total{route=\"select\"} 2\n"),
-            "{transport:?}:\n{text}"
-        );
-        assert!(
-            text.contains("smin_http_requests_total{route=\"healthz\"} 1\n"),
-            "{transport:?}"
-        );
-        assert!(
-            text.contains("smin_select_stage_micros_count{stage=\"coverage\"} 2\n"),
-            "{transport:?}"
-        );
-        assert!(
-            text.contains("smin_cache_lookups_total{outcome=\"hit\"} 1\n"),
-            "{transport:?}"
-        );
-        assert!(
-            text.contains("smin_graph_selects_total{graph=\"g\"} 2\n"),
-            "{transport:?}"
-        );
-        // Event-loop series populate only under the epoll transport; the
-        // families are present (exposition shape is transport-independent).
-        assert!(text.contains("# TYPE smin_epoll_wait_micros histogram"));
-        assert!(text.contains("# TYPE smin_bytes_read_total counter"));
-        if transport == Transport::Epoll {
-            let read = text
-                .lines()
-                .find_map(|l| l.strip_prefix("smin_bytes_read_total "))
-                .and_then(|v| v.parse::<u64>().ok())
-                .expect("bytes-read sample");
-            assert!(read > 0, "{transport:?}: event loop counted no reads");
-        }
-        drop(c);
-        handle.shutdown();
-    }
-}
-
-#[test]
-fn trace_log_records_one_line_per_request() {
-    for transport in [Transport::Threaded, Transport::Epoll] {
-        if transport == Transport::Epoll && !epoll_available() {
-            continue;
-        }
-        let path = std::env::temp_dir().join(format!("smin_trace_{transport:?}.jsonl"));
-        let _ = std::fs::remove_file(&path);
-        let trace = path.clone();
-        let mut handle = spawn(transport, move |c| c.trace_log = Some(trace));
-        let mut c = client(&handle);
-        assert_eq!(c.post("/v1/graphs", REGISTER).unwrap().status, 201);
-        let resp = c
-            .post_with_headers(
-                "/v1/select",
-                r#"{"graph":"g","eta":30,"seed":5}"#,
-                &[("X-Deadline-Millis", "60000")],
-            )
-            .unwrap();
-        assert_eq!(resp.status, 200, "{}", resp.text());
-        drop(c);
-        handle.shutdown(); // drops the state, flushing the log thread
-
-        let mut text = String::new();
-        for _ in 0..200 {
-            text = std::fs::read_to_string(&path).unwrap_or_default();
-            if text.lines().count() >= 2 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        let lines: Vec<serde_json::Value> = text
-            .lines()
-            .map(|l| serde_json::from_str(l).expect("trace line parses"))
-            .collect();
-        assert_eq!(lines.len(), 2, "{transport:?}: one line per request");
-        let select = &lines[1];
-        let get = |k: &str| {
-            let v = smin_service::json::field(select, k).expect("field present");
-            serde_json::to_string(v).unwrap()
-        };
-        assert_eq!(get("method"), r#""POST""#, "{transport:?}");
-        assert_eq!(get("path"), r#""/v1/select""#, "{transport:?}");
-        assert_eq!(get("status"), "200");
-        assert_eq!(get("cache"), r#""MISS""#);
-        let micros = smin_service::json::field(select, "micros").expect("micros present");
-        assert!(
-            smin_service::json::field(micros, "coverage").is_some(),
-            "{transport:?}: stage micros recorded"
-        );
-        assert!(
-            get("deadline_remaining_ms") != "null",
-            "{transport:?}: deadline header surfaced"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-}
-
-#[test]
-fn threaded_admission_counts_queued_connections() {
-    let mut handle = spawn(Transport::Threaded, |c| {
-        c.workers = 1;
-        c.max_pending = 2;
-        c.request_timeout_ms = 1_000;
-    });
-    let mut a = client(&handle);
-    assert_eq!(a.get("/healthz").unwrap().status, 200);
-    // The lone worker now owns connection A for its keep-alive lifetime;
-    // these two sit accepted-but-unserved and must count toward the
-    // admission high-water mark (they can never be "running": that would
-    // need a free worker).
-    let b = TcpStream::connect(handle.addr()).expect("connect b");
-    let c = TcpStream::connect(handle.addr()).expect("connect c");
-    // The acceptor registers them asynchronously; poll until the knob bites.
-    let mut saw_429 = false;
-    for _ in 0..400 {
-        let resp = a.get("/healthz").unwrap();
-        if resp.status == 429 {
-            saw_429 = true;
-            break;
-        }
-        assert_eq!(resp.status, 200);
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    assert!(saw_429, "queued connections must trip admission control");
-    // Close the queued connections before shutdown so the worker drains
-    // them with an EOF instead of waiting out their read timeout.
-    drop(b);
+    let resp = c.get("/metrics").unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(
+        resp.header("Content-Type"),
+        Some("text/plain; version=0.0.4"),
+    );
+    let text = resp.text();
+    // Session-layer series populated by the traffic above.
+    assert!(
+        text.contains("smin_http_requests_total{route=\"select\"} 2\n"),
+        "{text}"
+    );
+    assert!(text.contains("smin_http_requests_total{route=\"healthz\"} 1\n"),);
+    assert!(text.contains("smin_select_stage_micros_count{stage=\"coverage\"} 2\n"),);
+    assert!(text.contains("smin_cache_lookups_total{outcome=\"hit\"} 1\n"),);
+    assert!(text.contains("smin_graph_selects_total{graph=\"g\"} 2\n"),);
+    // Event-loop series.
+    assert!(text.contains("# TYPE smin_epoll_wait_micros histogram"));
+    assert!(text.contains("# TYPE smin_bytes_read_total counter"));
+    let read = text
+        .lines()
+        .find_map(|l| l.strip_prefix("smin_bytes_read_total "))
+        .and_then(|v| v.parse::<u64>().ok())
+        .expect("bytes-read sample");
+    assert!(read > 0, "event loop counted no reads");
     drop(c);
-    drop(a);
     handle.shutdown();
 }
 
 #[test]
-fn idle_connections_scale_beyond_the_dispatch_pool() {
-    if !epoll_available() {
-        return;
+fn trace_log_records_one_line_per_request() {
+    let path = std::env::temp_dir().join("smin_trace_wire.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let trace = path.clone();
+    let mut handle = spawn(move |c| c.trace_log = Some(trace));
+    let mut c = client(&handle);
+    assert_eq!(c.post("/v1/graphs", REGISTER).unwrap().status, 201);
+    let resp = c
+        .post_with_headers(
+            "/v1/select",
+            r#"{"graph":"g","eta":30,"seed":5}"#,
+            &[("X-Deadline-Millis", "60000")],
+        )
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    drop(c);
+    handle.shutdown(); // drops the state, flushing the log thread
+
+    let mut text = String::new();
+    for _ in 0..200 {
+        text = std::fs::read_to_string(&path).unwrap_or_default();
+        if text.lines().count() >= 2 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
     }
+    let lines: Vec<serde_json::Value> = text
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("trace line parses"))
+        .collect();
+    assert_eq!(lines.len(), 2, "one line per request");
+    let select = &lines[1];
+    let get = |k: &str| {
+        let v = smin_service::json::field(select, k).expect("field present");
+        serde_json::to_string(v).unwrap()
+    };
+    assert_eq!(get("method"), r#""POST""#);
+    assert_eq!(get("path"), r#""/v1/select""#);
+    assert_eq!(get("status"), "200");
+    assert_eq!(get("cache"), r#""MISS""#);
+    let micros = smin_service::json::field(select, "micros").expect("micros present");
+    assert!(
+        smin_service::json::field(micros, "coverage").is_some(),
+        "stage micros recorded"
+    );
+    assert!(
+        get("deadline_remaining_ms") != "null",
+        "deadline header surfaced"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn idle_connections_scale_beyond_the_dispatch_pool() {
     // 2 dispatch threads, 64 concurrently-open keep-alive connections:
-    // impossible under the threaded transport (worker = connection), the
-    // point of the event loop. The CI load step scales this to 512.
-    let mut handle = spawn(Transport::Epoll, |c| c.workers = 2);
+    // impossible with a thread per connection, the point of the event
+    // loop. The CI load step scales this to 512.
+    let mut handle = spawn(|c| c.workers = 2);
     let addr = handle.addr().to_string();
     let mut clients: Vec<Client> = (0..64)
         .map(|i| Client::connect(&addr).unwrap_or_else(|e| panic!("connect {i}: {e}")))
