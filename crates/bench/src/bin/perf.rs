@@ -13,8 +13,9 @@
 //!   plus the engine's retained bytes per pool size. Also folds in the two
 //!   Criterion-only fixtures so their medians ride the recorded
 //!   trajectory: `trim_round` (Algorithms 2/3 across thread counts, the
-//!   `trim_round` bench fixture) and `rounding` (the §3.3 root-count
-//!   rounding ablation, the `ablation_rounding` bench fixture). Its
+//!   `trim_round` bench fixture, with TRIM-B also under LT) and `rounding`
+//!   (the §3.3 root-count rounding ablation, the `ablation_rounding` bench
+//!   fixture). Its
 //!   `sampling` rows time single mRR sets, the reverse BFS that dominates
 //!   every campaign (the `mrr_generation` fixture);
 //! * `BENCH_select.json` — deep selections (b = 64) where `commit_pick`
@@ -265,8 +266,9 @@ fn run(args: &PerfArgs) -> Result<(), String> {
 }
 
 /// The `trim_round` Criterion fixture without Criterion: one full TRIM
-/// round (Algorithm 2) and one TRIM-B round (Algorithm 3, b ∈ {2, 8})
-/// on the bench graph, across sketch-generation thread counts.
+/// round (Algorithm 2) and one TRIM-B round (Algorithm 3, b ∈ {2, 8}) under
+/// IC, plus the TRIM-B rounds under LT, on the bench graph, across
+/// sketch-generation thread counts.
 fn time_trim_rounds(iters: usize) -> Vec<String> {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -298,31 +300,38 @@ fn time_trim_rounds(iters: usize) -> Vec<String> {
                 .expect("valid");
                 std::hint::black_box(out.node);
             });
+            // TRIM-B under IC, then under LT (the weighted-cascade bench
+            // graph is LT-valid), at b = 2 and b = 8.
             let mut b_dists = Vec::new();
-            for &b in &[2usize, 8] {
-                let mut scratch = TrimScratch::new(n);
-                let mut rng = SmallRng::seed_from_u64(3);
-                b_dists.push(time_us(iters, 1, || {
-                    let residual = ResidualState::new(n);
-                    let out = trim_b(
-                        &g,
-                        Model::IC,
-                        &residual,
-                        eta,
-                        b,
-                        &params,
-                        &mut scratch,
-                        &mut rng,
-                    )
-                    .expect("valid");
-                    std::hint::black_box(out.seeds.len());
-                }));
+            for model in [Model::IC, Model::LT] {
+                for &b in &[2usize, 8] {
+                    let mut scratch = TrimScratch::new(n);
+                    let mut rng = SmallRng::seed_from_u64(3);
+                    b_dists.push(time_us(iters, 1, || {
+                        let residual = ResidualState::new(n);
+                        let out = trim_b(
+                            &g,
+                            model,
+                            &residual,
+                            eta,
+                            b,
+                            &params,
+                            &mut scratch,
+                            &mut rng,
+                        )
+                        .expect("valid");
+                        std::hint::black_box(out.seeds.len());
+                    }));
+                }
             }
             println!(
-                "trim t{threads} eta {eta:>3}: trim {:9.1} us | b2 {:9.1} us | b8 {:9.1} us",
+                "trim t{threads} eta {eta:>3}: trim {:9.1} us | b2 {:9.1} us | b8 {:9.1} us \
+                 | lt b2 {:9.1} us | lt b8 {:9.1} us",
                 trim_d.median(),
                 b_dists[0].median(),
                 b_dists[1].median(),
+                b_dists[2].median(),
+                b_dists[3].median(),
             );
             rows.push(format!(
                 "    {{\n      \
@@ -330,10 +339,14 @@ fn time_trim_rounds(iters: usize) -> Vec<String> {
                    \"eta\": {eta},\n      \
                    \"trim_us\": {trim},\n      \
                    \"trim_b2_us\": {b2},\n      \
-                   \"trim_b8_us\": {b8}\n    }}",
+                   \"trim_b8_us\": {b8},\n      \
+                   \"trim_lt_b2_us\": {lt_b2},\n      \
+                   \"trim_lt_b8_us\": {lt_b8}\n    }}",
                 trim = trim_d.json(),
                 b2 = b_dists[0].json(),
                 b8 = b_dists[1].json(),
+                lt_b2 = b_dists[2].json(),
+                lt_b8 = b_dists[3].json(),
             ));
         }
     }

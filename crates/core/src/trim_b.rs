@@ -8,10 +8,17 @@
 //! * the upper bound on the optimum's coverage divides the greedy coverage
 //!   by `ρ_b` (Line 10);
 //! * the stopping ratio becomes `ρ_b (1 − ε̂)` (Line 11).
+//!
+//! Line 8's greedy runs only when its result could matter. Before each
+//! greedy call the loop bounds the greedy coverage from above by the sum of
+//! the `b` largest `Λ_R(v)`, capped at `|R|`. When even that bound fails
+//! the stopping rule, and `T` or `θ_max` does not force the iteration, the
+//! greedy could not certify either, so the loop doubles `|R|` without it.
+//! Every output is what running the greedy every time would give.
 
 use crate::error::AsmError;
 use crate::params::TrimParams;
-use crate::trim::{schedule, TrimScratch};
+use crate::trim::{schedule, Schedule, TrimScratch};
 use rand::Rng;
 use smin_diffusion::{Model, ResidualState};
 use smin_graph::{Graph, NodeId};
@@ -31,6 +38,10 @@ pub struct TrimBOutput {
     pub sets_generated: usize,
     /// Doubling iterations used.
     pub iterations: usize,
+    /// Greedy maximum-coverage runs (Line 8): at least 1, at most
+    /// `iterations`. Iterations whose coverage bound cannot certify skip
+    /// the greedy; the last iteration always runs it.
+    pub greedy_calls: usize,
     /// Estimate `η_i · Λ_R(S_b)/|R|` of `E[Γ̃(S_b | S_{i−1})]`.
     pub est_truncated_spread: f64,
     /// `Λˡ(S_b)/Λᵘ(S_b◦)` at termination (target `ρ_b(1 − ε̂)`).
@@ -48,6 +59,41 @@ pub(crate) fn ln_binomial(n: usize, b: usize) -> f64 {
         acc += ((n - i) as f64).ln() - ((i + 1) as f64).ln();
     }
     acc
+}
+
+/// The stopping certificate of Lines 9–11 as a function of the greedy
+/// coverage `c`: `Λˡ(c) / Λᵘ(c/ρ_b)`, or 0 when the upper bound is 0. The
+/// coverage-bound pre-check and the stopping rule both call this one
+/// function.
+///
+/// # It never falls as `c` grows
+///
+/// Write `s = √(c + 2a₁/9)`, `β = √(a₁/2)`, `t = √(c/ρ_b + a₂/2)` and
+/// `ζ = √(a₂/2)`, so that `Λˡ = (s − β)² − a₁/18` (clamped at 0) and
+/// `Λᵘ = (t + ζ)²`. For `c ≥ 0`, `Λˡ` is positive only when
+/// `s > β + √(a₁/18)`, and there
+///
+/// ```text
+/// d ln Λˡ/dc = (s − β) / (s · Λˡ) ≥ 1 / (s(s − β)),
+/// d ln Λᵘ/dc = 1 / (ρ_b · t(t + ζ)).
+/// ```
+///
+/// The first is at least the second: `s(s − β) = c + 2a₁/9 − βs`, and
+/// `s > β` there gives `βs > β² = a₁/2 > 2a₁/9`, so
+/// `s(s − β) < c ≤ ρ_b t² ≤ ρ_b t(t + ζ)`.
+/// The certificate is therefore 0 until `Λˡ` turns positive and
+/// non-decreasing from there on: once it reaches the target
+/// `ρ_b(1 − ε̂) > 0` at some `c`, it reaches it at every larger `c`.
+fn certificate(c: f64, sched: &Schedule, rho: f64) -> f64 {
+    let lower = coverage_lower_bound(c, sched.a1);
+    // Line 10: the greedy coverage divided by ρ_b upper-bounds the optimal
+    // batch's coverage.
+    let upper = coverage_upper_bound(c / rho, sched.a2);
+    if upper > 0.0 {
+        lower / upper
+    } else {
+        0.0
+    }
 }
 
 /// Runs one round of TRIM-B on the residual graph, selecting up to `b`
@@ -113,35 +159,44 @@ pub fn trim_b(
             .edges_examined;
     }
 
+    let stop_at = rho * (1.0 - sched.eps_hat);
     let mut iterations = 0;
+    let mut greedy_calls = 0;
     loop {
         iterations += 1;
-        // Line 8: greedy maximum coverage. The engine rebuilds its
-        // node→sets transpose on every call; each call after the first
-        // follows a doubling, so a kept index would be stale anyway.
+        // At `T` iterations or `θ_max` sets the round ends here, whatever
+        // the greedy finds.
+        let last = iterations >= sched.t_max || pool.len() >= sched.theta_max;
+        // Line 8: greedy maximum coverage, run only when it could certify
+        // or must return. The greedy covers at most `coverage_bound` sets
+        // and the certificate never falls as coverage grows, so a bound
+        // that cannot certify means the greedy cannot either. Each greedy
+        // call rebuilds the engine's node→sets transpose; the pool has
+        // grown since any earlier call, so a kept index would be stale.
         let greedy = {
             let _span = smin_obs::Span::enter(&mut stage.coverage);
-            engine.select(pool, b)
+            let hopeless = !last && {
+                let bound = engine.coverage_bound(pool, b);
+                certificate(f64::from(bound), &sched, rho) < stop_at
+            };
+            (!hopeless).then(|| engine.select(pool, b))
         };
-        let coverage = greedy.covered;
-        let lower = coverage_lower_bound(coverage as f64, sched.a1);
-        // Line 10: the greedy coverage divided by ρ_b upper-bounds the
-        // optimal batch's coverage.
-        let upper = coverage_upper_bound(coverage as f64 / rho, sched.a2);
-        let certificate = if upper > 0.0 { lower / upper } else { 0.0 };
-        if certificate >= rho * (1.0 - sched.eps_hat)
-            || iterations >= sched.t_max
-            || pool.len() >= sched.theta_max
-        {
-            return Ok(TrimBOutput {
-                seeds: greedy.seeds,
-                coverage,
-                sets_generated: pool.len(),
-                iterations,
-                est_truncated_spread: eta_i as f64 * coverage as f64 / pool.len() as f64,
-                certificate,
-                edges_examined,
-            });
+        if let Some(greedy) = greedy {
+            greedy_calls += 1;
+            let coverage = greedy.covered;
+            let certificate = certificate(f64::from(coverage), &sched, rho);
+            if certificate >= stop_at || last {
+                return Ok(TrimBOutput {
+                    seeds: greedy.seeds,
+                    coverage,
+                    sets_generated: pool.len(),
+                    iterations,
+                    greedy_calls,
+                    est_truncated_spread: eta_i as f64 * coverage as f64 / pool.len() as f64,
+                    certificate,
+                    edges_examined,
+                });
+            }
         }
         let target = (pool.len() * 2).min(sched.theta_max);
         let _span = smin_obs::Span::enter(&mut stage.sketch);
@@ -154,6 +209,7 @@ pub fn trim_b(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use smin_graph::GraphBuilder;
@@ -278,6 +334,220 @@ mod tests {
         .unwrap();
         assert!(out.est_truncated_spread <= 3.0 + 1e-9);
         assert!(out.est_truncated_spread > 0.0);
+    }
+
+    /// TRIM-B before the coverage-bound pre-check: the greedy runs on every
+    /// iteration. Reference for `pre_check_changes_nothing_but_greedy_calls`.
+    #[allow(clippy::too_many_arguments)]
+    fn trim_b_greedy_every_iteration(
+        g: &Graph,
+        model: Model,
+        residual: &ResidualState,
+        eta_i: usize,
+        b: usize,
+        params: &TrimParams,
+        scratch: &mut TrimScratch,
+        rng: &mut impl Rng,
+    ) -> TrimBOutput {
+        let n_i = residual.n_alive();
+        let b = b.min(n_i);
+        let rho = rho_b(b);
+        let sched = schedule(
+            n_i,
+            eta_i,
+            params.eps,
+            b,
+            rho,
+            ln_binomial(n_i, b),
+            params.theta_cap,
+        );
+        let threads = resolve_threads(params.threads);
+        let job = SketchJob {
+            graph: g,
+            model,
+            snapshot: residual.snapshot(),
+            eta_i,
+            dist: params.root_dist,
+            base_seed: rng.next_u64(),
+        };
+        let TrimScratch {
+            pool,
+            sketch_gen,
+            engine,
+            ..
+        } = scratch;
+        pool.reset();
+        let mut edges_examined = sketch_gen
+            .generate(&job, sched.theta0, threads, pool)
+            .edges_examined;
+        let mut iterations = 0;
+        loop {
+            iterations += 1;
+            let greedy = engine.select(pool, b);
+            let coverage = greedy.covered;
+            let lower = coverage_lower_bound(coverage as f64, sched.a1);
+            let upper = coverage_upper_bound(coverage as f64 / rho, sched.a2);
+            let certificate = if upper > 0.0 { lower / upper } else { 0.0 };
+            if certificate >= rho * (1.0 - sched.eps_hat)
+                || iterations >= sched.t_max
+                || pool.len() >= sched.theta_max
+            {
+                return TrimBOutput {
+                    seeds: greedy.seeds,
+                    coverage,
+                    sets_generated: pool.len(),
+                    iterations,
+                    greedy_calls: iterations,
+                    est_truncated_spread: eta_i as f64 * coverage as f64 / pool.len() as f64,
+                    certificate,
+                    edges_examined,
+                };
+            }
+            let target = (pool.len() * 2).min(sched.theta_max);
+            edges_examined += sketch_gen
+                .generate(&job, target, threads, pool)
+                .edges_examined;
+        }
+    }
+
+    /// Every output of the pre-checked loop equals the reference's, the
+    /// certificate bit for bit and the engine's scan count included, under
+    /// IC and LT, for b ∈ {2, 4, 8, 16}, uncapped and with θ caps that end
+    /// the round at `T` / `θ_max` instead of the certificate.
+    #[test]
+    fn pre_check_changes_nothing_but_greedy_calls() {
+        use smin_graph::generators::{assemble, chung_lu_directed};
+        use smin_graph::WeightModel;
+
+        let n = 400;
+        let mut rng = SmallRng::seed_from_u64(0x7B);
+        let pairs = chung_lu_directed(n, 1_600, 2.1, &mut rng);
+        // Weighted cascade: LT-valid, and every node shares p = 1/indeg.
+        let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
+        let mut residual = ResidualState::new(n);
+        for u in (0..n as NodeId).step_by(9) {
+            residual.kill(u);
+        }
+        let n_i = residual.n_alive();
+        let (eps, eta) = (0.3, 60);
+        let (mut cases, mut skipped, mut forced) = (0, 0, 0);
+        for model in [Model::IC, Model::LT] {
+            for b in [2usize, 4, 8, 16] {
+                let rho = rho_b(b);
+                let sched = schedule(n_i, eta, eps, b, rho, ln_binomial(n_i, b), None);
+                // θ◦ gives T = 1, so the first iteration must return; a few
+                // doublings past θ◦ end the round at T and θ_max together.
+                for cap in [None, Some(sched.theta0), Some(sched.theta0 * 5 + 3)] {
+                    let mut params = TrimParams::with_eps(eps);
+                    params.theta_cap = cap;
+                    for seed in 0..3u64 {
+                        let mut fast = TrimScratch::new(n);
+                        let mut slow = TrimScratch::new(n);
+                        let mut rng = SmallRng::seed_from_u64(seed);
+                        let mut ref_rng = rng.clone();
+                        let got =
+                            trim_b(&g, model, &residual, eta, b, &params, &mut fast, &mut rng)
+                                .unwrap();
+                        let want = trim_b_greedy_every_iteration(
+                            &g,
+                            model,
+                            &residual,
+                            eta,
+                            b,
+                            &params,
+                            &mut slow,
+                            &mut ref_rng,
+                        );
+                        let case = format!("{model} b={b} cap={cap:?} seed={seed}");
+                        assert_eq!(got.seeds, want.seeds, "{case}");
+                        assert_eq!(got.coverage, want.coverage, "{case}");
+                        assert_eq!(got.sets_generated, want.sets_generated, "{case}");
+                        assert_eq!(got.iterations, want.iterations, "{case}");
+                        assert_eq!(
+                            got.est_truncated_spread.to_bits(),
+                            want.est_truncated_spread.to_bits(),
+                            "{case}"
+                        );
+                        assert_eq!(
+                            got.certificate.to_bits(),
+                            want.certificate.to_bits(),
+                            "{case}"
+                        );
+                        assert_eq!(got.edges_examined, want.edges_examined, "{case}");
+                        assert_eq!(
+                            fast.engine().last_scanned,
+                            slow.engine().last_scanned,
+                            "{case}"
+                        );
+                        assert!(
+                            (1..=got.iterations).contains(&got.greedy_calls),
+                            "{case}: {} greedy calls",
+                            got.greedy_calls
+                        );
+                        if cap == Some(sched.theta0) {
+                            assert_eq!(got.iterations, 1, "{case}");
+                        }
+                        cases += 1;
+                        skipped += usize::from(got.greedy_calls < got.iterations);
+                        forced += usize::from(got.certificate < rho * (1.0 - sched.eps_hat));
+                    }
+                }
+            }
+        }
+        assert!(skipped > 0, "no case skipped a greedy call");
+        assert!(forced > 0, "no case ended at T or θ_max");
+        assert!(forced < cases, "no case certified");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// The threshold form of the certificate's monotonicity, which the
+        /// pre-check relies on: reaching `ρ_b(1 − ε̂)` at coverage `c`
+        /// implies reaching it at every larger coverage.
+        #[test]
+        fn certificate_stays_certified_as_coverage_grows(
+            (c, grow) in (0u32..200_000, 1u32..50_000),
+            (a2, extra) in (1e-3f64..80.0, 0.0f64..400.0),
+            (b, eps) in (1usize..=64, 1e-3f64..0.999),
+        ) {
+            let sched = Schedule {
+                theta_max: 0,
+                theta0: 0,
+                t_max: 0,
+                a1: a2 + extra,
+                a2,
+                eps_hat: 99.0 * eps / (100.0 - eps),
+            };
+            let rho = rho_b(b);
+            let stop_at = rho * (1.0 - sched.eps_hat);
+            let certified = |c: u32| certificate(f64::from(c), &sched, rho) >= stop_at;
+            // The smallest certified coverage, found by bisection, and its
+            // neighbours: the crossing is where rounding could bite.
+            let (mut lo, mut hi) = (0u32, u32::MAX);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if certified(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            let near = lo.saturating_sub(2)..=lo.saturating_add(2);
+            let below = (0..=c).step_by(1 + c as usize / 64);
+            for c in near.chain(below).chain([c]) {
+                if certified(c) {
+                    for step in [1, 2, grow, u32::MAX] {
+                        let bigger = c.saturating_add(step);
+                        prop_assert!(
+                            certified(bigger),
+                            "certified at {} but not at {} (a1 {}, a2 {}, rho {}, eps_hat {})",
+                            c, bigger, sched.a1, sched.a2, rho, sched.eps_hat
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

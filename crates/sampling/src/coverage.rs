@@ -16,8 +16,11 @@
 //! Every greedy call starts by building it as a counting-sort CSR transpose
 //! of the pool's sets (a prefix sum of the coverage counts, then a scatter
 //! of set ids in set order) into buffers the engine keeps across calls.
-//! Nothing is cached between calls: TRIM-B runs greedy once per doubling,
-//! after the pool has grown, so a kept index would be stale every time.
+//! Nothing is cached between calls: TRIM-B calls greedy at most once per
+//! doubling, after the pool has grown, so a kept index would be stale every
+//! time. Before each call TRIM-B asks [`CoverageEngine::coverage_bound`],
+//! which needs no transpose, whether the greedy could certify at all, and
+//! doubles without it when not.
 //!
 //! The hot paths run on word-parallel kernels: `commit_pick` batches newly
 //! covered sets 64 at a time against the covered mask's words before
@@ -289,6 +292,33 @@ impl CoverageEngine {
     /// (TRIM-B Line 8).
     pub fn select(&mut self, pool: &SketchPool, b: usize) -> GreedyCover {
         self.greedy(pool, |picks, _| picks >= b)
+    }
+
+    /// An upper bound on the coverage of any `b` nodes, so
+    /// `coverage_bound(pool, b) ≥ select(pool, b).covered`: the sum of the
+    /// `b` largest `Λ_R(v)`, capped at `|R|`. A pick covers at most its own
+    /// count of sets, and no selection covers more sets than the pool holds.
+    ///
+    /// Costs O(touched) and no transpose. The counts are partitioned in the
+    /// marginal buffer, which the next greedy call reloads, so a warm
+    /// engine allocates nothing.
+    pub fn coverage_bound(&mut self, pool: &SketchPool, b: usize) -> u32 {
+        let touched = pool.touched_nodes();
+        let sum = if b == 0 {
+            0
+        } else if b >= touched.len() {
+            // every count, i.e. every membership in the pool
+            pool.total_size()
+        } else {
+            let counts = pool.coverage_counts();
+            let top = &mut self.marginal;
+            top.clear();
+            top.extend(touched.iter().map(|&v| counts[v as usize]));
+            let cut = top.len() - b;
+            top.select_nth_unstable(cut);
+            top[cut..].iter().map(|&c| c as usize).sum()
+        };
+        u32_of(sum.min(pool.len()))
     }
 
     /// Greedy picks until `bound(Λ(S))` reaches `target` or coverage runs

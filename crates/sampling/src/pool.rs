@@ -3,7 +3,8 @@
 //!
 //! TRIM needs only `argmax_v Λ_R(v)` after every doubling, so the pool keeps
 //! exactly what that query reads, maintained as sets arrive so a doubling
-//! never re-scans old sets.
+//! never re-scans old sets. TRIM-B's pre-check, the sum of the `b` largest
+//! `Λ_R(v)`, reads the same two columns.
 //!
 //! # Memory layout
 //!

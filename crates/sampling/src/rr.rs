@@ -23,6 +23,15 @@
 //! draw the same coins, compare them against the same probabilities and
 //! count the same edges: which path runs changes the speed, never a sampled
 //! set.
+//!
+//! LT on a node whose `d` in-edges share `p` skips the loop: its
+//! subtraction scan (`r < p` picks, else `r -= p`) stops at index `⌊r/p⌋`,
+//! which one division finds. When `r` lies within the scan's accumulated
+//! rounding error of a multiple of `p`, the division and the scan could
+//! disagree, so the sampler runs the scan on the same `r` instead (see
+//! `lt_shared`). Either way the node draws one coin, picks the same
+//! source and reports the edges the scan examines (the EPT accounting of
+//! Lemma 3.8).
 
 use rand::Rng;
 use smin_diffusion::Model;
@@ -74,6 +83,9 @@ impl ReverseSampler {
             head += 1;
             let visited = &mut self.visited;
             edges_examined += match g.in_sources(v) {
+                (srcs, Some(p)) if model == Model::LT => {
+                    lt_shared(visited, srcs, p, is_alive, rng.random(), out)
+                }
                 (srcs, Some(p)) => {
                     let in_edges = srcs.iter().map(|&u| (u, p));
                     expand(visited, model, in_edges, is_alive, rng, out)
@@ -133,23 +145,87 @@ fn expand(
             }
         }
         Model::LT => {
-            // v keeps exactly one live in-edge with prob p(u, v); if the
-            // chosen source is dead the choice maps to "none", which is
-            // exactly the induced-subgraph distribution.
-            let mut r = rng.random::<f64>();
-            for (u, p) in in_edges {
-                examined += 1;
-                if r < p {
-                    if is_alive(u) && visited.insert(u as usize) {
-                        out.push(u);
-                    }
-                    break;
-                }
-                r -= p;
-            }
+            examined = lt_scan(visited, in_edges, is_alive, rng.random(), out);
         }
     }
     examined
+}
+
+/// LT's live in-edge draw for one dequeued node, with the uniform `r`
+/// already drawn: walks the `(source, probability)` in-edges subtracting
+/// each probability from `r` and keeps the first edge where `r < p`.
+/// Returns the number of edges examined.
+///
+/// The node keeps exactly one live in-edge with probability `p(u, v)`; if
+/// the chosen source is dead the choice maps to "none", which is exactly
+/// the induced-subgraph distribution.
+#[inline]
+fn lt_scan(
+    visited: &mut FixedBitSet,
+    in_edges: impl Iterator<Item = (NodeId, f64)>,
+    is_alive: impl Fn(NodeId) -> bool,
+    mut r: f64,
+    out: &mut Vec<NodeId>,
+) -> usize {
+    let mut examined = 0usize;
+    for (u, p) in in_edges {
+        examined += 1;
+        if r < p {
+            if is_alive(u) && visited.insert(u as usize) {
+                out.push(u);
+            }
+            break;
+        }
+        r -= p;
+    }
+    examined
+}
+
+/// [`lt_scan`] over `d` in-edges that all carry `p`, in O(1) unless `r`
+/// sits at a multiple of `p`.
+///
+/// In exact arithmetic the scan stops at `k = ⌊r/p⌋` with `k + 1` edges
+/// examined, or examines all `d` and keeps none when `r ≥ d·p`. In floating
+/// point, with `u = ε/2`:
+///
+/// * after `i` subtractions the scan's running value is within `i·u` of
+///   `r − i·p`, since each step rounds a result in `[0, 1)`;
+/// * the computed `r − k·p`, when it lies in `(0, p)`, is within `2u` of
+///   its true value (one rounded product and one rounded difference, both
+///   below 1).
+///
+/// So when the computed remainder lies more than `(d + 4)·ε = (2d + 8)·u`
+/// from both 0 and `p`, every step `i < k` of the scan compares `≥ p` and
+/// step `k` compares `< p`: the scan picks `srcs[k]`. Likewise, a computed
+/// `r − d·p` above the same tolerance means no step compares `< p`.
+/// Everything else runs the scan itself on the same `r`, so the pick and
+/// the edge count equal the scan's on every input.
+#[inline]
+fn lt_shared(
+    visited: &mut FixedBitSet,
+    srcs: &[NodeId],
+    p: f64,
+    is_alive: impl Fn(NodeId) -> bool,
+    r: f64,
+    out: &mut Vec<NodeId>,
+) -> usize {
+    let d = srcs.len();
+    let tol = (d + 4) as f64 * f64::EPSILON;
+    // Saturating cast: NaN (r = p = 0) gives 0 and falls back below.
+    let k = (r / p) as usize;
+    if k < d {
+        let rem = r - k as f64 * p;
+        if rem > tol && rem < p - tol {
+            let u = srcs[k];
+            if is_alive(u) && visited.insert(u as usize) {
+                out.push(u);
+            }
+            return k + 1;
+        }
+    } else if r - d as f64 * p > tol {
+        return d;
+    }
+    lt_scan(visited, srcs.iter().map(|&u| (u, p)), is_alive, r, out)
 }
 
 #[cfg(test)]

@@ -31,9 +31,10 @@
 //!   Timing travels in headers and logs only — response bodies stay
 //!   byte-identical with instrumentation on.
 //!
-//! Per-request `threads` (or the `SMIN_THREADS` env var, resolved at
-//! request time) picks the sketch-generation worker count; it never changes
-//! results. Structured JSON errors carry stable `code`s mapped from
+//! Per-request `threads` (capped at the dispatch worker count), or the
+//! `SMIN_THREADS` env var resolved at request time, picks the
+//! sketch-generation worker count; it never changes results. Structured
+//! JSON errors carry stable `code`s mapped from
 //! `smin-core::error` ([`error`]).
 //!
 //! The CLI front end is `asm serve`; `svc_load` (in `smin-bench`) is the

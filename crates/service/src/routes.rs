@@ -30,6 +30,7 @@ use crate::metrics::ServiceMetrics;
 use crate::registry::{
     manifest_json, parse_manifest, record_select, GraphEntry, ManifestEntry, Registry,
 };
+use crate::server::ServerConfig;
 use crate::trace::{StageMicrosLine, TraceEvent, TraceLog};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -60,6 +61,9 @@ pub struct ServiceState {
     metrics: ServiceMetrics,
     /// Per-request JSON trace lines (`--trace-log`); `None` disables.
     trace: Option<TraceLog>,
+    /// Dispatch threads serving requests: the ceiling on a select's
+    /// `"threads"`.
+    dispatch_workers: usize,
 }
 
 impl ServiceState {
@@ -75,6 +79,7 @@ impl ServiceState {
             started: Instant::now(),
             metrics: ServiceMetrics::new(),
             trace: None,
+            dispatch_workers: ServerConfig::default().workers,
         }
     }
 
@@ -123,6 +128,13 @@ impl ServiceState {
     /// is shared across threads.
     pub fn set_trace(&mut self, trace: TraceLog) {
         self.trace = Some(trace);
+    }
+
+    /// Sets the dispatch thread count, which caps every select's
+    /// `"threads"`. Called once at server bind, before the state is shared
+    /// across threads.
+    pub fn set_dispatch_workers(&mut self, workers: usize) {
+        self.dispatch_workers = workers.max(1);
     }
 }
 
@@ -350,23 +362,45 @@ fn generate_graph(spec: &Value) -> Result<(Graph, String), ServiceError> {
     let seed = json::opt_u64(spec, "seed")?.unwrap_or(42);
     let weights = parse_weights(&json::opt_str(spec, "weights")?.unwrap_or_else(|| "wc".into()))?;
     let mut rng = SmallRng::seed_from_u64(seed);
+    // Each arm checks the preconditions its generator asserts, so a bad
+    // spec is a 400 and never a panic on a dispatch thread.
+    let bad = |msg: String| ServiceError::bad_request(format!("{kind}: {msg}"));
     let (pairs, directed) = match kind.as_str() {
         "chung-lu" => {
             let m = json::opt_usize(spec, "m")?.unwrap_or(n * 5);
             let gamma = json::opt_f64(spec, "gamma")?.unwrap_or(2.1);
+            check_directed_edges(n, m).map_err(bad)?;
+            if gamma.is_nan() || gamma <= 1.0 {
+                return Err(bad(format!("'gamma' must exceed 1, got {gamma}")));
+            }
             (chung_lu_directed(n, m, gamma, &mut rng), true)
         }
         "er" => {
             let m = json::opt_usize(spec, "m")?.unwrap_or(n * 5);
+            check_directed_edges(n, m).map_err(bad)?;
             (erdos_renyi(n, m, &mut rng), true)
         }
         "ba" => {
             let attach = json::opt_usize(spec, "attach")?.unwrap_or(4);
+            if !(1..n).contains(&attach) {
+                return Err(bad(format!(
+                    "'attach' must lie in [1, n) = [1, {n}), got {attach}"
+                )));
+            }
             (barabasi_albert(n, attach, &mut rng), false)
         }
         "ws" => {
             let k = json::opt_usize(spec, "k")?.unwrap_or(6);
             let beta = json::opt_f64(spec, "beta")?.unwrap_or(0.1);
+            if k < 2 || !k.is_multiple_of(2) {
+                return Err(bad(format!("'k' must be even and at least 2, got {k}")));
+            }
+            if n <= k {
+                return Err(bad(format!("'n' must exceed 'k' = {k}, got {n}")));
+            }
+            if !(0.0..=1.0).contains(&beta) {
+                return Err(bad(format!("'beta' must lie in [0, 1], got {beta}")));
+            }
             (watts_strogatz(n, k, beta, &mut rng), false)
         }
         other => {
@@ -377,6 +411,22 @@ fn generate_graph(spec: &Value) -> Result<(Graph, String), ServiceError> {
     };
     let g = assemble(n, &pairs, directed, weights, &mut rng)?;
     Ok((g, format!("generated:{kind}")))
+}
+
+/// The preconditions the directed-edge generators (ER, Chung–Lu) assert:
+/// two nodes at least, and no more edges than the `n(n − 1)` distinct
+/// directed pairs.
+fn check_directed_edges(n: usize, m: usize) -> Result<(), String> {
+    let pairs = (n as u128) * (n as u128).saturating_sub(1);
+    if n < 2 {
+        Err(format!("'n' must be at least 2, got {n}"))
+    } else if m as u128 > pairs {
+        Err(format!(
+            "'m' = {m} exceeds the n(n-1) = {pairs} distinct directed edges on {n} nodes"
+        ))
+    } else {
+        Ok(())
+    }
 }
 
 /// Resolves a `"path"` load under the configured graphs dir, rejecting
@@ -509,7 +559,7 @@ impl SelectRequest {
 fn parse_select(state: &ServiceState, body: &[u8]) -> Result<SelectRequest, ServiceError> {
     let v = json::parse_object(body)?;
     let entry = resolve_graph(state, &v)?;
-    parse_select_fields(entry, &v)
+    parse_select_fields(entry, &v, state.dispatch_workers)
 }
 
 /// Resolves the `"graph"` field against the registry — once per request
@@ -526,8 +576,13 @@ fn resolve_graph(state: &ServiceState, v: &Value) -> Result<Arc<GraphEntry>, Ser
 
 /// Parses every select field besides `"graph"` against an already-resolved
 /// entry. Shared verbatim by the single and batch endpoints so their
-/// validation (and therefore their responses) cannot drift.
-fn parse_select_fields(entry: Arc<GraphEntry>, v: &Value) -> Result<SelectRequest, ServiceError> {
+/// validation (and therefore their responses) cannot drift. `"threads"` is
+/// capped at `max_threads`.
+fn parse_select_fields(
+    entry: Arc<GraphEntry>,
+    v: &Value,
+    max_threads: usize,
+) -> Result<SelectRequest, ServiceError> {
     let model: Model = json::opt_str(v, "model")?
         .unwrap_or_else(|| "ic".into())
         .parse()
@@ -546,6 +601,10 @@ fn parse_select_fields(entry: Arc<GraphEntry>, v: &Value) -> Result<SelectReques
     if threads == Some(0) {
         return Err(ServiceError::bad_request("'threads' must be at least 1"));
     }
+    // Each sketch thread keeps node-count-sized scratch in the session for
+    // good. Selections are identical for every thread count, so the cap
+    // changes no body.
+    let threads = threads.map(|t| t.min(max_threads));
     let use_cache = json::opt_bool(v, "cache")?.unwrap_or(true);
 
     // "asti" is the adaptive driver; "trim" / "trim-b" name the per-round
@@ -890,7 +949,8 @@ fn select_batch(
                 "items[{i}]: 'graph' belongs at the batch's top level"
             )));
         }
-        let req = parse_select_fields(Arc::clone(&entry), item).map_err(|e| item_err(i, e))?;
+        let req = parse_select_fields(Arc::clone(&entry), item, state.dispatch_workers)
+            .map_err(|e| item_err(i, e))?;
         reqs.push(req);
     }
     let (results, cache) = run_items(state, &entry, &reqs, &mut stages, item_err)?;
@@ -1279,6 +1339,81 @@ mod tests {
         assert!(text.contains("\"eta\":20"), "{text}");
         assert!(text.contains("\"algo\":\"trim-b\""));
         assert!(text.contains("\"batch\":4"));
+    }
+
+    /// One body per generator precondition, each a 400 naming the
+    /// parameter; the generators would assert on every one of them.
+    #[test]
+    fn generator_preconditions_are_400s() {
+        let s = state();
+        let cases = [
+            // ER and Chung–Lu: n >= 2 and m <= n(n-1); the default m = 5n
+            // exceeds n(n-1) on small n
+            (r#"{"kind":"er","n":1}"#, "'n' must be at least 2"),
+            (r#"{"kind":"er","n":3}"#, "'m' = 15 exceeds"),
+            (r#"{"kind":"er","n":3,"m":100}"#, "'m' = 100 exceeds"),
+            (r#"{"kind":"chung-lu","n":1}"#, "'n' must be at least 2"),
+            (r#"{"kind":"chung-lu","n":4,"m":13}"#, "'m' = 13 exceeds"),
+            (r#"{"kind":"chung-lu","n":50,"gamma":1.0}"#, "'gamma'"),
+            (r#"{"kind":"chung-lu","n":50,"gamma":-3}"#, "'gamma'"),
+            // BA: 1 <= attach < n
+            (r#"{"kind":"ba","n":3}"#, "'attach'"),
+            (r#"{"kind":"ba","n":30,"attach":0}"#, "'attach'"),
+            (r#"{"kind":"ba","n":5,"attach":5}"#, "'attach'"),
+            // WS: k even, k >= 2, n > k, beta in [0, 1]
+            (r#"{"kind":"ws","n":5}"#, "'n' must exceed 'k'"),
+            (r#"{"kind":"ws","n":30,"k":3}"#, "'k'"),
+            (r#"{"kind":"ws","n":30,"k":0}"#, "'k'"),
+            (r#"{"kind":"ws","n":30,"beta":1.5}"#, "'beta'"),
+            (r#"{"kind":"ws","n":30,"beta":-0.1}"#, "'beta'"),
+        ];
+        for (spec, needle) in cases {
+            let resp = post(&s, "/v1/graphs", &format!(r#"{{"generate":{spec}}}"#));
+            assert_eq!(resp.status, 400, "{spec} -> {}", body_str(&resp));
+            assert!(
+                body_str(&resp).contains(needle),
+                "{spec}: expected {needle:?} in {}",
+                body_str(&resp)
+            );
+        }
+        // the boundary values themselves are accepted
+        for spec in [
+            r#"{"kind":"er","n":3,"m":6}"#,
+            r#"{"kind":"chung-lu","n":40,"m":80,"gamma":1.5}"#,
+            r#"{"kind":"ba","n":3,"attach":2}"#,
+            r#"{"kind":"ws","n":3,"k":2,"beta":1.0}"#,
+        ] {
+            let resp = post(&s, "/v1/graphs", &format!(r#"{{"generate":{spec}}}"#));
+            assert_eq!(resp.status, 201, "{spec} -> {}", body_str(&resp));
+        }
+    }
+
+    /// `"threads"` beyond the dispatch pool is capped at it: the parsed
+    /// request carries the cap, and the body equals a one-thread select's.
+    #[test]
+    fn select_threads_are_capped_at_the_dispatch_workers() {
+        let mut s = state();
+        s.set_dispatch_workers(2);
+        register_er(&s, "g", 120);
+        let huge = r#"{"graph":"g","eta":30,"seed":7,"threads":1000000,"cache":false}"#;
+        let req = parse_select(&s, huge.as_bytes()).unwrap();
+        assert_eq!(req.threads, Some(2));
+        let one = post(
+            &s,
+            "/v1/select",
+            r#"{"graph":"g","eta":30,"seed":7,"threads":1,"cache":false}"#,
+        );
+        assert_eq!(one.status, 200, "{}", body_str(&one));
+        let resp = post(&s, "/v1/select", huge);
+        assert_eq!(resp.status, 200, "{}", body_str(&resp));
+        assert_eq!(resp.body, one.body);
+        let batch = post(
+            &s,
+            "/v1/select-batch",
+            r#"{"graph":"g","items":[{"eta":30,"seed":7,"threads":1000000,"cache":false}]}"#,
+        );
+        assert_eq!(batch.status, 200, "{}", body_str(&batch));
+        assert!(body_str(&batch).contains(&body_str(&one)));
     }
 
     #[test]

@@ -86,6 +86,7 @@ impl Server {
             config.state_dir.clone(),
         )
         .map_err(std::io::Error::other)?;
+        state.set_dispatch_workers(config.workers);
         if let Some(path) = &config.trace_log {
             // An unopenable trace log is a boot error, not a silent no-op:
             // the operator asked for a record of every request.

@@ -178,6 +178,36 @@ fn deeply_nested_json_body_gets_400_and_the_server_survives() {
     handle.shutdown();
 }
 
+#[test]
+fn bad_generator_specs_get_400_and_the_worker_survives() {
+    // Before the service checked generator preconditions, each body
+    // panicked its dispatch worker, and with one worker nothing (not even
+    // /healthz) was answered after the first.
+    let mut handle = spawn(|c| c.workers = 1);
+    let mut c = client(&handle);
+    for body in [
+        r#"{"generate":{"kind":"er","n":1}}"#,
+        r#"{"generate":{"kind":"er","n":3,"m":100}}"#,
+    ] {
+        let resp = c.post("/v1/graphs", body).unwrap();
+        assert_eq!(resp.status, 400, "{body}: {}", resp.text());
+    }
+    let resp = c.get("/healthz").unwrap();
+    assert_eq!(resp.status, 200, "server must survive");
+    let resp = c.post("/v1/graphs", REGISTER).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    let resp = c
+        .post(
+            "/v1/select",
+            r#"{"graph":"g","eta":20,"seed":3,"cache":false}"#,
+        )
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    assert_eq!(resp.header("x-cache"), Some("BYPASS"));
+    drop(c);
+    handle.shutdown();
+}
+
 /// Writes `head` (a complete request head promising a body that never
 /// arrives) and returns everything the server sends before closing.
 fn stall_mid_body(addr: &str, head: &str) -> String {

@@ -238,13 +238,45 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `coverage_bound` is the sum of the `b` largest counts capped at
+    /// `|R|`, and never below what the greedy covers: TRIM-B skips a greedy
+    /// call on it.
+    #[test]
+    fn coverage_bound_dominates_greedy((n, sets) in random_pools()) {
+        let mut pool = SketchPool::new(n);
+        for s in &sets {
+            pool.add_set(s);
+        }
+        let mut counts: Vec<u32> = pool.coverage_counts().to_vec();
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        let mut engine = CoverageEngine::new();
+        for b in [0usize, 1, 2, 3, 7, 8, 16, 63, 64, 200] {
+            let top: u32 = counts.iter().take(b).sum();
+            let bound = engine.coverage_bound(&pool, b);
+            prop_assert_eq!(bound, top.min(pool.len() as u32));
+            let greedy = engine.select(&pool, b);
+            prop_assert!(bound >= greedy.covered, "b = {}: {} < {}", b, bound, greedy.covered);
+            // On a warm engine the bound allocates nothing and leaves the
+            // next selection untouched.
+            let warm = engine.heap_bytes();
+            engine.coverage_bound(&pool, b);
+            prop_assert_eq!(engine.heap_bytes(), warm);
+            prop_assert_eq!(engine.select(&pool, b), greedy);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Thread-count identity through the kernelized engine
 // ---------------------------------------------------------------------------
 
 /// TRIM-B selections driven through the kernelized engine are byte-identical
-/// at 1 and 4 sketch-generation threads, and so is the engine's recorded
-/// scan volume (selection is single-threaded downstream of the pool).
+/// at 1 and 4 sketch-generation threads, under IC and LT, and so are the
+/// greedy call count and the engine's recorded scan volume (selection is
+/// single-threaded downstream of the pool).
 #[test]
 fn trim_b_selections_identical_across_thread_counts() {
     use seedmin::algo::trim::TrimScratch;
@@ -259,39 +291,32 @@ fn trim_b_selections_identical_across_thread_counts() {
     let g = assemble(500, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
     let residual = ResidualState::new(500);
 
-    let mut baseline: Option<(Vec<u32>, u32, usize, usize)> = None;
-    for threads in [1usize, 4] {
-        let params = TrimParams::with_eps(0.4).with_threads(threads);
-        let mut scratch = TrimScratch::new(g.n());
-        let mut rng = SmallRng::seed_from_u64(0xFA57);
-        let out = trim_b(
-            &g,
-            Model::IC,
-            &residual,
-            50,
-            4,
-            &params,
-            &mut scratch,
-            &mut rng,
-        )
-        .unwrap();
-        let state = (
-            out.seeds.clone(),
-            out.coverage,
-            out.sets_generated,
-            scratch.engine().last_scanned,
-        );
-        match &baseline {
-            None => baseline = Some(state),
-            Some(base) => assert_eq!(&state, base, "{threads} threads diverged"),
+    for model in [Model::IC, Model::LT] {
+        let mut baseline: Option<(Vec<u32>, u32, usize, usize, usize)> = None;
+        for threads in [1usize, 4] {
+            let params = TrimParams::with_eps(0.4).with_threads(threads);
+            let mut scratch = TrimScratch::new(g.n());
+            let mut rng = SmallRng::seed_from_u64(0xFA57);
+            let out = trim_b(&g, model, &residual, 50, 4, &params, &mut scratch, &mut rng).unwrap();
+            let state = (
+                out.seeds.clone(),
+                out.coverage,
+                out.sets_generated,
+                out.greedy_calls,
+                scratch.engine().last_scanned,
+            );
+            match &baseline {
+                None => baseline = Some(state),
+                Some(base) => assert_eq!(&state, base, "{model}: {threads} threads diverged"),
+            }
         }
+        let (seeds, _, _, _, scanned) = baseline.unwrap();
+        assert!(!seeds.is_empty());
+        assert!(
+            scanned >= seeds.len(),
+            "every committed pick scans >= 1 node"
+        );
     }
-    let (seeds, _, _, scanned) = baseline.unwrap();
-    assert!(!seeds.is_empty());
-    assert!(
-        scanned >= seeds.len(),
-        "every committed pick scans >= 1 node"
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -519,4 +544,131 @@ fn sketch_pool_generation_matches_per_edge_reference() {
             }
         }
     }
+}
+
+/// An RNG whose first `u64` is `first`, then a seeded stream: puts the LT
+/// coin of a sample's first dequeued node exactly where a test wants it.
+#[derive(Clone)]
+struct FirstDraw {
+    first: Option<u64>,
+    rest: SmallRng,
+}
+
+impl rand::RngCore for FirstDraw {
+    fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.first.take().unwrap_or_else(|| self.rest.next_u64())
+    }
+}
+
+/// Disjoint stars, each center's in-edges sharing one probability: in-degree
+/// 1 000 and up (weighted cascade), in-probabilities summing to less than 1,
+/// a few small in-degrees, and a probability far below any coin.
+fn lt_star_graph() -> (seedmin::graph::Graph, Vec<(NodeId, usize, f64)>) {
+    use seedmin::graph::GraphBuilder;
+
+    let stars: [(usize, f64); 9] = [
+        (1_000, 1.0 / 1_000.0),
+        (1_237, 1.0 / 1_237.0),
+        (3_001, 1.0 / 3_001.0),
+        (5_000, 1.0 / 5_000.0),
+        (1_237, 0.61 / 1_237.0),
+        (10, 0.05),
+        (7, 1.0 / 7.0),
+        (3, 1.0 / 3.0),
+        (50, 1e-300),
+    ];
+    let n = stars.iter().map(|&(d, _)| d + 1).sum();
+    let mut b = GraphBuilder::new(n);
+    let mut centers = Vec::new();
+    let mut next = 0u32;
+    for (d, p) in stars {
+        let center = next;
+        for leaf in center + 1..=center + d as u32 {
+            b.add_edge_p(leaf, center, p).unwrap();
+        }
+        centers.push((center, d, p));
+        next += d as u32 + 1;
+    }
+    (b.build().unwrap(), centers)
+}
+
+/// LT's O(1) pick at nodes whose in-edges share `p` equals the per-edge
+/// scan: set, edge count and final RNG position, with the center's coin
+/// placed within a few RNG steps (2⁻⁵³) of every small multiple `k·p` and
+/// of multiples near `d/3`, `d/2` and `d`, and with random coins at random
+/// centers, all leaves alive or a fifth of them dead.
+#[test]
+fn lt_pick_matches_scan_at_hubs_and_multiples_of_p() {
+    use seedmin::diffusion::Model;
+    use seedmin::sampling::ReverseSampler;
+
+    let (g, centers) = lt_star_graph();
+    let n = g.n();
+    for &(c, d, p) in &centers {
+        assert_eq!(g.in_sources(c).1, Some(p), "center {c} shares p");
+        assert_eq!(g.in_degree(c), d);
+    }
+    let killed: Vec<bool> = (0..n).map(|u| u % 5 != 2).collect();
+    let mut sampler = ReverseSampler::new(n);
+    let mut reference = ReferenceSampler::new(n);
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    let scale = (1u64 << 53) as f64;
+    let mut check = |rng: FirstDraw, roots: &[NodeId], alive: Option<&[bool]>, case: &str| {
+        let (mut rng, mut ref_rng) = (rng.clone(), rng);
+        let edges = sampler.sample_into(&g, Model::LT, alive, roots, &mut rng, &mut got);
+        let ref_edges = reference.sample_into(&g, Model::LT, alive, roots, &mut ref_rng, &mut want);
+        assert_eq!(got, want, "{case}");
+        assert_eq!(edges, ref_edges, "{case}");
+        assert_eq!(rng.random::<u64>(), ref_rng.random::<u64>(), "{case}");
+        edges
+    };
+    let mut scripted = 0usize;
+    for (ci, &(c, d, p)) in centers.iter().enumerate() {
+        let near = [
+            d / 3,
+            d / 2,
+            d.saturating_sub(2),
+            d.saturating_sub(1),
+            d,
+            d + 1,
+        ];
+        for k in (0..=d.min(40)).chain(near) {
+            let at = (k as f64 * p * scale).round() as i64;
+            for ulps in -6i64..=6 {
+                let m = at + ulps;
+                if !(0..1i64 << 53).contains(&m) {
+                    continue;
+                }
+                for alive in [None, Some(killed.as_slice())] {
+                    let rng = FirstDraw {
+                        first: Some((m as u64) << 11),
+                        rest: SmallRng::seed_from_u64(m as u64 ^ ci as u64),
+                    };
+                    let case = format!("center {c} d={d} p={p:e} k={k} ulps={ulps}");
+                    check(rng, &[c], alive, &case);
+                    scripted += 1;
+                }
+            }
+        }
+    }
+    assert!(scripted > 5_000, "{scripted} scripted coins");
+    let mut root_rng = SmallRng::seed_from_u64(0x0B1);
+    let mut examined = 0usize;
+    for i in 0..4_000u64 {
+        let k = root_rng.random_range(1..=3usize);
+        let roots: Vec<NodeId> = (0..k)
+            .map(|_| centers[root_rng.random_range(0..centers.len())].0)
+            .collect();
+        let rng = FirstDraw {
+            first: None,
+            rest: SmallRng::seed_from_u64(i),
+        };
+        let alive = (i % 2 == 0).then_some(killed.as_slice());
+        examined += check(rng, &roots, alive, &format!("random draw {i}"));
+    }
+    assert!(examined > 4_000 * 100, "hubs were scanned deep: {examined}");
 }

@@ -1,7 +1,8 @@
 //! Statistical validation of Lemma 3.6 / Lemma 4.1: the node (batch) TRIM
 //! (TRIM-B) returns has exact expected truncated spread within
 //! `(1 − 1/e)(1 − ε)` (resp. `ρ_b(1 − 1/e)(1 − ε)`) of the exhaustive
-//! optimum, with only the advertised (tiny) failure probability.
+//! optimum, with only the advertised (tiny) failure probability. TRIM-B is
+//! checked under IC and, on weighted-cascade copies, under LT.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -10,6 +11,7 @@ use seedmin::algo::trim_b::trim_b;
 use seedmin::algo::TrimParams;
 use seedmin::diffusion::exact::exact_expected_truncated;
 use seedmin::diffusion::{Model, ResidualState};
+use seedmin::graph::weights::apply_weights;
 use seedmin::graph::{generators, Graph, WeightModel};
 use seedmin::sampling::coverage::rho_b;
 
@@ -23,6 +25,16 @@ fn instances() -> Vec<Graph> {
         );
     }
     out
+}
+
+/// The same structures under weighted cascade (`p = 1/indeg`), which is
+/// LT-valid: every node's in-probabilities sum to 1.
+fn lt_instances() -> Vec<Graph> {
+    let mut rng = SmallRng::seed_from_u64(99);
+    instances()
+        .iter()
+        .map(|g| apply_weights(g, WeightModel::WeightedCascade, &mut rng))
+        .collect()
 }
 
 #[test]
@@ -76,35 +88,30 @@ fn trim_b_selection_meets_batch_guarantee() {
     let factor = rho_b(b) * (1.0 - 1.0 / std::f64::consts::E) * (1.0 - eps);
     let mut violations = 0usize;
     let mut total = 0usize;
-    for (gi, g) in instances().iter().enumerate() {
-        let n = g.n() as u32;
-        for eta in [3usize, 5] {
-            // exhaustive optimum over all size-2 batches
-            let mut opt = f64::MIN;
-            for u in 0..n {
-                for v in (u + 1)..n {
-                    opt = opt.max(exact_expected_truncated(g, Model::IC, &[u, v], eta));
+    let lt_graphs = lt_instances();
+    assert!(lt_graphs.iter().all(Graph::is_valid_lt));
+    for (model, graphs) in [(Model::IC, instances()), (Model::LT, lt_graphs)] {
+        for (gi, g) in graphs.iter().enumerate() {
+            let n = g.n() as u32;
+            for eta in [3usize, 5] {
+                // exhaustive optimum over all size-2 batches
+                let mut opt = f64::MIN;
+                for u in 0..n {
+                    for v in (u + 1)..n {
+                        opt = opt.max(exact_expected_truncated(g, model, &[u, v], eta));
+                    }
                 }
-            }
-            for run in 0..4u64 {
-                let residual = ResidualState::new(g.n());
-                let mut scratch = TrimScratch::new(g.n());
-                let mut rng = SmallRng::seed_from_u64(run * 17 + gi as u64);
-                let out = trim_b(
-                    g,
-                    Model::IC,
-                    &residual,
-                    eta,
-                    b,
-                    &params,
-                    &mut scratch,
-                    &mut rng,
-                )
-                .unwrap();
-                let achieved = exact_expected_truncated(g, Model::IC, &out.seeds, eta);
-                total += 1;
-                if achieved < factor * opt - 1e-9 {
-                    violations += 1;
+                for run in 0..4u64 {
+                    let residual = ResidualState::new(g.n());
+                    let mut scratch = TrimScratch::new(g.n());
+                    let mut rng = SmallRng::seed_from_u64(run * 17 + gi as u64);
+                    let out = trim_b(g, model, &residual, eta, b, &params, &mut scratch, &mut rng)
+                        .unwrap();
+                    let achieved = exact_expected_truncated(g, model, &out.seeds, eta);
+                    total += 1;
+                    if achieved < factor * opt - 1e-9 {
+                        violations += 1;
+                    }
                 }
             }
         }
