@@ -5,8 +5,9 @@
 //!
 //! * `naive` — the pre-refactor baseline reconstructed here: `Vec<Vec<u32>>`
 //!   inverted index, full rescans (no exhausted-node compaction);
-//! * `eager` — the columnar pool + the engine's compacted-scan greedy, whose
-//!   timing includes building the node→sets transpose on every call.
+//! * `eager` — the columnar pool + the engine's compacted-scan greedy: its
+//!   first 8 picks scan the pool for their sets, and a longer run builds
+//!   the node→sets transpose of the uncovered sets once, inside the timing.
 //!
 //! The pool-size sweep also reports the pool's and a used engine's heap
 //! bytes next to the naive layout's footprint, so both the speed and the

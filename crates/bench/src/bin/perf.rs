@@ -8,8 +8,8 @@
 //! style:
 //!
 //! * `BENCH_coverage.json` — the per-pick kernels: the argmax candidate
-//!   scan and the b = 8 greedy selection (the compacted eager scan, its
-//!   node→sets transpose build included), plus `SketchPool::heap_bytes()`
+//!   scan and the b = 8 greedy selection (the compacted eager scan, each
+//!   pick's sets found by scanning the pool), plus `SketchPool::heap_bytes()`
 //!   plus the engine's retained bytes per pool size. Also folds in the two
 //!   Criterion-only fixtures so their medians ride the recorded
 //!   trajectory: `trim_round` (Algorithms 2/3 across thread counts, the
@@ -18,8 +18,8 @@
 //!   fixture). Its
 //!   `sampling` rows time single mRR sets, the reverse BFS that dominates
 //!   every campaign (the `mrr_generation` fixture);
-//! * `BENCH_select.json` — deep selections (b = 64) where `commit_pick`
-//!   dominates.
+//! * `BENCH_select.json` — deep selections (b = 64): 8 scanned picks, then
+//!   one transpose of the uncovered sets and word-batched `commit_pick`.
 //!
 //! ```text
 //! perf [--smoke] [--iters K] [--out-dir DIR]
@@ -200,8 +200,9 @@ fn run(args: &PerfArgs) -> Result<(), String> {
             std::hint::black_box(engine.select(&pool, 64).covered);
         });
 
-        // The pool plus everything the engine keeps between calls, its
-        // transpose included: all memory a warm selection retains.
+        // The pool plus everything the engine keeps between calls, the
+        // b = 64 run's transpose included: all memory a warm selection
+        // retains.
         let heap = pool.heap_bytes() + engine.heap_bytes();
         println!(
             "pool {sets:>6}: argmax {:9.1} us | b8 {:9.1} us | b64 {:9.1} us | heap {heap} B",

@@ -28,8 +28,9 @@ use std::time::Instant;
 ///
 /// A long-running service keeps one session per cached graph and recycles it
 /// across requests: the sketch pool, worker buffers, and coverage engine
-/// (its transpose buffers included) retain the capacity learned on earlier
-/// runs, so a warm request performs no cold allocations. Reuse never
+/// (its transpose buffers included, once a run past 8 picks built them)
+/// retain the capacity learned on earlier runs, so a warm request performs
+/// no cold allocations. Reuse never
 /// changes results — every run resets the logical state
 /// ([`ResidualState::reset`], `SketchPool::reset`) before touching it, so
 /// `asti_in` on a recycled session is bit-identical to [`asti`] on a fresh
@@ -56,7 +57,8 @@ impl AstiSession {
     }
 
     /// Heap bytes currently retained by the session's sketch pool and
-    /// coverage engine (whose transpose buffers hold the inverted index) —
+    /// coverage engine (whose transpose buffers hold the inverted index of
+    /// runs past 8 picks) —
     /// observability for services reporting per-graph warm-state size.
     pub fn pool_heap_bytes(&self) -> usize {
         self.scratch.pool().heap_bytes() + self.scratch.engine().heap_bytes()

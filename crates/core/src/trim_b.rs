@@ -170,9 +170,9 @@ pub fn trim_b(
         // Line 8: greedy maximum coverage, run only when it could certify
         // or must return. The greedy covers at most `coverage_bound` sets
         // and the certificate never falls as coverage grows, so a bound
-        // that cannot certify means the greedy cannot either. Each greedy
-        // call rebuilds the engine's node→sets transpose; the pool has
-        // grown since any earlier call, so a kept index would be stale.
+        // that cannot certify means the greedy cannot either. With b ≤ 8
+        // the greedy scans the pool for each pick's sets and builds no
+        // index, so nothing goes stale as the pool grows between calls.
         let greedy = {
             let _span = smin_obs::Span::enter(&mut stage.coverage);
             let hopeless = !last && {

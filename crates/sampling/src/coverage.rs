@@ -12,25 +12,34 @@
 //! smaller node id), so every algorithm returns identical selections on
 //! identical pools.
 //!
-//! Greedy needs the node→sets inverted index, which the pool does not keep.
-//! Every greedy call starts by building it as a counting-sort CSR transpose
-//! of the pool's sets (a prefix sum of the coverage counts, then a scatter
-//! of set ids in set order) into buffers the engine keeps across calls.
-//! Nothing is cached between calls: TRIM-B calls greedy at most once per
-//! doubling, after the pool has grown, so a kept index would be stale every
-//! time. Before each call TRIM-B asks [`CoverageEngine::coverage_bound`],
-//! which needs no transpose, whether the greedy could certify at all, and
-//! doubles without it when not.
+//! Committing a pick needs the sets containing it, and the pool keeps no
+//! node→sets inverted index. A greedy run's first 8 picks (`SCAN_PICKS`)
+//! find their sets by scanning the pool's member column (16 members per
+//! vectorized `==` fold), stopping at the pick's last uncovered set. The
+//! paper's TRIM-B batches are at most 8, so there no index is ever built: a
+//! transpose costs more than 8 scans, and it would be stale by the next
+//! call, which runs on a grown pool. A run that picks more (`select` with
+//! `b > 8`, `select_until`) builds the index once, at pick 9, as a
+//! counting-sort CSR transpose of the sets still uncovered (a prefix sum
+//! of the marginals, then a scatter of those set ids in set order) into
+//! buffers the engine keeps across calls. Before each call TRIM-B asks
+//! [`CoverageEngine::coverage_bound`] whether the greedy could certify at
+//! all, and doubles without it when not.
 //!
-//! The hot paths run on word-parallel kernels: `commit_pick` batches newly
-//! covered sets 64 at a time against the covered mask's words before
-//! touching marginals, and the candidate scans walk in unrolled 4-wide
-//! strides — all bit-identical to the scalar reference scans they replaced
-//! (same tie-breaking total order).
+//! The hot paths run on word-parallel kernels: past the scanned picks,
+//! `commit_pick` batches newly covered sets 64 at a time against the
+//! covered mask's words before touching marginals, and the candidate scans
+//! walk in unrolled 4-wide strides — all bit-identical to the scalar
+//! reference scans they replaced (same tie-breaking total order).
 
 use crate::pool::SketchPool;
 use smin_graph::cast::u32_of;
 use smin_graph::{FixedBitSet, NodeId, Ones};
+
+/// Picks per greedy run that find their sets by scanning the pool's member
+/// column: 8, TRIM-B's largest batch in the paper. Pick 9 of a longer run
+/// builds the transpose instead, over the sets still uncovered.
+const SCAN_PICKS: usize = 8;
 
 /// Result of a greedy cover run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -158,19 +167,20 @@ fn scan_best(scan: &mut Vec<NodeId>, gain: &[u32]) -> Option<(NodeId, u32)> {
 }
 
 /// Reusable marginal-coverage maintenance shared by every greedy/argmax
-/// consumer. All buffers, the transpose included, are retained across
-/// calls, so a `CoverageEngine` embedded in per-round scratch (e.g.
-/// `TrimScratch`) makes repeated selection allocation-free once it has seen
-/// its largest pool.
+/// consumer. All buffers, the transpose of runs past 8 picks included,
+/// are retained across calls, so a `CoverageEngine` embedded in
+/// per-round scratch (e.g. `TrimScratch`) makes repeated selection
+/// allocation-free once it has seen its largest pool.
 #[derive(Default)]
 pub struct CoverageEngine {
     /// Marginal coverage of each node under the current partial selection.
     marginal: Vec<u32>,
     /// Sets already covered by the current partial selection.
     set_covered: FixedBitSet,
-    /// The pool's node→sets transpose, rebuilt by every greedy call:
-    /// `node_sets[node_off[v]..node_off[v + 1]]` are the sets containing
-    /// `v`, in ascending id order.
+    /// The node→sets transpose of the sets a run's first [`SCAN_PICKS`]
+    /// picks left uncovered, built at its next pick:
+    /// `node_sets[node_off[v]..node_off[v + 1]]` are those sets containing
+    /// `v`, in ascending id order. Stale outside such a run.
     node_off: Vec<usize>,
     node_sets: Vec<u32>,
     /// Compact scan list: nodes whose marginal is still positive. Exhausted
@@ -191,7 +201,8 @@ impl CoverageEngine {
         CoverageEngine::default()
     }
 
-    /// Heap bytes retained by the engine's buffers, the transpose included.
+    /// Heap bytes retained by the engine's buffers, the transpose included
+    /// once a run has built it.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.marginal.capacity() * size_of::<u32>()
@@ -203,29 +214,57 @@ impl CoverageEngine {
     }
 
     /// Starts a greedy run on `pool`: loads its coverage counts as the
-    /// marginals, clears the covered-set mask, rebuilds the transpose, and
-    /// fills the scan list with every covered node.
+    /// marginals, clears the covered-set mask, and fills the scan list with
+    /// every covered node.
     fn begin(&mut self, pool: &SketchPool) {
         self.marginal.clear();
         self.marginal.extend_from_slice(pool.coverage_counts());
         self.set_covered.grow(pool.len());
         self.set_covered.clear();
-        pool.transpose_into(&mut self.node_off, &mut self.node_sets);
         self.scan.clear();
         self.scan.extend_from_slice(pool.touched_nodes());
         self.last_scanned = 0;
     }
 
-    /// Commits `v` into the partial selection: marks its sets covered and
-    /// decrements every co-member's marginal.
+    /// Commits `v`, the run's `pick`-th pick (from 1), into the partial
+    /// selection: marks its uncovered sets covered and decrements every
+    /// member's marginal once per such set.
     ///
-    /// Word-parallel: `v`'s transposed row lists its set ids in strictly
-    /// increasing order, so it compresses into one `(word, mask)` pair per
-    /// touched word of the covered mask. Each batch then hits `set_covered`
-    /// with a single [`FixedBitSet::insert_word`] — up to 64 membership
-    /// tests in one fetch/or — and only the returned freshly-set bits walk
-    /// their set members to decrement marginals.
-    fn commit_pick(&mut self, pool: &SketchPool, v: NodeId) {
+    /// The first [`SCAN_PICKS`] picks find those sets with the pool's
+    /// column scan, which stops once it has covered `marginal[v]` of them.
+    /// The next pick builds the transpose of the sets still uncovered, and
+    /// from then on each pick commits its transposed row.
+    fn commit_pick(&mut self, pool: &SketchPool, v: NodeId, pick: usize) {
+        if pick <= SCAN_PICKS {
+            let marginal = &mut self.marginal;
+            pool.cover_sets_of(v, marginal[v as usize], &mut self.set_covered, |s| {
+                for &u in pool.set(s) {
+                    marginal[u as usize] -= 1;
+                }
+            });
+        } else {
+            if pick == SCAN_PICKS + 1 {
+                pool.transpose_into(
+                    &self.marginal,
+                    &self.set_covered,
+                    &mut self.node_off,
+                    &mut self.node_sets,
+                );
+            }
+            self.commit_row(pool, v);
+        }
+        debug_assert_eq!(self.marginal[v as usize], 0);
+    }
+
+    /// Commits `v` through its transposed row.
+    ///
+    /// Word-parallel: the row lists set ids in strictly increasing order,
+    /// so it compresses into one `(word, mask)` pair per touched word of
+    /// the covered mask. Each batch then hits `set_covered` with a single
+    /// [`FixedBitSet::insert_word`] — up to 64 membership tests in one
+    /// fetch/or — and only the returned freshly-set bits walk their set
+    /// members to decrement marginals.
+    fn commit_row(&mut self, pool: &SketchPool, v: NodeId) {
         self.word_buf.clear();
         let row = &self.node_sets[self.node_off[v as usize]..self.node_off[v as usize + 1]];
         for &s in row {
@@ -246,15 +285,15 @@ impl CoverageEngine {
                 }
             }
         }
-        debug_assert_eq!(self.marginal[v as usize], 0);
     }
 
     /// The one greedy loop behind every selection: picks the live candidate
     /// with the largest marginal (shared tie-breaking) until
     /// `done(picks, covered)` holds or coverage runs out. Each pick rescans
     /// the live candidate list, compacting out nodes whose marginal dropped
-    /// to zero, so a run costs `O(n + picks·|live| + Σ|R|)`, the transpose
-    /// build included.
+    /// to zero. A run of `k` picks costs `O(n + k·|live| + min(k, 8)·Σ|R|)`:
+    /// each scanned pick reads at most the whole member column, and a
+    /// longer run adds one `O(n + Σ|R|)` transpose build.
     fn greedy(
         &mut self,
         pool: &SketchPool,
@@ -270,7 +309,7 @@ impl CoverageEngine {
             };
             seeds.push(v);
             covered += gain;
-            self.commit_pick(pool, v);
+            self.commit_pick(pool, v, seeds.len());
         }
         GreedyCover { seeds, covered }
     }
@@ -299,7 +338,7 @@ impl CoverageEngine {
     /// `b` largest `Λ_R(v)`, capped at `|R|`. A pick covers at most its own
     /// count of sets, and no selection covers more sets than the pool holds.
     ///
-    /// Costs O(touched) and no transpose. The counts are partitioned in the
+    /// Costs O(touched) and no member scan. The counts are partitioned in the
     /// marginal buffer, which the next greedy call reloads, so a warm
     /// engine allocates nothing.
     pub fn coverage_bound(&mut self, pool: &SketchPool, b: usize) -> u32 {
@@ -527,6 +566,33 @@ mod tests {
         );
         // every hub ties at gain 50, so they come out in id order
         assert_eq!(g.seeds, (0..clusters as NodeId).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn eight_picks_hold_no_transpose() {
+        // Σ|R| = 64 000 memberships over 1 000 nodes, each set in BFS-like
+        // (unsorted) order. A transpose would hold 4 bytes per membership;
+        // a fresh engine's b = 8 selection scans the pool instead and keeps
+        // only per-node and per-set buffers. Its picks are the first eight
+        // of a b = 9 selection, which builds the transpose at pick 9.
+        let n = 1_000u32;
+        let mut pool = SketchPool::new(n as usize);
+        for i in 0..2_000u32 {
+            let set: Vec<NodeId> = (0..32).map(|k| (i * 7_919 + k * 729) % n).collect();
+            pool.add_set(&set);
+        }
+        let mut engine = CoverageEngine::new();
+        let g = engine.select(&pool, 8);
+        assert_eq!(g.seeds.len(), 8);
+        assert!(
+            engine.heap_bytes() < 4 * pool.total_size(),
+            "engine holds {} bytes for Σ|R| = {}",
+            engine.heap_bytes(),
+            pool.total_size()
+        );
+        assert_eq!(engine.covered_sets().count(), g.covered as usize);
+        let g9 = CoverageEngine::new().select(&pool, 9);
+        assert_eq!(g9.seeds[..8], g.seeds[..]);
     }
 
     #[test]

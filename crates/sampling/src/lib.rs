@@ -12,8 +12,9 @@
 //! * [`coverage`] — the shared [`CoverageEngine`](coverage::CoverageEngine):
 //!   one greedy loop behind TRIM's argmax, TRIM-B's batch selection, and the
 //!   bound-driven greedy of the non-adaptive baselines, with the
-//!   `ρ_b = 1 − (1−1/b)^b` guarantee. Each greedy call builds the pool's
-//!   node→sets inverted index as a CSR transpose;
+//!   `ρ_b = 1 − (1−1/b)^b` guarantee. A greedy run's first 8 picks scan
+//!   the pool for their sets; a longer run builds the node→sets inverted
+//!   index of the uncovered sets once, as a CSR transpose;
 //! * [`bounds`] — the martingale concentration bounds of Appendix A
 //!   (Lemma A.2) that drive the stopping rules;
 //! * [`parallel`] — deterministic multi-threaded sketch generation

@@ -16,17 +16,25 @@
 //!   coverage.
 //!
 //! The pool keeps no node→sets inverted index. Greedy maximum coverage
-//! (TRIM-B and the non-adaptive baselines) is its only reader, and the
-//! coverage engine builds it at the start of every greedy call with
-//! `SketchPool::transpose_into`, a counting-sort transpose into buffers the
-//! engine owns. Appending a set therefore costs one copy plus one counter
-//! bump per member.
+//! (TRIM-B and the non-adaptive baselines) is its only reader, and its
+//! first 8 picks do without one: `SketchPool::cover_sets_of` finds a pick's
+//! sets by scanning the member column, 16 members per vectorized `==` fold.
+//! Only a greedy run that picks more builds the index, once, with
+//! `SketchPool::transpose_into`: a counting-sort transpose of the sets
+//! still uncovered, into buffers the coverage engine owns. Appending a set
+//! therefore costs one copy plus one counter bump per member.
 //!
 //! The pool is refilled hundreds of times per adaptive run (the doubling
 //! structure of Algorithm 2/3); [`SketchPool::reset`] keeps every buffer's
 //! capacity, so a warm pool refills without reallocating.
 
-use smin_graph::NodeId;
+use smin_graph::cast::u32_of;
+use smin_graph::{FixedBitSet, NodeId};
+
+/// Members per step of [`SketchPool::cover_sets_of`]'s column scan: one
+/// fixed-length `==` fold, which the compiler turns into four 128-bit
+/// compares.
+const SCAN_CHUNK: usize = 16;
 
 /// A pool of reverse-reachable sets over nodes `0..n`.
 #[derive(Clone, Debug)]
@@ -164,28 +172,93 @@ impl SketchPool {
         &self.touched
     }
 
-    /// Writes the node→sets inverted index into the caller's buffers as a
-    /// CSR transpose: afterwards `sets[off[v]..off[v + 1]]` lists the sets
-    /// containing `v`, in ascending id order. Both buffers are overwritten
-    /// and keep their capacity, so a caller that holds them across calls
-    /// rebuilds without reallocating. O(n + Σ|R|).
+    /// Marks covered, in `covered`, the sets containing `v` that it does
+    /// not hold yet, and passes each one's id to `on_cover` in ascending
+    /// order. `uncovered` must be the number of such sets (the coverage
+    /// engine's marginal of `v`): the scan stops at the last of them
+    /// instead of at the end of the pool.
     ///
-    /// Counting sort: a prefix sum of the coverage counts gives each node's
-    /// start, then one scatter of set ids in set order fills the rows.
-    /// `off[v + 1]` serves as node `v`'s write cursor during the scatter and
-    /// finishes at `v`'s end, which is exactly `v + 1`'s start. The scatter
-    /// writes every slot of `sets`, so stale contents are never cleared.
-    pub(crate) fn transpose_into(&self, off: &mut Vec<usize>, sets: &mut Vec<u32>) {
+    /// Needs no inverted index. The member column is scanned in chunks of
+    /// [`SCAN_CHUNK`], each tested for `v` by a branch-free `==` fold the
+    /// compiler vectorizes; only a chunk that holds `v` is walked member by
+    /// member. A set cursor over the offsets maps each hit to its set and
+    /// only moves forward, so a call costs O(|R|) plus the members up to
+    /// the last uncovered hit.
+    pub(crate) fn cover_sets_of(
+        &self,
+        v: NodeId,
+        uncovered: u32,
+        covered: &mut FixedBitSet,
+        mut on_cover: impl FnMut(u32),
+    ) {
+        if uncovered == 0 {
+            return;
+        }
+        let mut left = uncovered;
+        let mut set = 0usize;
+        // Covers the set holding member `pos`; `true` once none is left.
+        let mut hit = |pos: usize| {
+            while self.set_off[set + 1] <= pos {
+                set += 1;
+            }
+            if covered.insert(set) {
+                on_cover(u32_of(set));
+                left -= 1;
+            }
+            left == 0
+        };
+        let (chunks, rest) = self.set_nodes.as_chunks::<SCAN_CHUNK>();
+        for (start, chunk) in (0..).step_by(SCAN_CHUNK).zip(chunks) {
+            if chunk.iter().fold(false, |any, &u| any | (u == v)) {
+                for (pos, &u) in (start..).zip(chunk) {
+                    if u == v && hit(pos) {
+                        return;
+                    }
+                }
+            }
+        }
+        for (pos, &u) in (chunks.len() * SCAN_CHUNK..).zip(rest) {
+            if u == v && hit(pos) {
+                return;
+            }
+        }
+    }
+
+    /// Writes the node→sets inverted index of the sets `skip` does not
+    /// hold into the caller's buffers as a CSR transpose: afterwards
+    /// `sets[off[v]..off[v + 1]]` lists those sets containing `v`, in
+    /// ascending id order. `counts[v]` must be that row's length: the
+    /// coverage counts when `skip` is empty, the engine's marginals when it
+    /// holds the sets a greedy run has covered. Both buffers are
+    /// overwritten and keep their capacity, so a caller that holds them
+    /// across calls rebuilds without reallocating. O(n + |R| + Σ|R|).
+    ///
+    /// Counting sort: a prefix sum of `counts` gives each node's start,
+    /// then one scatter of the kept set ids in set order fills the rows.
+    /// `off[v + 1]` serves as node `v`'s write cursor during the scatter
+    /// and finishes at `v`'s end, which is exactly `v + 1`'s start. The
+    /// scatter writes every slot of `sets`, so stale contents are never
+    /// cleared.
+    pub(crate) fn transpose_into(
+        &self,
+        counts: &[u32],
+        skip: &FixedBitSet,
+        off: &mut Vec<usize>,
+        sets: &mut Vec<u32>,
+    ) {
         off.clear();
         off.push(0);
         let mut start = 0usize;
-        off.extend(self.coverage.iter().map(|&c| {
+        off.extend(counts.iter().map(|&c| {
             let s = start;
             start += c as usize;
             s
         }));
-        sets.resize(self.set_nodes.len(), 0);
+        sets.resize(start, 0);
         for (id, w) in (0u32..).zip(self.set_off.windows(2)) {
+            if skip.contains(id as usize) {
+                continue;
+            }
             for &v in &self.set_nodes[w[0]..w[1]] {
                 let cursor = &mut off[v as usize + 1];
                 sets[*cursor] = id;
@@ -208,11 +281,29 @@ impl SketchPool {
 mod tests {
     use super::*;
 
+    /// The transpose of every set in the pool.
+    fn transpose_all(pool: &SketchPool, off: &mut Vec<usize>, sets: &mut Vec<u32>) {
+        let none = FixedBitSet::new(pool.len());
+        pool.transpose_into(pool.coverage_counts(), &none, off, sets);
+    }
+
     /// The transposed row of `v`: the sets containing it.
     fn sets_of_vec(pool: &SketchPool, v: NodeId) -> Vec<u32> {
         let (mut off, mut sets) = (Vec::new(), Vec::new());
-        pool.transpose_into(&mut off, &mut sets);
+        transpose_all(pool, &mut off, &mut sets);
         sets[off[v as usize]..off[v as usize + 1]].to_vec()
+    }
+
+    /// The ids `cover_sets_of` passes on, and the mask afterwards.
+    fn covered_by_scan(
+        pool: &SketchPool,
+        v: NodeId,
+        uncovered: u32,
+        covered: &mut FixedBitSet,
+    ) -> Vec<u32> {
+        let mut ids = Vec::new();
+        pool.cover_sets_of(v, uncovered, covered, |s| ids.push(s));
+        ids
     }
 
     #[test]
@@ -287,7 +378,7 @@ mod tests {
             (0..100).filter(|i| i % 3 == 0).collect::<Vec<_>>()
         );
         let (mut off, mut sets) = (Vec::new(), Vec::new());
-        pool.transpose_into(&mut off, &mut sets);
+        transpose_all(&pool, &mut off, &mut sets);
         assert_eq!(
             off,
             vec![0, 100, 134],
@@ -304,21 +395,78 @@ mod tests {
         let mut pool = SketchPool::new(4);
         pool.add_set(&[0, 1]);
         pool.add_set(&[1, 2]);
-        pool.transpose_into(&mut off, &mut sets);
+        transpose_all(&pool, &mut off, &mut sets);
         assert_eq!(
             (&off[..], &sets[..]),
             (&[0, 1, 3, 4, 4][..], &[0, 0, 1, 1][..])
         );
         pool.add_set(&[3, 1]);
-        pool.transpose_into(&mut off, &mut sets);
+        transpose_all(&pool, &mut off, &mut sets);
         assert_eq!(
             (&off[..], &sets[..]),
             (&[0, 1, 4, 5, 6][..], &[0, 0, 1, 2, 1, 2][..])
         );
         pool.reset();
         pool.add_set(&[2]);
-        pool.transpose_into(&mut off, &mut sets);
+        transpose_all(&pool, &mut off, &mut sets);
         assert_eq!((&off[..], &sets[..]), (&[0, 0, 0, 1, 1][..], &[0][..]));
+    }
+
+    #[test]
+    fn transpose_skips_covered_sets() {
+        // With sets 1 and 3 covered and the counts reduced to match, every
+        // row lists only the uncovered sets, still in ascending order.
+        let mut pool = SketchPool::new(4);
+        for s in [&[0, 1][..], &[1, 2], &[2, 1, 0], &[1], &[3, 1]] {
+            pool.add_set(s);
+        }
+        let mut skip = FixedBitSet::new(pool.len());
+        skip.insert(1);
+        skip.insert(3);
+        let (mut off, mut sets) = (Vec::new(), Vec::new());
+        pool.transpose_into(&[2, 3, 1, 1], &skip, &mut off, &mut sets);
+        assert_eq!(
+            off,
+            vec![0, 2, 5, 6, 7],
+            "row bounds are the count prefix sum"
+        );
+        assert_eq!(sets, vec![0, 2, 0, 2, 4, 2, 4]);
+    }
+
+    #[test]
+    fn column_scan_covers_uncovered_sets_across_chunks() {
+        // Sets of 7 members tile the column, so sets and hits straddle the
+        // 16-member chunk boundaries; node 5 sits in every third set and
+        // once in the unchunked tail. Sets already covered are skipped,
+        // and the scan stops once `uncovered` sets are covered.
+        let mut pool = SketchPool::new(40);
+        for i in 0..30u32 {
+            let mut set: Vec<NodeId> = (10..16).map(|u| u + i % 20).collect();
+            set.insert((i % 7) as usize, if i % 3 == 0 { 5 } else { 6 });
+            pool.add_set(&set);
+        }
+        pool.add_set(&[7, 5]);
+        let holding: Vec<u32> = (0..30).step_by(3).chain([30]).collect();
+        assert_eq!(sets_of_vec(&pool, 5), holding);
+        assert!(
+            !pool.total_size().is_multiple_of(SCAN_CHUNK),
+            "the tail is scanned too"
+        );
+
+        let mut covered = FixedBitSet::new(pool.len());
+        assert_eq!(covered_by_scan(&pool, 5, 11, &mut covered), holding);
+        assert!(covered.ones().eq(holding.iter().map(|&s| s as usize)));
+
+        let mut covered = FixedBitSet::new(pool.len());
+        for s in [0, 9, 10, 30] {
+            covered.insert(s);
+        }
+        let fresh: Vec<u32> = vec![3, 6, 12, 15, 18];
+        assert_eq!(covered_by_scan(&pool, 5, 5, &mut covered), fresh);
+        assert_eq!(covered.count_ones(), 4 + fresh.len());
+        assert!(!covered.contains(21), "stopped after the fifth fresh set");
+        assert!(covered_by_scan(&pool, 5, 0, &mut covered).is_empty());
+        assert!(covered_by_scan(&pool, 39, 1, &mut covered).is_empty());
     }
 
     #[test]

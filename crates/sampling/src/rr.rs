@@ -171,14 +171,26 @@ fn lt_scan(
     for (u, p) in in_edges {
         examined += 1;
         if r < p {
-            if is_alive(u) && visited.insert(u as usize) {
-                out.push(u);
-            }
+            keep(visited, u, is_alive(u), out);
             break;
         }
         r -= p;
     }
     examined
+}
+
+/// LT's keep of the picked source `u`: appends it to `out` and marks it
+/// visited iff it is `alive` and not visited yet, without branching on
+/// either. One [`FixedBitSet::insert_word`] of the alive-masked bit, an
+/// unconditional push, and a truncate that takes the push back when no bit
+/// was fresh.
+#[inline]
+fn keep(visited: &mut FixedBitSet, u: NodeId, alive: bool, out: &mut Vec<NodeId>) {
+    let i = u as usize;
+    let fresh = visited.insert_word(i >> 6, u64::from(alive) << (i & 63));
+    let len = out.len();
+    out.push(u);
+    out.truncate(len + usize::from(fresh != 0));
 }
 
 /// [`lt_scan`] over `d` in-edges that all carry `p`, in O(1) unless `r`
@@ -217,9 +229,7 @@ fn lt_shared(
         let rem = r - k as f64 * p;
         if rem > tol && rem < p - tol {
             let u = srcs[k];
-            if is_alive(u) && visited.insert(u as usize) {
-                out.push(u);
-            }
+            keep(visited, u, is_alive(u), out);
             return k + 1;
         }
     } else if r - d as f64 * p > tol {

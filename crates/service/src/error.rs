@@ -72,6 +72,16 @@ impl ServiceError {
         )
     }
 
+    /// 500 — the handler panicked. The dispatch worker caught the unwind
+    /// and keeps serving; the body is deterministic.
+    pub fn handler_panicked() -> Self {
+        ServiceError::new(
+            500,
+            "internal_error",
+            "the request handler panicked; the server keeps serving",
+        )
+    }
+
     /// The response body `{"error": {...}}`.
     pub fn to_value(&self) -> serde_json::Value {
         serde_json::Value::Object(vec![(

@@ -41,6 +41,7 @@ use crate::trace::TraceEvent;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
@@ -390,6 +391,12 @@ pub(crate) fn serve(
 
 /// One dispatch worker: dequeue, check the deadline, run the session
 /// layer, serialize, hand the bytes back, wake the poll thread.
+///
+/// A panicking handler answers a structured 500 instead of killing the
+/// worker: the unwind is caught, the completion goes back as usual, so
+/// `pending` is released and the connection is answered. A select's
+/// checked-out session unwinds with the handler and is dropped, not
+/// shelved. Every 500 counts in `smin_http_errors_total`.
 fn dispatch_loop(
     state: &ServiceState,
     job_rx: &Mutex<mpsc::Receiver<Job>>,
@@ -422,8 +429,22 @@ fn dispatch_loop(
                 }
                 ServiceError::deadline_exceeded(d).to_response()
             }
-            _ => handle(state, &job.req, elapsed),
+            _ => catch_unwind(AssertUnwindSafe(|| handle(state, &job.req, elapsed)))
+                .unwrap_or_else(|_| {
+                    if let Some(trace) = state.trace() {
+                        trace.emit(&TraceEvent {
+                            method: Some(&job.req.method),
+                            path: Some(&job.req.path),
+                            status: 500,
+                            ..TraceEvent::default()
+                        });
+                    }
+                    ServiceError::handler_panicked().to_response()
+                }),
         };
+        if resp.status == 500 {
+            state.metrics().errors_500.inc();
+        }
         let mut bytes = Vec::new();
         // Writing into a Vec cannot fail.
         let _ = resp.write_to(&mut bytes, job.keep_alive);

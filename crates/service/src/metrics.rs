@@ -64,6 +64,8 @@ pub struct ServiceMetrics {
     pub errors_429: Counter,
     /// 504s: the request's deadline expired before dispatch.
     pub errors_504: Counter,
+    /// 500s: a handler failed to persist state or panicked.
+    pub errors_500: Counter,
 
     // --- select pipeline stages ---
     /// Request parse + graph resolution against the registry.
@@ -85,12 +87,13 @@ impl ServiceMetrics {
     }
 
     /// The structured-error counter for `status`, if it is one of the four
-    /// transport-protection statuses.
+    /// transport-protection statuses or 500.
     pub fn error_counter(&self, status: u16) -> Option<&Counter> {
         match status {
             400 => Some(&self.errors_400),
             408 => Some(&self.errors_408),
             429 => Some(&self.errors_429),
+            500 => Some(&self.errors_500),
             504 => Some(&self.errors_504),
             _ => None,
         }
@@ -168,11 +171,12 @@ pub fn render(state: &ServiceState) -> String {
     expo::write_counter_vec(
         &mut out,
         "smin_http_errors_total",
-        "Structured transport-protection errors, by status.",
+        "Structured errors, by status: transport protection and 500s.",
         &[
             ("status=\"400\"", m.errors_400.get()),
             ("status=\"408\"", m.errors_408.get()),
             ("status=\"429\"", m.errors_429.get()),
+            ("status=\"500\"", m.errors_500.get()),
             ("status=\"504\"", m.errors_504.get()),
         ],
     );
@@ -262,13 +266,14 @@ mod tests {
     #[test]
     fn error_counters_cover_the_protection_statuses() {
         let m = ServiceMetrics::new();
-        for status in [400u16, 408, 429, 504] {
+        for status in [400u16, 408, 429, 500, 504] {
             let c = m.error_counter(status).expect("counter exists");
             c.inc();
         }
         assert_eq!(m.errors_400.get(), 1);
         assert_eq!(m.errors_408.get(), 1);
         assert_eq!(m.errors_429.get(), 1);
+        assert_eq!(m.errors_500.get(), 1);
         assert_eq!(m.errors_504.get(), 1);
         assert!(m.error_counter(200).is_none());
         assert!(m.error_counter(422).is_none());

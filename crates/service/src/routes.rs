@@ -41,6 +41,8 @@ use smin_graph::generators::{
     assemble, barabasi_albert, chung_lu_directed, erdos_renyi, watts_strogatz,
 };
 use smin_graph::{io, store, Graph, WeightModel};
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Component, Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -173,7 +175,43 @@ fn restore_registry(dir: &Path, registry: &mut Registry) -> Result<(), String> {
     Ok(())
 }
 
-/// Rewrites `manifest.json` atomically (tmp + rename) from the entries that
+/// Replaces `path` atomically and durably: `write` fills `<path>.tmp`,
+/// which is synced to disk and renamed over `path`, and then the parent
+/// directory is synced so the rename survives a power loss too. A crash at
+/// any point leaves the old or the new file at `path`, never a torn one;
+/// at worst a stale `.tmp` stays behind, which nothing reads.
+fn replace_durably(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let stage = || -> Result<(), String> {
+        let file = File::create(&tmp).map_err(|e| format!("cannot create {tmp:?}: {e}"))?;
+        let mut w = BufWriter::new(file);
+        write(&mut w)?;
+        let file = w
+            .into_inner()
+            .map_err(|e| format!("cannot write {tmp:?}: {}", e.error()))?;
+        file.sync_all()
+            .map_err(|e| format!("cannot sync {tmp:?}: {e}"))?;
+        std::fs::rename(&tmp, path).map_err(|e| format!("cannot replace {path:?}: {e}"))
+    };
+    if let Err(message) = stage() {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(message);
+    }
+    let dir = path
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| format!("cannot sync directory {dir:?}: {e}"))
+}
+
+/// Rewrites `manifest.json` atomically and durably from the entries that
 /// carry snapshots. BTreeMap listing order makes the output deterministic.
 fn write_manifest(dir: &Path, registry: &Registry) -> Result<(), String> {
     let entries: Vec<ManifestEntry> = registry
@@ -190,10 +228,11 @@ fn write_manifest(dir: &Path, registry: &Registry) -> Result<(), String> {
         .collect();
     let mut text = manifest_json(&entries)?;
     text.push('\n');
-    let tmp = dir.join("manifest.json.tmp");
     let path = dir.join("manifest.json");
-    std::fs::write(&tmp, text).map_err(|e| format!("cannot write {tmp:?}: {e}"))?;
-    std::fs::rename(&tmp, &path).map_err(|e| format!("cannot replace {path:?}: {e}"))
+    replace_durably(&path, |w| {
+        w.write_all(text.as_bytes())
+            .map_err(|e| format!("cannot write {path:?}: {e}"))
+    })
 }
 
 /// Routes one request. Never panics on malformed input — every failure
@@ -484,9 +523,13 @@ fn register_graph(state: &ServiceState, body: &[u8]) -> Result<Response, Service
     let snapshot = state.state_dir.as_ref().map(|_| format!("graphs/{id}.smg"));
     let entry = registry.register_resolved(id.clone(), graph, source, snapshot.clone())?;
     if let (Some(dir), Some(rel)) = (&state.state_dir, &snapshot) {
-        let persisted = store::write_smg_path(&entry.graph, dir.join(rel))
-            .map_err(|e| format!("cannot write snapshot {rel:?}: {e}"))
-            .and_then(|()| write_manifest(dir, &registry));
+        // The snapshot is durable under its final name before the manifest
+        // that points at it is written.
+        let persisted = replace_durably(&dir.join(rel), |w| {
+            store::write_smg(&entry.graph, w)
+                .map_err(|e| format!("cannot write snapshot {rel:?}: {e}"))
+        })
+        .and_then(|()| write_manifest(dir, &registry));
         if let Err(message) = persisted {
             // Roll back so the in-memory registry never outlives its
             // manifest: a graph the manifest does not know about would
@@ -1495,6 +1538,40 @@ mod tests {
             .expect("boot over damaged state must fail");
         assert!(err.contains("web"), "error names the graph: {err}");
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn boot_ignores_the_leftovers_of_a_crashed_write() {
+        // A crash mid-write leaves tmp files beside the committed state: a
+        // garbage manifest tmp and a half-written snapshot tmp. The boot
+        // restores exactly the manifest's graphs, and a registration over
+        // the half-written snapshot's id succeeds and leaves no tmp behind.
+        let dir = std::env::temp_dir().join("smin_routes_state_dir_crash");
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = ServiceState::with_state_dir(None, 8, Some(dir.clone())).unwrap();
+        register_er(&s, "web", 30);
+        let token = s.registry().get("web").unwrap().token;
+        drop(s);
+
+        let graphs = dir.join("graphs");
+        let snap = std::fs::read(graphs.join("web.smg")).unwrap();
+        std::fs::write(dir.join("manifest.json.tmp"), r#"{"version":1,"gra"#).unwrap();
+        std::fs::write(graphs.join("x.smg.tmp"), &snap[..snap.len() / 2]).unwrap();
+        let ids = |s: &ServiceState| -> Vec<String> {
+            s.registry().list().iter().map(|e| e.id.clone()).collect()
+        };
+
+        let s = ServiceState::with_state_dir(None, 8, Some(dir.clone())).unwrap();
+        assert_eq!(ids(&s), ["web"]);
+        assert_eq!(s.registry().get("web").unwrap().token, token);
+        register_er(&s, "x", 20);
+        assert!(!graphs.join("x.smg.tmp").exists());
+        assert!(!dir.join("manifest.json.tmp").exists());
+        drop(s);
+
+        let s = ServiceState::with_state_dir(None, 8, Some(dir.clone())).unwrap();
+        assert_eq!(ids(&s), ["web", "x"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,7 +1,8 @@
-//! Kernel-equivalence properties: the word-parallel coverage kernels
-//! (word-batched `commit_pick` over the per-call node→sets transpose,
-//! unrolled candidate scans, word-skipping bitset primitives) must be
-//! observationally identical to the obviously-correct scalar references —
+//! Kernel-equivalence properties: the word-parallel coverage kernels (the
+//! member-column scan of a greedy run's first 8 picks, word-batched
+//! `commit_pick` over the transpose built after them, unrolled candidate
+//! scans, word-skipping bitset primitives) must be observationally
+//! identical to the obviously-correct scalar references —
 //! bit for bit, on arbitrary random inputs, including pool sizes that
 //! straddle the 64-bit word boundaries of the covered mask. The reverse BFS
 //! behind every sketch, which reads a shared in-probability per node where
@@ -183,6 +184,7 @@ impl ScalarGreedy {
 /// Strategy: random pools whose set count deliberately lands on or near the
 /// covered-mask word boundaries (63/64/65, 127/128/129) a third of the
 /// time, so `insert_word`'s boundary clipping is continuously exercised.
+/// Each set's members are shuffled, as in a sampled set's BFS order.
 fn random_pools() -> impl Strategy<Value = (usize, Vec<Vec<NodeId>>)> {
     (2usize..50, 0u64..10_000).prop_map(|(n, seed)| {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -197,6 +199,9 @@ fn random_pools() -> impl Strategy<Value = (usize, Vec<Vec<NodeId>>)> {
                 let mut s: Vec<NodeId> = (0..size).map(|_| rng.random_range(0..n as u32)).collect();
                 s.sort_unstable();
                 s.dedup();
+                for i in (1..s.len()).rev() {
+                    s.swap(i, rng.random_range(0..i + 1));
+                }
                 s
             })
             .collect();
@@ -218,7 +223,7 @@ proptest! {
 
         prop_assert_eq!(engine.argmax(&pool), reference.argmax());
 
-        for b in [1usize, 2, 7, 8, 63, 64, 65, 200] {
+        for b in [1usize, 2, 7, 8, 9, 16, 63, 64, 65, 200] {
             let (seeds, covered, _) = reference.greedy(b, |_| false);
             let got = engine.select(&pool, b);
             prop_assert_eq!(&got.seeds, &seeds);
@@ -566,7 +571,9 @@ impl rand::RngCore for FirstDraw {
 
 /// Disjoint stars, each center's in-edges sharing one probability: in-degree
 /// 1 000 and up (weighted cascade), in-probabilities summing to less than 1,
-/// a few small in-degrees, and a probability far below any coin.
+/// a few small in-degrees, and a probability far below any coin. Last, a
+/// 2-cycle with `p = 1`, whose second pick is always already visited; a
+/// dead leaf is the other pick the sampler drops.
 fn lt_star_graph() -> (seedmin::graph::Graph, Vec<(NodeId, usize, f64)>) {
     use seedmin::graph::GraphBuilder;
 
@@ -581,7 +588,7 @@ fn lt_star_graph() -> (seedmin::graph::Graph, Vec<(NodeId, usize, f64)>) {
         (3, 1.0 / 3.0),
         (50, 1e-300),
     ];
-    let n = stars.iter().map(|&(d, _)| d + 1).sum();
+    let n = stars.iter().map(|&(d, _)| d + 1).sum::<usize>() + 2;
     let mut b = GraphBuilder::new(n);
     let mut centers = Vec::new();
     let mut next = 0u32;
@@ -593,6 +600,9 @@ fn lt_star_graph() -> (seedmin::graph::Graph, Vec<(NodeId, usize, f64)>) {
         centers.push((center, d, p));
         next += d as u32 + 1;
     }
+    b.add_edge_p(next, next + 1, 1.0).unwrap();
+    b.add_edge_p(next + 1, next, 1.0).unwrap();
+    centers.extend([(next, 1, 1.0), (next + 1, 1, 1.0)]);
     (b.build().unwrap(), centers)
 }
 
@@ -600,7 +610,8 @@ fn lt_star_graph() -> (seedmin::graph::Graph, Vec<(NodeId, usize, f64)>) {
 /// scan: set, edge count and final RNG position, with the center's coin
 /// placed within a few RNG steps (2⁻⁵³) of every small multiple `k·p` and
 /// of multiples near `d/3`, `d/2` and `d`, and with random coins at random
-/// centers, all leaves alive or a fifth of them dead.
+/// centers, all leaves alive or a fifth of them dead. Both reasons to drop
+/// a pick occur: a dead leaf, and the 2-cycle's pick of its own root.
 #[test]
 fn lt_pick_matches_scan_at_hubs_and_multiples_of_p() {
     use seedmin::diffusion::Model;
@@ -656,6 +667,7 @@ fn lt_pick_matches_scan_at_hubs_and_multiples_of_p() {
         }
     }
     assert!(scripted > 5_000, "{scripted} scripted coins");
+
     let mut root_rng = SmallRng::seed_from_u64(0x0B1);
     let mut examined = 0usize;
     for i in 0..4_000u64 {
@@ -671,4 +683,14 @@ fn lt_pick_matches_scan_at_hubs_and_multiples_of_p() {
         examined += check(rng, &roots, alive, &format!("random draw {i}"));
     }
     assert!(examined > 4_000 * 100, "hubs were scanned deep: {examined}");
+    // Both drops occurred above: the first star's center picks a dead leaf
+    // on some coins (checked first, so a sampler that keeps dead picks
+    // fails there), and the 2-cycle's second pick is its own root.
+    assert!((1..=centers[0].1).any(|u| !killed[u]));
+    let (a, b) = (centers[centers.len() - 2].0, centers[centers.len() - 1].0);
+    for alive in [None, Some(killed.as_slice())] {
+        let mut rng = SmallRng::seed_from_u64(0x2C);
+        let edges = sampler.sample_into(&g, Model::LT, alive, &[a], &mut rng, &mut got);
+        assert_eq!((edges, &got[..]), (2, &[a, b][..]), "2-cycle from {a}");
+    }
 }

@@ -1,10 +1,10 @@
 //! Layout-equivalence property: the columnar [`SketchPool`] and the
-//! coverage engine's per-call node→sets transpose must be observationally
-//! identical to a naive reference pool (`Vec<Vec<u32>>` inverted index, the
-//! pre-refactor layout) on every query surface — set contents, coverage
-//! counts, argmax, union coverage, and greedy selections — for arbitrary
-//! random pools, including across `reset` and across pool growth between
-//! two selections on one engine.
+//! coverage engine's member-column scans and node→sets transpose must be
+//! observationally identical to a naive reference pool (`Vec<Vec<u32>>`
+//! inverted index, the pre-refactor layout) on every query surface — set
+//! contents, coverage counts, argmax, union coverage, and greedy
+//! selections — for arbitrary random pools, including across `reset` and
+//! across pool growth between two selections on one engine.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
