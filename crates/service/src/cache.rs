@@ -40,16 +40,26 @@ impl SelectCache {
     /// The cached response body for `key`, if any. Counts hit/miss totals
     /// for `/healthz` and `/metrics` observability.
     pub fn get(&mut self, key: &str) -> Option<Arc<[u8]>> {
-        let found = self.map.get(key).cloned();
-        if found.is_some() {
-            self.hits.inc();
-        } else {
+        let found = self.get_hit(key);
+        if found.is_none() {
             self.misses.inc();
         }
         found
     }
 
-    /// Lifetime `(hits, misses)` across every [`SelectCache::get`].
+    /// Like [`SelectCache::get`], but a miss counts nothing. The poll
+    /// thread probes with this: it answers only a hit and hands a miss to a
+    /// dispatch worker, whose `get` counts it, so every request is still
+    /// one lookup.
+    pub fn get_hit(&mut self, key: &str) -> Option<Arc<[u8]>> {
+        let found = self.map.get(key).cloned();
+        if found.is_some() {
+            self.hits.inc();
+        }
+        found
+    }
+
+    /// Lifetime `(hits, misses)` across every lookup.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits.get(), self.misses.get())
     }
@@ -127,6 +137,16 @@ mod tests {
         c.get("a");
         c.get("a");
         assert_eq!(c.stats(), (2, 1));
+    }
+
+    #[test]
+    fn get_hit_counts_only_hits() {
+        let mut c = SelectCache::new(2);
+        assert!(c.get_hit("a").is_none());
+        assert_eq!(c.stats(), (0, 0), "a probe miss counts nothing");
+        c.insert("a".into(), body("1"));
+        assert_eq!(c.get_hit("a").unwrap().as_ref(), b"1");
+        assert_eq!(c.stats(), (1, 0));
     }
 
     #[test]

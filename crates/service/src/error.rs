@@ -72,8 +72,9 @@ impl ServiceError {
         )
     }
 
-    /// 500 — the handler panicked. The dispatch worker caught the unwind
-    /// and keeps serving; the body is deterministic.
+    /// 500 — the handler panicked. The thread that ran it (a dispatch
+    /// worker, or the poll thread probing the cache) caught the unwind and
+    /// keeps serving; the body is deterministic.
     pub fn handler_panicked() -> Self {
         ServiceError::new(
             500,

@@ -4,10 +4,19 @@
 //!
 //! Connections live in a generation-tagged slab and move through a small
 //! state machine — reading (incremental [`RequestParser`]) → dispatching
-//! (deregistered from the poller while the algorithm runs) → writing
-//! (partial-write [`WriteBuf`]) → keep-alive idle. Concurrency therefore
-//! costs a slab slot, not a thread: ≥512 idle keep-alive connections are
-//! served by `1 + dispatchers` threads total.
+//! (deregistered from the poller while the algorithm runs) or answered in
+//! place (a cache hit, or a 400/429, produced by the poll thread itself)
+//! → writing (partial-write [`WriteBuf`]) → keep-alive idle. Concurrency
+//! therefore costs a slab slot, not a thread: ≥512 idle keep-alive
+//! connections are served by `1 + dispatchers` threads total.
+//!
+//! A parsed request goes through framing, the `X-Deadline-Millis` parse,
+//! admission control, then the cache probe ([`answer_cached`]), and only
+//! then to a dispatch thread. The probe answers a `/v1/select` whose body
+//! is already cached, so a hit costs no handoff: no deregistration, no
+//! channel send, no completion lock or wake-up byte. It never blocks the
+//! poll thread (its locks are `try_lock`s; bodies over 8 KiB are not
+//! probed), and it declines everything else without moving a counter.
 //!
 //! Four protections keep the loop healthy under load:
 //!
@@ -19,24 +28,25 @@
 //!   a deterministic 429 instead of queueing without bound.
 //! * **Per-request deadlines** — `X-Deadline-Millis` is checked when a
 //!   dispatch thread dequeues the request; an expired deadline returns a
-//!   structured 504 without running the selection.
+//!   structured 504 without running the selection. A budget of 0 is
+//!   expired by definition, so the probe leaves it to a worker's 504.
 //! * **Pipelining bounds** — per-connection parse backlog is capped at
 //!   [`MAX_BUFFERED_BYTES`] (reads pause at the cap and resume as the
 //!   backlog drains), and each connection is driven by an *iterative*
 //!   state-machine loop ([`Loop::drive`]) with a bounded synchronous-
 //!   response budget per cycle, so a client pipelining thousands of
-//!   poll-thread-answerable requests (429s under overload, 400s from bad
-//!   deadline headers) can neither grow the poll thread's stack nor
-//!   monopolize it.
+//!   poll-thread-answerable requests (cache hits, 429s under overload,
+//!   400s from bad deadline headers) can neither grow the poll thread's
+//!   stack nor monopolize it.
 //!
 //! This loop is the service's only transport: every request is framed by
-//! [`RequestParser`], answered by [`handle`], and serialized through
-//! [`Response::write_to`].
+//! [`RequestParser`], answered by [`handle`] (or, for a cache hit, by
+//! [`answer_cached`]), and serialized through [`Response::write_to`].
 
 use crate::error::{parse_deadline, ServiceError};
 use crate::http::{Request, RequestParser, Response, MAX_BUFFERED_BYTES};
 use crate::platform::{EpollEvent, Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
-use crate::routes::{handle, ServiceState};
+use crate::routes::{answer_cached, handle, ServiceState};
 use crate::trace::TraceEvent;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -53,10 +63,10 @@ const WHEEL_SLOT_MS: u64 = 100;
 const WHEEL_SLOTS: usize = 512;
 /// Socket read chunk.
 const READ_CHUNK: usize = 16 * 1024;
-/// How many responses the poll thread answers synchronously (400/408/429)
-/// on one connection per [`Loop::drive`] call before yielding; the
-/// connection is re-queued via the redrive list so other connections and
-/// timers run in between.
+/// How many responses the poll thread answers synchronously (cache hits,
+/// 400/408/429) on one connection per [`Loop::drive`] call before
+/// yielding; the connection is re-queued via the redrive list so other
+/// connections and timers run in between.
 const SYNC_RESPONSES_PER_DRIVE: usize = 64;
 /// Poller token of the accept listener.
 const TOKEN_LISTENER: u64 = u64::MAX;
@@ -430,17 +440,7 @@ fn dispatch_loop(
                 ServiceError::deadline_exceeded(d).to_response()
             }
             _ => catch_unwind(AssertUnwindSafe(|| handle(state, &job.req, elapsed)))
-                .unwrap_or_else(|_| {
-                    if let Some(trace) = state.trace() {
-                        trace.emit(&TraceEvent {
-                            method: Some(&job.req.method),
-                            path: Some(&job.req.path),
-                            status: 500,
-                            ..TraceEvent::default()
-                        });
-                    }
-                    ServiceError::handler_panicked().to_response()
-                }),
+                .unwrap_or_else(|_| panicked(state, &job.req)),
         };
         if resp.status == 500 {
             state.metrics().errors_500.inc();
@@ -465,6 +465,20 @@ fn dispatch_loop(
     }
 }
 
+/// The structured 500 (and its trace line) for a handler panic caught on
+/// either thread. The caller counts it in `smin_http_errors_total`.
+fn panicked(state: &ServiceState, req: &Request) -> Response {
+    if let Some(trace) = state.trace() {
+        trace.emit(&TraceEvent {
+            method: Some(&req.method),
+            path: Some(&req.path),
+            status: 500,
+            ..TraceEvent::default()
+        });
+    }
+    ServiceError::handler_panicked().to_response()
+}
+
 /// What the incremental parser produced for one connection.
 enum Parsed {
     Req(Request),
@@ -478,8 +492,8 @@ enum Dispatch {
     /// Handed to the pool; the connection is deregistered until the
     /// completion comes back.
     Async,
-    /// Answered by the poll thread itself (400/429); the response sits in
-    /// the write buffer, not yet flushed.
+    /// Answered by the poll thread itself (a cache hit, 400, 429); the
+    /// response sits in the write buffer, not yet flushed.
     Sync,
     /// The connection was closed (shutdown race).
     Closed,
@@ -809,7 +823,7 @@ impl Loop<'_> {
                     // re-enters `drive`.
                     Dispatch::Async => return,
                     Dispatch::Closed => return,
-                    // A 400/429 was queued; loop back to flush it.
+                    // A hit, 400 or 429 was queued; loop back to flush it.
                     Dispatch::Sync => {}
                 },
                 Parsed::Eof => {
@@ -851,7 +865,8 @@ impl Loop<'_> {
         }
     }
 
-    /// Admission control + deadline stamping, then hand-off to the pool.
+    /// Deadline parse, admission control and the cache probe, then
+    /// hand-off to the pool.
     fn begin_dispatch(&mut self, idx: usize, gen32: u64, req: Request) -> Dispatch {
         let keep_alive = req.keep_alive();
         let deadline_ms = match parse_deadline(&req) {
@@ -889,6 +904,21 @@ impl Loop<'_> {
             );
             return Dispatch::Sync;
         }
+        // A cached select is answered here, without a dispatch round trip.
+        // A zero budget is expired before any worker could start it, so it
+        // goes on to the worker's 504. Like a worker, the probe survives a
+        // panic with a structured 500.
+        if deadline_ms != Some(0) {
+            let answered = catch_unwind(AssertUnwindSafe(|| answer_cached(self.state, &req)))
+                .unwrap_or_else(|_| Some(panicked(self.state, &req)));
+            if let Some(resp) = answered {
+                if resp.status == 500 {
+                    self.state.metrics().errors_500.inc();
+                }
+                self.queue_response(idx, gen32, &resp, keep_alive);
+                return Dispatch::Sync;
+            }
+        }
         self.pending.fetch_add(1, Ordering::SeqCst);
         // Deregister while the dispatch runs: no read backpressure games,
         // and an unmaskable EPOLLHUP cannot spin the poll thread.
@@ -918,8 +948,9 @@ impl Loop<'_> {
         Dispatch::Async
     }
 
-    /// Queues a response the poll thread produced itself (400/408/429)
-    /// into the connection's write buffer; `drive` flushes it.
+    /// Queues a response the poll thread produced itself (a cache hit,
+    /// 400/408/429/500) into the connection's write buffer; `drive` flushes
+    /// it.
     fn queue_response(&mut self, idx: usize, gen32: u64, resp: &Response, keep_alive: bool) {
         let mut bytes = Vec::new();
         // Writing into a Vec cannot fail.

@@ -50,20 +50,35 @@ pub fn opt_str(obj: &Value, key: &str) -> Result<Option<String>, ServiceError> {
     }
 }
 
-/// Optional non-negative integer field (rejects fractions and negatives).
-pub fn opt_usize(obj: &Value, key: &str) -> Result<Option<usize>, ServiceError> {
-    match field(obj, key) {
-        None => Ok(None),
-        Some(Value::Number(x)) if x.fract() == 0.0 && *x >= 0.0 => Ok(Some(*x as usize)),
-        Some(other) => Err(wrong_type(key, "a non-negative integer", other)),
-    }
+/// 2⁵³: JSON numbers are read as `f64`, which holds every integer below
+/// this exactly. From here on neighbours collide (`9007199254740993` reads
+/// as `…992`), so integer fields reject 2⁵³ itself and everything above.
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
+fn too_large(key: &str) -> ServiceError {
+    ServiceError::bad_request(format!(
+        "field '{key}' must be below 2^53 = 9007199254740992"
+    ))
 }
 
-/// Optional u64 field (seeds).
+/// Optional non-negative integer field (rejects fractions, negatives and
+/// values of 2⁵³ or more).
+pub fn opt_usize(obj: &Value, key: &str) -> Result<Option<usize>, ServiceError> {
+    opt_u64(obj, key)?
+        .map(|x| usize::try_from(x).map_err(|_| too_large(key)))
+        .transpose()
+}
+
+/// Optional u64 field (seeds), with [`opt_usize`]'s checks.
 pub fn opt_u64(obj: &Value, key: &str) -> Result<Option<u64>, ServiceError> {
     match field(obj, key) {
         None => Ok(None),
-        Some(Value::Number(x)) if x.fract() == 0.0 && *x >= 0.0 => Ok(Some(*x as u64)),
+        Some(Value::Number(x)) if x.fract() == 0.0 && *x >= 0.0 => {
+            if *x >= EXACT_INT_LIMIT {
+                return Err(too_large(key));
+            }
+            Ok(Some(*x as u64))
+        }
         Some(other) => Err(wrong_type(key, "a non-negative integer", other)),
     }
 }
@@ -134,6 +149,24 @@ mod tests {
         assert!(opt_usize(&v, "frac").is_err());
         assert!(opt_str(&v, "n").is_err());
         assert!(opt_bool(&v, "s").is_err());
+    }
+
+    #[test]
+    fn integers_from_2_pow_53_are_rejected() {
+        let v = obj(r#"{"below": 9007199254740991, "at": 9007199254740992,
+                "above": 9007199254740993, "huge": 1e30}"#);
+        assert_eq!(opt_u64(&v, "below").unwrap(), Some(9_007_199_254_740_991));
+        assert_eq!(opt_usize(&v, "below").unwrap(), Some(9_007_199_254_740_991));
+        for key in ["at", "above", "huge"] {
+            for err in [
+                opt_u64(&v, key).unwrap_err(),
+                opt_usize(&v, key).unwrap_err(),
+            ] {
+                assert_eq!(err.status, 400);
+                assert!(err.message.contains(&format!("'{key}'")), "{err}");
+                assert!(err.message.contains("2^53"), "{err}");
+            }
+        }
     }
 
     #[test]

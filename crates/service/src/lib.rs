@@ -15,7 +15,7 @@
 //! * **Deterministic responses** ([`routes`]): the same request body returns
 //!   byte-identical JSON across restarts and thread counts, which makes the
 //!   bounded response cache ([`cache`]) sound — a repeated request is a
-//!   memory read.
+//!   memory read, answered on the poll thread without a dispatch handoff.
 //! * **Std-only HTTP/1.1** ([`http`], [`server`]): hand-rolled incremental
 //!   framing over `std::net`, keep-alive by default, served by an epoll
 //!   readiness event loop ([`event_loop`] over raw syscall shims in

@@ -15,16 +15,29 @@
 //! header, and cache status in `X-Cache`, so neither perturbs the contract.
 //!
 //! `/v1/select-batch` amortizes the per-request overhead: the graph is
-//! resolved once and one warm session is checked out for the whole batch,
-//! while each item keeps its own cache entry. `/v1/select` is the same
-//! path run on one item (`run_items`, then `select_response`), so every
-//! element of `"results"` is byte-identical to the body the same item
-//! would get from `/v1/select` — session reuse never changes results, and
-//! the wire tests pin this equivalence.
+//! resolved once and one warm session serves the whole batch, while each
+//! item keeps its own cache entry. `/v1/select` is the same path run on
+//! one item (`run_items`, then `select_response`), so every element of
+//! `"results"` is byte-identical to the body the same item would get from
+//! `/v1/select` — session reuse never changes results, and the wire tests
+//! pin this equivalence. Each item is looked up in the cache before the
+//! session is checked out, and only an item that must compute checks it
+//! out, so a request the cache answers whole takes no session.
+//!
+//! `answer_cached` is the poll thread's way in: it answers a
+//! `/v1/select` whose body is already cached, with the parsing, cache key,
+//! response and epilogue (route counter, trace line) a dispatch worker
+//! uses, so a hit carries the same bytes, headers and counters on either
+//! thread. It never waits: it takes the registry and cache locks with
+//! `try_lock`, probes only bodies up to [`MAX_LINE_BYTES`], and declines
+//! everything else (misses, `"cache": false`, errors, other routes)
+//! without moving a counter, for a worker to answer.
+//!
+//! Integer fields must be below 2⁵³ (see [`json::opt_u64`]).
 
 use crate::cache::SelectCache;
 use crate::error::ServiceError;
-use crate::http::{Request, Response};
+use crate::http::{Request, Response, MAX_LINE_BYTES};
 use crate::json;
 use crate::metrics::ServiceMetrics;
 use crate::registry::{
@@ -44,7 +57,7 @@ use smin_graph::{io, store, Graph, WeightModel};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Component, Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
 /// Shared state behind every worker thread.
@@ -137,6 +150,17 @@ impl ServiceState {
     /// across threads.
     pub fn set_dispatch_workers(&mut self, workers: usize) {
         self.dispatch_workers = workers.max(1);
+    }
+}
+
+/// `lock`'s guard, or `None` while another thread holds it. The poll
+/// thread never waits for a lock: `register_graph` holds the registry
+/// across a snapshot write and its fsyncs.
+fn try_guard<T>(lock: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match lock.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
     }
 }
 
@@ -274,6 +298,53 @@ pub fn handle(state: &ServiceState, req: &Request, queued_ms: u64) -> Response {
         )),
     };
     let resp = result.unwrap_or_else(|e| e.to_response());
+    finish(state, req, resp, stages, started, queued_ms)
+}
+
+/// Answers `req` on the calling thread if it is a `/v1/select` whose body
+/// is already cached, with the bytes, headers, counters and trace line
+/// [`handle`] would give it (queue wait 0). `None` means "dispatch it":
+/// another route, a body over [`MAX_LINE_BYTES`], a parse error, a miss,
+/// `"cache": false`, or a registry or cache lock held by another thread.
+/// A `None` moves no counter; the worker that answers instead counts the
+/// request, and its miss, once.
+pub(crate) fn answer_cached(state: &ServiceState, req: &Request) -> Option<Response> {
+    if req.method != "POST" || req.path != "/v1/select" || req.body.len() > MAX_LINE_BYTES {
+        return None;
+    }
+    let (sel, started, stages) =
+        resolve_select(state, &req.body, |id| try_guard(&state.registry)?.get(id)).ok()?;
+    if !sel.use_cache {
+        return None;
+    }
+    let cached = try_guard(&state.cache)?.get_hit(&sel.cache_key())?;
+    record_select(&sel.entry);
+    let mut traced = None;
+    let resp = select_response(
+        state,
+        req,
+        cached.to_vec(),
+        "HIT",
+        started,
+        stages,
+        &mut traced,
+    );
+    // The select clock times the trace line too: the probe adds no clock
+    // read, and its resolve is an at most 8 KiB parse.
+    Some(finish(state, req, resp, traced, started, 0))
+}
+
+/// The epilogue of every routed request, on either thread: counts it on
+/// its route and writes its trace line. `started` is when handling began;
+/// with `queued_ms` it counts against `deadline_remaining_ms`.
+fn finish(
+    state: &ServiceState,
+    req: &Request,
+    resp: Response,
+    stages: Option<StageMicrosLine>,
+    started: Instant,
+    queued_ms: u64,
+) -> Response {
     route_counter(state.metrics(), req.path.as_str()).inc();
     if let Some(trace) = state.trace() {
         let cache = resp
@@ -599,17 +670,25 @@ impl SelectRequest {
     }
 }
 
-fn parse_select(state: &ServiceState, body: &[u8]) -> Result<SelectRequest, ServiceError> {
+/// Parses a `/v1/select` body; `lookup` finds the registered graph.
+fn parse_select(
+    state: &ServiceState,
+    body: &[u8],
+    lookup: impl FnOnce(&str) -> Option<Arc<GraphEntry>>,
+) -> Result<SelectRequest, ServiceError> {
     let v = json::parse_object(body)?;
-    let entry = resolve_graph(state, &v)?;
+    let entry = resolve_graph(&v, lookup)?;
     parse_select_fields(entry, &v, state.dispatch_workers)
 }
 
-/// Resolves the `"graph"` field against the registry — once per request
-/// for `/v1/select`, once per *batch* for `/v1/select-batch`.
-fn resolve_graph(state: &ServiceState, v: &Value) -> Result<Arc<GraphEntry>, ServiceError> {
+/// Resolves the `"graph"` field with `lookup` — once per request for
+/// `/v1/select`, once per *batch* for `/v1/select-batch`.
+fn resolve_graph(
+    v: &Value,
+    lookup: impl FnOnce(&str) -> Option<Arc<GraphEntry>>,
+) -> Result<Arc<GraphEntry>, ServiceError> {
     let graph_id = json::req_str(v, "graph")?;
-    state.registry().get(&graph_id).ok_or_else(|| {
+    lookup(&graph_id).ok_or_else(|| {
         ServiceError::not_found(
             "unknown_graph",
             format!("graph '{graph_id}' is not registered"),
@@ -791,13 +870,15 @@ fn compute_select_body(
     Ok(body)
 }
 
-/// Cache-aware execution of one item on a shared session: hit → cached
-/// bytes, miss → compute (and memoize). Returns the body plus whether the
-/// cache answered.
+/// Cache-aware execution of one item: hit → cached bytes, miss → compute
+/// (and memoize) on the shared session, checked out from `entry` by the
+/// first item that computes. Returns the body plus whether the cache
+/// answered.
 fn run_select_item(
     state: &ServiceState,
+    entry: &GraphEntry,
     req: &SelectRequest,
-    session: &mut AstiSession,
+    session: &mut Option<AstiSession>,
     stages: &mut StageMicrosLine,
 ) -> Result<(Vec<u8>, bool), ServiceError> {
     let key = req.cache_key();
@@ -807,6 +888,10 @@ fn run_select_item(
             return Ok((cached.to_vec(), true));
         }
     }
+    let session = session.get_or_insert_with(|| {
+        let _span = smin_obs::Span::enter(&mut stages.checkout);
+        entry.checkout_session()
+    });
     let body = compute_select_body(req, session, stages)?;
     // The session accumulated sketch/coverage splits while `asti_in` ran
     // (reset at its entry); fold them in here, once per computed item.
@@ -836,20 +921,21 @@ fn run_items(
     stages: &mut StageMicrosLine,
     item_err: impl Fn(usize, ServiceError) -> ServiceError,
 ) -> Result<(Vec<Vec<u8>>, &'static str), ServiceError> {
-    // One warm session serves every item — the amortization the batch
-    // endpoint exists for. Session reuse never changes results.
-    let mut session = {
-        let _span = smin_obs::Span::enter(&mut stages.checkout);
-        entry.checkout_session()
-    };
+    // One warm session serves every item that computes — the amortization
+    // the batch endpoint exists for. Items the cache answers need none, so
+    // a request answered whole from the cache checks nothing out. Session
+    // reuse never changes results.
+    let mut session = None;
     let ran: Result<Vec<(Vec<u8>, bool)>, ServiceError> = reqs
         .iter()
         .enumerate()
         .map(|(i, req)| {
-            run_select_item(state, req, &mut session, stages).map_err(|e| item_err(i, e))
+            run_select_item(state, entry, req, &mut session, stages).map_err(|e| item_err(i, e))
         })
         .collect();
-    entry.checkin_session(session);
+    if let Some(session) = session {
+        entry.checkin_session(session);
+    }
     let ran = ran?;
     let hits = ran.iter().filter(|(_, hit)| *hit).count();
     let bypassed = reqs.iter().filter(|r| !r.use_cache).count();
@@ -919,15 +1005,8 @@ fn select(
     http_req: &Request,
     stages_out: &mut Option<StageMicrosLine>,
 ) -> Result<Response, ServiceError> {
-    let mut stages = StageMicrosLine::default();
-    let req = {
-        let _span = smin_obs::Span::enter(&mut stages.resolve);
-        parse_select(state, &http_req.body)
-    }?;
-    // The single-select clock starts after resolve, the batch clock before
-    // it: clients that rebuild handler time from the headers rely on this.
-    // smin-lint: allow(no-wall-clock) -- feeds the X-Select-Micros header only; bodies stay bit-identical
-    let started = Instant::now();
+    let (req, started, mut stages) =
+        resolve_select(state, &http_req.body, |id| state.registry().get(id))?;
     let (mut bodies, cache) = run_items(
         state,
         &req.entry,
@@ -939,6 +1018,25 @@ fn select(
     Ok(select_response(
         state, http_req, body, cache, started, stages, stages_out,
     ))
+}
+
+/// Parses a `/v1/select` body under the resolve span, then starts the
+/// single-select clock. That clock starts after resolve, the batch clock
+/// before it: clients that rebuild handler time from the headers rely on
+/// this.
+fn resolve_select(
+    state: &ServiceState,
+    body: &[u8],
+    lookup: impl FnOnce(&str) -> Option<Arc<GraphEntry>>,
+) -> Result<(SelectRequest, Instant, StageMicrosLine), ServiceError> {
+    let mut stages = StageMicrosLine::default();
+    let req = {
+        let _span = smin_obs::Span::enter(&mut stages.resolve);
+        parse_select(state, body, lookup)
+    }?;
+    // smin-lint: allow(no-wall-clock) -- feeds the X-Select-Micros header only; bodies stay bit-identical
+    let started = Instant::now();
+    Ok((req, started, stages))
 }
 
 /// `POST /v1/select-batch`
@@ -960,7 +1058,7 @@ fn select_batch(
     let started = Instant::now();
     let entry = {
         let _span = smin_obs::Span::enter(&mut stages.resolve);
-        resolve_graph(state, &v)
+        resolve_graph(&v, |id| state.registry().get(id))
     }?;
     let items = match json::field(&v, "items") {
         Some(Value::Array(items)) => items,
@@ -1439,7 +1537,7 @@ mod tests {
         s.set_dispatch_workers(2);
         register_er(&s, "g", 120);
         let huge = r#"{"graph":"g","eta":30,"seed":7,"threads":1000000,"cache":false}"#;
-        let req = parse_select(&s, huge.as_bytes()).unwrap();
+        let req = parse_select(&s, huge.as_bytes(), |id| s.registry().get(id)).unwrap();
         assert_eq!(req.threads, Some(2));
         let one = post(
             &s,
@@ -1689,6 +1787,198 @@ mod tests {
         };
         assert!(remaining <= 10.0, "queue wait not counted: {text}");
         std::fs::remove_file(&path).ok();
+    }
+
+    fn select_request(body: &str, headers: &[(&str, &str)]) -> Request {
+        Request {
+            method: "POST".into(),
+            path: "/v1/select".into(),
+            version: "HTTP/1.1".into(),
+            headers: headers
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            body: body.as_bytes().to_vec(),
+        }
+    }
+
+    fn header<'r>(resp: &'r Response, name: &str) -> Option<&'r str> {
+        resp.headers
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The `/metrics` lines that do not depend on timing: everything but
+    /// the stage histograms' buckets and sums.
+    fn counters(s: &ServiceState) -> Vec<String> {
+        body_str(&get(s, "/metrics"))
+            .lines()
+            .filter(|l| {
+                !l.starts_with("smin_select_stage_micros_bucket")
+                    && !l.starts_with("smin_select_stage_micros_sum")
+            })
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// A hit answered by the probe carries the body, headers, counters and
+    /// stage histogram counts a dispatch worker's answer carries.
+    #[test]
+    fn probe_answers_a_hit_like_a_worker() {
+        let body = r#"{"graph":"g","eta":15,"seed":1}"#;
+        let req = select_request(body, &[("x-stage-micros", "1")]);
+        let warm = |s: &ServiceState| {
+            register_er(s, "g", 60);
+            let first = post(s, "/v1/select", body);
+            assert_eq!(header(&first, "X-Cache"), Some("MISS"));
+            first
+        };
+        let (worker, probe) = (state(), state());
+        let first = warm(&worker);
+        assert_eq!(warm(&probe).body, first.body);
+
+        let by_worker = handle(&worker, &req, 0);
+        let by_probe = answer_cached(&probe, &req).expect("a cached body is answered");
+        for resp in [&by_worker, &by_probe] {
+            assert_eq!(resp.status, 200);
+            assert_eq!(resp.body, first.body);
+            assert_eq!(header(resp, "X-Cache"), Some("HIT"));
+            assert!(header(resp, "X-Select-Micros").is_some());
+            let stages = header(resp, "X-Stage-Micros").expect("opt-in header");
+            assert!(
+                stages.contains(";checkout=0;sketch=0;coverage=0;"),
+                "{stages}"
+            );
+        }
+        let names = |r: &Response| r.headers.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&by_probe), names(&by_worker));
+        assert_eq!(counters(&probe), counters(&worker));
+        let text = body_str(&get(&probe, "/metrics"));
+        for line in [
+            "smin_http_requests_total{route=\"select\"} 2\n",
+            "smin_cache_lookups_total{outcome=\"hit\"} 1\n",
+            "smin_cache_lookups_total{outcome=\"miss\"} 1\n",
+            "smin_graph_selects_total{graph=\"g\"} 2\n",
+            "smin_select_stage_micros_count{stage=\"checkout\"} 2\n",
+        ] {
+            assert!(text.contains(line), "{line}");
+        }
+    }
+
+    /// The probe never waits for a lock: while either is held it declines
+    /// and moves no counter, and once it is free it answers.
+    #[test]
+    fn probe_declines_while_a_lock_is_held() {
+        let s = state();
+        register_er(&s, "g", 60);
+        let body = r#"{"graph":"g","eta":15,"seed":1}"#;
+        let first = post(&s, "/v1/select", body);
+        assert_eq!(first.status, 200, "{}", body_str(&first));
+        let req = select_request(body, &[]);
+        let before = get(&s, "/metrics").body;
+        {
+            let _held = s.registry();
+            assert!(answer_cached(&s, &req).is_none(), "registry held");
+        }
+        {
+            let _held = s.cache();
+            assert!(answer_cached(&s, &req).is_none(), "cache held");
+        }
+        assert_eq!(get(&s, "/metrics").body, before, "a decline moves nothing");
+        let resp = answer_cached(&s, &req).expect("answers once the locks are free");
+        assert_eq!(header(&resp, "X-Cache"), Some("HIT"));
+        assert_eq!(resp.body, first.body);
+    }
+
+    /// Everything but a cached single select is left to a worker, and a
+    /// decline moves no counter — a miss included, which the worker then
+    /// counts once.
+    #[test]
+    fn probe_declines_what_a_worker_must_answer() {
+        let s = state();
+        register_er(&s, "g", 60);
+        let cached = r#"{"graph":"g","eta":15,"seed":1}"#;
+        assert_eq!(post(&s, "/v1/select", cached).status, 200);
+        let before = get(&s, "/metrics").body;
+        let padded = format!("{cached}{}", " ".repeat(MAX_LINE_BYTES));
+        for body in [
+            r#"{"graph":"g","eta":15,"seed":2}"#,               // a miss
+            r#"{"graph":"g","eta":15,"seed":1,"cache":false}"#, // bypass
+            r#"{"graph":"nope","eta":15,"seed":1}"#,
+            r#"{"graph":"g","eta":15,"seed":1,"eps":"x"}"#,
+            "not json",
+            padded.as_str(), // a cached key, but too long to probe
+        ] {
+            assert!(
+                answer_cached(&s, &select_request(body, &[])).is_none(),
+                "{body}"
+            );
+        }
+        let mut batch = select_request(r#"{"graph":"g","items":[{"eta":15,"seed":1}]}"#, &[]);
+        batch.path = "/v1/select-batch".into();
+        assert!(answer_cached(&s, &batch).is_none());
+        let mut healthz = select_request("", &[]);
+        (healthz.method, healthz.path) = ("GET".into(), "/healthz".into());
+        assert!(answer_cached(&s, &healthz).is_none());
+        assert_eq!(get(&s, "/metrics").body, before, "a decline moves nothing");
+        // The padded body still hits on a worker: only the probe skips it.
+        let resp = handle(&s, &select_request(&padded, &[]), 0);
+        assert_eq!(header(&resp, "X-Cache"), Some("HIT"));
+        let miss = post(&s, "/v1/select", r#"{"graph":"g","eta":15,"seed":2}"#);
+        assert_eq!(header(&miss, "X-Cache"), Some("MISS"));
+        assert_eq!(s.cache().stats(), (1, 2), "one lookup per request");
+    }
+
+    /// A request the cache answers whole checks out no session: with the
+    /// graph's only warm session held elsewhere, cached items neither take
+    /// a session nor build a cold one.
+    #[test]
+    fn cached_items_check_out_no_session() {
+        let s = state();
+        register_er(&s, "g", 80);
+        let batch = r#"{"graph":"g","items":[{"eta":20,"seed":3},{"eta":25,"seed":4}]}"#;
+        assert_eq!(post(&s, "/v1/select-batch", batch).status, 200);
+        let entry = s.registry().get("g").unwrap();
+        assert_eq!(entry.warm_sessions(), 1);
+        let held = entry.checkout_session();
+        let hit = post(&s, "/v1/select-batch", batch);
+        assert_eq!(header(&hit, "X-Cache"), Some("HIT"));
+        let single = post(&s, "/v1/select", r#"{"graph":"g","eta":20,"seed":3}"#);
+        assert_eq!(header(&single, "X-Cache"), Some("HIT"));
+        assert_eq!(entry.warm_sessions(), 0, "a hit checked a session in");
+        entry.checkin_session(held);
+        assert_eq!(entry.warm_sessions(), 1);
+    }
+
+    /// Integers are exact below 2^53 only: a seed of 2^53 + 1 used to
+    /// answer with the body cached for 2^53.
+    #[test]
+    fn integer_fields_from_2_pow_53_are_400s() {
+        let s = state();
+        register_er(&s, "g", 40);
+        let resp = post(
+            &s,
+            "/v1/select",
+            r#"{"graph":"g","eta":10,"seed":9007199254740991}"#,
+        );
+        assert_eq!(resp.status, 200, "{}", body_str(&resp));
+        for seed in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551615",
+        ] {
+            let resp = post(
+                &s,
+                "/v1/select",
+                &format!(r#"{{"graph":"g","eta":10,"seed":{seed}}}"#),
+            );
+            assert_eq!(resp.status, 400, "seed {seed}: {}", body_str(&resp));
+            assert!(body_str(&resp).contains("'seed'"), "{}", body_str(&resp));
+        }
+        let resp = post(&s, "/v1/graphs", r#"{"generate":{"kind":"er","n":1e30}}"#);
+        assert_eq!(resp.status, 400, "{}", body_str(&resp));
+        assert!(body_str(&resp).contains("'n'"), "{}", body_str(&resp));
     }
 
     #[test]

@@ -146,6 +146,16 @@ fn expired_deadline_returns_deterministic_504() {
     assert_eq!(resp.status, 504, "{}", resp.text());
     assert_eq!(resp.text(), WANT);
 
+    // Even for a body the cache could answer at once.
+    assert_eq!(c.post("/v1/graphs", REGISTER).unwrap().status, 201);
+    let cached = r#"{"graph":"g","eta":20,"seed":3}"#;
+    assert_eq!(c.post("/v1/select", cached).unwrap().status, 200);
+    let resp = c
+        .post_with_headers("/v1/select", cached, &[("X-Deadline-Millis", "0")])
+        .unwrap();
+    assert_eq!(resp.status, 504, "{}", resp.text());
+    assert_eq!(resp.text(), WANT);
+
     // A malformed budget is a 400 that keeps the connection alive.
     let resp = c
         .post_with_headers(
@@ -407,6 +417,9 @@ fn metrics_are_exposed_on_both_transports() {
     assert!(text.contains("smin_http_requests_total{route=\"healthz\"} 1\n"),);
     assert!(text.contains("smin_select_stage_micros_count{stage=\"coverage\"} 2\n"),);
     assert!(text.contains("smin_cache_lookups_total{outcome=\"hit\"} 1\n"),);
+    // One lookup per request: the hit was answered on the poll thread, and
+    // its probe of the first (missing) body counted nothing.
+    assert!(text.contains("smin_cache_lookups_total{outcome=\"miss\"} 1\n"),);
     assert!(text.contains("smin_graph_selects_total{graph=\"g\"} 2\n"),);
     // Event-loop series.
     assert!(text.contains("# TYPE smin_epoll_wait_micros histogram"));
@@ -429,21 +442,24 @@ fn trace_log_records_one_line_per_request() {
     let mut handle = spawn(move |c| c.trace_log = Some(trace));
     let mut c = client(&handle);
     assert_eq!(c.post("/v1/graphs", REGISTER).unwrap().status, 201);
-    let resp = c
-        .post_with_headers(
-            "/v1/select",
-            r#"{"graph":"g","eta":30,"seed":5}"#,
-            &[("X-Deadline-Millis", "60000")],
-        )
-        .unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.text());
+    // The second select is a cache hit, answered on the poll thread.
+    for _ in 0..2 {
+        let resp = c
+            .post_with_headers(
+                "/v1/select",
+                r#"{"graph":"g","eta":30,"seed":5}"#,
+                &[("X-Deadline-Millis", "60000")],
+            )
+            .unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+    }
     drop(c);
     handle.shutdown(); // drops the state, flushing the log thread
 
     let mut text = String::new();
     for _ in 0..200 {
         text = std::fs::read_to_string(&path).unwrap_or_default();
-        if text.lines().count() >= 2 {
+        if text.lines().count() >= 3 {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(10));
@@ -452,26 +468,94 @@ fn trace_log_records_one_line_per_request() {
         .lines()
         .map(|l| serde_json::from_str(l).expect("trace line parses"))
         .collect();
-    assert_eq!(lines.len(), 2, "one line per request");
-    let select = &lines[1];
-    let get = |k: &str| {
-        let v = smin_service::json::field(select, k).expect("field present");
-        serde_json::to_string(v).unwrap()
-    };
-    assert_eq!(get("method"), r#""POST""#);
-    assert_eq!(get("path"), r#""/v1/select""#);
-    assert_eq!(get("status"), "200");
-    assert_eq!(get("cache"), r#""MISS""#);
-    let micros = smin_service::json::field(select, "micros").expect("micros present");
-    assert!(
-        smin_service::json::field(micros, "coverage").is_some(),
-        "stage micros recorded"
-    );
-    assert!(
-        get("deadline_remaining_ms") != "null",
-        "deadline header surfaced"
-    );
+    assert_eq!(lines.len(), 3, "one line per request");
+    for (select, cache) in [(&lines[1], r#""MISS""#), (&lines[2], r#""HIT""#)] {
+        let get = |k: &str| {
+            let v = smin_service::json::field(select, k).expect("field present");
+            serde_json::to_string(v).unwrap()
+        };
+        assert_eq!(get("method"), r#""POST""#);
+        assert_eq!(get("path"), r#""/v1/select""#);
+        assert_eq!(get("status"), "200");
+        assert_eq!(get("cache"), cache);
+        let micros = smin_service::json::field(select, "micros").expect("micros present");
+        assert!(
+            smin_service::json::field(micros, "coverage").is_some(),
+            "stage micros recorded"
+        );
+        assert!(
+            get("deadline_remaining_ms") != "null",
+            "deadline header surfaced"
+        );
+    }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn cached_select_is_answered_while_the_only_worker_is_blocked() {
+    let dir = std::env::temp_dir().join("smin_wire_blocked_worker");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let fifo = dir.join("fifo");
+    let made = std::process::Command::new("mkfifo")
+        .arg(&fifo)
+        .status()
+        .expect("run mkfifo");
+    assert!(made.success(), "mkfifo failed");
+    let graphs_dir = dir.clone();
+    let mut handle = spawn(move |c| {
+        c.workers = 1;
+        c.graphs_dir = Some(graphs_dir);
+    });
+    let addr = handle.addr().to_string();
+    let mut c = client(&handle);
+    assert_eq!(c.post("/v1/graphs", REGISTER).unwrap().status, 201);
+    let select = r#"{"graph":"g","eta":30,"seed":5}"#;
+    let warm = c.post("/v1/select", select).unwrap();
+    assert_eq!(warm.status, 200, "{}", warm.text());
+    assert_eq!(warm.header("x-cache"), Some("MISS"));
+
+    // Loading the FIFO blocks the only worker: its open waits for a
+    // writer, and its read for bytes or the writer's close.
+    let blocker_addr = addr.clone();
+    let blocker = std::thread::spawn(move || {
+        let mut b = Client::connect(&blocker_addr).expect("connect");
+        b.post("/v1/graphs", r#"{"id":"f","path":"fifo"}"#)
+            .map(|r| r.status)
+    });
+    // Returns once the worker has the FIFO open; it now waits in read.
+    let writer = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&fifo)
+        .expect("open the FIFO's write end");
+
+    // A raw request with a short timeout: if the hit queued behind the
+    // blocked worker, the read times out instead of hanging the test.
+    let mut s = TcpStream::connect(&addr).expect("connect");
+    s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    write!(
+        s,
+        "POST /v1/select HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{select}",
+        select.len()
+    )
+    .unwrap();
+    let mut out = Vec::new();
+    let read = s.read_to_end(&mut out);
+    drop(writer); // releases the worker: its read sees end of file
+    read.expect("a cached select is answered while the worker is blocked");
+    let text = String::from_utf8_lossy(&out);
+    assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+    assert!(text.contains("\r\nX-Cache: HIT\r\n"), "{text}");
+    assert!(out.ends_with(&warm.body), "hit bytes differ: {text}");
+
+    let status = blocker.join().expect("blocker thread").expect("FIFO load");
+    assert_eq!(status, 400, "an empty FIFO is not a graph");
+    assert_eq!(c.get("/healthz").unwrap().status, 200, "worker released");
+    drop(c);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
