@@ -163,7 +163,7 @@ mod tests {
     fn scope_mapping_matches_the_spec() {
         assert!(rules_for("vendor/rand/src/lib.rs").is_none());
         assert!(rules_for("crates/service/tests/service_api.rs").is_none());
-        assert!(rules_for("crates/bench/benches/trim_round.rs").is_none());
+        assert!(rules_for("perfbench/benches/e2e/main.rs").is_none());
         assert!(rules_for("examples/quickstart.rs").is_none());
 
         let svc = rules_for("crates/service/src/routes.rs").unwrap();

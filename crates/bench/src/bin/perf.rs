@@ -1,40 +1,60 @@
-//! `perf` — the coverage/selection kernel harness behind the recorded perf
-//! trajectory.
+//! `perf` — the microbenchmark harness behind the recorded perf trajectory.
 //!
-//! Builds mRR sketch pools at pinned seeds (the `coverage_greedy` bench
-//! fixture: Chung–Lu 2k/8k WC graph, `MrrSampler` at η = 100) for pool
-//! sizes 1k/4k/16k, times the coverage kernels on each, and emits two
-//! hand-formatted trajectory artifacts in the `BENCH_graph_load.json`
-//! style:
+//! Every kernel group runs at pinned seeds on one fixture, the bench graph
+//! (a 2k-node / 8k-edge Chung–Lu graph with weighted-cascade
+//! probabilities), and the harness writes three hand-formatted artifacts:
 //!
-//! * `BENCH_coverage.json` — the per-pick kernels: the argmax candidate
-//!   scan and the b = 8 greedy selection (the compacted eager scan, each
-//!   pick's sets found by scanning the pool), plus `SketchPool::heap_bytes()`
-//!   plus the engine's retained bytes per pool size. Also folds in the two
-//!   Criterion-only fixtures so their medians ride the recorded
-//!   trajectory: `trim_round` (Algorithms 2/3 across thread counts, the
-//!   `trim_round` bench fixture, with TRIM-B also under LT) and `rounding`
-//!   (the §3.3 root-count rounding ablation, the `ablation_rounding` bench
-//!   fixture). Its
-//!   `sampling` rows time single mRR sets, the reverse BFS that dominates
-//!   every campaign (the `mrr_generation` fixture);
-//! * `BENCH_select.json` — deep selections (b = 64): 8 scanned picks, then
-//!   one transpose of the uncovered sets and word-batched `commit_pick`.
+//! * `BENCH_coverage.json` — `pools`: for mRR pools (η = 100) of 1k/4k/16k
+//!   sets, the argmax candidate scan, the b = 8 greedy selection (the
+//!   compacted eager scan, each pick's sets found by scanning the pool),
+//!   and the pool's plus the engine's retained heap bytes. Then one array
+//!   per group:
+//!   - `trim_round`: one TRIM round (Algorithm 2) and one TRIM-B round
+//!     (Algorithm 3, b ∈ {2, 8}, under IC and LT) at t ∈ {1, 2, 4}
+//!     sketch-generation threads;
+//!   - `rounding`: mRR sampling under the three §3.3 root-count roundings;
+//!   - `sampling`: single mRR sets, IC and LT at η ∈ {20, 100, 400}, plus
+//!     one IC row on a trivalency copy of the graph;
+//!   - `sketch_gen`: one TRIM doubling's 4 096-set `SketchGenPool` batch at
+//!     t ∈ {1, 2, 4, 8} × η ∈ {20, 100}. Sketch generation is the dominant
+//!     cost of every campaign (Lemma 3.8's EPT), and the batch is
+//!     bit-identical across t, so the thread axis is pure speedup;
+//!   - `rr`: single-root RR sets (the baselines' sampler) against η = 100
+//!     mRR sets, IC and LT;
+//!   - `forward`: realization sampling, a 16-seed realization spread and a
+//!     fresh-coin simulation (the observe step), IC and LT;
+//!   - `graph_gen`: Chung–Lu, ER and BA generation and weighted-cascade CSR
+//!     assembly at 2k/8k and 10k/40k;
+//! * `BENCH_select.json` — deep selections (b = 64) on the same pools: 8
+//!   scanned picks, then one transpose of the uncovered sets and
+//!   word-batched `commit_pick`;
+//! * `BENCH_graph_load.json` — the text-parse vs `.smg`-snapshot load gap
+//!   on a 200k-node / 1M-edge Chung–Lu graph, both files written to a
+//!   temporary directory and every load checked against the generated
+//!   graph's edge count.
 //!
 //! ```text
 //! perf [--smoke] [--iters K] [--out-dir DIR]
 //! ```
 //!
-//! `--smoke` drops to 5 iterations per measurement (CI's quick mode); the
-//! pool sizes stay identical so `asm bench-check` can compare a smoke run
+//! `--smoke` drops to 5 iterations per measurement (CI's quick mode); every
+//! sweep stays identical so `asm bench-check` can compare a smoke run
 //! against the committed full-run baselines. The bin records — the
 //! regression *gate* is `asm bench-check` downstream.
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use smin_bench::stats;
-use std::time::Instant;
+use smin_diffusion::{Model, ResidualState};
+use smin_graph::{Graph, WeightModel};
+use smin_sampling::{MrrSampler, RootCountDist};
+use std::hint::black_box;
+use std::path::Path;
+use std::time::{Duration, Instant};
 
-/// Pool sizes swept by both artifacts. Fixed: `asm bench-check` compares
-/// runs structurally, so every run must sweep the same sizes.
+/// Pool sizes swept by `pools` and `BENCH_select.json`. Fixed:
+/// `asm bench-check` compares runs structurally, so every run must sweep
+/// the same sizes.
 const POOL_SIZES: [usize; 3] = [1_024, 4_096, 16_384];
 
 struct PerfArgs {
@@ -44,13 +64,14 @@ struct PerfArgs {
 }
 
 const USAGE: &str = "\
-perf — coverage/selection kernel benchmark harness
+perf — microbenchmark harness for the recorded perf trajectory
 
 USAGE:
   perf [--smoke] [--iters K] [--out-dir DIR]
 
 Defaults: --iters 9 (5 with --smoke) --out-dir .
-Writes BENCH_coverage.json and BENCH_select.json into --out-dir.";
+Writes BENCH_coverage.json, BENCH_select.json and BENCH_graph_load.json
+into --out-dir.";
 
 fn parse_args() -> Result<PerfArgs, String> {
     let mut out = PerfArgs {
@@ -90,14 +111,21 @@ fn parse_args() -> Result<PerfArgs, String> {
     Ok(out)
 }
 
-/// One timed metric: ascending-sorted per-iteration microseconds.
+/// One timed metric: ascending-sorted per-iteration times.
 struct Dist {
-    sorted_us: Vec<f64>,
+    sorted: Vec<f64>,
 }
 
 impl Dist {
     fn median(&self) -> f64 {
-        stats::percentile(&self.sorted_us, 0.50).expect("non-empty sample")
+        stats::percentile(&self.sorted, 0.50).expect("non-empty sample")
+    }
+
+    /// The same times in milliseconds, for a distribution measured in µs.
+    fn into_ms(self) -> Dist {
+        Dist {
+            sorted: self.sorted.into_iter().map(|us| us / 1e3).collect(),
+        }
     }
 
     /// `{ "median": m, "min": a, "max": b }` — the trajectory leaf format
@@ -106,17 +134,31 @@ impl Dist {
         format!(
             "{{ \"median\": {:.3}, \"min\": {:.3}, \"max\": {:.3} }}",
             self.median(),
-            self.sorted_us[0],
-            self.sorted_us[self.sorted_us.len() - 1],
+            self.sorted[0],
+            self.sorted[self.sorted.len() - 1],
         )
     }
 }
 
-/// Times `iters` measurements of `reps` back-to-back runs of `f`,
-/// reporting per-run microseconds. `reps > 1` keeps sub-microsecond
-/// kernels (argmax) above timer resolution.
-fn time_us(iters: usize, reps: usize, mut f: impl FnMut()) -> Dist {
-    let mut sorted_us: Vec<f64> = (0..iters)
+/// Shortest measurement. On a shared host one preemption can cost a
+/// millisecond, so a kernel shorter than this repeats until a measurement
+/// lasts this long: one hiccup then moves a measurement by a fifth at most,
+/// and the sub-microsecond kernels (argmax) sit well above timer
+/// resolution.
+const MIN_MEASUREMENT: Duration = Duration::from_millis(5);
+
+/// Times `iters` measurements of `f`, reporting per-call microseconds. A
+/// warm-up first calls `f` until `MIN_MEASUREMENT` has passed (at least
+/// once), which fills caches and finishes lazy set-up; every measurement
+/// then makes as many calls as the warm-up did.
+fn time_us(iters: usize, mut f: impl FnMut()) -> Dist {
+    let warm_up = Instant::now();
+    let mut reps = 0usize;
+    while reps == 0 || warm_up.elapsed() < MIN_MEASUREMENT {
+        f();
+        reps += 1;
+    }
+    let mut sorted: Vec<f64> = (0..iters)
         .map(|_| {
             let started = Instant::now();
             for _ in 0..reps {
@@ -125,43 +167,53 @@ fn time_us(iters: usize, reps: usize, mut f: impl FnMut()) -> Dist {
             started.elapsed().as_secs_f64() * 1e6 / reps as f64
         })
         .collect();
-    sorted_us.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    Dist { sorted_us }
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
+    Dist { sorted }
 }
 
-/// The shared bench graph (the Criterion `common::bench_graph` fixture):
-/// a pinned 2k/8k Chung–Lu WC graph.
-fn bench_graph() -> smin_graph::Graph {
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    use smin_graph::generators::{assemble, chung_lu_directed};
-    use smin_graph::WeightModel;
+/// A one-line JSON row: `labels` as pre-rendered JSON values (numbers, or
+/// quoted names), then one `{ median, min, max }` leaf per metric.
+fn json_row(labels: &[(&str, String)], metrics: &[(&str, &Dist)]) -> String {
+    let fields: Vec<String> = labels
+        .iter()
+        .map(|(key, value)| format!("\"{key}\": {value}"))
+        .chain(
+            metrics
+                .iter()
+                .map(|(key, dist)| format!("\"{key}\": {}", dist.json())),
+        )
+        .collect();
+    format!("    {{ {} }}", fields.join(", "))
+}
 
-    let n = 2_000;
-    let mut rng = SmallRng::seed_from_u64(0xBEEF);
-    let pairs = chung_lu_directed(n, 8_000, 2.1, &mut rng);
+/// A JSON string value.
+fn quoted(name: impl std::fmt::Display) -> String {
+    format!("\"{name}\"")
+}
+
+/// The shared bench graph: a pinned Chung–Lu WC graph of `n` nodes and `m`
+/// directed edges.
+fn bench_graph(n: usize, m: usize, seed: u64) -> Graph {
+    use smin_graph::generators::{assemble, chung_lu_directed};
+
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let pairs = chung_lu_directed(n, m, 2.1, &mut rng);
     assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng)
         .expect("valid generator output")
 }
 
-/// The `coverage_greedy` bench fixture, reproduced without Criterion: the
-/// pinned bench graph and an mRR pool of exactly `sets` sketches.
-fn build_pool(sets: usize) -> smin_sampling::SketchPool {
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    use smin_diffusion::{Model, ResidualState};
-    use smin_sampling::{MrrSampler, RootCountDist, SketchPool};
-
-    let g = bench_graph();
+/// An mRR pool of exactly `sets` sketches (IC, η = 100) on `g`. Pools of
+/// different sizes share their prefix.
+fn build_pool(g: &Graph, sets: usize) -> smin_sampling::SketchPool {
     let n = g.n();
     let residual = ResidualState::new(n);
     let mut sampler = MrrSampler::new(n);
     let mut rng = SmallRng::seed_from_u64(4);
-    let mut pool = SketchPool::new(n);
+    let mut pool = smin_sampling::SketchPool::new(n);
     let mut out = Vec::new();
     for _ in 0..sets {
         sampler.sample_into(
-            &g,
+            g,
             Model::IC,
             &residual,
             100,
@@ -177,27 +229,27 @@ fn build_pool(sets: usize) -> smin_sampling::SketchPool {
 fn run(args: &PerfArgs) -> Result<(), String> {
     use smin_sampling::CoverageEngine;
 
+    let g = bench_graph(2_000, 8_000, 0xBEEF);
     let mut coverage_rows = Vec::new();
     let mut select_rows = Vec::new();
 
     for &sets in &POOL_SIZES {
         eprintln!("building pool: {sets} sets ...");
-        let pool = build_pool(sets);
+        let pool = build_pool(&g, sets);
         let mut engine = CoverageEngine::new();
 
-        // Per-pick kernels: the argmax candidate scan (averaged over 64
-        // back-to-back runs — single runs sit at timer resolution) and the
-        // b = 8 greedy selection.
-        let argmax = time_us(args.iters, 64, || {
-            std::hint::black_box(engine.argmax(&pool));
+        // Per-pick kernels: the argmax candidate scan and the b = 8 greedy
+        // selection.
+        let argmax = time_us(args.iters, || {
+            black_box(engine.argmax(&pool));
         });
-        let eager_b8 = time_us(args.iters, 1, || {
-            std::hint::black_box(engine.select(&pool, 8).covered);
+        let eager_b8 = time_us(args.iters, || {
+            black_box(engine.select(&pool, 8).covered);
         });
 
         // Deep selections: commit_pick dominates.
-        let eager_b64 = time_us(args.iters, 1, || {
-            std::hint::black_box(engine.select(&pool, 64).covered);
+        let eager_b64 = time_us(args.iters, || {
+            black_box(engine.select(&pool, 64).covered);
         });
 
         // The pool plus everything the engine keeps between calls, the
@@ -228,15 +280,27 @@ fn run(args: &PerfArgs) -> Result<(), String> {
         ));
     }
 
-    let trim_rows = time_trim_rounds(args.iters);
-    let rounding_rows = time_rounding(args.iters);
-    let sampling_rows = time_sampling(args.iters);
+    let groups = [
+        ("trim_round", time_trim_rounds(&g, args.iters)),
+        ("rounding", time_rounding(&g, args.iters)),
+        ("sampling", time_sampling(&g, args.iters)),
+        ("sketch_gen", time_sketch_gen(&g, args.iters)),
+        ("rr", time_rr(&g, args.iters)),
+        ("forward", time_forward(&g, args.iters)),
+        ("graph_gen", time_graph_gen(args.iters)),
+    ];
+    let graph_load = time_graph_load(args.iters)?;
 
     std::fs::create_dir_all(&args.out_dir)
         .map_err(|e| format!("create --out-dir {}: {e}", args.out_dir))?;
-    let write = |name: &str, bench: &str, rows: &[String], extra: &str| -> Result<(), String> {
+    let write = |name: &str, json: &str| -> Result<(), String> {
         let path = std::path::Path::new(&args.out_dir).join(name);
-        let json = format!(
+        std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
+        println!("wrote {}", path.display());
+        Ok(())
+    };
+    let pools_artifact = |bench: &str, rows: &[String], extra: &str| {
+        format!(
             "{{\n  \
                \"bench\": \"{bench}\",\n  \
                \"iters\": {iters},\n  \
@@ -245,52 +309,48 @@ fn run(args: &PerfArgs) -> Result<(), String> {
             iters = args.iters,
             smoke = args.smoke,
             rows = rows.join(",\n"),
-        );
-        std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-        Ok(())
+        )
     };
-    let coverage_extra = format!(
-        ",\n  \"trim_round\": [\n{}\n  ],\n  \"rounding\": [\n{}\n  ],\n  \"sampling\": [\n{}\n  ]",
-        trim_rows.join(",\n"),
-        rounding_rows.join(",\n"),
-        sampling_rows.join(",\n"),
-    );
+    let coverage_extra: String = groups
+        .iter()
+        .map(|(name, rows)| format!(",\n  \"{name}\": [\n{}\n  ]", rows.join(",\n")))
+        .collect();
     write(
         "BENCH_coverage.json",
-        "coverage",
-        &coverage_rows,
-        &coverage_extra,
+        &pools_artifact("coverage", &coverage_rows, &coverage_extra),
     )?;
-    write("BENCH_select.json", "select", &select_rows, "")?;
+    write(
+        "BENCH_select.json",
+        &pools_artifact("select", &select_rows, ""),
+    )?;
+    write("BENCH_graph_load.json", &graph_load)?;
     Ok(())
 }
 
-/// The `trim_round` Criterion fixture without Criterion: one full TRIM
-/// round (Algorithm 2) and one TRIM-B round (Algorithm 3, b ∈ {2, 8}) under
-/// IC, plus the TRIM-B rounds under LT, on the bench graph, across
-/// sketch-generation thread counts.
-fn time_trim_rounds(iters: usize) -> Vec<String> {
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+/// One full TRIM round (Algorithm 2) and one TRIM-B round (Algorithm 3,
+/// b ∈ {2, 8}) under IC, plus the TRIM-B rounds under LT, on the bench
+/// graph, across sketch-generation thread counts. Every iteration reseeds,
+/// so it repeats the same round: how many doublings a round takes depends
+/// on its draws, and a run continuing one stream would time a different
+/// mix of rounds at 5 iterations than at 9. Selections are bit-identical
+/// across the sweep, so the thread axis isolates wall-clock speedup.
+fn time_trim_rounds(g: &Graph, iters: usize) -> Vec<String> {
     use smin_core::trim::{trim, TrimScratch};
     use smin_core::trim_b::trim_b;
     use smin_core::TrimParams;
-    use smin_diffusion::{Model, ResidualState};
 
-    let g = bench_graph();
     let n = g.n();
     let mut rows = Vec::new();
-    for &threads in &[1usize, 4] {
+    for &threads in &[1usize, 2, 4] {
         let params = TrimParams::with_eps(0.5).with_threads(threads);
         for &eta in &[100usize, 400] {
             eprintln!("timing trim rounds: threads={threads} eta={eta} ...");
             let mut scratch = TrimScratch::new(n);
-            let mut rng = SmallRng::seed_from_u64(3);
-            let trim_d = time_us(iters, 1, || {
+            let trim_d = time_us(iters, || {
                 let residual = ResidualState::new(n);
+                let mut rng = SmallRng::seed_from_u64(3);
                 let out = trim(
-                    &g,
+                    g,
                     Model::IC,
                     &residual,
                     eta,
@@ -299,7 +359,7 @@ fn time_trim_rounds(iters: usize) -> Vec<String> {
                     &mut rng,
                 )
                 .expect("valid");
-                std::hint::black_box(out.node);
+                black_box(out.node);
             });
             // TRIM-B under IC, then under LT (the weighted-cascade bench
             // graph is LT-valid), at b = 2 and b = 8.
@@ -307,21 +367,13 @@ fn time_trim_rounds(iters: usize) -> Vec<String> {
             for model in [Model::IC, Model::LT] {
                 for &b in &[2usize, 8] {
                     let mut scratch = TrimScratch::new(n);
-                    let mut rng = SmallRng::seed_from_u64(3);
-                    b_dists.push(time_us(iters, 1, || {
+                    b_dists.push(time_us(iters, || {
                         let residual = ResidualState::new(n);
-                        let out = trim_b(
-                            &g,
-                            model,
-                            &residual,
-                            eta,
-                            b,
-                            &params,
-                            &mut scratch,
-                            &mut rng,
-                        )
-                        .expect("valid");
-                        std::hint::black_box(out.seeds.len());
+                        let mut rng = SmallRng::seed_from_u64(3);
+                        let out =
+                            trim_b(g, model, &residual, eta, b, &params, &mut scratch, &mut rng)
+                                .expect("valid");
+                        black_box(out.seeds.len());
                     }));
                 }
             }
@@ -354,15 +406,11 @@ fn time_trim_rounds(iters: usize) -> Vec<String> {
     rows
 }
 
-/// The `ablation_rounding` Criterion fixture without Criterion: mRR
-/// sampling time under the three §3.3 root-count rounding variants.
-fn time_rounding(iters: usize) -> Vec<String> {
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    use smin_diffusion::{Model, ResidualState};
-    use smin_sampling::{MrrSampler, RootCountDist};
-
-    let g = bench_graph();
+/// mRR sampling time under the three §3.3 root-count rounding variants.
+/// What the Remark is about is estimator accuracy
+/// (`tests/theorem33_bounds.rs`); these rows show the accuracy is not paid
+/// for in sampling time.
+fn time_rounding(g: &Graph, iters: usize) -> Vec<String> {
     let n = g.n();
     let mut rows = Vec::new();
     for (name, dist) in [
@@ -375,45 +423,34 @@ fn time_rounding(iters: usize) -> Vec<String> {
             let mut sampler = MrrSampler::new(n);
             let mut rng = SmallRng::seed_from_u64(9);
             let mut out = Vec::new();
-            let d = time_us(iters, 1, || {
-                sampler.sample_into(&g, Model::IC, &residual, eta, dist, &mut rng, &mut out);
-                std::hint::black_box(out.len());
+            let d = time_us(iters, || {
+                sampler.sample_into(g, Model::IC, &residual, eta, dist, &mut rng, &mut out);
+                black_box(out.len());
             });
             println!("rounding {name:>11} eta {eta:>3}: {:9.1} us", d.median());
-            rows.push(format!(
-                "    {{ \"dist\": \"{name}\", \"eta\": {eta}, \"sample_us\": {} }}",
-                d.json(),
+            rows.push(json_row(
+                &[("dist", quoted(name)), ("eta", eta.to_string())],
+                &[("sample_us", &d)],
             ));
         }
     }
     rows
 }
 
-/// Sets per `sampling` measurement: single sets take 1–50 µs, so each
-/// measurement averages a run of them.
-const SAMPLE_REPS: usize = 256;
-
-/// The `mrr_generation` single-set fixture without Criterion: one mRR set
-/// through `MrrSampler::sample_into` on the bench graph, for IC and LT at
-/// η ∈ {20, 100, 400}, plus one IC row on a trivalency copy of the graph.
-/// Every node of the weighted-cascade graph shares one in-probability, so
-/// its rows run the reverse BFS's shared-probability loop; the trivalency
-/// row runs its per-edge loop.
-fn time_sampling(iters: usize) -> Vec<String> {
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    use smin_diffusion::{Model, ResidualState};
+/// One mRR set through `MrrSampler::sample_into` on the bench graph, for IC
+/// and LT at η ∈ {20, 100, 400}, plus one IC row on a trivalency copy of
+/// the graph. Every node of the weighted-cascade graph shares one
+/// in-probability, so its rows run the reverse BFS's shared-probability
+/// loop; the trivalency row runs its per-edge loop.
+fn time_sampling(wc: &Graph, iters: usize) -> Vec<String> {
     use smin_graph::weights::apply_weights;
-    use smin_graph::WeightModel;
-    use smin_sampling::{MrrSampler, RootCountDist};
 
-    let wc = bench_graph();
     let mut rng = SmallRng::seed_from_u64(0x7121);
-    let trivalency = apply_weights(&wc, WeightModel::Trivalency, &mut rng);
+    let trivalency = apply_weights(wc, WeightModel::Trivalency, &mut rng);
     let mut cases = Vec::new();
     for eta in [20usize, 100, 400] {
         for model in [Model::IC, Model::LT] {
-            cases.push(("wc", &wc, model, eta));
+            cases.push(("wc", wc, model, eta));
         }
     }
     cases.push(("trivalency", &trivalency, Model::IC, 20));
@@ -421,13 +458,11 @@ fn time_sampling(iters: usize) -> Vec<String> {
     let mut rows = Vec::new();
     for (weights, g, model, eta) in cases {
         let n = g.n();
-        // The reverse CSR is built lazily: build it outside the timed runs.
-        std::hint::black_box(g.in_degree(0));
         let residual = ResidualState::new(n);
         let mut sampler = MrrSampler::new(n);
         let mut rng = SmallRng::seed_from_u64(1);
         let mut out = Vec::new();
-        let d = time_us(iters, SAMPLE_REPS, || {
+        let d = time_us(iters, || {
             sampler.sample_into(
                 g,
                 model,
@@ -437,18 +472,295 @@ fn time_sampling(iters: usize) -> Vec<String> {
                 &mut rng,
                 &mut out,
             );
-            std::hint::black_box(out.len());
+            black_box(out.len());
         });
         println!(
             "sampling {model} {weights:>10} eta {eta:>3}: {:9.2} us/set",
             d.median()
         );
-        rows.push(format!(
-            "    {{ \"model\": \"{model}\", \"weights\": \"{weights}\", \"eta\": {eta}, \"sample_us\": {} }}",
-            d.json(),
+        rows.push(json_row(
+            &[
+                ("model", quoted(model)),
+                ("weights", quoted(weights)),
+                ("eta", eta.to_string()),
+            ],
+            &[("sample_us", &d)],
         ));
     }
     rows
+}
+
+/// Sets per `sketch_gen` batch: one TRIM doubling's worth.
+const GEN_BATCH: usize = 4_096;
+
+/// One `GEN_BATCH`-set IC batch through the `SketchGenPool` worker pool,
+/// swept over worker threads and η (the root count `E[k] = n/η` shrinks
+/// as η grows — Lemma 3.8's EPT trade-off).
+fn time_sketch_gen(g: &Graph, iters: usize) -> Vec<String> {
+    use smin_sampling::{SketchGenPool, SketchJob, SketchPool};
+
+    let n = g.n();
+    let residual = ResidualState::new(n);
+    let mut gen = SketchGenPool::new(n);
+    let mut pool = SketchPool::new(n);
+    let mut rows = Vec::new();
+    for threads in [1usize, 2, 4, 8] {
+        for eta in [20usize, 100] {
+            let job = SketchJob {
+                graph: g,
+                model: Model::IC,
+                snapshot: residual.snapshot(),
+                eta_i: eta,
+                dist: RootCountDist::Randomized,
+                base_seed: 0xBADC_AB1E,
+            };
+            let d = time_us(iters, || {
+                pool.reset();
+                black_box(
+                    gen.generate(&job, GEN_BATCH, threads, &mut pool)
+                        .edges_examined,
+                );
+            });
+            println!(
+                "sketch_gen t{threads} eta {eta:>3}: {:9.1} us / {GEN_BATCH} sets",
+                d.median()
+            );
+            rows.push(json_row(
+                &[("threads", threads.to_string()), ("eta", eta.to_string())],
+                &[("batch_us", &d)],
+            ));
+        }
+    }
+    rows
+}
+
+/// Classic single-root RR sets (the baselines' sampler) against η = 100
+/// multi-root sets on the same graph: the per-sample cost the mRR
+/// estimator pays for its accuracy.
+fn time_rr(g: &Graph, iters: usize) -> Vec<String> {
+    use smin_sampling::ReverseSampler;
+
+    let n = g.n();
+    let mut rows = Vec::new();
+    for model in [Model::IC, Model::LT] {
+        let mut sampler = ReverseSampler::new(n);
+        let mut residual = ResidualState::new(n);
+        let mut rng = SmallRng::seed_from_u64(2);
+        let mut out = Vec::new();
+        let mut roots = Vec::new();
+        let single = time_us(iters, || {
+            residual.sample_k_distinct(1, &mut rng, &mut roots);
+            sampler.sample_into(
+                g,
+                model,
+                Some(residual.alive_mask()),
+                &roots,
+                &mut rng,
+                &mut out,
+            );
+            black_box(out.len());
+        });
+
+        let residual = ResidualState::new(n);
+        let mut sampler = MrrSampler::new(n);
+        let mut rng = SmallRng::seed_from_u64(2);
+        let multi = time_us(iters, || {
+            sampler.sample_into(
+                g,
+                model,
+                &residual,
+                100,
+                RootCountDist::Randomized,
+                &mut rng,
+                &mut out,
+            );
+            black_box(out.len());
+        });
+        println!(
+            "rr {model}: single root {:7.2} us/set | mRR eta 100 {:7.2} us/set",
+            single.median(),
+            multi.median()
+        );
+        rows.push(json_row(
+            &[("model", quoted(model))],
+            &[
+                ("single_root_us", &single),
+                ("multi_root_eta100_us", &multi),
+            ],
+        ));
+    }
+    rows
+}
+
+/// Forward propagation on the bench graph: sampling a live-edge
+/// realization, the spread of 16 fixed seeds in a sampled realization, and
+/// a fresh-coin simulation from the same seeds (the observe step's cost).
+fn time_forward(g: &Graph, iters: usize) -> Vec<String> {
+    use smin_diffusion::{ForwardSim, Realization};
+
+    let n = g.n();
+    let seeds: Vec<u32> = (0..16).map(|i| i * 37 % n as u32).collect();
+    let mut sim = ForwardSim::new(n);
+    let mut rows = Vec::new();
+    for model in [Model::IC, Model::LT] {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let realization = time_us(iters, || {
+            black_box(Realization::sample(g, model, &mut rng).live_edge_count());
+        });
+        let phi = Realization::sample(g, model, &mut SmallRng::seed_from_u64(6));
+        let spread = time_us(iters, || {
+            black_box(sim.spread(g, &phi, &seeds));
+        });
+        let mut rng = SmallRng::seed_from_u64(7);
+        let fresh = time_us(iters, || {
+            black_box(sim.simulate(g, model, &seeds, &mut rng));
+        });
+        println!(
+            "forward {model}: realization {:8.2} us | spread16 {:7.2} us | fresh coin {:7.2} us",
+            realization.median(),
+            spread.median(),
+            fresh.median()
+        );
+        rows.push(json_row(
+            &[("model", quoted(model))],
+            &[
+                ("realization_us", &realization),
+                ("spread16_us", &spread),
+                ("fresh_coin_us", &fresh),
+            ],
+        ));
+    }
+    rows
+}
+
+/// Synthetic graph generation (Chung–Lu, ER, BA with 4 edges per new node)
+/// and the weighted-cascade CSR assembly of a Chung–Lu edge list.
+fn time_graph_gen(iters: usize) -> Vec<String> {
+    use smin_graph::generators::{assemble, barabasi_albert, chung_lu_directed, erdos_renyi};
+
+    let mut rows = Vec::new();
+    for (n, m) in [(2_000usize, 8_000usize), (10_000, 40_000)] {
+        let mut rng = SmallRng::seed_from_u64(8);
+        let chung_lu = time_us(iters, || {
+            black_box(chung_lu_directed(n, m, 2.1, &mut rng).len());
+        });
+        let mut rng = SmallRng::seed_from_u64(8);
+        let er = time_us(iters, || {
+            black_box(erdos_renyi(n, m, &mut rng).len());
+        });
+        let mut rng = SmallRng::seed_from_u64(8);
+        let ba = time_us(iters, || {
+            black_box(barabasi_albert(n, 4, &mut rng).len());
+        });
+        let mut rng = SmallRng::seed_from_u64(8);
+        let pairs = chung_lu_directed(n, m, 2.1, &mut rng);
+        let assemble_wc = time_us(iters, || {
+            let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng)
+                .expect("valid generator output");
+            black_box(g.m());
+        });
+        println!(
+            "graph_gen {n:>6}/{m:<6}: chung-lu {:8.1} us | er {:8.1} us | ba {:8.1} us \
+             | assemble wc {:8.1} us",
+            chung_lu.median(),
+            er.median(),
+            ba.median(),
+            assemble_wc.median()
+        );
+        rows.push(json_row(
+            &[("n", n.to_string()), ("m", m.to_string())],
+            &[
+                ("chung_lu_us", &chung_lu),
+                ("erdos_renyi_us", &er),
+                ("barabasi_albert_us", &ba),
+                ("assemble_wc_us", &assemble_wc),
+            ],
+        ));
+    }
+    rows
+}
+
+/// Size and seed of the load-gap graph. Fixed, like the pool sizes.
+const LOAD_N: usize = 200_000;
+const LOAD_M: usize = 1_000_000;
+const LOAD_SEED: u64 = 42;
+
+/// The text-parse vs `.smg`-snapshot load gap: writes the generated graph
+/// both ways into a temporary directory, times `iters` full loads of each,
+/// and returns the `BENCH_graph_load.json` document. Every load must
+/// reproduce the generated edge count (the node count may shrink: the text
+/// format drops isolated nodes on relabeling, the snapshot keeps them).
+fn time_graph_load(iters: usize) -> Result<String, String> {
+    use smin_graph::{io, store};
+
+    eprintln!("generating load graph: n = {LOAD_N}, m = {LOAD_M}, seed = {LOAD_SEED} ...");
+    let g = bench_graph(LOAD_N, LOAD_M, LOAD_SEED);
+    let dir = std::env::temp_dir().join(format!("smin_perf_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let txt = dir.join("graph.txt");
+    let smg = dir.join("graph.smg");
+    let (txt_bytes, smg_bytes) = write_load_files(&g, &txt, &smg).inspect_err(|_| {
+        std::fs::remove_dir_all(&dir).ok();
+    })?;
+
+    let check = |loaded: Graph| {
+        assert_eq!(loaded.m(), g.m(), "loaded graph must match");
+        assert!(loaded.n() <= g.n(), "loaded graph must match");
+        black_box(loaded);
+    };
+    let text = time_us(iters, || {
+        check(
+            io::read_edge_list_path(&txt)
+                .expect("read text edge list")
+                .into_graph(true, 1.0)
+                .expect("build graph from text"),
+        );
+    })
+    .into_ms();
+    let binary = time_us(iters, || {
+        check(store::read_smg_path(&smg).expect("read snapshot"));
+    })
+    .into_ms();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let speedup = text.median() / binary.median().max(1e-9);
+    println!(
+        "graph_load: text parse {:.1} ms | .smg load {:.1} ms | {speedup:.1}x",
+        text.median(),
+        binary.median()
+    );
+    Ok(format!(
+        "{{\n  \
+           \"bench\": \"graph_load\",\n  \
+           \"n\": {LOAD_N},\n  \
+           \"m\": {LOAD_M},\n  \
+           \"seed\": {LOAD_SEED},\n  \
+           \"iters\": {iters},\n  \
+           \"text_bytes\": {txt_bytes},\n  \
+           \"smg_bytes\": {smg_bytes},\n  \
+           \"text_parse_ms\": {text},\n  \
+           \"binary_load_ms\": {binary},\n  \
+           \"speedup_median\": {speedup:.1}\n}}\n",
+        text = text.json(),
+        binary = binary.json(),
+    ))
+}
+
+/// Writes `g` as a text edge list to `txt` and as a `.smg` snapshot to
+/// `smg`, returning both file sizes in bytes.
+fn write_load_files(g: &Graph, txt: &Path, smg: &Path) -> Result<(u64, u64), String> {
+    use smin_graph::{io, store};
+
+    let file = std::fs::File::create(txt).map_err(|e| format!("{}: {e}", txt.display()))?;
+    io::write_edge_list(g, std::io::BufWriter::new(file))
+        .map_err(|e| format!("{}: {e}", txt.display()))?;
+    store::write_smg_path(g, smg).map_err(|e| format!("{}: {e}", smg.display()))?;
+    let len = |p: &Path| {
+        std::fs::metadata(p)
+            .map(|m| m.len())
+            .map_err(|e| format!("{}: {e}", p.display()))
+    };
+    Ok((len(txt)?, len(smg)?))
 }
 
 fn main() {

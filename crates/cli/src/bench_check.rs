@@ -1,11 +1,11 @@
 //! `asm bench-check` — the perf-trajectory regression gate.
 //!
-//! Compares a current benchmark artifact (`perf`, `graph_load`, `svc_load`
-//! output) against a committed baseline: every `"median"` leaf present in
-//! the baseline must exist at the same path in the current run and must not
-//! exceed `baseline · (1 + tol)`. Structure is matched positionally, so
-//! both runs must sweep the same pool sizes — the harnesses pin their
-//! sweeps for exactly this reason. Improvements are reported but never
+//! Compares a current benchmark artifact (the three `BENCH_*.json` files
+//! `perf` writes, or `svc_load`'s) against a committed baseline: every
+//! `"median"` leaf present in the baseline must exist at the same path in
+//! the current run and must not exceed `baseline · (1 + tol)`. Structure is
+//! matched positionally, so both runs must sweep the same configurations —
+//! the harnesses pin their sweeps for exactly this reason. Improvements are reported but never
 //! fail; other leaves (`min`, `max`, counters) are informational only.
 
 use serde_json::Value;

@@ -12,20 +12,18 @@ use smin_graph::generators::{
 };
 use smin_graph::{io, store, Graph, WeightModel};
 
-/// Loads a graph of any supported format. Dispatch is by content sniffing
-/// (`io::load_auto`), so `.smg` snapshots, legacy binaries, and text edge
-/// lists all load regardless of what the file is named.
+/// Loads a graph of either supported format. Dispatch is by content
+/// sniffing (`io::load_auto`), so `.smg` snapshots and text edge lists both
+/// load regardless of what the file is named.
 fn load_graph(path: &str) -> Result<Graph, String> {
     io::load_auto(path, 1.0).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Saves a graph by extension: `.smg` = CSR snapshot, `.bin` = legacy
-/// binary, anything else = text edge list.
+/// Saves a graph by extension: `.smg` = CSR snapshot, anything else = text
+/// edge list.
 fn save_graph(g: &Graph, path: &str) -> Result<(), String> {
     if path.ends_with(".smg") {
         store::write_smg_path(g, path).map_err(|e| format!("{path}: {e}"))
-    } else if path.ends_with(".bin") {
-        io::write_binary_path(g, path).map_err(|e| format!("{path}: {e}"))
     } else {
         let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
         io::write_edge_list(g, std::io::BufWriter::new(file)).map_err(|e| format!("{path}: {e}"))
@@ -512,7 +510,7 @@ mod tests {
     fn generate_stats_run_roundtrip() {
         let dir = std::env::temp_dir().join("smin_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bin");
+        let path = dir.join("g.smg");
         let path = path.to_str().unwrap().to_string();
 
         let args: Vec<String> = [
@@ -556,7 +554,7 @@ mod tests {
     fn run_audit_writes_replayable_logs() {
         let dir = std::env::temp_dir().join("smin_cli_audit");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bin");
+        let path = dir.join("g.smg");
         let path = path.to_str().unwrap().to_string();
         let args: Vec<String> = ["--kind", "er", "--n", "80", "--m", "240", "--out", &path]
             .iter()
@@ -594,6 +592,22 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         assert!(run(&bad).unwrap_err().contains("--audit"));
+    }
+
+    #[test]
+    fn text_output_reports_a_failed_write() {
+        // /dev/full opens and then fails every write with ENOSPC; the text
+        // writer buffers, so the failure only shows when it flushes.
+        let full = std::path::Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let g = io::read_edge_list("0 1 0.5\n1 2 0.25\n".as_bytes())
+            .unwrap()
+            .into_graph(true, 1.0)
+            .unwrap();
+        let err = save_graph(&g, "/dev/full").unwrap_err();
+        assert!(err.starts_with("/dev/full: "), "got: {err}");
     }
 
     #[test]
@@ -677,7 +691,7 @@ mod tests {
     fn run_rejects_zero_threads() {
         let dir = std::env::temp_dir().join("smin_cli_test3");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g3.bin");
+        let path = dir.join("g3.smg");
         let path = path.to_str().unwrap().to_string();
         let args: Vec<String> = ["--kind", "er", "--n", "50", "--m", "100", "--out", &path]
             .iter()
@@ -705,7 +719,7 @@ mod tests {
     fn run_rejects_conflicting_eta() {
         let dir = std::env::temp_dir().join("smin_cli_test2");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g2.bin");
+        let path = dir.join("g2.smg");
         let path = path.to_str().unwrap().to_string();
         let args: Vec<String> = ["--kind", "er", "--n", "50", "--m", "100", "--out", &path]
             .iter()

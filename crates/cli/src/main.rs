@@ -1,10 +1,10 @@
 //! `asm` — command-line front end for the seedmin stack.
 //!
 //! ```text
-//! asm generate --kind chung-lu --n 10000 --m 50000 --out g.bin
-//! asm stats g.bin
-//! asm run --graph g.bin --algo asti --eta-frac 0.05 --model ic --worlds 5
-//! asm convert g.txt g.bin
+//! asm generate --kind chung-lu --n 10000 --m 50000 --out g.smg
+//! asm stats g.smg
+//! asm run --graph g.smg --algo asti --eta-frac 0.05 --model ic --worlds 5
+//! asm convert g.smg g.txt
 //! ```
 
 #![forbid(unsafe_code)]
@@ -34,11 +34,10 @@ USAGE:
   asm inspect <FILE.smg>            # dump a snapshot header
   asm convert <IN> <OUT>            # re-encode by output extension
 
-GRAPH inputs are content-sniffed: '.smg' CSR snapshots, the legacy binary
-dump, and text edge lists (`u v [p]` per line, '#'/'%' comments, SNAP
-`# Nodes: N Edges: M` size headers honored) all load regardless of
-extension. Outputs choose their format by extension: '.smg' snapshot,
-'.bin' legacy binary, anything else text.
+GRAPH inputs are content-sniffed: '.smg' CSR snapshots and text edge lists
+(`u v [p]` per line, '#'/'%' comments, SNAP `# Nodes: N Edges: M` size
+headers honored) both load regardless of extension. Outputs choose their
+format by extension: '.smg' snapshot, anything else text.
 
 pack writes the deterministic `.smg` snapshot (64-byte header + checksummed
 offset/target/probability columns): the same graph always produces the same

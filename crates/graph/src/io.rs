@@ -88,7 +88,15 @@ pub fn read_edge_list(reader: impl Read) -> Result<EdgeList, GraphError> {
     };
 
     for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
+        // A line that is not UTF-8 means the file is not text at all (a
+        // binary file that is not a `.smg` snapshot): report where.
+        let line = line.map_err(|e| match e.kind() {
+            std::io::ErrorKind::InvalidData => GraphError::Parse {
+                line: lineno + 1,
+                message: "not UTF-8 text".to_string(),
+            },
+            _ => e.into(),
+        })?;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
             if !sized {
@@ -140,77 +148,21 @@ pub fn read_edge_list_path(path: impl AsRef<Path>) -> Result<EdgeList, GraphErro
     read_edge_list(file)
 }
 
-/// Writes a graph as a `u v p` edge list (dense ids).
+/// Writes a graph as a `u v p` edge list (dense ids), then flushes
+/// `writer`: a buffered writer's last write error surfaces here instead of
+/// being lost when the caller drops it.
 pub fn write_edge_list(g: &Graph, mut writer: impl Write) -> Result<(), GraphError> {
     for (u, v, p) in g.edges() {
         writeln!(writer, "{u} {v} {p}")?;
     }
+    writer.flush()?;
     Ok(())
 }
 
-/// Magic header of the binary graph format.
-const BINARY_MAGIC: &[u8; 8] = b"SMING001";
-
-/// Writes a graph in a compact little-endian binary format (~16 bytes per
-/// edge). Loading a multi-million-edge graph from this format is an order of
-/// magnitude faster than re-parsing a text edge list.
-pub fn write_binary(g: &Graph, mut writer: impl Write) -> Result<(), GraphError> {
-    writer.write_all(BINARY_MAGIC)?;
-    writer.write_all(&(g.n() as u64).to_le_bytes())?;
-    writer.write_all(&(g.m() as u64).to_le_bytes())?;
-    for (u, v, p) in g.edges() {
-        writer.write_all(&u.to_le_bytes())?;
-        writer.write_all(&v.to_le_bytes())?;
-        writer.write_all(&p.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-/// Reads a graph written by [`write_binary`].
-pub fn read_binary(mut reader: impl Read) -> Result<Graph, GraphError> {
-    let bad = |msg: &str| GraphError::Parse {
-        line: 0,
-        message: msg.to_string(),
-    };
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(bad("not a seedmin binary graph (bad magic)"));
-    }
-    let mut word = [0u8; 8];
-    reader.read_exact(&mut word)?;
-    let n = u64::from_le_bytes(word) as usize;
-    reader.read_exact(&mut word)?;
-    let m = u64::from_le_bytes(word) as usize;
-
-    let mut b = crate::GraphBuilder::with_capacity(n, m).dedup_policy(DedupPolicy::KeepFirst);
-    let mut buf = [0u8; 16];
-    for _ in 0..m {
-        reader.read_exact(&mut buf)?;
-        let u = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-        let v = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-        let p = f64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
-        b.add_edge_p(u, v, p)?;
-    }
-    b.build()
-}
-
-/// Writes the binary format to a file path.
-pub fn write_binary_path(g: &Graph, path: impl AsRef<Path>) -> Result<(), GraphError> {
-    let file = std::fs::File::create(path)?;
-    write_binary(g, std::io::BufWriter::new(file))
-}
-
-/// Reads the binary format from a file path.
-pub fn read_binary_path(path: impl AsRef<Path>) -> Result<Graph, GraphError> {
-    let file = std::fs::File::open(path)?;
-    read_binary(BufReader::new(file))
-}
-
-/// Loads a graph from a file of any supported format, sniffing content rather
-/// than trusting the extension: `.smg` snapshots (magic `\x89SMG\r\n\x1a\n`),
-/// the legacy `SMING001` edge-dump binary, or a text edge list (directed,
-/// default probability `default_p` where a line omits one).
+/// Loads a graph from a file of either supported format, sniffing content
+/// rather than trusting the extension: a `.smg` snapshot (magic
+/// `\x89SMG\r\n\x1a\n`) or else a text edge list (directed, default
+/// probability `default_p` where a line omits one).
 pub fn load_auto(path: impl AsRef<Path>, default_p: f64) -> Result<Graph, GraphError> {
     let mut file = std::fs::File::open(path)?;
     let mut magic = [0u8; 8];
@@ -227,8 +179,6 @@ pub fn load_auto(path: impl AsRef<Path>, default_p: f64) -> Result<Graph, GraphE
     let head = &magic[..got];
     if head == crate::store::SMG_MAGIC {
         crate::store::read_smg(BufReader::new(file))
-    } else if head == BINARY_MAGIC {
-        read_binary(BufReader::new(file))
     } else {
         read_edge_list(file)?.into_graph(true, default_p)
     }
@@ -403,15 +353,31 @@ mod tests {
         // Deliberately misleading extensions: content sniffing must win.
         let text = dir.join("graph.smg");
         std::fs::write(&text, "0 1 0.5\n1 2 0.25\n").unwrap();
-        let legacy = dir.join("graph.txt");
-        write_binary_path(&g, &legacy).unwrap();
-        let smg = dir.join("graph.bin");
+        let smg = dir.join("graph.txt");
         crate::store::write_smg_path(&g, &smg).unwrap();
 
         let want: Vec<_> = g.edges().collect();
-        for path in [&text, &legacy, &smg] {
+        for path in [&text, &smg] {
             let loaded = load_auto(path, 1.0).unwrap();
             assert_eq!(loaded.edges().collect::<Vec<_>>(), want, "path {path:?}");
+        }
+
+        // The retired edge-dump binary: an 8-byte ASCII magic, `n` and `m`
+        // as little-endian u64, then one `(u32, u32, f64)` record per edge.
+        // It is no longer a graph format, so it fails as text at line 1.
+        let dump = dir.join("graph.bin");
+        let mut bytes = vec![0x53, 0x4d, 0x49, 0x4e, 0x47, 0x30, 0x30, 0x31];
+        bytes.extend_from_slice(&3u64.to_le_bytes());
+        bytes.extend_from_slice(&2u64.to_le_bytes());
+        for (u, v, p) in &want {
+            bytes.extend_from_slice(&u.to_le_bytes());
+            bytes.extend_from_slice(&v.to_le_bytes());
+            bytes.extend_from_slice(&p.to_le_bytes());
+        }
+        std::fs::write(&dump, &bytes).unwrap();
+        match load_auto(&dump, 1.0) {
+            Err(GraphError::Parse { line, .. }) => assert_eq!(line, 1),
+            other => panic!("expected a parse error at line 1, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -431,42 +397,38 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
-        let input = "0 1 0.5\n1 2 0.25\n2 0 1.0\n";
-        let g = read_edge_list(input.as_bytes())
-            .unwrap()
-            .into_graph(true, 1.0)
-            .unwrap();
-        let mut bytes = Vec::new();
-        write_binary(&g, &mut bytes).unwrap();
-        assert_eq!(bytes.len(), 8 + 16 + 3 * 16);
-        let g2 = read_binary(bytes.as_slice()).unwrap();
-        assert_eq!(g.n(), g2.n());
-        let e1: Vec<_> = g.edges().collect();
-        let e2: Vec<_> = g2.edges().collect();
-        assert_eq!(e1, e2);
+    fn non_utf8_line_reports_position() {
+        let input = b"0 1\n1 \xff\n";
+        match read_edge_list(&input[..]) {
+            Err(GraphError::Parse { line, message }) => {
+                assert_eq!(line, 2);
+                assert!(message.contains("UTF-8"), "got: {message}");
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
     }
 
     #[test]
-    fn binary_rejects_bad_magic() {
-        let bytes = b"NOTMAGIC________".to_vec();
-        assert!(matches!(
-            read_binary(bytes.as_slice()),
-            Err(GraphError::Parse { .. })
-        ));
-    }
-
-    #[test]
-    fn binary_rejects_truncated_input() {
-        let input = "0 1 0.5\n";
-        let g = read_edge_list(input.as_bytes())
+    fn write_edge_list_reports_a_failed_flush() {
+        // Accepts every write and fails the flush, as a buffered writer over
+        // a full disk does: the error must reach the caller.
+        struct FailingFlush;
+        impl Write for FailingFlush {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::Error::other("disk full"))
+            }
+        }
+        let g = read_edge_list("0 1 0.5\n".as_bytes())
             .unwrap()
             .into_graph(true, 1.0)
             .unwrap();
-        let mut bytes = Vec::new();
-        write_binary(&g, &mut bytes).unwrap();
-        bytes.truncate(bytes.len() - 4);
-        assert!(read_binary(bytes.as_slice()).is_err());
+        match write_edge_list(&g, FailingFlush) {
+            Err(GraphError::Io(msg)) => assert!(msg.contains("disk full"), "got: {msg}"),
+            other => panic!("expected an i/o error, got {other:?}"),
+        }
     }
 
     #[test]

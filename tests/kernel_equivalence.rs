@@ -243,6 +243,61 @@ proptest! {
     }
 }
 
+/// The `perf` harness's pools at bench scale: 1k/4k/16k mRR sets (IC,
+/// η = 100) on its pinned 2k-node / 8k-edge Chung–Lu WC graph, the 16k
+/// pool holding ~1.8 M members. The proptests above stop at 200 sets of at
+/// most 10 members; this pins the engine to the scalar greedy where `perf`
+/// times it, on both sides of the 9th pick, the first one to build the
+/// transpose. One engine serves the growing pools, as across TRIM's
+/// doublings.
+#[test]
+fn engine_matches_scalar_greedy_on_bench_scale_pools() {
+    use seedmin::diffusion::{Model, ResidualState};
+    use seedmin::graph::generators::{assemble, chung_lu_directed};
+    use seedmin::graph::WeightModel;
+    use seedmin::sampling::{MrrSampler, RootCountDist};
+
+    let n = 2_000;
+    let mut rng = SmallRng::seed_from_u64(0xBEEF);
+    let pairs = chung_lu_directed(n, 8_000, 2.1, &mut rng);
+    let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
+    let residual = ResidualState::new(n);
+    let mut sampler = MrrSampler::new(n);
+    let mut rng = SmallRng::seed_from_u64(4);
+    let mut out = Vec::new();
+    let sets: Vec<Vec<NodeId>> = (0..16_384)
+        .map(|_| {
+            sampler.sample_into(
+                &g,
+                Model::IC,
+                &residual,
+                100,
+                RootCountDist::Randomized,
+                &mut rng,
+                &mut out,
+            );
+            out.clone()
+        })
+        .collect();
+
+    let mut engine = CoverageEngine::new();
+    for size in [1_024usize, 4_096, 16_384] {
+        let sets = &sets[..size];
+        let mut pool = SketchPool::new(n);
+        for s in sets {
+            pool.add_set(s);
+        }
+        let reference = ScalarGreedy::new(n, sets);
+        for b in [1usize, 2, 4, 8, 9, 32, 64] {
+            let (seeds, covered, _) = reference.greedy(b, |_| false);
+            let got = engine.select(&pool, b);
+            assert_eq!(got.seeds, seeds, "{size} sets, b = {b}");
+            assert_eq!(got.covered, covered, "{size} sets, b = {b}");
+            assert_eq!(engine.covered_sets().count(), covered as usize);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
