@@ -109,6 +109,7 @@ pub fn adapt_im(
             sets_generated,
             est_truncated_spread: est,
             select_time,
+            trim: None,
         });
     }
 

@@ -159,9 +159,14 @@ pub fn asti_in(
         // Line 3: (approximate) truncated-influence maximization.
         // smin-lint: allow(no-wall-clock) -- reported only, never branched on; selection stays bit-identical
         let started = Instant::now();
-        let (seeds, sets_generated, est) = if params.batch == 1 {
+        let (stats, seeds, sets_generated, est) = if params.batch == 1 {
             let out = trim(g, model, residual, eta_i, &params.trim, scratch, rng)?;
-            (vec![out.node], out.sets_generated, out.est_truncated_spread)
+            (
+                out.stats(),
+                vec![out.node],
+                out.sets_generated,
+                out.est_truncated_spread,
+            )
         } else {
             let out = trim_b(
                 g,
@@ -173,7 +178,12 @@ pub fn asti_in(
                 scratch,
                 rng,
             )?;
-            (out.seeds, out.sets_generated, out.est_truncated_spread)
+            (
+                out.stats(),
+                out.seeds,
+                out.sets_generated,
+                out.est_truncated_spread,
+            )
         };
         let select_time = started.elapsed();
 
@@ -197,6 +207,7 @@ pub fn asti_in(
             sets_generated,
             est_truncated_spread: est,
             select_time,
+            trim: Some(stats),
         });
     }
 
@@ -480,6 +491,88 @@ mod tests {
                 graph_n: 10
             })
         ));
+    }
+
+    /// ASTI-8 rounds report TRIM-B's statistics: each certificate reaches
+    /// `ρ_b(1 − ε̂)` unless the round ended at `T` or `θ_max`, and `U` lies
+    /// between the coverage and coverage/`ρ_b`. ASTI's TRIM rounds report
+    /// `U` = coverage and no greedy call; AdaptIM's rounds report none.
+    #[test]
+    fn round_statistics_certify_unless_the_budget_ran_out() {
+        use crate::adapt_im::{adapt_im, AdaptImParams};
+        use crate::trim::schedule;
+        use crate::trim_b::ln_binomial;
+        use smin_sampling::coverage::rho_b;
+
+        let mut rng = SmallRng::seed_from_u64(13);
+        let pairs = smin_graph::generators::chung_lu_directed(400, 1_600, 2.1, &mut rng);
+        let g = smin_graph::generators::assemble(
+            400,
+            &pairs,
+            true,
+            smin_graph::WeightModel::WeightedCascade,
+            &mut rng,
+        )
+        .unwrap();
+        let (mut certified, mut batched) = (0, 0);
+        for (model, batch) in [(Model::LT, 8), (Model::IC, 8), (Model::IC, 1)] {
+            let params = AstiParams::batched(0.5, batch);
+            let mut rng = SmallRng::seed_from_u64(14);
+            let phi = Realization::sample(&g, model, &mut rng);
+            let mut oracle = RealizationOracle::new(&g, phi);
+            let report = asti(&g, model, 200, &params, &mut oracle, &mut rng).unwrap();
+            assert!(report.reached);
+            for (i, r) in report.rounds.iter().enumerate() {
+                let case = format!("{model} b={batch} round {i}");
+                let stats = r.trim.expect("every ASTI round runs TRIM or TRIM-B");
+                let b = batch.min(r.n_alive);
+                let rho = rho_b(b);
+                let sched = schedule(
+                    r.n_alive,
+                    r.eta_i,
+                    params.trim.eps,
+                    b,
+                    rho,
+                    ln_binomial(r.n_alive, b),
+                    params.trim.theta_cap,
+                );
+                if stats.certificate >= rho * (1.0 - sched.eps_hat) {
+                    certified += 1;
+                } else {
+                    assert!(
+                        stats.iterations >= sched.t_max || r.sets_generated >= sched.theta_max,
+                        "{case}: {stats:?} neither certified nor ran out"
+                    );
+                }
+                assert!(stats.coverage <= stats.upper, "{case}: {stats:?}");
+                let slack = f64::from(stats.coverage) + 1e-9;
+                assert!(rho * f64::from(stats.upper) <= slack, "{case}: {stats:?}");
+                if batch == 1 {
+                    assert_eq!((stats.greedy_calls, stats.upper), (0, stats.coverage));
+                } else {
+                    assert!((1..=stats.iterations).contains(&stats.greedy_calls));
+                    batched += usize::from(b == batch);
+                }
+            }
+        }
+        assert!(
+            certified > 0 && batched > 0,
+            "{certified} certified, {batched} batched"
+        );
+
+        let mut rng = SmallRng::seed_from_u64(15);
+        let phi = Realization::sample(&g, Model::IC, &mut rng);
+        let mut oracle = RealizationOracle::new(&g, phi);
+        let report = adapt_im(
+            &g,
+            Model::IC,
+            50,
+            &AdaptImParams::with_eps(0.5),
+            &mut oracle,
+            &mut rng,
+        )
+        .unwrap();
+        assert!(report.rounds.iter().all(|r| r.trim.is_none()));
     }
 
     #[test]

@@ -38,6 +38,6 @@ pub use ateuc::{ateuc, evaluate_on_realizations, AteucOutput, AteucParams};
 pub use error::AsmError;
 pub use nonadaptive::{nonadaptive_greedy, NonAdaptiveOutput, NonAdaptiveParams};
 pub use params::{AstiParams, TrimParams};
-pub use report::{AstiReport, RoundReport};
+pub use report::{AstiReport, RoundReport, TrimStats};
 pub use trim::{trim, StageMicros, TrimOutput};
 pub use trim_b::{trim_b, TrimBOutput};

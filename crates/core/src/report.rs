@@ -21,6 +21,30 @@ pub struct RoundReport {
     /// Wall-clock time of the selection step (excludes the observe step,
     /// which in a real deployment is the campaign itself).
     pub select_time: Duration,
+    /// What TRIM or TRIM-B did to select the round's seeds; `None` for a
+    /// policy that runs neither (AdaptIM).
+    pub trim: Option<TrimStats>,
+}
+
+/// One TRIM (Algorithm 2) or TRIM-B (Algorithm 3) round's statistics.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct TrimStats {
+    /// Doubling iterations used (`≤ T`).
+    pub iterations: usize,
+    /// `Λˡ/Λᵘ` at termination: at least the target (`1 − ε̂` for TRIM,
+    /// `ρ_b(1 − ε̂)` for TRIM-B) unless the round ended at `T` or `θ_max`.
+    pub certificate: f64,
+    /// Edges examined while sampling.
+    pub edges_examined: usize,
+    /// TRIM-B's greedy calls that made every pick; 0 for TRIM, whose
+    /// argmax runs no greedy.
+    pub greedy_calls: usize,
+    /// Coverage `Λ_R` of the selection at termination.
+    pub coverage: u32,
+    /// The bound on the optimum's coverage that `Λᵘ` was taken of:
+    /// OPIM-C's `U` for TRIM-B, and `coverage` itself for TRIM, whose
+    /// argmax is exact.
+    pub upper: u32,
 }
 
 /// Full adaptive run.
@@ -79,6 +103,7 @@ mod tests {
                     sets_generated: 64,
                     est_truncated_spread: 9.5,
                     select_time: Duration::from_millis(5),
+                    trim: None,
                 },
                 RoundReport {
                     seeds: vec![1, 4],
@@ -88,6 +113,7 @@ mod tests {
                     sets_generated: 32,
                     est_truncated_spread: 8.0,
                     select_time: Duration::from_millis(3),
+                    trim: None,
                 },
             ],
             total_activated: 22,

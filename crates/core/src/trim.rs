@@ -20,6 +20,7 @@
 
 use crate::error::AsmError;
 use crate::params::TrimParams;
+use crate::report::TrimStats;
 use rand::Rng;
 use smin_diffusion::{Model, ResidualState};
 use smin_graph::{Graph, NodeId};
@@ -46,6 +47,20 @@ pub struct TrimOutput {
     pub certificate: f64,
     /// Total edges examined while sampling (EPT accounting).
     pub edges_examined: usize,
+}
+
+impl TrimOutput {
+    /// The round's statistics for [`RoundReport::trim`](crate::RoundReport).
+    pub fn stats(&self) -> TrimStats {
+        TrimStats {
+            iterations: self.iterations,
+            certificate: self.certificate,
+            edges_examined: self.edges_examined,
+            greedy_calls: 0,
+            coverage: self.coverage,
+            upper: self.coverage,
+        }
+    }
 }
 
 /// Cumulative per-stage wall time, in microseconds, accumulated by TRIM /

@@ -5,19 +5,46 @@
 //! `ρ_b = 1 − (1 − 1/b)^b` (Lemma 4.1). Differences from TRIM (§4.1):
 //!
 //! * `θ_max` and `θ◦` are generalized with `ρ_b`, `b` and `ln C(n_i, b)`;
-//! * the upper bound on the optimum's coverage divides the greedy coverage
-//!   by `ρ_b` (Line 10);
+//! * Line 10 needs an upper bound on the optimal batch's coverage
+//!   `Λ_R(S_b◦)`;
 //! * the stopping ratio becomes `ρ_b (1 − ε̂)` (Line 11).
 //!
-//! Line 8's greedy runs only when its result could matter. Before each
-//! greedy call the loop bounds the greedy coverage from above by the sum of
-//! the `b` largest `Λ_R(v)`, capped at `|R|`. When even that bound fails
-//! the stopping rule, and `T` or `θ_max` does not force the iteration, the
-//! greedy could not certify either, so the loop doubles `|R|` without it.
-//! Every output is what running the greedy every time would give.
+//! # Line 10: OPIM-C's bound
+//!
+//! The paper bounds `Λ_R(S_b◦)` by `Λ_R(S_b)/ρ_b`. This implementation uses
+//! the online bound of OPIM-C (Tang, Tang, Xiao, Yuan, SIGMOD 2018), which
+//! the greedy computes as it picks ([`smin_sampling::coverage`]):
+//!
+//! ```text
+//! U = min over the greedy prefixes S_0 … S_b of
+//!     min(|R|, Λ_R(S_i) + the sum of the b largest marginals given S_i)
+//! ```
+//!
+//! * `U ≥ Λ_R(S_b◦)` on every sample: `S_b◦` adds at most its `b`
+//!   marginals to any `S_i` (submodularity).
+//! * `U ≤ Λ_R(S_b)/ρ_b`: the greedy's own `ρ_b` argument runs on these
+//!   same prefix terms.
+//!
+//! Lemma 4.1 needs only an upper bound on `Λ_R(S_b◦)` that holds on the
+//! sample, and `Λᵘ` is increasing, so `T`, `a₁`, `a₂`, `θ◦`, `θ_max`,
+//! Line 11's threshold and Theorem 4.2's ratio are unchanged. The
+//! certificate `Λˡ(S_b)/Λᵘ(U)` is never below the paper's
+//! `Λˡ(S_b)/Λᵘ(Λ_R(S_b)/ρ_b)` on the same pool, so every round stops at the
+//! paper's doubling or an earlier one.
+//!
+//! # Abandoned greedy calls
+//!
+//! Before pick `i + 1`, `Λ_R(S_i)` plus the `b − i` largest marginals,
+//! capped at `|R|`, bounds the coverage `c` the call will end with. Since
+//! `U ≥ c`, the call's certificate is at most `f(c) = Λˡ(c)/Λᵘ(c)`, and `f`
+//! never falls as `c` grows ([`certificate`]). So once `f` of that bound
+//! misses Line 11's threshold the call cannot certify, and unless `T` or
+//! `θ_max` ends the round here the loop abandons it and doubles `|R|`.
+//! Every output is what running the full greedy every time would give.
 
 use crate::error::AsmError;
 use crate::params::TrimParams;
+use crate::report::TrimStats;
 use crate::trim::{schedule, Schedule, TrimScratch};
 use rand::Rng;
 use smin_diffusion::{Model, ResidualState};
@@ -38,16 +65,32 @@ pub struct TrimBOutput {
     pub sets_generated: usize,
     /// Doubling iterations used.
     pub iterations: usize,
-    /// Greedy maximum-coverage runs (Line 8): at least 1, at most
-    /// `iterations`. Iterations whose coverage bound cannot certify skip
-    /// the greedy; the last iteration always runs it.
+    /// Greedy maximum-coverage runs (Line 8) that made every pick: at least
+    /// 1, at most `iterations`. A call abandoned once it cannot certify does
+    /// not count; the last iteration's call always completes.
     pub greedy_calls: usize,
+    /// OPIM-C's bound `U ≥ Λ_R(S_b◦)` at termination (module docs).
+    pub upper: u32,
     /// Estimate `η_i · Λ_R(S_b)/|R|` of `E[Γ̃(S_b | S_{i−1})]`.
     pub est_truncated_spread: f64,
-    /// `Λˡ(S_b)/Λᵘ(S_b◦)` at termination (target `ρ_b(1 − ε̂)`).
+    /// `Λˡ(S_b)/Λᵘ(U)` at termination (target `ρ_b(1 − ε̂)`).
     pub certificate: f64,
     /// Total edges examined while sampling.
     pub edges_examined: usize,
+}
+
+impl TrimBOutput {
+    /// The round's statistics for [`RoundReport::trim`](crate::RoundReport).
+    pub fn stats(&self) -> TrimStats {
+        TrimStats {
+            iterations: self.iterations,
+            certificate: self.certificate,
+            edges_examined: self.edges_examined,
+            greedy_calls: self.greedy_calls,
+            coverage: self.coverage,
+            upper: self.upper,
+        }
+    }
 }
 
 /// `ln C(n, b)` computed stably as a sum of logs (b is small: 2–8 in the
@@ -61,34 +104,37 @@ pub(crate) fn ln_binomial(n: usize, b: usize) -> f64 {
     acc
 }
 
-/// The stopping certificate of Lines 9–11 as a function of the greedy
-/// coverage `c`: `Λˡ(c) / Λᵘ(c/ρ_b)`, or 0 when the upper bound is 0. The
-/// coverage-bound pre-check and the stopping rule both call this one
-/// function.
+/// The stopping certificate of Lines 9–11 for greedy coverage `c` and an
+/// upper bound `u` on the optimal batch's coverage: `Λˡ(c)/Λᵘ(u)`, or 0
+/// when `Λᵘ(u)` is 0. The round's stopping rule passes Line 10's `u = U`;
+/// an abandoned greedy call tests `f(c) = certificate(c, c)`.
 ///
-/// # It never falls as `c` grows
+/// # Monotonicity
 ///
-/// Write `s = √(c + 2a₁/9)`, `β = √(a₁/2)`, `t = √(c/ρ_b + a₂/2)` and
-/// `ζ = √(a₂/2)`, so that `Λˡ = (s − β)² − a₁/18` (clamped at 0) and
-/// `Λᵘ = (t + ζ)²`. For `c ≥ 0`, `Λˡ` is positive only when
-/// `s > β + √(a₁/18)`, and there
+/// The certificate never falls as `c` grows (`Λˡ` is increasing) and never
+/// rises as `u` grows (`Λᵘ` is increasing). Since `U ≤ c/ρ_b`, it is never
+/// below the paper's `Λˡ(c)/Λᵘ(c/ρ_b)`.
+///
+/// `f(c)` never falls as `c` grows either, once positive. Write
+/// `s = √(c + 2a₁/9)`, `β = √(a₁/2)`, `t = √(c + a₂/2)` and `ζ = √(a₂/2)`,
+/// so that `Λˡ = (s − β)² − a₁/18` (clamped at 0) and `Λᵘ = (t + ζ)²`. For
+/// `c ≥ 0`, `Λˡ` is positive only when `s > β + √(a₁/18)`, and there
 ///
 /// ```text
 /// d ln Λˡ/dc = (s − β) / (s · Λˡ) ≥ 1 / (s(s − β)),
-/// d ln Λᵘ/dc = 1 / (ρ_b · t(t + ζ)).
+/// d ln Λᵘ/dc = 1 / (t(t + ζ)).
 /// ```
 ///
 /// The first is at least the second: `s(s − β) = c + 2a₁/9 − βs`, and
 /// `s > β` there gives `βs > β² = a₁/2 > 2a₁/9`, so
-/// `s(s − β) < c ≤ ρ_b t² ≤ ρ_b t(t + ζ)`.
-/// The certificate is therefore 0 until `Λˡ` turns positive and
-/// non-decreasing from there on: once it reaches the target
-/// `ρ_b(1 − ε̂) > 0` at some `c`, it reaches it at every larger `c`.
-fn certificate(c: f64, sched: &Schedule, rho: f64) -> f64 {
-    let lower = coverage_lower_bound(c, sched.a1);
-    // Line 10: the greedy coverage divided by ρ_b upper-bounds the optimal
-    // batch's coverage.
-    let upper = coverage_upper_bound(c / rho, sched.a2);
+/// `s(s − β) < c ≤ t² ≤ t(t + ζ)`.
+/// So `f` is 0 until `Λˡ` turns positive and non-decreasing from there on:
+/// once it reaches the target `ρ_b(1 − ε̂) > 0` at some `c`, it reaches it
+/// at every larger `c`. With `U ≥ c`, a call whose final coverage is at
+/// most `B` ends with a certificate of at most `f(c) ≤ f(B)`.
+fn certificate(c: u32, u: u32, sched: &Schedule) -> f64 {
+    let lower = coverage_lower_bound(f64::from(c), sched.a1);
+    let upper = coverage_upper_bound(f64::from(u), sched.a2);
     if upper > 0.0 {
         lower / upper
     } else {
@@ -167,24 +213,21 @@ pub fn trim_b(
         // At `T` iterations or `θ_max` sets the round ends here, whatever
         // the greedy finds.
         let last = iterations >= sched.t_max || pool.len() >= sched.theta_max;
-        // Line 8: greedy maximum coverage, run only when it could certify
-        // or must return. The greedy covers at most `coverage_bound` sets
-        // and the certificate never falls as coverage grows, so a bound
-        // that cannot certify means the greedy cannot either. With b ≤ 8
-        // the greedy scans the pool for each pick's sets and builds no
-        // index, so nothing goes stale as the pool grows between calls.
+        // Line 8: greedy maximum coverage, abandoned as soon as the bound on
+        // its final coverage shows it cannot certify (module docs). With
+        // b ≤ 8 the greedy scans the pool for each pick's sets and builds
+        // no index, so nothing goes stale as the pool grows between calls.
         let greedy = {
             let _span = smin_obs::Span::enter(&mut stage.coverage);
-            let hopeless = !last && {
-                let bound = engine.coverage_bound(pool, b);
-                certificate(f64::from(bound), &sched, rho) < stop_at
-            };
-            (!hopeless).then(|| engine.select(pool, b))
+            engine.select_while(pool, b, |bound| {
+                last || certificate(bound, bound, &sched) >= stop_at
+            })
         };
         if let Some(greedy) = greedy {
             greedy_calls += 1;
             let coverage = greedy.covered;
-            let certificate = certificate(f64::from(coverage), &sched, rho);
+            // Lines 9–10, with OPIM-C's U as the optimum's coverage bound
+            let certificate = certificate(coverage, greedy.upper, &sched);
             if certificate >= stop_at || last {
                 return Ok(TrimBOutput {
                     seeds: greedy.seeds,
@@ -192,6 +235,7 @@ pub fn trim_b(
                     sets_generated: pool.len(),
                     iterations,
                     greedy_calls,
+                    upper: greedy.upper,
                     est_truncated_spread: eta_i as f64 * coverage as f64 / pool.len() as f64,
                     certificate,
                     edges_examined,
@@ -213,6 +257,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use smin_graph::GraphBuilder;
+    use smin_sampling::GreedyCover;
 
     /// Two independent stars: picking both centers is the unique optimal
     /// 2-batch.
@@ -336,8 +381,9 @@ mod tests {
         assert!(out.est_truncated_spread > 0.0);
     }
 
-    /// TRIM-B before the coverage-bound pre-check: the greedy runs on every
-    /// iteration. Reference for `pre_check_changes_nothing_but_greedy_calls`.
+    /// TRIM-B running the full greedy on every iteration and certifying
+    /// with `Λˡ(c)/Λᵘ(line10(cover))`: the references of
+    /// `pre_check_changes_nothing_but_greedy_calls`.
     #[allow(clippy::too_many_arguments)]
     fn trim_b_greedy_every_iteration(
         g: &Graph,
@@ -348,6 +394,7 @@ mod tests {
         params: &TrimParams,
         scratch: &mut TrimScratch,
         rng: &mut impl Rng,
+        line10: impl Fn(&GreedyCover, f64) -> f64,
     ) -> TrimBOutput {
         let n_i = residual.n_alive();
         let b = b.min(n_i);
@@ -386,7 +433,7 @@ mod tests {
             let greedy = engine.select(pool, b);
             let coverage = greedy.covered;
             let lower = coverage_lower_bound(coverage as f64, sched.a1);
-            let upper = coverage_upper_bound(coverage as f64 / rho, sched.a2);
+            let upper = coverage_upper_bound(line10(&greedy, rho), sched.a2);
             let certificate = if upper > 0.0 { lower / upper } else { 0.0 };
             if certificate >= rho * (1.0 - sched.eps_hat)
                 || iterations >= sched.t_max
@@ -398,6 +445,7 @@ mod tests {
                     sets_generated: pool.len(),
                     iterations,
                     greedy_calls: iterations,
+                    upper: greedy.upper,
                     est_truncated_spread: eta_i as f64 * coverage as f64 / pool.len() as f64,
                     certificate,
                     edges_examined,
@@ -410,10 +458,13 @@ mod tests {
         }
     }
 
-    /// Every output of the pre-checked loop equals the reference's, the
-    /// certificate bit for bit and the engine's scan count included, under
-    /// IC and LT, for b ∈ {2, 4, 8, 16}, uncapped and with θ caps that end
-    /// the round at `T` / `θ_max` instead of the certificate.
+    /// Every output of the loop that abandons hopeless greedy calls equals
+    /// that of the loop running the full greedy every iteration under the
+    /// same rule — the certificate bit for bit and the last call's scan
+    /// count included — under IC and LT, for b ∈ {2, 4, 8, 16}, uncapped
+    /// and with θ caps that end the round at `T` / `θ_max` instead of the
+    /// certificate. Against the paper's Line 10 (`Λ_R(S_b)/ρ_b`) on the
+    /// same inputs, no round takes more iterations or sets.
     #[test]
     fn pre_check_changes_nothing_but_greedy_calls() {
         use smin_graph::generators::{assemble, chung_lu_directed};
@@ -430,7 +481,7 @@ mod tests {
         }
         let n_i = residual.n_alive();
         let (eps, eta) = (0.3, 60);
-        let (mut cases, mut skipped, mut forced) = (0, 0, 0);
+        let (mut cases, mut skipped, mut forced, mut earlier) = (0, 0, 0, 0);
         for model in [Model::IC, Model::LT] {
             for b in [2usize, 4, 8, 16] {
                 let rho = rho_b(b);
@@ -444,7 +495,7 @@ mod tests {
                         let mut fast = TrimScratch::new(n);
                         let mut slow = TrimScratch::new(n);
                         let mut rng = SmallRng::seed_from_u64(seed);
-                        let mut ref_rng = rng.clone();
+                        let (mut ref_rng, mut paper_rng) = (rng.clone(), rng.clone());
                         let got =
                             trim_b(&g, model, &residual, eta, b, &params, &mut fast, &mut rng)
                                 .unwrap();
@@ -457,10 +508,12 @@ mod tests {
                             &params,
                             &mut slow,
                             &mut ref_rng,
+                            |greedy, _| f64::from(greedy.upper),
                         );
                         let case = format!("{model} b={b} cap={cap:?} seed={seed}");
                         assert_eq!(got.seeds, want.seeds, "{case}");
                         assert_eq!(got.coverage, want.coverage, "{case}");
+                        assert_eq!(got.upper, want.upper, "{case}");
                         assert_eq!(got.sets_generated, want.sets_generated, "{case}");
                         assert_eq!(got.iterations, want.iterations, "{case}");
                         assert_eq!(
@@ -487,29 +540,47 @@ mod tests {
                         if cap == Some(sched.theta0) {
                             assert_eq!(got.iterations, 1, "{case}");
                         }
+                        let paper = trim_b_greedy_every_iteration(
+                            &g,
+                            model,
+                            &residual,
+                            eta,
+                            b,
+                            &params,
+                            &mut slow,
+                            &mut paper_rng,
+                            |greedy, rho| f64::from(greedy.covered) / rho,
+                        );
+                        assert!(got.iterations <= paper.iterations, "{case}");
+                        assert!(got.sets_generated <= paper.sets_generated, "{case}");
                         cases += 1;
                         skipped += usize::from(got.greedy_calls < got.iterations);
                         forced += usize::from(got.certificate < rho * (1.0 - sched.eps_hat));
+                        earlier += usize::from(got.iterations < paper.iterations);
                     }
                 }
             }
         }
-        assert!(skipped > 0, "no case skipped a greedy call");
+        assert!(skipped > 0, "no case abandoned a greedy call");
         assert!(forced > 0, "no case ended at T or θ_max");
         assert!(forced < cases, "no case certified");
+        assert!(earlier > 0, "OPIM-C's bound never stopped a round earlier");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2_000))]
 
-        /// The threshold form of the certificate's monotonicity, which the
-        /// pre-check relies on: reaching `ρ_b(1 − ε̂)` at coverage `c`
-        /// implies reaching it at every larger coverage.
+        /// The certificate's monotonicity, which abandoned calls and the
+        /// stopping rule rely on. With `u` fixed it never falls as `c`
+        /// grows; with `c` fixed it never rises as `u` grows; for any
+        /// `u ≤ c/ρ_b` it is at least the paper's `Λˡ(c)/Λᵘ(c/ρ_b)`. And in
+        /// threshold form for `f(c) = certificate(c, c)`: reaching
+        /// `ρ_b(1 − ε̂)` at `c` implies reaching it at every larger `c`.
         #[test]
         fn certificate_stays_certified_as_coverage_grows(
             (c, grow) in (0u32..200_000, 1u32..50_000),
             (a2, extra) in (1e-3f64..80.0, 0.0f64..400.0),
-            (b, eps) in (1usize..=64, 1e-3f64..0.999),
+            (b, eps, slack) in (1usize..=64, 1e-3f64..0.999, 0.0f64..1.0),
         ) {
             let sched = Schedule {
                 theta_max: 0,
@@ -520,8 +591,25 @@ mod tests {
                 eps_hat: 99.0 * eps / (100.0 - eps),
             };
             let rho = rho_b(b);
+            // c ≤ u ≤ c/ρ_b, as for U
+            let paper_u = f64::from(c) / rho;
+            let widest = paper_u.floor() as u32;
+            let u = c + (f64::from(widest - c) * slack) as u32;
+            let cert = certificate(c, u, &sched);
+            let paper = {
+                let upper = coverage_upper_bound(paper_u, sched.a2);
+                if upper > 0.0 { coverage_lower_bound(f64::from(c), sched.a1) / upper } else { 0.0 }
+            };
+            prop_assert!(cert >= paper, "U = {} gives {} < paper {}", u, cert, paper);
+            for step in [1, 2, grow, u32::MAX] {
+                let bigger = c.saturating_add(step);
+                prop_assert!(certificate(bigger, u, &sched) >= cert, "c {} → {}", c, bigger);
+                let looser = u.saturating_add(step);
+                prop_assert!(certificate(c, looser, &sched) <= cert, "u {} → {}", u, looser);
+            }
+
             let stop_at = rho * (1.0 - sched.eps_hat);
-            let certified = |c: u32| certificate(f64::from(c), &sched, rho) >= stop_at;
+            let certified = |c: u32| certificate(c, c, &sched) >= stop_at;
             // The smallest certified coverage, found by bisection, and its
             // neighbours: the crossing is where rounding could bite.
             let (mut lo, mut hi) = (0u32, u32::MAX);

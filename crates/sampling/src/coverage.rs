@@ -2,8 +2,25 @@
 //! Line 8) and the argmax shared with TRIM.
 //!
 //! The classic greedy algorithm guarantees covering at least
-//! `ρ_b = 1 − (1 − 1/b)^b` of the optimum for `b` picks (Vazirani 2003),
-//! which is the factor TRIM-B's stopping rule divides by.
+//! `ρ_b = 1 − (1 − 1/b)^b` of the optimum for `b` picks (Vazirani 2003).
+//! [`CoverageEngine::select`] also bounds the optimum from above, with the
+//! online bound of OPIM-C (Tang, Tang, Xiao, Yuan, SIGMOD 2018):
+//!
+//! ```text
+//! U = min over the greedy prefixes S_0 … S_b of
+//!     min(|R|, Λ_R(S_i) + the sum of the b largest marginals given S_i)
+//! ```
+//!
+//! Any `b` nodes add at most their `b` marginals to `S_i` (submodularity),
+//! so `U` bounds the best `b` nodes' coverage. The greedy's own `ρ_b`
+//! argument gives `ρ_b·U ≤ Λ_R(S_b)`, so `U` is never looser than the
+//! `Λ_R(S_b)/ρ_b` TRIM-B's Line 10 divides by. `U` costs no extra pass per
+//! pick: the walk that finds each pick already reads every live marginal,
+//! and keeps the `b` largest; one more walk after the last pick adds
+//! `S_b`'s term. The same marginals bound the coverage the call will end
+//! with — `Λ_R(S_i)` plus the `b − i` largest — so
+//! [`CoverageEngine::select_while`] can abandon a call as soon as that
+//! bound is too small to matter to its caller.
 //!
 //! All selection paths — TRIM's argmax, TRIM-B's `b`-pick greedy, and the
 //! bound-driven `select_until` loops of the non-adaptive baselines — share
@@ -22,9 +39,7 @@
 //! `b > 8`, `select_until`) builds the index once, at pick 9, as a
 //! counting-sort CSR transpose of the sets still uncovered (a prefix sum
 //! of the marginals, then a scatter of those set ids in set order) into
-//! buffers the engine keeps across calls. Before each call TRIM-B asks
-//! [`CoverageEngine::coverage_bound`] whether the greedy could certify at
-//! all, and doubles without it when not.
+//! buffers the engine keeps across calls.
 //!
 //! The hot paths run on word-parallel kernels: past the scanned picks,
 //! `commit_pick` batches newly covered sets 64 at a time against the
@@ -49,6 +64,11 @@ pub struct GreedyCover {
     pub seeds: Vec<NodeId>,
     /// Number of sets covered by `seeds`.
     pub covered: u32,
+    /// From [`CoverageEngine::select`]: OPIM-C's upper bound `U` on the
+    /// coverage of any `b` nodes (module docs), with
+    /// `covered ≤ upper ≤ covered/ρ_b`. [`CoverageEngine::select_until`],
+    /// which has no batch size, reports the trivial bound `|R|`.
+    pub upper: u32,
 }
 
 /// The shared tie-breaking rule as a two-candidate merge: `b` replaces `a`
@@ -127,12 +147,35 @@ pub(crate) fn best_node(nodes: &[NodeId], gain: &[u32]) -> Option<(NodeId, u32)>
     result
 }
 
+/// Keeps the `k` largest entries of `buf` (at least `k` long) and returns
+/// the smallest one kept.
+fn keep_largest(buf: &mut Vec<u32>, k: usize) -> u32 {
+    let cut = buf.len() - k;
+    buf.select_nth_unstable(cut);
+    buf.drain(..cut);
+    buf[0]
+}
+
 /// Compacting candidate scan behind every greedy pick: drops
 /// permanently-exhausted nodes (zero marginal — submodularity keeps them
 /// zero) out of `scan` in place while tracking the best candidate in four
 /// independent lanes, exactly like [`best_node`]. Returns the pick with
 /// the shared tie-breaking, or `None` when no live candidate remains.
-fn scan_best(scan: &mut Vec<NodeId>, gain: &[u32]) -> Option<(NodeId, u32)> {
+///
+/// The same walk leaves the `k` largest marginals in `top`, sorted
+/// ascending, zeros standing in for missing candidates. A marginal is
+/// buffered only when it beats the smallest one kept so far, and a full
+/// buffer of `2k` shrinks back to its `k` largest, so past the first few
+/// candidates this costs one compare each. With `k = 0` nothing is kept.
+fn scan_best(
+    scan: &mut Vec<NodeId>,
+    gain: &[u32],
+    k: usize,
+    top: &mut Vec<u32>,
+) -> Option<(NodeId, u32)> {
+    top.clear();
+    // smallest marginal kept so far: only a larger one can be among the k
+    let mut floor = if k == 0 { u32::MAX } else { 0 };
     let mut lanes = [NO_PICK; 4];
     let mut live = 0usize;
     let len = scan.len();
@@ -147,6 +190,12 @@ fn scan_best(scan: &mut Vec<NodeId>, gain: &[u32]) -> Option<(NodeId, u32)> {
                 scan[live] = v;
                 live += 1;
                 lanes[lane] = better(lanes[lane], (v, c));
+                if c > floor {
+                    top.push(c);
+                    if top.len() == 2 * k {
+                        floor = keep_largest(top, k);
+                    }
+                }
             }
         }
         r += 4;
@@ -158,10 +207,21 @@ fn scan_best(scan: &mut Vec<NodeId>, gain: &[u32]) -> Option<(NodeId, u32)> {
             scan[live] = v;
             live += 1;
             lanes[0] = better(lanes[0], (v, c));
+            if c > floor {
+                top.push(c);
+                if top.len() == 2 * k {
+                    floor = keep_largest(top, k);
+                }
+            }
         }
         r += 1;
     }
     scan.truncate(live);
+    if top.len() > k {
+        keep_largest(top, k);
+    }
+    top.resize(k, 0);
+    top.sort_unstable();
     let best = lanes.into_iter().fold(NO_PICK, better);
     (best.1 != 0).then_some(best)
 }
@@ -193,6 +253,9 @@ pub struct CoverageEngine {
     /// `(word index, mask)` batches of the pick being committed: the set-id
     /// list of the picked node compressed 64 ids per word.
     word_buf: Vec<(u32, u64)>,
+    /// The `b` largest marginals of the latest walk, for `U`, and the
+    /// buffer [`scan_best`] collects them in.
+    top: Vec<u32>,
 }
 
 impl CoverageEngine {
@@ -211,6 +274,7 @@ impl CoverageEngine {
             + self.node_sets.capacity() * size_of::<u32>()
             + self.scan.capacity() * size_of::<NodeId>()
             + self.word_buf.capacity() * size_of::<(u32, u64)>()
+            + self.top.capacity() * size_of::<u32>()
     }
 
     /// Starts a greedy run on `pool`: loads its coverage counts as the
@@ -289,29 +353,38 @@ impl CoverageEngine {
 
     /// The one greedy loop behind every selection: picks the live candidate
     /// with the largest marginal (shared tie-breaking) until
-    /// `done(picks, covered)` holds or coverage runs out. Each pick rescans
-    /// the live candidate list, compacting out nodes whose marginal dropped
-    /// to zero. A run of `k` picks costs `O(n + k·|live| + min(k, 8)·Σ|R|)`:
-    /// each scanned pick reads at most the whole member column, and a
-    /// longer run adds one `O(n + Σ|R|)` transpose build.
+    /// `done(picks, covered)` holds, `walked` declines or coverage runs
+    /// out. Each pick rescans the live candidate list, compacting out nodes
+    /// whose marginal dropped to zero and keeping the `top` largest
+    /// marginals; `walked(picks, covered, largest)` sees those, ascending,
+    /// before the pick is taken. A run of `k` picks costs
+    /// `O(n + k·|live| + min(k, 8)·Σ|R|)`: each scanned pick reads at most
+    /// the whole member column, and a longer run adds one `O(n + Σ|R|)`
+    /// transpose build.
     fn greedy(
         &mut self,
         pool: &SketchPool,
+        top: usize,
         mut done: impl FnMut(usize, u32) -> bool,
-    ) -> GreedyCover {
+        mut walked: impl FnMut(usize, u32, &[u32]) -> bool,
+    ) -> (Vec<NodeId>, u32) {
         self.begin(pool);
         let mut seeds = Vec::new();
         let mut covered = 0u32;
         while !done(seeds.len(), covered) {
             self.last_scanned += self.scan.len();
-            let Some((v, gain)) = scan_best(&mut self.scan, &self.marginal) else {
+            let best = scan_best(&mut self.scan, &self.marginal, top, &mut self.top);
+            if !walked(seeds.len(), covered, &self.top) {
+                break;
+            }
+            let Some((v, gain)) = best else {
                 break;
             };
             seeds.push(v);
             covered += gain;
             self.commit_pick(pool, v, seeds.len());
         }
-        GreedyCover { seeds, covered }
+        (seeds, covered)
     }
 
     /// Sets covered by the most recent selection, as a word-skipping
@@ -328,36 +401,48 @@ impl CoverageEngine {
     }
 
     /// Picks up to `b` nodes greedily maximizing marginal set coverage
-    /// (TRIM-B Line 8).
+    /// (TRIM-B Line 8), with OPIM-C's bound `U` on any `b` nodes' coverage
+    /// in [`GreedyCover::upper`].
     pub fn select(&mut self, pool: &SketchPool, b: usize) -> GreedyCover {
-        self.greedy(pool, |picks, _| picks >= b)
+        self.select_while(pool, b, |_| true)
+            .expect("a selection that always continues completes")
     }
 
-    /// An upper bound on the coverage of any `b` nodes, so
-    /// `coverage_bound(pool, b) ≥ select(pool, b).covered`: the sum of the
-    /// `b` largest `Λ_R(v)`, capped at `|R|`. A pick covers at most its own
-    /// count of sets, and no selection covers more sets than the pool holds.
-    ///
-    /// Costs O(touched) and no member scan. The counts are partitioned in the
-    /// marginal buffer, which the next greedy call reloads, so a warm
-    /// engine allocates nothing.
-    pub fn coverage_bound(&mut self, pool: &SketchPool, b: usize) -> u32 {
-        let touched = pool.touched_nodes();
-        let sum = if b == 0 {
-            0
-        } else if b >= touched.len() {
-            // every count, i.e. every membership in the pool
-            pool.total_size()
-        } else {
-            let counts = pool.coverage_counts();
-            let top = &mut self.marginal;
-            top.clear();
-            top.extend(touched.iter().map(|&v| counts[v as usize]));
-            let cut = top.len() - b;
-            top.select_nth_unstable(cut);
-            top[cut..].iter().map(|&c| c as usize).sum()
+    /// [`select`](Self::select) that may give up: before pick `i + 1` it
+    /// calls `go(bound)`, where `bound` is `Λ_R(S_i)` plus the `b − i`
+    /// largest marginals given `S_i`, capped at `|R|`. The remaining picks
+    /// add at most those marginals, so `bound` is at least the coverage the
+    /// call would end with; it never grows from one pick to the next. The
+    /// call returns `None` as soon as `go` returns false.
+    pub fn select_while(
+        &mut self,
+        pool: &SketchPool,
+        b: usize,
+        mut go: impl FnMut(u32) -> bool,
+    ) -> Option<GreedyCover> {
+        let sets = pool.len() as u64;
+        let bound = |covered: u32, largest: &[u32]| {
+            let sum: u64 = largest.iter().map(|&c| u64::from(c)).sum();
+            u32_of((u64::from(covered) + sum).min(sets) as usize)
         };
-        u32_of(sum.min(pool.len()))
+        let mut upper = u32::MAX;
+        let mut gave_up = false;
+        let (seeds, covered) = self.greedy(
+            pool,
+            b,
+            |_, _| false,
+            |picks, covered, largest| {
+                upper = upper.min(bound(covered, largest));
+                // past the last pick the walk only added S_b's term to U
+                gave_up = picks < b && !go(bound(covered, &largest[picks..]));
+                picks < b && !gave_up
+            },
+        );
+        (!gave_up).then_some(GreedyCover {
+            seeds,
+            covered,
+            upper,
+        })
     }
 
     /// Greedy picks until `bound(Λ(S))` reaches `target` or coverage runs
@@ -369,9 +454,14 @@ impl CoverageEngine {
         target: f64,
         bound: impl Fn(f64) -> f64,
     ) -> (GreedyCover, bool) {
-        let cover = self.greedy(pool, |_, covered| bound(f64::from(covered)) >= target);
-        let reached = bound(f64::from(cover.covered)) >= target;
-        (cover, reached)
+        let reached = |covered: u32| bound(f64::from(covered)) >= target;
+        let (seeds, covered) = self.greedy(pool, 0, |_, covered| reached(covered), |_, _, _| true);
+        let cover = GreedyCover {
+            seeds,
+            covered,
+            upper: u32_of(pool.len()),
+        };
+        (cover, reached(covered))
     }
 }
 

@@ -12,7 +12,8 @@
 //! * [`coverage`] — the shared [`CoverageEngine`](coverage::CoverageEngine):
 //!   one greedy loop behind TRIM's argmax, TRIM-B's batch selection, and the
 //!   bound-driven greedy of the non-adaptive baselines, with the
-//!   `ρ_b = 1 − (1−1/b)^b` guarantee. A greedy run's first 8 picks scan
+//!   `ρ_b = 1 − (1−1/b)^b` guarantee and OPIM-C's online upper bound on
+//!   the best batch's coverage. A greedy run's first 8 picks scan
 //!   the pool for their sets; a longer run builds the node→sets inverted
 //!   index of the uncovered sets once, as a CSR transpose;
 //! * [`bounds`] — the martingale concentration bounds of Appendix A

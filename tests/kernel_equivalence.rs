@@ -4,14 +4,17 @@
 //! scans, word-skipping bitset primitives) must be observationally
 //! identical to the obviously-correct scalar references —
 //! bit for bit, on arbitrary random inputs, including pool sizes that
-//! straddle the 64-bit word boundaries of the covered mask. The reverse BFS
-//! behind every sketch, which reads a shared in-probability per node where
-//! one exists, must likewise reproduce a per-edge reference sampler set for
-//! set, edge count for edge count, coin for coin.
+//! straddle the 64-bit word boundaries of the covered mask. OPIM-C's upper
+//! bound, which the greedy's candidate walks track, must equal a naive
+//! recomputation and bracket the best batch found by brute force. The
+//! reverse BFS behind every sketch, which reads a shared in-probability per
+//! node where one exists, must likewise reproduce a per-edge reference
+//! sampler set for set, edge count for edge count, coin for coin.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use seedmin::sampling::coverage::rho_b;
 use seedmin::sampling::{CoverageEngine, SketchPool};
 use smin_graph::{FixedBitSet, NodeId};
 
@@ -141,9 +144,14 @@ impl ScalarGreedy {
         best
     }
 
-    /// Greedy until `b` picks or `stop(covered)` says done; returns
-    /// (seeds, covered, stopped_by_target).
-    fn greedy(&self, b: usize, stop: impl Fn(u32) -> bool) -> (Vec<NodeId>, u32, bool) {
+    /// Greedy until `b` picks or `stop(covered, marginals)` says done;
+    /// returns (seeds, covered, stopped_by_target). `stop` sees every
+    /// prefix, the last one included.
+    fn greedy(
+        &self,
+        b: usize,
+        mut stop: impl FnMut(u32, &[u32]) -> bool,
+    ) -> (Vec<NodeId>, u32, bool) {
         let mut marginal: Vec<u32> = (0..self.n)
             .map(|v| self.node_sets[v].len() as u32)
             .collect();
@@ -151,7 +159,7 @@ impl ScalarGreedy {
         let mut seeds = Vec::new();
         let mut covered = 0u32;
         loop {
-            if stop(covered) {
+            if stop(covered, &marginal) {
                 return (seeds, covered, true);
             }
             if seeds.len() == b {
@@ -178,6 +186,21 @@ impl ScalarGreedy {
                 }
             }
         }
+    }
+
+    /// OPIM-C's bound the slow way: at every greedy prefix `S_i`, `Λ(S_i)`
+    /// plus the `b` largest marginals, capped at `|R|`; the smallest.
+    fn upper(&self, b: usize) -> u32 {
+        let mut upper = u32::MAX;
+        self.greedy(b, |covered, marginal| {
+            let mut sorted = marginal.to_vec();
+            sorted.sort_unstable_by(|x, y| y.cmp(x));
+            let top: u64 = sorted.iter().take(b).map(|&c| u64::from(c)).sum();
+            let bound = (u64::from(covered) + top).min(self.sets.len() as u64);
+            upper = upper.min(bound as u32);
+            false
+        });
+        upper
     }
 }
 
@@ -224,17 +247,18 @@ proptest! {
         prop_assert_eq!(engine.argmax(&pool), reference.argmax());
 
         for b in [1usize, 2, 7, 8, 9, 16, 63, 64, 65, 200] {
-            let (seeds, covered, _) = reference.greedy(b, |_| false);
+            let (seeds, covered, _) = reference.greedy(b, |_, _| false);
             let got = engine.select(&pool, b);
             prop_assert_eq!(&got.seeds, &seeds);
             prop_assert_eq!(got.covered, covered);
+            prop_assert_eq!(got.upper, reference.upper(b));
             // every covered set the kernels marked is genuinely covered
             prop_assert_eq!(engine.covered_sets().count(), covered as usize);
         }
 
         for target in [0.0, 1.0, 16.0, 64.0, 1e9] {
             let (seeds, covered, reached) =
-                reference.greedy(usize::MAX, |c| f64::from(c) >= target);
+                reference.greedy(usize::MAX, |c, _| f64::from(c) >= target);
             let (got, got_reached) = engine.select_until(&pool, target, |c| c);
             prop_assert_eq!(&got.seeds, &seeds);
             prop_assert_eq!(got.covered, covered);
@@ -289,7 +313,7 @@ fn engine_matches_scalar_greedy_on_bench_scale_pools() {
         }
         let reference = ScalarGreedy::new(n, sets);
         for b in [1usize, 2, 4, 8, 9, 32, 64] {
-            let (seeds, covered, _) = reference.greedy(b, |_| false);
+            let (seeds, covered, _) = reference.greedy(b, |_, _| false);
             let got = engine.select(&pool, b);
             assert_eq!(got.seeds, seeds, "{size} sets, b = {b}");
             assert_eq!(got.covered, covered, "{size} sets, b = {b}");
@@ -298,33 +322,84 @@ fn engine_matches_scalar_greedy_on_bench_scale_pools() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Strategy: pools of at most 10 nodes and 40 sets, each pool with its own
+/// set density, small enough to find the best batch by brute force.
+fn small_pools() -> impl Strategy<Value = (usize, Vec<Vec<NodeId>>)> {
+    (1usize..11, 0u64..10_000).prop_map(|(n, seed)| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let density = rng.random_range(1..=6u32);
+        let sets = (0..rng.random_range(0..=40usize))
+            .map(|_| {
+                let mut s: Vec<NodeId> = (0..n as u32)
+                    .filter(|_| rng.random_range(0..10u32) < density)
+                    .collect();
+                for i in (1..s.len()).rev() {
+                    s.swap(i, rng.random_range(0..i + 1));
+                }
+                s
+            })
+            .collect();
+        (n, sets)
+    })
+}
 
-    /// `coverage_bound` is the sum of the `b` largest counts capped at
-    /// `|R|`, and never below what the greedy covers: TRIM-B skips a greedy
-    /// call on it.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// OPIM-C's bound `U` from `select`, for b ∈ 1..=4: at least the best
+    /// `b` nodes' coverage (brute force over every subset); between the
+    /// greedy's coverage `c` and the `b` largest counts capped at `|R|`;
+    /// at most `c/ρ_b`; and equal to the naive bound. `select_while`'s
+    /// bound before each pick starts at the `b` largest counts capped at
+    /// `|R|`, never grows, and never drops below `c`; the call returns
+    /// `None` as soon as `go` declines.
     #[test]
-    fn coverage_bound_dominates_greedy((n, sets) in random_pools()) {
+    fn opim_bound_brackets_the_best_batch((n, sets) in small_pools()) {
         let mut pool = SketchPool::new(n);
         for s in &sets {
             pool.add_set(s);
         }
-        let mut counts: Vec<u32> = pool.coverage_counts().to_vec();
+        let masks: Vec<u16> = sets
+            .iter()
+            .map(|s| s.iter().fold(0u16, |m, &v| m | 1 << v))
+            .collect();
+        let coverage = |nodes: u16| masks.iter().filter(|&&m| m & nodes != 0).count() as u32;
+        let mut counts = pool.coverage_counts().to_vec();
         counts.sort_unstable_by(|a, b| b.cmp(a));
+        let reference = ScalarGreedy::new(n, &sets);
         let mut engine = CoverageEngine::new();
-        for b in [0usize, 1, 2, 3, 7, 8, 16, 63, 64, 200] {
-            let top: u32 = counts.iter().take(b).sum();
-            let bound = engine.coverage_bound(&pool, b);
-            prop_assert_eq!(bound, top.min(pool.len() as u32));
-            let greedy = engine.select(&pool, b);
-            prop_assert!(bound >= greedy.covered, "b = {}: {} < {}", b, bound, greedy.covered);
-            // On a warm engine the bound allocates nothing and leaves the
-            // next selection untouched.
-            let warm = engine.heap_bytes();
-            engine.coverage_bound(&pool, b);
-            prop_assert_eq!(engine.heap_bytes(), warm);
-            prop_assert_eq!(engine.select(&pool, b), greedy);
+        for b in 1..=4usize {
+            let best = (0u16..1 << n)
+                .filter(|m| m.count_ones() as usize <= b)
+                .map(coverage)
+                .max()
+                .unwrap();
+            let cover = engine.select(&pool, b);
+            let (c, u) = (cover.covered, cover.upper);
+            let counts_bound = counts.iter().take(b).sum::<u32>().min(sets.len() as u32);
+            prop_assert!(u >= best, "b = {}: U = {} < best {}", b, u, best);
+            prop_assert!(c <= u && u <= counts_bound, "b = {}: {} {} {}", b, c, u, counts_bound);
+            prop_assert!(rho_b(b) * f64::from(u) <= f64::from(c) + 1e-9, "b = {}: {} {}", b, c, u);
+            prop_assert_eq!(u, reference.upper(b));
+
+            let mut bounds = Vec::new();
+            let again = engine.select_while(&pool, b, |bound| {
+                bounds.push(bound);
+                true
+            });
+            prop_assert_eq!(again.as_ref(), Some(&cover));
+            prop_assert_eq!(bounds[0], counts_bound);
+            prop_assert!(bounds.windows(2).all(|w| w[1] <= w[0]), "{:?}", bounds);
+            prop_assert!(bounds.iter().all(|&bound| bound >= c), "{:?} < {}", bounds, c);
+            for k in 0..bounds.len() {
+                let mut asked = 0;
+                let abandoned = engine.select_while(&pool, b, |_| {
+                    asked += 1;
+                    asked <= k
+                });
+                prop_assert!(abandoned.is_none());
+                prop_assert_eq!(asked, k + 1);
+            }
         }
     }
 }

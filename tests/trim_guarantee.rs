@@ -80,42 +80,58 @@ fn trim_selection_meets_guarantee_with_margin() {
     );
 }
 
+/// Every `b`-subset of `0..n`, in lexicographic order.
+fn batches(n: u32, b: usize) -> Vec<Vec<u32>> {
+    if b == 0 {
+        return vec![Vec::new()];
+    }
+    (0..n)
+        .flat_map(|last| {
+            batches(last, b - 1).into_iter().map(move |mut batch| {
+                batch.push(last);
+                batch
+            })
+        })
+        .collect()
+}
+
 #[test]
 fn trim_b_selection_meets_batch_guarantee() {
     let eps = 0.3;
-    let b = 2usize;
     let params = TrimParams::with_eps(eps);
-    let factor = rho_b(b) * (1.0 - 1.0 / std::f64::consts::E) * (1.0 - eps);
     let mut violations = 0usize;
     let mut total = 0usize;
     let lt_graphs = lt_instances();
     assert!(lt_graphs.iter().all(Graph::is_valid_lt));
-    for (model, graphs) in [(Model::IC, instances()), (Model::LT, lt_graphs)] {
-        for (gi, g) in graphs.iter().enumerate() {
-            let n = g.n() as u32;
-            for eta in [3usize, 5] {
-                // exhaustive optimum over all size-2 batches
-                let mut opt = f64::MIN;
-                for u in 0..n {
-                    for v in (u + 1)..n {
-                        opt = opt.max(exact_expected_truncated(g, model, &[u, v], eta));
-                    }
-                }
-                for run in 0..4u64 {
-                    let residual = ResidualState::new(g.n());
-                    let mut scratch = TrimScratch::new(g.n());
-                    let mut rng = SmallRng::seed_from_u64(run * 17 + gi as u64);
-                    let out = trim_b(g, model, &residual, eta, b, &params, &mut scratch, &mut rng)
-                        .unwrap();
-                    let achieved = exact_expected_truncated(g, model, &out.seeds, eta);
-                    total += 1;
-                    if achieved < factor * opt - 1e-9 {
-                        violations += 1;
+    for b in [2usize, 3] {
+        let factor = rho_b(b) * (1.0 - 1.0 / std::f64::consts::E) * (1.0 - eps);
+        for (model, graphs) in [(Model::IC, instances()), (Model::LT, lt_graphs.clone())] {
+            for (gi, g) in graphs.iter().enumerate() {
+                let all = batches(g.n() as u32, b);
+                for eta in [3usize, 5] {
+                    // exhaustive optimum over all size-b batches
+                    let opt = all
+                        .iter()
+                        .map(|batch| exact_expected_truncated(g, model, batch, eta))
+                        .fold(f64::MIN, f64::max);
+                    for run in 0..4u64 {
+                        let residual = ResidualState::new(g.n());
+                        let mut scratch = TrimScratch::new(g.n());
+                        let mut rng = SmallRng::seed_from_u64(run * 17 + gi as u64);
+                        let out =
+                            trim_b(g, model, &residual, eta, b, &params, &mut scratch, &mut rng)
+                                .unwrap();
+                        let achieved = exact_expected_truncated(g, model, &out.seeds, eta);
+                        total += 1;
+                        if achieved < factor * opt - 1e-9 {
+                            violations += 1;
+                        }
                     }
                 }
             }
         }
     }
+    assert_eq!(total, 160);
     assert!(
         violations == 0,
         "{violations}/{total} TRIM-B selections below the ρ_b(1−1/e)(1−ε) guarantee"
