@@ -15,7 +15,7 @@
 //!   - `rounding`: mRR sampling under the three §3.3 root-count roundings;
 //!   - `sampling`: single mRR sets, IC and LT at η ∈ {20, 100, 400}, plus
 //!     one IC row on a trivalency copy of the graph;
-//!   - `sketch_gen`: one TRIM doubling's 4 096-set `SketchGenPool` batch at
+//!   - `sketch_gen`: one 4 096-set `SketchGenPool` batch at
 //!     t ∈ {1, 2, 4, 8} × η ∈ {20, 100}. Sketch generation is the dominant
 //!     cost of every campaign (Lemma 3.8's EPT), and the batch is
 //!     bit-identical across t, so the thread axis is pure speedup;
@@ -330,7 +330,7 @@ fn run(args: &PerfArgs) -> Result<(), String> {
 /// One full TRIM round (Algorithm 2) and one TRIM-B round (Algorithm 3,
 /// b ∈ {2, 8}) under IC, plus the TRIM-B rounds under LT, on the bench
 /// graph, across sketch-generation thread counts. Every iteration reseeds,
-/// so it repeats the same round: how many doublings a round takes depends
+/// so it repeats the same round: how many checks a round takes depends
 /// on its draws, and a run continuing one stream would time a different
 /// mix of rounds at 5 iterations than at 9. Selections are bit-identical
 /// across the sweep, so the thread axis isolates wall-clock speedup.
@@ -490,7 +490,7 @@ fn time_sampling(wc: &Graph, iters: usize) -> Vec<String> {
     rows
 }
 
-/// Sets per `sketch_gen` batch: one TRIM doubling's worth.
+/// Sets per `sketch_gen` batch: a mid-round growth step's worth.
 const GEN_BATCH: usize = 4_096;
 
 /// One `GEN_BATCH`-set IC batch through the `SketchGenPool` worker pool,

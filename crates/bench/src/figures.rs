@@ -3,7 +3,7 @@
 
 use crate::args::Args;
 use crate::datasets::{build_dataset, dataset_specs, DatasetSpec};
-use crate::harness::{run_algo, sample_realizations, Algo, RunResult};
+use crate::harness::{run_algo, sample_realizations, Algo, RunResult, FIGURE_THREADS};
 use crate::table::{format_table, na_or};
 use smin_diffusion::Model;
 
@@ -118,7 +118,7 @@ pub fn run_figure(
     algos: &[Algo],
 ) -> Vec<RunResult> {
     println!(
-        "== {title} [{} tier, {} realizations, ε = {}] ==",
+        "== {title} [{} tier, {} realizations, ε = {}, threads = {FIGURE_THREADS}] ==",
         args.tier,
         args.num_realizations(),
         args.eps

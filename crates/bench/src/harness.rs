@@ -110,6 +110,20 @@ pub fn sample_realizations(
         .collect()
 }
 
+/// Sketch-generation threads of every ASTI run here. AdaptIM and ATEUC
+/// always sample on one thread, so the running-time figures (5 and 7)
+/// compare every algorithm at this one count. ASTI's seeds are the same
+/// for every thread count.
+pub const FIGURE_THREADS: usize = 1;
+
+/// ASTI-`b`'s parameters in the figures: `ε`, batch `b`, and
+/// [`FIGURE_THREADS`] sketch threads.
+fn asti_params(eps: f64, b: usize) -> AstiParams {
+    let mut params = AstiParams::batched(eps, b);
+    params.trim.threads = Some(FIGURE_THREADS);
+    params
+}
+
 /// Runs one algorithm at one threshold over the realization batch.
 #[allow(clippy::too_many_arguments)]
 pub fn run_algo(
@@ -126,7 +140,7 @@ pub fn run_algo(
     let mut per = Vec::with_capacity(realizations.len());
     match algo {
         Algo::Asti { b } => {
-            let params = AstiParams::batched(eps, b);
+            let params = asti_params(eps, b);
             for (r, phi) in realizations.iter().enumerate() {
                 let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(77 * r as u64 + 1));
                 let mut oracle = RealizationOracle::new(g, phi.clone());
@@ -226,6 +240,18 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let pairs = chung_lu_directed(300, 1500, 2.1, &mut rng);
         assemble(300, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap()
+    }
+
+    /// ASTI runs on the baselines' one thread, whatever `SMIN_THREADS` or
+    /// the core count say.
+    #[test]
+    fn asti_runs_on_one_stated_thread() {
+        assert_eq!(FIGURE_THREADS, 1);
+        for b in [1, 2, 4, 8] {
+            let params = asti_params(0.5, b);
+            assert_eq!(params.trim.threads, Some(FIGURE_THREADS), "b = {b}");
+            assert_eq!(params.batch, b);
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::error::AsmError;
 use crate::report::{AstiReport, RoundReport};
-use crate::trim::{schedule, TrimScratch};
+use crate::trim::{schedule, TrimScratch, DOUBLING};
 use rand::Rng;
 use smin_diffusion::{InfluenceOracle, Model, ResidualState};
 use smin_graph::cast::u32_of;
@@ -142,6 +142,7 @@ fn select_max_spread(
         1.0,
         (n_i as f64).ln(),
         params.theta_cap,
+        DOUBLING,
     );
 
     let TrimScratch {
@@ -204,9 +205,8 @@ fn select_max_spread(
             let est = n_i as f64 * coverage as f64 / pool.len() as f64;
             return (node, pool.len(), est);
         }
-        let target = (pool.len() * 2).min(sched.theta_max);
         grow_to(
-            target,
+            sched.next(pool.len()),
             g,
             model,
             pool,
@@ -323,6 +323,44 @@ mod tests {
             adapt_report.total_sets,
             trim_report.total_sets
         );
+    }
+
+    /// AdaptIM keeps the paper's doubling: every round stops at θ◦·2^k
+    /// sets, or at θ_max, of its own Line 1–5 schedule, and some rounds
+    /// stop past the first check, so the growth factor shows.
+    #[test]
+    fn rounds_stop_on_the_doubling_walk() {
+        let mut rng = SmallRng::seed_from_u64(4);
+        let pairs = smin_graph::generators::chung_lu_directed(400, 1600, 2.1, &mut rng);
+        let g = smin_graph::generators::assemble(
+            400,
+            &pairs,
+            true,
+            smin_graph::WeightModel::WeightedCascade,
+            &mut rng,
+        )
+        .unwrap();
+        let params = AdaptImParams::with_eps(0.5);
+        let mut grown = 0;
+        for seed in 0..3u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let phi = Realization::sample(&g, Model::IC, &mut rng);
+            let mut oracle = RealizationOracle::new(&g, phi);
+            let report = adapt_im(&g, Model::IC, 40, &params, &mut oracle, &mut rng).unwrap();
+            for r in &report.rounds {
+                let n_i = r.n_alive;
+                let sched = schedule(n_i, n_i, 0.5, 1, 1.0, (n_i as f64).ln(), None, DOUBLING);
+                let on_walk = (0..sched.t_max)
+                    .any(|k| (sched.theta0 << k).min(sched.theta_max) == r.sets_generated);
+                assert!(
+                    on_walk,
+                    "seed {seed}: {} sets, θ◦ {}",
+                    r.sets_generated, sched.theta0
+                );
+                grown += usize::from(r.sets_generated > sched.theta0);
+            }
+        }
+        assert!(grown > 0, "every round stopped at its first check");
     }
 
     #[test]

@@ -494,13 +494,15 @@ mod tests {
     }
 
     /// ASTI-8 rounds report TRIM-B's statistics: each certificate reaches
-    /// `ρ_b(1 − ε̂)` unless the round ended at `T` or `θ_max`, and `U` lies
-    /// between the coverage and coverage/`ρ_b`. ASTI's TRIM rounds report
-    /// `U` = coverage and no greedy call; AdaptIM's rounds report none.
+    /// `ρ_b(1 − ε̂)` unless the round ended at `T` or `θ_max` (of the
+    /// schedule with that algorithm's own growth), and `U` lies between the
+    /// coverage and coverage/`ρ_b`. ASTI's TRIM rounds report `U` =
+    /// coverage and no greedy call; `η_i = 1` rounds sample nothing and
+    /// report certificate 1; AdaptIM's rounds report none.
     #[test]
     fn round_statistics_certify_unless_the_budget_ran_out() {
         use crate::adapt_im::{adapt_im, AdaptImParams};
-        use crate::trim::schedule;
+        use crate::trim::{schedule, DOUBLING, TRIM_GROWTH};
         use crate::trim_b::ln_binomial;
         use smin_sampling::coverage::rho_b;
 
@@ -527,6 +529,14 @@ mod tests {
                 let stats = r.trim.expect("every ASTI round runs TRIM or TRIM-B");
                 let b = batch.min(r.n_alive);
                 let rho = rho_b(b);
+                if r.eta_i == 1 {
+                    assert_eq!(r.sets_generated, 0, "{case}");
+                    assert_eq!((stats.iterations, stats.greedy_calls), (0, 0), "{case}");
+                    assert_eq!((stats.certificate, r.est_truncated_spread), (1.0, 1.0));
+                    assert_eq!(r.seeds.len(), 1, "{case}");
+                    continue;
+                }
+                let growth = if batch == 1 { TRIM_GROWTH } else { DOUBLING };
                 let sched = schedule(
                     r.n_alive,
                     r.eta_i,
@@ -535,6 +545,7 @@ mod tests {
                     rho,
                     ln_binomial(r.n_alive, b),
                     params.trim.theta_cap,
+                    growth,
                 );
                 if stats.certificate >= rho * (1.0 - sched.eps_hat) {
                     certified += 1;

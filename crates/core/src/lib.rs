@@ -3,7 +3,8 @@
 //! The paper's algorithms:
 //!
 //! * [`trim()`](trim::trim) — TRIM (Algorithm 2): `(1 − 1/e)(1 − ε)`-approximate truncated
-//!   influence maximization via mRR sets with OPIM-C-style doubling;
+//!   influence maximization via mRR sets, checking its certificate as the
+//!   sample grows ×1.25 (the paper doubles);
 //! * [`trim_b()`](trim_b::trim_b) — TRIM-B (Algorithm 3): the batched variant selecting `b`
 //!   seeds per round via greedy maximum coverage
 //!   (`ρ_b (1 − 1/e)(1 − ε)`-approximate);

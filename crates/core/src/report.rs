@@ -29,7 +29,8 @@ pub struct RoundReport {
 /// One TRIM (Algorithm 2) or TRIM-B (Algorithm 3) round's statistics.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrimStats {
-    /// Doubling iterations used (`≤ T`).
+    /// Certificate checks made (`≤ T`); 0 on the `η_i = 1` path, which
+    /// answers without sampling.
     pub iterations: usize,
     /// `Λˡ/Λᵘ` at termination: at least the target (`1 − ε̂` for TRIM,
     /// `ρ_b(1 − ε̂)` for TRIM-B) unless the round ended at `T` or `θ_max`.

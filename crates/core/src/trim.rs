@@ -5,18 +5,67 @@
 //! approximation of the best possible (Lemma 3.6), using
 //! `O(η_i ln n_i / (ε² OPT_i))` mRR sets in expectation (Lemma 3.9).
 //!
-//! Structure follows the pseudo-code line by line:
+//! Structure follows the pseudo-code line by line, with the sample growing
+//! by a factor `g` between certificate checks instead of doubling:
 //!
 //! ```text
 //! 1  δ ← ε/(100(1−1/e)(1−ε)η_i),  ε̂ ← 99ε/(100−ε)
 //! 2  θ_max ← 2n_i(√ln(6/δ) + √(ln n_i + ln(6/δ)))² ε̂⁻²
 //! 3  θ◦ ← θ_max ε̂²/n_i
-//! 4  T ← ⌈log₂(θ_max/θ◦)⌉ + 1
+//! 4  T ← the number of sizes in the walk θ◦, next(θ◦), …, θ_max, where
+//!       next(r) = min(θ_max, max(r + 1, ⌈g·r⌉));
+//!       at g = 2 this is the paper's ⌈log₂(θ_max/θ◦)⌉ + 1
 //! 5  a₁ ← ln(3T/δ) + ln n_i,  a₂ ← ln(3T/δ)
 //! 6  generate θ◦ mRR sets
 //! 7  repeat ≤ T times: take v* = argmax Λ_R, compute Λˡ(v*), Λᵘ(v◦);
-//!    stop when Λˡ/Λᵘ ≥ 1 − ε̂ (or t = T), else double |R|
+//!    stop when Λˡ/Λᵘ ≥ 1 − ε̂ (or t = T), else grow |R| to next(|R|)
 //! ```
+//!
+//! # Why `T` counts checks
+//!
+//! Lemma 3.6 bounds the failure probability by a union bound: at each of
+//! the `T` checks, `Λˡ` and `Λᵘ` each fail with probability at most
+//! `δ/(3T)` (that is what Line 5's `a₁` and `a₂` buy), and `θ_max` sets
+//! fail with probability at most `δ/3`. The bound holds at any sample size
+//! fixed before sampling starts, so it does not care how far apart the
+//! checks are, only how many there are. The walk is deterministic given
+//! `θ◦` and `θ_max`, and `T` counts every size on it, so the union covers
+//! every check a round can make. `θ◦`, `θ_max`, `δ`, `ε̂`, Line 7's
+//! threshold and Theorem 3.7's ratio are unchanged; only `a₁` and `a₂`
+//! grow, by `ln` of the ratio of the two `T`s. Each set's RNG stream is
+//! `base_seed ^ index`, so every schedule builds a prefix of the same set
+//! sequence: `g` decides only where the certificate is checked.
+//!
+//! TRIM checks at `g = 1.25` ([`TRIM_GROWTH`]). A check is one argmax over
+//! the touched nodes, far cheaper than the sets it saves: a round stops at
+//! most 1.25× past the sample its certificate needed, instead of 2×. On
+//! `campaign-ic`'s first round (θ◦ = 143, θ_max = 8 722 416) `T` goes
+//! 17 → 51, `a₁` 25.03 → 26.13 and `a₂` 15.40 → 16.50.
+//!
+//! TRIM-B and AdaptIM keep doubling ([`DOUBLING`]):
+//!
+//! * a TRIM-B check is a greedy call. A prototype with TRIM-B at
+//!   `g = 1.25` on `campaign-lt-b8` drew 8 397.6 sets per campaign instead
+//!   of 9 602.7, but its coverage time rose 5.8 → 8.6 ms, and untraced runs
+//!   read `p50_ms` +4–7% and `setup_s` +21–33%. A pair of runs with
+//!   identical selections on both sides read +12.8%, so the comparison is
+//!   unresolved and doubling stays;
+//! * AdaptIM is the paper's published baseline, and Figs. 4–7 compare
+//!   against it as published.
+//!
+//! # A shortfall of one
+//!
+//! At `η_i = 1`, [`smin_sampling::sample_root_count`] gives `k = n_i` for
+//! every [`RootCountDist`](smin_sampling::RootCountDist), so every mRR set
+//! is the whole residual graph and every alive node covers every set. The
+//! argmax's tie-break then returns the smallest alive id, and so does
+//! TRIM-B's greedy, which stops after that pick because nothing is left
+//! uncovered. That node is an exact optimum: `Γ(v) = min(I(v), 1) = 1` for
+//! every alive `v`. So both return it without sampling
+//! ([`shortfall_of_one`]): the round reports 0 sets, 0 checks, certificate
+//! 1 and estimate 1, and still draws its base seed, so the caller's RNG
+//! advances as before and the selection is bit-identical to the sampled
+//! one.
 
 use crate::error::AsmError;
 use crate::params::TrimParams;
@@ -38,7 +87,7 @@ pub struct TrimOutput {
     pub coverage: u32,
     /// `|R|` at termination.
     pub sets_generated: usize,
-    /// Doubling iterations used (`≤ T`).
+    /// Certificate checks made (`≤ T`); 0 on the `η_i = 1` path.
     pub iterations: usize,
     /// Unbiased-side estimate `η_i · Λ_R(v*)/|R|` of `E[Γ̃(v* | S_{i−1})]`.
     pub est_truncated_spread: f64,
@@ -125,7 +174,14 @@ impl TrimScratch {
     }
 }
 
-/// Derived schedule shared by TRIM and TRIM-B.
+/// TRIM's sample growth between certificate checks (module docs).
+pub(crate) const TRIM_GROWTH: f64 = 1.25;
+
+/// The paper's growth between checks, kept by TRIM-B and AdaptIM (module
+/// docs).
+pub(crate) const DOUBLING: f64 = 2.0;
+
+/// Derived schedule shared by TRIM, TRIM-B and AdaptIM.
 pub(crate) struct Schedule {
     pub theta_max: usize,
     pub theta0: usize,
@@ -133,6 +189,20 @@ pub(crate) struct Schedule {
     pub a1: f64,
     pub a2: f64,
     pub eps_hat: f64,
+    pub growth: f64,
+}
+
+impl Schedule {
+    /// Line 7's step: the pool size at the check after one at `len` sets.
+    pub fn next(&self, len: usize) -> usize {
+        grow(len, self.growth, self.theta_max)
+    }
+}
+
+/// `min(θ_max, max(len + 1, ⌈g·len⌉))`.
+fn grow(len: usize, growth: f64, theta_max: usize) -> usize {
+    let grown = (growth * len as f64).ceil() as usize;
+    grown.max(len + 1).min(theta_max)
 }
 
 pub(crate) fn one_minus_inv_e() -> f64 {
@@ -140,7 +210,9 @@ pub(crate) fn one_minus_inv_e() -> f64 {
 }
 
 /// Lines 1–5 of Algorithm 2 (with `ln_choose = ln n_i`, `b = 1`, `ρ_b = 1`)
-/// and of Algorithm 3 (general values).
+/// and of Algorithm 3 (general values), for checks every ×`growth`. `T` is
+/// counted by walking [`Schedule::next`] from `θ◦` to `θ_max`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn schedule(
     n_i: usize,
     eta_i: usize,
@@ -149,6 +221,7 @@ pub(crate) fn schedule(
     rho_b: f64,
     ln_choose: f64,
     theta_cap: Option<usize>,
+    growth: f64,
 ) -> Schedule {
     let n_f = n_i as f64;
     let delta = eps / (100.0 * one_minus_inv_e() * (1.0 - eps) * eta_i as f64);
@@ -164,16 +237,38 @@ pub(crate) fn schedule(
         theta_max = theta_max.min(cap.max(1));
         theta0 = theta0.min(theta_max);
     }
-    let t_max = ((theta_max as f64 / theta0 as f64).log2().ceil() as usize) + 1;
-    let t_f = t_max as f64;
+    let (mut t_max, mut len) = (1, theta0);
+    while len < theta_max {
+        len = grow(len, growth, theta_max);
+        t_max += 1;
+    }
+    let ln_3t_delta = (3.0 * t_max as f64 / delta).ln();
     Schedule {
         theta_max,
         theta0,
         t_max,
-        a1: (3.0 * t_f / delta).ln() + ln_choose,
-        a2: (3.0 * t_f / delta).ln(),
+        a1: ln_3t_delta + ln_choose,
+        a2: ln_3t_delta,
         eps_hat,
+        growth,
     }
+}
+
+/// The `η_i = 1` round of TRIM and TRIM-B (module docs): draws the round's
+/// base seed, as a sampled round would, empties the pool, and returns the
+/// smallest alive id, which is an exact optimum. `None` when `η_i > 1`.
+pub(crate) fn shortfall_of_one(
+    residual: &ResidualState,
+    eta_i: usize,
+    scratch: &mut TrimScratch,
+    rng: &mut impl Rng,
+) -> Option<NodeId> {
+    if eta_i != 1 {
+        return None;
+    }
+    rng.next_u64();
+    scratch.pool.reset();
+    residual.alive_nodes().iter().copied().min()
 }
 
 /// Runs one round of TRIM on the residual graph.
@@ -199,6 +294,17 @@ pub fn trim(
         return Err(AsmError::EmptyGraph);
     }
     assert!(eta_i >= 1, "TRIM requires a positive shortfall");
+    if let Some(node) = shortfall_of_one(residual, eta_i, scratch, rng) {
+        return Ok(TrimOutput {
+            node,
+            coverage: 0,
+            sets_generated: 0,
+            iterations: 0,
+            est_truncated_spread: 1.0,
+            certificate: 1.0,
+            edges_examined: 0,
+        });
+    }
 
     let sched = schedule(
         n_i,
@@ -208,6 +314,7 @@ pub fn trim(
         1.0,
         (n_i as f64).ln(),
         params.theta_cap,
+        TRIM_GROWTH,
     );
 
     let threads = resolve_threads(params.threads);
@@ -262,10 +369,9 @@ pub fn trim(
                 edges_examined,
             });
         }
-        let target = (pool.len() * 2).min(sched.theta_max);
         let _span = smin_obs::Span::enter(&mut stage.sketch);
         edges_examined += sketch_gen
-            .generate(&job, target, threads, pool)
+            .generate(&job, sched.next(pool.len()), threads, pool)
             .edges_examined;
     }
 }
@@ -273,9 +379,12 @@ pub fn trim(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trim_b::ln_binomial;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use smin_graph::GraphBuilder;
+    use smin_sampling::coverage::rho_b;
 
     /// Figure 2 graph of Example 2.3 (v1=0, v2=1, v3=2, v4=3).
     fn figure2() -> Graph {
@@ -426,20 +535,177 @@ mod tests {
         ));
     }
 
+    /// Lines 1–5 at the paper's doubling, and at TRIM's ×1.25 with `a₁`
+    /// and `a₂` taken from the counted `T`. Only `T` and the `a`s differ.
     #[test]
     fn schedule_matches_paper_formulas() {
-        let s = schedule(1000, 100, 0.5, 1, 1.0, (1000.0f64).ln(), None);
+        let ln_n = (1000.0f64).ln();
         let delta = 0.5 / (100.0 * one_minus_inv_e() * 0.5 * 100.0);
         let eps_hat = 99.0 * 0.5 / 99.5;
         let ln6d = (6.0 / delta).ln();
         let expected_theta_max =
-            2.0 * 1000.0 * (ln6d.sqrt() + ((1000.0f64).ln() + ln6d).sqrt()).powi(2)
-                / (eps_hat * eps_hat);
-        assert_eq!(s.theta_max, expected_theta_max.ceil() as usize);
-        assert!((s.eps_hat - eps_hat).abs() < 1e-12);
+            2.0 * 1000.0 * (ln6d.sqrt() + (ln_n + ln6d).sqrt()).powi(2) / (eps_hat * eps_hat);
         let expected_theta0 = expected_theta_max * eps_hat * eps_hat / 1000.0;
-        assert_eq!(s.theta0, expected_theta0.ceil() as usize);
-        assert!(s.a1 > s.a2);
+        let (theta_max, theta0) = (
+            expected_theta_max.ceil() as usize,
+            expected_theta0.ceil() as usize,
+        );
+        let paper_t = (theta_max as f64 / theta0 as f64).log2().ceil() as usize + 1;
+        // Walking ⌈1.25·r⌉ (or r + 1) from θ◦ until it reaches θ_max.
+        let mut trim_t = 1;
+        let mut r = theta0;
+        while r < theta_max {
+            r = (r + r.div_ceil(4)).max(r + 1).min(theta_max);
+            trim_t += 1;
+        }
+        assert!(
+            trim_t > paper_t,
+            "{trim_t} checks at ×1.25, {paper_t} at ×2"
+        );
+        for (growth, t) in [(DOUBLING, paper_t), (TRIM_GROWTH, trim_t)] {
+            let s = schedule(1000, 100, 0.5, 1, 1.0, ln_n, None, growth);
+            assert_eq!(s.theta_max, theta_max);
+            assert!((s.eps_hat - eps_hat).abs() < 1e-12);
+            assert_eq!(s.theta0, theta0);
+            assert_eq!(s.t_max, t, "g = {growth}");
+            let a2 = (3.0 * t as f64 / delta).ln();
+            assert!((s.a2 - a2).abs() < 1e-12, "g = {growth}");
+            assert!((s.a1 - (a2 + ln_n)).abs() < 1e-12, "g = {growth}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// `T` is the number of checks Line 7 can make: walking `next` from
+        /// θ◦ reaches θ_max in exactly `T − 1` steps, each step grows by at
+        /// least ×g and by at least one set unless θ_max caps it, and at
+        /// g = 2 `T` is Line 4's ⌈log₂(θ_max/θ◦)⌉ + 1 with Line 5's `a`s,
+        /// so TRIM-B's and AdaptIM's schedules are the paper's.
+        #[test]
+        fn schedule_walk_makes_exactly_t_checks(
+            (n_i, eta_pick, eps) in (1usize..2_000_000, 0.0f64..1.0, 1e-3f64..0.999),
+            (b, cap_pick, capped, fast) in (1usize..=8, 0.0f64..1.0, 0u8..2, 0u8..2),
+        ) {
+            let eta_i = 1 + (eta_pick * (n_i - 1) as f64) as usize;
+            let b = b.min(n_i);
+            let (rho, ln_choose) = (rho_b(b), ln_binomial(n_i, b));
+            let growth = if fast == 1 { TRIM_GROWTH } else { DOUBLING };
+            let uncapped = schedule(n_i, eta_i, eps, b, rho, ln_choose, None, growth);
+            // A cap anywhere from 1 to θ_max, below θ◦ included.
+            let cap = (capped == 1).then(|| 1 + (cap_pick * uncapped.theta_max as f64) as usize);
+            let s = schedule(n_i, eta_i, eps, b, rho, ln_choose, cap, growth);
+            prop_assert!(1 <= s.theta0 && s.theta0 <= s.theta_max, "θ◦ {} θ_max {}", s.theta0, s.theta_max);
+
+            let (mut len, mut steps) = (s.theta0, 0);
+            while len < s.theta_max {
+                let next = s.next(len);
+                let grown = next as f64 >= growth * len as f64 && next > len;
+                prop_assert!(grown || next == s.theta_max, "{} → {} at g = {}", len, next, growth);
+                prop_assert!(next > len && next <= s.theta_max, "{} → {}", len, next);
+                len = next;
+                steps += 1;
+            }
+            prop_assert_eq!(steps + 1, s.t_max);
+
+            if growth == DOUBLING {
+                let paper_t = (s.theta_max as f64 / s.theta0 as f64).log2().ceil() as usize + 1;
+                prop_assert_eq!(s.t_max, paper_t);
+                let delta = eps / (100.0 * one_minus_inv_e() * (1.0 - eps) * eta_i as f64);
+                let a2 = (3.0 * paper_t as f64 / delta).ln();
+                prop_assert_eq!(s.a2.to_bits(), a2.to_bits());
+                prop_assert_eq!(s.a1.to_bits(), (a2 + ln_choose).to_bits());
+            }
+        }
+    }
+
+    /// At `η_i = 1` TRIM and TRIM-B answer without sampling, and their
+    /// answer is the one the sampled round gives: on a pool of θ◦ sets
+    /// drawn at `η_i = 1`, every set is the alive set, and the argmax and
+    /// the greedy both pick the returned node. The caller's RNG advances
+    /// by exactly the base-seed draw.
+    #[test]
+    fn shortfall_of_one_matches_the_sampled_round() {
+        use crate::trim_b::trim_b;
+        use smin_graph::generators::{assemble, chung_lu_directed};
+        use smin_graph::WeightModel;
+
+        let n = 400;
+        let mut rng = SmallRng::seed_from_u64(0x51);
+        let pairs = chung_lu_directed(n, 1_600, 2.1, &mut rng);
+        // Weighted cascade: LT-valid.
+        let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
+        let mut residual = ResidualState::new(n);
+        // Kill the smallest ids too, so the answer is not node 0.
+        for u in (0..n as NodeId).step_by(7).chain([1, 2]) {
+            residual.kill(u);
+        }
+        let n_i = residual.n_alive();
+        let mut alive = residual.alive_nodes().to_vec();
+        alive.sort_unstable();
+        assert_eq!(alive[0], 3);
+
+        let params = TrimParams::with_eps(0.5);
+        let mut sketch_gen = SketchGenPool::new(n);
+        let mut engine = CoverageEngine::new();
+        for model in [Model::IC, Model::LT] {
+            for (seed, b) in [(0u64, 1usize), (1, 2), (2, 8)] {
+                let case = format!("{model} b={b}");
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut replay = rng.clone();
+                let mut scratch = TrimScratch::new(n);
+                let (picked, sets, checks) = if b == 1 {
+                    let out =
+                        trim(&g, model, &residual, 1, &params, &mut scratch, &mut rng).unwrap();
+                    assert_eq!(out.certificate, 1.0, "{case}");
+                    assert_eq!(out.est_truncated_spread, 1.0, "{case}");
+                    (vec![out.node], out.sets_generated, out.iterations)
+                } else {
+                    let out = trim_b(&g, model, &residual, 1, b, &params, &mut scratch, &mut rng)
+                        .unwrap();
+                    assert_eq!(out.certificate, 1.0, "{case}");
+                    assert_eq!(out.est_truncated_spread, 1.0, "{case}");
+                    assert_eq!(out.greedy_calls, 0, "{case}");
+                    (out.seeds, out.sets_generated, out.iterations)
+                };
+                assert_eq!((sets, checks), (0, 0), "{case}");
+                assert!(scratch.pool().is_empty(), "{case}");
+
+                // The round drew its base seed and nothing else.
+                let base_seed = replay.next_u64();
+                assert_eq!(rng.next_u64(), replay.next_u64(), "{case}");
+
+                let (rho, ln_choose, growth) = if b == 1 {
+                    (1.0, (n_i as f64).ln(), TRIM_GROWTH)
+                } else {
+                    (rho_b(b), ln_binomial(n_i, b), DOUBLING)
+                };
+                let sched = schedule(n_i, 1, params.eps, b, rho, ln_choose, None, growth);
+                let job = SketchJob {
+                    graph: &g,
+                    model,
+                    snapshot: residual.snapshot(),
+                    eta_i: 1,
+                    dist: params.root_dist,
+                    base_seed,
+                };
+                let mut pool = SketchPool::new(n);
+                sketch_gen.generate(&job, sched.theta0, 1, &mut pool);
+                assert_eq!(pool.len(), sched.theta0, "{case}");
+                for i in 0..pool.len() as u32 {
+                    let mut set = pool.set(i).to_vec();
+                    set.sort_unstable();
+                    assert_eq!(set, alive, "{case}: set {i} is not the alive set");
+                }
+                let sampled = if b == 1 {
+                    vec![engine.argmax(&pool).unwrap().0]
+                } else {
+                    engine.select(&pool, b).seeds
+                };
+                assert_eq!(picked, sampled, "{case}");
+                assert_eq!(picked, vec![3], "{case}");
+            }
+        }
     }
 
     #[test]

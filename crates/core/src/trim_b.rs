@@ -41,11 +41,23 @@
 //! misses Line 11's threshold the call cannot certify, and unless `T` or
 //! `θ_max` ends the round here the loop abandons it and doubles `|R|`.
 //! Every output is what running the full greedy every time would give.
+//!
+//! # Schedule and a shortfall of one
+//!
+//! TRIM-B keeps the paper's doubling between checks (`T` and the `a`s are
+//! Line 4's and Line 5's; [`crate::trim`] explains why TRIM checks every
+//! ×1.25 and TRIM-B does not). At `η_i = 1` every mRR set is the whole
+//! residual graph, so the greedy's first pick, the smallest alive id,
+//! covers every set and it stops there. That one node is an exact optimum
+//! for any `b`, since no batch exceeds `Γ = η_i = 1`; TRIM-B returns it
+//! without sampling, through TRIM's path (0 sets, 0 checks, certificate 1,
+//! estimate 1, one base-seed draw), and the batch is the one the sampled
+//! round would select.
 
 use crate::error::AsmError;
 use crate::params::TrimParams;
 use crate::report::TrimStats;
-use crate::trim::{schedule, Schedule, TrimScratch};
+use crate::trim::{schedule, shortfall_of_one, Schedule, TrimScratch, DOUBLING};
 use rand::Rng;
 use smin_diffusion::{Model, ResidualState};
 use smin_graph::{Graph, NodeId};
@@ -63,11 +75,12 @@ pub struct TrimBOutput {
     pub coverage: u32,
     /// `|R|` at termination.
     pub sets_generated: usize,
-    /// Doubling iterations used.
+    /// Certificate checks made (`≤ T`); 0 on the `η_i = 1` path.
     pub iterations: usize,
     /// Greedy maximum-coverage runs (Line 8) that made every pick: at least
-    /// 1, at most `iterations`. A call abandoned once it cannot certify does
-    /// not count; the last iteration's call always completes.
+    /// 1, at most `iterations`, and 0 on the `η_i = 1` path. A call
+    /// abandoned once it cannot certify does not count; the last check's
+    /// call always completes.
     pub greedy_calls: usize,
     /// OPIM-C's bound `U ≥ Λ_R(S_b◦)` at termination (module docs).
     pub upper: u32,
@@ -166,6 +179,19 @@ pub fn trim_b(
         return Err(AsmError::EmptyGraph);
     }
     assert!(eta_i >= 1, "TRIM-B requires a positive shortfall");
+    if let Some(node) = shortfall_of_one(residual, eta_i, scratch, rng) {
+        return Ok(TrimBOutput {
+            seeds: vec![node],
+            coverage: 0,
+            sets_generated: 0,
+            iterations: 0,
+            greedy_calls: 0,
+            upper: 0,
+            est_truncated_spread: 1.0,
+            certificate: 1.0,
+            edges_examined: 0,
+        });
+    }
     let b = b.min(n_i);
     let rho = rho_b(b);
 
@@ -177,6 +203,7 @@ pub fn trim_b(
         rho,
         ln_binomial(n_i, b),
         params.theta_cap,
+        DOUBLING,
     );
 
     let threads = resolve_threads(params.threads);
@@ -242,10 +269,9 @@ pub fn trim_b(
                 });
             }
         }
-        let target = (pool.len() * 2).min(sched.theta_max);
         let _span = smin_obs::Span::enter(&mut stage.sketch);
         edges_examined += sketch_gen
-            .generate(&job, target, threads, pool)
+            .generate(&job, sched.next(pool.len()), threads, pool)
             .edges_examined;
     }
 }
@@ -407,6 +433,7 @@ mod tests {
             rho,
             ln_binomial(n_i, b),
             params.theta_cap,
+            DOUBLING,
         );
         let threads = resolve_threads(params.threads);
         let job = SketchJob {
@@ -451,9 +478,8 @@ mod tests {
                     edges_examined,
                 };
             }
-            let target = (pool.len() * 2).min(sched.theta_max);
             edges_examined += sketch_gen
-                .generate(&job, target, threads, pool)
+                .generate(&job, sched.next(pool.len()), threads, pool)
                 .edges_examined;
         }
     }
@@ -485,7 +511,7 @@ mod tests {
         for model in [Model::IC, Model::LT] {
             for b in [2usize, 4, 8, 16] {
                 let rho = rho_b(b);
-                let sched = schedule(n_i, eta, eps, b, rho, ln_binomial(n_i, b), None);
+                let sched = schedule(n_i, eta, eps, b, rho, ln_binomial(n_i, b), None, DOUBLING);
                 // θ◦ gives T = 1, so the first iteration must return; a few
                 // doublings past θ◦ end the round at T and θ_max together.
                 for cap in [None, Some(sched.theta0), Some(sched.theta0 * 5 + 3)] {
@@ -589,6 +615,7 @@ mod tests {
                 a1: a2 + extra,
                 a2,
                 eps_hat: 99.0 * eps / (100.0 - eps),
+                growth: DOUBLING,
             };
             let rho = rho_b(b);
             // c ≤ u ≤ c/ρ_b, as for U

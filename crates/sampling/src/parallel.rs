@@ -1,7 +1,7 @@
 //! Deterministic parallel (m)RR sketch generation.
 //!
 //! TRIM spends nearly all of its time on Algorithm 2 line 6 and the
-//! subsequent doublings — generating mRR sets — and §3.3's sampling is
+//! growth steps of line 7 — generating mRR sets — and §3.3's sampling is
 //! independent per set, so the work is embarrassingly parallel. With no
 //! external thread-pool crates available offline, this module builds one
 //! from `std::thread` scoped workers plus `mpsc` channels:

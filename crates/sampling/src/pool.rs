@@ -1,9 +1,9 @@
 //! Sketch pool: columnar storage for sampled (m)RR sets with incremental
 //! coverage counts.
 //!
-//! TRIM needs only `argmax_v Λ_R(v)` after every doubling, so the pool keeps
-//! exactly what that query reads, maintained as sets arrive so a doubling
-//! never re-scans old sets. TRIM-B's pre-check, the sum of the `b` largest
+//! TRIM needs only `argmax_v Λ_R(v)` at every certificate check, so the pool
+//! keeps exactly what that query reads, maintained as sets arrive so growing
+//! the pool never re-scans old sets. TRIM-B's pre-check, the sum of the `b` largest
 //! `Λ_R(v)`, reads the same two columns.
 //!
 //! # Memory layout
@@ -24,8 +24,8 @@
 //! still uncovered, into buffers the coverage engine owns. Appending a set
 //! therefore costs one copy plus one counter bump per member.
 //!
-//! The pool is refilled hundreds of times per adaptive run (the doubling
-//! structure of Algorithm 2/3); [`SketchPool::reset`] keeps every buffer's
+//! The pool is refilled hundreds of times per adaptive run (the growing
+//! samples of Algorithm 2/3); [`SketchPool::reset`] keeps every buffer's
 //! capacity, so a warm pool refills without reallocating.
 
 use smin_graph::cast::u32_of;

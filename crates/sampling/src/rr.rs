@@ -41,7 +41,7 @@ use smin_graph::{FixedBitSet, Graph, NodeId};
 pub struct ReverseSampler {
     /// Word-packed frontier membership: 8× denser than the former
     /// `Vec<bool>`, so the mask for a million-node graph stays cache-resident
-    /// across the thousands of samples each doubling round draws.
+    /// across the thousands of samples each round draws.
     visited: FixedBitSet,
 }
 

@@ -44,7 +44,7 @@ use crate::registry::{
     manifest_json, parse_manifest, record_select, GraphEntry, ManifestEntry, Registry,
 };
 use crate::server::ServerConfig;
-use crate::trace::{StageMicrosLine, TraceEvent, TraceLog};
+use crate::trace::{SelectTrace, StageMicrosLine, TraceEvent, TraceLog, WorkTotals};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde_json::{json, Value};
@@ -271,13 +271,13 @@ pub fn handle(state: &ServiceState, req: &Request, queued_ms: u64) -> Response {
     }
     // smin-lint: allow(no-wall-clock) -- feeds the trace log's deadline_remaining_ms only
     let started = Instant::now();
-    let mut stages: Option<StageMicrosLine> = None;
+    let mut traced: Option<SelectTrace> = None;
     let result = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Ok(healthz(state)),
         ("GET", "/v1/graphs") => Ok(list_graphs(state)),
         ("POST", "/v1/graphs") => register_graph(state, &req.body),
-        ("POST", "/v1/select") => select(state, req, &mut stages),
-        ("POST", "/v1/select-batch") => select_batch(state, req, &mut stages),
+        ("POST", "/v1/select") => select(state, req, &mut traced),
+        ("POST", "/v1/select-batch") => select_batch(state, req, &mut traced),
         (method, path)
             if path
                 .strip_prefix("/v1/graphs/")
@@ -298,7 +298,7 @@ pub fn handle(state: &ServiceState, req: &Request, queued_ms: u64) -> Response {
         )),
     };
     let resp = result.unwrap_or_else(|e| e.to_response());
-    finish(state, req, resp, stages, started, queued_ms)
+    finish(state, req, resp, traced, started, queued_ms)
 }
 
 /// Answers `req` on the calling thread if it is a `/v1/select` whose body
@@ -326,7 +326,10 @@ pub(crate) fn answer_cached(state: &ServiceState, req: &Request) -> Option<Respo
         cached.to_vec(),
         "HIT",
         started,
-        stages,
+        SelectTrace {
+            micros: stages,
+            work: None,
+        },
         &mut traced,
     );
     // The select clock times the trace line too: the probe adds no clock
@@ -341,7 +344,7 @@ fn finish(
     state: &ServiceState,
     req: &Request,
     resp: Response,
-    stages: Option<StageMicrosLine>,
+    traced: Option<SelectTrace>,
     started: Instant,
     queued_ms: u64,
 ) -> Response {
@@ -363,7 +366,8 @@ fn finish(
             method: Some(&req.method),
             path: Some(&req.path),
             status: resp.status,
-            micros: stages,
+            micros: traced.map(|t| t.micros),
+            work: traced.and_then(|t| t.work),
             cache,
             deadline_remaining_ms,
         });
@@ -795,13 +799,15 @@ fn parse_select_fields(
     })
 }
 
-/// Runs one parsed select item on a caller-provided session and returns
-/// the serialized response body. This is the single compute path behind
-/// both `/v1/select` and `/v1/select-batch`, so their bytes cannot drift.
+/// Runs one parsed select item on a caller-provided session, adds the
+/// run's work to `work`, and returns the serialized response body. This is
+/// the single compute path behind both `/v1/select` and
+/// `/v1/select-batch`, so their bytes cannot drift.
 fn compute_select_body(
     req: &SelectRequest,
     session: &mut AstiSession,
     stages: &mut StageMicrosLine,
+    work: &mut WorkTotals,
 ) -> Result<Vec<u8>, ServiceError> {
     let g = &req.entry.graph;
     let mut world_rng = SmallRng::seed_from_u64(req.seed.wrapping_add(1000));
@@ -823,6 +829,7 @@ fn compute_select_body(
         &mut rng,
         session,
     )?;
+    work.add(&report);
 
     let rounds: Vec<Value> = report
         .rounds
@@ -872,14 +879,14 @@ fn compute_select_body(
 
 /// Cache-aware execution of one item: hit → cached bytes, miss → compute
 /// (and memoize) on the shared session, checked out from `entry` by the
-/// first item that computes. Returns the body plus whether the cache
-/// answered.
+/// first item that computes, adding its stage splits and work to `trace`.
+/// Returns the body plus whether the cache answered.
 fn run_select_item(
     state: &ServiceState,
     entry: &GraphEntry,
     req: &SelectRequest,
     session: &mut Option<AstiSession>,
-    stages: &mut StageMicrosLine,
+    trace: &mut SelectTrace,
 ) -> Result<(Vec<u8>, bool), ServiceError> {
     let key = req.cache_key();
     if req.use_cache {
@@ -888,11 +895,13 @@ fn run_select_item(
             return Ok((cached.to_vec(), true));
         }
     }
+    let stages = &mut trace.micros;
     let session = session.get_or_insert_with(|| {
         let _span = smin_obs::Span::enter(&mut stages.checkout);
         entry.checkout_session()
     });
-    let body = compute_select_body(req, session, stages)?;
+    let work = trace.work.get_or_insert_with(WorkTotals::default);
+    let body = compute_select_body(req, session, stages, work)?;
     // The session accumulated sketch/coverage splits while `asti_in` ran
     // (reset at its entry); fold them in here, once per computed item.
     let sm = session.stage_micros();
@@ -918,7 +927,7 @@ fn run_items(
     state: &ServiceState,
     entry: &GraphEntry,
     reqs: &[SelectRequest],
-    stages: &mut StageMicrosLine,
+    trace: &mut SelectTrace,
     item_err: impl Fn(usize, ServiceError) -> ServiceError,
 ) -> Result<(Vec<Vec<u8>>, &'static str), ServiceError> {
     // One warm session serves every item that computes — the amortization
@@ -930,7 +939,7 @@ fn run_items(
         .iter()
         .enumerate()
         .map(|(i, req)| {
-            run_select_item(state, entry, req, &mut session, stages).map_err(|e| item_err(i, e))
+            run_select_item(state, entry, req, &mut session, trace).map_err(|e| item_err(i, e))
         })
         .collect();
     if let Some(session) = session {
@@ -952,16 +961,17 @@ fn run_items(
 /// histograms and attaches `X-Cache`, `X-Select-Micros` (measured from
 /// `started`) and, when the request asked, `X-Stage-Micros`. Timing
 /// travels in headers, never bodies, so instrumentation cannot perturb
-/// the byte-identity contract.
+/// the byte-identity contract. `trace` goes to `traced` for the trace line.
 fn select_response(
     state: &ServiceState,
     http_req: &Request,
     body: Vec<u8>,
     cache: &str,
     started: Instant,
-    stages: StageMicrosLine,
-    stages_out: &mut Option<StageMicrosLine>,
+    trace: SelectTrace,
+    traced: &mut Option<SelectTrace>,
 ) -> Response {
+    let stages = trace.micros;
     observe_stages(state.metrics(), &stages);
     let mut resp = Response {
         status: 200,
@@ -973,7 +983,7 @@ fn select_response(
     if http_req.header("x-stage-micros").is_some() {
         resp = resp.with_header("X-Stage-Micros", format_stage_header(&stages));
     }
-    *stages_out = Some(stages);
+    *traced = Some(trace);
     resp
 }
 
@@ -1003,20 +1013,21 @@ fn format_stage_header(s: &StageMicrosLine) -> String {
 fn select(
     state: &ServiceState,
     http_req: &Request,
-    stages_out: &mut Option<StageMicrosLine>,
+    traced: &mut Option<SelectTrace>,
 ) -> Result<Response, ServiceError> {
-    let (req, started, mut stages) =
+    let (req, started, micros) =
         resolve_select(state, &http_req.body, |id| state.registry().get(id))?;
+    let mut trace = SelectTrace { micros, work: None };
     let (mut bodies, cache) = run_items(
         state,
         &req.entry,
         std::slice::from_ref(&req),
-        &mut stages,
+        &mut trace,
         |_, e| e,
     )?;
     let body = bodies.pop().unwrap_or_default();
     Ok(select_response(
-        state, http_req, body, cache, started, stages, stages_out,
+        state, http_req, body, cache, started, trace, traced,
     ))
 }
 
@@ -1050,14 +1061,14 @@ fn resolve_select(
 fn select_batch(
     state: &ServiceState,
     http_req: &Request,
-    stages_out: &mut Option<StageMicrosLine>,
+    traced: &mut Option<SelectTrace>,
 ) -> Result<Response, ServiceError> {
-    let mut stages = StageMicrosLine::default();
+    let mut trace = SelectTrace::default();
     let v = json::parse_object(&http_req.body)?;
     // smin-lint: allow(no-wall-clock) -- feeds the X-Select-Micros header only; bodies stay bit-identical
     let started = Instant::now();
     let entry = {
-        let _span = smin_obs::Span::enter(&mut stages.resolve);
+        let _span = smin_obs::Span::enter(&mut trace.micros.resolve);
         resolve_graph(&v, |id| state.registry().get(id))
     }?;
     let items = match json::field(&v, "items") {
@@ -1094,7 +1105,7 @@ fn select_batch(
             .map_err(|e| item_err(i, e))?;
         reqs.push(req);
     }
-    let (results, cache) = run_items(state, &entry, &reqs, &mut stages, item_err)?;
+    let (results, cache) = run_items(state, &entry, &reqs, &mut trace, item_err)?;
 
     // Assembled by concatenation, not re-serialization: the item bodies
     // land in `results` byte-for-byte.
@@ -1113,7 +1124,7 @@ fn select_batch(
     }
     body.extend_from_slice(b"]}");
     Ok(select_response(
-        state, http_req, body, cache, started, stages, stages_out,
+        state, http_req, body, cache, started, trace, traced,
     ))
 }
 
@@ -1786,6 +1797,64 @@ mod tests {
             other => panic!("deadline_remaining_ms: {other:?}"),
         };
         assert!(remaining <= 10.0, "queue wait not counted: {text}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A batch's trace line sums the work of the items it computed: all
+    /// of them on a miss, none on an all-hit batch (`null`), and only the
+    /// bypassing item beside a hit.
+    #[test]
+    fn trace_work_sums_the_computed_items_of_a_batch() {
+        let path = std::env::temp_dir().join("smin_routes_trace_batch_work.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let mut s = state();
+        s.set_trace(TraceLog::open(&path).unwrap());
+        register_er(&s, "g", 80);
+        let total_sets = |resp: &Response| -> Vec<f64> {
+            let v = json::parse_object(&resp.body).unwrap();
+            let Some(Value::Array(items)) = json::field(&v, "results") else {
+                panic!("results: {}", body_str(resp));
+            };
+            items
+                .iter()
+                .map(|item| match json::field(item, "total_sets") {
+                    Some(Value::Number(n)) => *n,
+                    other => panic!("total_sets: {other:?}"),
+                })
+                .collect()
+        };
+        let batch = r#"{"graph":"g","items":[{"eta":20,"seed":3},{"eta":25,"seed":4}]}"#;
+        let miss = total_sets(&post(&s, "/v1/select-batch", batch));
+        assert_eq!(total_sets(&post(&s, "/v1/select-batch", batch)), miss);
+        let mixed =
+            r#"{"graph":"g","items":[{"eta":20,"seed":3},{"eta":25,"seed":5,"cache":false}]}"#;
+        let mixed = total_sets(&post(&s, "/v1/select-batch", mixed));
+        drop(s); // closes the trace channel; the writer flushes and exits
+        let mut text = String::new();
+        for _ in 0..200 {
+            text = std::fs::read_to_string(&path).unwrap_or_default();
+            if text.lines().count() >= 4 {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        let lines: Vec<Value> = text
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("trace line parses"))
+            .collect();
+        assert_eq!(lines.len(), 4, "{text}");
+        // `json::field` reads a null as absent.
+        let sets = |line: &Value| {
+            json::field(line, "work").map(|work| match json::field(work, "sets") {
+                Some(Value::Number(n)) => *n,
+                other => panic!("work.sets: {other:?}"),
+            })
+        };
+        assert_eq!(text.matches("\"work\":").count(), 4, "{text}");
+        assert_eq!(sets(&lines[0]), None, "registration");
+        assert_eq!(sets(&lines[1]), Some(miss[0] + miss[1]));
+        assert_eq!(sets(&lines[2]), None, "every item hit");
+        assert_eq!(sets(&lines[3]), Some(mixed[1]), "only the bypass computed");
         std::fs::remove_file(&path).ok();
     }
 

@@ -13,18 +13,23 @@
 //! ```json
 //! {"method":"POST","path":"/v1/select","status":200,
 //!  "micros":{"resolve":12,"checkout":3,"sketch":4100,"coverage":890,"serialize":45},
+//!  "work":{"rounds":7,"sets":10618,"checks":41,"edges":2621000},
 //!  "cache":"MISS","deadline_remaining_ms":238}
 //! ```
 //!
 //! `micros` is `null` for non-select routes and for transport-level errors
-//! (400/408/429/504) answered before the pipeline ran; `cache` is `null`
-//! when no cache decision was made; `deadline_remaining_ms` is `null` when
-//! the request carried no `X-Deadline-Millis` header. `method`/`path` are
+//! (400/408/429/504) answered before the pipeline ran. `work` sums the
+//! algorithm work of the request's computed items ([`WorkTotals`]); it is
+//! `null` wherever `micros` is, and when the cache answered every item.
+//! It is deterministic: the same request computes the same work. `cache` is
+//! `null` when no cache decision was made; `deadline_remaining_ms` is `null`
+//! when the request carried no `X-Deadline-Millis` header. `method`/`path` are
 //! `null` for failures with no parsed request (malformed HTTP, 408s fired
 //! by the deadline wheel). Timing appears only here and in response
 //! headers — never in a response body — so the determinism contract holds.
 
 use serde_json::Value;
+use smin_core::AstiReport;
 use std::io::Write;
 use std::path::Path;
 use std::sync::mpsc;
@@ -44,6 +49,42 @@ pub struct StageMicrosLine {
     pub serialize: u64,
 }
 
+/// Algorithm work of a select request's computed runs, summed over their
+/// rounds: what explains a run's cost beside its timings.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WorkTotals {
+    /// Adaptive rounds.
+    pub rounds: u64,
+    /// mRR sets sampled: the body's `total_sets`.
+    pub sets: u64,
+    /// TRIM / TRIM-B certificate checks.
+    pub checks: u64,
+    /// Edges examined while sampling.
+    pub edges: u64,
+}
+
+impl WorkTotals {
+    /// Adds one run's rounds and their TRIM statistics.
+    pub(crate) fn add(&mut self, report: &AstiReport) {
+        let wide = |x: usize| u64::try_from(x).unwrap_or(u64::MAX);
+        self.rounds += wide(report.num_rounds());
+        self.sets += wide(report.total_sets);
+        for stats in report.rounds.iter().filter_map(|r| r.trim) {
+            self.checks += wide(stats.iterations);
+            self.edges += wide(stats.edges_examined);
+        }
+    }
+}
+
+/// The trace fields a select request adds to its line.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct SelectTrace {
+    /// Stage timings.
+    pub micros: StageMicrosLine,
+    /// Work of the computed items; `None` when the cache answered them all.
+    pub work: Option<WorkTotals>,
+}
+
 /// One request's trace fields; `None`s render as JSON `null`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TraceEvent<'a> {
@@ -55,6 +96,9 @@ pub struct TraceEvent<'a> {
     pub status: u16,
     /// Select stage timings; `None` off the select pipeline.
     pub micros: Option<StageMicrosLine>,
+    /// Work of the computed select items; `None` off the select pipeline
+    /// and for cache hits.
+    pub work: Option<WorkTotals>,
     /// `HIT` / `MISS` / `BYPASS` / `MIXED`, when a cache decision was made.
     pub cache: Option<&'a str>,
     /// `X-Deadline-Millis` minus the time already spent (dispatch-queue
@@ -74,11 +118,21 @@ impl TraceEvent<'_> {
             }),
             None => Value::Null,
         };
+        let work = match self.work {
+            Some(w) => serde_json::json!({
+                "rounds": w.rounds,
+                "sets": w.sets,
+                "checks": w.checks,
+                "edges": w.edges,
+            }),
+            None => Value::Null,
+        };
         Value::Object(vec![
             ("method".to_string(), Value::from(self.method)),
             ("path".to_string(), Value::from(self.path)),
             ("status".to_string(), Value::from(self.status)),
             ("micros".to_string(), micros),
+            ("work".to_string(), work),
             ("cache".to_string(), Value::from(self.cache)),
             (
                 "deadline_remaining_ms".to_string(),
@@ -152,27 +206,29 @@ mod tests {
                 coverage: 890,
                 serialize: 45,
             }),
+            work: Some(WorkTotals {
+                rounds: 7,
+                sets: 10618,
+                checks: 41,
+                edges: 2621000,
+            }),
             cache: Some("MISS"),
             deadline_remaining_ms: Some(238),
         });
         log.emit(&TraceEvent {
-            method: None,
-            path: None,
             status: 408,
-            micros: None,
-            cache: None,
-            deadline_remaining_ms: None,
+            ..TraceEvent::default()
         });
         drop(log); // closes the channel; the writer flushes and exits
         let text = wait_for_lines(&path, 2);
         let mut lines = text.lines();
         assert_eq!(
             lines.next().unwrap(),
-            r#"{"method":"POST","path":"/v1/select","status":200,"micros":{"resolve":12,"checkout":3,"sketch":4100,"coverage":890,"serialize":45},"cache":"MISS","deadline_remaining_ms":238}"#
+            r#"{"method":"POST","path":"/v1/select","status":200,"micros":{"resolve":12,"checkout":3,"sketch":4100,"coverage":890,"serialize":45},"work":{"rounds":7,"sets":10618,"checks":41,"edges":2621000},"cache":"MISS","deadline_remaining_ms":238}"#
         );
         assert_eq!(
             lines.next().unwrap(),
-            r#"{"method":null,"path":null,"status":408,"micros":null,"cache":null,"deadline_remaining_ms":null}"#
+            r#"{"method":null,"path":null,"status":408,"micros":null,"work":null,"cache":null,"deadline_remaining_ms":null}"#
         );
         std::fs::remove_file(&path).ok();
     }

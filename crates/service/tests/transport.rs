@@ -443,6 +443,7 @@ fn trace_log_records_one_line_per_request() {
     let mut c = client(&handle);
     assert_eq!(c.post("/v1/graphs", REGISTER).unwrap().status, 201);
     // The second select is a cache hit, answered on the poll thread.
+    let mut total_sets = None;
     for _ in 0..2 {
         let resp = c
             .post_with_headers(
@@ -452,7 +453,11 @@ fn trace_log_records_one_line_per_request() {
             )
             .unwrap();
         assert_eq!(resp.status, 200, "{}", resp.text());
+        let body: serde_json::Value = serde_json::from_str(&resp.text()).unwrap();
+        let sets = smin_service::json::field(&body, "total_sets").expect("total_sets");
+        total_sets = Some(serde_json::to_string(sets).unwrap());
     }
+    let total_sets = total_sets.unwrap();
     drop(c);
     handle.shutdown(); // drops the state, flushing the log thread
 
@@ -469,6 +474,24 @@ fn trace_log_records_one_line_per_request() {
         .map(|l| serde_json::from_str(l).expect("trace line parses"))
         .collect();
     assert_eq!(lines.len(), 3, "one line per request");
+    // `json::field` reads a null as absent: registration and the cache
+    // hit compute no select, and only the computed select reports work.
+    assert_eq!(text.matches(r#""work":null"#).count(), 2, "{text}");
+    let work = |line| smin_service::json::field(line, "work");
+    assert!(work(&lines[0]).is_none() && work(&lines[2]).is_none());
+    let computed = work(&lines[1]).expect("the computed select reports work");
+    let get = |k: &str| {
+        let v = smin_service::json::field(computed, k).expect("work field");
+        serde_json::to_string(v).unwrap()
+    };
+    assert_eq!(
+        get("sets"),
+        total_sets,
+        "work.sets is the body's total_sets"
+    );
+    for k in ["rounds", "checks", "edges"] {
+        assert!(get(k).parse::<u64>().unwrap() > 0, "work.{k} = {}", get(k));
+    }
     for (select, cache) in [(&lines[1], r#""MISS""#), (&lines[2], r#""HIT""#)] {
         let get = |k: &str| {
             let v = smin_service::json::field(select, k).expect("field present");

@@ -78,7 +78,9 @@ fn pool_digest(pool: &SketchPool) -> u64 {
 /// refactor must be bit-identical on every thread count — if a layout or
 /// tie-breaking change trips this test, it changed observable behavior, not
 /// just performance. The TRIM-B batch was re-captured when TRIM-B's Line 10
-/// took OPIM-C's upper bound, which stops its round a doubling earlier.
+/// took OPIM-C's upper bound, which stops its round a doubling earlier. The
+/// TRIM line was re-captured when TRIM moved to checking every ×1.25: the
+/// same node, certified on a shorter prefix of the same set sequence.
 #[test]
 fn selections_match_pre_refactor_goldens() {
     let (g, residual) = thread_fixture();
@@ -97,9 +99,9 @@ fn selections_match_pre_refactor_goldens() {
         )
         .unwrap();
         assert_eq!(out.node, 399, "trim selection drifted at {threads} threads");
-        assert_eq!(out.coverage, 581);
-        assert_eq!(out.sets_generated, 864);
-        assert_eq!(pool_digest(scratch.pool()), 0x4c12033beb864a01);
+        assert_eq!(out.coverage, 543);
+        assert_eq!(out.sets_generated, 812);
+        assert_eq!(pool_digest(scratch.pool()), 0xd10350e8bf68ce03);
 
         let mut scratch = TrimScratch::new(g.n());
         let mut rng = SmallRng::seed_from_u64(0xB47C);

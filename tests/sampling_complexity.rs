@@ -128,10 +128,12 @@ fn lemma39_set_count_inverse_in_opt() {
 fn lemma39_star_stops_after_first_check() {
     // With OPT = η the center covers every set: Λ(v*) = |R|, the ratio
     // Λˡ/Λᵘ approaches 1 quickly, so TRIM should stop within the first
-    // couple of doublings.
-    let n = 1024;
+    // couple of doublings' worth of sets: at most 4θ◦, the sample of a
+    // third doubling check (θ◦, 2θ◦, 4θ◦). The bound is in sets because
+    // TRIM checks more often than every doubling.
+    let (n, eta, eps) = (1024, 64, 0.5);
     let g = star(n);
-    let params = TrimParams::with_eps(0.5);
+    let params = TrimParams::with_eps(eps);
     let residual = ResidualState::new(n);
     let mut scratch = TrimScratch::new(n);
     let mut rng = SmallRng::seed_from_u64(3);
@@ -139,16 +141,23 @@ fn lemma39_star_stops_after_first_check() {
         &g,
         Model::IC,
         &residual,
-        64,
+        eta,
         &params,
         &mut scratch,
         &mut rng,
     )
     .unwrap();
     assert_eq!(out.node, 0, "the center dominates");
+    // Lines 1–3 of Algorithm 2.
+    let n_f = n as f64;
+    let delta = eps / (100.0 * (1.0 - (-1.0f64).exp()) * (1.0 - eps) * eta as f64);
+    let eps_hat = 99.0 * eps / (100.0 - eps);
+    let ln6d = (6.0 / delta).ln();
+    let theta_max = 2.0 * n_f * (ln6d.sqrt() + (n_f.ln() + ln6d).sqrt()).powi(2) / eps_hat.powi(2);
+    let theta0 = (theta_max * eps_hat * eps_hat / n_f).ceil() as usize;
     assert!(
-        out.iterations <= 3,
-        "expected early stop, took {} iterations / {} sets",
+        out.sets_generated <= 4 * theta0,
+        "expected early stop, took {} checks / {} sets (θ◦ = {theta0})",
         out.iterations,
         out.sets_generated
     );
