@@ -34,6 +34,8 @@ pub struct TrimStats {
     pub iterations: usize,
     /// `Λˡ/Λᵘ` at termination: at least the target (`1 − ε̂` for TRIM,
     /// `ρ_b(1 − ε̂)` for TRIM-B) unless the round ended at `T` or `θ_max`.
+    /// TRIM takes `Λˡ` and `Λᵘ` from the binomial tail on `coverage` and
+    /// the round's sets; TRIM-B from Lemma A.2 on `coverage` and `upper`.
     pub certificate: f64,
     /// Edges examined while sampling.
     pub edges_examined: usize,

@@ -17,9 +17,60 @@
 //!       at g = 2 this is the paper's ⌈log₂(θ_max/θ◦)⌉ + 1
 //! 5  a₁ ← ln(3T/δ) + ln n_i,  a₂ ← ln(3T/δ)
 //! 6  generate θ◦ mRR sets
-//! 7  repeat ≤ T times: take v* = argmax Λ_R, compute Λˡ(v*), Λᵘ(v◦);
+//! 7  repeat ≤ T times: take v* = argmax Λ_R, compute Λˡ(v*), Λᵘ(v◦)
+//!    (Lines 9–10, with the binomial bounds below);
 //!    stop when Λˡ/Λᵘ ≥ 1 − ε̂ (or t = T), else grow |R| to next(|R|)
 //! ```
+//!
+//! # Lines 9–10: the binomial tail
+//!
+//! With `c = Λ_R(v*)` and `r = |R|` at a check,
+//!
+//! ```text
+//! Λˡ(v*) = binomial_lower_bound(c, r, a₁)
+//! Λᵘ(v◦) = binomial_upper_bound(c, r, a₂)
+//! ```
+//!
+//! the roots of `r·KL(c/r ‖ μ) = a` times `r`
+//! ([`smin_sampling::bounds`]), where the paper takes Lemma A.2's closed
+//! forms, which see only `c`. At each check the pool holds a number `r` of
+//! sets fixed by the schedule, and each set draws from its own stream
+//! `base_seed ^ index`, so a fixed node's count is a sum of `r`
+//! independent Bernoullis with a common mean: exactly `Binomial(r, μ)`.
+//! For a fixed `r` and a fixed node, each bound then fails with
+//! probability at most `e^{−a}`, as Lemma A.2's does for the same `a`.
+//! `Λᵘ` is taken of `c ≥ Λ_R(v◦)` (the argmax is exact), which is valid
+//! because the upper bound never falls as `c` grows.
+//!
+//! So Lemma 3.6's union bound is untouched: `a₁`'s `ln n_i` covers every
+//! node `v*` might be, `T` covers every check, and `θ_max` keeps its
+//! `δ/3`. `T`, `a₁`, `a₂`, `θ◦`, `θ_max`, `δ`, `ε̂`, Line 11's threshold,
+//! the ×1.25 walk and the `η_i = 1` path are unchanged, and Theorem 3.7's
+//! ratio stands. The binomial bounds dominate Lemma A.2's for every
+//! `c ≤ r` (they start from Lemma A.2's value and only tighten), and the
+//! certificate rises with `Λˡ` and falls with `Λᵘ`, so on the same set
+//! sequence a round stops at the same check as the paper's rule or an
+//! earlier one, and Lemma 3.9's bound on the sets stands too.
+//!
+//! The gain grows with the coverage fraction `c/r`: Lemma A.2 charges the
+//! count a variance `rμ` where the binomial has `rμ(1 − μ)`. On
+//! `campaign-ic` (first-round fraction ≈ 0.18, and larger in the late
+//! rounds, which cost the most per set) the certifying sample shrinks by
+//! 28%: 10 617.95 → 7 596.875 sets per campaign. Newton solves each pair
+//! of bounds in ~0.6 µs on a 2-vCPU x86-64 VM.
+//!
+//! TRIM-B, AdaptIM and ATEUC keep Lemma A.2, a constant choice per
+//! algorithm:
+//!
+//! * TRIM-B. Run on the binomial bounds, TRIM-B cut `campaign-lt-b8`'s
+//!   `p50_ms` by 20–28% over 3 pairs of runs on a 2-vCPU VM, but its
+//!   `seeds_per_campaign` read 47.55 → 48.45. On the smoke figure grid,
+//!   ASTI-8 on LT moved +0.21 seeds (SE 0.09) pooled over figure seeds 1
+//!   and 7, and single cells read +2.8 SE (ASTI-4, IC) and +2.6 SE
+//!   (ASTI-8, LT). A batch picked greedily from a smaller pool costs
+//!   seeds, and that trade needs a quality judge before it is taken;
+//! * AdaptIM and ATEUC are the paper's published baselines, and the
+//!   figures compare against them as published.
 //!
 //! # Why `T` counts checks
 //!
@@ -73,7 +124,7 @@ use crate::report::TrimStats;
 use rand::Rng;
 use smin_diffusion::{Model, ResidualState};
 use smin_graph::{Graph, NodeId};
-use smin_sampling::bounds::{coverage_lower_bound, coverage_upper_bound};
+use smin_sampling::bounds::{binomial_lower_bound, binomial_upper_bound};
 use smin_sampling::{
     resolve_threads, CoverageEngine, MrrSampler, SketchGenPool, SketchJob, SketchPool,
 };
@@ -91,7 +142,8 @@ pub struct TrimOutput {
     pub iterations: usize,
     /// Unbiased-side estimate `η_i · Λ_R(v*)/|R|` of `E[Γ̃(v* | S_{i−1})]`.
     pub est_truncated_spread: f64,
-    /// `Λˡ(v*)/Λᵘ(v◦)` at termination — the per-round certificate; ≥ 1 − ε̂
+    /// `Λˡ(v*)/Λᵘ(v◦)` at termination, with the binomial bounds on
+    /// `Λ_R(v*)` and `|R|` (module docs) — the per-round certificate; ≥ 1 − ε̂
     /// unless the iteration budget (or an explicit cap) exhausted first.
     pub certificate: f64,
     /// Total edges examined while sampling (EPT accounting).
@@ -271,6 +323,20 @@ pub(crate) fn shortfall_of_one(
     residual.alive_nodes().iter().copied().min()
 }
 
+/// Lines 9–11's certificate `Λˡ(v*)/Λᵘ(v◦)` for the argmax's coverage `c`
+/// on a pool of `r` sets, with the binomial bounds (module docs); 0 when
+/// `Λᵘ` is 0.
+fn certificate(c: u32, r: usize, sched: &Schedule) -> f64 {
+    let (c, r) = (f64::from(c), r as f64);
+    let lower = binomial_lower_bound(c, r, sched.a1);
+    let upper = binomial_upper_bound(c, r, sched.a2);
+    if upper > 0.0 {
+        lower / upper
+    } else {
+        0.0
+    }
+}
+
 /// Runs one round of TRIM on the residual graph.
 ///
 /// The residual graph is borrowed immutably: sketch generation works off a
@@ -287,6 +353,22 @@ pub fn trim(
     params: &TrimParams,
     scratch: &mut TrimScratch,
     rng: &mut impl Rng,
+) -> Result<TrimOutput, AsmError> {
+    trim_certified_by(g, model, residual, eta_i, params, scratch, rng, certificate)
+}
+
+/// [`trim`] with Lines 9–10's certificate passed in: the tests run the
+/// same loop with Lemma A.2's bounds.
+#[allow(clippy::too_many_arguments)]
+fn trim_certified_by(
+    g: &Graph,
+    model: Model,
+    residual: &ResidualState,
+    eta_i: usize,
+    params: &TrimParams,
+    scratch: &mut TrimScratch,
+    rng: &mut impl Rng,
+    certificate: fn(u32, usize, &Schedule) -> f64,
 ) -> Result<TrimOutput, AsmError> {
     params.validate()?;
     let n_i = residual.n_alive();
@@ -352,9 +434,7 @@ pub fn trim(
                 .argmax(pool)
                 .expect("pool has non-empty sets: roots are alive")
         };
-        let lower = coverage_lower_bound(coverage as f64, sched.a1);
-        let upper = coverage_upper_bound(coverage as f64, sched.a2);
-        let certificate = if upper > 0.0 { lower / upper } else { 0.0 };
+        let certificate = certificate(coverage, pool.len(), &sched);
         if certificate >= 1.0 - sched.eps_hat
             || iterations >= sched.t_max
             || pool.len() >= sched.theta_max
@@ -706,6 +786,95 @@ mod tests {
                 assert_eq!(picked, vec![3], "{case}");
             }
         }
+    }
+
+    /// Lines 9–10 as the paper states them: Lemma A.2's bounds, which see
+    /// only the count.
+    fn lemma_a2_certificate(c: u32, _r: usize, sched: &Schedule) -> f64 {
+        use smin_sampling::bounds::{coverage_lower_bound, coverage_upper_bound};
+        let lower = coverage_lower_bound(f64::from(c), sched.a1);
+        let upper = coverage_upper_bound(f64::from(c), sched.a2);
+        if upper > 0.0 {
+            lower / upper
+        } else {
+            0.0
+        }
+    }
+
+    /// The binomial bounds dominate Lemma A.2's, so on the same set
+    /// sequence a round stops at the same check or an earlier one: against
+    /// the same loop certifying with Lemma A.2, under IC and LT, uncapped
+    /// and with θ caps that end the round at `T` / `θ_max`, TRIM makes no
+    /// more checks and draws no more sets, picks the same node whenever it
+    /// stops at the same check, and somewhere stops strictly earlier.
+    #[test]
+    fn binomial_certificate_stops_no_later_than_lemma_a2() {
+        use smin_graph::generators::{assemble, chung_lu_directed};
+        use smin_graph::WeightModel;
+
+        let n = 400;
+        let mut rng = SmallRng::seed_from_u64(0x7B);
+        let pairs = chung_lu_directed(n, 1_600, 2.1, &mut rng);
+        // Weighted cascade: LT-valid.
+        let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
+        let mut residual = ResidualState::new(n);
+        for u in (0..n as NodeId).step_by(9) {
+            residual.kill(u);
+        }
+        let n_i = residual.n_alive();
+        let (eps, eta) = (0.3, 60);
+        let sched = schedule(n_i, eta, eps, 1, 1.0, (n_i as f64).ln(), None, TRIM_GROWTH);
+        let (mut cases, mut forced, mut earlier) = (0, 0, 0);
+        for model in [Model::IC, Model::LT] {
+            // θ◦ gives T = 1, so the first check must return; 5θ◦ + 3 ends
+            // the round at T and θ_max together.
+            for cap in [None, Some(sched.theta0), Some(sched.theta0 * 5 + 3)] {
+                let mut params = TrimParams::with_eps(eps);
+                params.theta_cap = cap;
+                for seed in 0..3u64 {
+                    let case = format!("{model} cap={cap:?} seed={seed}");
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let mut paper_rng = rng.clone();
+                    let mut scratch = TrimScratch::new(n);
+                    let got =
+                        trim(&g, model, &residual, eta, &params, &mut scratch, &mut rng).unwrap();
+                    let paper = trim_certified_by(
+                        &g,
+                        model,
+                        &residual,
+                        eta,
+                        &params,
+                        &mut scratch,
+                        &mut paper_rng,
+                        lemma_a2_certificate,
+                    )
+                    .unwrap();
+                    assert!(got.iterations <= paper.iterations, "{case}");
+                    assert!(got.sets_generated <= paper.sets_generated, "{case}");
+                    assert!(got.edges_examined <= paper.edges_examined, "{case}");
+                    if got.iterations == paper.iterations {
+                        assert_eq!(got.node, paper.node, "{case}");
+                        assert_eq!(got.coverage, paper.coverage, "{case}");
+                        assert_eq!(got.sets_generated, paper.sets_generated, "{case}");
+                        assert!(got.certificate >= paper.certificate, "{case}");
+                    }
+                    if cap == Some(sched.theta0) {
+                        assert_eq!((got.iterations, paper.iterations), (1, 1), "{case}");
+                    }
+                    cases += 1;
+                    forced += usize::from(got.certificate < 1.0 - sched.eps_hat);
+                    earlier += usize::from(got.iterations < paper.iterations);
+                }
+            }
+        }
+        assert!(
+            forced > 0 && forced < cases,
+            "{forced} of {cases} ended at T or θ_max"
+        );
+        assert!(
+            earlier > 0,
+            "the binomial bounds never stopped a round earlier"
+        );
     }
 
     #[test]

@@ -45,8 +45,9 @@
 //! # Schedule and a shortfall of one
 //!
 //! TRIM-B keeps the paper's doubling between checks (`T` and the `a`s are
-//! Line 4's and Line 5's; [`crate::trim`] explains why TRIM checks every
-//! ×1.25 and TRIM-B does not). At `η_i = 1` every mRR set is the whole
+//! Line 4's and Line 5's) and Lemma A.2's bounds in Lines 9–10;
+//! [`crate::trim`] explains why TRIM checks every ×1.25 and certifies with
+//! the binomial tail, and TRIM-B does neither. At `η_i = 1` every mRR set is the whole
 //! residual graph, so the greedy's first pick, the smallest alive id,
 //! covers every set and it stops there. That one node is an exact optimum
 //! for any `b`, since no batch exceeds `Γ = η_i = 1`; TRIM-B returns it

