@@ -37,7 +37,8 @@ pub struct TrimStats {
     /// TRIM takes `Λˡ` and `Λᵘ` from the binomial tail on `coverage` and
     /// the round's sets; TRIM-B from Lemma A.2 on `coverage` and `upper`.
     pub certificate: f64,
-    /// Edges examined while sampling.
+    /// Edges examined while sampling (what counts is in
+    /// `smin_sampling::rr`'s module docs).
     pub edges_examined: usize,
     /// TRIM-B's greedy calls that made every pick; 0 for TRIM, whose
     /// argmax runs no greedy.

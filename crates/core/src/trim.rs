@@ -146,7 +146,8 @@ pub struct TrimOutput {
     /// `Λ_R(v*)` and `|R|` (module docs) — the per-round certificate; ≥ 1 − ε̂
     /// unless the iteration budget (or an explicit cap) exhausted first.
     pub certificate: f64,
-    /// Total edges examined while sampling (EPT accounting).
+    /// Total edges examined while sampling (EPT accounting; what counts is
+    /// in `smin_sampling::rr`'s module docs).
     pub edges_examined: usize,
 }
 

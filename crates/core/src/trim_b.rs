@@ -89,7 +89,8 @@ pub struct TrimBOutput {
     pub est_truncated_spread: f64,
     /// `Λˡ(S_b)/Λᵘ(U)` at termination (target `ρ_b(1 − ε̂)`).
     pub certificate: f64,
-    /// Total edges examined while sampling.
+    /// Total edges examined while sampling (what counts is in
+    /// `smin_sampling::rr`'s module docs).
     pub edges_examined: usize,
 }
 

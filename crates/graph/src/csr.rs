@@ -35,13 +35,22 @@ pub(crate) fn build_workers(m: usize) -> usize {
 }
 
 /// Reverse adjacency of a [`Graph`] in columns: one 16-byte [`InRange`]
-/// record per node, then the `src`, `eid` (forward edge id) and `prob`
-/// columns indexed by reverse slot. A reverse BFS over a node whose in-edges
-/// share one probability (every node under weighted cascade or uniform
-/// weights) loads its record once and then streams only `src`.
+/// record per node and its `none_live` entry, then the `src`, `eid`
+/// (forward edge id) and `prob` columns indexed by reverse slot. A reverse
+/// BFS over a node whose in-edges share one probability (every node under
+/// weighted cascade or uniform weights) loads its record once and then
+/// reads only `src`.
+///
+/// `none_live[v]` is `(1 − p)^d` for a node whose `d` in-edges share `p`:
+/// the probability that none of them is live when each is live
+/// independently with probability `p`, which the IC sampler's binomial
+/// draw starts from. It is NaN where the node has no shared probability.
+/// The column is its own so that [`InRange`] stays 16 bytes, and it is
+/// computed once here rather than per dequeued node.
 #[derive(Clone, Debug)]
 struct RevCsr {
     nodes: Vec<InRange>,
+    none_live: Vec<f64>,
     src: Vec<NodeId>,
     eid: Vec<u32>,
     prob: Vec<f64>,
@@ -191,6 +200,19 @@ impl Graph {
         (&rev.src[rec.slots()], shared)
     }
 
+    /// [`in_sources`](Self::in_sources) with, beside the shared probability
+    /// `p`, the probability `(1 − p)^d` that none of `v`'s `d` in-edges is
+    /// live when each is live independently with probability `p` (IC).
+    /// Stored per node when the reverse CSR is built: 0 at `p = 1`, 1 at
+    /// `p = 0`, and it may underflow to 0 or a subnormal for large `d·p`.
+    #[inline]
+    pub fn in_sources_ic(&self, v: NodeId) -> (&[NodeId], Option<(f64, f64)>) {
+        let rev = self.rev();
+        let rec = rev.nodes[v as usize];
+        let shared = (!rec.shared_p.is_nan()).then(|| (rec.shared_p, rev.none_live[v as usize]));
+        (&rev.src[rec.slots()], shared)
+    }
+
     /// Probability attached to forward edge index `e`.
     #[inline]
     pub fn edge_prob(&self, e: u32) -> f64 {
@@ -249,18 +271,36 @@ impl Graph {
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.fwd_off.len() * size_of::<usize>()
-            + self.n * size_of::<InRange>()
+            + self.n * (size_of::<InRange>() + size_of::<f64>())
             + self.fwd_dst.len()
                 * (size_of::<NodeId>() * 2 + size_of::<f64>() * 2 + size_of::<u32>())
+    }
+
+    /// In-degree of every node, counted in one pass over the forward
+    /// targets: unlike [`in_degree`](Self::in_degree), it never builds the
+    /// reverse CSR.
+    pub(crate) fn in_degrees(&self) -> Vec<usize> {
+        let mut deg = vec![0usize; self.n];
+        for &v in &self.fwd_dst {
+            deg[v as usize] += 1;
+        }
+        deg
+    }
+
+    /// Whether the reverse CSR has been built (tests of who builds it).
+    #[cfg(test)]
+    pub(crate) fn reverse_built(&self) -> bool {
+        self.rev.get().is_some()
     }
 }
 
 /// Builds the reverse CSR from forward columns: a counting pass and a prefix
-/// sum into the node records, then the scatter. With `workers > 1` the
-/// target-id space is split into contiguous ranges of roughly equal in-edge
-/// mass and each worker scatters only its own range into its own disjoint
-/// slices of the records and columns — slot positions are a pure function of
-/// the input, so the result is bit-identical for every worker count.
+/// sum into the node records, then the scatter, then the `none_live` column
+/// from the finished records. With `workers > 1` the target-id space is
+/// split into contiguous ranges of roughly equal in-edge mass and each
+/// worker scatters only its own range into its own disjoint slices of the
+/// records and columns — slot positions are a pure function of the input,
+/// so the result is bit-identical for every worker count.
 fn build_reverse(
     fwd_off: &[usize],
     fwd_dst: &[NodeId],
@@ -321,12 +361,25 @@ fn build_reverse(
             }
         });
     }
+    let none_live = nodes
+        .iter()
+        .map(|r| none_live_of(r.shared_p, r.slots().len()))
+        .collect();
     RevCsr {
         nodes,
+        none_live,
         src,
         eid,
         prob,
     }
+}
+
+/// `(1 − p)^d` as `exp(d·ln(1 − p))`, whose relative error stays within a
+/// few ulps while `d·p` is small, where `d` multiplications would compound
+/// the rounding of `1 − p` `d` times: 0 at `p = 1`, 1 at `p = 0`, NaN for a
+/// NaN `p`.
+fn none_live_of(p: f64, d: usize) -> f64 {
+    (d as f64 * (-p).ln_1p()).exp()
 }
 
 /// Splits the first `k` elements off `rest`.
@@ -467,10 +520,56 @@ mod tests {
     #[test]
     fn memory_bytes_counts_the_node_records() {
         // forward: 5 offsets (8 B) + 4 targets (4 B) + 4 probabilities
-        // (8 B); reverse: 4 node records (16 B) + 4 slots of source (4 B),
-        // forward edge id (4 B) and probability (8 B).
+        // (8 B); reverse: 4 node records (16 B) and `none_live` entries
+        // (8 B) + 4 slots of source (4 B), forward edge id (4 B) and
+        // probability (8 B).
         assert_eq!(std::mem::size_of::<InRange>(), 16);
-        assert_eq!(diamond().memory_bytes(), 40 + 48 + 64 + 64);
+        assert_eq!(diamond().memory_bytes(), 40 + 48 + 96 + 64);
+    }
+
+    #[test]
+    fn in_sources_ic_carries_the_chance_that_no_in_edge_is_live() {
+        let g = diamond();
+        let ic = |g: &crate::Graph, v| {
+            let (srcs, shared) = g.in_sources_ic(v);
+            assert_eq!(shared.map(|(p, _)| p), g.in_sources(v).1);
+            (srcs.to_vec(), shared.map(|(_, p0)| p0))
+        };
+        let close = |got: Option<f64>, want: f64| {
+            let got = got.expect("shared");
+            assert!(
+                (got - want).abs() <= 4.0 * f64::EPSILON * want,
+                "{got} vs {want}"
+            );
+        };
+        assert_eq!(ic(&g, 0), (vec![], None), "no in-edges");
+        close(ic(&g, 1).1, 0.5);
+        close(ic(&g, 2).1, 0.75);
+        assert_eq!(ic(&g, 3), (vec![1, 2], None), "1.0 vs 0.75");
+        let halved = g.map_probabilities(|_, v, p| if v == 3 { 0.5 } else { p });
+        close(ic(&halved, 3).1, 0.25);
+        let certain = g.map_probabilities(|_, _, _| 1.0);
+        assert_eq!(ic(&certain, 3), (vec![1, 2], Some(0.0)));
+        let never = g.map_probabilities(|_, _, _| 0.0);
+        assert_eq!(ic(&never, 3), (vec![1, 2], Some(1.0)));
+        // (1 − 1/d)^d agrees with the repeated product, which drifts by up
+        // to ~d/2 ulps of 1 − 1/d
+        for d in [3usize, 40, 1_000, 100_000] {
+            let p = 1.0 / d as f64;
+            let want = (1.0 - p).powi(d as i32);
+            assert!((super::none_live_of(p, d) - want).abs() < 1e-10 * want);
+        }
+        // a large d·p underflows to 0
+        assert_eq!(super::none_live_of(0.5, 2_000), 0.0);
+    }
+
+    #[test]
+    fn degree_count_leaves_the_reverse_csr_unbuilt() {
+        let g = diamond();
+        assert_eq!(g.in_degrees(), vec![0, 1, 1, 2]);
+        assert!(!g.reverse_built());
+        assert_eq!(g.in_degree(3), 2);
+        assert!(g.reverse_built());
     }
 
     /// Forward columns of a pseudo-random graph with `MIN_PARALLEL_EDGES`
@@ -519,9 +618,10 @@ mod tests {
                 .collect()
         };
         assert_eq!(records(&seq.nodes), records(&par.nodes));
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&seq.none_live), bits(&par.none_live));
         assert_eq!(seq.src, par.src);
         assert_eq!(seq.eid, par.eid);
-        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&seq.prob), bits(&par.prob));
         // both kinds of node occur, so both branches of the record are pinned
         let with_in = seq.nodes.iter().filter(|r| r.end > r.start);

@@ -32,7 +32,10 @@ pub fn erdos_renyi(n: usize, m: usize, rng: &mut impl Rng) -> Vec<(NodeId, NodeI
             let j = rng.random_range(i..all.len());
             all.swap(i, j);
         }
+        // Release the rest of the pair list: up to 3× the kept pairs would
+        // otherwise stay allocated through the graph build.
         all.truncate(m);
+        all.shrink_to_fit();
         return all;
     }
 
@@ -76,6 +79,9 @@ mod tests {
         assert_eq!(edges.len(), 18);
         let set: HashSet<_> = edges.iter().collect();
         assert_eq!(set.len(), 18);
+        // the 40-node universe holds 1 560 pairs; only the kept 520 stay
+        let edges = erdos_renyi(40, 520, &mut rng);
+        assert_eq!(edges.capacity(), 520);
     }
 
     #[test]

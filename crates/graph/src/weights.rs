@@ -30,7 +30,10 @@ pub enum WeightModel {
 pub fn apply_weights(g: &Graph, model: WeightModel, rng: &mut impl Rng) -> Graph {
     match model {
         WeightModel::WeightedCascade => {
-            g.map_probabilities(|_, v, _| 1.0 / g.in_degree(v).max(1) as f64)
+            // Counted from the forward targets: `in_degree` would build
+            // `g`'s whole reverse CSR only to read its degrees.
+            let in_deg = g.in_degrees();
+            g.map_probabilities(|_, v, _| 1.0 / in_deg[v as usize] as f64)
         }
         WeightModel::Uniform(p) => {
             assert!(p > 0.0 && p <= 1.0, "uniform probability must be in (0, 1]");
@@ -69,6 +72,20 @@ mod tests {
         }
         let (_, p, _) = wc.in_edges(0).next().unwrap();
         assert_eq!(p, 1.0);
+    }
+
+    #[test]
+    fn weighting_leaves_the_input_reverse_csr_unbuilt() {
+        let g = star();
+        let mut rng = SmallRng::seed_from_u64(1);
+        for model in [
+            WeightModel::WeightedCascade,
+            WeightModel::Uniform(0.5),
+            WeightModel::Trivalency,
+        ] {
+            let _ = apply_weights(&g, model, &mut rng);
+            assert!(!g.reverse_built(), "{model:?}");
+        }
     }
 
     #[test]

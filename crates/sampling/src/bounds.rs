@@ -68,8 +68,13 @@
 pub fn coverage_lower_bound(observed: f64, a: f64) -> f64 {
     assert!(observed >= 0.0 && a >= 0.0, "inputs must be non-negative");
     let root = (observed + 2.0 * a / 9.0).sqrt() - (a / 2.0).sqrt();
-    // When a dominates the observation the bound goes negative; expected
-    // coverage is non-negative, so clamp.
+    // While `root ≤ 0` the count bounds nothing: `root² − a/18` is negative
+    // there, and exactly 0 at `observed = 0` (`(√(2/9) − √(1/2))² = 1/18`),
+    // where rounding would leave a tiny positive value. Past it the bound
+    // grows with the count.
+    if root <= 0.0 {
+        return 0.0;
+    }
     (root * root - a / 18.0).max(0.0)
 }
 
@@ -82,8 +87,8 @@ pub fn coverage_upper_bound(observed: f64, a: f64) -> f64 {
 
 /// Lower bound `r·μ_L` on the mean of a `Binomial(r, μ)` count observed at
 /// `c` (module docs); fails with probability at most `e^{−a}`. It is at
-/// least [`coverage_lower_bound`]`(c, a)` and at most `c`; `c = 0` gives 0
-/// (where Lemma A.2's value is 0 up to rounding) and `a = 0` gives `c`.
+/// least [`coverage_lower_bound`]`(c, a)` and at most `c`; `c = 0` gives 0,
+/// as Lemma A.2's value does, and `a = 0` gives `c`.
 pub fn binomial_lower_bound(c: f64, r: f64, a: f64) -> f64 {
     check_binomial(c, r, a);
     if c == 0.0 || a == 0.0 {
@@ -234,6 +239,26 @@ mod tests {
     #[test]
     fn lower_bound_clamped_at_zero() {
         assert!(coverage_lower_bound(0.0, 100.0) < 1e-9);
+    }
+
+    /// Exactly 0 at a zero count for every `a` (the formula's rounding
+    /// used to leave ~1e-18), and non-decreasing in the count, through the
+    /// point where it leaves 0.
+    #[test]
+    fn lower_bound_is_exactly_zero_at_zero_and_grows_with_the_count() {
+        let mut a = 1e-9;
+        while a < 1e4 {
+            assert_eq!(coverage_lower_bound(0.0, a), 0.0, "a {a}");
+            let mut prev = 0.0;
+            for i in 0..=4_000 {
+                let c = a * i as f64 / 400.0;
+                let lower = coverage_lower_bound(c, a);
+                assert!(lower >= prev, "a {a} c {c}: {lower} < {prev}");
+                prev = lower;
+            }
+            assert!(prev > 0.0, "a {a}: a count of 10a bounds something");
+            a *= 1.7;
+        }
     }
 
     #[test]
@@ -435,8 +460,7 @@ mod tests {
             let a = 100.0 * (1.0 - a_pick).powi(3);
             let (lo, hi) = (binomial_lower_bound(c, r, a), binomial_upper_bound(c, r, a));
             let case = format!("c {c} r {r} a {a}: lower {lo} upper {hi}");
-            // At c = 0 Lemma A.2's lower bound is 0 up to rounding.
-            prop_assert!(coverage_lower_bound(c, a).min(c) <= lo && lo <= c, "{}", case);
+            prop_assert!(coverage_lower_bound(c, a) <= lo && lo <= c, "{}", case);
             prop_assert!(c <= hi && hi <= coverage_upper_bound(c, a).min(r), "{}", case);
             // On or outside the KL interval, up to the f64 spacing of the
             // returned count (a count close to r cannot hold its gap to r

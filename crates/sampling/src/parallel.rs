@@ -139,7 +139,8 @@ struct SketchChunk {
 pub struct GenStats {
     /// Sets appended to the pool.
     pub sets_generated: usize,
-    /// Total edges examined across all sets (EPT accounting, Lemma 3.8).
+    /// Total edges examined across all sets (EPT accounting, Lemma 3.8;
+    /// what the reverse BFS counts is in the [`rr`](crate::rr) module docs).
     pub edges_examined: usize,
 }
 

@@ -6,36 +6,76 @@
 //! choice on first examination (principle of deferred decisions), so no
 //! realization is ever materialized:
 //!
-//! * **IC** — each incoming edge is flipped independently the first time its
-//!   head node is dequeued; since every node is dequeued at most once, each
-//!   edge is examined at most once and the merged multi-root search remains
-//!   consistent with a single underlying realization (§3.3's requirement);
+//! * **IC** — the first time a node is dequeued, the sampler decides which
+//!   of its in-edges are live; since every node is dequeued at most once,
+//!   each edge is decided at most once and the merged multi-root search
+//!   remains consistent with a single underlying realization (§3.3's
+//!   requirement);
 //! * **LT** — the dequeued node draws its single live in-edge.
 //!
 //! The sampler honors a residual alive-mask so the same code serves rounds
-//! `i > 1` on `G_i`.
+//! `i > 1` on `G_i`. Each model has its own BFS loop, so neither pays for
+//! the other's branches.
 //!
-//! The dequeued node's in-edges come from [`Graph::in_sources`]: when they
-//! all share one probability (every node under weighted cascade and uniform
-//! weights) the loop streams only the source column against that constant,
-//! otherwise it reads each edge's probability from [`Graph::in_edges`]. Both
-//! run the same loop body over the same sources in the same order, so they
-//! draw the same coins, compare them against the same probabilities and
-//! count the same edges: which path runs changes the speed, never a sampled
-//! set.
+//! # IC: the live in-edges of a node at once
 //!
-//! LT on a node whose `d` in-edges share `p` skips the loop: its
-//! subtraction scan (`r < p` picks, else `r -= p`) stops at index `⌊r/p⌋`,
-//! which one division finds. When `r` lies within the scan's accumulated
-//! rounding error of a multiple of `p`, the division and the scan could
-//! disagree, so the sampler runs the scan on the same `r` instead (see
-//! `lt_shared`). Either way the node draws one coin, picks the same
-//! source and reports the edges the scan examines (the EPT accounting of
-//! Lemma 3.8).
+//! Under IC each in-edge of a dequeued node `v` is live independently with
+//! its probability. When `v`'s `d` in-edges all share one `p` (every node
+//! under weighted cascade and uniform weights), the number of live ones is
+//! `c ~ Binomial(d, p)`, and given `c` the live subset is uniform over the
+//! `C(d, c)` subsets of positions. So the sampler draws `c` from one
+//! uniform `x` by sequential inversion — the smallest `c` with
+//! `x < P(0) + … + P(c)`, from `P(0) = (1 − p)^d` (stored per node by the
+//! graph, [`Graph::in_sources_ic`]) and
+//! `P(c + 1) = P(c)·(d − c)/(c + 1)·p/(1 − p)` — then `c` distinct
+//! positions: one range draw when `c = 1`, Floyd's algorithm when `c ≥ 2`.
+//! Each picked source that is alive and not yet in the set joins it; a dead
+//! or already-visited source drawn live is dropped, exactly as a per-edge
+//! coin on it would never add it. This is the subset sampling of SUBSIM
+//! (Guo, Tang, Tang, Xiao, SIGMOD 2020) with the count drawn by inversion
+//! instead of geometric skips: under weighted cascade `d·p = 1`, so a node
+//! costs about two draws instead of one coin per in-edge. `p = 1` adds
+//! every source without a draw.
+//!
+//! The other IC nodes flip one coin per alive in-edge not yet in the set:
+//! nodes without a shared probability (trivalency, mixed weights), nodes
+//! whose mean `d·p` exceeds [`MAX_BINOMIAL_MEAN`] (the inversion would step
+//! past ~`d·p` terms), and nodes whose `P(0)` is not a positive normal
+//! number (it underflowed, and the inversion would lose its start). The
+//! choice depends only on the graph, never on an option.
+//!
+//! # What `edges_examined` counts
+//!
+//! The count is the sampler's cost (the EPT accounting of Lemma 3.8): the
+//! in-edges it reads. The per-edge IC coins count every alive in-edge of a
+//! dequeued node; the binomial draw counts the `c` in-edges it returns,
+//! alive or not (`d` when `p = 1`), which are the only ones it reads. In
+//! expectation that is `d·p`: at most the coins' `d` when every source is
+//! alive, and at most `p` more per dead source otherwise, so Lemma 3.8's
+//! bound on the coins' count bounds the draw's too, up to that share.
+//! LT counts the in-edges its scan examines.
+//!
+//! # LT
+//!
+//! The dequeued node's in-edges come from [`Graph::in_sources`]. LT on a
+//! node whose `d` in-edges share `p` skips the loop: its subtraction scan
+//! (`r < p` picks, else `r -= p`) stops at index `⌊r/p⌋`, which one
+//! division finds. When `r` lies within the scan's accumulated rounding
+//! error of a multiple of `p`, the division and the scan could disagree, so
+//! the sampler runs the scan on the same `r` instead (see `lt_shared`).
+//! Either way the node draws one coin, picks the same source and reports
+//! the edges the scan examines. Nodes without a shared probability read
+//! each edge's probability from [`Graph::in_edges`].
 
 use rand::Rng;
 use smin_diffusion::Model;
 use smin_graph::{FixedBitSet, Graph, NodeId};
+
+/// Largest mean number of live in-edges, `d·p`, for which an IC node draws
+/// them by count: sequential inversion steps about `d·p + 1` times, so its
+/// cost grows with the mean where the coins' grows with `d`; past this cap
+/// the node keeps the coins. Under weighted cascade `d·p = 1`.
+pub const MAX_BINOMIAL_MEAN: f64 = 16.0;
 
 /// Reusable scratch for reverse stochastic BFS on one graph.
 pub struct ReverseSampler {
@@ -43,6 +83,8 @@ pub struct ReverseSampler {
     /// `Vec<bool>`, so the mask for a million-node graph stays cache-resident
     /// across the thousands of samples each round draws.
     visited: FixedBitSet,
+    /// In-edge positions picked so far by one node's Floyd draw.
+    picks: Vec<usize>,
 }
 
 impl ReverseSampler {
@@ -50,6 +92,7 @@ impl ReverseSampler {
     pub fn new(n: usize) -> Self {
         ReverseSampler {
             visited: FixedBitSet::new(n),
+            picks: Vec::new(),
         }
     }
 
@@ -59,7 +102,7 @@ impl ReverseSampler {
     /// alive node that reaches some root in the sampled world, roots
     /// included, in BFS order: `out` is the search queue. Returns the number
     /// of edges examined (the sampler's cost, used by the EPT accounting in
-    /// benchmarks).
+    /// benchmarks; the module docs say what it counts).
     pub fn sample_into(
         &mut self,
         g: &Graph,
@@ -76,6 +119,71 @@ impl ReverseSampler {
                 out.push(r);
             }
         }
+        let edges_examined = match model {
+            Model::IC => self.ic_search(g, is_alive, rng, out),
+            Model::LT => self.lt_search(g, is_alive, rng, out),
+        };
+        // O(|set|) cleanup keeps repeated sampling allocation-free.
+        for &u in out.iter() {
+            self.visited.remove(u as usize);
+        }
+        edges_examined
+    }
+
+    /// IC's reverse BFS from the roots already in `out`; returns the edges
+    /// examined. Kept out of line, as [`lt_search`](Self::lt_search) is, so
+    /// each model's loop is compiled on its own, whatever the other's code.
+    #[inline(never)]
+    fn ic_search(
+        &mut self,
+        g: &Graph,
+        is_alive: impl Fn(NodeId) -> bool + Copy,
+        rng: &mut impl Rng,
+        out: &mut Vec<NodeId>,
+    ) -> usize {
+        let mut edges_examined = 0usize;
+        let mut head = 0;
+        while head < out.len() {
+            let v = out[head];
+            head += 1;
+            let visited = &mut self.visited;
+            edges_examined += match g.in_sources_ic(v) {
+                (srcs, Some((1.0, _))) => {
+                    for &u in srcs {
+                        keep(visited, u, is_alive(u), out);
+                    }
+                    srcs.len()
+                }
+                (srcs, Some((p, p0)))
+                    if p0 >= f64::MIN_POSITIVE && srcs.len() as f64 * p <= MAX_BINOMIAL_MEAN =>
+                {
+                    let c = binomial_count(srcs.len(), p, p0, rng.random());
+                    ic_live_subset(visited, &mut self.picks, srcs, c, is_alive, rng, out);
+                    c
+                }
+                (srcs, Some((p, _))) => {
+                    let in_edges = srcs.iter().map(|&u| (u, p));
+                    ic_coins(visited, in_edges, is_alive, rng, out)
+                }
+                (_, None) => {
+                    let in_edges = g.in_edges(v).map(|(u, p, _)| (u, p));
+                    ic_coins(visited, in_edges, is_alive, rng, out)
+                }
+            };
+        }
+        edges_examined
+    }
+
+    /// LT's reverse BFS from the roots already in `out`; returns the edges
+    /// examined.
+    #[inline(never)]
+    fn lt_search(
+        &mut self,
+        g: &Graph,
+        is_alive: impl Fn(NodeId) -> bool + Copy,
+        rng: &mut impl Rng,
+        out: &mut Vec<NodeId>,
+    ) -> usize {
         let mut edges_examined = 0usize;
         let mut head = 0;
         while head < out.len() {
@@ -83,22 +191,12 @@ impl ReverseSampler {
             head += 1;
             let visited = &mut self.visited;
             edges_examined += match g.in_sources(v) {
-                (srcs, Some(p)) if model == Model::LT => {
-                    lt_shared(visited, srcs, p, is_alive, rng.random(), out)
-                }
-                (srcs, Some(p)) => {
-                    let in_edges = srcs.iter().map(|&u| (u, p));
-                    expand(visited, model, in_edges, is_alive, rng, out)
-                }
+                (srcs, Some(p)) => lt_shared(visited, srcs, p, is_alive, rng.random(), out),
                 (_, None) => {
                     let in_edges = g.in_edges(v).map(|(u, p, _)| (u, p));
-                    expand(visited, model, in_edges, is_alive, rng, out)
+                    lt_scan(visited, in_edges, is_alive, rng.random(), out)
                 }
             };
-        }
-        // O(|set|) cleanup keeps repeated sampling allocation-free.
-        for &u in out.iter() {
-            self.visited.remove(u as usize);
         }
         edges_examined
     }
@@ -118,37 +216,83 @@ impl ReverseSampler {
     }
 }
 
-/// Examines one dequeued node's `(source, probability)` in-edges, appends
-/// every newly reached alive source to `out`, and returns the number of
-/// edges examined.
+/// IC's per-edge coins for one dequeued node's `(source, probability)`
+/// in-edges: appends every newly reached alive source to `out` and returns
+/// the number of alive in-edges examined.
 #[inline]
-fn expand(
+fn ic_coins(
     visited: &mut FixedBitSet,
-    model: Model,
     in_edges: impl Iterator<Item = (NodeId, f64)>,
     is_alive: impl Fn(NodeId) -> bool,
     rng: &mut impl Rng,
     out: &mut Vec<NodeId>,
 ) -> usize {
     let mut examined = 0usize;
-    match model {
-        Model::IC => {
-            for (u, p) in in_edges {
-                if !is_alive(u) {
-                    continue;
-                }
-                examined += 1;
-                if !visited.contains(u as usize) && rng.random::<f64>() < p {
-                    visited.insert(u as usize);
-                    out.push(u);
-                }
-            }
+    for (u, p) in in_edges {
+        if !is_alive(u) {
+            continue;
         }
-        Model::LT => {
-            examined = lt_scan(visited, in_edges, is_alive, rng.random(), out);
+        examined += 1;
+        if !visited.contains(u as usize) && rng.random::<f64>() < p {
+            visited.insert(u as usize);
+            out.push(u);
         }
     }
     examined
+}
+
+/// The number of live in-edges among `d` that are each live with
+/// probability `p < 1`, from the uniform `x` by sequential inversion: the
+/// smallest `c` with `x < P(0) + … + P(c)` for `c ~ Binomial(d, p)`, where
+/// `p0 = P(0) = (1 − p)^d` and `P(c + 1) = P(c)·(d − c)/(c + 1)·p/(1 − p)`.
+/// Stops at `d` should rounding leave the sum a hair below `x`.
+#[inline]
+fn binomial_count(d: usize, p: f64, p0: f64, x: f64) -> usize {
+    let odds = p / (1.0 - p);
+    let (mut c, mut pmf, mut cdf) = (0usize, p0, p0);
+    while x >= cdf && c < d {
+        pmf *= (d - c) as f64 / (c + 1) as f64 * odds;
+        c += 1;
+        cdf += pmf;
+    }
+    c
+}
+
+/// Picks `c` distinct positions of `srcs` uniformly — one range draw when
+/// `c = 1`, Floyd's algorithm when `c ≥ 2` — and keeps each picked source
+/// that is alive and not yet visited, in the order picked.
+///
+/// Floyd's algorithm: for `j = d − c, …, d − 1`, draw `t` uniform in
+/// `0..=j` and pick `t`, or `j` when `t` was picked already. Every
+/// `c`-subset comes out with probability `1/C(d, c)`. `picks` is scratch.
+#[inline]
+fn ic_live_subset(
+    visited: &mut FixedBitSet,
+    picks: &mut Vec<usize>,
+    srcs: &[NodeId],
+    c: usize,
+    is_alive: impl Fn(NodeId) -> bool,
+    rng: &mut impl Rng,
+    out: &mut Vec<NodeId>,
+) {
+    let d = srcs.len();
+    match c {
+        0 => {}
+        1 => {
+            let u = srcs[rng.random_range(0..d)];
+            keep(visited, u, is_alive(u), out);
+        }
+        _ => {
+            picks.clear();
+            for j in d - c..d {
+                let t = rng.random_range(0..=j);
+                let pick = if picks.contains(&t) { j } else { t };
+                picks.push(pick);
+                let u = srcs[pick];
+                keep(visited, u, is_alive(u), out);
+            }
+        }
+    }
 }
 
 /// LT's live in-edge draw for one dequeued node, with the uniform `r`
@@ -179,11 +323,10 @@ fn lt_scan(
     examined
 }
 
-/// LT's keep of the picked source `u`: appends it to `out` and marks it
-/// visited iff it is `alive` and not visited yet, without branching on
-/// either. One [`FixedBitSet::insert_word`] of the alive-masked bit, an
-/// unconditional push, and a truncate that takes the push back when no bit
-/// was fresh.
+/// Keeps the picked source `u`: appends it to `out` and marks it visited
+/// iff it is `alive` and not visited yet, without branching on either. One
+/// [`FixedBitSet::insert_word`] of the alive-masked bit, an unconditional
+/// push, and a truncate that takes the push back when no bit was fresh.
 #[inline]
 fn keep(visited: &mut FixedBitSet, u: NodeId, alive: bool, out: &mut Vec<NodeId>) {
     let i = u as usize;

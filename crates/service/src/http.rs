@@ -19,15 +19,19 @@ pub const MAX_GENERATED_NODES: usize = 1_000_000;
 /// default `5n`), BA's `2·n·attach` or WS's `n·k`.
 ///
 /// The two ceilings keep generating the largest accepted spec under 1 GiB.
-/// Per directed edge, ER's dense path under weighted cascade peaks highest:
-/// its pair list (`n(n − 1) < 3m` pairs of 8 B, so < 24 B per edge) lives
-/// through `assemble`, which holds the builder's 16-B edges, then the
-/// structural graph's forward (12 B) and reverse (16 B) arrays beside the
-/// weighted copy's forward arrays (12 B): at most 64 B per edge. The sparse
-/// path's hash set and list (≤ 49 B per edge) and BA's and WS's pair lists
-/// stay below that. Per node, Chung–Lu's permutations, weights and alias
-/// tables plus both graphs' offsets take < 128 B. So
-/// 10⁷ edges × 64 B + 10⁶ nodes × 128 B ≈ 0.77 GB.
+/// Per directed edge, the sparse ER path peaks highest: its hash set and
+/// pair list take ≤ 49 B while it samples. ER's dense path peaks at 36 B:
+/// its pair list (< 24 B while it shuffles, released to the kept 8 B after)
+/// lives through `assemble`, which holds the builder's 16-B edges and then
+/// the structural graph's forward arrays (12 B), then those beside the
+/// weighted copy's (12 B). Weighting counts in-degrees from the forward
+/// targets, so the structural graph's reverse CSR is never built. BA's and
+/// WS's pair lists stay below that. Per node, Chung–Lu's permutations,
+/// weights and alias tables plus both graphs' offsets take < 128 B. So
+/// 10⁷ edges × 49 B + 10⁶ nodes × 128 B ≈ 0.62 GB. The first select on the
+/// kept graph then builds its reverse CSR: 16 B per edge and 24 B per node
+/// (a 16-B record and the 8-B `(1 − p)^d` entry), 0.18 GB more at the
+/// ceilings.
 pub const MAX_GENERATED_EDGES: usize = 10_000_000;
 /// Largest accepted request/header line.
 pub const MAX_LINE_BYTES: usize = 8 << 10;

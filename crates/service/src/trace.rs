@@ -59,7 +59,8 @@ pub struct WorkTotals {
     pub sets: u64,
     /// TRIM / TRIM-B certificate checks.
     pub checks: u64,
-    /// Edges examined while sampling.
+    /// Edges examined while sampling (what counts is in
+    /// `smin_sampling::rr`'s module docs).
     pub edges: u64,
 }
 

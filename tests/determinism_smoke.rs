@@ -80,7 +80,10 @@ fn pool_digest(pool: &SketchPool) -> u64 {
 /// just performance. The TRIM-B batch was re-captured when TRIM-B's Line 10
 /// took OPIM-C's upper bound, which stops its round a doubling earlier. The
 /// TRIM line was re-captured when TRIM moved to checking every ×1.25: the
-/// same node, certified on a shorter prefix of the same set sequence.
+/// same node, certified on a shorter prefix of the same set sequence. Both
+/// lines were re-captured when IC's reverse BFS began drawing a node's live
+/// in-edges by count: the same set distribution from other draws, so the
+/// same set counts with other contents.
 #[test]
 fn selections_match_pre_refactor_goldens() {
     let (g, residual) = thread_fixture();
@@ -99,9 +102,9 @@ fn selections_match_pre_refactor_goldens() {
         )
         .unwrap();
         assert_eq!(out.node, 399, "trim selection drifted at {threads} threads");
-        assert_eq!(out.coverage, 229);
+        assert_eq!(out.coverage, 215);
         assert_eq!(out.sets_generated, 332);
-        assert_eq!(pool_digest(scratch.pool()), 0xd889c7e4702a0b3b);
+        assert_eq!(pool_digest(scratch.pool()), 0x6bfbdc4bbb731d85);
 
         let mut scratch = TrimScratch::new(g.n());
         let mut rng = SmallRng::seed_from_u64(0xB47C);
@@ -116,10 +119,10 @@ fn selections_match_pre_refactor_goldens() {
             &mut rng,
         )
         .unwrap();
-        assert_eq!(out.seeds, vec![399, 212, 546, 314], "trim_b batch drifted");
-        assert_eq!(out.coverage, 395);
+        assert_eq!(out.seeds, vec![399, 212, 521, 546], "trim_b batch drifted");
+        assert_eq!(out.coverage, 391);
         assert_eq!(out.sets_generated, 414);
-        assert_eq!(pool_digest(scratch.pool()), 0x50648df73132c8ca);
+        assert_eq!(pool_digest(scratch.pool()), 0xf991fd009c98d070);
     }
 
     let (_, seeds, activated) = run_once(0xA571);

@@ -8,8 +8,10 @@
 //! bound, which the greedy's candidate walks track, must equal a naive
 //! recomputation and bracket the best batch found by brute force. The
 //! reverse BFS behind every sketch, which reads a shared in-probability per
-//! node where one exists, must likewise reproduce a per-edge reference
-//! sampler set for set, edge count for edge count, coin for coin.
+//! node where one exists, must likewise reproduce a plainly written
+//! reference sampler set for set, edge count for edge count, draw for draw;
+//! and its IC draw of a node's live in-edges by count must follow the exact
+//! binomial law and agree in distribution with one coin per in-edge.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -458,12 +460,24 @@ fn trim_b_selections_identical_across_thread_counts() {
 // Reverse BFS vs the per-edge reference sampler
 // ---------------------------------------------------------------------------
 
-/// The reverse BFS as it was before the reverse CSR carried a shared
-/// in-probability per node: every in-edge's probability read from
-/// `in_edges`, and a BFS queue kept apart from the output set.
+/// Largest mean `d·p` at which the reference draws an IC node's live
+/// in-edges by count (`rr::MAX_BINOMIAL_MEAN`, restated).
+const REFERENCE_MEAN_CAP: f64 = 16.0;
+
+/// The reverse BFS written plainly, every in-edge's probability read from
+/// `in_edges` and a BFS queue kept apart from the output set. LT scans the
+/// in-edges; IC flips one coin per alive in-edge, except at a node whose
+/// `d ≥ 1` in-edges all carry one `p` (compared bit for bit): there `p = 1`
+/// keeps every source without a draw, and where `(1 − p)^d` is a positive
+/// normal number and `d·p ≤ 16` the node draws how many in-edges are live,
+/// by inversion of the Binomial(d, p) distribution function, then which
+/// ones, by Floyd's algorithm over positions. `per_edge` flips coins at
+/// every IC node: the plain per-edge sampler the draw must agree with in
+/// distribution.
 struct ReferenceSampler {
     visited: Vec<bool>,
     queue: Vec<NodeId>,
+    per_edge: bool,
 }
 
 impl ReferenceSampler {
@@ -471,6 +485,23 @@ impl ReferenceSampler {
         ReferenceSampler {
             visited: vec![false; n],
             queue: Vec::new(),
+            per_edge: false,
+        }
+    }
+
+    fn per_edge(n: usize) -> Self {
+        ReferenceSampler {
+            per_edge: true,
+            ..ReferenceSampler::new(n)
+        }
+    }
+
+    /// Appends `u` to the set and the queue if it is alive and new.
+    fn reach(&mut self, u: NodeId, alive: bool, out: &mut Vec<NodeId>) {
+        if alive && !self.visited[u as usize] {
+            self.visited[u as usize] = true;
+            out.push(u);
+            self.queue.push(u);
         }
     }
 
@@ -488,41 +519,71 @@ impl ReferenceSampler {
         self.queue.clear();
         let is_alive = |u: NodeId| alive.is_none_or(|a| a[u as usize]);
         for &r in roots {
-            if is_alive(r) && !self.visited[r as usize] {
-                self.visited[r as usize] = true;
-                out.push(r);
-                self.queue.push(r);
-            }
+            self.reach(r, is_alive(r), out);
         }
         let mut edges_examined = 0usize;
         let mut head = 0;
         while head < self.queue.len() {
             let v = self.queue[head];
             head += 1;
-            match model {
-                Model::IC => {
-                    for (u, p, _) in g.in_edges(v) {
+            let in_edges: Vec<(NodeId, f64)> = g.in_edges(v).map(|(u, p, _)| (u, p)).collect();
+            let d = in_edges.len();
+            let shared = in_edges.first().map(|&(_, p)| p).filter(|p| {
+                !p.is_nan() && in_edges.iter().all(|&(_, q)| q.to_bits() == p.to_bits())
+            });
+            match (model, shared) {
+                (Model::IC, Some(p)) if !self.per_edge && p == 1.0 => {
+                    for &(u, _) in &in_edges {
+                        self.reach(u, is_alive(u), out);
+                    }
+                    edges_examined += d;
+                }
+                (Model::IC, Some(p))
+                    if !self.per_edge
+                        && (1.0 - p).powi(d as i32) >= f64::MIN_POSITIVE
+                        && d as f64 * p <= REFERENCE_MEAN_CAP =>
+                {
+                    // how many are live: the smallest c with
+                    // x < P(X ≤ c), X ~ Binomial(d, p)
+                    let x: f64 = rng.random();
+                    let q = 1.0 - p;
+                    let mut pmf = q.powi(d as i32);
+                    let mut cdf = pmf;
+                    let mut c = 0usize;
+                    while c < d && x >= cdf {
+                        pmf = pmf * p * (d - c) as f64 / ((c + 1) as f64 * q);
+                        c += 1;
+                        cdf += pmf;
+                    }
+                    // which ones: Floyd's c distinct positions of 0..d
+                    let mut chosen: Vec<usize> = Vec::new();
+                    for j in d - c..d {
+                        let t = rng.random_range(0..=j);
+                        chosen.push(if chosen.contains(&t) { j } else { t });
+                    }
+                    for i in chosen {
+                        let u = in_edges[i].0;
+                        self.reach(u, is_alive(u), out);
+                    }
+                    edges_examined += c;
+                }
+                (Model::IC, _) => {
+                    for (u, p) in in_edges {
                         if !is_alive(u) {
                             continue;
                         }
                         edges_examined += 1;
                         if !self.visited[u as usize] && rng.random::<f64>() < p {
-                            self.visited[u as usize] = true;
-                            out.push(u);
-                            self.queue.push(u);
+                            self.reach(u, true, out);
                         }
                     }
                 }
-                Model::LT => {
+                (Model::LT, _) => {
                     let mut r = rng.random::<f64>();
-                    for (u, p, _) in g.in_edges(v) {
+                    for (u, p) in in_edges {
                         edges_examined += 1;
                         if r < p {
-                            if is_alive(u) && !self.visited[u as usize] {
-                                self.visited[u as usize] = true;
-                                out.push(u);
-                                self.queue.push(u);
-                            }
+                            self.reach(u, is_alive(u), out);
                             break;
                         }
                         r -= p;
@@ -580,7 +641,9 @@ fn sharing_census(g: &seedmin::graph::Graph) -> (usize, usize) {
 /// For every graph, both models, all nodes alive and about 10% killed:
 /// 2 000 random root sets (1–4 roots, dead and repeated roots included)
 /// give the reference's set, in the same order, with the same edge count,
-/// and leave both RNG streams at the same position.
+/// and leave both RNG streams at the same position. Under IC the shared
+/// graphs run the binomial draw at every node with in-edges (`uniform-1`
+/// its draw-free `p = 1` branch), trivalency mostly the coins.
 #[test]
 fn reverse_bfs_matches_per_edge_reference() {
     use seedmin::diffusion::Model;
@@ -628,54 +691,54 @@ fn reverse_bfs_matches_per_edge_reference() {
     }
 }
 
-/// `SketchGenPool::generate` at 1 and 3 threads on the mixed graph, with
-/// about 10% of the nodes dead, reproduces the per-edge reference driven
+/// `SketchGenPool::generate` at 1 and 3 threads on every equivalence
+/// graph, with about 10% of the nodes dead, reproduces the reference driven
 /// through the same per-set RNG streams and root draws.
 #[test]
 fn sketch_pool_generation_matches_per_edge_reference() {
     use seedmin::diffusion::{DistinctDraw, Model, ResidualState};
     use seedmin::sampling::{sample_root_count, RootCountDist, SketchGenPool, SketchJob};
 
-    let (_, g) = equivalence_graphs()
-        .into_iter()
-        .find(|(name, _)| *name == "wc-mixed")
-        .unwrap();
-    let n = g.n();
-    let mut residual = ResidualState::new(n);
-    for u in (0..n as u32).step_by(10) {
-        residual.kill(u);
-    }
-    let (sets, eta, base_seed) = (1_500usize, 40usize, 0xFEED_u64);
-    for model in [Model::IC, Model::LT] {
-        let mut reference = ReferenceSampler::new(n);
-        let mut draw = DistinctDraw::new();
-        let snapshot = residual.snapshot();
-        let (mut roots, mut set) = (Vec::new(), Vec::new());
-        let mut want: Vec<Vec<NodeId>> = Vec::with_capacity(sets);
-        let mut want_edges = 0usize;
-        for i in 0..sets {
-            let mut rng = SmallRng::seed_from_u64(base_seed ^ i as u64);
-            let k = sample_root_count(snapshot.n_alive(), eta, RootCountDist::Randomized, &mut rng);
-            draw.sample_from(&snapshot, k, &mut rng, &mut roots);
-            let alive = Some(snapshot.alive_mask());
-            want_edges += reference.sample_into(&g, model, alive, &roots, &mut rng, &mut set);
-            want.push(set.clone());
+    for (name, g) in equivalence_graphs() {
+        let n = g.n();
+        let mut residual = ResidualState::new(n);
+        for u in (0..n as u32).step_by(10) {
+            residual.kill(u);
         }
-        for threads in [1usize, 3] {
-            let job = SketchJob {
-                graph: &g,
-                model,
-                snapshot: residual.snapshot(),
-                eta_i: eta,
-                dist: RootCountDist::Randomized,
-                base_seed,
-            };
-            let mut pool = SketchPool::new(n);
-            let stats = SketchGenPool::new(n).generate(&job, sets, threads, &mut pool);
-            assert_eq!(stats.sets_generated, sets);
-            assert_eq!(stats.edges_examined, want_edges, "{model} t{threads}");
-            for (i, w) in want.iter().enumerate() {
-                assert_eq!(pool.set(i as u32), &w[..], "{model} t{threads} set {i}");
+        let (sets, eta, base_seed) = (1_500usize, 40usize, 0xFEED_u64);
+        for model in [Model::IC, Model::LT] {
+            let mut reference = ReferenceSampler::new(n);
+            let mut draw = DistinctDraw::new();
+            let snapshot = residual.snapshot();
+            let (mut roots, mut set) = (Vec::new(), Vec::new());
+            let mut want: Vec<Vec<NodeId>> = Vec::with_capacity(sets);
+            let mut want_edges = 0usize;
+            for i in 0..sets {
+                let mut rng = SmallRng::seed_from_u64(base_seed ^ i as u64);
+                let k =
+                    sample_root_count(snapshot.n_alive(), eta, RootCountDist::Randomized, &mut rng);
+                draw.sample_from(&snapshot, k, &mut rng, &mut roots);
+                let alive = Some(snapshot.alive_mask());
+                want_edges += reference.sample_into(&g, model, alive, &roots, &mut rng, &mut set);
+                want.push(set.clone());
+            }
+            for threads in [1usize, 3] {
+                let job = SketchJob {
+                    graph: &g,
+                    model,
+                    snapshot: residual.snapshot(),
+                    eta_i: eta,
+                    dist: RootCountDist::Randomized,
+                    base_seed,
+                };
+                let mut pool = SketchPool::new(n);
+                let stats = SketchGenPool::new(n).generate(&job, sets, threads, &mut pool);
+                let case = format!("{name} {model} t{threads}");
+                assert_eq!(stats.sets_generated, sets);
+                assert_eq!(stats.edges_examined, want_edges, "{case}");
+                for (i, w) in want.iter().enumerate() {
+                    assert_eq!(pool.set(i as u32), &w[..], "{case} set {i}");
+                }
             }
         }
     }
@@ -823,4 +886,258 @@ fn lt_pick_matches_scan_at_hubs_and_multiples_of_p() {
         let edges = sampler.sample_into(&g, Model::LT, alive, &[a], &mut rng, &mut got);
         assert_eq!((edges, &got[..]), (2, &[a, b][..]), "2-cycle from {a}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// IC's live in-edges by count: the law, and agreement with per-edge coins
+// ---------------------------------------------------------------------------
+
+/// Disjoint in-stars: center `c` with leaves `c + 1 ..= c + d`, every
+/// leaf → center edge carrying `p_of(d)`.
+fn in_stars(
+    degrees: &[usize],
+    p_of: impl Fn(usize) -> f64,
+) -> (seedmin::graph::Graph, Vec<NodeId>) {
+    use seedmin::graph::GraphBuilder;
+
+    let n = degrees.iter().map(|&d| d + 1).sum();
+    let mut b = GraphBuilder::new(n);
+    let mut centers = Vec::new();
+    let mut next = 0u32;
+    for &d in degrees {
+        for leaf in next + 1..=next + d as u32 {
+            b.add_edge_p(leaf, next, p_of(d)).unwrap();
+        }
+        centers.push(next);
+        next += d as u32 + 1;
+    }
+    (b.build().unwrap(), centers)
+}
+
+/// `P(X = c)` for `X ~ Binomial(d, p)`, from the log-gamma-free product.
+fn binomial_pmf(d: usize, p: f64, c: usize) -> f64 {
+    let mut choose = 1.0f64;
+    for i in 0..c {
+        choose = choose * (d - i) as f64 / (i + 1) as f64;
+    }
+    choose * p.powi(c as i32) * (1.0 - p).powi((d - c) as i32)
+}
+
+/// At a center with `d` in-edges at `p = 1/d`, the number of live in-edges
+/// follows Binomial(d, p) (χ² over cells of expected count ≥ 20), and each leaf joins with probability `p` (|z| < 5 for
+/// every leaf). Sets are `[center, live leaves…]`, the leaves distinct,
+/// and the edge count equals the live count.
+#[test]
+fn star_live_count_is_binomial_and_each_leaf_joins_with_p() {
+    use seedmin::diffusion::Model;
+    use seedmin::sampling::ReverseSampler;
+
+    let degrees = [2usize, 3, 4, 5, 8, 13, 40];
+    let (g, centers) = in_stars(&degrees, |d| 1.0 / d as f64);
+    let mut sampler = ReverseSampler::new(g.n());
+    let mut rng = SmallRng::seed_from_u64(0x57A2);
+    let mut set = Vec::new();
+    let trials = 400_000usize;
+    for (&d, &center) in degrees.iter().zip(&centers) {
+        let p = 1.0 / d as f64;
+        let mut counts = vec![0usize; d + 1];
+        let mut joins = vec![0usize; d];
+        for _ in 0..trials {
+            let edges = sampler.sample_into(&g, Model::IC, None, &[center], &mut rng, &mut set);
+            let live = set.len() - 1;
+            assert_eq!(edges, live, "d={d}: the draw reads the live in-edges only");
+            counts[live] += 1;
+            for &u in &set[1..] {
+                joins[(u - center - 1) as usize] += 1;
+            }
+        }
+        // χ² over cells of expected count ≥ 20, the upper tail pooled
+        let expected: Vec<f64> = (0..=d)
+            .map(|c| trials as f64 * binomial_pmf(d, p, c))
+            .collect();
+        let mut cells: Vec<(f64, f64)> = Vec::new();
+        let (mut obs, mut exp) = (0.0f64, 0.0f64);
+        for c in 0..=d {
+            obs += counts[c] as f64;
+            exp += expected[c];
+            if exp >= 20.0 && expected[c + 1..].iter().sum::<f64>() >= 20.0 {
+                cells.push((obs, exp));
+                (obs, exp) = (0.0, 0.0);
+            }
+        }
+        cells.push((obs, exp));
+        let chi2: f64 = cells.iter().map(|&(o, e)| (o - e).powi(2) / e).sum();
+        let cells = cells.len();
+        // 3–8 cells; 33 lies past the 1e-4 quantile of χ² on 7 degrees of
+        // freedom (29.9)
+        assert!(cells >= 3, "d={d}: {cells} cells");
+        assert!(chi2 < 33.0, "d={d}: χ² = {chi2:.1} over {cells} cells");
+        let sd = (trials as f64 * p * (1.0 - p)).sqrt();
+        for (leaf, &hits) in joins.iter().enumerate() {
+            let z = (hits as f64 - trials as f64 * p) / sd;
+            assert!(z.abs() < 5.0, "d={d} leaf {leaf}: z = {z:.2}");
+        }
+    }
+}
+
+/// On a 300-node Chung–Lu graph with about 10% of the nodes dead, under
+/// weighted cascade, Uniform(0.3) and Uniform(0.05), every node joins the sampler's sets as often as the
+/// per-edge coin sampler's, over independent streams: Σz²/nodes near 1 and
+/// no |z| beyond 4.5.
+#[test]
+fn membership_matches_per_edge_coins() {
+    use seedmin::diffusion::Model;
+    use seedmin::graph::generators::{assemble, chung_lu_directed};
+    use seedmin::graph::WeightModel;
+    use seedmin::sampling::ReverseSampler;
+
+    let n = 300;
+    let mut rng = SmallRng::seed_from_u64(0x3E3B);
+    let pairs = chung_lu_directed(n, 1_200, 2.1, &mut rng);
+    let alive: Vec<bool> = (0..n).map(|_| rng.random::<f64>() >= 0.1).collect();
+    let trials = 100_000usize;
+    for model in [
+        WeightModel::WeightedCascade,
+        WeightModel::Uniform(0.3),
+        WeightModel::Uniform(0.05),
+    ] {
+        let g = assemble(n, &pairs, true, model, &mut rng).unwrap();
+        let mut sampler = ReverseSampler::new(n);
+        let mut coins = ReferenceSampler::per_edge(n);
+        let (mut rng_a, mut rng_b) = (SmallRng::seed_from_u64(1), SmallRng::seed_from_u64(2));
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let (mut hits_a, mut hits_b) = (vec![0usize; n], vec![0usize; n]);
+        let roots = |rng: &mut SmallRng| -> Vec<NodeId> {
+            let k = rng.random_range(1..=3usize);
+            (0..k).map(|_| rng.random_range(0..n as u32)).collect()
+        };
+        let alive = Some(alive.as_slice());
+        for _ in 0..trials {
+            let roots_a = roots(&mut rng_a);
+            sampler.sample_into(&g, Model::IC, alive, &roots_a, &mut rng_a, &mut got);
+            let roots_b = roots(&mut rng_b);
+            coins.sample_into(&g, Model::IC, alive, &roots_b, &mut rng_b, &mut want);
+            got.iter().for_each(|&u| hits_a[u as usize] += 1);
+            want.iter().for_each(|&u| hits_b[u as usize] += 1);
+        }
+        let (mut sum_z2, mut nodes, mut worst) = (0.0f64, 0usize, 0.0f64);
+        for (&a, &b) in hits_a.iter().zip(&hits_b) {
+            let (fa, fb) = (a as f64 / trials as f64, b as f64 / trials as f64);
+            let var = (fa * (1.0 - fa) + fb * (1.0 - fb)) / trials as f64;
+            if var == 0.0 {
+                assert_eq!(a, b);
+                continue;
+            }
+            let z = (fa - fb) / var.sqrt();
+            sum_z2 += z * z;
+            nodes += 1;
+            worst = f64::max(worst, z.abs());
+        }
+        let mean_z2 = sum_z2 / nodes as f64;
+        assert!(nodes > 200, "{model:?}: {nodes} nodes ever sampled");
+        assert!(
+            mean_z2 < 1.5,
+            "{model:?}: Σz²/nodes = {mean_z2:.3} over {nodes}"
+        );
+        assert!(worst < 4.5, "{model:?}: worst |z| = {worst:.2}");
+    }
+}
+
+/// The edges of the binomial draw. `p = 1` keeps every alive source, draws
+/// nothing and counts all `d` in-edges; `p = 0` keeps none with one draw per
+/// dequeued node and counts none; a node whose `d·p` passes the mean cap,
+/// or whose `(1 − p)^d` underflows, flips the per-edge coins, coin for coin;
+/// a node at the cap draws by count, as the reference does, and its count
+/// is not the coins' (the `c` in-edges drawn, not every alive one).
+#[test]
+fn binomial_draw_edges() {
+    use seedmin::diffusion::Model;
+    use seedmin::sampling::rr::MAX_BINOMIAL_MEAN;
+    use seedmin::sampling::ReverseSampler;
+
+    assert_eq!(MAX_BINOMIAL_MEAN, REFERENCE_MEAN_CAP);
+    let (_, certain) = equivalence_graphs()
+        .into_iter()
+        .find(|(name, _)| *name == "uniform-1")
+        .unwrap();
+    let n = certain.n();
+    let never = certain.map_probabilities(|_, _, _| 0.0);
+    let killed: Vec<bool> = (0..n).map(|u| u % 7 != 3).collect();
+    let mut sampler = ReverseSampler::new(n);
+    let mut set = Vec::new();
+    for alive in [None, Some(killed.as_slice())] {
+        for root in 0..n as u32 {
+            let mut rng = SmallRng::seed_from_u64(u64::from(root));
+            let untouched = rng.clone();
+            let edges =
+                sampler.sample_into(&certain, Model::IC, alive, &[root], &mut rng, &mut set);
+            let degrees: usize = set.iter().map(|&v| certain.in_degree(v)).sum();
+            assert_eq!(edges, degrees, "p = 1 from {root}: every in-edge counted");
+            assert_eq!(rng.random::<u64>(), untouched.clone().random::<u64>());
+            let is_alive = |u: NodeId| alive.is_none_or(|a| a[u as usize]);
+            for &v in &set {
+                for (u, _, _) in certain.in_edges(v) {
+                    assert!(!is_alive(u) || set.contains(&u), "p = 1 keeps {u}");
+                }
+            }
+
+            let mut rng = SmallRng::seed_from_u64(u64::from(root));
+            let mut one_draw_each = rng.clone();
+            let edges = sampler.sample_into(&never, Model::IC, alive, &[root], &mut rng, &mut set);
+            let roots: Vec<NodeId> = [root].into_iter().filter(|&r| is_alive(r)).collect();
+            assert_eq!((edges, &set[..]), (0, &roots[..]), "p = 0 from {root}");
+            for &v in &set {
+                if never.in_degree(v) > 0 {
+                    let _: f64 = one_draw_each.random();
+                }
+            }
+            assert_eq!(rng.random::<u64>(), one_draw_each.random::<u64>());
+        }
+    }
+
+    // d·p = 16 (at the cap), 20 and 600 (past it; the last also
+    // underflows (1 − p)^d); leaves 1, 6, 11, … dead
+    let degrees = [32usize, 40, 1_200];
+    let (g, centers) = in_stars(&degrees, |_| 0.5);
+    let n = g.n();
+    let mut sampler = ReverseSampler::new(n);
+    let mut coins = ReferenceSampler::per_edge(n);
+    let mut reference = ReferenceSampler::new(n);
+    let (_, shared) = g.in_sources_ic(centers[2]);
+    let (_, p0) = shared.unwrap();
+    assert!(p0 < f64::MIN_POSITIVE, "(1/2)^1200 underflows: {p0:e}");
+    let killed: Vec<bool> = (0..n).map(|u| u % 5 != 1).collect();
+    let (mut want, mut by_count) = (Vec::new(), 0usize);
+    for (&d, &center) in degrees.iter().zip(&centers) {
+        for alive in [None, Some(killed.as_slice())] {
+            for seed in 0..200u64 {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut ref_rng = rng.clone();
+                let mut coin_rng = rng.clone();
+                let edges =
+                    sampler.sample_into(&g, Model::IC, alive, &[center], &mut rng, &mut set);
+                let ref_edges =
+                    reference.sample_into(&g, Model::IC, alive, &[center], &mut ref_rng, &mut want);
+                let case = format!("d={d} seed {seed}");
+                assert_eq!((edges, &set), (ref_edges, &want), "{case}");
+                assert_eq!(
+                    rng.clone().random::<u64>(),
+                    ref_rng.random::<u64>(),
+                    "{case}"
+                );
+                let coin_edges =
+                    coins.sample_into(&g, Model::IC, alive, &[center], &mut coin_rng, &mut want);
+                if d as f64 * 0.5 > MAX_BINOMIAL_MEAN {
+                    assert_eq!((edges, &set), (coin_edges, &want), "{case}: the coins");
+                    assert_eq!(rng.random::<u64>(), coin_rng.random::<u64>(), "{case}");
+                } else {
+                    by_count += usize::from(edges != coin_edges);
+                }
+            }
+        }
+    }
+    assert!(
+        by_count > 300,
+        "at the cap the count is the draw's: {by_count} of 400"
+    );
 }
