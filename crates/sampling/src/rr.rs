@@ -37,12 +37,19 @@
 //! costs about two draws instead of one coin per in-edge. `p = 1` adds
 //! every source without a draw.
 //!
-//! The other IC nodes flip one coin per alive in-edge not yet in the set:
-//! nodes without a shared probability (trivalency, mixed weights), nodes
-//! whose mean `d·p` exceeds [`MAX_BINOMIAL_MEAN`] (the inversion would step
-//! past ~`d·p` terms), and nodes whose `P(0)` is not a positive normal
-//! number (it underflowed, and the inversion would lose its start). The
-//! choice depends only on the graph, never on an option.
+//! The draw pays only while live in-edges are few next to all in-edges:
+//! each live one costs an inversion step, a range draw and a pick where a
+//! coin costs one draw, and a coin on a source already in the set is never
+//! flipped, while the draw picks such sources and drops them. So a node
+//! draws by count only when `p ≤` [`MAX_BINOMIAL_P`] and
+//! `d·p ≤` [`MAX_BINOMIAL_MEAN`]; every other IC node flips one coin per
+//! alive in-edge not yet in the set, as do nodes without a shared
+//! probability (trivalency, mixed weights). Under weighted cascade
+//! (`p = 1/d`) that is every node with three or more in-edges; in-degree 2
+//! flips coins. With `p ≤ 1/3`, `(1 − p)^d ≥ e^(−1.22·d·p)`, so at
+//! `d·p ≤ 16` the inversion starts from at least `e^(−19.5)`, never from an
+//! underflowed `P(0)`. The choice depends only on the graph, never on an
+//! option.
 //!
 //! # What `edges_examined` counts
 //!
@@ -71,10 +78,20 @@ use rand::Rng;
 use smin_diffusion::Model;
 use smin_graph::{FixedBitSet, Graph, NodeId};
 
+/// Largest shared probability `p` for which an IC node draws its live
+/// in-edges by count. Timed per IC set on 5 000-node Chung–Lu graphs of
+/// mean in-degree 4 and 10 under uniform `p`, against the coins in the same
+/// binary: the draw took 0.81–0.89× the coins' time at `p = 0.3`, but
+/// 0.87–1.22× at `p = 0.4` and 1.12–1.46× at `p = 0.5`, where sets fill
+/// most of the graph and most picks land on sources already in the set.
+pub const MAX_BINOMIAL_P: f64 = 1.0 / 3.0;
+
 /// Largest mean number of live in-edges, `d·p`, for which an IC node draws
-/// them by count: sequential inversion steps about `d·p + 1` times, so its
-/// cost grows with the mean where the coins' grows with `d`; past this cap
-/// the node keeps the coins. Under weighted cascade `d·p = 1`.
+/// them by count: sequential inversion steps about `d·p + 1` times and
+/// Floyd's algorithm compares each pick with the ones before it, so the
+/// draw's cost grows faster than the mean where the coins' grows with `d`.
+/// On one in-star at `p = 1/4`, the draw took 0.71× the coins' time at
+/// `d·p = 16` and 1.06× at 128. Under weighted cascade `d·p = 1`.
 pub const MAX_BINOMIAL_MEAN: f64 = 16.0;
 
 /// Reusable scratch for reverse stochastic BFS on one graph.
@@ -155,7 +172,7 @@ impl ReverseSampler {
                     srcs.len()
                 }
                 (srcs, Some((p, p0)))
-                    if p0 >= f64::MIN_POSITIVE && srcs.len() as f64 * p <= MAX_BINOMIAL_MEAN =>
+                    if p <= MAX_BINOMIAL_P && srcs.len() as f64 * p <= MAX_BINOMIAL_MEAN =>
                 {
                     let c = binomial_count(srcs.len(), p, p0, rng.random());
                     ic_live_subset(visited, &mut self.picks, srcs, c, is_alive, rng, out);
@@ -260,7 +277,10 @@ fn binomial_count(d: usize, p: f64, p0: f64, x: f64) -> usize {
 
 /// Picks `c` distinct positions of `srcs` uniformly — one range draw when
 /// `c = 1`, Floyd's algorithm when `c ≥ 2` — and keeps each picked source
-/// that is alive and not yet visited, in the order picked.
+/// that is alive and not yet visited, in the order picked. The range draw
+/// is Floyd's first step without its scratch; `c = 1` is the commonest
+/// nonzero count under weighted cascade, and sending it through Floyd made
+/// IC sets about 5% slower.
 ///
 /// Floyd's algorithm: for `j = d − c, …, d − 1`, draw `t` uniform in
 /// `0..=j` and pick `t`, or `j` when `t` was picked already. Every

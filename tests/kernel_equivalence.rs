@@ -460,20 +460,21 @@ fn trim_b_selections_identical_across_thread_counts() {
 // Reverse BFS vs the per-edge reference sampler
 // ---------------------------------------------------------------------------
 
-/// Largest mean `d·p` at which the reference draws an IC node's live
-/// in-edges by count (`rr::MAX_BINOMIAL_MEAN`, restated).
+/// Largest shared probability `p` and mean `d·p` at which the reference
+/// draws an IC node's live in-edges by count (`rr::MAX_BINOMIAL_P` and
+/// `rr::MAX_BINOMIAL_MEAN`, restated).
+const REFERENCE_P_CAP: f64 = 1.0 / 3.0;
 const REFERENCE_MEAN_CAP: f64 = 16.0;
 
 /// The reverse BFS written plainly, every in-edge's probability read from
 /// `in_edges` and a BFS queue kept apart from the output set. LT scans the
 /// in-edges; IC flips one coin per alive in-edge, except at a node whose
 /// `d ≥ 1` in-edges all carry one `p` (compared bit for bit): there `p = 1`
-/// keeps every source without a draw, and where `(1 − p)^d` is a positive
-/// normal number and `d·p ≤ 16` the node draws how many in-edges are live,
-/// by inversion of the Binomial(d, p) distribution function, then which
-/// ones, by Floyd's algorithm over positions. `per_edge` flips coins at
-/// every IC node: the plain per-edge sampler the draw must agree with in
-/// distribution.
+/// keeps every source without a draw, and where `p ≤ 1/3` and `d·p ≤ 16`
+/// the node draws how many in-edges are live, by inversion of the
+/// Binomial(d, p) distribution function, then which ones, by Floyd's
+/// algorithm over positions. `per_edge` flips coins at every IC node: the
+/// plain per-edge sampler the draw must agree with in distribution.
 struct ReferenceSampler {
     visited: Vec<bool>,
     queue: Vec<NodeId>,
@@ -540,7 +541,7 @@ impl ReferenceSampler {
                 }
                 (Model::IC, Some(p))
                     if !self.per_edge
-                        && (1.0 - p).powi(d as i32) >= f64::MIN_POSITIVE
+                        && p <= REFERENCE_P_CAP
                         && d as f64 * p <= REFERENCE_MEAN_CAP =>
                 {
                     // how many are live: the smallest c with
@@ -641,9 +642,10 @@ fn sharing_census(g: &seedmin::graph::Graph) -> (usize, usize) {
 /// For every graph, both models, all nodes alive and about 10% killed:
 /// 2 000 random root sets (1–4 roots, dead and repeated roots included)
 /// give the reference's set, in the same order, with the same edge count,
-/// and leave both RNG streams at the same position. Under IC the shared
-/// graphs run the binomial draw at every node with in-edges (`uniform-1`
-/// its draw-free `p = 1` branch), trivalency mostly the coins.
+/// and leave both RNG streams at the same position. Under IC weighted
+/// cascade takes the draw-free `p = 1` branch at in-degree 1, the coins at
+/// in-degree 2 (`p > 1/3`) and the binomial draw above; `uniform-1`
+/// takes its `p = 1` branch everywhere, trivalency mostly the coins.
 #[test]
 fn reverse_bfs_matches_per_edge_reference() {
     use seedmin::diffusion::Model;
@@ -892,21 +894,18 @@ fn lt_pick_matches_scan_at_hubs_and_multiples_of_p() {
 // IC's live in-edges by count: the law, and agreement with per-edge coins
 // ---------------------------------------------------------------------------
 
-/// Disjoint in-stars: center `c` with leaves `c + 1 ..= c + d`, every
-/// leaf → center edge carrying `p_of(d)`.
-fn in_stars(
-    degrees: &[usize],
-    p_of: impl Fn(usize) -> f64,
-) -> (seedmin::graph::Graph, Vec<NodeId>) {
+/// Disjoint in-stars, one per `(d, p)`: center `c` with leaves
+/// `c + 1 ..= c + d`, every leaf → center edge carrying `p`.
+fn in_stars(stars: &[(usize, f64)]) -> (seedmin::graph::Graph, Vec<NodeId>) {
     use seedmin::graph::GraphBuilder;
 
-    let n = degrees.iter().map(|&d| d + 1).sum();
+    let n = stars.iter().map(|&(d, _)| d + 1).sum();
     let mut b = GraphBuilder::new(n);
     let mut centers = Vec::new();
     let mut next = 0u32;
-    for &d in degrees {
+    for &(d, p) in stars {
         for leaf in next + 1..=next + d as u32 {
-            b.add_edge_p(leaf, next, p_of(d)).unwrap();
+            b.add_edge_p(leaf, next, p).unwrap();
         }
         centers.push(next);
         next += d as u32 + 1;
@@ -923,29 +922,37 @@ fn binomial_pmf(d: usize, p: f64, c: usize) -> f64 {
     choose * p.powi(c as i32) * (1.0 - p).powi((d - c) as i32)
 }
 
-/// At a center with `d` in-edges at `p = 1/d`, the number of live in-edges
-/// follows Binomial(d, p) (χ² over cells of expected count ≥ 20), and each leaf joins with probability `p` (|z| < 5 for
-/// every leaf). Sets are `[center, live leaves…]`, the leaves distinct,
-/// and the edge count equals the live count.
+/// At a center with `d` in-edges at `p = 1/d`, and at `p = 1/4` and `1/3`
+/// for `d = 2` (whose `1/d` takes the coins), the number of live in-edges
+/// follows Binomial(d, p) (χ² over cells of expected count ≥ 20), and each
+/// leaf joins with probability `p` (|z| < 5 for every leaf). Sets are
+/// `[center, live leaves…]`, the leaves distinct, and the edge count is the
+/// live count where the node draws by count (`p ≤ 1/3`), `d` where it
+/// flips coins.
 #[test]
 fn star_live_count_is_binomial_and_each_leaf_joins_with_p() {
     use seedmin::diffusion::Model;
     use seedmin::sampling::ReverseSampler;
 
-    let degrees = [2usize, 3, 4, 5, 8, 13, 40];
-    let (g, centers) = in_stars(&degrees, |d| 1.0 / d as f64);
+    let mut stars: Vec<(usize, f64)> = [2usize, 3, 4, 5, 8, 13, 40]
+        .iter()
+        .map(|&d| (d, 1.0 / d as f64))
+        .collect();
+    stars.extend([(2, 0.25), (2, 1.0 / 3.0)]);
+    let (g, centers) = in_stars(&stars);
     let mut sampler = ReverseSampler::new(g.n());
     let mut rng = SmallRng::seed_from_u64(0x57A2);
     let mut set = Vec::new();
     let trials = 400_000usize;
-    for (&d, &center) in degrees.iter().zip(&centers) {
-        let p = 1.0 / d as f64;
+    for (&(d, p), &center) in stars.iter().zip(&centers) {
+        let by_count = p <= REFERENCE_P_CAP;
         let mut counts = vec![0usize; d + 1];
         let mut joins = vec![0usize; d];
         for _ in 0..trials {
             let edges = sampler.sample_into(&g, Model::IC, None, &[center], &mut rng, &mut set);
             let live = set.len() - 1;
-            assert_eq!(edges, live, "d={d}: the draw reads the live in-edges only");
+            let want = if by_count { live } else { d };
+            assert_eq!(edges, want, "d={d} p={p}: in-edges read");
             counts[live] += 1;
             for &u in &set[1..] {
                 joins[(u - center - 1) as usize] += 1;
@@ -970,20 +977,23 @@ fn star_live_count_is_binomial_and_each_leaf_joins_with_p() {
         let cells = cells.len();
         // 3–8 cells; 33 lies past the 1e-4 quantile of χ² on 7 degrees of
         // freedom (29.9)
-        assert!(cells >= 3, "d={d}: {cells} cells");
-        assert!(chi2 < 33.0, "d={d}: χ² = {chi2:.1} over {cells} cells");
+        assert!(cells >= 3, "d={d} p={p}: {cells} cells");
+        assert!(
+            chi2 < 33.0,
+            "d={d} p={p}: χ² = {chi2:.1} over {cells} cells"
+        );
         let sd = (trials as f64 * p * (1.0 - p)).sqrt();
         for (leaf, &hits) in joins.iter().enumerate() {
             let z = (hits as f64 - trials as f64 * p) / sd;
-            assert!(z.abs() < 5.0, "d={d} leaf {leaf}: z = {z:.2}");
+            assert!(z.abs() < 5.0, "d={d} p={p} leaf {leaf}: z = {z:.2}");
         }
     }
 }
 
 /// On a 300-node Chung–Lu graph with about 10% of the nodes dead, under
-/// weighted cascade, Uniform(0.3) and Uniform(0.05), every node joins the sampler's sets as often as the
-/// per-edge coin sampler's, over independent streams: Σz²/nodes near 1 and
-/// no |z| beyond 4.5.
+/// weighted cascade, Uniform(0.3) and Uniform(0.05), every node joins the
+/// sampler's sets as often as the per-edge coin sampler's, over independent
+/// streams: Σz²/nodes near 1 and no |z| beyond 4.5.
 #[test]
 fn membership_matches_per_edge_coins() {
     use seedmin::diffusion::Model;
@@ -1045,16 +1055,17 @@ fn membership_matches_per_edge_coins() {
 
 /// The edges of the binomial draw. `p = 1` keeps every alive source, draws
 /// nothing and counts all `d` in-edges; `p = 0` keeps none with one draw per
-/// dequeued node and counts none; a node whose `d·p` passes the mean cap,
-/// or whose `(1 − p)^d` underflows, flips the per-edge coins, coin for coin;
-/// a node at the cap draws by count, as the reference does, and its count
-/// is not the coins' (the `c` in-edges drawn, not every alive one).
+/// dequeued node and counts none; a node whose `p` or `d·p` passes its cap
+/// flips the per-edge coins, coin for coin; a node at both caps draws by
+/// count, as the reference does, and its count is not the coins' (the `c`
+/// in-edges drawn, not every alive one).
 #[test]
 fn binomial_draw_edges() {
     use seedmin::diffusion::Model;
-    use seedmin::sampling::rr::MAX_BINOMIAL_MEAN;
+    use seedmin::sampling::rr::{MAX_BINOMIAL_MEAN, MAX_BINOMIAL_P};
     use seedmin::sampling::ReverseSampler;
 
+    assert_eq!(MAX_BINOMIAL_P, REFERENCE_P_CAP);
     assert_eq!(MAX_BINOMIAL_MEAN, REFERENCE_MEAN_CAP);
     let (_, certain) = equivalence_graphs()
         .into_iter()
@@ -1095,20 +1106,18 @@ fn binomial_draw_edges() {
         }
     }
 
-    // d·p = 16 (at the cap), 20 and 600 (past it; the last also
-    // underflows (1 − p)^d); leaves 1, 6, 11, … dead
-    let degrees = [32usize, 40, 1_200];
-    let (g, centers) = in_stars(&degrees, |_| 0.5);
+    // p = 1/4 with d·p = 16 (at the mean cap) and d·p = 20 (past it);
+    // p = 1/2 (past the probability cap) with d·p = 4; leaves 1, 6, 11, …
+    // dead
+    let stars = [(64usize, 0.25), (80, 0.25), (8, 0.5)];
+    let (g, centers) = in_stars(&stars);
     let n = g.n();
     let mut sampler = ReverseSampler::new(n);
     let mut coins = ReferenceSampler::per_edge(n);
     let mut reference = ReferenceSampler::new(n);
-    let (_, shared) = g.in_sources_ic(centers[2]);
-    let (_, p0) = shared.unwrap();
-    assert!(p0 < f64::MIN_POSITIVE, "(1/2)^1200 underflows: {p0:e}");
     let killed: Vec<bool> = (0..n).map(|u| u % 5 != 1).collect();
     let (mut want, mut by_count) = (Vec::new(), 0usize);
-    for (&d, &center) in degrees.iter().zip(&centers) {
+    for (&(d, p), &center) in stars.iter().zip(&centers) {
         for alive in [None, Some(killed.as_slice())] {
             for seed in 0..200u64 {
                 let mut rng = SmallRng::seed_from_u64(seed);
@@ -1118,7 +1127,7 @@ fn binomial_draw_edges() {
                     sampler.sample_into(&g, Model::IC, alive, &[center], &mut rng, &mut set);
                 let ref_edges =
                     reference.sample_into(&g, Model::IC, alive, &[center], &mut ref_rng, &mut want);
-                let case = format!("d={d} seed {seed}");
+                let case = format!("d={d} p={p} seed {seed}");
                 assert_eq!((edges, &set), (ref_edges, &want), "{case}");
                 assert_eq!(
                     rng.clone().random::<u64>(),
@@ -1127,7 +1136,7 @@ fn binomial_draw_edges() {
                 );
                 let coin_edges =
                     coins.sample_into(&g, Model::IC, alive, &[center], &mut coin_rng, &mut want);
-                if d as f64 * 0.5 > MAX_BINOMIAL_MEAN {
+                if p > MAX_BINOMIAL_P || d as f64 * p > MAX_BINOMIAL_MEAN {
                     assert_eq!((edges, &set), (coin_edges, &want), "{case}: the coins");
                     assert_eq!(rng.random::<u64>(), coin_rng.random::<u64>(), "{case}");
                 } else {

@@ -189,10 +189,17 @@ fn fixed_ceil_band_can_exceed_truth() {
 #[test]
 fn sampler_realizes_the_exact_expectation() {
     // Monte-Carlo over the real MrrSampler vs the closed-form expectation,
-    // on Figure 2 and on the four Uniform(0.4) graphs, whose nodes with two
-    // or more in-edges draw their live in-edges by count.
+    // on Figure 2 and the four Uniform(0.4) graphs, whose nodes flip one
+    // coin per in-edge (p > 1/3), and on each with every probability
+    // halved: there the four graphs' nodes (p = 0.2) and Figure 2's nodes 1
+    // and 2 (p = 0.25) draw their live in-edges by count.
     let eta = 2;
-    for (gi, g) in test_graphs().iter().enumerate() {
+    let graphs = test_graphs();
+    let halved = graphs
+        .iter()
+        .map(|g| g.map_probabilities(|_, _, p| p / 2.0));
+    let graphs: Vec<Graph> = graphs.iter().cloned().chain(halved).collect();
+    for (gi, g) in graphs.iter().enumerate() {
         let n = g.n();
         for v in 0..n as u32 {
             let expected = exact_estimator_expectation(g, &[v], eta, RootCountDist::Randomized);
