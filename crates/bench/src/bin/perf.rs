@@ -19,12 +19,17 @@
 //!     t ∈ {1, 2, 4, 8} × η ∈ {20, 100}. Sketch generation is the dominant
 //!     cost of every campaign (Lemma 3.8's EPT), and the batch is
 //!     bit-identical across t, so the thread axis is pure speedup;
-//!   - `rr`: single-root RR sets (the baselines' sampler) against η = 100
-//!     mRR sets, IC and LT;
+//!   - `rr`: single-root RR sets (`η_i = n`, the sets AdaptIM and ATEUC
+//!     draw) against η = 100 mRR sets, IC and LT;
 //!   - `forward`: realization sampling, a 16-seed realization spread and a
 //!     fresh-coin simulation (the observe step), IC and LT;
 //!   - `graph_gen`: Chung–Lu, ER and BA generation and weighted-cascade CSR
-//!     assembly at 2k/8k and 10k/40k;
+//!     assembly at 2k/8k and 10k/40k.
+//!
+//!   The pools are drawn, and the `rounding`, `sampling` and `rr` rows time
+//!   one set per call, through `SketchGenPool::generate` on one thread, the
+//!   path every algorithm draws its sets through: those rows read µs per
+//!   set, the set's stream seeding and pool append included;
 //! * `BENCH_select.json` — deep selections (b = 64) on the same pools: 8
 //!   scanned picks, then one transpose of the uncovered sets and
 //!   word-batched `commit_pick`;
@@ -47,7 +52,7 @@ use rand::SeedableRng;
 use smin_bench::stats;
 use smin_diffusion::{Model, ResidualState};
 use smin_graph::{Graph, WeightModel};
-use smin_sampling::{MrrSampler, RootCountDist};
+use smin_sampling::{RootCountDist, SketchGenPool, SketchJob, SketchPool};
 use std::hint::black_box;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -202,28 +207,40 @@ fn bench_graph(n: usize, m: usize, seed: u64) -> Graph {
         .expect("valid generator output")
 }
 
-/// An mRR pool of exactly `sets` sketches (IC, η = 100) on `g`. Pools of
-/// different sizes share their prefix.
-fn build_pool(g: &Graph, sets: usize) -> smin_sampling::SketchPool {
+/// An mRR pool of exactly `sets` sketches (IC, η = 100) on `g`. Set `i`
+/// draws from its own stream, so pools of different sizes share their
+/// prefix.
+fn build_pool(g: &Graph, sets: usize) -> SketchPool {
     let n = g.n();
     let residual = ResidualState::new(n);
-    let mut sampler = MrrSampler::new(n);
-    let mut rng = SmallRng::seed_from_u64(4);
-    let mut pool = smin_sampling::SketchPool::new(n);
-    let mut out = Vec::new();
-    for _ in 0..sets {
-        sampler.sample_into(
-            g,
-            Model::IC,
-            &residual,
-            100,
-            RootCountDist::Randomized,
-            &mut rng,
-            &mut out,
-        );
-        pool.add_set(&out);
-    }
+    let job = SketchJob {
+        graph: g,
+        model: Model::IC,
+        snapshot: residual.snapshot(),
+        eta_i: 100,
+        dist: RootCountDist::Randomized,
+        base_seed: 4,
+    };
+    let mut pool = SketchPool::new(n);
+    SketchGenPool::new(n).generate(&job, sets, 1, &mut pool);
     pool
+}
+
+/// Times one set per call through `SketchGenPool::generate` on one
+/// thread: each call appends `job`'s next set to a pool, which starts over
+/// under the next base seed every `GEN_BATCH` sets, so memory stays
+/// bounded and no set repeats.
+fn time_sets(mut job: SketchJob<'_>, iters: usize) -> Dist {
+    let n = job.graph.n();
+    let mut gen = SketchGenPool::new(n);
+    let mut pool = SketchPool::new(n);
+    time_us(iters, || {
+        if pool.len() == GEN_BATCH {
+            pool.reset();
+            job.base_seed = job.base_seed.wrapping_add(GEN_BATCH as u64);
+        }
+        black_box(gen.generate(&job, pool.len() + 1, 1, &mut pool));
+    })
 }
 
 fn run(args: &PerfArgs) -> Result<(), String> {
@@ -411,7 +428,7 @@ fn time_trim_rounds(g: &Graph, iters: usize) -> Vec<String> {
 /// (`tests/theorem33_bounds.rs`); these rows show the accuracy is not paid
 /// for in sampling time.
 fn time_rounding(g: &Graph, iters: usize) -> Vec<String> {
-    let n = g.n();
+    let residual = ResidualState::new(g.n());
     let mut rows = Vec::new();
     for (name, dist) in [
         ("randomized", RootCountDist::Randomized),
@@ -419,14 +436,17 @@ fn time_rounding(g: &Graph, iters: usize) -> Vec<String> {
         ("fixed_ceil", RootCountDist::FixedCeil),
     ] {
         for &eta in &[30usize, 300] {
-            let residual = ResidualState::new(n);
-            let mut sampler = MrrSampler::new(n);
-            let mut rng = SmallRng::seed_from_u64(9);
-            let mut out = Vec::new();
-            let d = time_us(iters, || {
-                sampler.sample_into(g, Model::IC, &residual, eta, dist, &mut rng, &mut out);
-                black_box(out.len());
-            });
+            let d = time_sets(
+                SketchJob {
+                    graph: g,
+                    model: Model::IC,
+                    snapshot: residual.snapshot(),
+                    eta_i: eta,
+                    dist,
+                    base_seed: 9,
+                },
+                iters,
+            );
             println!("rounding {name:>11} eta {eta:>3}: {:9.1} us", d.median());
             rows.push(json_row(
                 &[("dist", quoted(name)), ("eta", eta.to_string())],
@@ -437,11 +457,11 @@ fn time_rounding(g: &Graph, iters: usize) -> Vec<String> {
     rows
 }
 
-/// One mRR set through `MrrSampler::sample_into` on the bench graph, for IC
-/// and LT at η ∈ {20, 100, 400}, plus one IC row on a trivalency copy of
-/// the graph. Every node of the weighted-cascade graph shares one
-/// in-probability, so its rows run the reverse BFS's shared-probability
-/// loop; the trivalency row runs its per-edge loop.
+/// One mRR set per call on the bench graph, for IC and LT at
+/// η ∈ {20, 100, 400}, plus one IC row on a trivalency copy of the graph.
+/// Every node of the weighted-cascade graph shares one in-probability, so
+/// its rows run the reverse BFS's shared-probability loop; the trivalency
+/// row runs its per-edge loop.
 fn time_sampling(wc: &Graph, iters: usize) -> Vec<String> {
     use smin_graph::weights::apply_weights;
 
@@ -457,23 +477,18 @@ fn time_sampling(wc: &Graph, iters: usize) -> Vec<String> {
 
     let mut rows = Vec::new();
     for (weights, g, model, eta) in cases {
-        let n = g.n();
-        let residual = ResidualState::new(n);
-        let mut sampler = MrrSampler::new(n);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut out = Vec::new();
-        let d = time_us(iters, || {
-            sampler.sample_into(
-                g,
+        let residual = ResidualState::new(g.n());
+        let d = time_sets(
+            SketchJob {
+                graph: g,
                 model,
-                &residual,
-                eta,
-                RootCountDist::Randomized,
-                &mut rng,
-                &mut out,
-            );
-            black_box(out.len());
-        });
+                snapshot: residual.snapshot(),
+                eta_i: eta,
+                dist: RootCountDist::Randomized,
+                base_seed: 1,
+            },
+            iters,
+        );
         println!(
             "sampling {model} {weights:>10} eta {eta:>3}: {:9.2} us/set",
             d.median()
@@ -497,8 +512,6 @@ const GEN_BATCH: usize = 4_096;
 /// swept over worker threads and η (the root count `E[k] = n/η` shrinks
 /// as η grows — Lemma 3.8's EPT trade-off).
 fn time_sketch_gen(g: &Graph, iters: usize) -> Vec<String> {
-    use smin_sampling::{SketchGenPool, SketchJob, SketchPool};
-
     let n = g.n();
     let residual = ResidualState::new(n);
     let mut gen = SketchGenPool::new(n);
@@ -534,48 +547,24 @@ fn time_sketch_gen(g: &Graph, iters: usize) -> Vec<String> {
     rows
 }
 
-/// Classic single-root RR sets (the baselines' sampler) against η = 100
-/// multi-root sets on the same graph: the per-sample cost the mRR
-/// estimator pays for its accuracy.
+/// Single-root RR sets (`η_i = n`: one root under randomized rounding,
+/// the sets AdaptIM and ATEUC draw) against η = 100 mRR sets on the same
+/// graph: the per-sample cost the mRR estimator pays for its accuracy.
 fn time_rr(g: &Graph, iters: usize) -> Vec<String> {
-    use smin_sampling::ReverseSampler;
-
     let n = g.n();
+    let residual = ResidualState::new(n);
     let mut rows = Vec::new();
     for model in [Model::IC, Model::LT] {
-        let mut sampler = ReverseSampler::new(n);
-        let mut residual = ResidualState::new(n);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let mut out = Vec::new();
-        let mut roots = Vec::new();
-        let single = time_us(iters, || {
-            residual.sample_k_distinct(1, &mut rng, &mut roots);
-            sampler.sample_into(
-                g,
-                model,
-                Some(residual.alive_mask()),
-                &roots,
-                &mut rng,
-                &mut out,
-            );
-            black_box(out.len());
-        });
-
-        let residual = ResidualState::new(n);
-        let mut sampler = MrrSampler::new(n);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let multi = time_us(iters, || {
-            sampler.sample_into(
-                g,
-                model,
-                &residual,
-                100,
-                RootCountDist::Randomized,
-                &mut rng,
-                &mut out,
-            );
-            black_box(out.len());
-        });
+        let job = |eta_i| SketchJob {
+            graph: g,
+            model,
+            snapshot: residual.snapshot(),
+            eta_i,
+            dist: RootCountDist::Randomized,
+            base_seed: 2,
+        };
+        let single = time_sets(job(n), iters);
+        let multi = time_sets(job(100), iters);
         println!(
             "rr {model}: single root {:7.2} us/set | mRR eta 100 {:7.2} us/set",
             single.median(),

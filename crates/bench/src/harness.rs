@@ -111,9 +111,10 @@ pub fn sample_realizations(
 }
 
 /// Sketch-generation threads of every ASTI run here. AdaptIM and ATEUC
-/// always sample on one thread, so the running-time figures (5 and 7)
-/// compare every algorithm at this one count. ASTI's seeds are the same
-/// for every thread count.
+/// draw their sets through the same `SketchGenPool` on one thread, so the
+/// running-time figures (5 and 7) compare every algorithm on one sampling
+/// path at this one count. ASTI's seeds are the same for every thread
+/// count.
 pub const FIGURE_THREADS: usize = 1;
 
 /// ASTI-`b`'s parameters in the figures: `ε`, batch `b`, and

@@ -155,7 +155,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
     if threads.is_some() && algo != "asti" {
         return Err(format!(
-            "--threads only applies to --algo asti ({algo} runs its own single-threaded sampler)"
+            "--threads only applies to --algo asti ({algo} runs the shared sampler on one thread)"
         ));
     }
     // Observation audit trail: record every select→observe interaction in
@@ -556,41 +556,49 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.smg");
         let path = path.to_str().unwrap().to_string();
-        let args: Vec<String> = ["--kind", "er", "--n", "80", "--m", "240", "--out", &path]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        generate(&args).unwrap();
+        let to_args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        generate(&to_args(&[
+            "--kind", "er", "--n", "80", "--m", "240", "--out", &path,
+        ]))
+        .unwrap();
 
-        let audit = dir.join("campaign.log");
-        let audit = audit.to_str().unwrap().to_string();
-        let run_args: Vec<String> = [
-            "--graph", &path, "--algo", "asti", "--eta", "20", "--worlds", "2", "--seed", "5",
-            "--audit", &audit,
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        run(&run_args).unwrap();
-
-        // world 1 at the given path, world 2 with the .w2 suffix — both must
-        // parse back through the diffusion::log line format.
-        for p in [audit.clone(), format!("{audit}.w2")] {
-            let text = std::fs::read_to_string(&p).unwrap();
-            let log = smin_diffusion::ObservationLog::from_text(&text).unwrap();
-            assert_eq!(log.n, 80, "{p}: wrong node count header");
-            assert!(!log.steps.is_empty(), "{p}: no steps recorded");
-            assert!(log.total_activated() >= 20, "{p}: campaign did not reach η");
-            assert_eq!(log.to_text(), text, "{p}: round-trip not identity");
+        // Each adaptive algorithm runs twice at one seed: world 1 at the
+        // given path, world 2 with the .w2 suffix. Every log must parse
+        // back through the diffusion::log line format, reach η, and match
+        // its rerun byte for byte.
+        for algo in ["asti", "adaptim"] {
+            let mut texts = Vec::new();
+            for rerun in ["a", "b"] {
+                let audit = dir.join(format!("{algo}_{rerun}.log"));
+                let audit = audit.to_str().unwrap().to_string();
+                run(&to_args(&[
+                    "--graph", &path, "--algo", algo, "--eta", "20", "--worlds", "2", "--seed",
+                    "5", "--audit", &audit,
+                ]))
+                .unwrap();
+                for p in [audit.clone(), format!("{audit}.w2")] {
+                    let text = std::fs::read_to_string(&p).unwrap();
+                    let log = smin_diffusion::ObservationLog::from_text(&text).unwrap();
+                    assert_eq!(log.n, 80, "{p}: wrong node count header");
+                    assert!(!log.steps.is_empty(), "{p}: no steps recorded");
+                    assert!(log.total_activated() >= 20, "{p}: campaign did not reach η");
+                    assert_eq!(log.to_text(), text, "{p}: round-trip not identity");
+                    texts.push(text);
+                }
+            }
+            assert_eq!(texts[..2], texts[2..], "{algo}: rerun at one seed diverged");
         }
 
-        // --audit is meaningless for the non-adaptive baseline
-        let bad: Vec<String> = [
-            "--graph", &path, "--algo", "ateuc", "--eta", "20", "--audit", &audit,
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        // The non-adaptive baseline runs, but --audit is meaningless for it.
+        run(&to_args(&[
+            "--graph", &path, "--algo", "ateuc", "--eta", "20", "--worlds", "2", "--seed", "5",
+        ]))
+        .unwrap();
+        let audit = dir.join("ateuc.log");
+        let audit = audit.to_str().unwrap();
+        let bad = to_args(&[
+            "--graph", &path, "--algo", "ateuc", "--eta", "20", "--audit", audit,
+        ]);
         assert!(run(&bad).unwrap_err().contains("--audit"));
     }
 

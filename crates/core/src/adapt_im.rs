@@ -12,15 +12,22 @@
 //!   TRIM's `Θ(η_i ln n_i / (ε² OPT_i))`; in late rounds
 //!   `OPT'_i ≈ OPT_i ≈ η_i ≪ n_i`, which is why AdaptIM runs 10–20× slower
 //!   (Figure 5, §6.2).
+//!
+//! A single-root RR set is an mRR set with `η_i = n_i` (one root under
+//! §3.3's randomized rounding), so each round draws its sets through
+//! TRIM's [`SketchGenPool`](smin_sampling::SketchGenPool) from one base
+//! seed of the caller's RNG, each set on its own stream, on
+//! `BASELINE_THREADS` threads.
 
 use crate::error::AsmError;
 use crate::report::{AstiReport, RoundReport};
-use crate::trim::{schedule, TrimScratch, DOUBLING};
+use crate::trim::{schedule, TrimScratch, BASELINE_THREADS, DOUBLING};
 use rand::Rng;
 use smin_diffusion::{InfluenceOracle, Model, ResidualState};
 use smin_graph::cast::u32_of;
 use smin_graph::{Graph, NodeId};
 use smin_sampling::bounds::{coverage_lower_bound, coverage_upper_bound};
+use smin_sampling::{RootCountDist, SketchJob};
 
 /// Parameters for AdaptIM (ε plus an optional per-round sample cap).
 #[derive(Clone, Copy, Debug)]
@@ -91,7 +98,7 @@ pub fn adapt_im(
         // smin-lint: allow(no-wall-clock) -- reported only, never branched on; selection stays bit-identical
         let started = std::time::Instant::now();
         let (node, sets_generated, est) =
-            select_max_spread(g, model, &mut residual, params, &mut scratch, rng);
+            select_max_spread(g, model, &residual, params, &mut scratch, rng);
         let select_time = started.elapsed();
 
         let newly = oracle.observe(&[node]);
@@ -124,7 +131,7 @@ pub fn adapt_im(
 fn select_max_spread(
     g: &Graph,
     model: Model,
-    residual: &mut ResidualState,
+    residual: &ResidualState,
     params: &AdaptImParams,
     scratch: &mut TrimScratch,
     rng: &mut impl Rng,
@@ -145,49 +152,23 @@ fn select_max_spread(
         DOUBLING,
     );
 
+    // η_i = n_i makes every set single-root (module docs).
+    let job = SketchJob {
+        graph: g,
+        model,
+        snapshot: residual.snapshot(),
+        eta_i: n_i,
+        dist: RootCountDist::Randomized,
+        base_seed: rng.next_u64(),
+    };
     let TrimScratch {
         pool,
-        sampler,
+        sketch_gen,
         engine,
         ..
     } = scratch;
     pool.reset();
-
-    // A named generic fn (not a `&mut dyn RngCore` closure) keeps the RR
-    // sampling loop fully monomorphized over the caller's RNG type.
-    #[allow(clippy::too_many_arguments)]
-    fn grow_to<R: Rng>(
-        target: usize,
-        g: &Graph,
-        model: Model,
-        pool: &mut smin_sampling::SketchPool,
-        sampler: &mut smin_sampling::MrrSampler,
-        residual: &mut ResidualState,
-        root_buf: &mut Vec<NodeId>,
-        set_buf: &mut Vec<NodeId>,
-        rng: &mut R,
-    ) {
-        while pool.len() < target {
-            // single-root RR set: k = 1 uniform alive root
-            residual.sample_k_distinct(1, rng, root_buf);
-            sampler.reverse_sample_into(g, model, residual.alive_mask(), root_buf, rng, set_buf);
-            pool.add_set(set_buf);
-        }
-    }
-
-    let mut set_buf: Vec<NodeId> = Vec::new();
-    let mut root_buf: Vec<NodeId> = Vec::new();
-    grow_to(
-        sched.theta0,
-        g,
-        model,
-        pool,
-        sampler,
-        residual,
-        &mut root_buf,
-        &mut set_buf,
-        rng,
-    );
+    sketch_gen.generate(&job, sched.theta0, BASELINE_THREADS, pool);
 
     let mut iterations = 0;
     loop {
@@ -205,17 +186,7 @@ fn select_max_spread(
             let est = n_i as f64 * coverage as f64 / pool.len() as f64;
             return (node, pool.len(), est);
         }
-        grow_to(
-            sched.next(pool.len()),
-            g,
-            model,
-            pool,
-            sampler,
-            residual,
-            &mut root_buf,
-            &mut set_buf,
-            rng,
-        );
+        sketch_gen.generate(&job, sched.next(pool.len()), BASELINE_THREADS, pool);
     }
 }
 

@@ -18,13 +18,19 @@
 //!   Figure 8), or overshoot it wastefully;
 //! * larger `η` needs more seeds, making `|S_u| ≤ 2|S_l|` easier to satisfy,
 //!   so the running time *decreases* with `η` (Figure 5's inverted trend).
+//!
+//! The single-root RR sets are mRR sets with `η_i = n` (one root under
+//! §3.3's randomized rounding): each doubling grows the pool through
+//! TRIM's [`SketchGenPool`], every set on its own stream of one base seed
+//! drawn per run, on `BASELINE_THREADS` threads.
 
 use crate::error::AsmError;
+use crate::trim::BASELINE_THREADS;
 use rand::Rng;
 use smin_diffusion::{ForwardSim, Model, Realization, ResidualState};
 use smin_graph::{Graph, NodeId};
 use smin_sampling::bounds::{coverage_lower_bound, coverage_upper_bound};
-use smin_sampling::{CoverageEngine, MrrSampler, SketchPool};
+use smin_sampling::{CoverageEngine, RootCountDist, SketchGenPool, SketchJob, SketchPool};
 
 /// ATEUC parameters.
 #[derive(Clone, Copy, Debug)]
@@ -83,12 +89,18 @@ pub fn ateuc(
         return Err(AsmError::EtaOutOfRange { eta, n });
     }
 
-    let mut residual = ResidualState::new(n); // all alive: full graph
-    let mut sampler = MrrSampler::new(n);
+    let residual = ResidualState::new(n); // all alive: full graph
+    let job = SketchJob {
+        graph: g,
+        model,
+        snapshot: residual.snapshot(),
+        eta_i: n,
+        dist: RootCountDist::Randomized,
+        base_seed: rng.next_u64(),
+    };
+    let mut sketch_gen = SketchGenPool::new(n);
     let mut pool = SketchPool::new(n);
     let mut engine = CoverageEngine::new();
-    let mut set_buf: Vec<NodeId> = Vec::new();
-    let mut root_buf: Vec<NodeId> = Vec::new();
 
     // failure budget: ln(n^c · doublings) per bound application
     let a = params.delta_exponent * (n.max(2) as f64).ln()
@@ -98,18 +110,7 @@ pub fn ateuc(
     let mut theta = params.theta0.max(16);
     let mut doublings = 0usize;
     loop {
-        while pool.len() < theta {
-            residual.sample_k_distinct(1, rng, &mut root_buf);
-            sampler.reverse_sample_into(
-                g,
-                model,
-                residual.alive_mask(),
-                &root_buf,
-                rng,
-                &mut set_buf,
-            );
-            pool.add_set(&set_buf);
-        }
+        sketch_gen.generate(&job, theta, BASELINE_THREADS, &mut pool);
 
         let theta_f = pool.len() as f64;
         let target_cov_pess = |cov: f64| n as f64 * coverage_lower_bound(cov, a) / theta_f;

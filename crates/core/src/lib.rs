@@ -27,7 +27,6 @@ pub mod asti;
 pub mod ateuc;
 pub mod error;
 pub mod greedy_oracle;
-pub mod nonadaptive;
 pub mod params;
 pub mod report;
 pub mod trim;
@@ -37,7 +36,6 @@ pub use adapt_im::{adapt_im, AdaptImParams};
 pub use asti::{asti, asti_in, AstiSession};
 pub use ateuc::{ateuc, evaluate_on_realizations, AteucOutput, AteucParams};
 pub use error::AsmError;
-pub use nonadaptive::{nonadaptive_greedy, NonAdaptiveOutput, NonAdaptiveParams};
 pub use params::{AstiParams, TrimParams};
 pub use report::{AstiReport, RoundReport, TrimStats};
 pub use trim::{trim, StageMicros, TrimOutput};

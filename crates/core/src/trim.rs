@@ -125,9 +125,7 @@ use rand::Rng;
 use smin_diffusion::{Model, ResidualState};
 use smin_graph::{Graph, NodeId};
 use smin_sampling::bounds::{binomial_lower_bound, binomial_upper_bound};
-use smin_sampling::{
-    resolve_threads, CoverageEngine, MrrSampler, SketchGenPool, SketchJob, SketchPool,
-};
+use smin_sampling::{resolve_threads, CoverageEngine, SketchGenPool, SketchJob, SketchPool};
 
 /// Outcome of one TRIM round.
 #[derive(Clone, Debug)]
@@ -181,12 +179,11 @@ pub struct StageMicros {
     pub coverage: u64,
 }
 
-/// Reusable cross-round scratch (sketch pool, single-root sampler for the
-/// baselines, the parallel sketch-generation pool, and the shared coverage
-/// engine behind argmax / greedy selection).
+/// Reusable cross-round scratch of TRIM, TRIM-B and AdaptIM: the sketch
+/// pool, the sketch-generation pool every set is drawn through, and the
+/// shared coverage engine behind argmax / greedy selection.
 pub struct TrimScratch {
     pub(crate) pool: SketchPool,
-    pub(crate) sampler: MrrSampler,
     pub(crate) sketch_gen: SketchGenPool,
     pub(crate) engine: CoverageEngine,
     pub(crate) stage: StageMicros,
@@ -197,7 +194,6 @@ impl TrimScratch {
     pub fn new(n: usize) -> Self {
         TrimScratch {
             pool: SketchPool::new(n),
-            sampler: MrrSampler::new(n),
             sketch_gen: SketchGenPool::new(n),
             engine: CoverageEngine::new(),
             stage: StageMicros::default(),
@@ -233,6 +229,11 @@ pub(crate) const TRIM_GROWTH: f64 = 1.25;
 /// The paper's growth between checks, kept by TRIM-B and AdaptIM (module
 /// docs).
 pub(crate) const DOUBLING: f64 = 2.0;
+
+/// Sketch-generation threads of the baselines, AdaptIM and ATEUC. They draw
+/// their sets through the same [`SketchGenPool`] as TRIM, with their own
+/// per-set streams, on one thread: their parameters carry no thread count.
+pub(crate) const BASELINE_THREADS: usize = 1;
 
 /// Derived schedule shared by TRIM, TRIM-B and AdaptIM.
 pub(crate) struct Schedule {

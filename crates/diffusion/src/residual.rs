@@ -6,15 +6,15 @@
 //! CSR arrays every round, [`ResidualState`] keeps:
 //!
 //! * `alive: Vec<bool>` — consulted by reverse BFS to skip dead nodes;
-//! * a dense `alive_nodes` permutation with back-pointers — O(1) kill and
-//!   O(k) uniform sampling of k *distinct* roots (partial Fisher–Yates),
-//!   exactly what mRR-set generation needs.
+//! * a dense `alive_nodes` list with back-pointers — O(1) kill, and the
+//!   positions that root draws index into.
 //!
-//! For parallel sketch generation, [`ResidualSnapshot`] exposes the same
-//! state as an immutable view that many worker threads can share, and
-//! [`DistinctDraw`] provides an *index-based* k-distinct draw (Floyd's
-//! algorithm over positions in the dense list) that never permutes the
-//! underlying state.
+//! Sketch generation reads the state through [`ResidualSnapshot`], an
+//! immutable view that many worker threads can share, and draws roots with
+//! [`DistinctDraw`]: k distinct positions in the dense list by Floyd's
+//! algorithm, which never permutes the list. Sampling therefore never
+//! mutates the residual graph; only [`ResidualState::kill`] and
+//! [`ResidualState::reset`] change it.
 
 use rand::Rng;
 use smin_graph::cast::u32_of;
@@ -78,8 +78,8 @@ impl ResidualState {
     }
 
     /// An immutable view of the current residual graph, shareable across
-    /// threads. Valid until the next `kill`/`sample_k_distinct` (the borrow
-    /// checker enforces this).
+    /// threads. Valid until the next `kill` (the borrow checker enforces
+    /// this).
     #[inline]
     pub fn snapshot(&self) -> ResidualSnapshot<'_> {
         ResidualSnapshot {
@@ -111,38 +111,12 @@ impl ResidualState {
             self.kill(u);
         }
     }
-
-    /// Samples one alive node uniformly. Panics if none are alive.
-    pub fn sample_alive(&self, rng: &mut impl Rng) -> NodeId {
-        self.alive_nodes[rng.random_range(0..self.alive_nodes.len())]
-    }
-
-    /// Samples `k` *distinct* alive nodes uniformly into `out` via partial
-    /// Fisher–Yates on the dense list (the internal order is permuted, which
-    /// is harmless). Panics if `k > n_alive`.
-    pub fn sample_k_distinct(&mut self, k: usize, rng: &mut impl Rng, out: &mut Vec<NodeId>) {
-        assert!(
-            k <= self.alive_nodes.len(),
-            "cannot sample {k} distinct nodes from {} alive",
-            self.alive_nodes.len()
-        );
-        out.clear();
-        for i in 0..k {
-            let j = rng.random_range(i..self.alive_nodes.len());
-            self.alive_nodes.swap(i, j);
-            let (a, b) = (self.alive_nodes[i], self.alive_nodes[j]);
-            self.pos[a as usize] = u32_of(i);
-            self.pos[b as usize] = u32_of(j);
-            out.push(a);
-        }
-    }
 }
 
 /// A read-only snapshot of the residual graph: the alive mask plus the dense
 /// alive list. `Copy` and `Sync`, so sketch-generation workers can share one
 /// snapshot without locking — root sampling goes through [`DistinctDraw`],
-/// which draws *positions* instead of permuting the list the way
-/// [`ResidualState::sample_k_distinct`] does.
+/// which draws *positions* in the list.
 #[derive(Clone, Copy, Debug)]
 pub struct ResidualSnapshot<'a> {
     alive: &'a [bool],
@@ -150,12 +124,6 @@ pub struct ResidualSnapshot<'a> {
 }
 
 impl<'a> ResidualSnapshot<'a> {
-    /// Builds a snapshot from raw parts (tests; production code uses
-    /// [`ResidualState::snapshot`]).
-    pub fn from_parts(alive: &'a [bool], alive_nodes: &'a [NodeId]) -> Self {
-        ResidualSnapshot { alive, alive_nodes }
-    }
-
     /// Number of alive nodes `n_i`.
     #[inline]
     pub fn n_alive(&self) -> usize {
@@ -186,9 +154,8 @@ impl<'a> ResidualSnapshot<'a> {
 /// Implements Floyd's algorithm over *positions* `0..n_alive`: each call
 /// consumes exactly `k` range draws from the RNG and touches `O(k)` memory,
 /// with a generation-stamped membership buffer ([`GenStamp`]) so repeated
-/// calls stay allocation-free. Unlike the partial Fisher–Yates in
-/// [`ResidualState::sample_k_distinct`] it never mutates the alive list,
-/// which is what lets one snapshot serve many threads.
+/// calls stay allocation-free. It never mutates the alive list, which is
+/// what lets one snapshot serve many threads.
 #[derive(Clone, Debug, Default)]
 pub struct DistinctDraw {
     /// Marks positions already taken in the current draw.
@@ -259,10 +226,7 @@ mod tests {
     #[test]
     fn reset_revives_everything() {
         let mut r = ResidualState::new(6);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut out = Vec::new();
-        r.sample_k_distinct(3, &mut rng, &mut out); // permutes the dense list
-        r.kill_all(&[0, 2, 5]);
+        r.kill_all(&[0, 2, 5]); // each kill swaps the dense list's tail in
         r.reset();
         assert_eq!(r.n_alive(), 6);
         let fresh = ResidualState::new(6);
@@ -274,53 +238,19 @@ mod tests {
         for &u in r.alive_nodes() {
             assert!(r.is_alive(u));
         }
-        r.sample_k_distinct(4, &mut rng, &mut out);
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut out = Vec::new();
+        DistinctDraw::new().sample_from(&r.snapshot(), 4, &mut rng, &mut out);
         assert!(out.iter().all(|&u| r.is_alive(u)));
-    }
-
-    #[test]
-    fn sample_k_distinct_properties() {
-        let mut r = ResidualState::new(10);
-        r.kill_all(&[0, 1, 2]);
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut out = Vec::new();
-        for _ in 0..200 {
-            r.sample_k_distinct(4, &mut rng, &mut out);
-            assert_eq!(out.len(), 4);
-            let mut s = out.clone();
-            s.sort_unstable();
-            s.dedup();
-            assert_eq!(s.len(), 4, "samples must be distinct");
-            assert!(out.iter().all(|&u| r.is_alive(u)));
-        }
-    }
-
-    #[test]
-    fn sample_k_distinct_is_uniform() {
-        let mut r = ResidualState::new(5);
-        let mut rng = SmallRng::seed_from_u64(10);
-        let mut out = Vec::new();
-        let mut counts = [0usize; 5];
-        let trials = 50_000;
-        for _ in 0..trials {
-            r.sample_k_distinct(2, &mut rng, &mut out);
-            for &u in &out {
-                counts[u as usize] += 1;
-            }
-        }
-        // each node appears with probability 2/5
-        for (u, &c) in counts.iter().enumerate() {
-            let rate = c as f64 / trials as f64;
-            assert!((rate - 0.4).abs() < 0.02, "node {u}: rate = {rate}");
-        }
     }
 
     #[test]
     fn kill_after_sampling_stays_consistent() {
         let mut r = ResidualState::new(8);
         let mut rng = SmallRng::seed_from_u64(11);
+        let mut draw = DistinctDraw::new();
         let mut out = Vec::new();
-        r.sample_k_distinct(3, &mut rng, &mut out);
+        draw.sample_from(&r.snapshot(), 3, &mut rng, &mut out);
         let victim = out[0];
         r.kill(victim);
         assert!(!r.is_alive(victim));
@@ -329,18 +259,9 @@ mod tests {
         assert!(!r.alive_nodes().contains(&victim));
         // and sampling still returns alive nodes only
         for _ in 0..50 {
-            r.sample_k_distinct(5, &mut rng, &mut out);
+            draw.sample_from(&r.snapshot(), 5, &mut rng, &mut out);
             assert!(out.iter().all(|&u| r.is_alive(u)));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot sample")]
-    fn oversample_panics() {
-        let mut r = ResidualState::new(3);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let mut out = Vec::new();
-        r.sample_k_distinct(4, &mut rng, &mut out);
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub mod io;
 pub mod ops;
 pub mod stamp;
 pub mod store;
-pub mod topics;
 pub mod weights;
 
 pub use bitset::{FixedBitSet, Ones};

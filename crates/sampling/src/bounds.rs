@@ -177,15 +177,6 @@ fn kl_bernoulli(q: f64, mu: f64) -> f64 {
     head + tail
 }
 
-/// Chernoff-style sufficient sample size (Lemma A.1 rearranged): number of
-/// Bernoulli samples with mean `mu` needed to have relative error at most
-/// `eps` with probability `1 − delta`. Used to size the verification pools
-/// of the baselines.
-pub fn chernoff_samples(mu: f64, eps: f64, delta: f64) -> f64 {
-    assert!(mu > 0.0 && eps > 0.0 && delta > 0.0 && delta < 1.0);
-    (2.0 + 2.0 * eps / 3.0) * (1.0 / delta).ln() / (eps * eps * mu)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,11 +479,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn chernoff_samples_monotone() {
-        assert!(chernoff_samples(0.1, 0.1, 0.01) > chernoff_samples(0.2, 0.1, 0.01));
-        assert!(chernoff_samples(0.1, 0.05, 0.01) > chernoff_samples(0.1, 0.1, 0.01));
     }
 }

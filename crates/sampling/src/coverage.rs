@@ -22,12 +22,11 @@
 //! [`CoverageEngine::select_while`] can abandon a call as soon as that
 //! bound is too small to matter to its caller.
 //!
-//! All selection paths — TRIM's argmax, TRIM-B's `b`-pick greedy, and the
-//! bound-driven `select_until` loops of the non-adaptive baselines — share
-//! one greedy loop over one marginal-maintenance implementation
-//! ([`CoverageEngine`]) and one tie-breaking rule (higher gain first, then
-//! smaller node id), so every algorithm returns identical selections on
-//! identical pools.
+//! All selection paths — TRIM's argmax, TRIM-B's `b`-pick greedy, and
+//! ATEUC's bound-driven `select_until` loops — share one greedy loop over
+//! one marginal-maintenance implementation ([`CoverageEngine`]) and one
+//! tie-breaking rule (higher gain first, then smaller node id), so every
+//! algorithm returns identical selections on identical pools.
 //!
 //! Committing a pick needs the sets containing it, and the pool keeps no
 //! node→sets inverted index. A greedy run's first 8 picks (`SCAN_PICKS`)
@@ -446,8 +445,8 @@ impl CoverageEngine {
     }
 
     /// Greedy picks until `bound(Λ(S))` reaches `target` or coverage runs
-    /// out (the stopping rule of the non-adaptive baselines). Returns the
-    /// cover and whether the target was reached.
+    /// out (ATEUC's stopping rule). Returns the cover and whether the target
+    /// was reached.
     pub fn select_until(
         &mut self,
         pool: &SketchPool,

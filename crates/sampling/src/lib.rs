@@ -2,18 +2,18 @@
 //!
 //! Reverse-reachable set machinery (§3.2–3.3 of the paper):
 //!
-//! * [`rr`] — classic single-root RR sets (Borgs et al.), used by the
-//!   AdaptIM and ATEUC baselines;
-//! * [`mrr`] — the paper's multi-root RR sets with randomized rounding of
-//!   the root count (`E[k] = n_i/η_i`), the sampler that makes *truncated*
-//!   spread estimation accurate (Theorem 3.3);
+//! * [`rr`] — the reverse BFS from a given set of roots (Borgs et al.'s RR
+//!   sets; §3.3's consistent multi-root search);
+//! * [`mrr`] — the paper's randomized rounding of the root count
+//!   (`E[k] = n_i/η_i`), which makes *truncated* spread estimation
+//!   accurate (Theorem 3.3); at `η_i = n_i` it gives `k = 1`, a classic
+//!   single-root RR set;
 //! * [`pool`] — a columnar sketch pool (flat CSR sets) with incremental
 //!   coverage counts, answering TRIM's argmax directly;
 //! * [`coverage`] — the shared [`CoverageEngine`](coverage::CoverageEngine):
-//!   one greedy loop behind TRIM's argmax, TRIM-B's batch selection, and the
-//!   bound-driven greedy of the non-adaptive baselines, with the
-//!   `ρ_b = 1 − (1−1/b)^b` guarantee and OPIM-C's online upper bound on
-//!   the best batch's coverage. A greedy run's first 8 picks scan
+//!   one greedy loop behind TRIM's argmax, TRIM-B's batch selection, and
+//!   ATEUC's bound-driven greedy, with the `ρ_b = 1 − (1−1/b)^b` guarantee
+//!   and OPIM-C's online upper bound on the best batch's coverage. A greedy run's first 8 picks scan
 //!   the pool for their sets; a longer run builds the node→sets inverted
 //!   index of the uncovered sets once, as a CSR transpose;
 //! * [`bounds`] — the concentration bounds that drive the stopping rules:
@@ -22,7 +22,8 @@
 //! * [`parallel`] — deterministic multi-threaded sketch generation
 //!   (`std::thread` scoped workers + channels, chunked work-stealing) with
 //!   counter-derived per-set RNG streams, so the pool is bit-identical for
-//!   any thread count.
+//!   any thread count. It is the one sampling path: TRIM, TRIM-B, AdaptIM
+//!   and ATEUC draw every set through it.
 
 #![forbid(unsafe_code)]
 
@@ -34,7 +35,7 @@ pub mod pool;
 pub mod rr;
 
 pub use coverage::{greedy_max_coverage, CoverageEngine, GreedyCover};
-pub use mrr::{sample_root_count, MrrSampler, RootCountDist};
+pub use mrr::{sample_root_count, RootCountDist};
 pub use parallel::{resolve_threads, GenStats, SketchGenPool, SketchJob};
 pub use pool::SketchPool;
 pub use rr::ReverseSampler;

@@ -13,11 +13,15 @@
 //! shows that fixing `k` at either bound gives strictly worse estimator
 //! ranges (`[1 − 1/√e, 1]` and `[1 − 1/e, 2]`) — the fixed variants are kept
 //! here behind [`RootCountDist`] for the ablation bench.
+//!
+//! Sets are drawn by [`SketchGenPool`](crate::parallel::SketchGenPool): `k`
+//! from [`sample_root_count`], then `k` distinct alive roots, then the
+//! reverse BFS of [`rr`](crate::rr). A classic single-root RR set, which
+//! the AdaptIM and ATEUC baselines sample, is the case `η_i = n_i`: the
+//! ratio is 1, so [`RootCountDist::Randomized`] gives `k = 1`
+//! ([`RootCountDist::FixedCeil`] would give 2).
 
-use crate::rr::ReverseSampler;
 use rand::Rng;
-use smin_diffusion::{DistinctDraw, Model, ResidualSnapshot, ResidualState};
-use smin_graph::{Graph, NodeId};
 
 /// How to pick the number of roots `k` for each mRR set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,120 +97,11 @@ pub fn sample_root_count(
     k.clamp(1, n_alive)
 }
 
-/// Samples mRR sets on the residual graph: draws `k`, picks `k` distinct
-/// alive roots uniformly, and runs the consistent multi-root reverse BFS.
-///
-/// Root selection goes through an immutable [`ResidualSnapshot`] and an
-/// index-based [`DistinctDraw`], so sampling never mutates the residual
-/// state — one snapshot can feed any number of samplers concurrently.
-pub struct MrrSampler {
-    reverse: ReverseSampler,
-    draw: DistinctDraw,
-    roots_buf: Vec<NodeId>,
-    /// Total edges examined across all samples (EPT accounting, Lemma 3.8).
-    pub edges_examined: usize,
-    /// Total sets sampled.
-    pub sets_sampled: usize,
-}
-
-impl MrrSampler {
-    /// Sampler scratch for a graph with `n` nodes.
-    pub fn new(n: usize) -> Self {
-        MrrSampler {
-            reverse: ReverseSampler::new(n),
-            draw: DistinctDraw::new(),
-            roots_buf: Vec::new(),
-            edges_examined: 0,
-            sets_sampled: 0,
-        }
-    }
-
-    /// Samples one mRR set into `out` and returns the root count used.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_into(
-        &mut self,
-        g: &Graph,
-        model: Model,
-        residual: &ResidualState,
-        eta_i: usize,
-        dist: RootCountDist,
-        rng: &mut impl Rng,
-        out: &mut Vec<NodeId>,
-    ) -> usize {
-        self.sample_snapshot_into(g, model, &residual.snapshot(), eta_i, dist, rng, out)
-    }
-
-    /// Snapshot-based variant of [`MrrSampler::sample_into`]: the form the
-    /// parallel sketch workers use, where the residual graph is borrowed
-    /// immutably by every thread at once.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_snapshot_into(
-        &mut self,
-        g: &Graph,
-        model: Model,
-        snapshot: &ResidualSnapshot<'_>,
-        eta_i: usize,
-        dist: RootCountDist,
-        rng: &mut impl Rng,
-        out: &mut Vec<NodeId>,
-    ) -> usize {
-        let k = sample_root_count(snapshot.n_alive(), eta_i, dist, rng);
-        self.draw.sample_from(snapshot, k, rng, &mut self.roots_buf);
-        let cost = self.reverse.sample_into(
-            g,
-            model,
-            Some(snapshot.alive_mask()),
-            &self.roots_buf,
-            rng,
-            out,
-        );
-        self.edges_examined += cost;
-        self.sets_sampled += 1;
-        k
-    }
-
-    /// Samples a reverse-reachable set from explicit `roots` (no root-count
-    /// draw) with the same accounting; used by the baselines for single-root
-    /// RR sets.
-    pub fn reverse_sample_into(
-        &mut self,
-        g: &Graph,
-        model: Model,
-        alive: &[bool],
-        roots: &[NodeId],
-        rng: &mut impl Rng,
-        out: &mut Vec<NodeId>,
-    ) -> usize {
-        let cost = self
-            .reverse
-            .sample_into(g, model, Some(alive), roots, rng, out);
-        self.edges_examined += cost;
-        self.sets_sampled += 1;
-        cost
-    }
-
-    /// Convenience wrapper allocating a fresh set.
-    pub fn sample(
-        &mut self,
-        g: &Graph,
-        model: Model,
-        residual: &ResidualState,
-        eta_i: usize,
-        dist: RootCountDist,
-        rng: &mut impl Rng,
-    ) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.sample_into(g, model, residual, eta_i, dist, rng, &mut out);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use smin_graph::GraphBuilder;
 
     #[test]
     fn root_count_expectation_matches_ratio() {
@@ -309,44 +204,5 @@ mod tests {
     fn zero_eta_panics() {
         let mut rng = SmallRng::seed_from_u64(6);
         let _ = sample_root_count(5, 0, RootCountDist::Randomized, &mut rng);
-    }
-
-    #[test]
-    fn mrr_sets_contain_only_alive_nodes() {
-        let mut b = GraphBuilder::new(6);
-        for u in 0..5u32 {
-            b.add_edge_p(u, u + 1, 0.8).unwrap();
-        }
-        let g = b.build().unwrap();
-        let mut res = ResidualState::new(6);
-        res.kill_all(&[0, 3]);
-        let mut sampler = MrrSampler::new(6);
-        let mut rng = SmallRng::seed_from_u64(7);
-        for _ in 0..200 {
-            let set = sampler.sample(&g, Model::IC, &res, 2, RootCountDist::Randomized, &mut rng);
-            assert!(!set.is_empty(), "roots are alive so the set is non-empty");
-            assert!(set.iter().all(|&u| res.is_alive(u)));
-        }
-        assert_eq!(sampler.sets_sampled, 200);
-    }
-
-    #[test]
-    fn estimator_is_binary_eta_indicator() {
-        // Estimator semantics: Γ̃(S) = η·1[S ∩ R ≠ ∅]; verified here via the
-        // hit-rate of a singleton on the full graph with p = 1: every set
-        // contains the whole ancestor closure of its roots, so a universal
-        // source node is always hit.
-        let mut b = GraphBuilder::new(4);
-        b.add_edge_p(0, 1, 1.0).unwrap();
-        b.add_edge_p(0, 2, 1.0).unwrap();
-        b.add_edge_p(0, 3, 1.0).unwrap();
-        let g = b.build().unwrap();
-        let res = ResidualState::new(4);
-        let mut sampler = MrrSampler::new(4);
-        let mut rng = SmallRng::seed_from_u64(8);
-        for _ in 0..100 {
-            let set = sampler.sample(&g, Model::IC, &res, 2, RootCountDist::Randomized, &mut rng);
-            assert!(set.contains(&0), "node 0 reaches every root");
-        }
     }
 }

@@ -16,9 +16,9 @@
 //!   coverage.
 //!
 //! The pool keeps no node→sets inverted index. Greedy maximum coverage
-//! (TRIM-B and the non-adaptive baselines) is its only reader, and its
-//! first 8 picks do without one: `SketchPool::cover_sets_of` finds a pick's
-//! sets by scanning the member column, 16 members per vectorized `==` fold.
+//! (TRIM-B and ATEUC) is its only reader, and its first 8 picks do without
+//! one: `SketchPool::cover_sets_of` finds a pick's sets by scanning the
+//! member column, 16 members per vectorized `==` fold.
 //! Only a greedy run that picks more builds the index, once, with
 //! `SketchPool::transpose_into`: a counting-sort transpose of the sets
 //! still uncovered, into buffers the coverage engine owns. Appending a set

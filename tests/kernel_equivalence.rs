@@ -281,30 +281,24 @@ fn engine_matches_scalar_greedy_on_bench_scale_pools() {
     use seedmin::diffusion::{Model, ResidualState};
     use seedmin::graph::generators::{assemble, chung_lu_directed};
     use seedmin::graph::WeightModel;
-    use seedmin::sampling::{MrrSampler, RootCountDist};
+    use seedmin::sampling::{RootCountDist, SketchGenPool, SketchJob};
 
     let n = 2_000;
     let mut rng = SmallRng::seed_from_u64(0xBEEF);
     let pairs = chung_lu_directed(n, 8_000, 2.1, &mut rng);
     let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
     let residual = ResidualState::new(n);
-    let mut sampler = MrrSampler::new(n);
-    let mut rng = SmallRng::seed_from_u64(4);
-    let mut out = Vec::new();
-    let sets: Vec<Vec<NodeId>> = (0..16_384)
-        .map(|_| {
-            sampler.sample_into(
-                &g,
-                Model::IC,
-                &residual,
-                100,
-                RootCountDist::Randomized,
-                &mut rng,
-                &mut out,
-            );
-            out.clone()
-        })
-        .collect();
+    let job = SketchJob {
+        graph: &g,
+        model: Model::IC,
+        snapshot: residual.snapshot(),
+        eta_i: 100,
+        dist: RootCountDist::Randomized,
+        base_seed: 4,
+    };
+    let mut full = SketchPool::new(n);
+    SketchGenPool::new(n).generate(&job, 16_384, 1, &mut full);
+    let sets: Vec<Vec<NodeId>> = (0..16_384u32).map(|i| full.set(i).to_vec()).collect();
 
     let mut engine = CoverageEngine::new();
     for size in [1_024usize, 4_096, 16_384] {

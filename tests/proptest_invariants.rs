@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use seedmin::diffusion::{ForwardSim, Model, Realization, RealizationOracle, ResidualState};
 use seedmin::graph::{generators, Graph, GraphBuilder, WeightModel};
 use seedmin::prelude::{asti, AstiParams};
-use seedmin::sampling::{MrrSampler, ReverseSampler, RootCountDist};
+use seedmin::sampling::{ReverseSampler, RootCountDist, SketchGenPool, SketchJob, SketchPool};
 
 /// Strategy: a random small directed graph with uniform probabilities.
 fn small_graph() -> impl Strategy<Value = (Graph, u64)> {
@@ -115,15 +115,22 @@ proptest! {
     #[test]
     fn mrr_sets_nonempty_and_alive((g, seed) in small_graph()) {
         let n = g.n();
-        let mut rng = SmallRng::seed_from_u64(seed);
         let mut residual = ResidualState::new(n);
         if n > 4 {
             residual.kill_all(&[1, 3]);
         }
-        let mut sampler = MrrSampler::new(n);
-        let eta = (n / 2).max(1);
-        for _ in 0..16 {
-            let set = sampler.sample(&g, Model::IC, &residual, eta, RootCountDist::Randomized, &mut rng);
+        let job = SketchJob {
+            graph: &g,
+            model: Model::IC,
+            snapshot: residual.snapshot(),
+            eta_i: (n / 2).max(1),
+            dist: RootCountDist::Randomized,
+            base_seed: seed,
+        };
+        let mut pool = SketchPool::new(n);
+        SketchGenPool::new(n).generate(&job, 16, 1, &mut pool);
+        for id in 0..16u32 {
+            let set = pool.set(id);
             prop_assert!(!set.is_empty());
             prop_assert!(set.iter().all(|&u| residual.is_alive(u)));
         }

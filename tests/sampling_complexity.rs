@@ -14,7 +14,7 @@ use seedmin::algo::trim::{trim, TrimScratch};
 use seedmin::algo::TrimParams;
 use seedmin::diffusion::{Model, ResidualState};
 use seedmin::graph::GraphBuilder;
-use seedmin::sampling::{MrrSampler, RootCountDist};
+use seedmin::sampling::{RootCountDist, SketchGenPool, SketchJob, SketchPool};
 
 /// Star with `n − 1` leaves and deterministic edges: `E[Γ(center)] = η`
 /// exactly, so `OPT = η` and the Lemma 3.8 bound is `(OPT/η)·m = m`.
@@ -31,6 +31,24 @@ fn isolated(n: usize) -> seedmin::graph::Graph {
     GraphBuilder::new(n).build().unwrap()
 }
 
+/// Edges examined by `sets` IC mRR sets at shortfall `eta` on the full
+/// graph, drawn through `SketchGenPool` from base seed `seed`.
+fn edges_examined(g: &seedmin::graph::Graph, eta: usize, sets: usize, seed: u64) -> usize {
+    let residual = ResidualState::new(g.n());
+    let job = SketchJob {
+        graph: g,
+        model: Model::IC,
+        snapshot: residual.snapshot(),
+        eta_i: eta,
+        dist: RootCountDist::Randomized,
+        base_seed: seed,
+    };
+    let mut pool = SketchPool::new(g.n());
+    let stats = SketchGenPool::new(g.n()).generate(&job, sets, 1, &mut pool);
+    assert_eq!(stats.sets_generated, sets);
+    stats.edges_examined
+}
+
 #[test]
 fn lemma38_ept_bound_on_star() {
     // On the star, every mRR set that contains any leaf root traverses that
@@ -41,23 +59,8 @@ fn lemma38_ept_bound_on_star() {
     let g = star(n);
     let m = g.m() as f64;
     for eta in [4usize, 32, 128] {
-        let mut sampler = MrrSampler::new(n);
-        let residual = ResidualState::new(n);
-        let mut rng = SmallRng::seed_from_u64(eta as u64);
-        let mut out = Vec::new();
         let sets = 2_000;
-        for _ in 0..sets {
-            sampler.sample_into(
-                &g,
-                Model::IC,
-                &residual,
-                eta,
-                RootCountDist::Randomized,
-                &mut rng,
-                &mut out,
-            );
-        }
-        let per_set = sampler.edges_examined as f64 / sets as f64;
+        let per_set = edges_examined(&g, eta, sets, eta as u64) as f64 / sets as f64;
         let opt = eta as f64; // E[Γ(center)] = η
         let bound = opt / eta as f64 * m;
         assert!(
@@ -71,24 +74,8 @@ fn lemma38_ept_bound_on_star() {
 fn lemma38_cost_shrinks_with_opt_on_sparse_graph() {
     // On the isolated graph OPT = 1: per-set cost must be ~k node visits and
     // zero edges.
-    let n = 256;
-    let g = isolated(n);
-    let mut sampler = MrrSampler::new(n);
-    let residual = ResidualState::new(n);
-    let mut rng = SmallRng::seed_from_u64(1);
-    let mut out = Vec::new();
-    for _ in 0..500 {
-        sampler.sample_into(
-            &g,
-            Model::IC,
-            &residual,
-            16,
-            RootCountDist::Randomized,
-            &mut rng,
-            &mut out,
-        );
-    }
-    assert_eq!(sampler.edges_examined, 0, "no edges to examine");
+    let g = isolated(256);
+    assert_eq!(edges_examined(&g, 16, 500, 1), 0, "no edges to examine");
 }
 
 #[test]

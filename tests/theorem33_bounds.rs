@@ -8,8 +8,9 @@
 //! `E[Γ̃]` is computed *exactly*: enumerate every realization, compute the
 //! forward reach `x = |Reach_ϕ(S)|`, and apply the hypergeometric miss
 //! probability `p(x) = C(n−x, k)/C(n, k)` under the k-distribution. A
-//! Monte-Carlo cross-check then confirms the actual sampler realizes the
-//! same expectation.
+//! Monte-Carlo cross-check then confirms that the one sampling path every
+//! algorithm draws through, `SketchGenPool::generate`, realizes the same
+//! expectation.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -18,7 +19,7 @@ use seedmin::diffusion::exact::{
 };
 use seedmin::diffusion::{ForwardSim, Model, ResidualState};
 use seedmin::graph::{generators, Graph, GraphBuilder, WeightModel};
-use seedmin::sampling::{MrrSampler, RootCountDist};
+use seedmin::sampling::{resolve_threads, RootCountDist, SketchGenPool, SketchJob, SketchPool};
 
 /// `C(n−x, k)/C(n, k)` — probability that k uniform distinct roots all miss
 /// a fixed x-subset.
@@ -82,6 +83,24 @@ fn exact_estimator_expectation_model(
         Model::LT => for_each_lt_realization(g, &mut visit),
     }
     total
+}
+
+/// The Monte-Carlo estimate `η·Λ_R(v)/|R|` of `E[Γ̃({v})]` from `sets` mRR
+/// sets on the full graph, drawn through `SketchGenPool` from base seed
+/// `seed`.
+fn sampled_estimate(g: &Graph, model: Model, v: u32, eta: usize, sets: usize, seed: u64) -> f64 {
+    let residual = ResidualState::new(g.n());
+    let job = SketchJob {
+        graph: g,
+        model,
+        snapshot: residual.snapshot(),
+        eta_i: eta,
+        dist: RootCountDist::Randomized,
+        base_seed: seed,
+    };
+    let mut pool = SketchPool::new(g.n());
+    SketchGenPool::new(g.n()).generate(&job, sets, resolve_threads(None), &mut pool);
+    eta as f64 * f64::from(pool.coverage(v)) / sets as f64
 }
 
 fn test_graphs() -> Vec<Graph> {
@@ -188,7 +207,7 @@ fn fixed_ceil_band_can_exceed_truth() {
 
 #[test]
 fn sampler_realizes_the_exact_expectation() {
-    // Monte-Carlo over the real MrrSampler vs the closed-form expectation,
+    // Monte-Carlo over the sampling path vs the closed-form expectation,
     // on Figure 2 and the four Uniform(0.4) graphs, whose nodes flip one
     // coin per in-edge (p > 1/3), and on each with every probability
     // halved: there the four graphs' nodes (p = 0.2) and Figure 2's nodes 1
@@ -203,25 +222,8 @@ fn sampler_realizes_the_exact_expectation() {
         let n = g.n();
         for v in 0..n as u32 {
             let expected = exact_estimator_expectation(g, &[v], eta, RootCountDist::Randomized);
-            let mut sampler = MrrSampler::new(n);
-            let residual = ResidualState::new(n);
-            let mut rng = SmallRng::seed_from_u64(777 + 100 * gi as u64 + v as u64);
-            let trials = 60_000;
-            let mut hits = 0usize;
-            for _ in 0..trials {
-                let set = sampler.sample(
-                    g,
-                    Model::IC,
-                    &residual,
-                    eta,
-                    RootCountDist::Randomized,
-                    &mut rng,
-                );
-                if set.contains(&v) {
-                    hits += 1;
-                }
-            }
-            let est = eta as f64 * hits as f64 / trials as f64;
+            let seed = 777 + 100 * gi as u64 + v as u64;
+            let est = sampled_estimate(g, Model::IC, v, eta, 60_000, seed);
             assert!(
                 (est - expected).abs() < 0.03,
                 "graph {gi}, v{v}: sampler {est} vs exact {expected}"
@@ -273,25 +275,7 @@ fn lt_sampler_realizes_the_exact_expectation() {
     for v in 0..6u32 {
         let expected =
             exact_estimator_expectation_model(&g, Model::LT, &[v], eta, RootCountDist::Randomized);
-        let mut sampler = MrrSampler::new(g.n());
-        let residual = ResidualState::new(g.n());
-        let mut rng = SmallRng::seed_from_u64(333 + v as u64);
-        let trials = 50_000;
-        let mut hits = 0usize;
-        for _ in 0..trials {
-            let set = sampler.sample(
-                &g,
-                Model::LT,
-                &residual,
-                eta,
-                RootCountDist::Randomized,
-                &mut rng,
-            );
-            if set.contains(&v) {
-                hits += 1;
-            }
-        }
-        let est = eta as f64 * hits as f64 / trials as f64;
+        let est = sampled_estimate(&g, Model::LT, v, eta, 50_000, 333 + v as u64);
         assert!(
             (est - expected).abs() < 0.04,
             "LT v{v}: sampler {est} vs exact {expected}"
