@@ -100,8 +100,33 @@ pub fn sample_root_count(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SketchGenPool, SketchJob, SketchPool};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use smin_diffusion::{Model, ResidualState};
+    use smin_graph::{Graph, GraphBuilder};
+
+    /// `sets` IC mRR sets at shortfall `eta_i` over the alive nodes of
+    /// `residual`, drawn by [`SketchGenPool`] under base seed `seed`.
+    fn draw(
+        g: &Graph,
+        residual: &ResidualState,
+        eta_i: usize,
+        sets: usize,
+        seed: u64,
+    ) -> SketchPool {
+        let job = SketchJob {
+            graph: g,
+            model: Model::IC,
+            snapshot: residual.snapshot(),
+            eta_i,
+            dist: RootCountDist::Randomized,
+            base_seed: seed,
+        };
+        let mut pool = SketchPool::new(g.n());
+        SketchGenPool::new(g.n()).generate(&job, sets, 1, &mut pool);
+        pool
+    }
 
     #[test]
     fn root_count_expectation_matches_ratio() {
@@ -204,5 +229,41 @@ mod tests {
     fn zero_eta_panics() {
         let mut rng = SmallRng::seed_from_u64(6);
         let _ = sample_root_count(5, 0, RootCountDist::Randomized, &mut rng);
+    }
+
+    #[test]
+    fn mrr_sets_contain_only_alive_nodes() {
+        let mut b = GraphBuilder::new(6);
+        for u in 0..5u32 {
+            b.add_edge_p(u, u + 1, 0.8).unwrap();
+        }
+        let g = b.build().unwrap();
+        let mut res = ResidualState::new(6);
+        res.kill_all(&[0, 3]);
+        let pool = draw(&g, &res, 2, 200, 7);
+        assert_eq!(pool.len(), 200);
+        for id in 0..200u32 {
+            let set = pool.set(id);
+            assert!(!set.is_empty(), "roots are alive so the set is non-empty");
+            assert!(set.iter().all(|&u| res.is_alive(u)));
+        }
+    }
+
+    #[test]
+    fn estimator_is_binary_eta_indicator() {
+        // Estimator semantics: Γ̃(S) = η·1[S ∩ R ≠ ∅]; verified here via the
+        // hit-rate of a singleton on the full graph with p = 1: every set
+        // contains the whole ancestor closure of its roots, so a universal
+        // source node is always hit.
+        let mut b = GraphBuilder::new(4);
+        b.add_edge_p(0, 1, 1.0).unwrap();
+        b.add_edge_p(0, 2, 1.0).unwrap();
+        b.add_edge_p(0, 3, 1.0).unwrap();
+        let g = b.build().unwrap();
+        let pool = draw(&g, &ResidualState::new(4), 2, 100, 8);
+        assert_eq!(pool.len(), 100);
+        for id in 0..100u32 {
+            assert!(pool.set(id).contains(&0), "node 0 reaches every root");
+        }
     }
 }

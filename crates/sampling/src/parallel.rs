@@ -381,65 +381,32 @@ mod tests {
         assert_eq!(dump(&stepped), dump(&oneshot));
     }
 
-    /// A chain `0 → 1 → … → n − 1` with every edge at probability `p`.
-    fn chain(n: usize, p: f64) -> Graph {
-        let mut b = smin_graph::GraphBuilder::new(n);
-        for u in 1..n as u32 {
-            b.add_edge_p(u - 1, u, p).unwrap();
-        }
-        b.build().unwrap()
-    }
-
-    /// Sets hold only alive nodes and are never empty (their roots are
-    /// alive), and the reverse BFS is closed over `p = 1` edges: every
-    /// alive in-neighbour of a member over such an edge is a member. On
-    /// the `p = 1` star `0 → {1, 2, 3}` that puts the center in every set,
-    /// so `Γ̃({0}) = η·1[0 ∈ R]` is `η` on every set.
     #[test]
     fn sets_contain_only_alive_nodes() {
-        let mut star = smin_graph::GraphBuilder::new(4);
-        for leaf in 1..4u32 {
-            star.add_edge_p(0, leaf, 1.0).unwrap();
-        }
-        let cases: [(Graph, Model, &[NodeId], usize); 3] = [
-            (
-                test_graph(150),
-                Model::LT,
-                &[3, 5, 8, 13, 21, 34, 55, 89],
-                12,
-            ),
-            (chain(6, 0.8), Model::IC, &[0, 3], 2),
-            (star.build().unwrap(), Model::IC, &[], 2),
-        ];
-        for (g, model, dead, eta_i) in cases {
-            let n = g.n();
-            let mut residual = ResidualState::new(n);
-            residual.kill_all(dead);
-            let job = SketchJob {
-                graph: &g,
-                model,
-                snapshot: residual.snapshot(),
-                eta_i,
-                dist: RootCountDist::Randomized,
-                base_seed: 7,
-            };
-            let mut gen = SketchGenPool::new(n);
-            let mut pool = SketchPool::new(n);
-            gen.generate(&job, 300, 4, &mut pool);
-            assert_eq!(pool.len(), 300);
-            for id in 0..300u32 {
-                let set = pool.set(id);
-                let case = format!("{model} n = {n}, set {id}");
-                assert!(!set.is_empty(), "{case}: roots are alive");
-                assert!(set.iter().all(|&u| residual.is_alive(u)), "{case}");
-                for &v in set {
-                    for (u, p, _) in g.in_edges(v) {
-                        if p == 1.0 && residual.is_alive(u) {
-                            assert!(set.contains(&u), "{case}: {u} → {v} at p = 1");
-                        }
-                    }
-                }
-            }
+        let g = test_graph(150);
+        let mut residual = ResidualState::new(150);
+        residual.kill_all(&[3, 5, 8, 13, 21, 34, 55, 89]);
+        let job = SketchJob {
+            graph: &g,
+            model: Model::LT,
+            snapshot: residual.snapshot(),
+            eta_i: 12,
+            dist: RootCountDist::Randomized,
+            base_seed: 7,
+        };
+        let mut gen = SketchGenPool::new(150);
+        let mut pool = SketchPool::new(150);
+        gen.generate(&job, 300, 4, &mut pool);
+        assert_eq!(pool.len(), 300);
+        for id in 0..300u32 {
+            assert!(
+                pool.set(id).iter().all(|&u| residual.is_alive(u)),
+                "set {id} contains a dead node"
+            );
+            assert!(
+                !pool.set(id).is_empty(),
+                "roots are alive so sets are non-empty"
+            );
         }
     }
 
