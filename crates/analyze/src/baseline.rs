@@ -7,7 +7,7 @@
 //! `asm lint --write-baseline` regenerates the file (sorted, stable bytes).
 //!
 //! The format is ordinary JSON, but this crate is dependency-free, so both
-//! the writer ([`write`]) and the reader ([`parse`]) are hand-rolled here;
+//! the writer ([`write()`]) and the reader ([`parse`]) are hand-rolled here;
 //! the reader is a strict subset parser that accepts exactly what the writer
 //! emits (plus whitespace), and errors loudly on anything else rather than
 //! guessing.

@@ -7,6 +7,7 @@
 
 use smin_bench::harness::{run_algo, sample_realizations};
 use smin_bench::{build_dataset, dataset_specs, format_table, write_json, Algo, Args};
+use smin_core::eta_of_fraction;
 use smin_diffusion::Model;
 
 fn main() {
@@ -27,7 +28,7 @@ fn main() {
             continue;
         }
         let frac = *spec.eta_fracs.last().expect("non-empty sweep");
-        let eta = ((spec.n as f64) * frac).round() as usize;
+        let eta = eta_of_fraction(spec.n, frac).expect("sweep fractions lie in (0, 1]");
         eprintln!("building {} ...", spec.name);
         let g = build_dataset(&spec, &args);
         let phis = sample_realizations(&g, Model::IC, args.num_realizations(), args.seed);

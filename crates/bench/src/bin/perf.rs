@@ -258,7 +258,7 @@ fn run(args: &PerfArgs) -> Result<(), String> {
         // Per-pick kernels: the argmax candidate scan and the b = 8 greedy
         // selection.
         let argmax = time_us(args.iters, || {
-            black_box(engine.argmax(&pool));
+            black_box(pool.argmax());
         });
         let eager_b8 = time_us(args.iters, || {
             black_box(engine.select(&pool, 8).covered);

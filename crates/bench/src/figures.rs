@@ -5,6 +5,7 @@ use crate::args::Args;
 use crate::datasets::{build_dataset, dataset_specs, DatasetSpec};
 use crate::harness::{run_algo, sample_realizations, Algo, RunResult, FIGURE_THREADS};
 use crate::table::{format_table, na_or};
+use smin_core::eta_of_fraction;
 use smin_diffusion::Model;
 
 /// Which metric a figure plots.
@@ -49,7 +50,7 @@ pub fn sweep_dataset(
     let phis = sample_realizations(&g, model, reps, args.seed);
     let mut out = Vec::new();
     for &frac in spec.eta_fracs {
-        let eta = ((spec.n as f64) * frac).round().max(1.0) as usize;
+        let eta = eta_of_fraction(spec.n, frac).expect("sweep fractions lie in (0, 1]");
         for &algo in algos {
             eprintln!(
                 "  {} | {} | η/n = {frac} (η = {eta}) | {} ...",

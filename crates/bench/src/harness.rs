@@ -5,9 +5,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::Serialize;
-use smin_core::{
-    adapt_im, asti, ateuc, evaluate_on_realizations, AdaptImParams, AstiParams, AteucParams,
-};
+use smin_core::{adapt_im, asti, ateuc, evaluate_on_realizations, AdaptImParams, AstiParams};
 use smin_diffusion::{Model, Realization, RealizationOracle};
 use smin_graph::Graph;
 use std::time::Instant;
@@ -181,8 +179,7 @@ pub fn run_algo(
             // Non-adaptive: one selection, evaluated on every realization.
             let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(13));
             let started = Instant::now();
-            let out =
-                ateuc(g, model, eta, &AteucParams::default(), &mut rng).expect("valid parameters");
+            let out = ateuc(g, model, eta, &mut rng).expect("valid parameters");
             let select_time = started.elapsed().as_secs_f64();
             let spreads = evaluate_on_realizations(g, &out.seeds, realizations);
             for spread in spreads {

@@ -3,13 +3,11 @@
 use crate::flags::Flags;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use smin_core::{adapt_im, asti, ateuc, AdaptImParams, AstiParams, AteucParams};
+use smin_core::{adapt_im, asti, ateuc, eta_of_fraction, AdaptImParams, AstiParams};
 use smin_diffusion::{InfluenceOracle, LoggingOracle, Model, Realization, RealizationOracle};
 use smin_graph::components::weakly_connected_components;
 use smin_graph::degree::{degree_distribution, log_log_slope, DegreeKind};
-use smin_graph::generators::{
-    assemble, barabasi_albert, chung_lu_directed, erdos_renyi, watts_strogatz,
-};
+use smin_graph::generators::GeneratorSpec;
 use smin_graph::{io, store, Graph, WeightModel};
 
 /// Loads a graph of either supported format. Dispatch is by content
@@ -30,25 +28,6 @@ fn save_graph(g: &Graph, path: &str) -> Result<(), String> {
     }
 }
 
-fn parse_weights(spec: &str) -> Result<WeightModel, String> {
-    match spec {
-        "wc" => Ok(WeightModel::WeightedCascade),
-        "tri" => Ok(WeightModel::Trivalency),
-        other => {
-            if let Some(p) = other.strip_prefix("uniform:") {
-                let p: f64 = p
-                    .parse()
-                    .map_err(|e| format!("bad uniform probability: {e}"))?;
-                Ok(WeightModel::Uniform(p))
-            } else {
-                Err(format!(
-                    "unknown weight model '{other}' (wc | uniform:P | tri)"
-                ))
-            }
-        }
-    }
-}
-
 /// `asm generate`
 pub fn generate(args: &[String]) -> Result<(), String> {
     let f = Flags::parse(
@@ -61,35 +40,33 @@ pub fn generate(args: &[String]) -> Result<(), String> {
     let n: usize = f.get_parsed("n")?.ok_or("missing required --n")?;
     let seed: u64 = f.get_or("seed", 42)?;
     let out = f.require("out")?;
-    let weights = parse_weights(f.get("weights").unwrap_or("wc"))?;
+    let weights = f.get_or("weights", WeightModel::WeightedCascade)?;
     let mut rng = SmallRng::seed_from_u64(seed);
 
-    let (pairs, directed) = match kind {
-        "chung-lu" => {
-            let m: usize = f.get_or("m", n * 5)?;
-            let gamma: f64 = f.get_or("gamma", 2.1)?;
-            (chung_lu_directed(n, m, gamma, &mut rng), true)
-        }
-        "er" => {
-            let m: usize = f.get_or("m", n * 5)?;
-            (erdos_renyi(n, m, &mut rng), true)
-        }
-        "ba" => {
-            let attach: usize = f.get_or("attach", 4)?;
-            (barabasi_albert(n, attach, &mut rng), false)
-        }
-        "ws" => {
-            let k: usize = f.get_or("k", 6)?;
-            let beta: f64 = f.get_or("beta", 0.1)?;
-            (watts_strogatz(n, k, beta, &mut rng), false)
-        }
+    let spec = match kind {
+        "chung-lu" => GeneratorSpec::ChungLu {
+            m: f.get_or("m", n * 5)?,
+            gamma: f.get_or("gamma", 2.1)?,
+        },
+        "er" => GeneratorSpec::ErdosRenyi {
+            m: f.get_or("m", n * 5)?,
+        },
+        "ba" => GeneratorSpec::BarabasiAlbert {
+            attach: f.get_or("attach", 4)?,
+        },
+        "ws" => GeneratorSpec::WattsStrogatz {
+            k: f.get_or("k", 6)?,
+            beta: f.get_or("beta", 0.1)?,
+        },
         other => {
             return Err(format!(
                 "unknown generator '{other}' (chung-lu | ba | er | ws)"
             ))
         }
     };
-    let g = assemble(n, &pairs, directed, weights, &mut rng).map_err(|e| e.to_string())?;
+    let g = spec
+        .generate(n, weights, &mut rng)
+        .map_err(|e| format!("{kind}: {e}"))?;
     save_graph(&g, out)?;
     println!("wrote {out}: {} nodes, {} directed edges", g.n(), g.m());
     Ok(())
@@ -170,7 +147,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
         f.get_parsed::<f64>("eta-frac")?,
     ) {
         (Some(e), None) => e,
-        (None, Some(frac)) => ((g.n() as f64) * frac).round().max(1.0) as usize,
+        (None, Some(frac)) => {
+            eta_of_fraction(g.n(), frac).map_err(|e| format!("--eta-frac {e}"))?
+        }
         (Some(_), Some(_)) => return Err("give --eta or --eta-frac, not both".into()),
         (None, None) => return Err("missing --eta or --eta-frac".into()),
     };
@@ -242,8 +221,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         "ateuc" => {
             let mut rng = SmallRng::seed_from_u64(seed);
             let started = std::time::Instant::now();
-            let out = ateuc(&g, model, eta, &AteucParams::default(), &mut rng)
-                .map_err(|e| e.to_string())?;
+            let out = ateuc(&g, model, eta, &mut rng).map_err(|e| e.to_string())?;
             let secs = started.elapsed().as_secs_f64();
             println!(
                 "selected |S| = {} in {:.3}s (certified E[I(S)] ≥ η: {})",
@@ -496,14 +474,20 @@ mod tests {
 
     #[test]
     fn weight_model_parsing() {
-        assert_eq!(parse_weights("wc").unwrap(), WeightModel::WeightedCascade);
-        assert_eq!(
-            parse_weights("uniform:0.1").unwrap(),
-            WeightModel::Uniform(0.1)
-        );
-        assert_eq!(parse_weights("tri").unwrap(), WeightModel::Trivalency);
-        assert!(parse_weights("bogus").is_err());
-        assert!(parse_weights("uniform:x").is_err());
+        let parse = |spec: &str| spec.parse::<WeightModel>();
+        assert_eq!(parse("wc").unwrap(), WeightModel::WeightedCascade);
+        assert_eq!(parse("uniform:0.1").unwrap(), WeightModel::Uniform(0.1));
+        assert_eq!(parse("uniform:1").unwrap(), WeightModel::Uniform(1.0));
+        assert_eq!(parse("tri").unwrap(), WeightModel::Trivalency);
+        for bad in [
+            "bogus",
+            "uniform:x",
+            "uniform:2",
+            "uniform:0",
+            "uniform:NaN",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -748,5 +732,85 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         assert!(run(&bad).is_err());
+    }
+
+    /// Every precondition spec the service answers with 400 is an `Err`
+    /// here too, never a generator panic, and writes no file.
+    #[test]
+    fn generate_rejects_what_the_generators_assert() {
+        let dir = std::env::temp_dir().join("smin_cli_generate_preconditions");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("never.smg");
+        let path = path.to_str().unwrap().to_string();
+        let cases: &[(&[&str], &str)] = &[
+            (&["er", "--n", "1"], "'n' must be at least 2"),
+            (&["er", "--n", "3"], "'m' = 15 exceeds"),
+            (&["er", "--n", "3", "--m", "100"], "'m' = 100 exceeds"),
+            (&["chung-lu", "--n", "1"], "'n' must be at least 2"),
+            (&["chung-lu", "--n", "4", "--m", "13"], "'m' = 13 exceeds"),
+            (
+                &["chung-lu", "--n", "10", "--m", "200"],
+                "'m' = 200 exceeds",
+            ),
+            (&["chung-lu", "--n", "50", "--gamma", "1.0"], "'gamma'"),
+            (&["chung-lu", "--n", "50", "--gamma", "-3"], "'gamma'"),
+            (&["ba", "--n", "3"], "'attach'"),
+            (&["ba", "--n", "30", "--attach", "0"], "'attach'"),
+            (&["ba", "--n", "5", "--attach", "5"], "'attach'"),
+            (&["ba", "--n", "5", "--attach", "9"], "'attach'"),
+            (&["ws", "--n", "5"], "'n' must exceed 'k'"),
+            (&["ws", "--n", "5", "--k", "7"], "'k'"),
+            (&["ws", "--n", "30", "--k", "3"], "'k'"),
+            (&["ws", "--n", "30", "--k", "0"], "'k'"),
+            (&["ws", "--n", "30", "--beta", "1.5"], "'beta'"),
+            (&["ws", "--n", "30", "--beta", "-0.1"], "'beta'"),
+            (&["ba", "--n", "30", "--weights", "uniform:2"], "(0, 1]"),
+            (&["ba", "--n", "30", "--weights", "uniform:0"], "(0, 1]"),
+            (&["ba", "--n", "30", "--weights", "uniform:NaN"], "(0, 1]"),
+        ];
+        for (spec, needle) in cases {
+            let args: Vec<String> = ["--kind"]
+                .iter()
+                .chain(spec.iter())
+                .chain(["--out", path.as_str()].iter())
+                .map(|s| s.to_string())
+                .collect();
+            let err = generate(&args).expect_err(&format!("{spec:?} must be an error"));
+            assert!(
+                err.contains(needle),
+                "{spec:?}: expected {needle:?} in {err}"
+            );
+        }
+        assert!(!std::path::Path::new(&path).exists());
+    }
+
+    /// A fraction outside (0, 1] is an error naming the range, never a
+    /// silent η = 1.
+    #[test]
+    fn run_rejects_eta_frac_outside_the_unit_interval() {
+        let dir = std::env::temp_dir().join("smin_cli_eta_frac");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.smg");
+        let path = path.to_str().unwrap().to_string();
+        let to_args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        generate(&to_args(&[
+            "--kind", "er", "--n", "50", "--m", "100", "--out", &path,
+        ]))
+        .unwrap();
+        for frac in ["-0.5", "0", "NaN", "1.5"] {
+            let err = run(&to_args(&[
+                "--graph",
+                &path,
+                "--algo",
+                "asti",
+                "--eta-frac",
+                frac,
+            ]))
+            .expect_err(frac);
+            assert!(
+                err.contains("--eta-frac must lie in (0, 1]"),
+                "{frac}: {err}"
+            );
+        }
     }
 }

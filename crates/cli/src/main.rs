@@ -20,6 +20,7 @@ asm — adaptive seed minimization toolkit
 
 USAGE:
   asm generate --kind <chung-lu|ba|er|ws> --n <N> [--m <M>] [--gamma F]
+               [--attach A] [--k K] [--beta F]
                [--weights <wc|uniform:P|tri>] [--seed N] --out <FILE>
   asm stats <GRAPH>
   asm run --graph <GRAPH> --algo <asti|adaptim|ateuc> [--batch B]

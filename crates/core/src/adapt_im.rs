@@ -162,10 +162,7 @@ fn select_max_spread(
         base_seed: rng.next_u64(),
     };
     let TrimScratch {
-        pool,
-        sketch_gen,
-        engine,
-        ..
+        pool, sketch_gen, ..
     } = scratch;
     pool.reset();
     sketch_gen.generate(&job, sched.theta0, BASELINE_THREADS, pool);
@@ -173,9 +170,7 @@ fn select_max_spread(
     let mut iterations = 0;
     loop {
         iterations += 1;
-        let (node, coverage) = engine
-            .argmax(pool)
-            .expect("roots are alive; sets are non-empty");
+        let (node, coverage) = pool.argmax().expect("roots are alive; sets are non-empty");
         let lower = coverage_lower_bound(coverage as f64, sched.a1);
         let upper = coverage_upper_bound(coverage as f64, sched.a2);
         let certificate = if upper > 0.0 { lower / upper } else { 0.0 };

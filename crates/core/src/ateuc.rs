@@ -32,27 +32,11 @@ use smin_graph::{Graph, NodeId};
 use smin_sampling::bounds::{coverage_lower_bound, coverage_upper_bound};
 use smin_sampling::{CoverageEngine, RootCountDist, SketchGenPool, SketchJob, SketchPool};
 
-/// ATEUC parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct AteucParams {
-    /// Confidence parameter: each candidate's bound holds with probability
-    /// `1 − 1/n` per doubling (the recommended setting in ref.\[22\]).
-    pub delta_exponent: f64,
-    /// Initial pool size.
-    pub theta0: usize,
-    /// Maximum number of doublings before returning the current `S_u`.
-    pub max_doublings: usize,
-}
+/// Initial pool size.
+const THETA0: usize = 256;
 
-impl Default for AteucParams {
-    fn default() -> Self {
-        AteucParams {
-            delta_exponent: 1.0,
-            theta0: 256,
-            max_doublings: 14,
-        }
-    }
-}
+/// Doublings after which the current `S_u` is returned uncertified.
+const MAX_DOUBLINGS: usize = 14;
 
 /// Result of an ATEUC run.
 #[derive(Clone, Debug)]
@@ -78,7 +62,6 @@ pub fn ateuc(
     g: &Graph,
     model: Model,
     eta: usize,
-    params: &AteucParams,
     rng: &mut impl Rng,
 ) -> Result<AteucOutput, AsmError> {
     let n = g.n();
@@ -102,12 +85,12 @@ pub fn ateuc(
     let mut pool = SketchPool::new(n);
     let mut engine = CoverageEngine::new();
 
-    // failure budget: ln(n^c · doublings) per bound application
-    let a = params.delta_exponent * (n.max(2) as f64).ln()
-        + ((params.max_doublings.max(1)) as f64).ln()
-        + 1.0;
+    // Failure budget per bound application: each candidate's bound holds
+    // with probability 1 − 1/n per doubling (the recommended setting in
+    // ref.\[22\]), union-bounded over the doublings.
+    let a = (n.max(2) as f64).ln() + (MAX_DOUBLINGS as f64).ln() + 1.0;
 
-    let mut theta = params.theta0.max(16);
+    let mut theta = THETA0;
     let mut doublings = 0usize;
     loop {
         sketch_gen.generate(&job, theta, BASELINE_THREADS, &mut pool);
@@ -122,7 +105,7 @@ pub fn ateuc(
         let (lower, _) = engine.select_until(&pool, eta as f64, target_cov_opt);
 
         let done = certified && upper.seeds.len() <= 2 * lower.seeds.len().max(1);
-        if done || doublings >= params.max_doublings {
+        if done || doublings >= MAX_DOUBLINGS {
             let est = n as f64 * upper.covered as f64 / theta_f;
             return Ok(AteucOutput {
                 seeds: upper.seeds,
@@ -172,7 +155,7 @@ mod tests {
         // η = 5 of 6: the center alone certifiably spreads to everything.
         // (η = n can never be certified by a *strict* lower confidence bound,
         // which is itself a faithful ATEUC behavior.)
-        let out = ateuc(&g, Model::IC, 5, &AteucParams::default(), &mut rng).unwrap();
+        let out = ateuc(&g, Model::IC, 5, &mut rng).unwrap();
         assert!(out.certified);
         assert_eq!(out.seeds, vec![0]);
     }
@@ -181,7 +164,7 @@ mod tests {
     fn isolated_nodes_need_eta_seeds() {
         let g = GraphBuilder::new(6).build().unwrap();
         let mut rng = SmallRng::seed_from_u64(2);
-        let out = ateuc(&g, Model::IC, 3, &AteucParams::default(), &mut rng).unwrap();
+        let out = ateuc(&g, Model::IC, 3, &mut rng).unwrap();
         // Each seed only covers itself; the lower bound on coverage needs
         // slack, so ≥ 3 seeds (possibly a few more for confidence).
         assert!(out.seeds.len() >= 3, "got {}", out.seeds.len());
@@ -195,7 +178,7 @@ mod tests {
         let g = generators::assemble(300, &pairs, true, WeightModel::WeightedCascade, &mut rng)
             .unwrap();
         let eta = 60;
-        let out = ateuc(&g, Model::IC, eta, &AteucParams::default(), &mut rng).unwrap();
+        let out = ateuc(&g, Model::IC, eta, &mut rng).unwrap();
         assert!(out.certified);
         let spread = mc_expected_spread(&g, Model::IC, &out.seeds, 4_000, &mut rng);
         assert!(
@@ -214,7 +197,7 @@ mod tests {
         let g = generators::assemble(200, &pairs, true, WeightModel::WeightedCascade, &mut rng)
             .unwrap();
         let eta = 40;
-        let out = ateuc(&g, Model::IC, eta, &AteucParams::default(), &mut rng).unwrap();
+        let out = ateuc(&g, Model::IC, eta, &mut rng).unwrap();
         let realizations: Vec<_> = (0..40)
             .map(|_| Realization::sample(&g, Model::IC, &mut rng))
             .collect();
@@ -252,11 +235,11 @@ mod tests {
         let g = GraphBuilder::new(3).build().unwrap();
         let mut rng = SmallRng::seed_from_u64(5);
         assert!(matches!(
-            ateuc(&g, Model::IC, 0, &AteucParams::default(), &mut rng),
+            ateuc(&g, Model::IC, 0, &mut rng),
             Err(AsmError::EtaOutOfRange { .. })
         ));
         assert!(matches!(
-            ateuc(&g, Model::IC, 4, &AteucParams::default(), &mut rng),
+            ateuc(&g, Model::IC, 4, &mut rng),
             Err(AsmError::EtaOutOfRange { .. })
         ));
     }

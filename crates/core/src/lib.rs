@@ -34,9 +34,9 @@ pub mod trim_b;
 
 pub use adapt_im::{adapt_im, AdaptImParams};
 pub use asti::{asti, asti_in, AstiSession};
-pub use ateuc::{ateuc, evaluate_on_realizations, AteucOutput, AteucParams};
+pub use ateuc::{ateuc, evaluate_on_realizations, AteucOutput};
 pub use error::AsmError;
-pub use params::{AstiParams, TrimParams};
+pub use params::{eta_of_fraction, AstiParams, TrimParams};
 pub use report::{AstiReport, RoundReport, TrimStats};
 pub use trim::{trim, StageMicros, TrimOutput};
 pub use trim_b::{trim_b, TrimBOutput};

@@ -1,16 +1,16 @@
-//! Tunable parameters for TRIM / TRIM-B / ASTI.
+//! Tunable parameters for TRIM / TRIM-B / ASTI, and the threshold a
+//! fraction of the graph asks for.
 
 use crate::error::AsmError;
-use smin_sampling::RootCountDist;
 
-/// Parameters of one TRIM (or TRIM-B) invocation.
+/// Parameters of one TRIM (or TRIM-B) invocation. mRR sets always take
+/// §3.3's randomized rounding of the root count
+/// ([`RootCountDist::Randomized`](smin_sampling::RootCountDist::Randomized)), the
+/// distribution Theorem 3.3's unbiasedness rests on.
 #[derive(Clone, Copy, Debug)]
 pub struct TrimParams {
     /// Approximation slack `ε ∈ (0, 1)`; the paper's experiments use 0.5.
     pub eps: f64,
-    /// Root-count distribution for mRR sets (the randomized rounding of
-    /// §3.3 by default; fixed variants exist for the ablation bench).
-    pub root_dist: RootCountDist,
     /// Optional hard cap on the number of mRR sets per round. `None` uses
     /// the theoretical `θ_max`; tests and interactive examples may cap to
     /// bound worst-case latency (forfeiting the formal guarantee for that
@@ -29,7 +29,6 @@ impl TrimParams {
     pub fn with_eps(eps: f64) -> Self {
         TrimParams {
             eps,
-            root_dist: RootCountDist::Randomized,
             theta_cap: None,
             threads: None,
         }
@@ -53,6 +52,18 @@ impl TrimParams {
 impl Default for TrimParams {
     fn default() -> Self {
         TrimParams::with_eps(0.5)
+    }
+}
+
+/// The threshold `η = max(1, round(n · frac))` for a fraction `frac` of the
+/// graph's `n` nodes. A fraction outside `(0, 1]`, NaN included, is an error
+/// (which callers prefix with their own name for the field), never a silent
+/// `η = 1`.
+pub fn eta_of_fraction(n: usize, frac: f64) -> Result<usize, String> {
+    if frac > 0.0 && frac <= 1.0 {
+        Ok(((n as f64) * frac).round().max(1.0) as usize)
+    } else {
+        Err(format!("must lie in (0, 1], got {frac}"))
     }
 }
 
@@ -108,7 +119,6 @@ mod tests {
         let p = AstiParams::default();
         assert_eq!(p.trim.eps, 0.5);
         assert_eq!(p.batch, 1);
-        assert_eq!(p.trim.root_dist, RootCountDist::Randomized);
         assert_eq!(
             p.trim.threads, None,
             "thread count auto-resolves by default"

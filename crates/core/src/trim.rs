@@ -87,13 +87,13 @@
 //! `base_seed ^ index`, so every schedule builds a prefix of the same set
 //! sequence: `g` decides only where the certificate is checked.
 //!
-//! TRIM checks at `g = 1.25` ([`TRIM_GROWTH`]). A check is one argmax over
+//! TRIM checks at `g = 1.25` (`TRIM_GROWTH`). A check is one argmax over
 //! the touched nodes, far cheaper than the sets it saves: a round stops at
 //! most 1.25× past the sample its certificate needed, instead of 2×. On
 //! `campaign-ic`'s first round (θ◦ = 143, θ_max = 8 722 416) `T` goes
 //! 17 → 51, `a₁` 25.03 → 26.13 and `a₂` 15.40 → 16.50.
 //!
-//! TRIM-B and AdaptIM keep doubling ([`DOUBLING`]):
+//! TRIM-B and AdaptIM keep doubling (`DOUBLING`):
 //!
 //! * a TRIM-B check is a greedy call. A prototype with TRIM-B at
 //!   `g = 1.25` on `campaign-lt-b8` drew 8 397.6 sets per campaign instead
@@ -107,13 +107,13 @@
 //! # A shortfall of one
 //!
 //! At `η_i = 1`, [`smin_sampling::sample_root_count`] gives `k = n_i` for
-//! every [`RootCountDist`](smin_sampling::RootCountDist), so every mRR set
-//! is the whole residual graph and every alive node covers every set. The
+//! every [`RootCountDist`], so every mRR set is the whole residual graph
+//! and every alive node covers every set. The
 //! argmax's tie-break then returns the smallest alive id, and so does
 //! TRIM-B's greedy, which stops after that pick because nothing is left
 //! uncovered. That node is an exact optimum: `Γ(v) = min(I(v), 1) = 1` for
 //! every alive `v`. So both return it without sampling
-//! ([`shortfall_of_one`]): the round reports 0 sets, 0 checks, certificate
+//! (`shortfall_of_one`): the round reports 0 sets, 0 checks, certificate
 //! 1 and estimate 1, and still draws its base seed, so the caller's RNG
 //! advances as before and the selection is bit-identical to the sampled
 //! one.
@@ -125,7 +125,9 @@ use rand::Rng;
 use smin_diffusion::{Model, ResidualState};
 use smin_graph::{Graph, NodeId};
 use smin_sampling::bounds::{binomial_lower_bound, binomial_upper_bound};
-use smin_sampling::{resolve_threads, CoverageEngine, SketchGenPool, SketchJob, SketchPool};
+use smin_sampling::{
+    resolve_threads, CoverageEngine, RootCountDist, SketchGenPool, SketchJob, SketchPool,
+};
 
 /// Outcome of one TRIM round.
 #[derive(Clone, Debug)]
@@ -181,7 +183,8 @@ pub struct StageMicros {
 
 /// Reusable cross-round scratch of TRIM, TRIM-B and AdaptIM: the sketch
 /// pool, the sketch-generation pool every set is drawn through, and the
-/// shared coverage engine behind argmax / greedy selection.
+/// coverage engine behind TRIM-B's greedy selection. TRIM and AdaptIM pick
+/// by the pool's own argmax ([`SketchPool::argmax`]).
 pub struct TrimScratch {
     pub(crate) pool: SketchPool,
     pub(crate) sketch_gen: SketchGenPool,
@@ -407,13 +410,12 @@ fn trim_certified_by(
         model,
         snapshot: residual.snapshot(),
         eta_i,
-        dist: params.root_dist,
+        dist: RootCountDist::Randomized,
         base_seed: rng.next_u64(),
     };
     let TrimScratch {
         pool,
         sketch_gen,
-        engine,
         stage,
         ..
     } = scratch;
@@ -432,8 +434,7 @@ fn trim_certified_by(
         iterations += 1;
         let (node, coverage) = {
             let _span = smin_obs::Span::enter(&mut stage.coverage);
-            engine
-                .argmax(pool)
+            pool.argmax()
                 .expect("pool has non-empty sets: roots are alive")
         };
         let certificate = certificate(coverage, pool.len(), &sched);
@@ -768,7 +769,7 @@ mod tests {
                     model,
                     snapshot: residual.snapshot(),
                     eta_i: 1,
-                    dist: params.root_dist,
+                    dist: RootCountDist::Randomized,
                     base_seed,
                 };
                 let mut pool = SketchPool::new(n);
@@ -780,7 +781,7 @@ mod tests {
                     assert_eq!(set, alive, "{case}: set {i} is not the alive set");
                 }
                 let sampled = if b == 1 {
-                    vec![engine.argmax(&pool).unwrap().0]
+                    vec![pool.argmax().unwrap().0]
                 } else {
                     engine.select(&pool, b).seeds
                 };

@@ -37,7 +37,7 @@
 //! Before pick `i + 1`, `Λ_R(S_i)` plus the `b − i` largest marginals,
 //! capped at `|R|`, bounds the coverage `c` the call will end with. Since
 //! `U ≥ c`, the call's certificate is at most `f(c) = Λˡ(c)/Λᵘ(c)`, and `f`
-//! never falls as `c` grows ([`certificate`]). So once `f` of that bound
+//! never falls as `c` grows (`certificate`). So once `f` of that bound
 //! misses Line 11's threshold the call cannot certify, and unless `T` or
 //! `θ_max` ends the round here the loop abandons it and doubles `|R|`.
 //! Every output is what running the full greedy every time would give.
@@ -46,7 +46,7 @@
 //!
 //! TRIM-B keeps the paper's doubling between checks (`T` and the `a`s are
 //! Line 4's and Line 5's) and Lemma A.2's bounds in Lines 9–10;
-//! [`crate::trim`] explains why TRIM checks every ×1.25 and certifies with
+//! [`mod@crate::trim`] explains why TRIM checks every ×1.25 and certifies with
 //! the binomial tail, and TRIM-B does neither. At `η_i = 1` every mRR set is the whole
 //! residual graph, so the greedy's first pick, the smallest alive id,
 //! covers every set and it stops there. That one node is an exact optimum
@@ -64,7 +64,7 @@ use smin_diffusion::{Model, ResidualState};
 use smin_graph::{Graph, NodeId};
 use smin_sampling::bounds::{coverage_lower_bound, coverage_upper_bound};
 use smin_sampling::coverage::rho_b;
-use smin_sampling::{resolve_threads, SketchJob};
+use smin_sampling::{resolve_threads, RootCountDist, SketchJob};
 
 /// Outcome of one TRIM-B round.
 #[derive(Clone, Debug)]
@@ -214,7 +214,7 @@ pub fn trim_b(
         model,
         snapshot: residual.snapshot(),
         eta_i,
-        dist: params.root_dist,
+        dist: RootCountDist::Randomized,
         base_seed: rng.next_u64(),
     };
     let TrimScratch {
@@ -443,7 +443,7 @@ mod tests {
             model,
             snapshot: residual.snapshot(),
             eta_i,
-            dist: params.root_dist,
+            dist: RootCountDist::Randomized,
             base_seed: rng.next_u64(),
         };
         let TrimScratch {

@@ -1,12 +1,13 @@
 //! Monte-Carlo estimation of expected (truncated) spread.
 //!
-//! Used by the greedy-oracle comparator and by tests; the production
-//! algorithms estimate via RR / mRR sets instead (far cheaper per query).
+//! Only tests call these: the cross-checks against exact enumeration and
+//! ATEUC's expected-spread check. The greedy-oracle comparator enumerates
+//! exactly, and the production algorithms estimate via RR / mRR sets
+//! instead (far cheaper per query).
 
 use crate::forward::ForwardSim;
 use crate::model::Model;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use smin_graph::{Graph, NodeId};
 
 /// Monte-Carlo estimate of `E[I(S)]` over `iters` fresh simulations.
@@ -45,44 +46,6 @@ pub fn mc_expected_truncated(
     total as f64 / iters.max(1) as f64
 }
 
-/// Multi-threaded `E[I(S)]` estimate: `iters` simulations sharded over
-/// `threads` workers, each with an independent RNG stream derived from
-/// `seed`. Deterministic for a fixed `(seed, threads)` pair.
-pub fn mc_expected_spread_par(
-    g: &Graph,
-    model: Model,
-    seeds: &[NodeId],
-    iters: usize,
-    threads: usize,
-    seed: u64,
-) -> f64 {
-    let threads = threads.max(1);
-    let per = iters / threads;
-    let extra = iters % threads;
-    let total: usize = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let quota = per + usize::from(t < extra);
-            handles.push(scope.spawn(move || {
-                let mut rng = SmallRng::seed_from_u64(
-                    seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1)),
-                );
-                let mut sim = ForwardSim::new(g.n());
-                let mut sum = 0usize;
-                for _ in 0..quota {
-                    sum += sim.simulate(g, model, seeds, &mut rng);
-                }
-                sum
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .sum()
-    });
-    total as f64 / iters.max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,21 +77,6 @@ mod tests {
         // E = 0.25*1 + 0.5*2 + 0.25*2 = 1.75 < min(E[I], 2) = 2.
         let est = mc_expected_truncated(&g, Model::IC, &[0], 2, 40_000, &mut rng);
         assert!((est - 1.75).abs() < 0.03, "E[Γ] = {est}");
-    }
-
-    #[test]
-    fn parallel_matches_serial_mean() {
-        let g = fork();
-        let par = mc_expected_spread_par(&g, Model::IC, &[0], 40_000, 4, 99);
-        assert!((par - 2.0).abs() < 0.03, "par = {par}");
-    }
-
-    #[test]
-    fn parallel_is_deterministic() {
-        let g = fork();
-        let a = mc_expected_spread_par(&g, Model::IC, &[0], 10_000, 3, 7);
-        let b = mc_expected_spread_par(&g, Model::IC, &[0], 10_000, 3, 7);
-        assert_eq!(a, b);
     }
 
     #[test]

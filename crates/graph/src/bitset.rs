@@ -4,13 +4,13 @@
 //! masks alive across millions of queries (reverse-BFS frontiers, covered-set
 //! masks in the greedy cover). `Vec<bool>` spends a byte per flag and defeats
 //! vectorized clearing; [`FixedBitSet`] packs 64 flags per word so clears,
-//! unions and population counts run a word at a time, and a graph-sized mask
-//! fits in L2 where the byte vector would not.
+//! batched inserts and population counts run a word at a time, and a
+//! graph-sized mask fits in L2 where the byte vector would not.
 //!
 //! Complementary to [`GenStamp`](crate::stamp::GenStamp): the stamp wins when
 //! a query touches few indices and resets every query; the bitset wins when
 //! membership persists across many operations (covered sets accumulate over
-//! a whole greedy run) or when whole-set operations (union, count) matter.
+//! a whole greedy run) or when whole-set operations (clear, count) matter.
 
 /// A set of indices `0..len`, packed 64 per `u64` word.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -84,30 +84,6 @@ impl FixedBitSet {
         present
     }
 
-    /// In-place union: `self |= other`. Panics unless both sets have the
-    /// same capacity.
-    pub fn union_with(&mut self, other: &FixedBitSet) {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        debug_assert_eq!(self.words.len(), other.words.len());
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// In-place union that also reports how many bits it freshly set — one
-    /// `popcnt` per word, no second counting pass. Panics unless both sets
-    /// have the same capacity.
-    pub fn union_count(&mut self, other: &FixedBitSet) -> usize {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        debug_assert_eq!(self.words.len(), other.words.len());
-        let mut fresh = 0usize;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            fresh += (b & !*a).count_ones() as usize;
-            *a |= b;
-        }
-        fresh
-    }
-
     /// Inserts the whole word-sized batch `mask` into word `wi` (indices
     /// `wi*64 + bit` for each set bit), returning the sub-mask of bits that
     /// were **not** already present. This is the 64-at-a-time form of
@@ -128,35 +104,6 @@ impl FixedBitSet {
     /// Number of set bits, one `popcnt` per word.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Number of set bits in the index range `lo..hi`, computed a word at a
-    /// time: the boundary words are masked, everything between is a plain
-    /// `popcnt` — no per-bit probing.
-    pub fn count_ones_range(&self, lo: usize, hi: usize) -> usize {
-        assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of bounds");
-        if lo == hi {
-            return 0;
-        }
-        let (wl, wh) = (lo >> 6, (hi - 1) >> 6);
-        let lo_mask = !0u64 << (lo & 63);
-        // bits strictly above hi-1 are cleared from the last word
-        let hi_mask = !0u64 >> (63 - ((hi - 1) & 63));
-        if wl == wh {
-            return (self.words[wl] & lo_mask & hi_mask).count_ones() as usize;
-        }
-        let mut total = (self.words[wl] & lo_mask).count_ones() as usize;
-        for &w in &self.words[wl + 1..wh] {
-            total += w.count_ones() as usize;
-        }
-        total + (self.words[wh] & hi_mask).count_ones() as usize
-    }
-
-    /// The backing words, 64 indices each (`index = word*64 + bit`). Word
-    /// granularity is the contract the batched coverage kernels build on.
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 
     /// Iterates set indices in increasing order, skipping empty words: an
@@ -263,52 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn union_and_ones() {
-        let mut a = FixedBitSet::new(70);
-        let mut b = FixedBitSet::new(70);
-        a.insert(1);
-        a.insert(65);
-        b.insert(2);
-        b.insert(65);
-        a.union_with(&b);
-        assert_eq!(a.ones().collect::<Vec<_>>(), vec![1, 2, 65]);
-        assert_eq!(a.count_ones(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity mismatch")]
-    fn union_requires_equal_capacity() {
-        let mut a = FixedBitSet::new(10);
-        let b = FixedBitSet::new(20);
-        a.union_with(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity mismatch")]
-    fn union_count_requires_equal_capacity() {
-        let mut a = FixedBitSet::new(10);
-        let b = FixedBitSet::new(20);
-        a.union_count(&b);
-    }
-
-    #[test]
-    fn union_count_reports_fresh_bits() {
-        let mut a = FixedBitSet::new(130);
-        let mut b = FixedBitSet::new(130);
-        for i in [0usize, 5, 64, 129] {
-            a.insert(i);
-        }
-        for i in [5usize, 64, 100, 128] {
-            b.insert(i);
-        }
-        // fresh in b: 100 and 128
-        assert_eq!(a.union_count(&b), 2);
-        assert_eq!(a.count_ones(), 6);
-        // idempotent: nothing fresh the second time
-        assert_eq!(a.union_count(&b), 0);
-    }
-
-    #[test]
     fn insert_word_returns_fresh_mask() {
         let mut s = FixedBitSet::new(200);
         s.insert(64);
@@ -324,25 +225,6 @@ mod tests {
         assert_eq!(s.count_ones(), 4 + 64);
         // empty mask is a no-op
         assert_eq!(s.insert_word(0, 0), 0);
-    }
-
-    #[test]
-    fn count_ones_range_matches_filtered_ones() {
-        let mut s = FixedBitSet::new(300);
-        for i in (0..300).step_by(7) {
-            s.insert(i);
-        }
-        for (lo, hi) in [(0, 300), (0, 0), (63, 65), (64, 128), (1, 299), (130, 131)] {
-            let expected = s.ones().filter(|&i| lo <= i && i < hi).count();
-            assert_eq!(s.count_ones_range(lo, hi), expected, "range {lo}..{hi}");
-        }
-        assert_eq!(s.count_ones_range(0, 300), s.count_ones());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn count_ones_range_rejects_bad_range() {
-        FixedBitSet::new(10).count_ones_range(0, 11);
     }
 
     #[test]

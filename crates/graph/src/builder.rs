@@ -13,8 +13,6 @@ pub enum DedupPolicy {
     NoisyOr,
     /// Keep the first occurrence, drop the rest.
     KeepFirst,
-    /// Keep the occurrence with the largest probability.
-    KeepMax,
     /// Fail with [`GraphError::DuplicateEdge`].
     Error,
 }
@@ -135,7 +133,6 @@ impl GraphBuilder {
                 match self.dedup {
                     DedupPolicy::NoisyOr => merged = 1.0 - (1.0 - merged) * (1.0 - q),
                     DedupPolicy::KeepFirst => {}
-                    DedupPolicy::KeepMax => merged = merged.max(q),
                     DedupPolicy::Error => return Err(GraphError::DuplicateEdge { u, v }),
                 }
                 j += 1;
@@ -223,16 +220,6 @@ mod tests {
         let g = b.build().unwrap();
         let (_, p) = g.out_edges(0).next().unwrap();
         assert_eq!(p, 0.5);
-    }
-
-    #[test]
-    fn keep_max_dedup() {
-        let mut b = GraphBuilder::new(2).dedup_policy(DedupPolicy::KeepMax);
-        b.add_edge_p(0, 1, 0.5).unwrap();
-        b.add_edge_p(0, 1, 0.9).unwrap();
-        let g = b.build().unwrap();
-        let (_, p) = g.out_edges(0).next().unwrap();
-        assert_eq!(p, 0.9);
     }
 
     #[test]

@@ -10,41 +10,32 @@ pub struct WccSummary {
     pub count: usize,
     /// Size of the largest component (LWCC, as in Table 2).
     pub largest: usize,
-    /// Component label per node (`0..count`, labels assigned in discovery
-    /// order).
-    pub labels: Vec<u32>,
 }
 
 /// Computes weakly connected components by BFS over the union of forward and
 /// reverse adjacency. Runs in `O(n + m)`.
 pub fn weakly_connected_components(g: &Graph) -> WccSummary {
     let n = g.n();
-    let mut labels = vec![u32::MAX; n];
+    let mut seen = vec![false; n];
     let mut queue: Vec<NodeId> = Vec::new();
-    let mut count = 0u32;
+    let mut count = 0usize;
     let mut largest = 0usize;
 
     for start in 0..u32_of(n) {
-        if labels[start as usize] != u32::MAX {
+        if seen[start as usize] {
             continue;
         }
-        let label = count;
         count += 1;
-        labels[start as usize] = label;
+        seen[start as usize] = true;
         queue.clear();
         queue.push(start);
         let mut size = 0usize;
         while let Some(u) = queue.pop() {
             size += 1;
-            for (v, _) in g.out_edges(u) {
-                if labels[v as usize] == u32::MAX {
-                    labels[v as usize] = label;
-                    queue.push(v);
-                }
-            }
-            for (v, _, _) in g.in_edges(u) {
-                if labels[v as usize] == u32::MAX {
-                    labels[v as usize] = label;
+            let out = g.out_edges(u).map(|(v, _)| v);
+            for v in out.chain(g.in_edges(u).map(|(v, _, _)| v)) {
+                if !seen[v as usize] {
+                    seen[v as usize] = true;
                     queue.push(v);
                 }
             }
@@ -52,11 +43,7 @@ pub fn weakly_connected_components(g: &Graph) -> WccSummary {
         largest = largest.max(size);
     }
 
-    WccSummary {
-        count: count as usize,
-        largest,
-        labels,
-    }
+    WccSummary { count, largest }
 }
 
 #[cfg(test)]
@@ -73,8 +60,6 @@ mod tests {
         let s = weakly_connected_components(&b.build().unwrap());
         assert_eq!(s.count, 2);
         assert_eq!(s.largest, 3);
-        assert_eq!(s.labels[0], s.labels[2]);
-        assert_ne!(s.labels[0], s.labels[3]);
     }
 
     #[test]

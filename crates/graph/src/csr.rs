@@ -215,12 +215,6 @@ impl Graph {
         (&rev.src[rec.slots()], shared)
     }
 
-    /// Probability attached to forward edge index `e`.
-    #[inline]
-    pub fn edge_prob(&self, e: u32) -> f64 {
-        self.fwd_prob[e as usize]
-    }
-
     /// Destination of forward edge index `e`.
     #[inline]
     pub fn edge_dst(&self, e: u32) -> NodeId {
@@ -497,9 +491,10 @@ mod tests {
         for v in 0..4u32 {
             for (u, p, e) in g.in_edges(v) {
                 assert_eq!(g.edge_dst(e), v);
-                assert_eq!(g.edge_prob(e), p);
-                // edge e must appear in u's forward range
-                let found = g.out_edges_indexed(u).any(|(fe, fv, _)| fe == e && fv == v);
+                // edge e must appear in u's forward range, with the same p
+                let found = g
+                    .out_edges_indexed(u)
+                    .any(|(fe, fv, fp)| fe == e && fv == v && fp == p);
                 assert!(
                     found,
                     "edge ({u},{v}) id {e} missing from forward adjacency"

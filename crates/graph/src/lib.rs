@@ -9,10 +9,13 @@
 //!
 //! * [`GraphBuilder`] — mutable edge accumulator with deduplication policies;
 //! * [`weights`] — the paper's weighted-cascade model (`p = 1/indeg`) plus
-//!   uniform and trivalency alternatives;
+//!   uniform and trivalency alternatives, parsed from `wc`, `uniform:P` and
+//!   `tri`;
 //! * [`generators`] — synthetic social-network generators (directed
 //!   Chung–Lu power law, Barabási–Albert, Erdős–Rényi, Watts–Strogatz) used as
-//!   stand-ins for the SNAP datasets of the evaluation;
+//!   stand-ins for the SNAP datasets of the evaluation, and
+//!   [`GeneratorSpec`](generators::GeneratorSpec), which checks their
+//!   preconditions for the CLI and the service alike;
 //! * [`io`] — SNAP-compatible edge-list reading/writing plus format-sniffing
 //!   [`io::load_auto`];
 //! * [`store`] — the versioned `.smg` binary CSR snapshot format (checksummed
@@ -21,7 +24,8 @@
 //!   Figure 3;
 //! * [`stamp`] / [`bitset`] — reusable membership scratch shared by the
 //!   sampling hot paths: generation stamps (O(1) reset, sparse queries) and
-//!   word-packed bitsets (persistent masks, word-at-a-time clear/union/count).
+//!   word-packed bitsets (persistent masks, word-at-a-time clear, batched
+//!   insert and count).
 
 #![forbid(unsafe_code)]
 
@@ -34,7 +38,6 @@ pub mod degree;
 pub mod error;
 pub mod generators;
 pub mod io;
-pub mod ops;
 pub mod stamp;
 pub mod store;
 pub mod weights;

@@ -23,6 +23,31 @@ pub enum WeightModel {
     Trivalency,
 }
 
+impl std::str::FromStr for WeightModel {
+    type Err = String;
+
+    /// `wc`, `tri`, or `uniform:P` with `P` in `(0, 1]`.
+    fn from_str(spec: &str) -> Result<WeightModel, String> {
+        match spec {
+            "wc" => Ok(WeightModel::WeightedCascade),
+            "tri" => Ok(WeightModel::Trivalency),
+            other => {
+                let p = other.strip_prefix("uniform:").ok_or_else(|| {
+                    format!("unknown weight model '{other}' (wc | uniform:P | tri)")
+                })?;
+                let p: f64 = p
+                    .parse()
+                    .map_err(|e| format!("bad uniform probability: {e}"))?;
+                if p > 0.0 && p <= 1.0 {
+                    Ok(WeightModel::Uniform(p))
+                } else {
+                    Err(format!("uniform probability must lie in (0, 1], got {p}"))
+                }
+            }
+        }
+    }
+}
+
 /// Returns a copy of `g` with probabilities reassigned according to `model`.
 ///
 /// `rng` is only consulted by [`WeightModel::Trivalency`]; the other models

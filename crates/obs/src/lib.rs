@@ -8,8 +8,7 @@
 //!   bucket bounds** (`1, 2, 4, …, 2^29` microseconds, then `+Inf`). The
 //!   bounds never depend on the data, so the exposition text is a pure
 //!   function of the observed samples: two scrapes with no intervening
-//!   traffic are byte-identical, and merging per-thread histograms is
-//!   associative (element-wise addition).
+//!   traffic are byte-identical.
 //!
 //! Timing is captured with [`Span`] (accumulates elapsed microseconds into
 //! a caller-owned `u64` slot — no allocation, no shared state on the hot
@@ -107,8 +106,7 @@ pub fn bucket_bound(index: usize) -> Option<u64> {
 /// Log-bucketed histogram over fixed power-of-two bounds.
 ///
 /// Buckets store **per-bucket** (non-cumulative) counts; [`expo`] renders
-/// the cumulative `le` form. Element-wise addition of snapshots is the
-/// merge operation, which is associative and commutative by construction.
+/// the cumulative `le` form.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKET_SLOTS],
@@ -159,7 +157,7 @@ impl Histogram {
     }
 }
 
-/// Plain-value copy of a [`Histogram`]; the mergeable form.
+/// Plain-value copy of a [`Histogram`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket (non-cumulative) counts.
@@ -176,17 +174,6 @@ impl Default for HistogramSnapshot {
             buckets: [0; BUCKET_SLOTS],
             sum: 0,
             count: 0,
-        }
-    }
-}
-
-impl HistogramSnapshot {
-    /// Element-wise sum of two snapshots (associative, commutative).
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i] + other.buckets[i]),
-            sum: self.sum + other.sum,
-            count: self.count + other.count,
         }
     }
 }
@@ -370,25 +357,6 @@ mod tests {
         assert_eq!(s.buckets[2], 1); // 3
         assert_eq!(s.buckets[29], 1); // 2^29
         assert_eq!(s.buckets[FINITE_BUCKETS], 1); // +Inf
-    }
-
-    #[test]
-    fn merge_is_associative_and_commutative() {
-        let snap = |values: &[u64]| {
-            let h = Histogram::new();
-            for &v in values {
-                h.observe(v);
-            }
-            h.snapshot()
-        };
-        let a = snap(&[1, 7, 900]);
-        let b = snap(&[2, 2, 1 << 20]);
-        let c = snap(&[5_000_000, 3]);
-        assert_eq!(a.merge(&b).merge(&c), a.merge(&b.merge(&c)));
-        assert_eq!(a.merge(&b), b.merge(&a));
-        let merged = a.merge(&b).merge(&c);
-        assert_eq!(merged.count, 8);
-        assert_eq!(merged.buckets.iter().sum::<u64>(), merged.count);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Coverage engine: greedy maximum coverage over a sketch pool (TRIM-B
-//! Line 8) and the argmax shared with TRIM.
+//! Line 8), and the candidate scan every pick goes through.
 //!
 //! The classic greedy algorithm guarantees covering at least
 //! `ρ_b = 1 − (1 − 1/b)^b` of the optimum for `b` picks (Vazirani 2003).
@@ -22,11 +22,12 @@
 //! [`CoverageEngine::select_while`] can abandon a call as soon as that
 //! bound is too small to matter to its caller.
 //!
-//! All selection paths — TRIM's argmax, TRIM-B's `b`-pick greedy, and
-//! ATEUC's bound-driven `select_until` loops — share one greedy loop over
-//! one marginal-maintenance implementation ([`CoverageEngine`]) and one
-//! tie-breaking rule (higher gain first, then smaller node id), so every
-//! algorithm returns identical selections on identical pools.
+//! TRIM-B's `b`-pick greedy and ATEUC's bound-driven `select_until` loops
+//! share one greedy loop over one marginal-maintenance implementation
+//! ([`CoverageEngine`]). Every pick, TRIM's and AdaptIM's argmax
+//! ([`SketchPool::argmax`]) included, goes through one tie-breaking scan
+//! (higher gain first, then smaller node id), so every algorithm returns
+//! identical selections on identical pools.
 //!
 //! Committing a pick needs the sets containing it, and the pool keeps no
 //! node→sets inverted index. A greedy run's first 8 picks (`SCAN_PICKS`)
@@ -225,7 +226,7 @@ fn scan_best(
     (best.1 != 0).then_some(best)
 }
 
-/// Reusable marginal-coverage maintenance shared by every greedy/argmax
+/// Reusable marginal-coverage maintenance shared by every greedy
 /// consumer. All buffers, the transpose of runs past 8 picks included,
 /// are retained across calls, so a `CoverageEngine` embedded in
 /// per-round scratch (e.g. `TrimScratch`) makes repeated selection
@@ -392,13 +393,6 @@ impl CoverageEngine {
         self.set_covered.ones()
     }
 
-    /// `argmax_v Λ_R(v)` with the shared tie-breaking; `None` when the pool
-    /// covers nothing. This is exactly the first pick of a greedy run, and
-    /// needs no transpose.
-    pub fn argmax(&self, pool: &SketchPool) -> Option<(NodeId, u32)> {
-        best_node(pool.touched_nodes(), pool.coverage_counts())
-    }
-
     /// Picks up to `b` nodes greedily maximizing marginal set coverage
     /// (TRIM-B Line 8), with OPIM-C's bound `U` on any `b` nodes' coverage
     /// in [`GreedyCover::upper`].
@@ -495,9 +489,7 @@ mod tests {
         let g = greedy_max_coverage(&pool, 1);
         assert_eq!(g.seeds, vec![1]);
         assert_eq!(g.covered, 2);
-        let engine = CoverageEngine::new();
-        assert_eq!(engine.argmax(&pool), Some((1, 2)));
-        assert_eq!(engine.argmax(&pool), pool.argmax());
+        assert_eq!(pool.argmax(), Some((1, 2)));
     }
 
     #[test]

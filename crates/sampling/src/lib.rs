@@ -10,12 +10,12 @@
 //!   single-root RR set;
 //! * [`pool`] — a columnar sketch pool (flat CSR sets) with incremental
 //!   coverage counts, answering TRIM's argmax directly;
-//! * [`coverage`] — the shared [`CoverageEngine`](coverage::CoverageEngine):
-//!   one greedy loop behind TRIM's argmax, TRIM-B's batch selection, and
-//!   ATEUC's bound-driven greedy, with the `ρ_b = 1 − (1−1/b)^b` guarantee
-//!   and OPIM-C's online upper bound on the best batch's coverage. A greedy run's first 8 picks scan
-//!   the pool for their sets; a longer run builds the node→sets inverted
-//!   index of the uncovered sets once, as a CSR transpose;
+//! * [`coverage`] — the shared [`CoverageEngine`]: one greedy loop behind
+//!   TRIM-B's batch selection and ATEUC's bound-driven greedy, with the
+//!   `ρ_b = 1 − (1−1/b)^b` guarantee and OPIM-C's online upper bound on the
+//!   best batch's coverage. A greedy run's first 8 picks scan the pool for
+//!   their sets; a longer run builds the node→sets inverted index of the
+//!   uncovered sets once, as a CSR transpose;
 //! * [`bounds`] — the concentration bounds that drive the stopping rules:
 //!   Appendix A's martingale bounds (Lemma A.2), and the exact binomial
 //!   tail in KL form that TRIM certifies with;

@@ -144,7 +144,7 @@ pub struct GenStats {
     pub edges_examined: usize,
 }
 
-/// Reusable sketch-generation pool: owns one [`WorkerScratch`] per worker
+/// Reusable sketch-generation pool: owns one `WorkerScratch` per worker
 /// (grown lazily to the largest thread count seen) and schedules chunked
 /// generation over scoped `std::thread` workers.
 pub struct SketchGenPool {

@@ -18,7 +18,7 @@
 //!   memory read, answered on the poll thread without a dispatch handoff.
 //! * **Std-only HTTP/1.1** ([`http`], [`server`]): hand-rolled incremental
 //!   framing over `std::net`, keep-alive by default, served by an epoll
-//!   readiness event loop ([`event_loop`] over raw syscall shims in
+//!   readiness event loop (`event_loop` over raw syscall shims in
 //!   [`platform`]) that multiplexes every connection on one poll thread.
 //! * **Request-level protections**: `X-Deadline-Millis` budgets (504),
 //!   admission control at a pending-dispatch high-water mark (429), and

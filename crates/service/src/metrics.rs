@@ -85,19 +85,6 @@ impl ServiceMetrics {
     pub fn new() -> ServiceMetrics {
         ServiceMetrics::default()
     }
-
-    /// The structured-error counter for `status`, if it is one of the four
-    /// transport-protection statuses or 500.
-    pub fn error_counter(&self, status: u16) -> Option<&Counter> {
-        match status {
-            400 => Some(&self.errors_400),
-            408 => Some(&self.errors_408),
-            429 => Some(&self.errors_429),
-            500 => Some(&self.errors_500),
-            504 => Some(&self.errors_504),
-            _ => None,
-        }
-    }
 }
 
 /// Renders the full exposition text: the shared registry above, plus the
@@ -262,22 +249,6 @@ pub fn render(state: &ServiceState) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn error_counters_cover_the_protection_statuses() {
-        let m = ServiceMetrics::new();
-        for status in [400u16, 408, 429, 500, 504] {
-            let c = m.error_counter(status).expect("counter exists");
-            c.inc();
-        }
-        assert_eq!(m.errors_400.get(), 1);
-        assert_eq!(m.errors_408.get(), 1);
-        assert_eq!(m.errors_429.get(), 1);
-        assert_eq!(m.errors_500.get(), 1);
-        assert_eq!(m.errors_504.get(), 1);
-        assert!(m.error_counter(200).is_none());
-        assert!(m.error_counter(422).is_none());
-    }
 
     #[test]
     fn render_is_valid_exposition_and_byte_stable() {

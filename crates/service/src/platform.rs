@@ -4,7 +4,7 @@
 //! The offline build has no `libc`/`mio` crates, so the four syscalls the
 //! event loop needs (`epoll_create1`, `epoll_ctl`, `epoll_pwait`, `close`)
 //! are issued directly via inline assembly on Linux x86_64/aarch64 — the
-//! workspace's only `unsafe` surface, confined to the [`sys`] module. Every
+//! workspace's only `unsafe` surface, confined to the `sys` module. Every
 //! other target gets a stub whose [`Poller::new`] fails with
 //! `Unsupported`, so the crate still builds there but serving fails.
 //!

@@ -48,11 +48,9 @@ use crate::trace::{SelectTrace, StageMicrosLine, TraceEvent, TraceLog, WorkTotal
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde_json::{json, Value};
-use smin_core::{asti_in, AstiParams, AstiSession};
+use smin_core::{asti_in, eta_of_fraction, AstiParams, AstiSession};
 use smin_diffusion::{Model, Realization, RealizationOracle};
-use smin_graph::generators::{
-    assemble, barabasi_albert, chung_lu_directed, erdos_renyi, watts_strogatz,
-};
+use smin_graph::generators::GeneratorSpec;
 use smin_graph::{io, store, Graph, WeightModel};
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -450,32 +448,13 @@ fn entry_value(e: &GraphEntry) -> Value {
     })
 }
 
-fn parse_weights(spec: &str) -> Result<WeightModel, ServiceError> {
-    match spec {
-        "wc" => Ok(WeightModel::WeightedCascade),
-        "tri" => Ok(WeightModel::Trivalency),
-        other => match other.strip_prefix("uniform:") {
-            Some(p) => p
-                .parse::<f64>()
-                .map(WeightModel::Uniform)
-                .map_err(|e| ServiceError::bad_request(format!("bad uniform probability: {e}"))),
-            None => Err(ServiceError::bad_request(format!(
-                "unknown weight model '{other}' (wc | uniform:P | tri)"
-            ))),
-        },
-    }
-}
-
 /// Generates a graph from a `"generate"` spec object.
 fn generate_graph(spec: &Value) -> Result<(Graph, String), ServiceError> {
     let kind = json::req_str(spec, "kind")?;
     let n = json::req_usize(spec, "n")?;
-    if n == 0 {
-        return Err(ServiceError::bad_request("generator needs n >= 1"));
-    }
-    // Each arm checks the preconditions its generator asserts, so a bad
-    // spec is a 400 and never a panic on a dispatch thread, and the size
-    // ceilings, so it is never an allocation that aborts the process.
+    // The size ceilings are checked here, so a spec is never an allocation
+    // that aborts the process; `GeneratorSpec::generate` then turns what the
+    // generator would assert into a 400, never a panic on a dispatch thread.
     let bad = |msg: String| ServiceError::bad_request(format!("{kind}: {msg}"));
     if n > MAX_GENERATED_NODES {
         return Err(bad(format!(
@@ -483,49 +462,32 @@ fn generate_graph(spec: &Value) -> Result<(Graph, String), ServiceError> {
         )));
     }
     let seed = json::opt_u64(spec, "seed")?.unwrap_or(42);
-    let weights = parse_weights(&json::opt_str(spec, "weights")?.unwrap_or_else(|| "wc".into()))?;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let (pairs, directed) = match kind.as_str() {
+    let weights: WeightModel = json::opt_str(spec, "weights")?
+        .map_or(Ok(WeightModel::WeightedCascade), |w| w.parse())
+        .map_err(|e| ServiceError::bad_request(format!("'weights': {e}")))?;
+    let (spec, field, edges) = match kind.as_str() {
         "chung-lu" => {
             let m = json::opt_usize(spec, "m")?.unwrap_or(n * 5);
             let gamma = json::opt_f64(spec, "gamma")?.unwrap_or(2.1);
-            check_edge_ceiling("m", m as u128).map_err(bad)?;
-            check_directed_edges(n, m).map_err(bad)?;
-            if gamma.is_nan() || gamma <= 1.0 {
-                return Err(bad(format!("'gamma' must exceed 1, got {gamma}")));
-            }
-            (chung_lu_directed(n, m, gamma, &mut rng), true)
+            (GeneratorSpec::ChungLu { m, gamma }, "m", m as u128)
         }
         "er" => {
             let m = json::opt_usize(spec, "m")?.unwrap_or(n * 5);
-            check_edge_ceiling("m", m as u128).map_err(bad)?;
-            check_directed_edges(n, m).map_err(bad)?;
-            (erdos_renyi(n, m, &mut rng), true)
+            (GeneratorSpec::ErdosRenyi { m }, "m", m as u128)
         }
         "ba" => {
             let attach = json::opt_usize(spec, "attach")?.unwrap_or(4);
-            if !(1..n).contains(&attach) {
-                return Err(bad(format!(
-                    "'attach' must lie in [1, n) = [1, {n}), got {attach}"
-                )));
-            }
-            check_edge_ceiling("attach", 2 * n as u128 * attach as u128).map_err(bad)?;
-            (barabasi_albert(n, attach, &mut rng), false)
+            let edges = 2 * n as u128 * attach as u128;
+            (GeneratorSpec::BarabasiAlbert { attach }, "attach", edges)
         }
         "ws" => {
             let k = json::opt_usize(spec, "k")?.unwrap_or(6);
             let beta = json::opt_f64(spec, "beta")?.unwrap_or(0.1);
-            if k < 2 || !k.is_multiple_of(2) {
-                return Err(bad(format!("'k' must be even and at least 2, got {k}")));
-            }
-            if n <= k {
-                return Err(bad(format!("'n' must exceed 'k' = {k}, got {n}")));
-            }
-            if !(0.0..=1.0).contains(&beta) {
-                return Err(bad(format!("'beta' must lie in [0, 1], got {beta}")));
-            }
-            check_edge_ceiling("k", n as u128 * k as u128).map_err(bad)?;
-            (watts_strogatz(n, k, beta, &mut rng), false)
+            (
+                GeneratorSpec::WattsStrogatz { k, beta },
+                "k",
+                n as u128 * k as u128,
+            )
         }
         other => {
             return Err(ServiceError::bad_request(format!(
@@ -533,24 +495,10 @@ fn generate_graph(spec: &Value) -> Result<(Graph, String), ServiceError> {
             )))
         }
     };
-    let g = assemble(n, &pairs, directed, weights, &mut rng)?;
+    check_edge_ceiling(field, edges).map_err(bad)?;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let g = spec.generate(n, weights, &mut rng).map_err(bad)?;
     Ok((g, format!("generated:{kind}")))
-}
-
-/// The preconditions the directed-edge generators (ER, Chung–Lu) assert:
-/// two nodes at least, and no more edges than the `n(n − 1)` distinct
-/// directed pairs.
-fn check_directed_edges(n: usize, m: usize) -> Result<(), String> {
-    let pairs = (n as u128) * (n as u128).saturating_sub(1);
-    if n < 2 {
-        Err(format!("'n' must be at least 2, got {n}"))
-    } else if m as u128 > pairs {
-        Err(format!(
-            "'m' = {m} exceeds the n(n-1) = {pairs} distinct directed edges on {n} nodes"
-        ))
-    } else {
-        Ok(())
-    }
 }
 
 /// The edge ceiling: the spec's `field` asks for `edges` directed edges.
@@ -784,16 +732,8 @@ fn parse_select_fields(
     let n = entry.graph.n();
     let eta = match (json::opt_usize(v, "eta")?, json::opt_f64(v, "eta_frac")?) {
         (Some(e), None) => e,
-        (None, Some(frac)) => {
-            // Validate before the max(1.0) clamp: a negative or NaN
-            // fraction would otherwise silently become eta = 1 and 200.
-            if !(frac > 0.0 && frac <= 1.0) {
-                return Err(ServiceError::bad_request(format!(
-                    "'eta_frac' must lie in (0, 1], got {frac}"
-                )));
-            }
-            ((n as f64) * frac).round().max(1.0) as usize
-        }
+        (None, Some(frac)) => eta_of_fraction(n, frac)
+            .map_err(|e| ServiceError::bad_request(format!("'eta_frac' {e}")))?,
         (Some(_), Some(_)) => {
             return Err(ServiceError::bad_request(
                 "give 'eta' or 'eta_frac', not both",
@@ -1623,6 +1563,19 @@ mod tests {
         assert_eq!(resp.status, 400);
         let resp = post(&s, "/v1/graphs", r#"{"generate":{"kind":"er"}}"#);
         assert_eq!(resp.status, 400);
+        // A uniform probability outside (0, 1] is the client's error, not
+        // the weighting's assertion turned into a 500.
+        for p in ["2", "0", "NaN"] {
+            let body = format!(r#"{{"generate":{{"kind":"ba","n":30,"weights":"uniform:{p}"}}}}"#);
+            let resp = post(&s, "/v1/graphs", &body);
+            assert_eq!(resp.status, 400, "uniform:{p} -> {}", body_str(&resp));
+            assert!(
+                body_str(&resp).contains("bad_request"),
+                "{}",
+                body_str(&resp)
+            );
+            assert!(body_str(&resp).contains("(0, 1]"), "{}", body_str(&resp));
+        }
         let resp = post(
             &s,
             "/v1/graphs",

@@ -1,7 +1,7 @@
 //! Server configuration, binding, and the serve entry point.
 //!
 //! Every connection is served by the epoll readiness event loop
-//! ([`crate::event_loop`]): one poll thread multiplexing every connection
+//! (`event_loop`): one poll thread multiplexing every connection
 //! through per-connection state machines, plus a fixed pool of dispatch
 //! threads running the session layer ([`crate::routes::handle`]); cache
 //! hits are answered by the poll thread itself (`routes::answer_cached`).

@@ -9,7 +9,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use seedmin::algo::{ateuc, evaluate_on_realizations, AteucParams};
+use seedmin::algo::{ateuc, evaluate_on_realizations};
 use seedmin::prelude::*;
 
 fn main() {
@@ -27,8 +27,7 @@ fn main() {
         .collect();
 
     // Non-adaptive: ATEUC picks ONE set achieving E[I(S)] ≥ η.
-    let out =
-        ateuc(&g, Model::IC, eta, &AteucParams::default(), &mut rng).expect("parameters are valid");
+    let out = ateuc(&g, Model::IC, eta, &mut rng).expect("parameters are valid");
     let spreads = evaluate_on_realizations(&g, &out.seeds, &realizations);
 
     // Adaptive: ASTI re-runs per world, observing as it goes.

@@ -39,8 +39,7 @@ pub use smin_sampling as sampling;
 /// Convenient glob import covering the common workflow.
 pub mod prelude {
     pub use smin_core::{
-        adapt_im, asti, ateuc, trim, trim_b, AdaptImParams, AstiParams, AstiReport, AteucParams,
-        TrimParams,
+        adapt_im, asti, ateuc, trim, trim_b, AdaptImParams, AstiParams, AstiReport, TrimParams,
     };
     pub use smin_diffusion::{
         ForwardSim, Model, Realization, RealizationOracle, ResidualState, SimulationOracle,

@@ -130,6 +130,52 @@ fn selections_match_pre_refactor_goldens() {
     assert_eq!(activated, 72);
 }
 
+/// Golden regression for the §6.1 baselines on the same fixture graph,
+/// captured before TRIM and AdaptIM shared one coverage scan and ATEUC's
+/// parameters became constants: AdaptIM's adaptive seed sequence and
+/// ATEUC's one-shot sets under IC and LT. Both draw through TRIM's sketch
+/// path and pick by the pool's coverage scan, so a change that alters a
+/// draw or a tie-break shows here.
+#[test]
+fn baselines_match_pre_refactor_goldens() {
+    let (g, _) = thread_fixture();
+    let mut rng = SmallRng::seed_from_u64(0xADA);
+    let phi = Realization::sample(&g, Model::IC, &mut rng);
+    let mut oracle = RealizationOracle::new(&g, phi);
+    let report = adapt_im(
+        &g,
+        Model::IC,
+        300,
+        &AdaptImParams::with_eps(0.5),
+        &mut oracle,
+        &mut rng,
+    )
+    .unwrap();
+    assert_eq!(
+        report.seeds,
+        vec![399, 546, 333, 296, 526, 539, 449, 595, 287, 483, 270, 167, 191, 197, 503, 316, 181],
+        "AdaptIM seed sequence drifted"
+    );
+    assert_eq!(report.total_activated, 301);
+    assert_eq!(report.total_sets, 309_280);
+
+    let mut rng = SmallRng::seed_from_u64(0xA7E);
+    let out = ateuc(&g, Model::IC, 60, &mut rng).unwrap();
+    assert_eq!(out.seeds, vec![399, 328], "ATEUC (IC) set drifted");
+    assert_eq!(out.lower_candidate_size, 1);
+    assert_eq!((out.sets_generated, out.doublings), (1024, 2));
+    assert!(out.certified);
+    let out = ateuc(&g, Model::LT, 200, &mut rng).unwrap();
+    assert_eq!(
+        out.seeds,
+        vec![399, 521, 546, 539, 212],
+        "ATEUC (LT) set drifted"
+    );
+    assert_eq!(out.lower_candidate_size, 3);
+    assert_eq!((out.sets_generated, out.doublings), (2048, 3));
+    assert!(out.certified);
+}
+
 #[test]
 fn trim_selection_and_pool_identical_across_thread_counts() {
     let (g, residual) = thread_fixture();

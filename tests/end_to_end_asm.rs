@@ -141,7 +141,7 @@ fn deterministic_given_seeds() {
 
 #[test]
 fn adaptive_beats_nonadaptive_in_feasibility() {
-    use seedmin::algo::{ateuc, evaluate_on_realizations, AteucParams};
+    use seedmin::algo::{ateuc, evaluate_on_realizations};
     let g = wc_graph(500, 2000, 4);
     let eta = 50;
     let mut rng = SmallRng::seed_from_u64(11);
@@ -149,7 +149,7 @@ fn adaptive_beats_nonadaptive_in_feasibility() {
         .map(|_| Realization::sample(&g, Model::IC, &mut rng))
         .collect();
 
-    let out = ateuc(&g, Model::IC, eta, &AteucParams::default(), &mut rng).unwrap();
+    let out = ateuc(&g, Model::IC, eta, &mut rng).unwrap();
     let ateuc_spreads = evaluate_on_realizations(&g, &out.seeds, &worlds);
 
     let mut asti_feasible = 0;

@@ -69,36 +69,6 @@ proptest! {
     }
 
     #[test]
-    fn union_count_matches_union_with_plus_count((len, seed) in bits_and_seed()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let a = random_bitset(len, &mut rng, 0.4);
-        let b = random_bitset(len, &mut rng, 0.4);
-        let before = a.count_ones();
-        let mut fused = a.clone();
-        let fresh = fused.union_count(&b);
-        let mut reference = a.clone();
-        reference.union_with(&b);
-        prop_assert_eq!(fused.count_ones(), reference.count_ones());
-        prop_assert_eq!(before + fresh, fused.count_ones());
-        let x: Vec<usize> = fused.ones().collect();
-        let y: Vec<usize> = reference.ones().collect();
-        prop_assert_eq!(x, y);
-    }
-
-    #[test]
-    fn count_ones_range_matches_filtered_ones((len, seed) in bits_and_seed()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let b = random_bitset(len, &mut rng, 0.5);
-        for _ in 0..8 {
-            let lo = rng.random_range(0..=len);
-            let hi = rng.random_range(lo..=len);
-            let word_wise = b.count_ones_range(lo, hi);
-            let scalar = b.ones().filter(|&i| lo <= i && i < hi).count();
-            prop_assert_eq!(word_wise, scalar);
-        }
-    }
-
-    #[test]
     fn ones_iterator_matches_contains_scan((len, seed) in bits_and_seed()) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let b = random_bitset(len, &mut rng, 0.2);
@@ -246,7 +216,7 @@ proptest! {
         let reference = ScalarGreedy::new(n, &sets);
         let mut engine = CoverageEngine::new();
 
-        prop_assert_eq!(engine.argmax(&pool), reference.argmax());
+        prop_assert_eq!(pool.argmax(), reference.argmax());
 
         for b in [1usize, 2, 7, 8, 9, 16, 63, 64, 65, 200] {
             let (seeds, covered, _) = reference.greedy(b, |_, _| false);
