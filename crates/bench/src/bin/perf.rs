@@ -202,7 +202,7 @@ fn bench_graph(n: usize, m: usize, seed: u64) -> Graph {
     use smin_graph::generators::{assemble, chung_lu_directed};
 
     let mut rng = SmallRng::seed_from_u64(seed);
-    let pairs = chung_lu_directed(n, m, 2.1, &mut rng);
+    let pairs = chung_lu_directed(n, m, 2.1, &mut rng).expect("bench graphs are sparse");
     assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng)
         .expect("valid generator output")
 }
@@ -631,7 +631,11 @@ fn time_graph_gen(iters: usize) -> Vec<String> {
     for (n, m) in [(2_000usize, 8_000usize), (10_000, 40_000)] {
         let mut rng = SmallRng::seed_from_u64(8);
         let chung_lu = time_us(iters, || {
-            black_box(chung_lu_directed(n, m, 2.1, &mut rng).len());
+            black_box(
+                chung_lu_directed(n, m, 2.1, &mut rng)
+                    .expect("bench graphs are sparse")
+                    .len(),
+            );
         });
         let mut rng = SmallRng::seed_from_u64(8);
         let er = time_us(iters, || {
@@ -642,7 +646,7 @@ fn time_graph_gen(iters: usize) -> Vec<String> {
             black_box(barabasi_albert(n, 4, &mut rng).len());
         });
         let mut rng = SmallRng::seed_from_u64(8);
-        let pairs = chung_lu_directed(n, m, 2.1, &mut rng);
+        let pairs = chung_lu_directed(n, m, 2.1, &mut rng).expect("bench graphs are sparse");
         let assemble_wc = time_us(iters, || {
             let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng)
                 .expect("valid generator output");

@@ -222,11 +222,13 @@ pub fn build_dataset(spec: &DatasetSpec, args: &Args) -> Graph {
     // The generator produces directed pairs; undirected datasets are modeled
     // by mirroring half as many pairs.
     if spec.directed {
-        let pairs = chung_lu_directed(spec.n, spec.m, gamma, &mut rng);
+        let pairs =
+            chung_lu_directed(spec.n, spec.m, gamma, &mut rng).expect("dataset specs are sparse");
         assemble(spec.n, &pairs, true, WeightModel::WeightedCascade, &mut rng)
             .expect("generator produces valid edges")
     } else {
-        let pairs = chung_lu_directed(spec.n, spec.m / 2, gamma, &mut rng);
+        let pairs = chung_lu_directed(spec.n, spec.m / 2, gamma, &mut rng)
+            .expect("dataset specs are sparse");
         assemble(
             spec.n,
             &pairs,
@@ -318,7 +320,7 @@ mod tests {
         };
         // Pack a small structural (p = 1) graph as <snap_name>.smg.
         let mut rng = SmallRng::seed_from_u64(7);
-        let pairs = chung_lu_directed(300, 1200, 2.1, &mut rng);
+        let pairs = chung_lu_directed(300, 1200, 2.1, &mut rng).unwrap();
         let structural = assemble(300, &pairs, true, WeightModel::Trivalency, &mut rng)
             .expect("generator produces valid edges");
         let smg = dir.join(format!("{}.smg", spec.snap_name));

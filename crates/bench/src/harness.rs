@@ -236,7 +236,7 @@ mod tests {
 
     fn tiny_graph() -> Graph {
         let mut rng = SmallRng::seed_from_u64(5);
-        let pairs = chung_lu_directed(300, 1500, 2.1, &mut rng);
+        let pairs = chung_lu_directed(300, 1500, 2.1, &mut rng).unwrap();
         assemble(300, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap()
     }
 

@@ -735,7 +735,8 @@ mod tests {
     }
 
     /// Every precondition spec the service answers with 400 is an `Err`
-    /// here too, never a generator panic, and writes no file.
+    /// here too, never a generator panic, and writes no file; so is a
+    /// Chung–Lu spec whose rejection sampling stalls.
     #[test]
     fn generate_rejects_what_the_generators_assert() {
         let dir = std::env::temp_dir().join("smin_cli_generate_preconditions");
@@ -754,6 +755,11 @@ mod tests {
             ),
             (&["chung-lu", "--n", "50", "--gamma", "1.0"], "'gamma'"),
             (&["chung-lu", "--n", "50", "--gamma", "-3"], "'gamma'"),
+            // Passes every check, then stalls the rejection sampling.
+            (
+                &["chung-lu", "--n", "100", "--m", "5000", "--gamma", "1.01"],
+                "too dense for Chung–Lu",
+            ),
             (&["ba", "--n", "3"], "'attach'"),
             (&["ba", "--n", "30", "--attach", "0"], "'attach'"),
             (&["ba", "--n", "5", "--attach", "5"], "'attach'"),

@@ -17,7 +17,10 @@
 //! §3.3's randomized rounding), so each round draws its sets through
 //! TRIM's [`SketchGenPool`](smin_sampling::SketchGenPool) from one base
 //! seed of the caller's RNG, each set on its own stream, on
-//! `BASELINE_THREADS` threads.
+//! `BASELINE_THREADS` threads. Like TRIM it reads only the argmax and
+//! `|R|`, so it keeps only the sets' coverage counts
+//! ([`SketchCounts`](smin_sampling::SketchCounts)) and a round holds O(n)
+//! bytes whatever its sample size.
 
 use crate::error::AsmError;
 use crate::report::{AstiReport, RoundReport};
@@ -128,7 +131,7 @@ pub fn adapt_im(
 /// One OPIM-C-style selection of the max expected *vanilla* marginal spread
 /// on the residual graph, with single-root RR sets. Returns
 /// `(node, |R|, estimated spread)`.
-fn select_max_spread(
+pub(crate) fn select_max_spread(
     g: &Graph,
     model: Model,
     residual: &ResidualState,
@@ -162,26 +165,28 @@ fn select_max_spread(
         base_seed: rng.next_u64(),
     };
     let TrimScratch {
-        pool, sketch_gen, ..
+        counts, sketch_gen, ..
     } = scratch;
-    pool.reset();
-    sketch_gen.generate(&job, sched.theta0, BASELINE_THREADS, pool);
+    counts.reset();
+    sketch_gen.generate(&job, sched.theta0, BASELINE_THREADS, counts);
 
     let mut iterations = 0;
     loop {
         iterations += 1;
-        let (node, coverage) = pool.argmax().expect("roots are alive; sets are non-empty");
+        let (node, coverage) = counts
+            .argmax()
+            .expect("roots are alive; sets are non-empty");
         let lower = coverage_lower_bound(coverage as f64, sched.a1);
         let upper = coverage_upper_bound(coverage as f64, sched.a2);
         let certificate = if upper > 0.0 { lower / upper } else { 0.0 };
         if certificate >= 1.0 - sched.eps_hat
             || iterations >= sched.t_max
-            || pool.len() >= sched.theta_max
+            || counts.len() >= sched.theta_max
         {
-            let est = n_i as f64 * coverage as f64 / pool.len() as f64;
-            return (node, pool.len(), est);
+            let est = n_i as f64 * coverage as f64 / counts.len() as f64;
+            return (node, counts.len(), est);
         }
-        sketch_gen.generate(&job, sched.next(pool.len()), BASELINE_THREADS, pool);
+        sketch_gen.generate(&job, sched.next(counts.len()), BASELINE_THREADS, counts);
     }
 }
 
@@ -250,7 +255,7 @@ mod tests {
     fn uses_more_samples_than_trim_for_small_eta() {
         // Late-round behavior: with η_i ≪ n_i TRIM needs far fewer sets.
         let mut rng = SmallRng::seed_from_u64(4);
-        let pairs = smin_graph::generators::chung_lu_directed(400, 1600, 2.1, &mut rng);
+        let pairs = smin_graph::generators::chung_lu_directed(400, 1600, 2.1, &mut rng).unwrap();
         let g = smin_graph::generators::assemble(
             400,
             &pairs,
@@ -297,7 +302,7 @@ mod tests {
     #[test]
     fn rounds_stop_on_the_doubling_walk() {
         let mut rng = SmallRng::seed_from_u64(4);
-        let pairs = smin_graph::generators::chung_lu_directed(400, 1600, 2.1, &mut rng);
+        let pairs = smin_graph::generators::chung_lu_directed(400, 1600, 2.1, &mut rng).unwrap();
         let g = smin_graph::generators::assemble(
             400,
             &pairs,

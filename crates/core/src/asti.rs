@@ -23,16 +23,17 @@ use smin_graph::Graph;
 use std::time::Instant;
 
 /// Reusable cross-run state for [`asti_in`]: the residual alive-mask plus
-/// the full [`TrimScratch`] (sketch pool, sketch-generation workers, and
-/// coverage engine).
+/// the full [`TrimScratch`] (TRIM's coverage counts, TRIM-B's sketch pool,
+/// sketch-generation workers, and coverage engine).
 ///
 /// A long-running service keeps one session per cached graph and recycles it
-/// across requests: the sketch pool, worker buffers, and coverage engine
-/// (its transpose buffers included, once a run past 8 picks built them)
-/// retain the capacity learned on earlier runs, so a warm request performs
-/// no cold allocations. Reuse never
+/// across requests: the counts, the sketch pool, worker buffers, and
+/// coverage engine (its transpose buffers included, once a run past 8 picks
+/// built them) retain the capacity learned on earlier runs, so a warm
+/// request performs no cold allocations. Reuse never
 /// changes results — every run resets the logical state
-/// ([`ResidualState::reset`], `SketchPool::reset`) before touching it, so
+/// ([`ResidualState::reset`], `SketchCounts::reset`, `SketchPool::reset`)
+/// before touching it, so
 /// `asti_in` on a recycled session is bit-identical to [`asti`] on a fresh
 /// one (pinned by tests).
 pub struct AstiSession {
@@ -56,12 +57,19 @@ impl AstiSession {
         self.n
     }
 
-    /// Heap bytes currently retained by the session's sketch pool and
-    /// coverage engine (whose transpose buffers hold the inverted index of
-    /// runs past 8 picks) —
-    /// observability for services reporting per-graph warm-state size.
+    /// Heap bytes currently retained by the session's coverage counts,
+    /// sketch pool and coverage engine (whose transpose buffers hold the
+    /// inverted index of runs past 8 picks) — observability for services
+    /// reporting per-graph warm-state size.
+    ///
+    /// TRIM (b = 1) grows only the counts, which hold O(n) bytes whatever
+    /// `|R|` is, so a session that ran only b = 1 reads O(n) here: the
+    /// counts plus the empty pool's per-node column. TRIM-B (b > 1) grows
+    /// the pool, whose member column grows with `|R|`.
     pub fn pool_heap_bytes(&self) -> usize {
-        self.scratch.pool().heap_bytes() + self.scratch.engine().heap_bytes()
+        self.scratch.counts().heap_bytes()
+            + self.scratch.pool().heap_bytes()
+            + self.scratch.engine().heap_bytes()
     }
 
     /// Per-stage select timings (sketch generation vs coverage selection)
@@ -95,7 +103,8 @@ pub fn asti(
 }
 
 /// [`asti`] on a caller-owned [`AstiSession`], recycling the session's
-/// sketch pool, coverage engine and worker scratch instead of reallocating.
+/// coverage counts, sketch pool, coverage engine and worker scratch instead
+/// of reallocating.
 /// Selections are identical whether the session is cold or warm.
 ///
 /// Additional error: [`AsmError::SessionMismatch`] when the session was
@@ -507,7 +516,7 @@ mod tests {
         use smin_sampling::coverage::rho_b;
 
         let mut rng = SmallRng::seed_from_u64(13);
-        let pairs = smin_graph::generators::chung_lu_directed(400, 1_600, 2.1, &mut rng);
+        let pairs = smin_graph::generators::chung_lu_directed(400, 1_600, 2.1, &mut rng).unwrap();
         let g = smin_graph::generators::assemble(
             400,
             &pairs,

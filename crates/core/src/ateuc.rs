@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn expected_spread_of_result_meets_eta() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let pairs = generators::chung_lu_directed(300, 1200, 2.1, &mut rng);
+        let pairs = generators::chung_lu_directed(300, 1200, 2.1, &mut rng).unwrap();
         let g = generators::assemble(300, &pairs, true, WeightModel::WeightedCascade, &mut rng)
             .unwrap();
         let eta = 60;
@@ -193,7 +193,7 @@ mod tests {
         // set should miss η on at least one (while never by construction
         // being adaptive). We use a stochastic graph where variance is high.
         let mut rng = SmallRng::seed_from_u64(4);
-        let pairs = generators::chung_lu_directed(200, 600, 2.1, &mut rng);
+        let pairs = generators::chung_lu_directed(200, 600, 2.1, &mut rng).unwrap();
         let g = generators::assemble(200, &pairs, true, WeightModel::WeightedCascade, &mut rng)
             .unwrap();
         let eta = 40;

@@ -126,7 +126,8 @@ use smin_diffusion::{Model, ResidualState};
 use smin_graph::{Graph, NodeId};
 use smin_sampling::bounds::{binomial_lower_bound, binomial_upper_bound};
 use smin_sampling::{
-    resolve_threads, CoverageEngine, RootCountDist, SketchGenPool, SketchJob, SketchPool,
+    resolve_threads, CoverageEngine, RootCountDist, SketchCounts, SketchGenPool, SketchJob,
+    SketchPool,
 };
 
 /// Outcome of one TRIM round.
@@ -181,11 +182,17 @@ pub struct StageMicros {
     pub coverage: u64,
 }
 
-/// Reusable cross-round scratch of TRIM, TRIM-B and AdaptIM: the sketch
-/// pool, the sketch-generation pool every set is drawn through, and the
-/// coverage engine behind TRIM-B's greedy selection. TRIM and AdaptIM pick
-/// by the pool's own argmax ([`SketchPool::argmax`]).
+/// Reusable cross-round scratch of TRIM, TRIM-B and AdaptIM: what each
+/// algorithm grows from its sets, the sketch-generation pool every set is
+/// drawn through, and the coverage engine behind TRIM-B's greedy selection.
+///
+/// Each algorithm grows the type that holds what it reads. TRIM and AdaptIM
+/// read only `argmax Λ_R` and `|R|`, so they grow the [`SketchCounts`]
+/// alone: their rounds hold O(n) bytes whatever `θ` is, and never touch the
+/// pool. TRIM-B's greedy reads each set's members, so it grows the
+/// [`SketchPool`].
 pub struct TrimScratch {
+    pub(crate) counts: SketchCounts,
     pub(crate) pool: SketchPool,
     pub(crate) sketch_gen: SketchGenPool,
     pub(crate) engine: CoverageEngine,
@@ -196,6 +203,7 @@ impl TrimScratch {
     /// Scratch for a graph with `n` nodes.
     pub fn new(n: usize) -> Self {
         TrimScratch {
+            counts: SketchCounts::new(n),
             pool: SketchPool::new(n),
             sketch_gen: SketchGenPool::new(n),
             engine: CoverageEngine::new(),
@@ -203,8 +211,14 @@ impl TrimScratch {
         }
     }
 
-    /// The sketch pool as of the last round (tests inspect it to pin the
-    /// cross-thread determinism contract).
+    /// TRIM's or AdaptIM's coverage counts as of its last round.
+    pub fn counts(&self) -> &SketchCounts {
+        &self.counts
+    }
+
+    /// TRIM-B's sketch pool as of its last round (tests inspect it to pin
+    /// the cross-thread determinism contract). TRIM and AdaptIM leave it as
+    /// they found it.
     pub fn pool(&self) -> &SketchPool {
         &self.pool
     }
@@ -312,19 +326,17 @@ pub(crate) fn schedule(
 }
 
 /// The `η_i = 1` round of TRIM and TRIM-B (module docs): draws the round's
-/// base seed, as a sampled round would, empties the pool, and returns the
-/// smallest alive id, which is an exact optimum. `None` when `η_i > 1`.
+/// base seed, as a sampled round would, and returns the smallest alive id,
+/// which is an exact optimum. `None` when `η_i > 1`.
 pub(crate) fn shortfall_of_one(
     residual: &ResidualState,
     eta_i: usize,
-    scratch: &mut TrimScratch,
     rng: &mut impl Rng,
 ) -> Option<NodeId> {
     if eta_i != 1 {
         return None;
     }
     rng.next_u64();
-    scratch.pool.reset();
     residual.alive_nodes().iter().copied().min()
 }
 
@@ -381,7 +393,14 @@ fn trim_certified_by(
         return Err(AsmError::EmptyGraph);
     }
     assert!(eta_i >= 1, "TRIM requires a positive shortfall");
-    if let Some(node) = shortfall_of_one(residual, eta_i, scratch, rng) {
+    let TrimScratch {
+        counts,
+        sketch_gen,
+        stage,
+        ..
+    } = scratch;
+    counts.reset();
+    if let Some(node) = shortfall_of_one(residual, eta_i, rng) {
         return Ok(TrimOutput {
             node,
             coverage: 0,
@@ -413,19 +432,12 @@ fn trim_certified_by(
         dist: RootCountDist::Randomized,
         base_seed: rng.next_u64(),
     };
-    let TrimScratch {
-        pool,
-        sketch_gen,
-        stage,
-        ..
-    } = scratch;
-    pool.reset();
     let mut edges_examined = 0usize;
 
     {
         let _span = smin_obs::Span::enter(&mut stage.sketch);
         edges_examined += sketch_gen
-            .generate(&job, sched.theta0, threads, pool)
+            .generate(&job, sched.theta0, threads, counts)
             .edges_examined;
     }
 
@@ -434,27 +446,28 @@ fn trim_certified_by(
         iterations += 1;
         let (node, coverage) = {
             let _span = smin_obs::Span::enter(&mut stage.coverage);
-            pool.argmax()
-                .expect("pool has non-empty sets: roots are alive")
+            counts
+                .argmax()
+                .expect("sets are non-empty: roots are alive")
         };
-        let certificate = certificate(coverage, pool.len(), &sched);
+        let certificate = certificate(coverage, counts.len(), &sched);
         if certificate >= 1.0 - sched.eps_hat
             || iterations >= sched.t_max
-            || pool.len() >= sched.theta_max
+            || counts.len() >= sched.theta_max
         {
             return Ok(TrimOutput {
                 node,
                 coverage,
-                sets_generated: pool.len(),
+                sets_generated: counts.len(),
                 iterations,
-                est_truncated_spread: eta_i as f64 * coverage as f64 / pool.len() as f64,
+                est_truncated_spread: eta_i as f64 * coverage as f64 / counts.len() as f64,
                 certificate,
                 edges_examined,
             });
         }
         let _span = smin_obs::Span::enter(&mut stage.sketch);
         edges_examined += sketch_gen
-            .generate(&job, sched.next(pool.len()), threads, pool)
+            .generate(&job, sched.next(counts.len()), threads, counts)
             .edges_examined;
     }
 }
@@ -715,7 +728,7 @@ mod tests {
 
         let n = 400;
         let mut rng = SmallRng::seed_from_u64(0x51);
-        let pairs = chung_lu_directed(n, 1_600, 2.1, &mut rng);
+        let pairs = chung_lu_directed(n, 1_600, 2.1, &mut rng).unwrap();
         // Weighted cascade: LT-valid.
         let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
         let mut residual = ResidualState::new(n);
@@ -752,6 +765,7 @@ mod tests {
                     (out.seeds, out.sets_generated, out.iterations)
                 };
                 assert_eq!((sets, checks), (0, 0), "{case}");
+                assert!(scratch.counts().is_empty(), "{case}");
                 assert!(scratch.pool().is_empty(), "{case}");
 
                 // The round drew its base seed and nothing else.
@@ -817,7 +831,7 @@ mod tests {
 
         let n = 400;
         let mut rng = SmallRng::seed_from_u64(0x7B);
-        let pairs = chung_lu_directed(n, 1_600, 2.1, &mut rng);
+        let pairs = chung_lu_directed(n, 1_600, 2.1, &mut rng).unwrap();
         // Weighted cascade: LT-valid.
         let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
         let mut residual = ResidualState::new(n);
@@ -877,6 +891,68 @@ mod tests {
         assert!(
             earlier > 0,
             "the binomial bounds never stopped a round earlier"
+        );
+    }
+
+    /// A b = 1 round holds O(n) memory whatever θ is. Capped at 10³ and at
+    /// 10⁵ sets, a TRIM round and an AdaptIM round each grow only the
+    /// scratch's counts, whose heap is the same at both caps and at most 12
+    /// bytes per node, and leave the pool at a fresh scratch's heap.
+    #[test]
+    fn b1_rounds_hold_o_n_memory_whatever_theta() {
+        use crate::adapt_im::{select_max_spread, AdaptImParams};
+        use smin_graph::generators::{assemble, chung_lu_directed};
+        use smin_graph::WeightModel;
+
+        let n = 400;
+        let mut rng = SmallRng::seed_from_u64(0x51);
+        let pairs = chung_lu_directed(n, 1_600, 2.1, &mut rng).unwrap();
+        let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
+        let residual = ResidualState::new(n);
+        let fresh_pool = TrimScratch::new(n).pool().heap_bytes();
+        // At ε = 0.02 neither round certifies before its cap.
+        let eps = 0.02;
+        let mut counts_bytes = Vec::new();
+        for cap in [1_000, 100_000] {
+            let mut params = TrimParams::with_eps(eps);
+            params.theta_cap = Some(cap);
+            let mut scratch = TrimScratch::new(n);
+            let mut rng = SmallRng::seed_from_u64(1);
+            let out = trim(
+                &g,
+                Model::IC,
+                &residual,
+                60,
+                &params,
+                &mut scratch,
+                &mut rng,
+            )
+            .unwrap();
+            assert_eq!(out.sets_generated, cap);
+            assert_eq!(scratch.pool().heap_bytes(), fresh_pool, "TRIM, θ = {cap}");
+            let trim_bytes = scratch.counts().heap_bytes();
+
+            let params = AdaptImParams {
+                eps,
+                theta_cap: Some(cap),
+            };
+            let mut scratch = TrimScratch::new(n);
+            let mut rng = SmallRng::seed_from_u64(2);
+            let (_, sets, _) =
+                select_max_spread(&g, Model::IC, &residual, &params, &mut scratch, &mut rng);
+            assert_eq!(sets, cap);
+            assert_eq!(
+                scratch.pool().heap_bytes(),
+                fresh_pool,
+                "AdaptIM, θ = {cap}"
+            );
+            counts_bytes.push((trim_bytes, scratch.counts().heap_bytes()));
+        }
+        assert_eq!(counts_bytes[0], counts_bytes[1], "the counts grew with θ");
+        let (trim_bytes, adapt_bytes) = counts_bytes[0];
+        assert!(
+            trim_bytes.max(adapt_bytes) <= 12 * n,
+            "{trim_bytes} and {adapt_bytes} bytes on {n} nodes"
         );
     }
 

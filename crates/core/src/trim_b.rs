@@ -181,7 +181,15 @@ pub fn trim_b(
         return Err(AsmError::EmptyGraph);
     }
     assert!(eta_i >= 1, "TRIM-B requires a positive shortfall");
-    if let Some(node) = shortfall_of_one(residual, eta_i, scratch, rng) {
+    let TrimScratch {
+        pool,
+        sketch_gen,
+        engine,
+        stage,
+        ..
+    } = scratch;
+    pool.reset();
+    if let Some(node) = shortfall_of_one(residual, eta_i, rng) {
         return Ok(TrimBOutput {
             seeds: vec![node],
             coverage: 0,
@@ -217,14 +225,6 @@ pub fn trim_b(
         dist: RootCountDist::Randomized,
         base_seed: rng.next_u64(),
     };
-    let TrimScratch {
-        pool,
-        sketch_gen,
-        engine,
-        stage,
-        ..
-    } = scratch;
-    pool.reset();
     let mut edges_examined = 0usize;
 
     {
@@ -500,7 +500,7 @@ mod tests {
 
         let n = 400;
         let mut rng = SmallRng::seed_from_u64(0x7B);
-        let pairs = chung_lu_directed(n, 1_600, 2.1, &mut rng);
+        let pairs = chung_lu_directed(n, 1_600, 2.1, &mut rng).unwrap();
         // Weighted cascade: LT-valid, and every node shares p = 1/indeg.
         let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
         let mut residual = ResidualState::new(n);

@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn chung_lu_slope_is_negative_powerlaw() {
         let mut rng = SmallRng::seed_from_u64(17);
-        let pairs = chung_lu_directed(5_000, 25_000, 2.1, &mut rng);
+        let pairs = chung_lu_directed(5_000, 25_000, 2.1, &mut rng).unwrap();
         let g = crate::builder::graph_from_pairs(5_000, pairs, true, 0.1).unwrap();
         let dist = degree_distribution(&g, DegreeKind::Total);
         let slope = log_log_slope(&dist).unwrap();

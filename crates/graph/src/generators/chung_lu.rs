@@ -29,15 +29,20 @@ pub fn power_law_weights(n: usize, gamma: f64, i0: f64) -> Vec<f64> {
 /// datasets); node identities are shuffled so low ids are not systematically
 /// hubs.
 ///
+/// # Errors
+/// The rejection loop cannot make progress: `m` is too close to the number
+/// of pairs the weights make likely (dense `m`, or `gamma` near 1, which
+/// piles the weight on a few hubs). The error names `m` and `gamma`.
+///
 /// # Panics
-/// Panics if `m` exceeds `n·(n−1)` (impossible to place) or if the rejection
-/// loop cannot make progress (`m` too close to dense).
+/// Panics if `n < 2` or `m` exceeds `n·(n−1)` (impossible to place);
+/// [`GeneratorSpec`](super::GeneratorSpec) checks both first.
 pub fn chung_lu_directed(
     n: usize,
     m: usize,
     gamma: f64,
     rng: &mut impl Rng,
-) -> Vec<(NodeId, NodeId)> {
+) -> Result<Vec<(NodeId, NodeId)>, String> {
     assert!(n >= 2, "need at least two nodes");
     assert!(
         (m as u128) <= (n as u128) * (n as u128 - 1),
@@ -78,13 +83,17 @@ pub fn chung_lu_directed(
             stall = 0;
         } else {
             stall += 1;
-            assert!(
-                stall < stall_limit,
-                "chung_lu_directed stalled: graph too dense for rejection sampling"
-            );
+            if stall >= stall_limit {
+                return Err(format!(
+                    "'m' = {m} is too dense for Chung–Lu rejection sampling on {n} nodes \
+                     at 'gamma' = {gamma}: {stall_limit} draws in a row repeated an edge \
+                     after {} of {m} edges",
+                    edges.len()
+                ));
+            }
         }
     }
-    edges
+    Ok(edges)
 }
 
 fn shuffle(v: &mut [u32], rng: &mut impl Rng) {
@@ -103,7 +112,7 @@ mod tests {
     #[test]
     fn exact_edge_count_no_dups_no_loops() {
         let mut rng = SmallRng::seed_from_u64(11);
-        let edges = chung_lu_directed(500, 2_000, 2.1, &mut rng);
+        let edges = chung_lu_directed(500, 2_000, 2.1, &mut rng).unwrap();
         assert_eq!(edges.len(), 2_000);
         let mut set = std::collections::HashSet::new();
         for &(u, v) in &edges {
@@ -117,7 +126,7 @@ mod tests {
     fn heavy_tail_present() {
         let mut rng = SmallRng::seed_from_u64(5);
         let n = 2_000;
-        let edges = chung_lu_directed(n, 10_000, 2.1, &mut rng);
+        let edges = chung_lu_directed(n, 10_000, 2.1, &mut rng).unwrap();
         let mut outdeg = vec![0usize; n];
         for &(u, _) in &edges {
             outdeg[u as usize] += 1;
@@ -134,8 +143,8 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let a = chung_lu_directed(100, 400, 2.2, &mut SmallRng::seed_from_u64(9));
-        let b = chung_lu_directed(100, 400, 2.2, &mut SmallRng::seed_from_u64(9));
+        let a = chung_lu_directed(100, 400, 2.2, &mut SmallRng::seed_from_u64(9)).unwrap();
+        let b = chung_lu_directed(100, 400, 2.2, &mut SmallRng::seed_from_u64(9)).unwrap();
         assert_eq!(a, b);
     }
 
@@ -152,6 +161,6 @@ mod tests {
     #[should_panic(expected = "cannot place")]
     fn too_many_edges_panics() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let _ = chung_lu_directed(3, 7, 2.1, &mut rng);
+        let _ = chung_lu_directed(3, 7, 2.1, &mut rng).unwrap();
     }
 }

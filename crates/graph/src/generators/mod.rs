@@ -79,7 +79,8 @@ impl GeneratorSpec {
 
     /// Checks the spec, then draws its edges on `n` nodes and weights them
     /// with `model` ([`assemble`]), all from `rng`. The error names the
-    /// parameter a generator would have asserted on.
+    /// parameter a generator would have asserted on, or the parameters
+    /// that stalled [`chung_lu_directed`]'s rejection sampling.
     pub fn generate(
         &self,
         n: usize,
@@ -88,7 +89,7 @@ impl GeneratorSpec {
     ) -> Result<Graph, String> {
         self.check(n)?;
         let (pairs, directed) = match *self {
-            GeneratorSpec::ChungLu { m, gamma } => (chung_lu_directed(n, m, gamma, rng), true),
+            GeneratorSpec::ChungLu { m, gamma } => (chung_lu_directed(n, m, gamma, rng)?, true),
             GeneratorSpec::ErdosRenyi { m } => (erdos_renyi(n, m, rng), true),
             GeneratorSpec::BarabasiAlbert { attach } => (barabasi_albert(n, attach, rng), false),
             GeneratorSpec::WattsStrogatz { k, beta } => (watts_strogatz(n, k, beta, rng), false),

@@ -8,8 +8,11 @@
 //!   (`E[k] = n_i/η_i`), which makes *truncated* spread estimation
 //!   accurate (Theorem 3.3); at `η_i = n_i` it gives `k = 1`, a classic
 //!   single-root RR set;
-//! * [`pool`] — a columnar sketch pool (flat CSR sets) with incremental
-//!   coverage counts, answering TRIM's argmax directly;
+//! * [`pool`] — what the selections read of the sampled sets:
+//!   [`SketchCounts`] (the incremental coverage counts and `|R|`, answering
+//!   TRIM's and AdaptIM's argmax in O(n) bytes whatever `|R|` is) and
+//!   [`SketchPool`] (those counts plus the members as flat CSR sets, for
+//!   greedy coverage);
 //! * [`coverage`] — the shared [`CoverageEngine`]: one greedy loop behind
 //!   TRIM-B's batch selection and ATEUC's bound-driven greedy, with the
 //!   `ρ_b = 1 − (1−1/b)^b` guarantee and OPIM-C's online upper bound on the
@@ -21,7 +24,7 @@
 //!   tail in KL form that TRIM certifies with;
 //! * [`parallel`] — deterministic multi-threaded sketch generation
 //!   (`std::thread` scoped workers + channels, chunked work-stealing) with
-//!   counter-derived per-set RNG streams, so the pool is bit-identical for
+//!   counter-derived per-set RNG streams, so the sets are bit-identical for
 //!   any thread count. It is the one sampling path: TRIM, TRIM-B, AdaptIM
 //!   and ATEUC draw every set through it.
 
@@ -37,5 +40,5 @@ pub mod rr;
 pub use coverage::{greedy_max_coverage, CoverageEngine, GreedyCover};
 pub use mrr::{sample_root_count, RootCountDist};
 pub use parallel::{resolve_threads, GenStats, SketchGenPool, SketchJob};
-pub use pool::SketchPool;
+pub use pool::{SketchCounts, SketchPool, SketchSink};
 pub use rr::ReverseSampler;

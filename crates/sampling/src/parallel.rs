@@ -11,8 +11,10 @@
 //!   worker stuck on an expensive chunk never blocks the others);
 //! * each finished chunk is shipped to the caller's thread over a channel
 //!   as a flattened node buffer (one allocation per chunk, not per set);
-//! * the caller appends chunks to the [`SketchPool`] strictly in index
-//!   order, streaming as soon as the next-needed chunk lands.
+//! * the caller appends chunks to its [`SketchSink`] (a
+//!   [`SketchCounts`](crate::SketchCounts) or a
+//!   [`SketchPool`](crate::SketchPool)) strictly in index order, streaming
+//!   as soon as the next-needed chunk lands.
 //!
 //! # Determinism
 //!
@@ -21,12 +23,20 @@
 //! `SmallRng::seed_from_u64(base_seed ^ i)` (the SplitMix64 finalizer inside
 //! `seed_from_u64` decorrelates adjacent streams). Chunk boundaries and
 //! thread scheduling therefore affect only *when* a set is sampled, never
-//! *what* is sampled — the generated pool, and hence every downstream seed
-//! selection, is bit-identical for any thread count, including the
+//! *what* is sampled — the generated sets, and hence every downstream seed
+//! selection, are bit-identical for any thread count, including the
 //! sequential fast path.
+//!
+//! # Memory
+//!
+//! The sequential path samples each set into one reused worker buffer and
+//! hands it straight to the sink, so it allocates nothing per set: into a
+//! [`SketchCounts`](crate::SketchCounts), a round holds O(n) bytes whatever
+//! its target. The parallel path holds each chunk's sets (at most 1 024)
+//! until the caller's thread appends them, and one reorder slot per chunk.
 
 use crate::mrr::{sample_root_count, RootCountDist};
-use crate::pool::SketchPool;
+use crate::pool::SketchSink;
 use crate::rr::ReverseSampler;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -161,16 +171,19 @@ impl SketchGenPool {
         }
     }
 
-    /// Grows the pool from `pool.len()` to `target` sets (no-op if already
+    /// Grows `pool` from `pool.len()` to `target` sets (no-op if already
     /// there), sampling each set from its counter-derived RNG stream and
-    /// appending in index order. `threads` is the worker count to use (see
-    /// [`resolve_threads`]); the result is identical for every value.
+    /// appending in index order. `pool` is a
+    /// [`SketchCounts`](crate::SketchCounts) for a reader of the counts
+    /// alone, a [`SketchPool`](crate::SketchPool) for one that reads members.
+    /// `threads` is the worker count to use (see [`resolve_threads`]); the
+    /// result is identical for every value.
     pub fn generate(
         &mut self,
         job: &SketchJob<'_>,
         target: usize,
         threads: usize,
-        pool: &mut SketchPool,
+        pool: &mut impl SketchSink,
     ) -> GenStats {
         let from = pool.len();
         if target <= from {
@@ -201,7 +214,7 @@ impl SketchGenPool {
         job: &SketchJob<'_>,
         from: usize,
         target: usize,
-        pool: &mut SketchPool,
+        pool: &mut impl SketchSink,
     ) -> GenStats {
         let w = &mut self.workers[0];
         let mut stats = GenStats::default();
@@ -222,7 +235,7 @@ impl SketchGenPool {
         from: usize,
         target: usize,
         threads: usize,
-        pool: &mut SketchPool,
+        pool: &mut impl SketchSink,
     ) -> GenStats {
         let total = target - from;
         // ~4 chunks per worker balances stealing granularity against
@@ -300,13 +313,14 @@ impl SketchGenPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::SketchPool;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use smin_diffusion::ResidualState;
 
     fn test_graph(n: usize) -> Graph {
         let mut rng = SmallRng::seed_from_u64(0xF00D);
-        let pairs = smin_graph::generators::chung_lu_directed(n, n * 4, 2.1, &mut rng);
+        let pairs = smin_graph::generators::chung_lu_directed(n, n * 4, 2.1, &mut rng).unwrap();
         smin_graph::generators::assemble(
             n,
             &pairs,

@@ -1,32 +1,37 @@
-//! Sketch pool: columnar storage for sampled (m)RR sets with incremental
-//! coverage counts.
+//! Sketch storage: the coverage counts every selection reads, and the
+//! sets themselves, which only greedy coverage reads.
 //!
-//! TRIM needs only `argmax_v Λ_R(v)` at every certificate check, so the pool
-//! keeps exactly what that query reads, maintained as sets arrive so growing
-//! the pool never re-scans old sets. TRIM-B's pre-check, the sum of the `b` largest
-//! `Λ_R(v)`, reads the same two columns.
+//! TRIM and AdaptIM need only `argmax_v Λ_R(v)` and `|R|` at every
+//! certificate check; TRIM-B's pre-check, the sum of the `b` largest
+//! `Λ_R(v)`, reads the same counts. Greedy maximum coverage (TRIM-B and
+//! ATEUC) also needs each set's members. So each reader grows the type that
+//! holds what it reads:
 //!
-//! # Memory layout
+//! * [`SketchCounts`]: `coverage[v] = Λ_R(v)`, the `touched` list of nodes
+//!   with non-zero coverage, and `|R|`, maintained as sets arrive so the
+//!   argmax never re-scans old sets. Its heap is O(n) whatever `|R|` is: 4
+//!   bytes per node for `Λ_R`, and the touched list, which never outgrows
+//!   the nodes.
+//! * [`SketchPool`]: a [`SketchCounts`] plus the sets, flattened CSR-style
+//!   into `set_nodes` + `set_off`. Appending a set costs one copy plus one
+//!   counter bump per member.
 //!
-//! Everything is struct-of-arrays over a handful of flat buffers — no
-//! per-node or per-set heap allocations:
+//! [`SketchGenPool::generate`](crate::SketchGenPool::generate) appends into
+//! either through [`SketchSink`]. Both are struct-of-arrays over a handful
+//! of flat buffers, with no per-node or per-set heap allocations.
 //!
-//! * `set_nodes` + `set_off` — the sets themselves, flattened CSR-style;
-//! * `coverage[v] = Λ_R(v)`, plus the `touched` list of nodes with non-zero
-//!   coverage.
+//! The pool keeps no node→sets inverted index. Greedy maximum coverage is
+//! its only reader, and its first 8 picks do without one:
+//! `SketchPool::cover_sets_of` finds a pick's sets by scanning the member
+//! column, 16 members per vectorized `==` fold. Only a greedy run that
+//! picks more builds the index, once, with `SketchPool::transpose_into`: a
+//! counting-sort transpose of the sets still uncovered, into buffers the
+//! coverage engine owns.
 //!
-//! The pool keeps no node→sets inverted index. Greedy maximum coverage
-//! (TRIM-B and ATEUC) is its only reader, and its first 8 picks do without
-//! one: `SketchPool::cover_sets_of` finds a pick's sets by scanning the
-//! member column, 16 members per vectorized `==` fold.
-//! Only a greedy run that picks more builds the index, once, with
-//! `SketchPool::transpose_into`: a counting-sort transpose of the sets
-//! still uncovered, into buffers the coverage engine owns. Appending a set
-//! therefore costs one copy plus one counter bump per member.
-//!
-//! The pool is refilled hundreds of times per adaptive run (the growing
-//! samples of Algorithm 2/3); [`SketchPool::reset`] keeps every buffer's
-//! capacity, so a warm pool refills without reallocating.
+//! Both are refilled hundreds of times per adaptive run (the growing
+//! samples of Algorithm 2/3); [`SketchCounts::reset`] and
+//! [`SketchPool::reset`] keep every buffer's capacity, so a warm one
+//! refills without reallocating.
 
 use smin_graph::cast::u32_of;
 use smin_graph::{FixedBitSet, NodeId};
@@ -36,106 +41,81 @@ use smin_graph::{FixedBitSet, NodeId};
 /// compares.
 const SCAN_CHUNK: usize = 16;
 
-/// A pool of reverse-reachable sets over nodes `0..n`.
-#[derive(Clone, Debug)]
-pub struct SketchPool {
-    /// Flattened node lists, one slice per set.
-    set_nodes: Vec<NodeId>,
-    set_off: Vec<usize>,
+/// Where [`SketchGenPool::generate`](crate::SketchGenPool::generate)
+/// appends the sets it samples, in index order.
+// `is_empty` would have no caller: the generator reads only `len`.
+#[allow(clippy::len_without_is_empty)]
+pub trait SketchSink {
+    /// Number of sets `|R|` appended so far.
+    fn len(&self) -> usize;
+    /// Appends one set; duplicates within `nodes` must already be removed
+    /// (the samplers guarantee this).
+    fn add_set(&mut self, nodes: &[NodeId]);
+}
+
+/// Coverage counts of the sampled (m)RR sets over nodes `0..n`, without
+/// the sets: everything TRIM's and AdaptIM's argmax reads, in O(n) bytes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SketchCounts {
     /// `coverage[v] = Λ_R(v)`, the number of sets containing `v`.
     coverage: Vec<u32>,
     /// Nodes with non-zero coverage, in first-touch order. Lets `argmax` and
-    /// `reset` run in O(touched) instead of O(n) — essential when the pool is
-    /// reused across hundreds of adaptive rounds on a multi-million-node
+    /// `reset` run in O(touched) instead of O(n) — essential when the counts
+    /// are reused across hundreds of adaptive rounds on a multi-million-node
     /// graph.
     touched: Vec<NodeId>,
+    /// Sets counted, `|R|`.
+    len: usize,
 }
 
-impl SketchPool {
-    /// An empty pool over `n` nodes.
+impl SketchCounts {
+    /// Empty counts over `n` nodes.
     pub fn new(n: usize) -> Self {
-        SketchPool {
-            set_nodes: Vec::new(),
-            set_off: vec![0],
+        SketchCounts {
             coverage: vec![0; n],
             touched: Vec::new(),
+            len: 0,
         }
     }
 
-    /// Empties the pool keeping all allocations, in O(touched).
-    ///
-    /// This is the pool-recycling contract the service layer builds on: a
-    /// reset pool must *retain* every buffer's capacity (flattened sets,
-    /// per-node columns), so per-request rebuilds on a warm pool perform no
-    /// reallocation. Debug builds assert that [`heap_bytes`] never shrinks
-    /// across a reset.
-    ///
-    /// [`heap_bytes`]: SketchPool::heap_bytes
+    /// Forgets every set, keeping all allocations, in O(touched).
     pub fn reset(&mut self) {
-        #[cfg(debug_assertions)]
-        let bytes_before = self.heap_bytes();
         for &v in &self.touched {
             self.coverage[v as usize] = 0;
         }
         self.touched.clear();
-        self.set_nodes.clear();
-        self.set_off.clear();
-        self.set_off.push(0);
-        #[cfg(debug_assertions)]
-        debug_assert!(
-            self.heap_bytes() >= bytes_before,
-            "SketchPool::reset released capacity ({} -> {} bytes); recycled \
-             pools must keep their buffers",
-            bytes_before,
-            self.heap_bytes()
-        );
+        self.len = 0;
     }
 
     /// Number of sets `|R|`. Sets that were sampled empty (all roots dead)
     /// count too — the estimator treats them as covering nothing.
     #[inline]
     pub fn len(&self) -> usize {
-        self.set_off.len() - 1
+        self.len
     }
 
     /// `true` when no sets have been added.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
-    /// Number of nodes the pool indexes.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.coverage.len()
-    }
-
-    /// Total of all set sizes (drives the greedy cover cost).
-    #[inline]
-    pub fn total_size(&self) -> usize {
-        self.set_nodes.len()
-    }
-
-    /// Heap bytes currently held by the pool's buffers (flattened sets,
-    /// per-node columns). Benchmarks and the service report this to track
-    /// retained warm-pool memory.
+    /// Heap bytes held by the coverage column and the touched list: O(n),
+    /// however many sets were counted.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.set_nodes.capacity() * size_of::<NodeId>()
-            + self.set_off.capacity() * size_of::<usize>()
-            + self.coverage.capacity() * size_of::<u32>()
-            + self.touched.capacity() * size_of::<NodeId>()
+        self.coverage.capacity() * size_of::<u32>() + self.touched.capacity() * size_of::<NodeId>()
     }
 
-    /// Adds one set; duplicates within `nodes` must already be removed
+    /// Counts one set; duplicates within `nodes` must already be removed
     /// (the samplers guarantee this).
     pub fn add_set(&mut self, nodes: &[NodeId]) {
-        // Set ids are u32 (`set`, the transpose); θ_max beyond u32::MAX
-        // would silently alias sets if this ever truncated.
+        // Counts and a pool's set ids are u32; θ_max beyond u32::MAX would
+        // silently wrap them if this ever truncated.
         assert!(
-            self.len() < u32::MAX as usize,
-            "SketchPool holds {} sets; adding more would overflow the u32 set-id space",
-            self.len()
+            self.len < u32::MAX as usize,
+            "{} sets counted; adding more would overflow the u32 counts and set ids",
+            self.len
         );
         for &v in nodes {
             let c = &mut self.coverage[v as usize];
@@ -144,14 +124,7 @@ impl SketchPool {
             }
             *c += 1;
         }
-        self.set_nodes.extend_from_slice(nodes);
-        self.set_off.push(self.set_nodes.len());
-    }
-
-    /// The nodes of set `id`.
-    #[inline]
-    pub fn set(&self, id: u32) -> &[NodeId] {
-        &self.set_nodes[self.set_off[id as usize]..self.set_off[id as usize + 1]]
+        self.len += 1;
     }
 
     /// `Λ_R(v)`.
@@ -170,6 +143,143 @@ impl SketchPool {
     #[inline]
     pub fn touched_nodes(&self) -> &[NodeId] {
         &self.touched
+    }
+
+    /// `argmax_v Λ_R(v)`; `None` when no set covers anything. O(touched).
+    ///
+    /// Delegates to the coverage engine's shared candidate scan, so the tie
+    /// rule (higher coverage, then smaller node id) is identical to the
+    /// first pick of every greedy selection in [`crate::coverage`].
+    pub fn argmax(&self) -> Option<(NodeId, u32)> {
+        crate::coverage::best_node(&self.touched, &self.coverage)
+    }
+}
+
+impl SketchSink for SketchCounts {
+    fn len(&self) -> usize {
+        SketchCounts::len(self)
+    }
+
+    fn add_set(&mut self, nodes: &[NodeId]) {
+        SketchCounts::add_set(self, nodes);
+    }
+}
+
+/// A pool of reverse-reachable sets over nodes `0..n`: their
+/// [`SketchCounts`] plus their members, for greedy coverage.
+#[derive(Clone, Debug)]
+pub struct SketchPool {
+    counts: SketchCounts,
+    /// Flattened node lists, one slice per set.
+    set_nodes: Vec<NodeId>,
+    set_off: Vec<usize>,
+}
+
+impl SketchPool {
+    /// An empty pool over `n` nodes.
+    pub fn new(n: usize) -> Self {
+        SketchPool {
+            counts: SketchCounts::new(n),
+            set_nodes: Vec::new(),
+            set_off: vec![0],
+        }
+    }
+
+    /// Empties the pool keeping all allocations, in O(touched).
+    ///
+    /// This is the pool-recycling contract the service layer builds on: a
+    /// reset pool must *retain* every buffer's capacity (flattened sets,
+    /// per-node columns), so per-request rebuilds on a warm pool perform no
+    /// reallocation. Debug builds assert that [`heap_bytes`] never shrinks
+    /// across a reset.
+    ///
+    /// [`heap_bytes`]: SketchPool::heap_bytes
+    pub fn reset(&mut self) {
+        #[cfg(debug_assertions)]
+        let bytes_before = self.heap_bytes();
+        self.counts.reset();
+        self.set_nodes.clear();
+        self.set_off.clear();
+        self.set_off.push(0);
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            self.heap_bytes() >= bytes_before,
+            "SketchPool::reset released capacity ({} -> {} bytes); recycled \
+             pools must keep their buffers",
+            bytes_before,
+            self.heap_bytes()
+        );
+    }
+
+    /// The pool's coverage counts.
+    #[inline]
+    pub fn counts(&self) -> &SketchCounts {
+        &self.counts
+    }
+
+    /// Number of sets `|R|` ([`SketchCounts::len`]).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// `true` when no sets have been added.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.counts.is_empty()
+    }
+
+    /// Total of all set sizes (drives the greedy cover cost).
+    #[inline]
+    pub fn total_size(&self) -> usize {
+        self.set_nodes.len()
+    }
+
+    /// Heap bytes currently held by the pool's buffers (flattened sets,
+    /// per-node columns). Benchmarks and the service report this to track
+    /// retained warm-pool memory.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.counts.heap_bytes()
+            + self.set_nodes.capacity() * size_of::<NodeId>()
+            + self.set_off.capacity() * size_of::<usize>()
+    }
+
+    /// Adds one set; duplicates within `nodes` must already be removed
+    /// (the samplers guarantee this).
+    pub fn add_set(&mut self, nodes: &[NodeId]) {
+        self.counts.add_set(nodes);
+        self.set_nodes.extend_from_slice(nodes);
+        self.set_off.push(self.set_nodes.len());
+    }
+
+    /// The nodes of set `id`.
+    #[inline]
+    pub fn set(&self, id: u32) -> &[NodeId] {
+        &self.set_nodes[self.set_off[id as usize]..self.set_off[id as usize + 1]]
+    }
+
+    /// `Λ_R(v)`.
+    #[inline]
+    pub fn coverage(&self, v: NodeId) -> u32 {
+        self.counts.coverage(v)
+    }
+
+    /// Coverage counts for all nodes.
+    #[inline]
+    pub fn coverage_counts(&self) -> &[u32] {
+        self.counts.coverage_counts()
+    }
+
+    /// Nodes that appear in at least one set (first-touch order).
+    #[inline]
+    pub fn touched_nodes(&self) -> &[NodeId] {
+        self.counts.touched_nodes()
+    }
+
+    /// `argmax_v Λ_R(v)` ([`SketchCounts::argmax`]).
+    pub fn argmax(&self) -> Option<(NodeId, u32)> {
+        self.counts.argmax()
     }
 
     /// Marks covered, in `covered`, the sets containing `v` that it does
@@ -266,14 +376,15 @@ impl SketchPool {
             }
         }
     }
+}
 
-    /// `argmax_v Λ_R(v)`; `None` when the pool covers nothing. O(touched).
-    ///
-    /// Delegates to the coverage engine's shared candidate scan, so the tie
-    /// rule (higher coverage, then smaller node id) is identical to the
-    /// first pick of every greedy selection in [`crate::coverage`].
-    pub fn argmax(&self) -> Option<(NodeId, u32)> {
-        crate::coverage::best_node(&self.touched, &self.coverage)
+impl SketchSink for SketchPool {
+    fn len(&self) -> usize {
+        SketchPool::len(self)
+    }
+
+    fn add_set(&mut self, nodes: &[NodeId]) {
+        SketchPool::add_set(self, nodes);
     }
 }
 
@@ -542,6 +653,56 @@ mod tests {
         assert_eq!(cloned.coverage(0), 1);
         assert_eq!(cloned.len(), 1);
         assert_eq!(sets_of_vec(&cloned, 0), vec![0]);
+    }
+
+    #[test]
+    fn counts_mirror_the_pool_without_its_members() {
+        // Fed the same sets, the counts equal the pool's own, through a
+        // reset and a refill, and their heap stays at its first size while
+        // the pool's grows with the members.
+        fn fill(pool: &mut SketchPool, counts: &mut SketchCounts, sets: u32) {
+            for i in 0..sets {
+                let set = [i % 64, (i + 1) % 64, (i + 7) % 64];
+                pool.add_set(&set);
+                counts.add_set(&set);
+            }
+        }
+        let mut pool = SketchPool::new(64);
+        let mut counts = SketchCounts::new(64);
+        fill(&mut pool, &mut counts, 100);
+        assert_eq!(pool.counts(), &counts);
+        assert_eq!(counts.len(), 100);
+        assert_eq!(counts.argmax(), pool.argmax());
+        let (small_pool, small_counts) = (pool.heap_bytes(), counts.heap_bytes());
+
+        pool.reset();
+        counts.reset();
+        assert_eq!(pool.counts(), &counts);
+        assert!(counts.is_empty() && counts.touched_nodes().is_empty());
+        assert_eq!(counts.argmax(), None);
+        assert!(counts.coverage_counts().iter().all(|&c| c == 0));
+
+        fill(&mut pool, &mut counts, 10_000);
+        assert_eq!(pool.counts(), &counts);
+        assert_eq!(counts.heap_bytes(), small_counts, "counts grew with |R|");
+        assert!(pool.heap_bytes() > small_pool + 4 * 10_000);
+    }
+
+    #[test]
+    fn sinks_append_through_the_trait() {
+        fn append(sink: &mut impl SketchSink, sets: &[&[NodeId]]) -> usize {
+            for s in sets {
+                sink.add_set(s);
+            }
+            sink.len()
+        }
+        let sets: &[&[NodeId]] = &[&[0, 1], &[], &[1]];
+        let mut pool = SketchPool::new(2);
+        let mut counts = SketchCounts::new(2);
+        assert_eq!(append(&mut pool, sets), 3);
+        assert_eq!(append(&mut counts, sets), 3);
+        assert_eq!(pool.counts(), &counts);
+        assert_eq!(counts.coverage_counts(), &[1, 2]);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!   generated once (`POST /v1/graphs`) and served until deleted; every
 //!   `/v1/select` runs against the in-memory CSR, never a file.
 //! * **Warm sketch-pool sessions**: each graph shelves reusable
-//!   [`AstiSession`](smin_core::AstiSession)s, so the columnar sketch pool,
-//!   worker scratch, and coverage engine keep their learned capacity
-//!   between requests (`SketchPool::reset` recycling).
+//!   [`AstiSession`](smin_core::AstiSession)s, so TRIM's coverage counts,
+//!   TRIM-B's columnar sketch pool, worker scratch, and coverage engine
+//!   keep their learned capacity between requests (`SketchCounts::reset`
+//!   and `SketchPool::reset` recycling).
 //! * **Deterministic responses** ([`routes`]): the same request body returns
 //!   byte-identical JSON across restarts and thread counts, which makes the
 //!   bounded response cache ([`cache`]) sound — a repeated request is a

@@ -239,7 +239,7 @@ pub fn render(state: &ServiceState) -> String {
     expo::write_gauge_vec(
         &mut out,
         "smin_graph_warm_pool_bytes",
-        "Heap bytes retained by shelved sketch pools and coverage engines, per graph.",
+        "Heap bytes retained by shelved sessions' coverage counts, sketch pools and coverage engines, per graph.",
         &borrow(&warm_bytes),
     );
 

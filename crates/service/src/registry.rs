@@ -1,7 +1,8 @@
 //! The cached-graph registry: graphs loaded once, served many times.
 //!
-//! Each registered graph owns a pool of warm [`AstiSession`]s — the sketch
-//! pool, worker scratch, coverage engine, and residual mask survive
+//! Each registered graph owns a pool of warm [`AstiSession`]s — the
+//! coverage counts, sketch pool, worker scratch, coverage engine, and
+//! residual mask survive
 //! between requests, so a select on a warm graph performs no cold
 //! allocations. Sessions are checked out per request and checked back in
 //! afterwards; concurrent requests against the same graph each get their
@@ -62,8 +63,11 @@ impl GraphEntry {
         self.lock_sessions().len()
     }
 
-    /// Heap bytes retained by shelved sketch pools and coverage engines
-    /// (observability).
+    /// Heap bytes retained by the shelved sessions' coverage counts, sketch
+    /// pools and coverage engines (observability), as
+    /// [`AstiSession::pool_heap_bytes`] sums them. A graph served only at
+    /// b = 1 reads O(n) bytes per session here whatever `|R|` its selects
+    /// drew; TRIM-B's member column grows with `|R|`.
     pub fn warm_pool_bytes(&self) -> usize {
         self.lock_sessions()
             .iter()

@@ -52,7 +52,8 @@ use smin_core::{asti_in, eta_of_fraction, AstiParams, AstiSession};
 use smin_diffusion::{Model, Realization, RealizationOracle};
 use smin_graph::generators::GeneratorSpec;
 use smin_graph::{io, store, Graph, WeightModel};
-use std::fs::File;
+use std::collections::BTreeSet;
+use std::fs::{DirEntry, File};
 use std::io::{BufWriter, Write};
 use std::path::{Component, Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
@@ -100,6 +101,8 @@ impl ServiceState {
     /// graph is snapshotted to `graphs/<id>.smg` and indexed in
     /// `manifest.json`, and graphs listed in an existing manifest are
     /// restored (and checksum-verified) before the server accepts requests.
+    /// Then the boot removes what a crashed write left behind: the `*.tmp`
+    /// files and the snapshots the manifest does not name.
     pub fn with_state_dir(
         graphs_dir: Option<PathBuf>,
         cache_capacity: usize,
@@ -111,10 +114,9 @@ impl ServiceState {
         };
         std::fs::create_dir_all(dir.join("graphs"))
             .map_err(|e| format!("cannot create state dir {dir:?}: {e}"))?;
-        restore_registry(
-            &dir,
-            state.registry.get_mut().unwrap_or_else(|e| e.into_inner()),
-        )?;
+        let registry = state.registry.get_mut().unwrap_or_else(|e| e.into_inner());
+        restore_registry(&dir, registry)?;
+        remove_leftovers(&dir, registry);
         state.state_dir = Some(dir);
         Ok(state)
     }
@@ -197,6 +199,38 @@ fn restore_registry(dir: &Path, registry: &mut Registry) -> Result<(), String> {
     Ok(())
 }
 
+/// Removes, after the manifest restored `registry`, the files of the state
+/// dir that nothing reads: `manifest.json.tmp` and `graphs/*.tmp`, left by
+/// a crash inside [`replace_durably`], and the `graphs/*.smg` snapshots
+/// the manifest does not name. A crash leaves such an orphan in
+/// `register_graph` between the snapshot's rename and the manifest's, and
+/// in `delete_graph` between the manifest write and the file removal.
+/// Only regular files directly in the state dir and its `graphs/` are
+/// touched; one that cannot be removed is left for the next boot.
+fn remove_leftovers(dir: &Path, registry: &Registry) {
+    let named: BTreeSet<PathBuf> = registry
+        .list()
+        .iter()
+        .filter_map(|e| e.snapshot.as_ref().map(|file| dir.join(file)))
+        .collect();
+    let is_file = |entry: &DirEntry| entry.file_type().is_ok_and(|t| t.is_file());
+    let _ = std::fs::remove_file(dir.join("manifest.json.tmp"));
+    let Ok(entries) = std::fs::read_dir(dir.join("graphs")) else {
+        return;
+    };
+    for entry in entries.flatten().filter(is_file) {
+        let path = entry.path();
+        let leftover = match path.extension().and_then(|e| e.to_str()) {
+            Some("tmp") => true,
+            Some("smg") => !named.contains(&path),
+            _ => false,
+        };
+        if leftover {
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+}
+
 /// Replaces `path` atomically and durably: `write` fills `<path>.tmp`,
 /// which is synced to disk and renamed over `path`, and then the parent
 /// directory is synced so the rename survives a power loss too. A crash at
@@ -257,6 +291,11 @@ fn write_manifest(dir: &Path, registry: &Registry) -> Result<(), String> {
     })
 }
 
+/// A route only test builds have: its handler panics, so a server test
+/// can drive the dispatch worker's `catch_unwind` backstop.
+#[cfg(test)]
+pub(crate) const TEST_PANIC_PATH: &str = "/test/panic";
+
 /// Routes one request. Never panics on malformed input — every failure
 /// becomes a structured JSON error. `queued_ms` is how long the request
 /// waited for a dispatch thread; it counts against the trace log's
@@ -271,6 +310,10 @@ pub fn handle(state: &ServiceState, req: &Request, queued_ms: u64) -> Response {
     let started = Instant::now();
     let mut traced: Option<SelectTrace> = None;
     let result = match (req.method.as_str(), req.path.as_str()) {
+        #[cfg(test)]
+        ("GET", TEST_PANIC_PATH) => {
+            panic!("the test-only route panicked")
+        }
         ("GET", "/healthz") => Ok(healthz(state)),
         ("GET", "/v1/graphs") => Ok(list_graphs(state)),
         ("POST", "/v1/graphs") => register_graph(state, &req.body),
@@ -1455,7 +1498,8 @@ mod tests {
     }
 
     /// One body per generator precondition, each a 400 naming the
-    /// parameter; the generators would assert on every one of them.
+    /// parameter; the generators would assert on every one of them, and
+    /// Chung–Lu's rejection sampling stalls on the last.
     #[test]
     fn generator_preconditions_are_400s() {
         let s = state();
@@ -1469,6 +1513,11 @@ mod tests {
             (r#"{"kind":"chung-lu","n":4,"m":13}"#, "'m' = 13 exceeds"),
             (r#"{"kind":"chung-lu","n":50,"gamma":1.0}"#, "'gamma'"),
             (r#"{"kind":"chung-lu","n":50,"gamma":-3}"#, "'gamma'"),
+            // Passes every check, then stalls the rejection sampling
+            (
+                r#"{"kind":"chung-lu","n":100,"m":5000,"gamma":1.01}"#,
+                "too dense for Chung–Lu",
+            ),
             // BA: 1 <= attach < n
             (r#"{"kind":"ba","n":3}"#, "'attach'"),
             (r#"{"kind":"ba","n":30,"attach":0}"#, "'attach'"),
@@ -1651,10 +1700,12 @@ mod tests {
 
     #[test]
     fn boot_ignores_the_leftovers_of_a_crashed_write() {
-        // A crash mid-write leaves tmp files beside the committed state: a
-        // garbage manifest tmp and a half-written snapshot tmp. The boot
-        // restores exactly the manifest's graphs, and a registration over
-        // the half-written snapshot's id succeeds and leaves no tmp behind.
+        // A crash mid-write leaves files beside the committed state that
+        // nothing reads: a garbage manifest tmp, a half-written snapshot
+        // tmp, and a valid snapshot the manifest does not name (a crash
+        // between a registration's two renames). The boot restores exactly
+        // the manifest's graphs and removes all three, and registrations
+        // over the leftovers' ids succeed and leave no tmp behind.
         let dir = std::env::temp_dir().join("smin_routes_state_dir_crash");
         let _ = std::fs::remove_dir_all(&dir);
         let s = ServiceState::with_state_dir(None, 8, Some(dir.clone())).unwrap();
@@ -1666,6 +1717,7 @@ mod tests {
         let snap = std::fs::read(graphs.join("web.smg")).unwrap();
         std::fs::write(dir.join("manifest.json.tmp"), r#"{"version":1,"gra"#).unwrap();
         std::fs::write(graphs.join("x.smg.tmp"), &snap[..snap.len() / 2]).unwrap();
+        std::fs::write(graphs.join("orphan.smg"), &snap).unwrap();
         let ids = |s: &ServiceState| -> Vec<String> {
             s.registry().list().iter().map(|e| e.id.clone()).collect()
         };
@@ -1673,13 +1725,19 @@ mod tests {
         let s = ServiceState::with_state_dir(None, 8, Some(dir.clone())).unwrap();
         assert_eq!(ids(&s), ["web"]);
         assert_eq!(s.registry().get("web").unwrap().token, token);
+        assert!(!graphs.join("orphan.smg").exists());
+        assert!(!graphs.join("x.smg.tmp").exists());
+        assert!(!dir.join("manifest.json.tmp").exists());
+        assert!(graphs.join("web.smg").exists());
         register_er(&s, "x", 20);
+        register_er(&s, "orphan", 25);
         assert!(!graphs.join("x.smg.tmp").exists());
         assert!(!dir.join("manifest.json.tmp").exists());
         drop(s);
 
         let s = ServiceState::with_state_dir(None, 8, Some(dir.clone())).unwrap();
-        assert_eq!(ids(&s), ["web", "x"]);
+        assert_eq!(ids(&s), ["orphan", "web", "x"]);
+        assert_eq!(s.registry().get("orphan").unwrap().graph.n(), 25);
         std::fs::remove_dir_all(&dir).ok();
     }
 

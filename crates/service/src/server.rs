@@ -179,3 +179,52 @@ impl Drop for ServerHandle {
         self.shutdown();
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::routes::TEST_PANIC_PATH;
+    use crate::Client;
+
+    #[test]
+    fn panicking_handler_gets_500_and_the_worker_survives() {
+        // The test-only route panics on the only dispatch worker. The
+        // worker catches it and answers a structured 500, and everything
+        // after it is still answered.
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            cache_capacity: 64,
+            ..ServerConfig::default()
+        };
+        let mut handle = Server::bind(&config).unwrap().spawn().unwrap();
+        let mut c = Client::connect(&handle.addr().to_string()).unwrap();
+        let resp = c.get(TEST_PANIC_PATH).unwrap();
+        assert_eq!(resp.status, 500, "{}", resp.text());
+        assert!(
+            resp.text().contains(r#""code":"internal_error""#),
+            "{}",
+            resp.text()
+        );
+        let resp = c.get("/healthz").unwrap();
+        assert_eq!(resp.status, 200, "server must survive");
+        let register = r#"{"id":"g","generate":{"kind":"er","n":120,"m":360,"seed":9}}"#;
+        let resp = c.post("/v1/graphs", register).unwrap();
+        assert_eq!(resp.status, 201, "{}", resp.text());
+        let resp = c
+            .post(
+                "/v1/select",
+                r#"{"graph":"g","eta":20,"seed":3,"cache":false}"#,
+            )
+            .unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        assert_eq!(resp.header("x-cache"), Some("BYPASS"));
+        let metrics = c.get("/metrics").unwrap().text();
+        assert!(
+            metrics.contains("smin_http_errors_total{status=\"500\"} 1\n"),
+            "{metrics}"
+        );
+        drop(c);
+        handle.shutdown();
+    }
+}

@@ -15,7 +15,7 @@ use seedmin::prelude::*;
 fn main() {
     let n = 10_000;
     let mut rng = SmallRng::seed_from_u64(5);
-    let pairs = chung_lu_directed(n, 50_000, 2.1, &mut rng);
+    let pairs = chung_lu_directed(n, 50_000, 2.1, &mut rng).unwrap();
     let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng)
         .expect("generator output is valid");
     let eta = n / 100;

@@ -14,7 +14,7 @@ use seedmin::prelude::*;
 fn main() {
     let n = 15_000;
     let mut rng = SmallRng::seed_from_u64(31);
-    let pairs = chung_lu_directed(n, 60_000, 2.1, &mut rng);
+    let pairs = chung_lu_directed(n, 60_000, 2.1, &mut rng).unwrap();
     let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng)
         .expect("generator output is valid");
     let eta = n / 10;

@@ -15,7 +15,7 @@ fn main() {
     //    (p(u→v) = 1/indeg(v)) as in the paper's experiments.
     let n = 5_000;
     let mut rng = SmallRng::seed_from_u64(7);
-    let pairs = chung_lu_directed(n, 25_000, 2.1, &mut rng);
+    let pairs = chung_lu_directed(n, 25_000, 2.1, &mut rng).unwrap();
     let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng)
         .expect("generator output is valid");
     println!("graph: {} nodes, {} edges", g.n(), g.m());

@@ -19,7 +19,7 @@ fn main() {
     // A community of 20 000 users; follower counts are heavy-tailed.
     let n = 20_000;
     let mut rng = SmallRng::seed_from_u64(2024);
-    let pairs = chung_lu_directed(n, 120_000, 2.1, &mut rng);
+    let pairs = chung_lu_directed(n, 120_000, 2.1, &mut rng).unwrap();
     let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng)
         .expect("generator output is valid");
 

@@ -17,7 +17,7 @@
 //!
 //! // A small power-law graph with weighted-cascade probabilities.
 //! let mut rng = SmallRng::seed_from_u64(7);
-//! let pairs = chung_lu_directed(500, 2_000, 2.1, &mut rng);
+//! let pairs = chung_lu_directed(500, 2_000, 2.1, &mut rng).unwrap();
 //! let g = assemble(500, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
 //!
 //! // Hidden ground truth: one sampled realization the policy will observe.

@@ -6,15 +6,15 @@
 //! reproducibility contract every figure/table bin relies on.
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use seedmin::algo::trim::{trim, TrimScratch};
 use seedmin::algo::trim_b::trim_b;
 use seedmin::prelude::*;
-use seedmin::sampling::SketchPool;
+use seedmin::sampling::{RootCountDist, SketchGenPool, SketchJob, SketchPool};
 
 fn run_once(seed: u64) -> (usize, Vec<u32>, usize) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let pairs = chung_lu_directed(400, 1_600, 2.1, &mut rng);
+    let pairs = chung_lu_directed(400, 1_600, 2.1, &mut rng).unwrap();
     let g = assemble(400, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
     let phi = Realization::sample(&g, Model::IC, &mut rng);
     let mut oracle = RealizationOracle::new(&g, phi);
@@ -46,7 +46,7 @@ fn asti_is_deterministic_for_equal_seeds() {
 /// trivial all-alive state.
 fn thread_fixture() -> (Graph, ResidualState) {
     let mut rng = SmallRng::seed_from_u64(0x7EAD);
-    let pairs = chung_lu_directed(600, 2_400, 2.1, &mut rng);
+    let pairs = chung_lu_directed(600, 2_400, 2.1, &mut rng).unwrap();
     let g = assemble(600, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
     let mut residual = ResidualState::new(600);
     residual.kill_all(&[1, 17, 99, 256, 420]);
@@ -57,6 +57,31 @@ fn dump_pool(pool: &SketchPool) -> Vec<Vec<u32>> {
     (0..pool.len() as u32)
         .map(|i| pool.set(i).to_vec())
         .collect()
+}
+
+/// TRIM keeps only its sets' coverage counts, so its tests rebuild the
+/// members: the `sets` sets of the round on `residual` at shortfall
+/// `eta_i` whose base seed is `base_seed`, drawn again through the same
+/// sampling path into a pool.
+fn regenerate(
+    g: &Graph,
+    residual: &ResidualState,
+    eta_i: usize,
+    base_seed: u64,
+    sets: usize,
+    threads: usize,
+) -> SketchPool {
+    let job = SketchJob {
+        graph: g,
+        model: Model::IC,
+        snapshot: residual.snapshot(),
+        eta_i,
+        dist: RootCountDist::Randomized,
+        base_seed,
+    };
+    let mut pool = SketchPool::new(g.n());
+    SketchGenPool::new(g.n()).generate(&job, sets, threads, &mut pool);
+    pool
 }
 
 /// FNV-1a over the pool's flattened set contents (order-sensitive).
@@ -83,7 +108,9 @@ fn pool_digest(pool: &SketchPool) -> u64 {
 /// same node, certified on a shorter prefix of the same set sequence. Both
 /// lines were re-captured when IC's reverse BFS began drawing a node's live
 /// in-edges by count: the same set distribution from other draws, so the
-/// same set counts with other contents.
+/// same set counts with other contents. TRIM keeps only its sets' coverage
+/// counts, so its pool is rebuilt from the round's base seed; the rebuilt
+/// pool still reads the golden digest, and its counts are TRIM's exactly.
 #[test]
 fn selections_match_pre_refactor_goldens() {
     let (g, residual) = thread_fixture();
@@ -91,6 +118,7 @@ fn selections_match_pre_refactor_goldens() {
         let params = TrimParams::with_eps(0.4).with_threads(threads);
         let mut scratch = TrimScratch::new(g.n());
         let mut rng = SmallRng::seed_from_u64(0xA57);
+        let base_seed = rng.clone().next_u64();
         let out = trim(
             &g,
             Model::IC,
@@ -104,7 +132,9 @@ fn selections_match_pre_refactor_goldens() {
         assert_eq!(out.node, 399, "trim selection drifted at {threads} threads");
         assert_eq!(out.coverage, 216);
         assert_eq!(out.sets_generated, 332);
-        assert_eq!(pool_digest(scratch.pool()), 0x68e95bf3a5e60242);
+        let pool = regenerate(&g, &residual, 60, base_seed, out.sets_generated, threads);
+        assert_eq!(pool_digest(&pool), 0x68e95bf3a5e60242);
+        assert_eq!(pool.counts(), scratch.counts());
 
         let mut scratch = TrimScratch::new(g.n());
         let mut rng = SmallRng::seed_from_u64(0xB47C);
@@ -176,6 +206,10 @@ fn baselines_match_pre_refactor_goldens() {
     assert!(out.certified);
 }
 
+/// TRIM's selection, counts and pool agree across thread counts. The pool
+/// is rebuilt from the round's base seed (TRIM keeps only the counts): it
+/// reads the golden digest, its counts are TRIM's exactly, and its sets
+/// are identical at every thread count.
 #[test]
 fn trim_selection_and_pool_identical_across_thread_counts() {
     let (g, residual) = thread_fixture();
@@ -184,6 +218,7 @@ fn trim_selection_and_pool_identical_across_thread_counts() {
         let params = TrimParams::with_eps(0.4).with_threads(threads);
         let mut scratch = TrimScratch::new(g.n());
         let mut rng = SmallRng::seed_from_u64(0xA57);
+        let base_seed = rng.clone().next_u64();
         let out = trim(
             &g,
             Model::IC,
@@ -194,12 +229,10 @@ fn trim_selection_and_pool_identical_across_thread_counts() {
             &mut rng,
         )
         .unwrap();
-        let state = (
-            out.node,
-            out.coverage,
-            out.sets_generated,
-            dump_pool(scratch.pool()),
-        );
+        let pool = regenerate(&g, &residual, 60, base_seed, out.sets_generated, threads);
+        assert_eq!(pool_digest(&pool), 0x68e95bf3a5e60242, "{threads} threads");
+        assert_eq!(pool.counts(), scratch.counts(), "{threads} threads");
+        let state = (out.node, out.coverage, out.sets_generated, dump_pool(&pool));
         match &baseline {
             None => baseline = Some(state),
             Some(base) => {
@@ -248,7 +281,7 @@ fn trim_b_batch_identical_across_thread_counts() {
 fn full_asti_run_identical_across_thread_counts() {
     fn run(threads: usize) -> (Vec<u32>, usize) {
         let mut rng = SmallRng::seed_from_u64(0xA571);
-        let pairs = chung_lu_directed(400, 1_600, 2.1, &mut rng);
+        let pairs = chung_lu_directed(400, 1_600, 2.1, &mut rng).unwrap();
         let g = assemble(400, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
         let phi = Realization::sample(&g, Model::IC, &mut rng);
         let mut oracle = RealizationOracle::new(&g, phi);

@@ -10,7 +10,7 @@ use smin_graph::generators;
 
 fn wc_graph(n: usize, m: usize, seed: u64) -> Graph {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let pairs = generators::chung_lu_directed(n, m, 2.1, &mut rng);
+    let pairs = generators::chung_lu_directed(n, m, 2.1, &mut rng).unwrap();
     generators::assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap()
 }
 

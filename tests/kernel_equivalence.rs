@@ -255,7 +255,7 @@ fn engine_matches_scalar_greedy_on_bench_scale_pools() {
 
     let n = 2_000;
     let mut rng = SmallRng::seed_from_u64(0xBEEF);
-    let pairs = chung_lu_directed(n, 8_000, 2.1, &mut rng);
+    let pairs = chung_lu_directed(n, 8_000, 2.1, &mut rng).unwrap();
     let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
     let residual = ResidualState::new(n);
     let job = SketchJob {
@@ -388,7 +388,7 @@ fn trim_b_selections_identical_across_thread_counts() {
     use seedmin::prelude::TrimParams;
 
     let mut rng = SmallRng::seed_from_u64(0x51CC);
-    let pairs = chung_lu_directed(500, 2_000, 2.1, &mut rng);
+    let pairs = chung_lu_directed(500, 2_000, 2.1, &mut rng).unwrap();
     let g = assemble(500, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
     let residual = ResidualState::new(500);
 
@@ -574,7 +574,7 @@ fn equivalence_graphs() -> Vec<(&'static str, seedmin::graph::Graph)> {
 
     let n = 600;
     let mut rng = SmallRng::seed_from_u64(0x5EED_0BF5);
-    let pairs = chung_lu_directed(n, 2_400, 2.1, &mut rng);
+    let pairs = chung_lu_directed(n, 2_400, 2.1, &mut rng).unwrap();
     let weighted = |model, rng: &mut SmallRng| assemble(n, &pairs, true, model, rng).unwrap();
     let wc = weighted(WeightModel::WeightedCascade, &mut rng);
     let mut edge = 0usize;
@@ -967,7 +967,7 @@ fn membership_matches_per_edge_coins() {
 
     let n = 300;
     let mut rng = SmallRng::seed_from_u64(0x3E3B);
-    let pairs = chung_lu_directed(n, 1_200, 2.1, &mut rng);
+    let pairs = chung_lu_directed(n, 1_200, 2.1, &mut rng).unwrap();
     let alive: Vec<bool> = (0..n).map(|_| rng.random::<f64>() >= 0.1).collect();
     let trials = 100_000usize;
     for model in [

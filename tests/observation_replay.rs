@@ -11,7 +11,7 @@ use smin_graph::generators;
 
 fn graph() -> Graph {
     let mut rng = SmallRng::seed_from_u64(4);
-    let pairs = generators::chung_lu_directed(500, 2_500, 2.1, &mut rng);
+    let pairs = generators::chung_lu_directed(500, 2_500, 2.1, &mut rng).unwrap();
     generators::assemble(500, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap()
 }
 

@@ -4,12 +4,14 @@
 //! inverted index, the pre-refactor layout) on every query surface — set
 //! contents, coverage counts, argmax, union coverage, and greedy
 //! selections — for arbitrary random pools, including across `reset` and
-//! across pool growth between two selections on one engine.
+//! across pool growth between two selections on one engine. The member-free
+//! [`SketchCounts`] that TRIM and AdaptIM grow, fed the same sets, must
+//! answer `|R|`, the coverage counts and the argmax identically too.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use seedmin::sampling::{greedy_max_coverage, CoverageEngine, SketchPool};
+use seedmin::sampling::{greedy_max_coverage, CoverageEngine, SketchCounts, SketchPool};
 use smin_graph::NodeId;
 
 /// The reference layout: per-node `Vec`s, scans everything, obviously
@@ -115,14 +117,17 @@ fn random_sets() -> impl Strategy<Value = (usize, Vec<Vec<NodeId>>)> {
     })
 }
 
-fn build_both(n: usize, sets: &[Vec<NodeId>]) -> (SketchPool, NaivePool) {
+/// The pool, the counts and the naive reference, fed the same sets.
+fn build_all(n: usize, sets: &[Vec<NodeId>]) -> (SketchPool, SketchCounts, NaivePool) {
     let mut pool = SketchPool::new(n);
+    let mut counts = SketchCounts::new(n);
     let mut naive = NaivePool::new(n);
     for s in sets {
         pool.add_set(s);
+        counts.add_set(s);
         naive.add_set(s);
     }
-    (pool, naive)
+    (pool, counts, naive)
 }
 
 /// `Λ_R(S)` read off the pool's own sets: the number hit by any of `nodes`.
@@ -132,10 +137,18 @@ fn union_coverage(pool: &SketchPool, nodes: &[NodeId]) -> u32 {
         .count() as u32
 }
 
-/// Every query surface of `pool` against `naive`, greedy selections
-/// included: a fresh engine per call and the caller's reused `engine` must
-/// both equal the naive greedy, pick for pick.
-fn assert_equivalent(pool: &SketchPool, naive: &NaivePool, engine: &mut CoverageEngine) {
+/// Every query surface of `pool` and `counts` against `naive`, greedy
+/// selections included: a fresh engine per call and the caller's reused
+/// `engine` must both equal the naive greedy, pick for pick.
+fn assert_equivalent(
+    pool: &SketchPool,
+    counts: &SketchCounts,
+    naive: &NaivePool,
+    engine: &mut CoverageEngine,
+) {
+    assert_eq!(counts.len(), naive.sets.len());
+    assert_eq!(counts.coverage_counts(), &naive.coverage_counts()[..]);
+    assert_eq!(counts.argmax(), naive.argmax());
     assert_eq!(pool.len(), naive.sets.len());
     for (i, set) in naive.sets.iter().enumerate() {
         assert_eq!(pool.set(i as u32), &set[..], "set {i} diverged");
@@ -158,8 +171,8 @@ proptest! {
 
     #[test]
     fn arena_pool_matches_naive_reference((n, sets) in random_sets()) {
-        let (pool, naive) = build_both(n, &sets);
-        assert_equivalent(&pool, &naive, &mut CoverageEngine::new());
+        let (pool, counts, naive) = build_all(n, &sets);
+        assert_equivalent(&pool, &counts, &naive, &mut CoverageEngine::new());
 
         // union-coverage queries on a few deterministic member subsets
         let all: Vec<NodeId> = (0..n as u32).collect();
@@ -172,18 +185,23 @@ proptest! {
     #[test]
     fn arena_pool_matches_naive_after_reset((n, sets) in random_sets()) {
         // Fill, select, reset, refill with the same sets reversed: the
-        // recycled pool and the engine that already selected on its first
-        // fill must behave exactly like a fresh naive pool.
-        let (mut pool, naive) = build_both(n, &sets);
+        // recycled pool and counts, and the engine that already selected on
+        // the first fill, must behave exactly like a fresh naive pool, and
+        // right after the reset like an empty one.
+        let (mut pool, mut counts, naive) = build_all(n, &sets);
         let mut engine = CoverageEngine::new();
-        assert_equivalent(&pool, &naive, &mut engine);
+        assert_equivalent(&pool, &counts, &naive, &mut engine);
         pool.reset();
+        counts.reset();
         let mut naive = NaivePool::new(n);
+        assert_equivalent(&pool, &counts, &naive, &mut engine);
+        prop_assert!(counts.is_empty() && counts.touched_nodes().is_empty());
         for s in sets.iter().rev() {
             pool.add_set(s);
+            counts.add_set(s);
             naive.add_set(s);
         }
-        assert_equivalent(&pool, &naive, &mut engine);
+        assert_equivalent(&pool, &counts, &naive, &mut engine);
     }
 
     #[test]
@@ -193,14 +211,15 @@ proptest! {
         // selection must see the grown pool, not an index kept from the
         // first.
         let (first, more) = sets.split_at(sets.len() / 2);
-        let (mut pool, mut naive) = build_both(n, first);
+        let (mut pool, mut counts, mut naive) = build_all(n, first);
         let mut engine = CoverageEngine::new();
-        assert_equivalent(&pool, &naive, &mut engine);
+        assert_equivalent(&pool, &counts, &naive, &mut engine);
         for s in more {
             pool.add_set(s);
+            counts.add_set(s);
             naive.add_set(s);
         }
-        assert_equivalent(&pool, &naive, &mut engine);
+        assert_equivalent(&pool, &counts, &naive, &mut engine);
         let (got, reached) = engine.select_until(&pool, f64::MAX, |c| c);
         prop_assert!(!reached);
         let all: Vec<NodeId> = (0..n as u32).collect();
