@@ -6,13 +6,12 @@
 //! while the grandfathered list shrinks monotonically as debt is paid down.
 //! `asm lint --write-baseline` regenerates the file (sorted, stable bytes).
 //!
-//! The format is ordinary JSON, but this crate is dependency-free, so both
-//! the writer ([`write()`]) and the reader ([`parse`]) are hand-rolled here;
-//! the reader is a strict subset parser that accepts exactly what the writer
-//! emits (plus whitespace), and errors loudly on anything else rather than
-//! guessing.
+//! The file is ordinary JSON, written and read through `serde_json`. The
+//! reader is strict: a wrong version, an unknown key, a missing field or a
+//! value of the wrong type is an error, never a guess.
 
 use crate::rules::Finding;
+use serde_json::{json, Value};
 
 /// One grandfathered finding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -35,239 +34,59 @@ pub fn write(findings: &[Finding]) -> String {
         .collect();
     entries.sort();
     entries.dedup();
-    let mut out = String::from("{\n  \"version\": 1,\n  \"findings\": [");
-    for (i, e) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": {}, \"path\": {}, \"line\": {}}}",
-            json_string(&e.rule),
-            json_string(&e.path),
-            e.line
-        ));
-    }
-    if !entries.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-/// Escapes `s` as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let findings: Vec<Value> = entries
+        .into_iter()
+        .map(|e| json!({"rule": e.rule, "path": e.path, "line": e.line}))
+        .collect();
+    let mut out = serde_json::to_string_pretty(&json!({"version": 1, "findings": findings}));
+    out.push('\n');
     out
 }
 
 /// Parses a baseline document. Returns entries in file order.
 pub fn parse(text: &str) -> Result<Vec<BaselineEntry>, String> {
-    let mut p = Parser {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    p.ws();
-    p.expect(b'{')?;
+    let doc = serde_json::from_str(text).map_err(|e| format!("baseline: {e}"))?;
     let mut entries = Vec::new();
-    let mut first = true;
-    loop {
-        p.ws();
-        if p.eat(b'}') {
-            break;
-        }
-        if !first {
-            p.expect(b',')?;
-            p.ws();
-        }
-        first = false;
-        let key = p.string()?;
-        p.ws();
-        p.expect(b':')?;
-        p.ws();
-        match key.as_str() {
-            "version" => {
-                let v = p.number()?;
-                if v != 1 {
-                    return Err(format!("unsupported baseline version {v}"));
+    for (key, value) in object(&doc)? {
+        match (key.as_str(), value) {
+            ("version", Value::Number(v)) if *v == 1.0 => {}
+            ("version", v) => return Err(format!("unsupported baseline version {v:?}")),
+            ("findings", Value::Array(items)) => {
+                for item in items {
+                    entries.push(entry(item)?);
                 }
             }
-            "findings" => {
-                p.expect(b'[')?;
-                let mut first_entry = true;
-                loop {
-                    p.ws();
-                    if p.eat(b']') {
-                        break;
-                    }
-                    if !first_entry {
-                        p.expect(b',')?;
-                        p.ws();
-                    }
-                    first_entry = false;
-                    entries.push(p.entry()?);
-                }
-            }
-            other => return Err(format!("unknown baseline key {other:?}")),
+            (key, value) => return Err(format!("unexpected baseline field {key:?}: {value:?}")),
         }
     }
     Ok(entries)
 }
 
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn ws(&mut self) {
-        while self.b.get(self.i).is_some_and(|c| c.is_ascii_whitespace()) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> bool {
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            Err(format!(
-                "baseline parse error at byte {}: expected {:?}, found {:?}",
-                self.i,
-                c as char,
-                self.b.get(self.i).map(|&b| b as char)
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.b.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self
-                        .b
-                        .get(self.i)
-                        .copied()
-                        .ok_or("baseline parse error: truncated escape")?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .ok_or("baseline parse error: truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "baseline parse error: bad \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "baseline parse error: bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.i += 4;
-                        }
-                        other => {
-                            return Err(format!(
-                                "baseline parse error: unsupported escape \\{}",
-                                other as char
-                            ))
-                        }
-                    }
-                }
-                c => {
-                    // Re-assemble multi-byte UTF-8 sequences byte-for-byte.
-                    let start = self.i - 1;
-                    let len = utf8_len(c);
-                    let end = (start + len).min(self.b.len());
-                    out.push_str(std::str::from_utf8(&self.b[start..end]).unwrap_or("\u{FFFD}"));
-                    self.i = end;
-                }
-            }
-        }
-        Err("baseline parse error: unterminated string".into())
-    }
-
-    fn number(&mut self) -> Result<u32, String> {
-        let start = self.i;
-        while self.b.get(self.i).is_some_and(|c| c.is_ascii_digit()) {
-            self.i += 1;
-        }
-        if start == self.i {
-            return Err(format!(
-                "baseline parse error at byte {start}: expected a number"
-            ));
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| "baseline parse error: number out of range".to_string())
-    }
-
-    /// One `{"rule": …, "path": …, "line": …}` object, keys in any order.
-    fn entry(&mut self) -> Result<BaselineEntry, String> {
-        self.expect(b'{')?;
-        let (mut rule, mut path, mut line) = (None, None, None);
-        let mut first = true;
-        loop {
-            self.ws();
-            if self.eat(b'}') {
-                break;
-            }
-            if !first {
-                self.expect(b',')?;
-                self.ws();
-            }
-            first = false;
-            let key = self.string()?;
-            self.ws();
-            self.expect(b':')?;
-            self.ws();
-            match key.as_str() {
-                "rule" => rule = Some(self.string()?),
-                "path" => path = Some(self.string()?),
-                "line" => line = Some(self.number()?),
-                other => return Err(format!("unknown baseline entry key {other:?}")),
-            }
-        }
-        match (rule, path, line) {
-            (Some(rule), Some(path), Some(line)) => Ok(BaselineEntry { rule, path, line }),
-            _ => Err("baseline entry needs rule, path, and line".into()),
-        }
+fn object(v: &Value) -> Result<&[(String, Value)], String> {
+    match v {
+        Value::Object(fields) => Ok(fields),
+        other => Err(format!("baseline: expected an object, found {other:?}")),
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0xF0..=0xF7 => 4,
-        0xE0..=0xEF => 3,
-        0xC0..=0xDF => 2,
-        _ => 1,
+/// One `{"rule": …, "path": …, "line": …}` object, keys in any order.
+fn entry(v: &Value) -> Result<BaselineEntry, String> {
+    let (mut rule, mut path, mut line) = (None, None, None);
+    for (key, value) in object(v)? {
+        match (key.as_str(), value) {
+            ("rule", Value::String(s)) => rule = Some(s.clone()),
+            ("path", Value::String(s)) => path = Some(s.clone()),
+            ("line", Value::Number(x)) if f64::from(*x as u32) == *x => line = Some(*x as u32),
+            (key, value) => {
+                return Err(format!(
+                    "unexpected baseline entry field {key:?}: {value:?}"
+                ))
+            }
+        }
+    }
+    match (rule, path, line) {
+        (Some(rule), Some(path), Some(line)) => Ok(BaselineEntry { rule, path, line }),
+        _ => Err("baseline entry needs rule, path, and line".into()),
     }
 }
 
@@ -327,10 +146,29 @@ mod tests {
         assert_eq!(parsed[0].path, "weird \"dir\"/a\\b.rs");
     }
 
+    /// The empty baseline's bytes, as committed in `lint-baseline.json`.
+    #[test]
+    fn empty_baseline_bytes_are_pinned() {
+        assert_eq!(write(&[]), "{\n  \"version\": 1,\n  \"findings\": []\n}\n");
+    }
+
     #[test]
     fn garbage_errors_loudly() {
-        assert!(parse("not json").is_err());
-        assert!(parse("{\"version\": 2, \"findings\": []}").is_err());
-        assert!(parse("{\"findings\": [{\"rule\": \"r\"}]}").is_err());
+        for bad in [
+            "not json",
+            "[]",
+            "{\"version\": 2, \"findings\": []}",
+            "{\"version\": \"1\", \"findings\": []}",
+            "{\"findings\": [{\"rule\": \"r\"}]}",
+            "{\"findings\": {}}",
+            "{\"findings\": [{\"rule\": \"r\", \"path\": \"p\", \"line\": 1.5}]}",
+            "{\"findings\": [{\"rule\": \"r\", \"path\": \"p\", \"line\": -1}]}",
+            "{\"findings\": [{\"rule\": 1, \"path\": \"p\", \"line\": 1}]}",
+            "{\"findings\": [{\"rule\": \"r\", \"path\": \"p\", \"line\": 1, \"x\": 0}]}",
+            "{\"version\": 1, \"findings\": [], \"extra\": 0}",
+            "{\"version\": 1, \"findings\": []} trailing",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 }

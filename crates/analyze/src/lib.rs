@@ -15,8 +15,10 @@
 //! project-invariant checks with `// smin-lint: allow(<rule>) -- <why>`
 //! escape hatches, [`workspace`] maps files to rule sets, [`baseline`]
 //! grandfathers accepted findings, and [`report`] renders deterministic
-//! human/JSON output. Dependency-free by design: the tool that gates every
-//! crate builds with nothing but std.
+//! human/JSON output. The tool that gates every crate builds with nothing
+//! but std and the in-repo `serde_json` shim (one std-only file under
+//! `vendor/`, which the linter does not lint), through which both JSON
+//! files are written and read.
 
 #![forbid(unsafe_code)]
 

@@ -4,8 +4,8 @@
 //! two runs over the same tree produce byte-identical output — pinned in CI
 //! by diffing consecutive `--format json` reports.
 
-use crate::baseline::json_string;
 use crate::rules::Finding;
+use serde_json::{json, Value};
 
 /// A finding joined with its baseline status.
 #[derive(Debug, Clone)]
@@ -65,33 +65,28 @@ impl Outcome {
     /// The machine-readable report (stable key order, sorted findings, no
     /// timestamps or absolute paths — byte-identical across runs and hosts).
     pub fn json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"tool\": \"smin-analyze\",\n  \"version\": 1,\n");
-        out.push_str(&format!(
-            "  \"total\": {},\n  \"new\": {},\n  \"baselined\": {},\n",
-            self.total(),
-            self.new_count(),
-            self.baselined_count()
-        ));
-        out.push_str("  \"findings\": [");
-        for (i, r) in self.reported.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let f = &r.finding;
-            out.push_str(&format!(
-                "\n    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}, \"baselined\": {}}}",
-                json_string(f.rule),
-                json_string(&f.path),
-                f.line,
-                json_string(&f.message),
-                r.baselined
-            ));
-        }
-        if !self.reported.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
+        let findings: Vec<Value> = self
+            .reported
+            .iter()
+            .map(|r| {
+                json!({
+                    "rule": r.finding.rule,
+                    "path": r.finding.path.as_str(),
+                    "line": r.finding.line,
+                    "message": r.finding.message.as_str(),
+                    "baselined": r.baselined,
+                })
+            })
+            .collect();
+        let mut out = serde_json::to_string_pretty(&json!({
+            "tool": "smin-analyze",
+            "version": 1,
+            "total": self.total(),
+            "new": self.new_count(),
+            "baselined": self.baselined_count(),
+            "findings": findings,
+        }));
+        out.push('\n');
         out
     }
 }
@@ -142,5 +137,14 @@ mod tests {
         assert!(o.json().contains("\"new\": 1"));
         let empty = Outcome::default();
         assert!(empty.json().contains("\"findings\": []"));
+    }
+
+    /// A clean tree's report, byte for byte.
+    #[test]
+    fn zero_finding_report_bytes_are_pinned() {
+        assert_eq!(
+            Outcome::default().json(),
+            "{\n  \"tool\": \"smin-analyze\",\n  \"version\": 1,\n  \"total\": 0,\n  \"new\": 0,\n  \"baselined\": 0,\n  \"findings\": []\n}\n"
+        );
     }
 }

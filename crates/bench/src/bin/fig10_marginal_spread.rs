@@ -101,5 +101,5 @@ fn main() {
         }
         json.push(res);
     }
-    let _ = write_json(&args.out_dir, "fig10_marginal_spread", &json);
+    let _ = write_json(&args.out_dir, "fig10_marginal_spread", &json.into());
 }

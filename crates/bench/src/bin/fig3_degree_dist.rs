@@ -57,5 +57,5 @@ fn main() {
             "series": fracs.iter().map(|&(d, f)| serde_json::json!([d, f])).collect::<Vec<_>>(),
         }));
     }
-    let _ = write_json(&args.out_dir, "fig3_degree_dist", &json);
+    let _ = write_json(&args.out_dir, "fig3_degree_dist", &json.into());
 }

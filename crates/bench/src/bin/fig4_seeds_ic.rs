@@ -20,5 +20,5 @@ fn main() {
         &args,
         &Algo::evaluation_set(),
     );
-    let _ = write_json(&args.out_dir, "fig4_seeds_ic", &results);
+    let _ = write_json(&args.out_dir, "fig4_seeds_ic", &results.into());
 }

@@ -23,5 +23,5 @@ fn main() {
         &args,
         &Algo::evaluation_set(),
     );
-    let _ = write_json(&args.out_dir, "fig5_time_ic", &results);
+    let _ = write_json(&args.out_dir, "fig5_time_ic", &results.into());
 }

@@ -19,5 +19,5 @@ fn main() {
         &args,
         &Algo::evaluation_set(),
     );
-    let _ = write_json(&args.out_dir, "fig6_seeds_lt", &results);
+    let _ = write_json(&args.out_dir, "fig6_seeds_lt", &results.into());
 }

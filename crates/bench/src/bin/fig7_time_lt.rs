@@ -22,5 +22,5 @@ fn main() {
         &args,
         &Algo::evaluation_set(),
     );
-    let _ = write_json(&args.out_dir, "fig7_time_lt", &results);
+    let _ = write_json(&args.out_dir, "fig7_time_lt", &results.into());
 }

@@ -71,5 +71,5 @@ fn main() {
         );
         json.extend(results);
     }
-    let _ = write_json(&args.out_dir, "fig8_spread_dist", &json);
+    let _ = write_json(&args.out_dir, "fig8_spread_dist", &json.into());
 }

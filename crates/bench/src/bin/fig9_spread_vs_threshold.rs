@@ -23,5 +23,5 @@ fn main() {
         &args,
         &Algo::evaluation_set(),
     );
-    let _ = write_json(&args.out_dir, "fig9_spread_vs_threshold", &results);
+    let _ = write_json(&args.out_dir, "fig9_spread_vs_threshold", &results.into());
 }

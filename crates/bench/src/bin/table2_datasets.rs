@@ -65,5 +65,5 @@ fn main() {
     println!(
         "undirected avg 5.29 LWCC 1.13M; LiveJournal 4.85M/69.0M directed avg 28.5 LWCC 4.84M."
     );
-    let _ = write_json(&args.out_dir, "table2_datasets", &json);
+    let _ = write_json(&args.out_dir, "table2_datasets", &json.into());
 }

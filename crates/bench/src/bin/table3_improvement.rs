@@ -33,5 +33,5 @@ fn main() {
         println!("{}", format_table(&table3_rows(&results)));
         json.extend(results);
     }
-    let _ = write_json(&args.out_dir, "table3_improvement", &json);
+    let _ = write_json(&args.out_dir, "table3_improvement", &json.into());
 }

@@ -4,7 +4,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::Serialize;
+use serde_json::{json, Value};
 use smin_core::{adapt_im, asti, ateuc, evaluate_on_realizations, AdaptImParams, AstiParams};
 use smin_diffusion::{Model, Realization, RealizationOracle};
 use smin_graph::Graph;
@@ -47,7 +47,7 @@ impl Algo {
 }
 
 /// Outcome on one realization.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RealizationResult {
     /// Seeds used (adaptive: actually selected; ATEUC: the fixed set size).
     pub seeds: usize,
@@ -63,7 +63,7 @@ pub struct RealizationResult {
 }
 
 /// Aggregate over the realization batch.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RunResult {
     pub algo: String,
     pub dataset: String,
@@ -89,6 +89,40 @@ impl RunResult {
     /// construction).
     pub fn always_feasible(&self) -> bool {
         self.feasible == self.runs
+    }
+}
+
+/// The figure JSON: one key per field, in declaration order.
+impl From<RealizationResult> for Value {
+    fn from(r: RealizationResult) -> Value {
+        json!({
+            "seeds": r.seeds,
+            "time_s": r.time_s,
+            "spread": r.spread,
+            "reached": r.reached,
+            "marginal_spreads": r.marginal_spreads,
+        })
+    }
+}
+
+/// The figure JSON: one key per field, in declaration order.
+impl From<RunResult> for Value {
+    fn from(r: RunResult) -> Value {
+        json!({
+            "algo": r.algo,
+            "dataset": r.dataset,
+            "model": r.model,
+            "eta": r.eta,
+            "eta_frac": r.eta_frac,
+            "seeds_mean": r.seeds_mean,
+            "time_mean_s": r.time_mean_s,
+            "time_p50_s": r.time_p50_s,
+            "time_p95_s": r.time_p95_s,
+            "spread_mean": r.spread_mean,
+            "feasible": r.feasible,
+            "runs": r.runs,
+            "per_realization": r.per_realization,
+        })
     }
 }
 
@@ -323,5 +357,99 @@ mod tests {
         for r in &res.per_realization {
             assert_eq!(r.seeds % 4, 0, "TRIM-B selects whole batches");
         }
+    }
+
+    /// The figure bins' JSON, byte for byte: integral floats as integers,
+    /// `1e-7` and `1e16` in shortest form, NaN as `null`, escaped strings,
+    /// empty and non-empty arrays.
+    #[test]
+    fn run_result_json_bytes_are_pinned() {
+        let per = vec![
+            RealizationResult {
+                seeds: 3,
+                time_s: 0.25,
+                spread: 40,
+                reached: true,
+                marginal_spreads: vec![20, 12, 8],
+            },
+            RealizationResult {
+                seeds: 2,
+                time_s: 2.0,
+                spread: 9,
+                reached: false,
+                marginal_spreads: Vec::new(),
+            },
+        ];
+        let run = |per_realization| RunResult {
+            algo: "ASTI-8".into(),
+            dataset: "tab\t\"q\" \\ nl\n\u{1}é".into(),
+            model: "IC".into(),
+            eta: 200,
+            eta_frac: 0.1,
+            seeds_mean: 3.0,
+            time_mean_s: 1e-7,
+            time_p50_s: 1e16,
+            time_p95_s: 0.5,
+            spread_mean: f64::NAN,
+            feasible: 1,
+            runs: 2,
+            per_realization,
+        };
+        let runs = vec![run(Vec::new()), run(per)];
+        let json = serde_json::to_string_pretty(&runs.into());
+        assert_eq!(
+            json,
+            r#"[
+  {
+    "algo": "ASTI-8",
+    "dataset": "tab\t\"q\" \\ nl\n\u0001é",
+    "model": "IC",
+    "eta": 200,
+    "eta_frac": 0.1,
+    "seeds_mean": 3,
+    "time_mean_s": 1e-7,
+    "time_p50_s": 1e16,
+    "time_p95_s": 0.5,
+    "spread_mean": null,
+    "feasible": 1,
+    "runs": 2,
+    "per_realization": []
+  },
+  {
+    "algo": "ASTI-8",
+    "dataset": "tab\t\"q\" \\ nl\n\u0001é",
+    "model": "IC",
+    "eta": 200,
+    "eta_frac": 0.1,
+    "seeds_mean": 3,
+    "time_mean_s": 1e-7,
+    "time_p50_s": 1e16,
+    "time_p95_s": 0.5,
+    "spread_mean": null,
+    "feasible": 1,
+    "runs": 2,
+    "per_realization": [
+      {
+        "seeds": 3,
+        "time_s": 0.25,
+        "spread": 40,
+        "reached": true,
+        "marginal_spreads": [
+          20,
+          12,
+          8
+        ]
+      },
+      {
+        "seeds": 2,
+        "time_s": 2,
+        "spread": 9,
+        "reached": false,
+        "marginal_spreads": []
+      }
+    ]
+  }
+]"#
+        );
     }
 }

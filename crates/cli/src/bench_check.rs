@@ -156,7 +156,7 @@ pub fn bench_check(args: &[String]) -> Result<(), String> {
 
     let read = |path: &str| -> Result<Value, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        serde_json::from_str(&text).map_err(|e| format!("{path}: invalid JSON: {e:?}"))
+        serde_json::from_str(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))
     };
     let baseline = read(baseline_path)?;
     let current = read(current_path)?;

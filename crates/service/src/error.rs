@@ -191,7 +191,7 @@ mod tests {
     #[test]
     fn error_body_shape_is_stable() {
         let e = ServiceError::bad_request("no body");
-        let body = serde_json::to_string(&e.to_value()).unwrap();
+        let body = serde_json::to_string(&e.to_value());
         assert_eq!(
             body,
             r#"{"error":{"code":"bad_request","status":400,"message":"no body"}}"#

@@ -328,21 +328,12 @@ pub struct Response {
 }
 
 impl Response {
-    /// A JSON response with the given status. Serialization failure (which
-    /// the vendored shim never produces for the values we build) degrades to
-    /// a static 500 body instead of panicking the connection worker.
+    /// A JSON response with the given status.
     pub fn json(status: u16, value: &serde_json::Value) -> Response {
-        match serde_json::to_string(value) {
-            Ok(s) => Response {
-                status,
-                headers: Vec::new(),
-                body: s.into_bytes(),
-            },
-            Err(_) => Response {
-                status: 500,
-                headers: Vec::new(),
-                body: br#"{"error":{"code":"serialization_failed","message":"response encoding failed"}}"#.to_vec(),
-            },
+        Response {
+            status,
+            headers: Vec::new(),
+            body: serde_json::to_string(value).into_bytes(),
         }
     }
 

@@ -1,9 +1,9 @@
 //! Typed field extraction over `serde_json::Value` request bodies.
 //!
-//! The offline serde shim has no derive-based deserialization, so request
-//! bodies are pulled apart field by field. Every accessor returns a
-//! [`ServiceError`] naming the offending field, which keeps 400 responses
-//! actionable.
+//! The workspace's JSON layer is the `serde_json` shim's `Value` alone, with
+//! no derive, so request bodies are pulled apart field by field. Every
+//! accessor returns a [`ServiceError`] naming the offending field, which
+//! keeps 400 responses actionable.
 
 use crate::error::ServiceError;
 use serde_json::Value;

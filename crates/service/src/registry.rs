@@ -237,7 +237,7 @@ const MANIFEST_VERSION: f64 = 1.0;
 /// Serializes manifest entries as deterministic JSON (insertion-ordered
 /// fields, checksums as zero-padded hex strings — the JSON number type
 /// cannot hold a u64 losslessly).
-pub fn manifest_json(entries: &[ManifestEntry]) -> Result<String, String> {
+pub fn manifest_json(entries: &[ManifestEntry]) -> String {
     let graphs: Vec<Value> = entries
         .iter()
         .map(|e| {
@@ -250,7 +250,7 @@ pub fn manifest_json(entries: &[ManifestEntry]) -> Result<String, String> {
         })
         .collect();
     let doc = json!({ "version": 1, "graphs": graphs });
-    serde_json::to_string(&doc).map_err(|e| format!("manifest encoding: {e}"))
+    serde_json::to_string(&doc)
 }
 
 fn manifest_str_field(entry: &Value, key: &str) -> Result<String, String> {
@@ -392,10 +392,10 @@ mod tests {
                 source: "file:web.txt".into(),
             },
         ];
-        let text = manifest_json(&entries).unwrap();
+        let text = manifest_json(&entries);
         assert_eq!(parse_manifest(&text).unwrap(), entries);
         // Deterministic: same entries, same bytes.
-        assert_eq!(manifest_json(&entries).unwrap(), text);
+        assert_eq!(manifest_json(&entries), text);
         // u64 checksums survive losslessly via hex strings.
         assert!(text.contains("ffffffffffffffff"), "{text}");
     }

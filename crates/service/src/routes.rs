@@ -282,7 +282,7 @@ fn write_manifest(dir: &Path, registry: &Registry) -> Result<(), String> {
             })
         })
         .collect();
-    let mut text = manifest_json(&entries)?;
+    let mut text = manifest_json(&entries);
     text.push('\n');
     let path = dir.join("manifest.json");
     replace_durably(&path, |w| {
@@ -865,20 +865,8 @@ fn compute_select_body(
         "total_sets": report.total_sets,
         "rounds": rounds,
     });
-    let serialized = {
-        let _span = smin_obs::Span::enter(&mut stages.serialize);
-        serde_json::to_string(&body_value)
-    };
-    let body = serialized
-        .map_err(|e| {
-            ServiceError::new(
-                500,
-                "serialization_failed",
-                format!("response encoding: {e}"),
-            )
-        })?
-        .into_bytes();
-    Ok(body)
+    let _span = smin_obs::Span::enter(&mut stages.serialize);
+    Ok(serde_json::to_string(&body_value).into_bytes())
 }
 
 /// Cache-aware execution of one item: hit → cached bytes, miss → compute
@@ -1113,8 +1101,7 @@ fn select_batch(
 
     // Assembled by concatenation, not re-serialization: the item bodies
     // land in `results` byte-for-byte.
-    let graph_json = serde_json::to_string(&entry.id)
-        .map_err(|e| ServiceError::new(500, "serialization_failed", format!("graph id: {e}")))?;
+    let graph_json = serde_json::to_string(&json!(entry.id.as_str()));
     let mut body = Vec::new();
     body.extend_from_slice(b"{\"graph\":");
     body.extend_from_slice(graph_json.as_bytes());

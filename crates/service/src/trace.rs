@@ -165,9 +165,7 @@ impl TraceLog {
     /// thread gone) drops the line silently — tracing must not take down a
     /// request.
     pub fn emit(&self, event: &TraceEvent<'_>) {
-        if let Ok(line) = serde_json::to_string(&event.to_value()) {
-            let _ = self.tx.send(line);
-        }
+        let _ = self.tx.send(serde_json::to_string(&event.to_value()));
     }
 }
 

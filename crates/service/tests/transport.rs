@@ -8,6 +8,7 @@
 use smin_service::{Client, Server, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 const REGISTER: &str = r#"{"id":"g","generate":{"kind":"er","n":120,"m":360,"seed":9}}"#;
 
@@ -182,6 +183,30 @@ fn deeply_nested_json_body_gets_400_and_the_server_survives() {
     let resp = c.post("/v1/select", &hostile).unwrap();
     assert_eq!(resp.status, 400, "{}", resp.text());
     assert!(resp.text().contains("invalid JSON body"), "{}", resp.text());
+    let resp = c.get("/healthz").unwrap();
+    assert_eq!(resp.status, 200, "server must survive");
+    drop(c);
+    handle.shutdown();
+}
+
+#[test]
+fn four_mib_select_body_gets_its_4xx_in_seconds_and_the_worker_survives() {
+    // One JSON string filling the body cap. A parser that re-validated the
+    // rest of the document for every character held the only dispatch
+    // worker for minutes on this body; a linear one answers in well under
+    // a second.
+    let mut handle = spawn(|c| c.workers = 1);
+    let mut c = client(&handle);
+    let pad = "x".repeat((4 << 20) - 64);
+    let body = format!(r#"{{"graph":"g","eta":20,"pad":"{pad}"}}"#);
+    let started = Instant::now();
+    let resp = c.post("/v1/select", &body).unwrap();
+    let elapsed = started.elapsed();
+    assert!((400..500).contains(&resp.status), "{}", resp.text());
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "answered after {elapsed:?}"
+    );
     let resp = c.get("/healthz").unwrap();
     assert_eq!(resp.status, 200, "server must survive");
     drop(c);
@@ -428,7 +453,7 @@ fn trace_log_records_one_line_per_request() {
         assert_eq!(resp.status, 200, "{}", resp.text());
         let body: serde_json::Value = serde_json::from_str(&resp.text()).unwrap();
         let sets = smin_service::json::field(&body, "total_sets").expect("total_sets");
-        total_sets = Some(serde_json::to_string(sets).unwrap());
+        total_sets = Some(serde_json::to_string(sets));
     }
     let total_sets = total_sets.unwrap();
     drop(c);
@@ -455,7 +480,7 @@ fn trace_log_records_one_line_per_request() {
     let computed = work(&lines[1]).expect("the computed select reports work");
     let get = |k: &str| {
         let v = smin_service::json::field(computed, k).expect("work field");
-        serde_json::to_string(v).unwrap()
+        serde_json::to_string(v)
     };
     assert_eq!(
         get("sets"),
@@ -468,7 +493,7 @@ fn trace_log_records_one_line_per_request() {
     for (select, cache) in [(&lines[1], r#""MISS""#), (&lines[2], r#""HIT""#)] {
         let get = |k: &str| {
             let v = smin_service::json::field(select, k).expect("field present");
-            serde_json::to_string(v).unwrap()
+            serde_json::to_string(v)
         };
         assert_eq!(get("method"), r#""POST""#);
         assert_eq!(get("path"), r#""/v1/select""#);
