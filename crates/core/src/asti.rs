@@ -65,7 +65,8 @@ impl AstiSession {
     /// TRIM (b = 1) grows only the counts, which hold O(n) bytes whatever
     /// `|R|` is, so a session that ran only b = 1 reads O(n) here: the
     /// counts plus the empty pool's per-node column. TRIM-B (b > 1) grows
-    /// the pool, whose member column grows with `|R|`.
+    /// the pool, whose member columns grow with `|R|` by at most about
+    /// `n/8` bytes per set (a set larger than that is kept as a bitmap).
     pub fn pool_heap_bytes(&self) -> usize {
         self.scratch.counts().heap_bytes()
             + self.scratch.pool().heap_bytes()

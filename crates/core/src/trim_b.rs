@@ -667,6 +667,41 @@ mod tests {
         }
     }
 
+    /// A late round, at `η_i = 2`, draws about `n_i/2` roots per mRR set,
+    /// so every set holds most of the residual graph and the pool keeps it
+    /// as a bitmap: beyond its O(n) counts, the pool holds at most
+    /// `8⌈n/64⌉ + 16` bytes per set, twice that with Vec's doubling,
+    /// where id lists would take 4 bytes per member.
+    #[test]
+    fn late_rounds_hold_at_most_n_over_8_bytes_per_set() {
+        use smin_graph::generators::{assemble, chung_lu_directed};
+        use smin_graph::WeightModel;
+
+        let n = 2_000;
+        let mut rng = SmallRng::seed_from_u64(0x2B);
+        let pairs = chung_lu_directed(n, 8_000, 2.1, &mut rng).unwrap();
+        let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
+        let residual = ResidualState::new(n);
+        for model in [Model::IC, Model::LT] {
+            let mut scratch = TrimScratch::new(n);
+            let params = TrimParams::with_eps(0.5);
+            let out = trim_b(&g, model, &residual, 2, 2, &params, &mut scratch, &mut rng).unwrap();
+            let pool = scratch.pool();
+            let sets = pool.len();
+            assert_eq!(sets, out.sets_generated, "{model}");
+            assert!(
+                pool.total_size() >= sets * n / 4,
+                "{model}: the sets are large"
+            );
+            let held = pool.heap_bytes() - pool.counts().heap_bytes();
+            let bound = 2 * sets * (8 * n.div_ceil(64) + 16);
+            assert!(
+                held <= bound,
+                "{model}: {held} bytes for {sets} sets over {n} nodes, bound {bound}"
+            );
+        }
+    }
+
     #[test]
     fn zero_batch_rejected() {
         let g = two_stars();

@@ -1,5 +1,6 @@
 //! Diffusion model selector.
 
+use smin_graph::error::quoted;
 use std::fmt;
 
 /// The two propagation models evaluated in the paper (§2.1). Both admit the
@@ -33,8 +34,9 @@ impl std::str::FromStr for Model {
         match s.to_ascii_uppercase().as_str() {
             "IC" => Ok(Model::IC),
             "LT" => Ok(Model::LT),
-            other => Err(format!(
-                "unknown diffusion model '{other}' (expected IC or LT)"
+            _ => Err(format!(
+                "unknown diffusion model {} (expected IC or LT)",
+                quoted(s)
             )),
         }
     }

@@ -1,6 +1,24 @@
-//! Error type shared across the graph crate.
+//! Error type shared across the graph crate, and [`quoted`], the bounded
+//! quote of a caller's string that every error naming one uses.
 
 use std::fmt;
+
+/// Characters of a caller's string that [`quoted`] keeps at most.
+pub const QUOTE_CHARS: usize = 64;
+
+/// `value` quoted for an error message, at a bounded size: whole (`'ic2'`)
+/// when it has at most [`QUOTE_CHARS`] characters, else its first
+/// [`QUOTE_CHARS`], cut on a character boundary, and its length in bytes
+/// (`'xxx…' (1048576 bytes)`). Errors that name a string a client sent
+/// (an unknown graph id, algorithm, model, generator or weight model, a bad
+/// path, a mistyped field's value) quote it through this, so an error
+/// answer stays small however large the request was.
+pub fn quoted(value: &str) -> String {
+    match value.char_indices().nth(QUOTE_CHARS) {
+        None => format!("'{value}'"),
+        Some((cut, _)) => format!("'{}…' ({} bytes)", &value[..cut], value.len()),
+    }
+}
 
 /// Errors produced while constructing or loading graphs.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,5 +120,28 @@ impl std::error::Error for GraphError {}
 impl From<std::io::Error> for GraphError {
     fn from(e: std::io::Error) -> Self {
         GraphError::Io(e.to_string())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quoted_keeps_short_values_and_bounds_long_ones() {
+        assert_eq!(quoted("ic2"), "'ic2'");
+        assert_eq!(quoted(""), "''");
+        let edge = "x".repeat(QUOTE_CHARS);
+        assert_eq!(quoted(&edge), format!("'{edge}'"));
+        assert_eq!(
+            quoted(&format!("{edge}y")),
+            format!("'{edge}…' ({} bytes)", QUOTE_CHARS + 1)
+        );
+        // 1 MiB of two-byte characters: cut after 64 of them, not 64 bytes
+        let long = "é".repeat(1 << 19);
+        assert_eq!(
+            quoted(&long),
+            format!("'{}…' (1048576 bytes)", "é".repeat(QUOTE_CHARS))
+        );
     }
 }

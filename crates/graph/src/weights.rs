@@ -7,6 +7,7 @@
 //! conventions in the influence maximization literature.
 
 use crate::csr::Graph;
+use crate::error::quoted;
 use rand::Rng;
 
 /// The trivalency probability palette of Chen et al. (KDD'10).
@@ -33,7 +34,10 @@ impl std::str::FromStr for WeightModel {
             "tri" => Ok(WeightModel::Trivalency),
             other => {
                 let p = other.strip_prefix("uniform:").ok_or_else(|| {
-                    format!("unknown weight model '{other}' (wc | uniform:P | tri)")
+                    format!(
+                        "unknown weight model {} (wc | uniform:P | tri)",
+                        quoted(other)
+                    )
                 })?;
                 let p: f64 = p
                     .parse()

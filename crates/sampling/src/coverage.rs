@@ -31,8 +31,13 @@
 //!
 //! Committing a pick needs the sets containing it, and the pool keeps no
 //! node→sets inverted index. A greedy run's first 8 picks (`SCAN_PICKS`)
-//! find their sets by scanning the pool's member column (16 members per
-//! vectorized `==` fold), stopping at the pick's last uncovered set. The
+//! find their sets with one bit test per dense set and a scan of the pool's
+//! sparse member column (16 members per vectorized `==` fold), stopping at
+//! the pick's last uncovered set. Each newly covered set's members are then
+//! walked in whichever encoding the pool keeps it
+//! ([`SketchPool::for_each_member`]: a sparse set's id list, a dense set's
+//! bitmap) to decrement their marginals; decrements commute, so the member
+//! order never reaches a pick. The
 //! paper's TRIM-B batches are at most 8, so there no index is ever built: a
 //! transpose costs more than 8 scans, and it would be stale by the next
 //! call, which runs on a grown pool. A run that picks more (`select` with
@@ -295,16 +300,16 @@ impl CoverageEngine {
     /// member's marginal once per such set.
     ///
     /// The first [`SCAN_PICKS`] picks find those sets with the pool's
-    /// column scan, which stops once it has covered `marginal[v]` of them.
-    /// The next pick builds the transpose of the sets still uncovered, and
-    /// from then on each pick commits its transposed row.
+    /// dense bit tests and sparse column scan, which stop once they have
+    /// covered `marginal[v]` of them. The next pick builds the transpose of
+    /// the sets still uncovered, and from then on each pick commits its
+    /// transposed row. Either way each covered set's members are walked in
+    /// the pool's encoding of that set.
     fn commit_pick(&mut self, pool: &SketchPool, v: NodeId, pick: usize) {
         if pick <= SCAN_PICKS {
             let marginal = &mut self.marginal;
             pool.cover_sets_of(v, marginal[v as usize], &mut self.set_covered, |s| {
-                for &u in pool.set(s) {
-                    marginal[u as usize] -= 1;
-                }
+                pool.for_each_member(s, |u| marginal[u as usize] -= 1);
             });
         } else {
             if pick == SCAN_PICKS + 1 {
@@ -327,7 +332,7 @@ impl CoverageEngine {
     /// the covered mask. Each batch then hits `set_covered` with a single
     /// [`FixedBitSet::insert_word`] — up to 64 membership tests in one
     /// fetch/or — and only the returned freshly-set bits walk their set
-    /// members to decrement marginals.
+    /// members, id list or bitmap, to decrement marginals.
     fn commit_row(&mut self, pool: &SketchPool, v: NodeId) {
         self.word_buf.clear();
         let row = &self.node_sets[self.node_off[v as usize]..self.node_off[v as usize + 1]];
@@ -344,9 +349,7 @@ impl CoverageEngine {
             while fresh != 0 {
                 let s = (wi << 6) | fresh.trailing_zeros();
                 fresh &= fresh - 1;
-                for &u in pool.set(s) {
-                    self.marginal[u as usize] -= 1;
-                }
+                pool.for_each_member(s, |u| self.marginal[u as usize] -= 1);
             }
         }
     }
@@ -359,8 +362,9 @@ impl CoverageEngine {
     /// marginals; `walked(picks, covered, largest)` sees those, ascending,
     /// before the pick is taken. A run of `k` picks costs
     /// `O(n + k·|live| + min(k, 8)·Σ|R|)`: each scanned pick reads at most
-    /// the whole member column, and a longer run adds one `O(n + Σ|R|)`
-    /// transpose build.
+    /// the whole sparse member column and one word per dense set, a covered
+    /// dense set's walk costs fewer words than it has members, and a longer
+    /// run adds one `O(n + Σ|R|)` transpose build.
     fn greedy(
         &mut self,
         pool: &SketchPool,

@@ -11,8 +11,9 @@
 //! * [`pool`] — what the selections read of the sampled sets:
 //!   [`SketchCounts`] (the incremental coverage counts and `|R|`, answering
 //!   TRIM's and AdaptIM's argmax in O(n) bytes whatever `|R|` is) and
-//!   [`SketchPool`] (those counts plus the members as flat CSR sets, for
-//!   greedy coverage);
+//!   [`SketchPool`] (those counts plus the members, for greedy coverage,
+//!   each set as a flat id list or, when that is smaller, a bitmap over
+//!   the nodes);
 //! * [`coverage`] — the shared [`CoverageEngine`]: one greedy loop behind
 //!   TRIM-B's batch selection and ATEUC's bound-driven greedy, with the
 //!   `ρ_b = 1 − (1−1/b)^b` guarantee and OPIM-C's online upper bound on the

@@ -12,21 +12,36 @@
 //!   argmax never re-scans old sets. Its heap is O(n) whatever `|R|` is: 4
 //!   bytes per node for `Λ_R`, and the touched list, which never outgrows
 //!   the nodes.
-//! * [`SketchPool`]: a [`SketchCounts`] plus the sets, flattened CSR-style
-//!   into `set_nodes` + `set_off`. Appending a set costs one copy plus one
-//!   counter bump per member.
+//! * [`SketchPool`]: a [`SketchCounts`] plus the sets, each in the smaller
+//!   of two encodings. A *sparse* set keeps its `u32` id list, flattened
+//!   CSR-style into `set_nodes` + `set_off`. A *dense* set, one whose id list
+//!   would take more bytes than a bitmap over the nodes (`4·|S| >
+//!   8·⌈n/64⌉`, over 626 members at `n = 20 000`), keeps that bitmap of
+//!   `⌈n/64⌉` words in `dense_bits`, its id in `dense_ids`. This is the
+//!   container rule of Roaring bitmaps (Chambi, Lemire, Kaser, Godin, *Softw.
+//!   Pract. Exper.* 2016), with no setting: a set costs at most `8·⌈n/64⌉`
+//!   bytes (about `n/8`) plus its offset and id, however many members it
+//!   has. Appending a set costs, per member, one copy or one bit set plus
+//!   one counter bump.
 //!
 //! [`SketchGenPool::generate`](crate::SketchGenPool::generate) appends into
 //! either through [`SketchSink`]. Both are struct-of-arrays over a handful
 //! of flat buffers, with no per-node or per-set heap allocations.
 //!
+//! The counts see every set's members in the sampler's BFS order, but the
+//! pool keeps that order only for sparse sets; a dense set's members come
+//! back in ascending order. Every reader walks members through
+//! [`SketchPool::for_each_member`], which allocates nothing, and the greedy
+//! reads no order, so every selection is the same in either encoding.
+//!
 //! The pool keeps no node→sets inverted index. Greedy maximum coverage is
 //! its only reader, and its first 8 picks do without one:
-//! `SketchPool::cover_sets_of` finds a pick's sets by scanning the member
-//! column, 16 members per vectorized `==` fold. Only a greedy run that
-//! picks more builds the index, once, with `SketchPool::transpose_into`: a
-//! counting-sort transpose of the sets still uncovered, into buffers the
-//! coverage engine owns.
+//! [`SketchPool::cover_sets_of`] tests the pick's bit in each dense set,
+//! then finds its sparse sets by scanning the member column, 16 members
+//! per vectorized `==` fold. Only a greedy run that picks more builds the
+//! index, once, with [`SketchPool::transpose_into`]: a counting-sort
+//! transpose of the sets still uncovered, into buffers the coverage engine
+//! owns.
 //!
 //! Both are refilled hundreds of times per adaptive run (the growing
 //! samples of Algorithm 2/3); [`SketchCounts::reset`] and
@@ -35,11 +50,56 @@
 
 use smin_graph::cast::u32_of;
 use smin_graph::{FixedBitSet, NodeId};
+use std::borrow::Cow;
 
 /// Members per step of [`SketchPool::cover_sets_of`]'s column scan: one
 /// fixed-length `==` fold, which the compiler turns into four 128-bit
 /// compares.
 const SCAN_CHUNK: usize = 16;
+
+/// Members that [`for_each_bit`] collects before passing them on.
+const WALK_BUF: usize = 256;
+
+/// Passes the index of each set bit of `bits` to `f`, in ascending order.
+///
+/// A set just past the dense threshold has 2 to 8 members per word. A loop
+/// that pops one bit per step mispredicts its exit on nearly every such
+/// word: on a pool of such sets that made a b = 8 greedy about 1.5 times as
+/// slow as on id lists. So a word of at most 8 members is written 8 slots
+/// at a time,
+/// with no branch per member (the slots past its count hold junk that the
+/// next word overwrites), into a buffer that `f` drains in one pass. A
+/// fuller word is popped bit by bit, where the exit costs little against
+/// its members.
+fn for_each_bit(bits: &[u64], mut f: impl FnMut(NodeId)) {
+    // a full buffer, plus one word's 8 slots
+    let mut buf = [0; WALK_BUF + 8];
+    let mut len = 0;
+    for (i, &word) in bits.iter().enumerate() {
+        let base = u32_of(i << 6);
+        let count = word.count_ones() as usize;
+        let mut rest = word;
+        if count > 8 {
+            buf[..len].iter().for_each(|&v| f(v));
+            len = 0;
+            while rest != 0 {
+                f(base | rest.trailing_zeros());
+                rest &= rest - 1;
+            }
+            continue;
+        }
+        for slot in &mut buf[len..len + 8] {
+            *slot = base | rest.trailing_zeros();
+            rest &= rest.wrapping_sub(1);
+        }
+        len += count;
+        if len >= WALK_BUF {
+            buf[..len].iter().for_each(|&v| f(v));
+            len = 0;
+        }
+    }
+    buf[..len].iter().for_each(|&v| f(v));
+}
 
 /// Where [`SketchGenPool::generate`](crate::SketchGenPool::generate)
 /// appends the sets it samples, in index order.
@@ -167,12 +227,30 @@ impl SketchSink for SketchCounts {
 
 /// A pool of reverse-reachable sets over nodes `0..n`: their
 /// [`SketchCounts`] plus their members, for greedy coverage.
+///
+/// Each set is stored in the smaller of two encodings: a *sparse* set as its
+/// `u32` id list, a *dense* one (`4·|S| > 8·⌈n/64⌉` bytes) as a bitmap of
+/// `⌈n/64⌉` words. Readers walk either through [`for_each_member`].
+///
+/// [`for_each_member`]: SketchPool::for_each_member
 #[derive(Clone, Debug)]
 pub struct SketchPool {
     counts: SketchCounts,
-    /// Flattened node lists, one slice per set.
+    /// Words per dense set's bitmap: `⌈n/64⌉` (at least 1).
+    words: usize,
+    /// The sparse sets' members, flattened: set `id`'s are
+    /// `set_nodes[set_off[id]..set_off[id + 1]]`, in append order. A dense
+    /// or empty set has an empty range.
     set_nodes: Vec<NodeId>,
     set_off: Vec<usize>,
+    /// The dense sets' ids, ascending; a dense set's rank here is its
+    /// bitmap's index in `dense_bits`.
+    dense_ids: Vec<u32>,
+    /// The dense sets' bitmaps, `words` words each, in `dense_ids` order:
+    /// bit `v` is set iff `v` is a member.
+    dense_bits: Vec<u64>,
+    /// `Σ|S|` over every set, both encodings.
+    members: usize,
 }
 
 impl SketchPool {
@@ -180,18 +258,22 @@ impl SketchPool {
     pub fn new(n: usize) -> Self {
         SketchPool {
             counts: SketchCounts::new(n),
+            words: n.div_ceil(64).max(1),
             set_nodes: Vec::new(),
             set_off: vec![0],
+            dense_ids: Vec::new(),
+            dense_bits: Vec::new(),
+            members: 0,
         }
     }
 
     /// Empties the pool keeping all allocations, in O(touched).
     ///
     /// This is the pool-recycling contract the service layer builds on: a
-    /// reset pool must *retain* every buffer's capacity (flattened sets,
-    /// per-node columns), so per-request rebuilds on a warm pool perform no
-    /// reallocation. Debug builds assert that [`heap_bytes`] never shrinks
-    /// across a reset.
+    /// reset pool must *retain* every buffer's capacity (both member
+    /// encodings, per-node columns), so per-request rebuilds on a warm pool
+    /// perform no reallocation. Debug builds assert that [`heap_bytes`]
+    /// never shrinks across a reset.
     ///
     /// [`heap_bytes`]: SketchPool::heap_bytes
     pub fn reset(&mut self) {
@@ -201,6 +283,9 @@ impl SketchPool {
         self.set_nodes.clear();
         self.set_off.clear();
         self.set_off.push(0);
+        self.dense_ids.clear();
+        self.dense_bits.clear();
+        self.members = 0;
         #[cfg(debug_assertions)]
         debug_assert!(
             self.heap_bytes() >= bytes_before,
@@ -229,34 +314,85 @@ impl SketchPool {
         self.counts.is_empty()
     }
 
-    /// Total of all set sizes (drives the greedy cover cost).
+    /// Total of all set sizes `Σ|S|`, in either encoding (drives the greedy
+    /// cover cost).
     #[inline]
     pub fn total_size(&self) -> usize {
-        self.set_nodes.len()
+        self.members
     }
 
-    /// Heap bytes currently held by the pool's buffers (flattened sets,
-    /// per-node columns). Benchmarks and the service report this to track
-    /// retained warm-pool memory.
+    /// Heap bytes currently held by the pool's buffers (both member
+    /// encodings, per-node columns). Benchmarks and the service report this
+    /// to track retained warm-pool memory.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.counts.heap_bytes()
             + self.set_nodes.capacity() * size_of::<NodeId>()
             + self.set_off.capacity() * size_of::<usize>()
+            + self.dense_ids.capacity() * size_of::<u32>()
+            + self.dense_bits.capacity() * size_of::<u64>()
     }
 
     /// Adds one set; duplicates within `nodes` must already be removed
-    /// (the samplers guarantee this).
+    /// (the samplers guarantee this). The counts see the members in the
+    /// order given; the set is kept as a bitmap exactly when that is
+    /// smaller than its id list.
     pub fn add_set(&mut self, nodes: &[NodeId]) {
+        use std::mem::{size_of, size_of_val};
         self.counts.add_set(nodes);
-        self.set_nodes.extend_from_slice(nodes);
+        self.members += nodes.len();
+        if size_of_val(nodes) > size_of::<u64>() * self.words {
+            self.dense_ids.push(u32_of(self.set_off.len() - 1));
+            let start = self.dense_bits.len();
+            self.dense_bits.resize(start + self.words, 0);
+            let bits = &mut self.dense_bits[start..];
+            for &v in nodes {
+                bits[v as usize >> 6] |= 1 << (v & 63);
+            }
+        } else {
+            self.set_nodes.extend_from_slice(nodes);
+        }
         self.set_off.push(self.set_nodes.len());
     }
 
-    /// The nodes of set `id`.
+    /// Set `id`'s range of the sparse member column; empty for a dense or
+    /// empty set.
     #[inline]
-    pub fn set(&self, id: u32) -> &[NodeId] {
+    fn span(&self, id: u32) -> &[NodeId] {
         &self.set_nodes[self.set_off[id as usize]..self.set_off[id as usize + 1]]
+    }
+
+    /// Set `id`'s bitmap when it is dense.
+    fn bitmap(&self, id: u32) -> Option<&[u64]> {
+        let rank = self.dense_ids.binary_search(&id).ok()?;
+        Some(&self.dense_bits[rank * self.words..][..self.words])
+    }
+
+    /// Passes each member of set `id` to `f`, without allocating: a sparse
+    /// set's in append order, a dense set's in ascending order.
+    #[inline]
+    pub fn for_each_member(&self, id: u32, mut f: impl FnMut(NodeId)) {
+        let span = self.span(id);
+        if !span.is_empty() {
+            span.iter().for_each(|&v| f(v));
+        } else if let Some(bits) = self.bitmap(id) {
+            for_each_bit(bits, f);
+        }
+    }
+
+    /// The members of set `id`: borrowed, in append order, for a sparse
+    /// set; collected in ascending order for a dense one. Either way the
+    /// same set of nodes, but only a sparse set keeps the sampler's BFS
+    /// order (the greedy never reads the order; the counts saw it).
+    pub fn set(&self, id: u32) -> Cow<'_, [NodeId]> {
+        match self.bitmap(id) {
+            Some(bits) => {
+                let mut members = Vec::new();
+                for_each_bit(bits, |v| members.push(v));
+                Cow::Owned(members)
+            }
+            None => Cow::Borrowed(self.span(id)),
+        }
     }
 
     /// `Λ_R(v)`.
@@ -283,18 +419,20 @@ impl SketchPool {
     }
 
     /// Marks covered, in `covered`, the sets containing `v` that it does
-    /// not hold yet, and passes each one's id to `on_cover` in ascending
-    /// order. `uncovered` must be the number of such sets (the coverage
-    /// engine's marginal of `v`): the scan stops at the last of them
-    /// instead of at the end of the pool.
+    /// not hold yet, and passes each one's id to `on_cover`: the dense
+    /// sets' in ascending order, then the sparse sets' in ascending order.
+    /// `uncovered` must be the number of such sets (the coverage engine's
+    /// marginal of `v`): the scan stops at the last of them instead of at
+    /// the end of the pool.
     ///
-    /// Needs no inverted index. The member column is scanned in chunks of
-    /// [`SCAN_CHUNK`], each tested for `v` by a branch-free `==` fold the
-    /// compiler vectorizes; only a chunk that holds `v` is walked member by
-    /// member. A set cursor over the offsets maps each hit to its set and
-    /// only moves forward, so a call costs O(|R|) plus the members up to
-    /// the last uncovered hit.
-    pub(crate) fn cover_sets_of(
+    /// Needs no inverted index. Each dense set costs one bit test. The
+    /// sparse member column is scanned in chunks of 16 members, each
+    /// tested for `v` by a branch-free `==` fold the compiler vectorizes;
+    /// only a chunk that holds `v` is walked member by member. A set cursor
+    /// over the offsets maps each hit to its set and only moves forward, so
+    /// a call costs O(|R|) plus the sparse members up to the last uncovered
+    /// hit.
+    pub fn cover_sets_of(
         &self,
         v: NodeId,
         uncovered: u32,
@@ -305,6 +443,17 @@ impl SketchPool {
             return;
         }
         let mut left = uncovered;
+        let (word, bit) = (v as usize >> 6, 1u64 << (v & 63));
+        let dense_words = self.dense_bits.iter().skip(word).step_by(self.words);
+        for (&id, &bits) in self.dense_ids.iter().zip(dense_words) {
+            if bits & bit != 0 && covered.insert(id as usize) {
+                on_cover(id);
+                left -= 1;
+                if left == 0 {
+                    return;
+                }
+            }
+        }
         let mut set = 0usize;
         // Covers the set holding member `pos`; `true` once none is left.
         let mut hit = |pos: usize| {
@@ -341,15 +490,16 @@ impl SketchPool {
     /// coverage counts when `skip` is empty, the engine's marginals when it
     /// holds the sets a greedy run has covered. Both buffers are
     /// overwritten and keep their capacity, so a caller that holds them
-    /// across calls rebuilds without reallocating. O(n + |R| + Σ|R|).
+    /// across calls rebuilds without reallocating. O(n + |R| + Σ|R|), plus
+    /// `⌈n/64⌉` words per dense set.
     ///
     /// Counting sort: a prefix sum of `counts` gives each node's start,
-    /// then one scatter of the kept set ids in set order fills the rows.
-    /// `off[v + 1]` serves as node `v`'s write cursor during the scatter
-    /// and finishes at `v`'s end, which is exactly `v + 1`'s start. The
-    /// scatter writes every slot of `sets`, so stale contents are never
-    /// cleared.
-    pub(crate) fn transpose_into(
+    /// then one scatter of the kept set ids in set order, each set's
+    /// members walked in either encoding, fills the rows. `off[v + 1]`
+    /// serves as node `v`'s write cursor during the scatter and finishes at
+    /// `v`'s end, which is exactly `v + 1`'s start. The scatter writes
+    /// every slot of `sets`, so stale contents are never cleared.
+    pub fn transpose_into(
         &self,
         counts: &[u32],
         skip: &FixedBitSet,
@@ -365,15 +515,15 @@ impl SketchPool {
             s
         }));
         sets.resize(start, 0);
-        for (id, w) in (0u32..).zip(self.set_off.windows(2)) {
+        for id in 0..u32_of(self.len()) {
             if skip.contains(id as usize) {
                 continue;
             }
-            for &v in &self.set_nodes[w[0]..w[1]] {
+            self.for_each_member(id, |v| {
                 let cursor = &mut off[v as usize + 1];
                 sets[*cursor] = id;
                 *cursor += 1;
-            }
+            });
         }
     }
 }
@@ -466,8 +616,8 @@ mod tests {
         assert_eq!(sets_of_vec(&pool, 2), vec![0, 1]);
         assert_eq!(sets_of_vec(&pool, 0), vec![0]);
         assert_eq!(sets_of_vec(&pool, 1), Vec::<u32>::new());
-        assert_eq!(pool.set(0), &[0, 2]);
-        assert_eq!(pool.set(1), &[2]);
+        assert_eq!(*pool.set(0), [0, 2]);
+        assert_eq!(*pool.set(1), [2]);
     }
 
     #[test]
@@ -549,8 +699,9 @@ mod tests {
         // Sets of 7 members tile the column, so sets and hits straddle the
         // 16-member chunk boundaries; node 5 sits in every third set and
         // once in the unchunked tail. Sets already covered are skipped,
-        // and the scan stops once `uncovered` sets are covered.
-        let mut pool = SketchPool::new(40);
+        // and the scan stops once `uncovered` sets are covered. Over 512
+        // nodes a bitmap takes 8 words, so every set here is an id list.
+        let mut pool = SketchPool::new(512);
         for i in 0..30u32 {
             let mut set: Vec<NodeId> = (10..16).map(|u| u + i % 20).collect();
             set.insert((i % 7) as usize, if i % 3 == 0 { 5 } else { 6 });
@@ -713,5 +864,162 @@ mod tests {
             pool.add_set(&[i, i + 1, i + 2]);
         }
         assert!(pool.heap_bytes() > empty);
+    }
+
+    /// `size` distinct nodes of `0..n` in a scrambled order, as a BFS
+    /// appends them (7 919 is prime, so the map is a permutation).
+    fn scrambled(n: usize, size: usize, shift: u32) -> Vec<NodeId> {
+        (0..size)
+            .map(|k| u32_of((k * 7_919 + shift as usize) % n))
+            .collect()
+    }
+
+    #[test]
+    fn each_set_takes_the_smaller_encoding() {
+        // At n = 20 000 a bitmap is 313 words, 2 504 bytes: an id list of
+        // 626 members (2 504 bytes) stays a list, one of 627 becomes a
+        // bitmap. Both give back the same members; only a list keeps the
+        // order they came in, and the counts saw every member either way.
+        let n = 20_000;
+        let sizes = [0, 1, 625, 626, 627, 11_000, n];
+        let sets: Vec<Vec<NodeId>> = (0..)
+            .zip(sizes)
+            .map(|(i, size)| scrambled(n, size, i))
+            .collect();
+        let mut pool = SketchPool::new(n);
+        let mut counts = SketchCounts::new(n);
+        for set in &sets {
+            pool.add_set(set);
+            counts.add_set(set);
+        }
+        assert_eq!(pool.dense_ids, [4, 5, 6]);
+        assert_eq!(pool.dense_bits.len(), 3 * 313);
+        assert_eq!(pool.set_nodes.len(), 1 + 625 + 626);
+        assert_eq!(pool.counts(), &counts);
+        assert_eq!(pool.total_size(), sizes.iter().sum::<usize>());
+        for (id, set) in (0..).zip(&sets) {
+            let mut walked = Vec::new();
+            pool.for_each_member(id, |v| walked.push(v));
+            assert_eq!(*pool.set(id), walked[..], "set {id}");
+            if pool.bitmap(id).is_some() {
+                assert!(walked.is_sorted(), "set {id}: a bitmap walks ascending");
+                let mut want = set.clone();
+                want.sort_unstable();
+                assert_eq!(walked, want, "set {id}");
+            } else {
+                assert!(matches!(pool.set(id), Cow::Borrowed(_)), "set {id}");
+                assert_eq!(&walked, set, "set {id}: a list keeps its order");
+            }
+        }
+    }
+
+    #[test]
+    fn bit_walk_matches_a_scan_at_every_word_density() {
+        // Runs of words from empty to full, so the walk switches between
+        // its buffered and bit-by-bit paths and flushes mid-run.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let bits: Vec<u64> = (0..600)
+            .map(|i| match i / 40 % 5 {
+                0 => 0,
+                1 => next() & next() & next() & next(),
+                2 => next() & next() & next(),
+                3 => next(),
+                _ => next() | next(),
+            })
+            .collect();
+        let mut walked = Vec::new();
+        for_each_bit(&bits, |v| walked.push(v));
+        let scan: Vec<NodeId> = (0..u32_of(64 * bits.len()))
+            .filter(|&v| bits[v as usize >> 6] & (1 << (v & 63)) != 0)
+            .collect();
+        assert_eq!(walked, scan);
+    }
+
+    #[test]
+    fn k_dense_sets_hold_at_most_n_over_8_bytes_each() {
+        // A dense set stores its bitmap (8⌈n/64⌉ bytes), its offset (8) and
+        // its id (4), so k of them store at most k·(8⌈n/64⌉ + 16) bytes
+        // besides the counts' O(n) and the leading offset, whatever their
+        // sizes. Vec's doubling allocates at most twice what is stored,
+        // plus the first allocations' minimum capacities. The same sets as
+        // id lists would take 4 bytes per member: 44 000 bytes each here,
+        // over 8 times what the pool holds.
+        let n = 20_000usize;
+        let per_set = 8 * n.div_ceil(64) + 16;
+        let mut pool = SketchPool::new(n);
+        for k in 1..=300 {
+            pool.add_set(&scrambled(n, 11_000, k));
+            let k = k as usize;
+            let stored =
+                8 * pool.set_off.len() + 4 * pool.dense_ids.len() + 8 * pool.dense_bits.len();
+            assert!(stored <= k * per_set + 8, "k = {k}: {stored} bytes stored");
+            let beyond_counts = pool.heap_bytes() - pool.counts().heap_bytes();
+            assert!(
+                beyond_counts <= 2 * k * per_set + 64,
+                "k = {k}: {beyond_counts} bytes allocated"
+            );
+        }
+        assert!(pool.counts().heap_bytes() <= 12 * n);
+        assert!(pool.heap_bytes() * 8 < 4 * pool.total_size());
+        pool.reset();
+        assert!(pool.dense_ids.is_empty() && pool.dense_bits.is_empty());
+        assert_eq!(pool.total_size(), 0);
+    }
+
+    #[test]
+    fn column_scan_tests_dense_sets_then_scans_sparse_ones() {
+        // Over 64 nodes a bitmap is one word, so sets of 3 or more members
+        // are dense. Node 5 is in dense sets 0 and 3 and in sparse sets 1
+        // and 4; the scan covers the dense ones, then the sparse ones,
+        // skips covered sets and stops at the last uncovered one.
+        let mut pool = SketchPool::new(64);
+        let sets: [&[NodeId]; 7] = [
+            &[9, 5, 8],
+            &[5, 1],
+            &[2, 3, 4],
+            &[63, 6, 5, 40],
+            &[5],
+            &[],
+            &[6],
+        ];
+        for set in sets {
+            pool.add_set(set);
+        }
+        assert_eq!(pool.dense_ids, [0, 2, 3]);
+        assert_eq!(sets_of_vec(&pool, 5), [0, 1, 3, 4]);
+        assert_eq!(sets_of_vec(&pool, 6), [3, 6]);
+        assert_eq!(sets_of_vec(&pool, 63), [3]);
+        assert_eq!(*pool.set(3), [5, 6, 40, 63]);
+        assert!(pool.set(5).is_empty());
+
+        let mut covered = FixedBitSet::new(pool.len());
+        assert_eq!(covered_by_scan(&pool, 5, 4, &mut covered), [0, 3, 1, 4]);
+        assert!(covered.ones().eq([0, 1, 3, 4]));
+
+        let mut covered = FixedBitSet::new(pool.len());
+        covered.insert(3);
+        assert_eq!(covered_by_scan(&pool, 5, 1, &mut covered), [0]);
+        assert_eq!(covered_by_scan(&pool, 5, 2, &mut covered), [1, 4]);
+        assert!(covered.ones().eq([0, 1, 3, 4]));
+
+        // the transpose skips covered sets of either encoding
+        let mut skip = FixedBitSet::new(pool.len());
+        skip.insert(0);
+        skip.insert(1);
+        let mut marginal = pool.coverage_counts().to_vec();
+        for id in [0, 1] {
+            pool.for_each_member(id, |v| marginal[v as usize] -= 1);
+        }
+        let (mut off, mut rows) = (Vec::new(), Vec::new());
+        pool.transpose_into(&marginal, &skip, &mut off, &mut rows);
+        assert_eq!(&rows[off[5]..off[6]], [3, 4]);
+        assert_eq!(&rows[off[6]..off[7]], [3, 6]);
+        assert_eq!(off[10] - off[9], 0, "node 9 is only in covered set 0");
     }
 }

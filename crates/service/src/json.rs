@@ -7,6 +7,7 @@
 
 use crate::error::ServiceError;
 use serde_json::Value;
+use smin_graph::error::quoted;
 
 /// Parses a request body as a JSON object.
 pub fn parse_object(body: &[u8]) -> Result<Value, ServiceError> {
@@ -20,7 +21,8 @@ pub fn parse_object(body: &[u8]) -> Result<Value, ServiceError> {
     match value {
         Value::Object(_) => Ok(value),
         other => Err(ServiceError::bad_request(format!(
-            "request body must be a JSON object, found {other:?}"
+            "request body must be a JSON object, found {}",
+            quoted(&serde_json::to_string(&other))
         ))),
     }
 }
@@ -38,7 +40,10 @@ pub fn field<'a>(obj: &'a Value, key: &str) -> Option<&'a Value> {
 }
 
 fn wrong_type(key: &str, expected: &str, found: &Value) -> ServiceError {
-    ServiceError::bad_request(format!("field '{key}' must be {expected}, found {found:?}"))
+    ServiceError::bad_request(format!(
+        "field '{key}' must be {expected}, found {}",
+        quoted(&serde_json::to_string(found))
+    ))
 }
 
 /// Optional string field.

@@ -11,6 +11,7 @@
 use crate::error::ServiceError;
 use serde_json::{json, Value};
 use smin_core::AstiSession;
+use smin_graph::error::quoted;
 use smin_graph::{store, Graph};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,7 +68,8 @@ impl GraphEntry {
     /// pools and coverage engines (observability), as
     /// [`AstiSession::pool_heap_bytes`] sums them. A graph served only at
     /// b = 1 reads O(n) bytes per session here whatever `|R|` its selects
-    /// drew; TRIM-B's member column grows with `|R|`.
+    /// drew; TRIM-B's member columns grow with `|R|`, by at most about
+    /// `n/8` bytes per set.
     pub fn warm_pool_bytes(&self) -> usize {
         self.lock_sessions()
             .iter()
@@ -119,14 +121,18 @@ impl Registry {
                         .all(|c| c.is_ascii_alphanumeric() || "-_.".contains(c))
                 {
                     return Err(ServiceError::bad_request(format!(
-                        "graph id {id:?} must be non-empty [A-Za-z0-9._-]"
+                        "graph id {} must be non-empty [A-Za-z0-9._-]",
+                        quoted(&id)
                     )));
                 }
                 if self.entries.contains_key(&id) {
                     return Err(ServiceError::new(
                         409,
                         "graph_exists",
-                        format!("graph '{id}' is already registered; DELETE it first"),
+                        format!(
+                            "graph {} is already registered; DELETE it first",
+                            quoted(&id)
+                        ),
                     ));
                 }
                 Ok(id)
@@ -155,7 +161,10 @@ impl Registry {
             return Err(ServiceError::new(
                 409,
                 "graph_exists",
-                format!("graph '{id}' is already registered; DELETE it first"),
+                format!(
+                    "graph {} is already registered; DELETE it first",
+                    quoted(&id)
+                ),
             ));
         }
         let entry = Arc::new(GraphEntry {

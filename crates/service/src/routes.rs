@@ -50,6 +50,7 @@ use rand::SeedableRng;
 use serde_json::{json, Value};
 use smin_core::{asti_in, eta_of_fraction, AstiParams, AstiSession};
 use smin_diffusion::{Model, Realization, RealizationOracle};
+use smin_graph::error::quoted;
 use smin_graph::generators::GeneratorSpec;
 use smin_graph::{io, store, Graph, WeightModel};
 use std::collections::BTreeSet;
@@ -498,7 +499,7 @@ fn generate_graph(spec: &Value) -> Result<(Graph, String), ServiceError> {
     // The size ceilings are checked here, so a spec is never an allocation
     // that aborts the process; `GeneratorSpec::generate` then turns what the
     // generator would assert into a 400, never a panic on a dispatch thread.
-    let bad = |msg: String| ServiceError::bad_request(format!("{kind}: {msg}"));
+    let bad = |msg: String| ServiceError::bad_request(format!("{}: {msg}", quoted(&kind)));
     if n > MAX_GENERATED_NODES {
         return Err(bad(format!(
             "'n' = {n} exceeds the ceiling of {MAX_GENERATED_NODES} nodes"
@@ -534,7 +535,8 @@ fn generate_graph(spec: &Value) -> Result<(Graph, String), ServiceError> {
         }
         other => {
             return Err(ServiceError::bad_request(format!(
-                "unknown generator '{other}' (chung-lu | ba | er | ws)"
+                "unknown generator {} (chung-lu | ba | er | ws)",
+                quoted(other)
             )))
         }
     };
@@ -572,7 +574,8 @@ fn load_graph_file(
         .any(|c| !matches!(c, Component::Normal(_) | Component::CurDir));
     if rel.is_empty() || traversal {
         return Err(ServiceError::bad_request(format!(
-            "path {rel:?} must be relative to the graphs dir, without '..'"
+            "path {} must be relative to the graphs dir, without '..'",
+            quoted(rel)
         )));
     }
     // Content-sniffing loader: `.smg` snapshots, the legacy binary dump, and
@@ -636,7 +639,7 @@ fn delete_graph(state: &ServiceState, id: &str) -> Result<Response, ServiceError
     if !registry.remove(id) {
         return Err(ServiceError::not_found(
             "unknown_graph",
-            format!("graph '{id}' is not registered"),
+            format!("graph {} is not registered", quoted(id)),
         ));
     }
     if let Some(dir) = &state.state_dir {
@@ -707,7 +710,7 @@ fn resolve_graph(
     lookup(&graph_id).ok_or_else(|| {
         ServiceError::not_found(
             "unknown_graph",
-            format!("graph '{graph_id}' is not registered"),
+            format!("graph {} is not registered", quoted(&graph_id)),
         )
     })
 }
@@ -767,7 +770,8 @@ fn parse_select_fields(
         }
         other => {
             return Err(ServiceError::bad_request(format!(
-                "unknown algo '{other}' (asti | trim | trim-b)"
+                "unknown algo {} (asti | trim | trim-b)",
+                quoted(other)
             )))
         }
     }

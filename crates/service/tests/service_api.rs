@@ -209,6 +209,35 @@ fn malformed_requests_get_structured_errors() {
     handle.shutdown();
 }
 
+/// JSON that RFC 8259 does not allow is a 400 before any graph is looked
+/// up: a `+` sign, a leading `.`, a leading zero, a trailing `.`, and a raw
+/// control character inside a string. A lax parser read `"eta":+20` as 20
+/// and answered with the unknown graph's 404.
+#[test]
+fn json_outside_rfc_8259_gets_400() {
+    let mut handle = spawn_server();
+    let mut c = client(&handle);
+    for body in [
+        r#"{"graph":"g","eta":+20}"#,
+        r#"{"graph":"g","eta":.5}"#,
+        r#"{"graph":"g","eta":007}"#,
+        r#"{"graph":"g","eta":1.}"#,
+        "{\"graph\":\"g\tx\",\"eta\":20}",
+    ] {
+        let resp = c.post("/v1/select", body).unwrap();
+        assert_eq!(resp.status, 400, "{body}: {}", resp.text());
+        assert!(
+            resp.text().contains("\"code\":\"bad_request\""),
+            "{body}: {}",
+            resp.text()
+        );
+    }
+    let resp = c.post("/v1/select", r#"{"graph":"g","eta":20}"#).unwrap();
+    assert_eq!(resp.status, 404, "{}", resp.text());
+    drop(c);
+    handle.shutdown();
+}
+
 #[test]
 fn concurrent_clients_share_one_registry() {
     let mut handle = spawn_server();

@@ -214,6 +214,85 @@ fn four_mib_select_body_gets_its_4xx_in_seconds_and_the_worker_survives() {
 }
 
 #[test]
+fn long_strings_get_small_structured_errors_and_the_worker_survives() {
+    // Each error that names a string from the request quotes at most 64
+    // characters of it plus its length. Quoted whole, a 1 MiB graph id got
+    // a 1 MiB 404, built and sent by the only dispatch worker.
+    let mut handle = spawn(|c| c.workers = 1);
+    let mut c = client(&handle);
+    let resp = c.post("/v1/graphs", REGISTER).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    let long = "x".repeat(1 << 20);
+    let cases = [
+        (
+            "/v1/select",
+            format!(r#"{{"graph":"{long}","eta":20}}"#),
+            404,
+        ),
+        (
+            "/v1/select",
+            format!(r#"{{"graph":"g","eta":20,"algo":"{long}"}}"#),
+            400,
+        ),
+        (
+            "/v1/select",
+            format!(r#"{{"graph":"g","eta":20,"model":"{long}"}}"#),
+            400,
+        ),
+        (
+            "/v1/select",
+            format!(r#"{{"graph":"g","eta":"{long}"}}"#),
+            400,
+        ),
+        ("/v1/select", format!(r#"["{long}"]"#), 400),
+        (
+            "/v1/graphs",
+            format!(r#"{{"generate":{{"kind":"{long}","n":10}}}}"#),
+            400,
+        ),
+        (
+            "/v1/graphs",
+            format!(r#"{{"generate":{{"kind":"ba","n":10,"weights":"{long}"}}}}"#),
+            400,
+        ),
+        (
+            "/v1/graphs",
+            format!(r#"{{"id":"{long}!","generate":{{"kind":"ba","n":10}}}}"#),
+            400,
+        ),
+    ];
+    for (path, body, status) in &cases {
+        let resp = c.post(path, body).unwrap();
+        let text = resp.text();
+        let head = &text[..text.len().min(200)];
+        assert_eq!(resp.status, *status, "{path}: {head}");
+        assert!(text.len() < 1024, "{path}: {} bytes: {head}", text.len());
+        assert!(
+            text.contains(" bytes)"),
+            "{path}: the length is quoted: {head}"
+        );
+        assert!(resp.json().is_ok(), "{head}");
+    }
+    // A request line is capped at 8 KiB, so a DELETE names a shorter id.
+    let resp = c
+        .delete(&format!("/v1/graphs/{}", "y".repeat(7 << 10)))
+        .unwrap();
+    assert_eq!(resp.status, 404, "{}", resp.text());
+    assert!(resp.text().len() < 1024, "{} bytes", resp.text().len());
+    let resp = c.get("/healthz").unwrap();
+    assert_eq!(resp.status, 200, "server must survive");
+    let resp = c
+        .post(
+            "/v1/select",
+            r#"{"graph":"g","eta":20,"seed":3,"cache":false}"#,
+        )
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    drop(c);
+    handle.shutdown();
+}
+
+#[test]
 fn bad_generator_specs_get_400_and_the_worker_survives() {
     // Before the service checked generator preconditions and size
     // ceilings, each body panicked its dispatch worker or aborted the

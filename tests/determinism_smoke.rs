@@ -10,7 +10,7 @@ use rand::{RngCore, SeedableRng};
 use seedmin::algo::trim::{trim, TrimScratch};
 use seedmin::algo::trim_b::trim_b;
 use seedmin::prelude::*;
-use seedmin::sampling::{RootCountDist, SketchGenPool, SketchJob, SketchPool};
+use seedmin::sampling::{RootCountDist, SketchGenPool, SketchJob, SketchPool, SketchSink};
 
 fn run_once(seed: u64) -> (usize, Vec<u32>, usize) {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -59,10 +59,44 @@ fn dump_pool(pool: &SketchPool) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// FNV-1a over the sets in the order the sampler appends them, each in its
+/// BFS order (order-sensitive), passed on to a pool. The pool itself keeps
+/// a dense set as a bitmap, which reads back sorted, so the digest is taken
+/// here, as the sets arrive.
+struct Digested {
+    digest: u64,
+    pool: SketchPool,
+}
+
+impl Digested {
+    fn new(n: usize) -> Self {
+        Digested {
+            digest: 0xcbf29ce484222325,
+            pool: SketchPool::new(n),
+        }
+    }
+}
+
+impl SketchSink for Digested {
+    fn len(&self) -> usize {
+        self.pool.len()
+    }
+
+    fn add_set(&mut self, nodes: &[u32]) {
+        for &v in nodes {
+            self.digest ^= v as u64 + 1;
+            self.digest = self.digest.wrapping_mul(0x100000001b3);
+        }
+        self.digest ^= 0xFFFF_FFFF;
+        self.digest = self.digest.wrapping_mul(0x100000001b3);
+        self.pool.add_set(nodes);
+    }
+}
+
 /// TRIM keeps only its sets' coverage counts, so its tests rebuild the
 /// members: the `sets` sets of the round on `residual` at shortfall
 /// `eta_i` whose base seed is `base_seed`, drawn again through the same
-/// sampling path into a pool.
+/// sampling path into a pool, and their digest.
 fn regenerate(
     g: &Graph,
     residual: &ResidualState,
@@ -70,7 +104,7 @@ fn regenerate(
     base_seed: u64,
     sets: usize,
     threads: usize,
-) -> SketchPool {
+) -> Digested {
     let job = SketchJob {
         graph: g,
         model: Model::IC,
@@ -79,23 +113,9 @@ fn regenerate(
         dist: RootCountDist::Randomized,
         base_seed,
     };
-    let mut pool = SketchPool::new(g.n());
-    SketchGenPool::new(g.n()).generate(&job, sets, threads, &mut pool);
-    pool
-}
-
-/// FNV-1a over the pool's flattened set contents (order-sensitive).
-fn pool_digest(pool: &SketchPool) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for i in 0..pool.len() as u32 {
-        for &v in pool.set(i) {
-            h ^= v as u64 + 1;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h ^= 0xFFFF_FFFF;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let mut sink = Digested::new(g.n());
+    SketchGenPool::new(g.n()).generate(&job, sets, threads, &mut sink);
+    sink
 }
 
 /// Golden regression: selections and pool contents captured from the
@@ -111,6 +131,9 @@ fn pool_digest(pool: &SketchPool) -> u64 {
 /// same set counts with other contents. TRIM keeps only its sets' coverage
 /// counts, so its pool is rebuilt from the round's base seed; the rebuilt
 /// pool still reads the golden digest, and its counts are TRIM's exactly.
+/// Both digests hash the sets as the sampler appends them, in BFS order:
+/// the pool keeps a dense set as a bitmap, which reads back sorted. So
+/// TRIM-B's sets are rebuilt the same way, and must equal its pool's.
 #[test]
 fn selections_match_pre_refactor_goldens() {
     let (g, residual) = thread_fixture();
@@ -132,12 +155,14 @@ fn selections_match_pre_refactor_goldens() {
         assert_eq!(out.node, 399, "trim selection drifted at {threads} threads");
         assert_eq!(out.coverage, 216);
         assert_eq!(out.sets_generated, 332);
-        let pool = regenerate(&g, &residual, 60, base_seed, out.sets_generated, threads);
-        assert_eq!(pool_digest(&pool), 0x68e95bf3a5e60242);
+        let Digested { digest, pool } =
+            regenerate(&g, &residual, 60, base_seed, out.sets_generated, threads);
+        assert_eq!(digest, 0x68e95bf3a5e60242);
         assert_eq!(pool.counts(), scratch.counts());
 
         let mut scratch = TrimScratch::new(g.n());
         let mut rng = SmallRng::seed_from_u64(0xB47C);
+        let base_seed = rng.clone().next_u64();
         let out = trim_b(
             &g,
             Model::IC,
@@ -152,7 +177,10 @@ fn selections_match_pre_refactor_goldens() {
         assert_eq!(out.seeds, vec![399, 212, 546, 449], "trim_b batch drifted");
         assert_eq!(out.coverage, 385);
         assert_eq!(out.sets_generated, 414);
-        assert_eq!(pool_digest(scratch.pool()), 0xf8f109e4c13b9d09);
+        let Digested { digest, pool } =
+            regenerate(&g, &residual, 60, base_seed, out.sets_generated, threads);
+        assert_eq!(digest, 0xf8f109e4c13b9d09);
+        assert_eq!(dump_pool(&pool), dump_pool(scratch.pool()));
     }
 
     let (_, seeds, activated) = run_once(0xA571);
@@ -229,8 +257,9 @@ fn trim_selection_and_pool_identical_across_thread_counts() {
             &mut rng,
         )
         .unwrap();
-        let pool = regenerate(&g, &residual, 60, base_seed, out.sets_generated, threads);
-        assert_eq!(pool_digest(&pool), 0x68e95bf3a5e60242, "{threads} threads");
+        let Digested { digest, pool } =
+            regenerate(&g, &residual, 60, base_seed, out.sets_generated, threads);
+        assert_eq!(digest, 0x68e95bf3a5e60242, "{threads} threads");
         assert_eq!(pool.counts(), scratch.counts(), "{threads} threads");
         let state = (out.node, out.coverage, out.sets_generated, dump_pool(&pool));
         match &baseline {

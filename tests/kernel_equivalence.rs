@@ -659,7 +659,8 @@ fn reverse_bfs_matches_per_edge_reference() {
 
 /// `SketchGenPool::generate` at 1 and 3 threads on every equivalence
 /// graph, with about 10% of the nodes dead, reproduces the reference driven
-/// through the same per-set RNG streams and root draws.
+/// through the same per-set RNG streams and root draws. Members compare as
+/// sets: the pool keeps a dense set as a bitmap, which reads back sorted.
 #[test]
 fn sketch_pool_generation_matches_per_edge_reference() {
     use seedmin::diffusion::{DistinctDraw, Model, ResidualState};
@@ -687,6 +688,7 @@ fn sketch_pool_generation_matches_per_edge_reference() {
                 let alive = Some(snapshot.alive_mask());
                 want_edges += reference.sample_into(&g, model, alive, &roots, &mut rng, &mut set);
                 want.push(set.clone());
+                want.last_mut().unwrap().sort_unstable();
             }
             for threads in [1usize, 3] {
                 let job = SketchJob {
@@ -703,7 +705,9 @@ fn sketch_pool_generation_matches_per_edge_reference() {
                 assert_eq!(stats.sets_generated, sets);
                 assert_eq!(stats.edges_examined, want_edges, "{case}");
                 for (i, w) in want.iter().enumerate() {
-                    assert_eq!(pool.set(i as u32), &w[..], "{case} set {i}");
+                    let mut got = pool.set(i as u32).into_owned();
+                    got.sort_unstable();
+                    assert_eq!(got, *w, "{case} set {i}");
                 }
             }
         }

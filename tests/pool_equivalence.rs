@@ -7,12 +7,20 @@
 //! across pool growth between two selections on one engine. The member-free
 //! [`SketchCounts`] that TRIM and AdaptIM grow, fed the same sets, must
 //! answer `|R|`, the coverage counts and the argmax identically too.
+//!
+//! The pool keeps each set in the smaller of two encodings, an id list or a
+//! bitmap of `⌈n/64⌉` words (over `2⌈n/64⌉` members). The second family of
+//! cases draws sets below, at and above that threshold, empty ones
+//! included, at node counts around the word boundaries, and checks both
+//! encodings on every surface: members (as sets), counts, the column
+//! scan's ids and mask, the transpose's rows, and `select` /
+//! `select_until`.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use seedmin::sampling::{greedy_max_coverage, CoverageEngine, SketchCounts, SketchPool};
-use smin_graph::NodeId;
+use smin_graph::{FixedBitSet, NodeId};
 
 /// The reference layout: per-node `Vec`s, scans everything, obviously
 /// correct. Tie-breaking matches the engine (higher gain, then smaller id).
@@ -71,11 +79,17 @@ impl NaivePool {
     }
 
     fn greedy(&self, b: usize) -> (Vec<NodeId>, u32) {
+        self.greedy_until(b, u32::MAX)
+    }
+
+    /// The greedy, stopping after `b` picks or once `target` sets are
+    /// covered.
+    fn greedy_until(&self, b: usize, target: u32) -> (Vec<NodeId>, u32) {
         let mut marginal = self.coverage_counts();
         let mut covered_sets = vec![false; self.sets.len()];
         let mut seeds = Vec::new();
         let mut covered = 0;
-        for _ in 0..b {
+        while seeds.len() < b && covered < target {
             let mut best: Option<(NodeId, u32)> = None;
             for v in 0..self.n as u32 {
                 let c = marginal[v as usize];
@@ -117,6 +131,116 @@ fn random_sets() -> impl Strategy<Value = (usize, Vec<Vec<NodeId>>)> {
     })
 }
 
+/// Node counts around the bitmap's word boundaries, and the size of the
+/// largest id list at each: `2⌈n/64⌉` members, whose 4 bytes each equal the
+/// bitmap's `8⌈n/64⌉`.
+const NODE_COUNTS: [usize; 6] = [1, 63, 64, 65, 600, 20_000];
+
+/// Strategy: duplicate-free sets over `0..n` for an `n` of
+/// [`NODE_COUNTS`], in random member order, sized below, at and just above
+/// the largest id list, far above it, or empty.
+fn mixed_sets() -> impl Strategy<Value = (usize, Vec<Vec<NodeId>>)> {
+    (0..NODE_COUNTS.len(), 0u64..10_000).prop_map(|(which, seed)| {
+        let n = NODE_COUNTS[which];
+        let list = (2 * n.div_ceil(64)).min(n);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut nodes: Vec<NodeId> = (0..n as u32).collect();
+        let batch = rng.random_range(0..24usize);
+        let sets = (0..batch)
+            .map(|_| {
+                let size = match rng.random_range(0..6) {
+                    0 => 0,
+                    1 => rng.random_range(0..=list),
+                    2 => list,
+                    3 => (list + 1).min(n),
+                    _ => rng.random_range(list..=n),
+                };
+                // a partial Fisher–Yates shuffle: `size` distinct nodes
+                for i in 0..size {
+                    let j = rng.random_range(i..n);
+                    nodes.swap(i, j);
+                }
+                nodes[..size].to_vec()
+            })
+            .collect();
+        (n, sets)
+    })
+}
+
+/// A random mask over `sets` sets, about one in three set.
+fn random_mask(sets: usize, rng: &mut SmallRng) -> FixedBitSet {
+    let mut mask = FixedBitSet::new(sets);
+    for s in 0..sets {
+        if rng.random_range(0..3) == 0 {
+            mask.insert(s);
+        }
+    }
+    mask
+}
+
+/// Both encodings against the naive reference on every surface the
+/// coverage engine reads: members, the column scan and the transpose.
+fn assert_members_scan_and_transpose(pool: &SketchPool, naive: &NaivePool, seed: u64) {
+    let n = naive.n;
+    assert_eq!(
+        pool.total_size(),
+        naive.sets.iter().map(Vec::len).sum::<usize>()
+    );
+    for (i, set) in (0u32..).zip(&naive.sets) {
+        let mut want = set.clone();
+        want.sort_unstable();
+        let mut walked = Vec::new();
+        pool.for_each_member(i, |v| walked.push(v));
+        assert_eq!(*pool.set(i), walked[..], "set {i}");
+        if set.len() <= 2 * n.div_ceil(64) {
+            assert_eq!(&walked, set, "set {i}: an id list keeps the append order");
+        }
+        walked.sort_unstable();
+        assert_eq!(walked, want, "set {i}");
+    }
+
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let step = n.div_ceil(40);
+    for v in (0..n as u32).step_by(step) {
+        let mut covered = random_mask(pool.len(), &mut rng);
+        let before = covered.clone();
+        let want: Vec<u32> = naive.node_sets[v as usize]
+            .iter()
+            .copied()
+            .filter(|&s| !before.contains(s as usize))
+            .collect();
+        let mut got = Vec::new();
+        pool.cover_sets_of(v, want.len() as u32, &mut covered, |s| got.push(s));
+        got.sort_unstable();
+        assert_eq!(got, want, "node {v}: sets covered");
+        let mut mask: Vec<usize> = before
+            .ones()
+            .chain(want.iter().map(|&s| s as usize))
+            .collect();
+        mask.sort_unstable();
+        assert!(covered.ones().eq(mask), "node {v}: mask");
+    }
+
+    let skip = random_mask(pool.len(), &mut rng);
+    let rows: Vec<Vec<u32>> = naive
+        .node_sets
+        .iter()
+        .map(|sets| {
+            sets.iter()
+                .copied()
+                .filter(|&s| !skip.contains(s as usize))
+                .collect()
+        })
+        .collect();
+    let counts: Vec<u32> = rows.iter().map(|r| r.len() as u32).collect();
+    let (mut off, mut sets) = (Vec::new(), Vec::new());
+    pool.transpose_into(&counts, &skip, &mut off, &mut sets);
+    for (v, row) in rows.iter().enumerate() {
+        assert_eq!(&sets[off[v]..off[v + 1]], &row[..], "row {v}");
+    }
+    assert_eq!(off[n], sets.len());
+}
+
 /// The pool, the counts and the naive reference, fed the same sets.
 fn build_all(n: usize, sets: &[Vec<NodeId>]) -> (SketchPool, SketchCounts, NaivePool) {
     let mut pool = SketchPool::new(n);
@@ -151,7 +275,10 @@ fn assert_equivalent(
     assert_eq!(counts.argmax(), naive.argmax());
     assert_eq!(pool.len(), naive.sets.len());
     for (i, set) in naive.sets.iter().enumerate() {
-        assert_eq!(pool.set(i as u32), &set[..], "set {i} diverged");
+        let (mut got, mut want) = (pool.set(i as u32).into_owned(), set.clone());
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "set {i} diverged");
     }
     assert_eq!(pool.coverage_counts(), &naive.coverage_counts()[..]);
     assert_eq!(pool.argmax(), naive.argmax());
@@ -168,6 +295,28 @@ fn assert_equivalent(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn both_encodings_match_naive_reference((n, sets) in mixed_sets(), seed in 0u64..1_000) {
+        let (pool, counts, naive) = build_all(n, &sets);
+        let mut engine = CoverageEngine::new();
+        assert_equivalent(&pool, &counts, &naive, &mut engine);
+        assert_members_scan_and_transpose(&pool, &naive, seed);
+        // past 8 picks a greedy run builds the transpose and commits rows
+        for b in [12usize, n] {
+            let (seeds, covered) = naive.greedy(b);
+            let got = engine.select(&pool, b);
+            assert_eq!(&got.seeds, &seeds, "b = {}", b);
+            assert_eq!(got.covered, covered, "b = {}", b);
+        }
+        for target in [1u32, (sets.len() / 2) as u32, sets.len() as u32 + 1] {
+            let (seeds, covered) = naive.greedy_until(usize::MAX, target);
+            let (got, reached) = engine.select_until(&pool, f64::from(target), |c| c);
+            assert_eq!(&got.seeds, &seeds, "target {}", target);
+            assert_eq!(got.covered, covered, "target {}", target);
+            assert_eq!(reached, covered >= target, "target {}", target);
+        }
+    }
 
     #[test]
     fn arena_pool_matches_naive_reference((n, sets) in random_sets()) {
