@@ -6,7 +6,10 @@
 //! the current run and must not exceed `baseline · (1 + tol)`. Structure is
 //! matched positionally, so both runs must sweep the same configurations —
 //! the harnesses pin their sweeps for exactly this reason. Improvements are reported but never
-//! fail; other leaves (`min`, `max`, counters) are informational only.
+//! fail; other leaves (`min`, `max`, counters) are informational only. So
+//! is the geometric mean of current ÷ baseline over the compared medians,
+//! which tells a host that is uniformly slower (every ratio near the mean)
+//! from a row that regressed (one ratio far above it).
 
 use serde_json::Value;
 
@@ -88,6 +91,9 @@ pub struct CheckReport {
     pub failures: Vec<String>,
     /// Medians compared.
     pub checked: usize,
+    /// Geometric mean of current ÷ baseline over the medians positive in
+    /// both runs, and how many those are; `None` when there are none.
+    pub geomean: Option<(f64, usize)>,
 }
 
 /// Compares every baseline `"median"` leaf against the current run.
@@ -100,7 +106,9 @@ pub fn compare(baseline: &Value, current: &Value, tol: f64) -> CheckReport {
         lines: Vec::new(),
         failures: Vec::new(),
         checked: pairs.len(),
+        geomean: None,
     };
+    let (mut ln_sum, mut positive) = (0.0, 0);
     for p in &pairs {
         match p.current {
             None => {
@@ -120,6 +128,10 @@ pub fn compare(baseline: &Value, current: &Value, tol: f64) -> CheckReport {
                 } else {
                     1.0
                 };
+                if p.baseline > 0.0 && c > 0.0 {
+                    ln_sum += ratio.ln();
+                    positive += 1;
+                }
                 let ok = c <= limit || (p.baseline == 0.0 && c == 0.0);
                 report.lines.push(format!(
                     "  {}: {:.3} -> {:.3}  (x{:.2}{})",
@@ -141,6 +153,7 @@ pub fn compare(baseline: &Value, current: &Value, tol: f64) -> CheckReport {
             }
         }
     }
+    report.geomean = (positive > 0).then(|| ((ln_sum / positive as f64).exp(), positive));
     report
 }
 
@@ -168,6 +181,9 @@ pub fn bench_check(args: &[String]) -> Result<(), String> {
     );
     for line in &report.lines {
         println!("{line}");
+    }
+    if let Some((mean, k)) = report.geomean {
+        println!("geomean current/baseline: x{mean:.3} over {k} median(s)");
     }
     if report.checked == 0 {
         return Err(format!("{baseline_path}: no \"median\" leaves to compare"));
@@ -241,6 +257,23 @@ mod tests {
             "{}",
             r.failures[0]
         );
+    }
+
+    #[test]
+    fn geomean_of_ratios_over_two_rows() {
+        // x2 and x8 average to x4; the zero-baseline leaf has no ratio.
+        let base = v(
+            r#"{"rows": [{"t": {"median": 100.0}}, {"t": {"median": 50.0}}, {"z": {"median": 0.0}}]}"#,
+        );
+        let cur = v(
+            r#"{"rows": [{"t": {"median": 200.0}}, {"t": {"median": 400.0}}, {"z": {"median": 0.0}}]}"#,
+        );
+        let r = compare(&base, &cur, 0.25);
+        let (mean, k) = r.geomean.expect("two positive pairs");
+        assert_eq!(k, 2);
+        assert!((mean - 4.0).abs() < 1e-12, "{mean}");
+        assert_eq!(r.failures.len(), 2, "the gate does not read the mean");
+        assert_eq!(compare(&v("{}"), &v("{}"), 0.25).geomean, None);
     }
 
     #[test]

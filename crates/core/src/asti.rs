@@ -134,11 +134,8 @@ pub fn asti_in(
         return Err(AsmError::EtaOutOfRange { eta, n });
     }
     if model == Model::LT {
-        for v in 0..u32_of(n) {
-            let mass = g.in_prob_sum(v);
-            if mass > 1.0 + 1e-9 {
-                return Err(AsmError::InvalidLtInstance { node: v, mass });
-            }
+        if let Some((node, mass)) = g.lt_overload() {
+            return Err(AsmError::InvalidLtInstance { node, mass });
         }
     }
 

@@ -92,6 +92,7 @@ pub struct Graph {
     fwd_dst: Vec<NodeId>,
     fwd_prob: Vec<f64>,
     rev: std::sync::OnceLock<RevCsr>,
+    lt_overload: std::sync::OnceLock<Option<(NodeId, f64)>>,
 }
 
 impl Graph {
@@ -111,6 +112,7 @@ impl Graph {
             fwd_dst,
             fwd_prob,
             rev: std::sync::OnceLock::new(),
+            lt_overload: std::sync::OnceLock::new(),
         }
     }
 
@@ -241,11 +243,23 @@ impl Graph {
         self.in_edges(v).map(|(_, p, _)| p).sum()
     }
 
-    /// `true` when every node's incoming probabilities sum to at most
-    /// `1 + 1e-9` (tolerance for floating point accumulation), i.e. the graph
-    /// is a valid LT instance.
+    /// The first node whose incoming probabilities sum to more than
+    /// `1 + 1e-9` (tolerance for floating point accumulation), with that
+    /// sum as [`in_prob_sum`](Self::in_prob_sum) computes it: the witness
+    /// that the graph is not a valid LT instance. The O(m) scan runs once
+    /// per graph.
+    pub fn lt_overload(&self) -> Option<(NodeId, f64)> {
+        *self.lt_overload.get_or_init(|| {
+            (0..u32_of(self.n))
+                .map(|v| (v, self.in_prob_sum(v)))
+                .find(|&(_, mass)| mass > 1.0 + 1e-9)
+        })
+    }
+
+    /// `true` when no node has an [`lt_overload`](Self::lt_overload), i.e.
+    /// the graph is a valid LT instance.
     pub fn is_valid_lt(&self) -> bool {
-        (0..self.n).all(|v| self.in_prob_sum(v as NodeId) <= 1.0 + 1e-9)
+        self.lt_overload().is_none()
     }
 
     /// Replaces every edge probability via `f(u, v, current)` keeping the
@@ -659,7 +673,11 @@ mod tests {
         let g = diamond();
         // node 3 receives 1.0 + 0.75 > 1 -> invalid LT instance
         assert!(!g.is_valid_lt());
+        let (node, mass) = g.lt_overload().unwrap();
+        assert_eq!(node, 3);
+        assert_eq!(mass.to_bits(), g.in_prob_sum(3).to_bits());
         let g2 = g.map_probabilities(|_, v, p| if v == 3 { p / 2.0 } else { p });
         assert!(g2.is_valid_lt());
+        assert_eq!(g2.lt_overload(), None);
     }
 }

@@ -23,11 +23,13 @@
 //! * [`bounds`] — the concentration bounds that drive the stopping rules:
 //!   Appendix A's martingale bounds (Lemma A.2), and the exact binomial
 //!   tail in KL form that TRIM certifies with;
-//! * [`parallel`] — deterministic multi-threaded sketch generation
-//!   (`std::thread` scoped workers + channels, chunked work-stealing) with
-//!   counter-derived per-set RNG streams, so the sets are bit-identical for
-//!   any thread count. It is the one sampling path: TRIM, TRIM-B, AdaptIM
-//!   and ATEUC draw every set through it.
+//! * [`parallel`] — deterministic multi-threaded sketch generation: one
+//!   loop over blocks of set indices, in which the caller samples the first
+//!   share into the sink while `t − 1` scoped helpers each buffer one
+//!   bounded share for it to append in index order. Counter-derived per-set
+//!   RNG streams make the sets bit-identical for any thread count. It is
+//!   the one sampling path: TRIM, TRIM-B, AdaptIM and ATEUC draw every set
+//!   through it.
 
 #![forbid(unsafe_code)]
 

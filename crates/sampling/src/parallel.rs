@@ -3,37 +3,43 @@
 //! TRIM spends nearly all of its time on Algorithm 2 line 6 and the
 //! growth steps of line 7 — generating mRR sets — and §3.3's sampling is
 //! independent per set, so the work is embarrassingly parallel. With no
-//! external thread-pool crates available offline, this module builds one
-//! from `std::thread` scoped workers plus `mpsc` channels:
+//! external thread-pool crates available offline, [`SketchGenPool`] runs
+//! one loop over blocks of set indices on `std::thread` scoped threads, and
+//! the calling thread is worker 0:
 //!
-//! * the target range of set indices is split into chunks, and workers
-//!   *steal* chunks from a shared atomic cursor (dynamic scheduling — a
-//!   worker stuck on an expensive chunk never blocks the others);
-//! * each finished chunk is shipped to the caller's thread over a channel
-//!   as a flattened node buffer (one allocation per chunk, not per set);
-//! * the caller appends chunks to its [`SketchSink`] (a
-//!   [`SketchCounts`](crate::SketchCounts) or a
-//!   [`SketchPool`](crate::SketchPool)) strictly in index order, streaming
-//!   as soon as the next-needed chunk lands.
+//! * a block is `t` consecutive shares of at most `CHUNK` (1 024) sets each;
+//! * the caller samples the block's first share straight into its
+//!   [`SketchSink`] (a [`SketchCounts`](crate::SketchCounts) or a
+//!   [`SketchPool`](crate::SketchPool));
+//! * meanwhile `t − 1` scoped helpers each sample one of the following
+//!   shares into a node column and an offset column of their own scratch;
+//! * once the helpers join, the caller appends their sets in index order
+//!   and starts the next block.
+//!
+//! At `t = 1`, or for a call of fewer than `MIN_PARALLEL_SETS` sets, there
+//! are no helpers and no thread starts: the caller samples every set into
+//! the sink.
 //!
 //! # Determinism
 //!
 //! Every sketch draws from its **own counter-derived RNG stream**:
 //! set index `i` in a generation round is sampled with
 //! `SmallRng::seed_from_u64(base_seed ^ i)` (the SplitMix64 finalizer inside
-//! `seed_from_u64` decorrelates adjacent streams). Chunk boundaries and
+//! `seed_from_u64` decorrelates adjacent streams). Share boundaries and
 //! thread scheduling therefore affect only *when* a set is sampled, never
-//! *what* is sampled — the generated sets, and hence every downstream seed
-//! selection, are bit-identical for any thread count, including the
-//! sequential fast path.
+//! *what* is sampled, and every set is appended in index order — the
+//! generated sets, and hence every downstream seed selection, are
+//! bit-identical for any thread count.
 //!
 //! # Memory
 //!
-//! The sequential path samples each set into one reused worker buffer and
-//! hands it straight to the sink, so it allocates nothing per set: into a
+//! The caller samples each set into one reused buffer and hands it straight
+//! to the sink, so its shares allocate nothing per set: at `t = 1`, into a
 //! [`SketchCounts`](crate::SketchCounts), a round holds O(n) bytes whatever
-//! its target. The parallel path holds each chunk's sets (at most 1 024)
-//! until the caller's thread appends them, and one reorder slot per chunk.
+//! its target. A helper buffers one share, at most `CHUNK` sets, in
+//! columns it reuses across blocks and calls, so a call holds at most
+//! `(t − 1)·CHUNK` sets besides its sink, whatever its target. There is no
+//! channel, cursor or reorder buffer.
 
 use crate::mrr::{sample_root_count, RootCountDist};
 use crate::pool::SketchSink;
@@ -42,17 +48,20 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use smin_diffusion::{DistinctDraw, Model, ResidualSnapshot};
 use smin_graph::{Graph, NodeId};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::ops::Range;
 
 /// Environment variable overriding the default worker count (used by CI to
-/// exercise both the sequential and the parallel path).
+/// exercise both the one-thread and the multi-thread schedule).
 pub const THREADS_ENV: &str = "SMIN_THREADS";
 
-/// Below this many sets the scheduling overhead outweighs the parallelism
-/// and generation runs inline on the caller's thread. Purely a performance
-/// knob: the output is identical either way.
+/// Below this many sets the thread start-up outweighs the parallelism and
+/// the caller samples the whole call alone. Purely a performance knob: the
+/// output is identical either way.
 const MIN_PARALLEL_SETS: usize = 128;
+
+/// Most sets in one worker's share of a block: the bound on what a helper
+/// buffers before the caller appends it.
+const CHUNK: usize = 1024;
 
 /// Resolves the worker count: an explicit request wins, then the
 /// [`THREADS_ENV`] override, then [`std::thread::available_parallelism`].
@@ -97,13 +106,19 @@ impl SketchJob<'_> {
     }
 }
 
-/// Per-worker scratch: reverse-BFS state, root-draw stamps, and buffers.
-/// Reused across generation calls so the hot path stays allocation-free.
+/// Per-worker scratch: reverse-BFS state, root-draw stamps, the set buffer,
+/// and a helper's share columns. Reused across blocks and generation calls
+/// so the hot path stays allocation-free.
 struct WorkerScratch {
     reverse: ReverseSampler,
     draw: DistinctDraw,
     roots: Vec<NodeId>,
     set_buf: Vec<NodeId>,
+    /// The share's sets, flattened: set `j` spans `nodes[offs[j]..offs[j + 1]]`.
+    nodes: Vec<NodeId>,
+    offs: Vec<usize>,
+    /// Edges the share's sets examined.
+    edges: usize,
 }
 
 impl WorkerScratch {
@@ -113,6 +128,9 @@ impl WorkerScratch {
             draw: DistinctDraw::new(),
             roots: Vec::new(),
             set_buf: Vec::new(),
+            nodes: Vec::new(),
+            offs: Vec::new(),
+            edges: 0,
         }
     }
 
@@ -133,15 +151,38 @@ impl WorkerScratch {
             &mut self.set_buf,
         )
     }
-}
 
-/// One finished chunk of sketches, flattened: set `j` of the chunk spans
-/// `nodes[offs[j]..offs[j + 1]]`.
-struct SketchChunk {
-    ordinal: usize,
-    nodes: Vec<NodeId>,
-    offs: Vec<usize>,
-    edges_examined: usize,
+    /// The caller's share: samples sets `range` straight into `sink`;
+    /// returns edges examined.
+    fn sample_to(
+        &mut self,
+        job: &SketchJob<'_>,
+        range: Range<usize>,
+        sink: &mut impl SketchSink,
+    ) -> usize {
+        let mut edges = 0;
+        for idx in range {
+            edges += self.sample_one(job, idx);
+            sink.add_set(&self.set_buf);
+        }
+        edges
+    }
+
+    /// A helper's share: samples sets `range` into the share columns,
+    /// replacing what they held. The offset column is sized exactly, so its
+    /// capacity is the largest share this worker ever buffered.
+    fn sample_share(&mut self, job: &SketchJob<'_>, range: Range<usize>) {
+        self.nodes.clear();
+        self.offs.clear();
+        self.offs.reserve_exact(range.len() + 1);
+        self.offs.push(0);
+        self.edges = 0;
+        for idx in range {
+            self.edges += self.sample_one(job, idx);
+            self.nodes.extend_from_slice(&self.set_buf);
+            self.offs.push(self.nodes.len());
+        }
+    }
 }
 
 /// Accounting for one generation call.
@@ -155,8 +196,10 @@ pub struct GenStats {
 }
 
 /// Reusable sketch-generation pool: owns one `WorkerScratch` per worker
-/// (grown lazily to the largest thread count seen) and schedules chunked
-/// generation over scoped `std::thread` workers.
+/// (grown lazily to the most workers a block has used) and runs the block
+/// loop of the module docs, the caller as worker 0 and `t − 1` scoped
+/// helpers per block. Besides its sink, a call holds at most
+/// `(t − 1)·CHUNK` sets, one share per helper.
 pub struct SketchGenPool {
     n: usize,
     workers: Vec<WorkerScratch>,
@@ -189,124 +232,57 @@ impl SketchGenPool {
         if target <= from {
             return GenStats::default();
         }
-        let total = target - from;
-        let threads = threads.max(1);
-        // Scratch is grown to the count actually used (1 here, the post-chunk
-        // worker count in `generate_parallel`): each WorkerScratch carries
-        // node-count-sized buffers, so over-provisioning is real memory.
-        self.ensure_workers(1);
-
-        if threads == 1 || total < MIN_PARALLEL_SETS {
-            return self.generate_sequential(job, from, target, pool);
+        let threads = if target - from < MIN_PARALLEL_SETS {
+            1
+        } else {
+            threads.max(1)
+        };
+        let mut edges_examined = 0;
+        let mut start = from;
+        while start < target {
+            // Worker w samples share w of the block, in index order.
+            let share = (target - start).div_ceil(threads).min(CHUNK);
+            let end = (start + threads * share).min(target);
+            let mid = start + share;
+            let helpers = (end - mid).div_ceil(share);
+            // Scratch grows only to the workers a block uses: each carries
+            // node-count-sized buffers, so over-provisioning is real memory.
+            self.ensure_workers(1 + helpers);
+            let (caller, helpers) = self.workers[..=helpers]
+                .split_first_mut()
+                .expect("at least the caller's scratch");
+            if helpers.is_empty() {
+                // No scope either: TRIM's first steps and `perf`'s per-set
+                // rows draw a few sets per call, and pay for no threads.
+                edges_examined += caller.sample_to(job, start..mid, pool);
+            } else {
+                std::thread::scope(|scope| {
+                    for (h, w) in helpers.iter_mut().enumerate() {
+                        let lo = mid + h * share;
+                        let hi = (lo + share).min(end);
+                        scope.spawn(move || w.sample_share(job, lo..hi));
+                    }
+                    edges_examined += caller.sample_to(job, start..mid, pool);
+                });
+                for w in helpers.iter() {
+                    for s in w.offs.windows(2) {
+                        pool.add_set(&w.nodes[s[0]..s[1]]);
+                    }
+                    edges_examined += w.edges;
+                }
+            }
+            start = end;
         }
-        self.generate_parallel(job, from, target, threads, pool)
+        GenStats {
+            sets_generated: target - from,
+            edges_examined,
+        }
     }
 
     fn ensure_workers(&mut self, count: usize) {
         while self.workers.len() < count {
             self.workers.push(WorkerScratch::new(self.n));
         }
-    }
-
-    /// Inline fast path: same per-set RNG streams, no thread machinery.
-    fn generate_sequential(
-        &mut self,
-        job: &SketchJob<'_>,
-        from: usize,
-        target: usize,
-        pool: &mut impl SketchSink,
-    ) -> GenStats {
-        let w = &mut self.workers[0];
-        let mut stats = GenStats::default();
-        for idx in from..target {
-            stats.edges_examined += w.sample_one(job, idx);
-            pool.add_set(&w.set_buf);
-            stats.sets_generated += 1;
-        }
-        stats
-    }
-
-    /// Scoped workers steal fixed-size chunks from an atomic cursor and ship
-    /// flattened results home over a channel; the caller's thread appends
-    /// them to the pool in chunk order as they complete.
-    fn generate_parallel(
-        &mut self,
-        job: &SketchJob<'_>,
-        from: usize,
-        target: usize,
-        threads: usize,
-        pool: &mut impl SketchSink,
-    ) -> GenStats {
-        let total = target - from;
-        // ~4 chunks per worker balances stealing granularity against
-        // per-chunk channel traffic; clamped so tiny chunks never dominate.
-        let chunk = (total / (threads * 4)).clamp(16, 1024);
-        let n_chunks = total.div_ceil(chunk);
-        let threads = threads.min(n_chunks);
-        self.ensure_workers(threads);
-
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<SketchChunk>();
-        let mut stats = GenStats::default();
-
-        std::thread::scope(|scope| {
-            for w in self.workers[..threads].iter_mut() {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    loop {
-                        let ordinal = cursor.fetch_add(1, Ordering::Relaxed);
-                        if ordinal >= n_chunks {
-                            break;
-                        }
-                        let start = from + ordinal * chunk;
-                        let end = (start + chunk).min(target);
-                        let mut nodes = Vec::new();
-                        let mut offs = Vec::with_capacity(end - start + 1);
-                        offs.push(0);
-                        let mut edges_examined = 0;
-                        for idx in start..end {
-                            edges_examined += w.sample_one(job, idx);
-                            nodes.extend_from_slice(&w.set_buf);
-                            offs.push(nodes.len());
-                        }
-                        if tx
-                            .send(SketchChunk {
-                                ordinal,
-                                nodes,
-                                offs,
-                                edges_examined,
-                            })
-                            .is_err()
-                        {
-                            break; // receiver gone: the caller is unwinding
-                        }
-                    }
-                });
-            }
-            drop(tx);
-
-            // Stream chunks into the pool in index order.
-            let mut pending: Vec<Option<SketchChunk>> = (0..n_chunks).map(|_| None).collect();
-            let mut next = 0usize;
-            for done in rx {
-                let ordinal = done.ordinal;
-                pending[ordinal] = Some(done);
-                while next < n_chunks {
-                    let Some(ch) = pending[next].take() else {
-                        break;
-                    };
-                    for w in ch.offs.windows(2) {
-                        pool.add_set(&ch.nodes[w[0]..w[1]]);
-                        stats.sets_generated += 1;
-                    }
-                    stats.edges_examined += ch.edges_examined;
-                    next += 1;
-                }
-            }
-        });
-        debug_assert_eq!(pool.len(), target, "all chunks must have arrived");
-        stats
     }
 }
 
@@ -393,6 +369,89 @@ mod tests {
         let mut oneshot = SketchPool::new(200);
         gen.generate(&job, 400, 2, &mut oneshot);
         assert_eq!(dump(&stepped), dump(&oneshot));
+
+        // TRIM's walk, `max(len + 1, ⌈1.25·len⌉)`, whose steps past 524
+        // sets clear MIN_PARALLEL_SETS and so run with helpers.
+        let mut oneshot = SketchPool::new(200);
+        gen.generate(&job, 2_000, 1, &mut oneshot);
+        for threads in [2, 3] {
+            let mut walked = SketchPool::new(200);
+            let mut len = 5usize;
+            while len < 2_000 {
+                len = (len + 1).max((5 * len).div_ceil(4)).min(2_000);
+                gen.generate(&job, len, threads, &mut walked);
+            }
+            assert_eq!(dump(&walked), dump(&oneshot), "{threads} threads");
+        }
+    }
+
+    /// A job on `n` nodes of [`test_graph`] with a few nodes dead.
+    fn with_job<T>(n: usize, f: impl FnOnce(&SketchJob<'_>) -> T) -> T {
+        let g = test_graph(n);
+        let mut residual = ResidualState::new(n);
+        residual.kill_all(&[1, 4, 9]);
+        f(&SketchJob {
+            graph: &g,
+            model: Model::IC,
+            snapshot: residual.snapshot(),
+            eta_i: 40,
+            dist: RootCountDist::Randomized,
+            base_seed: 0x0B10_C0DE,
+        })
+    }
+
+    #[test]
+    fn calls_spanning_several_blocks_match_one_thread() {
+        // From an index no block starts at, past t·CHUNK sets: full blocks,
+        // then a last one split into shorter shares.
+        let (from, target) = (37, 37 + 3 * CHUNK + 500);
+        with_job(300, |job| {
+            let run = |threads| {
+                let mut gen = SketchGenPool::new(300);
+                let mut pool = SketchPool::new(300);
+                gen.generate(job, from, 1, &mut pool);
+                let stats = gen.generate(job, target, threads, &mut pool);
+                (dump(&pool), stats)
+            };
+            let (base, base_stats) = run(1);
+            assert_eq!(base_stats.sets_generated, target - from);
+            for threads in [2, 3] {
+                let (out, stats) = run(threads);
+                assert_eq!(out, base, "{threads} threads diverged from one");
+                assert_eq!(stats, base_stats, "accounting at {threads} threads");
+            }
+        });
+    }
+
+    #[test]
+    fn a_helper_buffers_at_most_one_chunk() {
+        with_job(300, |job| {
+            let mut gen = SketchGenPool::new(300);
+            let mut counts = crate::SketchCounts::new(300);
+            for target in [700, 700 + 3 * CHUNK + 1, 2 * (700 + 3 * CHUNK)] {
+                gen.generate(job, target, 3, &mut counts);
+                assert_eq!(gen.workers.len(), 3);
+                for w in &gen.workers[1..] {
+                    // `sample_share` sizes the column exactly, so its
+                    // capacity is the largest share ever buffered.
+                    assert!(w.offs.len() <= CHUNK + 1);
+                    assert!(w.offs.capacity() <= CHUNK + 1, "{}", w.offs.capacity());
+                }
+            }
+            assert_eq!(gen.workers[1].offs.capacity(), CHUNK + 1);
+        });
+    }
+
+    #[test]
+    fn small_calls_grow_no_helper_scratch() {
+        with_job(100, |job| {
+            let mut gen = SketchGenPool::new(100);
+            let mut counts = crate::SketchCounts::new(100);
+            gen.generate(job, MIN_PARALLEL_SETS - 1, 8, &mut counts);
+            gen.generate(job, 2 * MIN_PARALLEL_SETS - 2, 8, &mut counts);
+            assert_eq!(counts.len(), 2 * MIN_PARALLEL_SETS - 2);
+            assert_eq!(gen.workers.len(), 1, "only the caller's scratch");
+        });
     }
 
     #[test]

@@ -17,6 +17,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// Longest graph id, in bytes. Under `--state-dir` an id names its snapshot
+/// file, `graphs/{id}.smg` (`{id}.smg.tmp` while it is written), which must
+/// fit the usual 255-byte file-name limit.
+pub const MAX_ID_BYTES: usize = 128;
+
 /// Warm sessions retained per graph; beyond this, returned sessions are
 /// dropped. Matches the realistic concurrency of one worker pool — keeping
 /// more would only hold dead pool memory.
@@ -107,8 +112,9 @@ impl Registry {
         Registry::default()
     }
 
-    /// Validates a requested id (or auto-assigns `g0`, `g1`, … for `None`)
-    /// and rejects one that is already taken — delete first to replace, so a
+    /// Validates a requested id (1 to [`MAX_ID_BYTES`] bytes of
+    /// `[A-Za-z0-9._-]`), or auto-assigns `g0`, `g1`, … for `None`, and
+    /// rejects one that is already taken — delete first to replace, so a
     /// client can never silently swap another client's graph. Callers that
     /// need the id before registering (to derive a snapshot path) resolve
     /// first, then call [`Registry::register_resolved`] under the same lock.
@@ -116,12 +122,13 @@ impl Registry {
         match id {
             Some(id) => {
                 if id.is_empty()
+                    || id.len() > MAX_ID_BYTES
                     || !id
                         .chars()
                         .all(|c| c.is_ascii_alphanumeric() || "-_.".contains(c))
                 {
                     return Err(ServiceError::bad_request(format!(
-                        "graph id {} must be non-empty [A-Za-z0-9._-]",
+                        "graph id {} must be 1 to {MAX_ID_BYTES} bytes of [A-Za-z0-9._-]",
                         quoted(&id)
                     )));
                 }
@@ -352,6 +359,13 @@ mod tests {
         assert!(r.register(Some("a/b".into()), tiny(3), "t".into()).is_err());
         assert!(r
             .register(Some("ok-id_1.bin".into()), tiny(3), "t".into())
+            .is_ok());
+        let err = r
+            .register(Some("x".repeat(MAX_ID_BYTES + 1)), tiny(3), "t".into())
+            .unwrap_err();
+        assert_eq!((err.status, err.code), (400, "bad_request"));
+        assert!(r
+            .register(Some("x".repeat(MAX_ID_BYTES)), tiny(3), "t".into())
             .is_ok());
     }
 

@@ -161,6 +161,44 @@ fn warm_restart_restores_graphs_tokens_and_select_bytes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An id names its snapshot file under a state dir, so one longer than the
+/// cap is a 400 before any file is made. Unchecked, a 300-byte id made a
+/// 500 (its file name was too long to create) and a 1 MiB id a 500 whose
+/// message quoted the whole path.
+#[test]
+fn long_graph_ids_get_400_under_a_state_dir() {
+    let dir = std::env::temp_dir().join("smin_service_long_ids");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut handle = spawn_server_with_state(Some(dir.clone()));
+    let mut c = client(&handle);
+    let register = |id: &str| format!(r#"{{"id":"{id}","generate":{{"kind":"ba","n":10}}}}"#);
+
+    for long in ["x".repeat(300), "y".repeat(1 << 20)] {
+        let resp = c.post("/v1/graphs", &register(&long)).unwrap();
+        let text = resp.text();
+        let head = &text[..text.len().min(200)];
+        assert_eq!(resp.status, 400, "{head}");
+        assert!(text.contains("\"code\":\"bad_request\""), "{head}");
+        assert!(text.len() < 1024, "{} bytes: {head}", text.len());
+    }
+    let graphs = dir.join("graphs");
+    let written = std::fs::read_dir(&graphs).map_or(0, |d| d.count());
+    assert_eq!(written, 0, "nothing may be written under {graphs:?}");
+    assert_eq!(
+        c.get("/healthz").unwrap().status,
+        200,
+        "server must survive"
+    );
+
+    let at_cap = "z".repeat(smin_service::registry::MAX_ID_BYTES);
+    let resp = c.post("/v1/graphs", &register(&at_cap)).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    assert!(graphs.join(format!("{at_cap}.smg")).is_file());
+    drop(c);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn repeated_request_hits_the_cache_and_matches() {
     let mut handle = spawn_server();
