@@ -288,7 +288,13 @@ impl<'a> Lexer<'a> {
         self.i += 1;
         while self.i < self.b.len() {
             match self.b[self.i] {
-                b'\\' => self.i += 2,
+                b'\\' => {
+                    // `\` at a line's end continues the string on the next
+                    if self.peek(1) == Some(b'\n') {
+                        self.line += 1;
+                    }
+                    self.i += 2;
+                }
                 b'"' => {
                     self.i += 1;
                     break;
@@ -389,6 +395,13 @@ mod tests {
     #[test]
     fn line_numbers_advance_through_multiline_strings() {
         let l = lex("let a = \"x\ny\";\nlet b = 1;");
+        let b = l.toks.iter().find(|t| t.text == "b").unwrap();
+        assert_eq!(b.line, 3);
+    }
+
+    #[test]
+    fn line_numbers_advance_through_string_continuations() {
+        let l = lex("let a = \"x \\\n y\";\nlet b = 1;");
         let b = l.toks.iter().find(|t| t.text == "b").unwrap();
         assert_eq!(b.line, 3);
     }

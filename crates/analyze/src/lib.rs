@@ -29,7 +29,8 @@ pub mod rules;
 pub mod workspace;
 
 pub use report::{Outcome, Reported};
-pub use rules::{lint_source, Finding, RuleSet, RULE_IDS};
+pub use rules::{count_lines, lint_source, Finding, RuleSet, RULE_IDS};
+pub use workspace::line_count_line;
 
 use std::path::Path;
 

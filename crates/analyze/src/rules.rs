@@ -17,6 +17,7 @@
 //! (`malformed-allow`), so the escape hatch cannot rot silently.
 
 use crate::lexer::{lex, Comment, Tok, TokKind};
+use std::ops::RangeInclusive;
 
 /// Stable rule identifiers, in report order.
 pub const RULE_IDS: &[&str] = &[
@@ -82,7 +83,7 @@ pub struct Finding {
 /// findings; callers decide the rule set per path.
 pub fn lint_source(path: &str, source: &str, rules: &RuleSet) -> Vec<Finding> {
     let lexed = lex(source);
-    let toks = strip_test_gated(&lexed.toks);
+    let toks = strip_test_gated(&lexed.toks).0;
     let allow = AllowTable::parse(&lexed.comments);
 
     let mut findings = Vec::new();
@@ -329,8 +330,12 @@ impl AllowTable {
 /// etc.) — test modules may unwrap freely. `#[cfg_attr(test, …)]` does *not*
 /// gate compilation and is left in. Inner attributes `#![…]` are skipped
 /// without gating.
-fn strip_test_gated(toks: &[Tok]) -> Vec<Tok> {
+///
+/// Returns the kept tokens and the lines of each gated item, from its
+/// attribute to its last token.
+fn strip_test_gated(toks: &[Tok]) -> (Vec<Tok>, Vec<RangeInclusive<usize>>) {
     let mut out = Vec::with_capacity(toks.len());
+    let mut gated_lines = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
         let t = &toks[i];
@@ -349,7 +354,9 @@ fn strip_test_gated(toks: &[Tok]) -> Vec<Tok> {
                 if gated {
                     // Skip this attribute, any further attributes, and the
                     // item's braced body (or up to `;` for braceless items).
-                    i = skip_gated_item(toks, close + 1);
+                    let end = skip_gated_item(toks, close + 1);
+                    gated_lines.push(t.line as usize..=*lines_of(&toks[end - 1]).end());
+                    i = end;
                     continue;
                 }
                 // Non-gating attribute: keep tokens (rules ignore them).
@@ -361,7 +368,26 @@ fn strip_test_gated(toks: &[Tok]) -> Vec<Tok> {
         out.push(t.clone());
         i += 1;
     }
-    out
+    (out, gated_lines)
+}
+
+/// The lines a token spans: a string literal may span several.
+fn lines_of(t: &Tok) -> RangeInclusive<usize> {
+    let first = t.line as usize;
+    first..=first + t.text.matches('\n').count()
+}
+
+/// Counts the lines of `source` that no `#[cfg(test)]` item covers,
+/// wherever it sits, and of those the lines that hold a code token, so that
+/// deleting comments does not read as a cut: `(raw, code)`.
+pub fn count_lines(source: &str) -> (usize, usize) {
+    let (toks, gated) = strip_test_gated(&lex(source).toks);
+    let lines = source.lines().count();
+    let (mut test, mut code) = (vec![false; lines + 2], vec![false; lines + 2]);
+    gated.into_iter().for_each(|span| test[span].fill(true));
+    toks.iter().for_each(|t| code[lines_of(t)].fill(true));
+    let raw = (1..=lines).filter(|&l| !test[l] || code[l]).count();
+    (raw, (1..=lines).filter(|&l| code[l]).count())
 }
 
 /// Index of the `]` closing the `[` at `open` (depth-aware); saturates at the
@@ -538,5 +564,32 @@ mod tests {
         assert!(run("fn f() { m.lock().unwrap_or_else(|e| e.into_inner()); }\n").is_empty());
         let f = run("fn f() { m.lock().unwrap(); }\n");
         assert_eq!(f.len(), 1);
+    }
+
+    /// A `#[cfg(test)]` item above non-test code, as `routes.rs`'s
+    /// `TEST_PANIC_PATH` sits above most of that file: the item's lines
+    /// are skipped and the code after it is counted. Raw lines are 1–3 and
+    /// 6–12, code lines 3 and 8–11 (a continued string spans 9–10).
+    #[test]
+    fn line_count_skips_test_items_wherever_they_sit() {
+        let src = r#"//! Module docs.
+
+fn a() {}
+#[cfg(test)]
+const PANIC_PATH: &str = "/x";
+
+/// Docs.
+fn b() {
+    let s = "two \
+        lines";
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {}
+}
+"#;
+        assert_eq!(count_lines(src), (10, 5));
     }
 }

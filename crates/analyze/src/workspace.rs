@@ -6,7 +6,8 @@
 //! request path (and therefore may not panic). Fixture trees and other
 //! unknown layouts get every rule — strict by default.
 
-use crate::rules::{lint_source, Finding, RuleSet};
+use crate::rules::{count_lines, lint_source, Finding, RuleSet};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -153,6 +154,33 @@ pub fn lint_tree(root: &Path) -> io::Result<Vec<Finding>> {
     }
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(findings)
+}
+
+/// The informational line of [`count_lines`]' `raw/code` counts for each
+/// crate under `crates/*/src`, by package name (`smin-<dir>`), and their
+/// total. Nothing gates on it.
+pub fn line_count_line(root: &Path) -> io::Result<String> {
+    let mut counts: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    for path in collect_rs_files(root)? {
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        if let ["crates", dir, "src", ..] = rel.split('/').collect::<Vec<_>>()[..] {
+            let (raw, code) = count_lines(&fs::read_to_string(&path)?);
+            let sum = counts.entry(format!("smin-{dir}")).or_default();
+            *sum = (sum.0 + raw, sum.1 + code);
+        }
+    }
+    let mut line = String::from("asm lint: non-test lines (raw/code):");
+    let mut total = (0, 0);
+    for (name, (raw, code)) in counts {
+        total = (total.0 + raw, total.1 + code);
+        line.push_str(&format!(" {name} {raw}/{code},"));
+    }
+    line.push_str(&format!(" total {}/{}\n", total.0, total.1));
+    Ok(line)
 }
 
 #[cfg(test)]

@@ -376,7 +376,7 @@ fn time_trim_rounds(g: &Graph, iters: usize) -> Vec<String> {
                     &mut rng,
                 )
                 .expect("valid");
-                black_box(out.node);
+                black_box(out.seeds[0]);
             });
             // TRIM-B under IC, then under LT (the weighted-cascade bench
             // graph is LT-valid), at b = 2 and b = 8.

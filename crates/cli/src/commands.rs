@@ -393,9 +393,16 @@ pub fn lint(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
+    // Informational: beside the JSON report it goes to stderr, so that the
+    // report holds the findings alone.
+    let counts =
+        smin_analyze::line_count_line(&root).map_err(|e| format!("{}: {e}", root.display()))?;
     match format {
-        "json" => print!("{}", outcome.json()),
-        _ => print!("{}", outcome.human()),
+        "json" => {
+            print!("{}", outcome.json());
+            eprint!("{counts}");
+        }
+        _ => print!("{}{counts}", outcome.human()),
     }
     if outcome.new_count() > 0 {
         return Err(format!(

@@ -14,23 +14,22 @@
 //!   (Figure 5, §6.2).
 //!
 //! A single-root RR set is an mRR set with `η_i = n_i` (one root under
-//! §3.3's randomized rounding), so each round draws its sets through
-//! TRIM's [`SketchGenPool`](smin_sampling::SketchGenPool) from one base
-//! seed of the caller's RNG, each set on its own stream, on
-//! `BASELINE_THREADS` threads. Like TRIM it reads only the argmax and
-//! `|R|`, so it keeps only the sets' coverage counts
-//! ([`SketchCounts`](smin_sampling::SketchCounts)) and a round holds O(n)
+//! §3.3's randomized rounding), so a round is TRIM's argmax round at
+//! `η_i = n_i` (`trim::argmax_round`, through the sampling loop
+//! `trim::certified_round`), doubling and certified by Lemma A.2, on
+//! `BASELINE_THREADS` threads, and the rounds run ASTI's adaptive loop
+//! (`asti::drive`). Like TRIM it keeps only the sets' coverage counts
+//! ([`SketchCounts`](smin_sampling::SketchCounts)), so a round holds O(n)
 //! bytes whatever its sample size.
 
+use crate::asti::drive;
 use crate::error::AsmError;
-use crate::report::{AstiReport, RoundReport};
-use crate::trim::{schedule, TrimScratch, BASELINE_THREADS, DOUBLING};
+use crate::report::{AstiReport, Round};
+use crate::trim::{argmax_round, round_job, schedule, TrimScratch, BASELINE_THREADS, DOUBLING};
+use crate::trim_b;
 use rand::Rng;
 use smin_diffusion::{InfluenceOracle, Model, ResidualState};
-use smin_graph::cast::u32_of;
-use smin_graph::{Graph, NodeId};
-use smin_sampling::bounds::{coverage_lower_bound, coverage_upper_bound};
-use smin_sampling::{RootCountDist, SketchJob};
+use smin_graph::Graph;
 
 /// Parameters for AdaptIM (ε plus an optional per-round sample cap).
 #[derive(Clone, Copy, Debug)]
@@ -57,7 +56,8 @@ impl Default for AdaptImParams {
     }
 }
 
-/// Runs the AdaptIM baseline until `eta` nodes are active.
+/// Runs the AdaptIM baseline until `eta` nodes are active. Its rounds
+/// report no [`TrimStats`](crate::TrimStats).
 pub fn adapt_im(
     g: &Graph,
     model: Model,
@@ -69,68 +69,16 @@ pub fn adapt_im(
     if !(params.eps > 0.0 && params.eps < 1.0) {
         return Err(AsmError::InvalidEps(params.eps));
     }
-    let n = g.n();
-    if n == 0 {
-        return Err(AsmError::EmptyGraph);
-    }
-    if eta == 0 || eta > n {
-        return Err(AsmError::EtaOutOfRange { eta, n });
-    }
-
-    let mut residual = ResidualState::new(n);
-    for (u, &active) in oracle.active_mask().iter().enumerate() {
-        if active {
-            residual.kill(u32_of(u));
-        }
-    }
-
-    let mut scratch = TrimScratch::new(n);
-    let mut report = AstiReport {
-        seeds: Vec::new(),
-        rounds: Vec::new(),
-        total_activated: oracle.num_active(),
-        eta,
-        reached: oracle.num_active() >= eta,
-        total_select_time: std::time::Duration::ZERO,
-        total_sets: 0,
-    };
-
-    while oracle.num_active() < eta && residual.n_alive() > 0 {
-        let eta_i = eta - oracle.num_active();
-        let n_alive = residual.n_alive();
-        // smin-lint: allow(no-wall-clock) -- reported only, never branched on; selection stays bit-identical
-        let started = std::time::Instant::now();
-        let (node, sets_generated, est) =
-            select_max_spread(g, model, &residual, params, &mut scratch, rng);
-        let select_time = started.elapsed();
-
-        let newly = oracle.observe(&[node]);
-        residual.kill_all(&newly);
-        residual.kill(node); // termination guard against degenerate oracles
-
-        report.seeds.push(node);
-        report.total_select_time += select_time;
-        report.total_sets += sets_generated;
-        report.rounds.push(RoundReport {
-            seeds: vec![node],
-            newly_activated: newly.len(),
-            eta_i,
-            n_alive,
-            sets_generated,
-            est_truncated_spread: est,
-            select_time,
-            trim: None,
-        });
-    }
-
-    report.total_activated = oracle.num_active();
-    report.reached = report.total_activated >= eta;
-    Ok(report)
+    let mut scratch = TrimScratch::new(g.n());
+    let mut residual = ResidualState::new(g.n());
+    drive(g, model, eta, oracle, &mut residual, false, |r, _| {
+        Ok(select_max_spread(g, model, r, params, &mut scratch, rng))
+    })
 }
 
 /// One OPIM-C-style selection of the max expected *vanilla* marginal spread
-/// on the residual graph, with single-root RR sets. Returns
-/// `(node, |R|, estimated spread)`.
+/// on the residual graph, with single-root RR sets: TRIM's argmax round at
+/// `η_i = n_i`, doubling, certified by Lemma A.2.
 pub(crate) fn select_max_spread(
     g: &Graph,
     model: Model,
@@ -138,7 +86,7 @@ pub(crate) fn select_max_spread(
     params: &AdaptImParams,
     scratch: &mut TrimScratch,
     rng: &mut impl Rng,
-) -> (NodeId, usize, f64) {
+) -> Round {
     let n_i = residual.n_alive();
     // The schedule's η_i slot is the estimator scale; for vanilla RR sets the
     // scale is n_i (E[I(v)] = n_i · Pr[v ∈ R]), hence δ is computed against
@@ -154,40 +102,12 @@ pub(crate) fn select_max_spread(
         params.theta_cap,
         DOUBLING,
     );
-
     // η_i = n_i makes every set single-root (module docs).
-    let job = SketchJob {
-        graph: g,
-        model,
-        snapshot: residual.snapshot(),
-        eta_i: n_i,
-        dist: RootCountDist::Randomized,
-        base_seed: rng.next_u64(),
-    };
-    let TrimScratch {
-        counts, sketch_gen, ..
-    } = scratch;
-    counts.reset();
-    sketch_gen.generate(&job, sched.theta0, BASELINE_THREADS, counts);
-
-    let mut iterations = 0;
-    loop {
-        iterations += 1;
-        let (node, coverage) = counts
-            .argmax()
-            .expect("roots are alive; sets are non-empty");
-        let lower = coverage_lower_bound(coverage as f64, sched.a1);
-        let upper = coverage_upper_bound(coverage as f64, sched.a2);
-        let certificate = if upper > 0.0 { lower / upper } else { 0.0 };
-        if certificate >= 1.0 - sched.eps_hat
-            || iterations >= sched.t_max
-            || counts.len() >= sched.theta_max
-        {
-            let est = n_i as f64 * coverage as f64 / counts.len() as f64;
-            return (node, counts.len(), est);
-        }
-        sketch_gen.generate(&job, sched.next(counts.len()), BASELINE_THREADS, counts);
-    }
+    let job = round_job(g, model, residual, n_i, rng);
+    scratch.counts.reset();
+    argmax_round(scratch, &job, &sched, BASELINE_THREADS, |c, _, sched| {
+        trim_b::certificate(c, c, sched)
+    })
 }
 
 #[cfg(test)]

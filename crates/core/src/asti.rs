@@ -1,9 +1,10 @@
 //! ASTI — Adaptive Seed minimization with Truncated Influence (Algorithm 1).
 //!
-//! The driver loop: each round select the (approximately) best node — or
-//! size-`b` batch — by expected marginal *truncated* spread on the residual
-//! graph, observe its actual influence through the oracle, remove the newly
-//! activated nodes, and repeat until `η` nodes are active.
+//! The driver loop (`drive`, which AdaptIM and the exact greedy run too):
+//! each round select the (approximately) best node — or size-`b` batch — by
+//! expected marginal *truncated* spread on the residual graph, observe its
+//! actual influence through the oracle, remove the newly activated nodes,
+//! and repeat until `η` nodes are active.
 //!
 //! Instantiated with TRIM (batch 1) this is the paper's headline algorithm:
 //! expected approximation `(ln η + 1)²/((1 − 1/e)(1 − ε))` (Theorem 3.7) in
@@ -13,7 +14,7 @@
 
 use crate::error::AsmError;
 use crate::params::AstiParams;
-use crate::report::{AstiReport, RoundReport};
+use crate::report::{AstiReport, Round, RoundReport};
 use crate::trim::{trim, TrimScratch};
 use crate::trim_b::trim_b;
 use rand::Rng;
@@ -120,15 +121,33 @@ pub fn asti_in(
     session: &mut AstiSession,
 ) -> Result<AstiReport, AsmError> {
     params.validate()?;
+    if session.n != g.n() {
+        return Err(AsmError::SessionMismatch {
+            session_n: session.n,
+            graph_n: g.n(),
+        });
+    }
+    let AstiSession {
+        residual, scratch, ..
+    } = session;
+    scratch.reset_stage_micros();
+    // Line 3: (approximate) truncated-influence maximization.
+    drive(g, model, eta, oracle, residual, true, |residual, eta_i| {
+        let trim_params = &params.trim;
+        match params.batch {
+            1 => trim(g, model, residual, eta_i, trim_params, scratch, rng),
+            b => trim_b(g, model, residual, eta_i, b, trim_params, scratch, rng),
+        }
+    })
+}
+
+/// The checks every algorithm makes of its instance: a non-empty graph,
+/// `1 ≤ η ≤ n`, and under LT no node whose incoming probabilities sum
+/// above 1.
+pub(crate) fn check_instance(g: &Graph, model: Model, eta: usize) -> Result<(), AsmError> {
     let n = g.n();
     if n == 0 {
         return Err(AsmError::EmptyGraph);
-    }
-    if session.n != n {
-        return Err(AsmError::SessionMismatch {
-            session_n: session.n,
-            graph_n: n,
-        });
     }
     if eta == 0 || eta > n {
         return Err(AsmError::EtaOutOfRange { eta, n });
@@ -138,12 +157,27 @@ pub fn asti_in(
             return Err(AsmError::InvalidLtInstance { node, mass });
         }
     }
+    Ok(())
+}
 
-    let AstiSession {
-        residual, scratch, ..
-    } = session;
+/// Algorithm 1's loop, the one adaptive driver of ASTI, AdaptIM and the
+/// exact greedy. After
+/// [`check_instance`], it kills the nodes the oracle already reports
+/// active, then, until `η` nodes are active or none is alive, selects on
+/// the residual graph (`select(residual, η_i)`, timed), observes, kills the
+/// newly active nodes and the seeds, and records the round; `trim_stats`
+/// says whether the rows keep the rounds' [`TrimStats`](crate::TrimStats).
+pub(crate) fn drive(
+    g: &Graph,
+    model: Model,
+    eta: usize,
+    oracle: &mut impl InfluenceOracle,
+    residual: &mut ResidualState,
+    trim_stats: bool,
+    mut select: impl FnMut(&ResidualState, usize) -> Result<Round, AsmError>,
+) -> Result<AstiReport, AsmError> {
+    check_instance(g, model, eta)?;
     residual.reset();
-    scratch.reset_stage_micros();
     for (u, &active) in oracle.active_mask().iter().enumerate() {
         if active {
             residual.kill(u32_of(u));
@@ -162,36 +196,9 @@ pub fn asti_in(
     while oracle.num_active() < eta && residual.n_alive() > 0 {
         let eta_i = eta - oracle.num_active();
         let n_alive = residual.n_alive();
-
-        // Line 3: (approximate) truncated-influence maximization.
         // smin-lint: allow(no-wall-clock) -- reported only, never branched on; selection stays bit-identical
         let started = Instant::now();
-        let (stats, seeds, sets_generated, est) = if params.batch == 1 {
-            let out = trim(g, model, residual, eta_i, &params.trim, scratch, rng)?;
-            (
-                out.stats(),
-                vec![out.node],
-                out.sets_generated,
-                out.est_truncated_spread,
-            )
-        } else {
-            let out = trim_b(
-                g,
-                model,
-                residual,
-                eta_i,
-                params.batch,
-                &params.trim,
-                scratch,
-                rng,
-            )?;
-            (
-                out.stats(),
-                out.seeds,
-                out.sets_generated,
-                out.est_truncated_spread,
-            )
-        };
+        let round = select(residual, eta_i)?;
         let select_time = started.elapsed();
 
         // Lines 4–7: observe, record, shrink the residual graph. The seeds
@@ -199,22 +206,22 @@ pub fn asti_in(
         // reports them among the newly activated, but guarding here makes
         // termination unconditional even against a misbehaving oracle (each
         // round strictly shrinks the residual graph).
-        let newly = oracle.observe(&seeds);
+        let newly = oracle.observe(&round.seeds);
         residual.kill_all(&newly);
-        residual.kill_all(&seeds);
+        residual.kill_all(&round.seeds);
 
-        report.seeds.extend_from_slice(&seeds);
+        report.seeds.extend_from_slice(&round.seeds);
         report.total_select_time += select_time;
-        report.total_sets += sets_generated;
+        report.total_sets += round.sets_generated;
         report.rounds.push(RoundReport {
-            seeds,
+            seeds: round.seeds,
             newly_activated: newly.len(),
             eta_i,
             n_alive,
-            sets_generated,
-            est_truncated_spread: est,
+            sets_generated: round.sets_generated,
+            est_truncated_spread: round.est_truncated_spread,
             select_time,
-            trim: Some(stats),
+            trim: trim_stats.then_some(round.stats),
         });
     }
 
@@ -421,6 +428,16 @@ mod tests {
             asti(&g, Model::LT, 2, &params, &mut oracle, &mut rng),
             Err(AsmError::InvalidLtInstance { node: 2, .. })
         ));
+        // AdaptIM and ATEUC reject the same instance.
+        let adapt_params = crate::AdaptImParams::with_eps(0.5);
+        let adapt = crate::adapt_im(&g, Model::LT, 2, &adapt_params, &mut oracle, &mut rng);
+        let ateuc = crate::ateuc(&g, Model::LT, 2, &mut rng).map(|out| out.seeds);
+        for result in [adapt.map(|report| report.seeds), ateuc] {
+            assert!(matches!(
+                result,
+                Err(AsmError::InvalidLtInstance { node: 2, .. })
+            ));
+        }
         drop(b);
     }
 

@@ -20,23 +20,35 @@
 //!   so the running time *decreases* with `η` (Figure 5's inverted trend).
 //!
 //! The single-root RR sets are mRR sets with `η_i = n` (one root under
-//! §3.3's randomized rounding): each doubling grows the pool through
-//! TRIM's [`SketchGenPool`], every set on its own stream of one base seed
-//! drawn per run, on `BASELINE_THREADS` threads.
+//! §3.3's randomized rounding). The doublings are TRIM's sampling loop
+//! (`trim::certified_round`) with both candidates and the stopping rule as
+//! its check, every set on its own stream of one base seed drawn per run,
+//! on `BASELINE_THREADS` threads.
 
+use crate::asti::check_instance;
 use crate::error::AsmError;
-use crate::trim::BASELINE_THREADS;
+use crate::trim::{certified_round, round_job, Schedule, BASELINE_THREADS, DOUBLING};
 use rand::Rng;
 use smin_diffusion::{ForwardSim, Model, Realization, ResidualState};
 use smin_graph::{Graph, NodeId};
 use smin_sampling::bounds::{coverage_lower_bound, coverage_upper_bound};
-use smin_sampling::{CoverageEngine, RootCountDist, SketchGenPool, SketchJob, SketchPool};
-
-/// Initial pool size.
-const THETA0: usize = 256;
+use smin_sampling::{CoverageEngine, SketchGenPool, SketchPool};
 
 /// Doublings after which the current `S_u` is returned uncertified.
 const MAX_DOUBLINGS: usize = 14;
+
+/// ATEUC's walk: 256 sets, doubling, and its `T`-th check, after
+/// `MAX_DOUBLINGS` doublings, returns `S_u` uncertified. Its bounds and
+/// stopping rule read nothing else of the schedule.
+const WALK: Schedule = Schedule {
+    theta_max: 256 << MAX_DOUBLINGS,
+    theta0: 256,
+    t_max: MAX_DOUBLINGS + 1,
+    a1: 0.0,
+    a2: 0.0,
+    eps_hat: 0.0,
+    growth: DOUBLING,
+};
 
 /// Result of an ATEUC run.
 #[derive(Clone, Debug)]
@@ -64,24 +76,10 @@ pub fn ateuc(
     eta: usize,
     rng: &mut impl Rng,
 ) -> Result<AteucOutput, AsmError> {
+    check_instance(g, model, eta)?;
     let n = g.n();
-    if n == 0 {
-        return Err(AsmError::EmptyGraph);
-    }
-    if eta == 0 || eta > n {
-        return Err(AsmError::EtaOutOfRange { eta, n });
-    }
-
     let residual = ResidualState::new(n); // all alive: full graph
-    let job = SketchJob {
-        graph: g,
-        model,
-        snapshot: residual.snapshot(),
-        eta_i: n,
-        dist: RootCountDist::Randomized,
-        base_seed: rng.next_u64(),
-    };
-    let mut sketch_gen = SketchGenPool::new(n);
+    let job = round_job(g, model, &residual, n, rng);
     let mut pool = SketchPool::new(n);
     let mut engine = CoverageEngine::new();
 
@@ -89,36 +87,33 @@ pub fn ateuc(
     // with probability 1 − 1/n per doubling (the recommended setting in
     // ref.\[22\]), union-bounded over the doublings.
     let a = (n.max(2) as f64).ln() + (MAX_DOUBLINGS as f64).ln() + 1.0;
-
-    let mut theta = THETA0;
-    let mut doublings = 0usize;
-    loop {
-        sketch_gen.generate(&job, theta, BASELINE_THREADS, &mut pool);
-
-        let theta_f = pool.len() as f64;
-        let target_cov_pess = |cov: f64| n as f64 * coverage_lower_bound(cov, a) / theta_f;
-        let target_cov_opt = |cov: f64| n as f64 * coverage_upper_bound(cov, a) / theta_f;
-
-        // Both candidate growths run through the shared coverage engine
-        // (bound-driven greedy; same tie-breaking as TRIM-B's selection).
-        let (upper, certified) = engine.select_until(&pool, eta as f64, target_cov_pess);
-        let (lower, _) = engine.select_until(&pool, eta as f64, target_cov_opt);
-
-        let done = certified && upper.seeds.len() <= 2 * lower.seeds.len().max(1);
-        if done || doublings >= MAX_DOUBLINGS {
-            let est = n as f64 * upper.covered as f64 / theta_f;
-            return Ok(AteucOutput {
-                seeds: upper.seeds,
-                lower_candidate_size: lower.seeds.len(),
-                est_spread: est,
-                sets_generated: pool.len(),
-                doublings,
-                certified,
-            });
-        }
-        theta *= 2;
-        doublings += 1;
-    }
+    let ((upper, lower_candidate_size, certified), checks, _) = certified_round(
+        &mut SketchGenPool::new(n),
+        &job,
+        &WALK,
+        BASELINE_THREADS,
+        &mut pool,
+        &mut 0,
+        |pool, last| {
+            let theta_f = pool.len() as f64;
+            let target_cov_pess = |cov: f64| n as f64 * coverage_lower_bound(cov, a) / theta_f;
+            let target_cov_opt = |cov: f64| n as f64 * coverage_upper_bound(cov, a) / theta_f;
+            // Both candidate growths run through the shared coverage engine
+            // (bound-driven greedy; same tie-breaking as TRIM-B's selection).
+            let (upper, certified) = engine.select_until(pool, eta as f64, target_cov_pess);
+            let (lower, _) = engine.select_until(pool, eta as f64, target_cov_opt);
+            let done = certified && upper.seeds.len() <= 2 * lower.seeds.len().max(1);
+            (done || last).then_some((upper, lower.seeds.len(), certified))
+        },
+    );
+    Ok(AteucOutput {
+        est_spread: n as f64 * upper.covered as f64 / pool.len() as f64,
+        seeds: upper.seeds,
+        lower_candidate_size,
+        sets_generated: pool.len(),
+        doublings: checks - 1,
+        certified,
+    })
 }
 
 /// Evaluates a fixed (non-adaptive) seed set on a batch of realizations,
@@ -228,6 +223,19 @@ mod tests {
             Realization::from_ic_statuses(vec![false, true]),
         ];
         assert_eq!(evaluate_on_realizations(&g, &[0], &phis), vec![3, 1]);
+    }
+
+    /// The walk reads 256·2^j sets for j = 0..=14, the last at its `T`-th
+    /// check.
+    #[test]
+    fn walk_doubles_256_sets_fourteen_times() {
+        let mut sizes = vec![WALK.theta0];
+        while sizes[sizes.len() - 1] < WALK.theta_max {
+            sizes.push(WALK.next(sizes[sizes.len() - 1]));
+        }
+        let doubled: Vec<usize> = (0..=14).map(|j| 256 << j).collect();
+        assert_eq!(sizes, doubled);
+        assert_eq!(WALK.t_max, sizes.len());
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! space and recover the oracle exactly. This module is the ground truth the
 //! integration tests compare TRIM against.
 
+use crate::asti::drive;
 use crate::error::AsmError;
+use crate::report::Round;
 use rand::Rng;
 use smin_diffusion::exact::{for_each_ic_realization, for_each_lt_realization};
-use smin_diffusion::{ForwardSim, InfluenceOracle, Model};
+use smin_diffusion::{ForwardSim, InfluenceOracle, Model, ResidualState};
 use smin_graph::cast::u32_of;
 use smin_graph::{Graph, NodeId};
 
@@ -61,8 +63,8 @@ pub fn exact_greedy_step(
 }
 
 /// The full oracle policy of Golovin–Krause: exact greedy each round until
-/// `eta` nodes are active. The returned vector lists the seeds in selection
-/// order.
+/// `eta` nodes are active, through ASTI's adaptive loop. The returned
+/// vector lists the seeds in selection order.
 pub fn exact_greedy_policy(
     g: &Graph,
     model: Model,
@@ -70,23 +72,18 @@ pub fn exact_greedy_policy(
     oracle: &mut impl InfluenceOracle,
     _rng: &mut impl Rng,
 ) -> Result<Vec<NodeId>, AsmError> {
-    let n = g.n();
-    if n == 0 {
-        return Err(AsmError::EmptyGraph);
-    }
-    if eta == 0 || eta > n {
-        return Err(AsmError::EtaOutOfRange { eta, n });
-    }
-    let mut seeds = Vec::new();
-    while oracle.num_active() < eta {
-        let eta_i = eta - oracle.num_active();
-        let Some((v, _)) = exact_greedy_step(g, model, oracle.active_mask(), eta_i) else {
-            break;
-        };
-        oracle.observe(&[v]);
-        seeds.push(v);
-    }
-    Ok(seeds)
+    let mut residual = ResidualState::new(g.n());
+    let report = drive(g, model, eta, oracle, &mut residual, false, |r, eta_i| {
+        let active: Vec<bool> = r.alive_mask().iter().map(|&alive| !alive).collect();
+        let (v, delta) =
+            exact_greedy_step(g, model, &active, eta_i).expect("a node is alive each round");
+        Ok(Round {
+            seeds: vec![v],
+            est_truncated_spread: delta,
+            ..Round::default()
+        })
+    })?;
+    Ok(report.seeds)
 }
 
 #[cfg(test)]

@@ -37,6 +37,6 @@ pub use asti::{asti, asti_in, AstiSession};
 pub use ateuc::{ateuc, evaluate_on_realizations, AteucOutput};
 pub use error::AsmError;
 pub use params::{eta_of_fraction, AstiParams, TrimParams};
-pub use report::{AstiReport, RoundReport, TrimStats};
-pub use trim::{trim, StageMicros, TrimOutput};
-pub use trim_b::{trim_b, TrimBOutput};
+pub use report::{AstiReport, Round, RoundReport, TrimStats};
+pub use trim::{trim, StageMicros};
+pub use trim_b::trim_b;

@@ -22,12 +22,29 @@ pub struct RoundReport {
     /// which in a real deployment is the campaign itself).
     pub select_time: Duration,
     /// What TRIM or TRIM-B did to select the round's seeds; `None` for a
-    /// policy that runs neither (AdaptIM).
+    /// policy that runs neither (AdaptIM, the exact greedy).
     pub trim: Option<TrimStats>,
 }
 
+/// One round's selection: what [`trim()`](crate::trim()),
+/// [`trim_b()`](crate::trim_b()) and AdaptIM's selection return, and what
+/// Algorithm 1's loop turns into a [`RoundReport`] row.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Round {
+    /// The selected seeds: TRIM's `v*`, or TRIM-B's batch `S_b` (size ≤ b;
+    /// smaller only when the residual graph has fewer alive nodes).
+    pub seeds: Vec<NodeId>,
+    /// `|R|` at termination.
+    pub sets_generated: usize,
+    /// Estimate `η_i · Λ_R/|R|` of the seeds' expected marginal truncated
+    /// spread (AdaptIM's scale is `n_i`, for the vanilla spread).
+    pub est_truncated_spread: f64,
+    /// How the round's certificate ended it.
+    pub stats: TrimStats,
+}
+
 /// One TRIM (Algorithm 2) or TRIM-B (Algorithm 3) round's statistics.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TrimStats {
     /// Certificate checks made (`≤ T`); 0 on the `η_i = 1` path, which
     /// answers without sampling.

@@ -5,8 +5,10 @@
 //! approximation of the best possible (Lemma 3.6), using
 //! `O(η_i ln n_i / (ε² OPT_i))` mRR sets in expectation (Lemma 3.9).
 //!
-//! Structure follows the pseudo-code line by line, with the sample growing
-//! by a factor `g` between certificate checks instead of doubling:
+//! Lines 6–7's sampling loop is `certified_round`, which TRIM-B, AdaptIM
+//! and ATEUC run too; TRIM passes it the argmax and the certificate below,
+//! with the sample growing by a factor `g` between checks instead of
+//! doubling:
 //!
 //! ```text
 //! 1  δ ← ε/(100(1−1/e)(1−ε)η_i),  ε̂ ← 99ε/(100−ε)
@@ -120,51 +122,15 @@
 
 use crate::error::AsmError;
 use crate::params::TrimParams;
-use crate::report::TrimStats;
+use crate::report::{Round, TrimStats};
 use rand::Rng;
 use smin_diffusion::{Model, ResidualState};
-use smin_graph::{Graph, NodeId};
+use smin_graph::Graph;
 use smin_sampling::bounds::{binomial_lower_bound, binomial_upper_bound};
 use smin_sampling::{
     resolve_threads, CoverageEngine, RootCountDist, SketchCounts, SketchGenPool, SketchJob,
-    SketchPool,
+    SketchPool, SketchSink,
 };
-
-/// Outcome of one TRIM round.
-#[derive(Clone, Debug)]
-pub struct TrimOutput {
-    /// The selected seed `v*`.
-    pub node: NodeId,
-    /// `Λ_R(v*)` at termination.
-    pub coverage: u32,
-    /// `|R|` at termination.
-    pub sets_generated: usize,
-    /// Certificate checks made (`≤ T`); 0 on the `η_i = 1` path.
-    pub iterations: usize,
-    /// Unbiased-side estimate `η_i · Λ_R(v*)/|R|` of `E[Γ̃(v* | S_{i−1})]`.
-    pub est_truncated_spread: f64,
-    /// `Λˡ(v*)/Λᵘ(v◦)` at termination, with the binomial bounds on
-    /// `Λ_R(v*)` and `|R|` (module docs) — the per-round certificate; ≥ 1 − ε̂
-    /// unless the iteration budget (or an explicit cap) exhausted first.
-    pub certificate: f64,
-    /// Total edges examined while sampling (EPT accounting; what counts is
-    /// in `smin_sampling::rr`'s module docs).
-    pub edges_examined: usize,
-}
-
-impl TrimOutput {
-    /// The round's statistics for [`RoundReport::trim`](crate::RoundReport).
-    pub fn stats(&self) -> TrimStats {
-        TrimStats {
-            iterations: self.iterations,
-            certificate: self.certificate,
-            edges_examined: self.edges_examined,
-            greedy_calls: 0,
-            coverage: self.coverage,
-            upper: self.coverage,
-        }
-    }
-}
 
 /// Cumulative per-stage wall time, in microseconds, accumulated by TRIM /
 /// TRIM-B since the last [`TrimScratch::reset_stage_micros`].
@@ -252,7 +218,8 @@ pub(crate) const DOUBLING: f64 = 2.0;
 /// per-set streams, on one thread: their parameters carry no thread count.
 pub(crate) const BASELINE_THREADS: usize = 1;
 
-/// Derived schedule shared by TRIM, TRIM-B and AdaptIM.
+/// Lines 1–5's schedule of TRIM, TRIM-B and AdaptIM, and the walk of
+/// ATEUC's doublings.
 pub(crate) struct Schedule {
     pub theta_max: usize,
     pub theta0: usize,
@@ -332,12 +299,125 @@ pub(crate) fn shortfall_of_one(
     residual: &ResidualState,
     eta_i: usize,
     rng: &mut impl Rng,
-) -> Option<NodeId> {
+) -> Option<Round> {
     if eta_i != 1 {
         return None;
     }
     rng.next_u64();
-    residual.alive_nodes().iter().copied().min()
+    let node = residual.alive_nodes().iter().copied().min()?;
+    Some(Round {
+        seeds: vec![node],
+        sets_generated: 0,
+        est_truncated_spread: 1.0,
+        stats: TrimStats {
+            certificate: 1.0,
+            ..TrimStats::default()
+        },
+    })
+}
+
+/// A round's sketch job on the residual graph at shortfall `eta_i`, with
+/// the round's one draw from the caller's `rng`: its base seed.
+pub(crate) fn round_job<'a>(
+    g: &'a Graph,
+    model: Model,
+    residual: &'a ResidualState,
+    eta_i: usize,
+    rng: &mut impl Rng,
+) -> SketchJob<'a> {
+    SketchJob {
+        graph: g,
+        model,
+        snapshot: residual.snapshot(),
+        eta_i,
+        dist: RootCountDist::Randomized,
+        base_seed: rng.next_u64(),
+    }
+}
+
+/// Lines 6–7 of Algorithms 2 and 3, the one sampling loop of TRIM, TRIM-B,
+/// AdaptIM and ATEUC. Draws `θ◦` sets into `sink`, then, at each size of
+/// the walk `θ◦`, `next(θ◦)`, …, calls `check(sink, last)` until it returns
+/// the round's value. `last` is true at the `T`-th check or at `θ_max`
+/// sets, and there `check` must return. Sampling time goes to
+/// `sketch_micros`. Returns the value, the checks made and the edges
+/// examined.
+pub(crate) fn certified_round<S: SketchSink, R>(
+    sketch_gen: &mut SketchGenPool,
+    job: &SketchJob<'_>,
+    sched: &Schedule,
+    threads: usize,
+    sink: &mut S,
+    sketch_micros: &mut u64,
+    mut check: impl FnMut(&S, bool) -> Option<R>,
+) -> (R, usize, usize) {
+    let (mut checks, mut edges) = (0, 0);
+    let mut target = sched.theta0;
+    loop {
+        {
+            let _span = smin_obs::Span::enter(sketch_micros);
+            edges += sketch_gen
+                .generate(job, target, threads, sink)
+                .edges_examined;
+        }
+        checks += 1;
+        let last = checks >= sched.t_max || sink.len() >= sched.theta_max;
+        if let Some(value) = check(sink, last) {
+            return (value, checks, edges);
+        }
+        assert!(!last, "a check must return at T checks or θ_max sets");
+        target = sched.next(sink.len());
+    }
+}
+
+/// The argmax round of TRIM and AdaptIM on the scratch's counts, which the
+/// caller has reset: [`certified_round`] with Lines 7–11's check, which
+/// takes `v* = argmax Λ_R` and stops once `certificate(Λ_R(v*), |R|)`
+/// reaches `1 − ε̂`. The estimate's scale is the job's `η_i`.
+pub(crate) fn argmax_round(
+    scratch: &mut TrimScratch,
+    job: &SketchJob<'_>,
+    sched: &Schedule,
+    threads: usize,
+    certificate: fn(u32, usize, &Schedule) -> f64,
+) -> Round {
+    let TrimScratch {
+        counts,
+        sketch_gen,
+        stage,
+        ..
+    } = scratch;
+    let ((node, coverage, certificate), iterations, edges_examined) = certified_round(
+        sketch_gen,
+        job,
+        sched,
+        threads,
+        counts,
+        &mut stage.sketch,
+        |counts, last| {
+            let (node, coverage) = {
+                let _span = smin_obs::Span::enter(&mut stage.coverage);
+                counts
+                    .argmax()
+                    .expect("sets are non-empty: roots are alive")
+            };
+            let certificate = certificate(coverage, counts.len(), sched);
+            (certificate >= 1.0 - sched.eps_hat || last).then_some((node, coverage, certificate))
+        },
+    );
+    Round {
+        seeds: vec![node],
+        sets_generated: counts.len(),
+        est_truncated_spread: job.eta_i as f64 * coverage as f64 / counts.len() as f64,
+        stats: TrimStats {
+            iterations,
+            certificate,
+            edges_examined,
+            greedy_calls: 0,
+            coverage,
+            upper: coverage,
+        },
+    }
 }
 
 /// Lines 9–11's certificate `Λˡ(v*)/Λᵘ(v◦)` for the argmax's coverage `c`
@@ -370,7 +450,7 @@ pub fn trim(
     params: &TrimParams,
     scratch: &mut TrimScratch,
     rng: &mut impl Rng,
-) -> Result<TrimOutput, AsmError> {
+) -> Result<Round, AsmError> {
     trim_certified_by(g, model, residual, eta_i, params, scratch, rng, certificate)
 }
 
@@ -386,32 +466,17 @@ fn trim_certified_by(
     scratch: &mut TrimScratch,
     rng: &mut impl Rng,
     certificate: fn(u32, usize, &Schedule) -> f64,
-) -> Result<TrimOutput, AsmError> {
+) -> Result<Round, AsmError> {
     params.validate()?;
     let n_i = residual.n_alive();
     if n_i == 0 {
         return Err(AsmError::EmptyGraph);
     }
     assert!(eta_i >= 1, "TRIM requires a positive shortfall");
-    let TrimScratch {
-        counts,
-        sketch_gen,
-        stage,
-        ..
-    } = scratch;
-    counts.reset();
-    if let Some(node) = shortfall_of_one(residual, eta_i, rng) {
-        return Ok(TrimOutput {
-            node,
-            coverage: 0,
-            sets_generated: 0,
-            iterations: 0,
-            est_truncated_spread: 1.0,
-            certificate: 1.0,
-            edges_examined: 0,
-        });
+    scratch.counts.reset();
+    if let Some(round) = shortfall_of_one(residual, eta_i, rng) {
+        return Ok(round);
     }
-
     let sched = schedule(
         n_i,
         eta_i,
@@ -422,54 +487,9 @@ fn trim_certified_by(
         params.theta_cap,
         TRIM_GROWTH,
     );
-
+    let job = round_job(g, model, residual, eta_i, rng);
     let threads = resolve_threads(params.threads);
-    let job = SketchJob {
-        graph: g,
-        model,
-        snapshot: residual.snapshot(),
-        eta_i,
-        dist: RootCountDist::Randomized,
-        base_seed: rng.next_u64(),
-    };
-    let mut edges_examined = 0usize;
-
-    {
-        let _span = smin_obs::Span::enter(&mut stage.sketch);
-        edges_examined += sketch_gen
-            .generate(&job, sched.theta0, threads, counts)
-            .edges_examined;
-    }
-
-    let mut iterations = 0;
-    loop {
-        iterations += 1;
-        let (node, coverage) = {
-            let _span = smin_obs::Span::enter(&mut stage.coverage);
-            counts
-                .argmax()
-                .expect("sets are non-empty: roots are alive")
-        };
-        let certificate = certificate(coverage, counts.len(), &sched);
-        if certificate >= 1.0 - sched.eps_hat
-            || iterations >= sched.t_max
-            || counts.len() >= sched.theta_max
-        {
-            return Ok(TrimOutput {
-                node,
-                coverage,
-                sets_generated: counts.len(),
-                iterations,
-                est_truncated_spread: eta_i as f64 * coverage as f64 / counts.len() as f64,
-                certificate,
-                edges_examined,
-            });
-        }
-        let _span = smin_obs::Span::enter(&mut stage.sketch);
-        edges_examined += sketch_gen
-            .generate(&job, sched.next(counts.len()), threads, counts)
-            .edges_examined;
-    }
+    Ok(argmax_round(scratch, &job, &sched, threads, certificate))
 }
 
 #[cfg(test)]
@@ -479,7 +499,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{RngCore, SeedableRng};
-    use smin_graph::GraphBuilder;
+    use smin_graph::{GraphBuilder, NodeId};
     use smin_sampling::coverage::rho_b;
 
     /// Figure 2 graph of Example 2.3 (v1=0, v2=1, v3=2, v4=3).
@@ -521,11 +541,14 @@ mod tests {
             let mut scratch = TrimScratch::new(g.n());
             let mut rng = SmallRng::seed_from_u64(seed);
             let out = trim(&g, Model::IC, &residual, 3, &params, &mut scratch, &mut rng).unwrap();
-            assert_ne!(out.node, 3, "seed {seed}: TRIM fell into the vanilla trap");
+            assert_ne!(
+                out.seeds[0], 3,
+                "seed {seed}: TRIM fell into the vanilla trap"
+            );
             assert!(
-                out.node == 0 || out.node == 4,
+                out.seeds[0] == 0 || out.seeds[0] == 4,
                 "seed {seed}: picked {} which is not a truncated optimum",
-                out.node
+                out.seeds[0]
             );
         }
     }
@@ -546,10 +569,10 @@ mod tests {
             let out = trim(&g, Model::IC, &residual, 2, &params, &mut scratch, &mut rng).unwrap();
             let guarantee = (1.0 - 1.0 / std::f64::consts::E) * (1.0 - eps) * 2.0;
             assert!(
-                exact[out.node as usize] >= guarantee,
+                exact[out.seeds[0] as usize] >= guarantee,
                 "seed {seed}: Δ({}) = {} below guarantee {guarantee}",
-                out.node,
-                exact[out.node as usize]
+                out.seeds[0],
+                exact[out.seeds[0] as usize]
             );
         }
     }
@@ -564,9 +587,9 @@ mod tests {
         let out = trim(&g, Model::IC, &residual, 2, &params, &mut scratch, &mut rng).unwrap();
         let eps_hat = 99.0 * 0.5 / 99.5;
         assert!(
-            out.certificate >= 1.0 - eps_hat || out.sets_generated >= 1,
+            out.stats.certificate >= 1.0 - eps_hat || out.sets_generated >= 1,
             "certificate {} too weak",
-            out.certificate
+            out.stats.certificate
         );
         assert!(out.est_truncated_spread > 0.0);
         assert!(out.est_truncated_spread <= 2.0 + 1e-9);
@@ -601,7 +624,7 @@ mod tests {
             let mut scratch = TrimScratch::new(4);
             let mut rng = SmallRng::seed_from_u64(seed);
             let out = trim(&g, Model::IC, &residual, 1, &params, &mut scratch, &mut rng).unwrap();
-            assert!(out.node == 0 || out.node == 3);
+            assert!(out.seeds[0] == 0 || out.seeds[0] == 3);
         }
     }
 
@@ -753,16 +776,16 @@ mod tests {
                 let (picked, sets, checks) = if b == 1 {
                     let out =
                         trim(&g, model, &residual, 1, &params, &mut scratch, &mut rng).unwrap();
-                    assert_eq!(out.certificate, 1.0, "{case}");
+                    assert_eq!(out.stats.certificate, 1.0, "{case}");
                     assert_eq!(out.est_truncated_spread, 1.0, "{case}");
-                    (vec![out.node], out.sets_generated, out.iterations)
+                    (vec![out.seeds[0]], out.sets_generated, out.stats.iterations)
                 } else {
                     let out = trim_b(&g, model, &residual, 1, b, &params, &mut scratch, &mut rng)
                         .unwrap();
-                    assert_eq!(out.certificate, 1.0, "{case}");
+                    assert_eq!(out.stats.certificate, 1.0, "{case}");
                     assert_eq!(out.est_truncated_spread, 1.0, "{case}");
-                    assert_eq!(out.greedy_calls, 0, "{case}");
-                    (out.seeds, out.sets_generated, out.iterations)
+                    assert_eq!(out.stats.greedy_calls, 0, "{case}");
+                    (out.seeds, out.sets_generated, out.stats.iterations)
                 };
                 assert_eq!((sets, checks), (0, 0), "{case}");
                 assert!(scratch.counts().is_empty(), "{case}");
@@ -866,21 +889,28 @@ mod tests {
                         lemma_a2_certificate,
                     )
                     .unwrap();
-                    assert!(got.iterations <= paper.iterations, "{case}");
+                    assert!(got.stats.iterations <= paper.stats.iterations, "{case}");
                     assert!(got.sets_generated <= paper.sets_generated, "{case}");
-                    assert!(got.edges_examined <= paper.edges_examined, "{case}");
-                    if got.iterations == paper.iterations {
-                        assert_eq!(got.node, paper.node, "{case}");
-                        assert_eq!(got.coverage, paper.coverage, "{case}");
+                    assert!(
+                        got.stats.edges_examined <= paper.stats.edges_examined,
+                        "{case}"
+                    );
+                    if got.stats.iterations == paper.stats.iterations {
+                        assert_eq!(got.seeds[0], paper.seeds[0], "{case}");
+                        assert_eq!(got.stats.coverage, paper.stats.coverage, "{case}");
                         assert_eq!(got.sets_generated, paper.sets_generated, "{case}");
-                        assert!(got.certificate >= paper.certificate, "{case}");
+                        assert!(got.stats.certificate >= paper.stats.certificate, "{case}");
                     }
                     if cap == Some(sched.theta0) {
-                        assert_eq!((got.iterations, paper.iterations), (1, 1), "{case}");
+                        assert_eq!(
+                            (got.stats.iterations, paper.stats.iterations),
+                            (1, 1),
+                            "{case}"
+                        );
                     }
                     cases += 1;
-                    forced += usize::from(got.certificate < 1.0 - sched.eps_hat);
-                    earlier += usize::from(got.iterations < paper.iterations);
+                    forced += usize::from(got.stats.certificate < 1.0 - sched.eps_hat);
+                    earlier += usize::from(got.stats.iterations < paper.stats.iterations);
                 }
             }
         }
@@ -938,8 +968,8 @@ mod tests {
             };
             let mut scratch = TrimScratch::new(n);
             let mut rng = SmallRng::seed_from_u64(2);
-            let (_, sets, _) =
-                select_max_spread(&g, Model::IC, &residual, &params, &mut scratch, &mut rng);
+            let sets = select_max_spread(&g, Model::IC, &residual, &params, &mut scratch, &mut rng)
+                .sets_generated;
             assert_eq!(sets, cap);
             assert_eq!(
                 scratch.pool().heap_bytes(),
@@ -967,6 +997,108 @@ mod tests {
         let mut scratch = TrimScratch::new(3);
         let mut rng = SmallRng::seed_from_u64(5);
         let out = trim(&g, Model::LT, &residual, 2, &params, &mut scratch, &mut rng).unwrap();
-        assert_eq!(out.node, 0, "source of the chain dominates");
+        assert_eq!(out.seeds[0], 0, "source of the chain dominates");
+    }
+
+    /// The sizes of the walk `θ◦, next(θ◦), …, θ_max`.
+    fn walk_sizes(sched: &Schedule) -> Vec<usize> {
+        let mut sizes = vec![sched.theta0];
+        while sizes[sizes.len() - 1] < sched.theta_max {
+            sizes.push(sched.next(sizes[sizes.len() - 1]));
+        }
+        sizes
+    }
+
+    /// Runs [`certified_round`] into fresh counts at `η_i = 20` with a check
+    /// that returns at its `stop_at`-th call or when `last`, and returns
+    /// each call's `(|R|, last)`. The round's sets and edges must be those
+    /// of one draw of as many sets.
+    fn calls_of_round(g: &Graph, sched: &Schedule, stop_at: usize) -> Vec<(usize, bool)> {
+        let residual = ResidualState::new(g.n());
+        let job = round_job(g, Model::IC, &residual, 20, &mut SmallRng::seed_from_u64(9));
+        let mut counts = SketchCounts::new(g.n());
+        let mut calls = Vec::new();
+        let (value, checks, edges) = certified_round(
+            &mut SketchGenPool::new(g.n()),
+            &job,
+            sched,
+            1,
+            &mut counts,
+            &mut 0,
+            |counts, last| {
+                calls.push((counts.len(), last));
+                (last || calls.len() == stop_at).then_some(calls.len())
+            },
+        );
+        assert_eq!((value, checks), (calls.len(), calls.len()));
+        let mut once = SketchCounts::new(g.n());
+        let drawn = SketchGenPool::new(g.n()).generate(&job, counts.len(), 1, &mut once);
+        assert_eq!((counts, edges), (once, drawn.edges_examined));
+        calls
+    }
+
+    /// With a check that never certifies, [`certified_round`] calls it
+    /// exactly `T` times, or fewer when `θ_max` comes first; `last` is true
+    /// on the final call only; and `|R|` at each call follows the walk. So
+    /// at ×1.25 and ×2, uncapped and with `theta_cap` at θ◦ and mid-walk.
+    /// A check that returns at call k stops the round there.
+    #[test]
+    fn certified_round_checks_at_each_size_of_the_walk() {
+        use smin_graph::generators::{assemble, chung_lu_directed};
+        use smin_graph::WeightModel;
+
+        let n = 200;
+        let mut rng = SmallRng::seed_from_u64(0x3C);
+        let pairs = chung_lu_directed(n, 800, 2.1, &mut rng).unwrap();
+        let g = assemble(n, &pairs, true, WeightModel::WeightedCascade, &mut rng).unwrap();
+        let ln_n = (n as f64).ln();
+        let walked = |sizes: &[usize]| -> Vec<(usize, bool)> {
+            let last = sizes.len() - 1;
+            sizes
+                .iter()
+                .enumerate()
+                .map(|(k, &r)| (r, k == last))
+                .collect()
+        };
+        for growth in [TRIM_GROWTH, DOUBLING] {
+            let uncapped = schedule(n, 20, 0.9, 1, 1.0, ln_n, None, growth);
+            let mid = walk_sizes(&uncapped)[uncapped.t_max / 2] + 1;
+            for cap in [None, Some(uncapped.theta0), Some(mid)] {
+                let case = format!("g = {growth}, cap = {cap:?}");
+                let sched = schedule(n, 20, 0.9, 1, 1.0, ln_n, cap, growth);
+                let sizes = walk_sizes(&sched);
+                assert_eq!(sizes.len(), sched.t_max, "{case}");
+                assert_eq!(
+                    calls_of_round(&g, &sched, usize::MAX),
+                    walked(&sizes),
+                    "{case}"
+                );
+                for k in [1, 2, sched.t_max / 2]
+                    .into_iter()
+                    .filter(|&k| 0 < k && k < sched.t_max)
+                {
+                    let mut want = walked(&sizes[..k]);
+                    want[k - 1].1 = false;
+                    assert_eq!(calls_of_round(&g, &sched, k), want, "{case}, stop at {k}");
+                }
+            }
+            // A `T` past the walk: θ_max ends the round first.
+            let long = Schedule {
+                t_max: uncapped.t_max + 3,
+                ..schedule(n, 20, 0.9, 1, 1.0, ln_n, Some(mid), growth)
+            };
+            let sizes = walk_sizes(&long);
+            assert!(sizes.len() < long.t_max);
+            assert_eq!(calls_of_round(&g, &long, usize::MAX), walked(&sizes));
+            // A `T` of 2: the second check is the last, below θ_max.
+            let short = Schedule {
+                t_max: 2,
+                ..schedule(n, 20, 0.9, 1, 1.0, ln_n, None, growth)
+            };
+            assert_eq!(
+                calls_of_round(&g, &short, usize::MAX),
+                walked(&walk_sizes(&short)[..2])
+            );
+        }
     }
 }

@@ -44,8 +44,10 @@
 //!
 //! # Schedule and a shortfall of one
 //!
-//! TRIM-B keeps the paper's doubling between checks (`T` and the `a`s are
-//! Line 4's and Line 5's) and Lemma A.2's bounds in Lines 9–10;
+//! A round is TRIM's sampling loop (`trim::certified_round`) with Lines
+//! 8–11 as its check. It keeps the paper's doubling between checks (`T`
+//! and the `a`s are Line 4's and Line 5's) and Lemma A.2's bounds in Lines
+//! 9–10;
 //! [`mod@crate::trim`] explains why TRIM checks every ×1.25 and certifies with
 //! the binomial tail, and TRIM-B does neither. At `η_i = 1` every mRR set is the whole
 //! residual graph, so the greedy's first pick, the smallest alive id,
@@ -57,56 +59,16 @@
 
 use crate::error::AsmError;
 use crate::params::TrimParams;
-use crate::report::TrimStats;
-use crate::trim::{schedule, shortfall_of_one, Schedule, TrimScratch, DOUBLING};
+use crate::report::{Round, TrimStats};
+use crate::trim::{
+    certified_round, round_job, schedule, shortfall_of_one, Schedule, TrimScratch, DOUBLING,
+};
 use rand::Rng;
 use smin_diffusion::{Model, ResidualState};
-use smin_graph::{Graph, NodeId};
+use smin_graph::Graph;
 use smin_sampling::bounds::{coverage_lower_bound, coverage_upper_bound};
 use smin_sampling::coverage::rho_b;
-use smin_sampling::{resolve_threads, RootCountDist, SketchJob};
-
-/// Outcome of one TRIM-B round.
-#[derive(Clone, Debug)]
-pub struct TrimBOutput {
-    /// The selected batch `S_b` (size ≤ b; smaller only when the residual
-    /// graph has fewer alive nodes).
-    pub seeds: Vec<NodeId>,
-    /// `Λ_R(S_b)` at termination.
-    pub coverage: u32,
-    /// `|R|` at termination.
-    pub sets_generated: usize,
-    /// Certificate checks made (`≤ T`); 0 on the `η_i = 1` path.
-    pub iterations: usize,
-    /// Greedy maximum-coverage runs (Line 8) that made every pick: at least
-    /// 1, at most `iterations`, and 0 on the `η_i = 1` path. A call
-    /// abandoned once it cannot certify does not count; the last check's
-    /// call always completes.
-    pub greedy_calls: usize,
-    /// OPIM-C's bound `U ≥ Λ_R(S_b◦)` at termination (module docs).
-    pub upper: u32,
-    /// Estimate `η_i · Λ_R(S_b)/|R|` of `E[Γ̃(S_b | S_{i−1})]`.
-    pub est_truncated_spread: f64,
-    /// `Λˡ(S_b)/Λᵘ(U)` at termination (target `ρ_b(1 − ε̂)`).
-    pub certificate: f64,
-    /// Total edges examined while sampling (what counts is in
-    /// `smin_sampling::rr`'s module docs).
-    pub edges_examined: usize,
-}
-
-impl TrimBOutput {
-    /// The round's statistics for [`RoundReport::trim`](crate::RoundReport).
-    pub fn stats(&self) -> TrimStats {
-        TrimStats {
-            iterations: self.iterations,
-            certificate: self.certificate,
-            edges_examined: self.edges_examined,
-            greedy_calls: self.greedy_calls,
-            coverage: self.coverage,
-            upper: self.upper,
-        }
-    }
-}
+use smin_sampling::resolve_threads;
 
 /// `ln C(n, b)` computed stably as a sum of logs (b is small: 2–8 in the
 /// paper's experiments).
@@ -147,7 +109,7 @@ pub(crate) fn ln_binomial(n: usize, b: usize) -> f64 {
 /// once it reaches the target `ρ_b(1 − ε̂) > 0` at some `c`, it reaches it
 /// at every larger `c`. With `U ≥ c`, a call whose final coverage is at
 /// most `B` ends with a certificate of at most `f(c) ≤ f(B)`.
-fn certificate(c: u32, u: u32, sched: &Schedule) -> f64 {
+pub(crate) fn certificate(c: u32, u: u32, sched: &Schedule) -> f64 {
     let lower = coverage_lower_bound(f64::from(c), sched.a1);
     let upper = coverage_upper_bound(f64::from(u), sched.a2);
     if upper > 0.0 {
@@ -171,7 +133,7 @@ pub fn trim_b(
     params: &TrimParams,
     scratch: &mut TrimScratch,
     rng: &mut impl Rng,
-) -> Result<TrimBOutput, AsmError> {
+) -> Result<Round, AsmError> {
     params.validate()?;
     if b == 0 {
         return Err(AsmError::InvalidBatch(0));
@@ -189,22 +151,11 @@ pub fn trim_b(
         ..
     } = scratch;
     pool.reset();
-    if let Some(node) = shortfall_of_one(residual, eta_i, rng) {
-        return Ok(TrimBOutput {
-            seeds: vec![node],
-            coverage: 0,
-            sets_generated: 0,
-            iterations: 0,
-            greedy_calls: 0,
-            upper: 0,
-            est_truncated_spread: 1.0,
-            certificate: 1.0,
-            edges_examined: 0,
-        });
+    if let Some(round) = shortfall_of_one(residual, eta_i, rng) {
+        return Ok(round);
     }
     let b = b.min(n_i);
     let rho = rho_b(b);
-
     let sched = schedule(
         n_i,
         eta_i,
@@ -215,67 +166,48 @@ pub fn trim_b(
         params.theta_cap,
         DOUBLING,
     );
-
-    let threads = resolve_threads(params.threads);
-    let job = SketchJob {
-        graph: g,
-        model,
-        snapshot: residual.snapshot(),
-        eta_i,
-        dist: RootCountDist::Randomized,
-        base_seed: rng.next_u64(),
-    };
-    let mut edges_examined = 0usize;
-
-    {
-        let _span = smin_obs::Span::enter(&mut stage.sketch);
-        edges_examined += sketch_gen
-            .generate(&job, sched.theta0, threads, pool)
-            .edges_examined;
-    }
-
+    let job = round_job(g, model, residual, eta_i, rng);
     let stop_at = rho * (1.0 - sched.eps_hat);
-    let mut iterations = 0;
+    // Line 8's greedy runs that made every pick; an abandoned one does not
+    // count, and the last check's always completes.
     let mut greedy_calls = 0;
-    loop {
-        iterations += 1;
-        // At `T` iterations or `θ_max` sets the round ends here, whatever
-        // the greedy finds.
-        let last = iterations >= sched.t_max || pool.len() >= sched.theta_max;
-        // Line 8: greedy maximum coverage, abandoned as soon as the bound on
-        // its final coverage shows it cannot certify (module docs). With
-        // b ≤ 8 the greedy scans the pool for each pick's sets and builds
-        // no index, so nothing goes stale as the pool grows between calls.
-        let greedy = {
-            let _span = smin_obs::Span::enter(&mut stage.coverage);
-            engine.select_while(pool, b, |bound| {
-                last || certificate(bound, bound, &sched) >= stop_at
-            })
-        };
-        if let Some(greedy) = greedy {
+    let ((greedy, certificate), iterations, edges_examined) = certified_round(
+        sketch_gen,
+        &job,
+        &sched,
+        resolve_threads(params.threads),
+        pool,
+        &mut stage.sketch,
+        |pool, last| {
+            // Line 8: greedy maximum coverage, abandoned as soon as the bound
+            // on its final coverage shows it cannot certify (module docs).
+            // With b ≤ 8 the greedy scans the pool for each pick's sets and
+            // builds no index, so nothing goes stale as the pool grows.
+            let greedy = {
+                let _span = smin_obs::Span::enter(&mut stage.coverage);
+                engine.select_while(pool, b, |bound| {
+                    last || certificate(bound, bound, &sched) >= stop_at
+                })
+            }?;
             greedy_calls += 1;
-            let coverage = greedy.covered;
             // Lines 9–10, with OPIM-C's U as the optimum's coverage bound
-            let certificate = certificate(coverage, greedy.upper, &sched);
-            if certificate >= stop_at || last {
-                return Ok(TrimBOutput {
-                    seeds: greedy.seeds,
-                    coverage,
-                    sets_generated: pool.len(),
-                    iterations,
-                    greedy_calls,
-                    upper: greedy.upper,
-                    est_truncated_spread: eta_i as f64 * coverage as f64 / pool.len() as f64,
-                    certificate,
-                    edges_examined,
-                });
-            }
-        }
-        let _span = smin_obs::Span::enter(&mut stage.sketch);
-        edges_examined += sketch_gen
-            .generate(&job, sched.next(pool.len()), threads, pool)
-            .edges_examined;
-    }
+            let certificate = certificate(greedy.covered, greedy.upper, &sched);
+            (certificate >= stop_at || last).then_some((greedy, certificate))
+        },
+    );
+    Ok(Round {
+        sets_generated: pool.len(),
+        est_truncated_spread: eta_i as f64 * greedy.covered as f64 / pool.len() as f64,
+        stats: TrimStats {
+            iterations,
+            certificate,
+            edges_examined,
+            greedy_calls,
+            coverage: greedy.covered,
+            upper: greedy.upper,
+        },
+        seeds: greedy.seeds,
+    })
 }
 
 #[cfg(test)]
@@ -284,8 +216,8 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use smin_graph::GraphBuilder;
-    use smin_sampling::GreedyCover;
+    use smin_graph::{GraphBuilder, NodeId};
+    use smin_sampling::{GreedyCover, RootCountDist, SketchJob};
 
     /// Two independent stars: picking both centers is the unique optimal
     /// 2-batch.
@@ -423,7 +355,7 @@ mod tests {
         scratch: &mut TrimScratch,
         rng: &mut impl Rng,
         line10: impl Fn(&GreedyCover, f64) -> f64,
-    ) -> TrimBOutput {
+    ) -> Round {
         let n_i = residual.n_alive();
         let b = b.min(n_i);
         let rho = rho_b(b);
@@ -468,16 +400,18 @@ mod tests {
                 || iterations >= sched.t_max
                 || pool.len() >= sched.theta_max
             {
-                return TrimBOutput {
+                return Round {
                     seeds: greedy.seeds,
-                    coverage,
                     sets_generated: pool.len(),
-                    iterations,
-                    greedy_calls: iterations,
-                    upper: greedy.upper,
                     est_truncated_spread: eta_i as f64 * coverage as f64 / pool.len() as f64,
-                    certificate,
-                    edges_examined,
+                    stats: TrimStats {
+                        iterations,
+                        certificate,
+                        edges_examined,
+                        greedy_calls: iterations,
+                        coverage,
+                        upper: greedy.upper,
+                    },
                 };
             }
             edges_examined += sketch_gen
@@ -540,33 +474,36 @@ mod tests {
                         );
                         let case = format!("{model} b={b} cap={cap:?} seed={seed}");
                         assert_eq!(got.seeds, want.seeds, "{case}");
-                        assert_eq!(got.coverage, want.coverage, "{case}");
-                        assert_eq!(got.upper, want.upper, "{case}");
+                        assert_eq!(got.stats.coverage, want.stats.coverage, "{case}");
+                        assert_eq!(got.stats.upper, want.stats.upper, "{case}");
                         assert_eq!(got.sets_generated, want.sets_generated, "{case}");
-                        assert_eq!(got.iterations, want.iterations, "{case}");
+                        assert_eq!(got.stats.iterations, want.stats.iterations, "{case}");
                         assert_eq!(
                             got.est_truncated_spread.to_bits(),
                             want.est_truncated_spread.to_bits(),
                             "{case}"
                         );
                         assert_eq!(
-                            got.certificate.to_bits(),
-                            want.certificate.to_bits(),
+                            got.stats.certificate.to_bits(),
+                            want.stats.certificate.to_bits(),
                             "{case}"
                         );
-                        assert_eq!(got.edges_examined, want.edges_examined, "{case}");
+                        assert_eq!(
+                            got.stats.edges_examined, want.stats.edges_examined,
+                            "{case}"
+                        );
                         assert_eq!(
                             fast.engine().last_scanned,
                             slow.engine().last_scanned,
                             "{case}"
                         );
                         assert!(
-                            (1..=got.iterations).contains(&got.greedy_calls),
+                            (1..=got.stats.iterations).contains(&got.stats.greedy_calls),
                             "{case}: {} greedy calls",
-                            got.greedy_calls
+                            got.stats.greedy_calls
                         );
                         if cap == Some(sched.theta0) {
-                            assert_eq!(got.iterations, 1, "{case}");
+                            assert_eq!(got.stats.iterations, 1, "{case}");
                         }
                         let paper = trim_b_greedy_every_iteration(
                             &g,
@@ -579,12 +516,12 @@ mod tests {
                             &mut paper_rng,
                             |greedy, rho| f64::from(greedy.covered) / rho,
                         );
-                        assert!(got.iterations <= paper.iterations, "{case}");
+                        assert!(got.stats.iterations <= paper.stats.iterations, "{case}");
                         assert!(got.sets_generated <= paper.sets_generated, "{case}");
                         cases += 1;
-                        skipped += usize::from(got.greedy_calls < got.iterations);
-                        forced += usize::from(got.certificate < rho * (1.0 - sched.eps_hat));
-                        earlier += usize::from(got.iterations < paper.iterations);
+                        skipped += usize::from(got.stats.greedy_calls < got.stats.iterations);
+                        forced += usize::from(got.stats.certificate < rho * (1.0 - sched.eps_hat));
+                        earlier += usize::from(got.stats.iterations < paper.stats.iterations);
                     }
                 }
             }

@@ -112,38 +112,43 @@ impl Registry {
         Registry::default()
     }
 
-    /// Validates a requested id (1 to [`MAX_ID_BYTES`] bytes of
-    /// `[A-Za-z0-9._-]`), or auto-assigns `g0`, `g1`, … for `None`, and
-    /// rejects one that is already taken — delete first to replace, so a
-    /// client can never silently swap another client's graph. Callers that
-    /// need the id before registering (to derive a snapshot path) resolve
-    /// first, then call [`Registry::register_resolved`] under the same lock.
+    /// Checks a requested id: 1 to [`MAX_ID_BYTES`] bytes of
+    /// `[A-Za-z0-9._-]` (400), and not already taken (409) — delete first to
+    /// replace, so a client can never silently swap another client's graph.
+    /// A registration checks its id before it builds the graph, and again
+    /// through [`Registry::resolve_id`] under the lock it registers under.
+    pub fn check_id(&self, id: &str) -> Result<(), ServiceError> {
+        if id.is_empty()
+            || id.len() > MAX_ID_BYTES
+            || !id
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || "-_.".contains(c))
+        {
+            return Err(ServiceError::bad_request(format!(
+                "graph id {} must be 1 to {MAX_ID_BYTES} bytes of [A-Za-z0-9._-]",
+                quoted(id)
+            )));
+        }
+        if self.entries.contains_key(id) {
+            return Err(ServiceError::new(
+                409,
+                "graph_exists",
+                format!(
+                    "graph {} is already registered; DELETE it first",
+                    quoted(id)
+                ),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Passes a requested id through [`Registry::check_id`], or
+    /// auto-assigns `g0`, `g1`, … for `None`. Callers that need the id
+    /// before registering (to derive a snapshot path) resolve first, then
+    /// call [`Registry::register_resolved`] under the same lock.
     pub fn resolve_id(&mut self, id: Option<String>) -> Result<String, ServiceError> {
         match id {
-            Some(id) => {
-                if id.is_empty()
-                    || id.len() > MAX_ID_BYTES
-                    || !id
-                        .chars()
-                        .all(|c| c.is_ascii_alphanumeric() || "-_.".contains(c))
-                {
-                    return Err(ServiceError::bad_request(format!(
-                        "graph id {} must be 1 to {MAX_ID_BYTES} bytes of [A-Za-z0-9._-]",
-                        quoted(&id)
-                    )));
-                }
-                if self.entries.contains_key(&id) {
-                    return Err(ServiceError::new(
-                        409,
-                        "graph_exists",
-                        format!(
-                            "graph {} is already registered; DELETE it first",
-                            quoted(&id)
-                        ),
-                    ));
-                }
-                Ok(id)
-            }
+            Some(id) => self.check_id(&id).map(|()| id),
             None => loop {
                 let candidate = format!("g{}", self.next_auto_id);
                 self.next_auto_id += 1;

@@ -588,6 +588,11 @@ fn load_graph_file(
 fn register_graph(state: &ServiceState, body: &[u8]) -> Result<Response, ServiceError> {
     let v = json::parse_object(body)?;
     let id = json::opt_str(&v, "id")?;
+    // A bad or taken id answers before the graph is built; the check under
+    // the registry lock below still settles a race with a 409.
+    if let Some(id) = &id {
+        state.registry().check_id(id)?;
+    }
     let path = json::opt_str(&v, "path")?;
     let generate = json::field(&v, "generate");
     let (graph, source) = match (path, generate) {
@@ -2096,6 +2101,39 @@ mod tests {
         let resp = post(&s, "/v1/graphs", r#"{"generate":{"kind":"er","n":1e30}}"#);
         assert_eq!(resp.status, 400, "{}", body_str(&resp));
         assert!(body_str(&resp).contains("'n'"), "{}", body_str(&resp));
+    }
+
+    /// A registration's id is checked before its graph is loaded: a taken
+    /// id and a malformed one answer 409 and 400, not the missing file's
+    /// 400, and an automatic id still loads.
+    #[test]
+    fn registration_checks_its_id_before_loading() {
+        let dir = std::env::temp_dir().join("smin_service_id_check_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("tiny.txt"), "0 1 0.5\n1 2 0.5\n").unwrap();
+        let s = ServiceState::new(Some(dir), 8);
+        let resp = post(&s, "/v1/graphs", r#"{"id":"g1","path":"tiny.txt"}"#);
+        assert_eq!(resp.status, 201, "{}", body_str(&resp));
+        for (body, status, code) in [
+            (r#"{"id":"g1","path":"missing.smg"}"#, 409, "graph_exists"),
+            (r#"{"id":"a/b","path":"missing.smg"}"#, 400, "bad_request"),
+            (r#"{"path":"missing.smg"}"#, 400, "graph_io_error"),
+        ] {
+            let resp = post(&s, "/v1/graphs", body);
+            assert_eq!(resp.status, status, "{body}: {}", body_str(&resp));
+            assert!(
+                body_str(&resp).contains(code),
+                "{body}: {}",
+                body_str(&resp)
+            );
+        }
+        let resp = post(&s, "/v1/graphs", r#"{"path":"tiny.txt"}"#);
+        assert_eq!(resp.status, 201, "{}", body_str(&resp));
+        assert!(
+            body_str(&resp).contains("\"id\":\"g0\""),
+            "{}",
+            body_str(&resp)
+        );
     }
 
     #[test]

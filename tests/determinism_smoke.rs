@@ -152,8 +152,11 @@ fn selections_match_pre_refactor_goldens() {
             &mut rng,
         )
         .unwrap();
-        assert_eq!(out.node, 399, "trim selection drifted at {threads} threads");
-        assert_eq!(out.coverage, 216);
+        assert_eq!(
+            out.seeds[0], 399,
+            "trim selection drifted at {threads} threads"
+        );
+        assert_eq!(out.stats.coverage, 216);
         assert_eq!(out.sets_generated, 332);
         let Digested { digest, pool } =
             regenerate(&g, &residual, 60, base_seed, out.sets_generated, threads);
@@ -175,7 +178,7 @@ fn selections_match_pre_refactor_goldens() {
         )
         .unwrap();
         assert_eq!(out.seeds, vec![399, 212, 546, 449], "trim_b batch drifted");
-        assert_eq!(out.coverage, 385);
+        assert_eq!(out.stats.coverage, 385);
         assert_eq!(out.sets_generated, 414);
         let Digested { digest, pool } =
             regenerate(&g, &residual, 60, base_seed, out.sets_generated, threads);
@@ -261,7 +264,12 @@ fn trim_selection_and_pool_identical_across_thread_counts() {
             regenerate(&g, &residual, 60, base_seed, out.sets_generated, threads);
         assert_eq!(digest, 0x68e95bf3a5e60242, "{threads} threads");
         assert_eq!(pool.counts(), scratch.counts(), "{threads} threads");
-        let state = (out.node, out.coverage, out.sets_generated, dump_pool(&pool));
+        let state = (
+            out.seeds[0],
+            out.stats.coverage,
+            out.sets_generated,
+            dump_pool(&pool),
+        );
         match &baseline {
             None => baseline = Some(state),
             Some(base) => {
@@ -298,7 +306,11 @@ fn trim_b_batch_identical_across_thread_counts() {
             &mut rng,
         )
         .unwrap();
-        let state = (out.seeds.clone(), out.coverage, dump_pool(scratch.pool()));
+        let state = (
+            out.seeds.clone(),
+            out.stats.coverage,
+            dump_pool(scratch.pool()),
+        );
         match &baseline {
             None => baseline = Some(state),
             Some(base) => assert_eq!(&state, base, "{threads} threads diverged"),

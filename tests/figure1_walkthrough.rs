@@ -144,6 +144,26 @@ fn degenerate_oracle_cannot_hang_asti() {
         &mut rng,
     )
     .expect("valid parameters");
-    assert!(!report.reached, "a silent world can never reach η");
-    assert!(report.num_seeds() <= 6, "at most one seed per node");
+    // ASTI at b = 4 and AdaptIM run the same adaptive loop.
+    let batched = asti(
+        &g,
+        Model::IC,
+        4,
+        &AstiParams::batched(0.5, 4),
+        &mut oracle,
+        &mut rng,
+    );
+    let adaptim = adapt_im(
+        &g,
+        Model::IC,
+        4,
+        &AdaptImParams::with_eps(0.5),
+        &mut oracle,
+        &mut rng,
+    );
+    for report in [Ok(report), batched, adaptim] {
+        let report = report.expect("valid parameters");
+        assert!(!report.reached, "a silent world can never reach η");
+        assert!(report.num_seeds() <= 6, "at most one seed per node");
+    }
 }

@@ -401,9 +401,9 @@ fn trim_b_selections_identical_across_thread_counts() {
             let out = trim_b(&g, model, &residual, 50, 4, &params, &mut scratch, &mut rng).unwrap();
             let state = (
                 out.seeds.clone(),
-                out.coverage,
+                out.stats.coverage,
                 out.sets_generated,
-                out.greedy_calls,
+                out.stats.greedy_calls,
                 scratch.engine().last_scanned,
             );
             match &baseline {

@@ -134,7 +134,7 @@ fn lemma39_star_stops_after_first_check() {
         &mut rng,
     )
     .unwrap();
-    assert_eq!(out.node, 0, "the center dominates");
+    assert_eq!(out.seeds[0], 0, "the center dominates");
     // Lines 1–3 of Algorithm 2.
     let n_f = n as f64;
     let delta = eps / (100.0 * (1.0 - (-1.0f64).exp()) * (1.0 - eps) * eta as f64);
@@ -145,7 +145,7 @@ fn lemma39_star_stops_after_first_check() {
     assert!(
         out.sets_generated <= 4 * theta0,
         "expected early stop, took {} checks / {} sets (θ◦ = {theta0})",
-        out.iterations,
+        out.stats.iterations,
         out.sets_generated
     );
 }

@@ -66,7 +66,7 @@ fn trim_selection_meets_guarantee_with_margin() {
                 )
                 .unwrap();
                 total += 1;
-                if exact[out.node as usize] < factor * opt - 1e-9 {
+                if exact[out.seeds[0] as usize] < factor * opt - 1e-9 {
                     violations += 1;
                 }
             }
@@ -159,7 +159,7 @@ fn trim_estimate_brackets_exact_value() {
             &mut rng,
         )
         .unwrap();
-        let exact = exact_expected_truncated(g, Model::IC, &[out.node], eta);
+        let exact = exact_expected_truncated(g, Model::IC, &[out.seeds[0]], eta);
         assert!(
             out.est_truncated_spread <= exact * 1.15 + 0.1,
             "graph {gi}: estimate {} far above exact {exact}",
