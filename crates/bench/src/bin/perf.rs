@@ -5,9 +5,10 @@
 //! probabilities), and the harness writes three hand-formatted artifacts:
 //!
 //! * `BENCH_coverage.json` — `pools`: for mRR pools (η = 100) of 1k/4k/16k
-//!   sets, the argmax candidate scan, the b = 8 greedy selection (the
-//!   compacted eager scan, each pick's sets found by scanning the pool),
-//!   and the pool's plus the engine's retained heap bytes. Then one array
+//!   sets, the argmax candidate scan, the b = 8 greedy selection (one walk
+//!   of every candidate, then picks from the engine's short list, each
+//!   pick's sets found by scanning the pool), and the pool's plus the
+//!   engine's retained heap bytes. Then one array
 //!   per group:
 //!   - `trim_round`: one TRIM round (Algorithm 2) and one TRIM-B round
 //!     (Algorithm 3, b ∈ {2, 8}, under IC and LT) at t ∈ {1, 2, 4}

@@ -1,5 +1,5 @@
 //! Coverage engine: greedy maximum coverage over a sketch pool (TRIM-B
-//! Line 8), and the candidate scan every pick goes through.
+//! Line 8), and the candidate walks its picks go through.
 //!
 //! The classic greedy algorithm guarantees covering at least
 //! `ρ_b = 1 − (1 − 1/b)^b` of the optimum for `b` picks (Vazirani 2003).
@@ -15,12 +15,26 @@
 //! so `U` bounds the best `b` nodes' coverage. The greedy's own `ρ_b`
 //! argument gives `ρ_b·U ≤ Λ_R(S_b)`, so `U` is never looser than the
 //! `Λ_R(S_b)/ρ_b` TRIM-B's Line 10 divides by. `U` costs no extra pass per
-//! pick: the walk that finds each pick already reads every live marginal,
-//! and keeps the `b` largest; one more walk after the last pick adds
-//! `S_b`'s term. The same marginals bound the coverage the call will end
-//! with — `Λ_R(S_i)` plus the `b − i` largest — so
-//! [`CoverageEngine::select_while`] can abandon a call as soon as that
-//! bound is too small to matter to its caller.
+//! pick: the walk that finds each pick also finds the `b` largest
+//! marginals, and one more walk after the last pick adds `S_b`'s term. The
+//! same marginals bound the coverage the call will end with — `Λ_R(S_i)`
+//! plus the `b − i` largest — so [`CoverageEngine::select_while`] can
+//! abandon a call as soon as that bound is too small to matter to its
+//! caller. Before pick 1 the marginals are the pool's counts, so pick 1's
+//! walk reads those, and a call abandoned there loads no marginals and
+//! covers no set.
+//!
+//! A greedy run walks all of its candidates once, not once per pick. That
+//! first walk keeps a short list of the best `k + 64` candidates by
+//! marginal (`k` = `b`, or 0 for `select_until`) and a cap on every other
+//! candidate's marginal. Marginals only fall, so the cap holds for the rest
+//! of the run, and later picks walk only the list while its best beats the
+//! cap and its `k`-th largest reaches it. When they do not, one full walk,
+//! what every pick cost before the list, rebuilds the list. The list never
+//! decides a tie against a candidate off it, so every pick and every `U`
+//! is the one a full walk at each pick gives. A pool touching at most 32
+//! times as many nodes as the list holds keeps them all on it, and each
+//! pick walks them, compacting out the exhausted.
 //!
 //! TRIM-B's `b`-pick greedy and ATEUC's bound-driven `select_until` loops
 //! share one greedy loop over one marginal-maintenance implementation
@@ -48,9 +62,9 @@
 //!
 //! The hot paths run on word-parallel kernels: past the scanned picks,
 //! `commit_pick` batches newly covered sets 64 at a time against the
-//! covered mask's words before touching marginals, and the candidate scans
-//! walk in unrolled 4-wide strides — all bit-identical to the scalar
-//! reference scans they replaced (same tie-breaking total order).
+//! covered mask's words before touching marginals, and the list walks run
+//! in unrolled 4-wide strides — all bit-identical to the scalar reference
+//! scans they replaced (same tie-breaking total order).
 
 use crate::pool::SketchPool;
 use smin_graph::cast::u32_of;
@@ -154,18 +168,19 @@ pub(crate) fn best_node(nodes: &[NodeId], gain: &[u32]) -> Option<(NodeId, u32)>
 
 /// Keeps the `k` largest entries of `buf` (at least `k` long) and returns
 /// the smallest one kept.
-fn keep_largest(buf: &mut Vec<u32>, k: usize) -> u32 {
+fn keep_largest<T: Ord + Copy>(buf: &mut Vec<T>, k: usize) -> T {
     let cut = buf.len() - k;
     buf.select_nth_unstable(cut);
     buf.drain(..cut);
     buf[0]
 }
 
-/// Compacting candidate scan behind every greedy pick: drops
-/// permanently-exhausted nodes (zero marginal — submodularity keeps them
-/// zero) out of `scan` in place while tracking the best candidate in four
-/// independent lanes, exactly like [`best_node`]. Returns the pick with
-/// the shared tie-breaking, or `None` when no live candidate remains.
+/// Compacting candidate scan behind every walk of a greedy run's short
+/// list ([`ShortList`]): drops permanently-exhausted nodes (zero marginal
+/// — submodularity keeps them zero) out of `scan` in place while tracking
+/// the best candidate in four independent lanes, exactly like
+/// [`best_node`]. Returns the pick with the shared tie-breaking, or `None`
+/// when no live candidate remains.
 ///
 /// The same walk leaves the `k` largest marginals in `top`, sorted
 /// ascending, zeros standing in for missing candidates. A marginal is
@@ -231,6 +246,137 @@ fn scan_best(
     (best.1 != 0).then_some(best)
 }
 
+/// The full walk behind a greedy run's short list: leaves in `keys` the
+/// [`pack`]ed keys of the `m` best candidates of `nodes` with positive
+/// `gain` (all of them when there are fewer), in no order. Returns a cap on
+/// the key of every such candidate it left out: one below the smallest key
+/// kept, or 0 when it left none out.
+///
+/// A key is buffered only when it beats the smallest one kept so far, and a
+/// full buffer of `2m` shrinks back to its `m` largest, so past the first
+/// few candidates this costs one compare each. An exhausted node's key
+/// carries zero gain and never beats the starting floor, so the walk needs
+/// no compacted input.
+fn refill(nodes: &[NodeId], gain: &[u32], m: usize, keys: &mut Vec<u64>) -> u64 {
+    keys.clear();
+    // smallest key kept so far: only a larger one can be among the m
+    let mut floor = u64::from(u32::MAX);
+    let mut cut = false;
+    for &v in nodes {
+        let key = pack(v, gain[v as usize]);
+        if key > floor {
+            keys.push(key);
+            if keys.len() == 2 * m {
+                floor = keep_largest(keys, m);
+                cut = true;
+            }
+        }
+    }
+    if keys.len() > m {
+        keep_largest(keys, m);
+        cut = true;
+    }
+    // keys are distinct, so every key left out is below the smallest kept
+    match keys.iter().min() {
+        Some(&min) if cut => min - 1,
+        _ => 0,
+    }
+}
+
+/// The candidates a greedy run's picks walk: the best ones of its latest
+/// full walk, and a cap on every other live candidate.
+///
+/// A full walk ([`refill`]) over every node the pool touches keeps the
+/// `k + LIST` best candidates by [`pack`]ed key, and a cap on the key
+/// of every candidate it left out. Marginals only fall, so the cap holds
+/// until the run ends. A walk of the list alone is then exact while its
+/// best key is above the cap and, when the caller wants the `k` largest
+/// marginals, the `k`-th largest on the list is at least the cap's
+/// marginal: no candidate off the list can win the pick or raise the sum
+/// of the `k` largest. Otherwise one full walk rebuilds the list, after
+/// which the list walk is exact by construction. A pool that touches at
+/// most [`WHOLE`] times as many nodes puts them all on the list.
+#[derive(Default)]
+struct ShortList {
+    /// The latest full walk's best candidates, less those exhausted since.
+    nodes: Vec<NodeId>,
+    /// The buffer [`refill`] collects the list's keys in.
+    keys: Vec<u64>,
+    /// The cap on the key of every candidate off the list (0 when none
+    /// is); `None` until the run's first full walk.
+    cap: Option<u64>,
+}
+
+/// Candidates a full walk keeps on the short list, beyond the `k` largest
+/// marginals its caller asks for. A longer list makes the first walk trim
+/// its buffer more often, and about half of TRIM-B's calls end at that
+/// walk: on 39 pools drawn from `campaign-lt-b8` (7 600–17 000
+/// candidates), calls abandoned before pick 1 took 0.8–0.9×, 0.85–0.9×
+/// and 1.03–1.08× the time they took when every pick walked every
+/// candidate, with 64, 128 and 256, and whole `b = 8` calls about 0.5×
+/// with each.
+const LIST: usize = 64;
+
+/// A full walk over at most `WHOLE` times the list's length keeps every
+/// candidate on the list instead, with no cap, so each later pick walks
+/// them all, as every pick did before the list. There a short list does
+/// not pay: on `perf`'s pools of 2 000 candidates about one pick in two
+/// ran it dry, and its `b = 8` and `b = 64` calls took 2–8% longer.
+const WHOLE: usize = 32;
+
+impl ShortList {
+    /// The next pick among `touched` under `gain`, with the `k` largest
+    /// marginals left in `top` as [`scan_best`] leaves them: from the list
+    /// when that is exact, else after a full walk of `touched`. Adds the
+    /// nodes it examined to `scanned`.
+    fn best(
+        &mut self,
+        touched: &[NodeId],
+        gain: &[u32],
+        k: usize,
+        top: &mut Vec<u32>,
+        scanned: &mut usize,
+    ) -> Option<(NodeId, u32)> {
+        if let Some(cap) = self.cap {
+            *scanned += self.nodes.len();
+            let best = scan_best(&mut self.nodes, gain, k, top);
+            if exact(cap, best, top) {
+                return best;
+            }
+        }
+        let m = k + LIST;
+        self.nodes.clear();
+        let cap = if touched.len() <= WHOLE * m {
+            self.nodes.extend_from_slice(touched);
+            0
+        } else {
+            *scanned += touched.len();
+            let cap = refill(touched, gain, m, &mut self.keys);
+            self.nodes.extend(
+                self.keys
+                    .iter()
+                    .filter_map(|&key| unpack(key))
+                    .map(|(v, _)| v),
+            );
+            cap
+        };
+        self.cap = Some(cap);
+        *scanned += self.nodes.len();
+        let best = scan_best(&mut self.nodes, gain, k, top);
+        debug_assert!(exact(cap, best, top));
+        best
+    }
+}
+
+/// Whether a walk of the short list that found `best` and the largest
+/// marginals `top` (ascending) is exact, given `cap`, the cap on every key
+/// off the list ([`ShortList`]).
+fn exact(cap: u64, best: Option<(NodeId, u32)>, top: &[u32]) -> bool {
+    cap == 0
+        || (best.is_some_and(|(v, c)| pack(v, c) > cap)
+            && top.first().is_none_or(|&c| u64::from(c) >= cap >> 32))
+}
+
 /// Reusable marginal-coverage maintenance shared by every greedy
 /// consumer. All buffers, the transpose of runs past 8 picks included,
 /// are retained across calls, so a `CoverageEngine` embedded in
@@ -248,10 +394,9 @@ pub struct CoverageEngine {
     /// `v`, in ascending id order. Stale outside such a run.
     node_off: Vec<usize>,
     node_sets: Vec<u32>,
-    /// Compact scan list: nodes whose marginal is still positive. Exhausted
-    /// nodes are swapped out during the scan and never revisited —
-    /// submodularity guarantees a zero marginal stays zero.
-    scan: Vec<NodeId>,
+    /// The best candidates of the latest full walk, which most picks walk
+    /// instead of every node the pool touches.
+    short: ShortList,
     /// Nodes examined by the most recent selection (instrumentation; the
     /// compaction regression test pins this).
     pub last_scanned: usize,
@@ -277,22 +422,19 @@ impl CoverageEngine {
             + self.set_covered.heap_bytes()
             + self.node_off.capacity() * size_of::<usize>()
             + self.node_sets.capacity() * size_of::<u32>()
-            + self.scan.capacity() * size_of::<NodeId>()
+            + self.short.nodes.capacity() * size_of::<NodeId>()
+            + self.short.keys.capacity() * size_of::<u64>()
             + self.word_buf.capacity() * size_of::<(u32, u64)>()
             + self.top.capacity() * size_of::<u32>()
     }
 
-    /// Starts a greedy run on `pool`: loads its coverage counts as the
-    /// marginals, clears the covered-set mask, and fills the scan list with
-    /// every covered node.
+    /// Readies a greedy run's first pick on `pool`: loads its coverage
+    /// counts as the marginals and clears the covered-set mask.
     fn begin(&mut self, pool: &SketchPool) {
         self.marginal.clear();
         self.marginal.extend_from_slice(pool.coverage_counts());
         self.set_covered.grow(pool.len());
         self.set_covered.clear();
-        self.scan.clear();
-        self.scan.extend_from_slice(pool.touched_nodes());
-        self.last_scanned = 0;
     }
 
     /// Commits `v`, the run's `pick`-th pick (from 1), into the partial
@@ -357,14 +499,19 @@ impl CoverageEngine {
     /// The one greedy loop behind every selection: picks the live candidate
     /// with the largest marginal (shared tie-breaking) until
     /// `done(picks, covered)` holds, `walked` declines or coverage runs
-    /// out. Each pick rescans the live candidate list, compacting out nodes
-    /// whose marginal dropped to zero and keeping the `top` largest
-    /// marginals; `walked(picks, covered, largest)` sees those, ascending,
-    /// before the pick is taken. A run of `k` picks costs
-    /// `O(n + k·|live| + min(k, 8)·Σ|R|)`: each scanned pick reads at most
-    /// the whole sparse member column and one word per dense set, a covered
-    /// dense set's walk costs fewer words than it has members, and a longer
-    /// run adds one `O(n + Σ|R|)` transpose build.
+    /// out. Each pick walks the short list ([`ShortList`]), or all live
+    /// candidates when the list cannot vouch for its answer, and finds the
+    /// `top` largest marginals; `walked(picks, covered, largest)` sees
+    /// those, ascending, before the pick is taken.
+    ///
+    /// Pick 1's walk reads the pool's counts, which are the marginals
+    /// before any pick, so a run that stops there loads no marginals and
+    /// covers no set. A run of `k` picks with `f` full walks after the
+    /// first costs `O(n + (1 + f)·|touched| + k·L + min(k, 8)·Σ|R|)`, with
+    /// `L` the list's length: each scanned pick reads at most the whole
+    /// sparse member column and one word per dense set, a covered dense
+    /// set's walk costs fewer words than it has members, and a longer run
+    /// adds one `O(n + Σ|R|)` transpose build.
     fn greedy(
         &mut self,
         pool: &SketchPool,
@@ -372,21 +519,38 @@ impl CoverageEngine {
         mut done: impl FnMut(usize, u32) -> bool,
         mut walked: impl FnMut(usize, u32, &[u32]) -> bool,
     ) -> (Vec<NodeId>, u32) {
-        self.begin(pool);
+        self.last_scanned = 0;
+        self.short.cap = None;
         let mut seeds = Vec::new();
         let mut covered = 0u32;
         while !done(seeds.len(), covered) {
-            self.last_scanned += self.scan.len();
-            let best = scan_best(&mut self.scan, &self.marginal, top, &mut self.top);
+            let gain = if seeds.is_empty() {
+                pool.coverage_counts()
+            } else {
+                &self.marginal
+            };
+            let best = self.short.best(
+                pool.touched_nodes(),
+                gain,
+                top,
+                &mut self.top,
+                &mut self.last_scanned,
+            );
             if !walked(seeds.len(), covered, &self.top) {
                 break;
             }
             let Some((v, gain)) = best else {
                 break;
             };
+            if seeds.is_empty() {
+                self.begin(pool);
+            }
             seeds.push(v);
             covered += gain;
             self.commit_pick(pool, v, seeds.len());
+        }
+        if seeds.is_empty() {
+            self.set_covered.clear();
         }
         (seeds, covered)
     }
@@ -624,9 +788,10 @@ mod tests {
         // 20 clusters: hub i covers that cluster's 50 sets, and each set
         // carries a unique leaf. Greedy picks the 20 hubs; once a hub is
         // picked its 50 leaves are permanently zero and must drop out of
-        // later scans. Without compaction every round rescans all 1020
-        // nodes (20 × 1020 = 20400 node visits); with it the scan shrinks by
-        // 51 nodes per round.
+        // later walks. Rescanning all 1020 nodes every round costs
+        // 20 × 1020 = 20400 node visits. The short list drops exhausted
+        // leaves as it walks, and each pick zeroes the leaves it holds, so
+        // the list runs dry every few picks and a full walk refills it.
         let clusters = 20usize;
         let sets_per = 50usize;
         let n = clusters + clusters * sets_per;
@@ -651,6 +816,38 @@ mod tests {
         );
         // every hub ties at gain 50, so they come out in id order
         assert_eq!(g.seeds, (0..clusters as NodeId).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn short_list_falls_back_when_its_picks_run_dry() {
+        // Hubs 0 and 1 tie at 200 sets, hub 2 has 150, and each set holds
+        // ten leaves of its own, 3 000 in all: too many candidates to put
+        // them all on the list. The list holds the hubs and the
+        // smallest-id leaves, those of the first sets. Hub 0 covers those
+        // sets, so pick 2's list walk finds fewer live candidates than the
+        // b = 3 marginals `U` needs and a full walk refills the list; after
+        // hub 1 every set is covered, and the emptied list falls back once
+        // more to learn that nothing is left.
+        let n = 3 + 3_000;
+        let mut pool = SketchPool::new(n);
+        for s in 0..300u32 {
+            let mut set: Vec<NodeId> = (3 + 10 * s..13 + 10 * s).collect();
+            set.extend((s < 200).then_some(0));
+            set.extend((s >= 100).then_some(1));
+            set.extend((s < 100 || (200..250).contains(&s)).then_some(2));
+            pool.add_set(&set);
+        }
+        let mut engine = CoverageEngine::new();
+        let g = engine.select(&pool, 3);
+        assert_eq!(g.seeds, [0, 1]);
+        assert_eq!(g.covered, 300);
+        assert_eq!(g.upper, 300);
+        assert_eq!(engine.covered_sets().count(), 300);
+        let touched = pool.touched_nodes().len();
+        assert!(touched > WHOLE * (3 + LIST));
+        let walks = engine.last_scanned / touched;
+        assert!(walks >= 3, "{walks} full walks: the list never fell back");
+        assert_eq!(greedy_max_coverage(&pool, 3), g);
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //! * [`coverage`] — the shared [`CoverageEngine`]: one greedy loop behind
 //!   TRIM-B's batch selection and ATEUC's bound-driven greedy, with the
 //!   `ρ_b = 1 − (1−1/b)^b` guarantee and OPIM-C's online upper bound on the
-//!   best batch's coverage. A greedy run's first 8 picks scan the pool for
-//!   their sets; a longer run builds the node→sets inverted index of the
-//!   uncovered sets once, as a CSR transpose;
+//!   best batch's coverage. A greedy run walks its candidates once and
+//!   then picks from a short list of the best, refilled by a full walk only
+//!   when it can no longer vouch for the pick. Its first 8 picks scan the
+//!   pool for their sets; a longer run builds the node→sets inverted index
+//!   of the uncovered sets once, as a CSR transpose;
 //! * [`bounds`] — the concentration bounds that drive the stopping rules:
 //!   Appendix A's martingale bounds (Lemma A.2), and the exact binomial
 //!   tail in KL form that TRIM certifies with;

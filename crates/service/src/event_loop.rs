@@ -5,18 +5,21 @@
 //! Connections live in a generation-tagged slab and move through a small
 //! state machine — reading (incremental [`RequestParser`]) → dispatching
 //! (deregistered from the poller while the algorithm runs) or answered in
-//! place (a cache hit, or a 400/429, produced by the poll thread itself)
+//! place (a cache hit, a `/healthz`, or a 400/429, produced by the poll
+//! thread itself)
 //! → writing (partial-write [`WriteBuf`]) → keep-alive idle. Concurrency
 //! therefore costs a slab slot, not a thread: ≥512 idle keep-alive
 //! connections are served by `1 + dispatchers` threads total.
 //!
 //! A parsed request goes through framing, the `X-Deadline-Millis` parse,
 //! admission control, then the cache probe ([`answer_cached`]), and only
-//! then to a dispatch thread. The probe answers a `/v1/select` whose body
-//! is already cached, so a hit costs no handoff: no deregistration, no
-//! channel send, no completion lock or wake-up byte. It never blocks the
-//! poll thread (its locks are `try_lock`s; bodies over 8 KiB are not
-//! probed), and it declines everything else without moving a counter.
+//! then to a dispatch thread. The probe answers `GET /healthz` and a
+//! `/v1/select` whose body is already cached, so neither costs a handoff
+//! (no deregistration, no channel send, no completion lock or wake-up
+//! byte), and a liveness probe never waits behind running selects. It
+//! never blocks the poll thread (its locks are `try_lock`s; bodies over
+//! 8 KiB are not probed), and it declines everything else without moving
+//! a counter.
 //!
 //! Four protections keep the loop healthy under load:
 //!
@@ -904,7 +907,8 @@ impl Loop<'_> {
             );
             return Dispatch::Sync;
         }
-        // A cached select is answered here, without a dispatch round trip.
+        // A health probe or a cached select is answered here, without a
+        // dispatch round trip.
         // A zero budget is expired before any worker could start it, so it
         // goes on to the worker's 504. Like a worker, the probe survives a
         // panic with a structured 500.

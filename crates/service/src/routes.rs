@@ -24,11 +24,12 @@
 //! session is checked out, and only an item that must compute checks it
 //! out, so a request the cache answers whole takes no session.
 //!
-//! `answer_cached` is the poll thread's way in: it answers a
-//! `/v1/select` whose body is already cached, with the parsing, cache key,
-//! response and epilogue (route counter, trace line) a dispatch worker
-//! uses, so a hit carries the same bytes, headers and counters on either
-//! thread. It never waits: it takes the registry and cache locks with
+//! `answer_cached` is the poll thread's way in: it answers `GET /healthz`
+//! and a `/v1/select` whose body is already cached, with the parsing,
+//! cache key, response and epilogue (route counter, trace line) a dispatch
+//! worker uses, so each carries the same bytes, headers and counters on
+//! either thread, and a liveness probe never queues behind running
+//! selects. It never waits: it takes the registry and cache locks with
 //! `try_lock`, probes only bodies up to [`MAX_LINE_BYTES`], and declines
 //! everything else (misses, `"cache": false`, errors, other routes)
 //! without moving a counter, for a worker to answer.
@@ -315,7 +316,7 @@ pub fn handle(state: &ServiceState, req: &Request, queued_ms: u64) -> Response {
         ("GET", TEST_PANIC_PATH) => {
             panic!("the test-only route panicked")
         }
-        ("GET", "/healthz") => Ok(healthz(state)),
+        ("GET", "/healthz") => Ok(healthz(state, &state.registry(), &state.cache())),
         ("GET", "/v1/graphs") => Ok(list_graphs(state)),
         ("POST", "/v1/graphs") => register_graph(state, &req.body),
         ("POST", "/v1/select") => select(state, req, &mut traced),
@@ -343,14 +344,23 @@ pub fn handle(state: &ServiceState, req: &Request, queued_ms: u64) -> Response {
     finish(state, req, resp, traced, started, queued_ms)
 }
 
-/// Answers `req` on the calling thread if it is a `/v1/select` whose body
-/// is already cached, with the bytes, headers, counters and trace line
-/// [`handle`] would give it (queue wait 0). `None` means "dispatch it":
-/// another route, a body over [`MAX_LINE_BYTES`], a parse error, a miss,
-/// `"cache": false`, or a registry or cache lock held by another thread.
-/// A `None` moves no counter; the worker that answers instead counts the
-/// request, and its miss, once.
+/// Answers `req` on the calling thread if it is a `GET /healthz` or a
+/// `/v1/select` whose body is already cached, with the bytes, headers,
+/// counters and trace line [`handle`] would give it (queue wait 0). `None`
+/// means "dispatch it": another route, a body over [`MAX_LINE_BYTES`], a
+/// parse error, a miss, `"cache": false`, or a registry or cache lock held
+/// by another thread. A `None` moves no counter; the worker that answers
+/// instead counts the request, and its miss, once.
 pub(crate) fn answer_cached(state: &ServiceState, req: &Request) -> Option<Response> {
+    if req.method == "GET" && req.path == "/healthz" {
+        // smin-lint: allow(no-wall-clock) -- feeds the trace log's deadline_remaining_ms only
+        let started = Instant::now();
+        let resp = {
+            let registry = try_guard(&state.registry)?;
+            healthz(state, &registry, &*try_guard(&state.cache)?)
+        };
+        return Some(finish(state, req, resp, None, started, 0));
+    }
     if req.method != "POST" || req.path != "/v1/select" || req.body.len() > MAX_LINE_BYTES {
         return None;
     }
@@ -450,20 +460,15 @@ fn method_not_allowed(method: &str, path: &str) -> ServiceError {
     )
 }
 
-/// `GET /healthz`
-fn healthz(state: &ServiceState) -> Response {
-    let registry = state.registry();
-    let (cached, hits, misses) = {
-        let cache = state.cache();
-        let (h, m) = cache.stats();
-        (cache.len(), h, m)
-    };
+/// `GET /healthz`, from the registry and the cache its caller has locked.
+fn healthz(state: &ServiceState, registry: &Registry, cache: &SelectCache) -> Response {
+    let (hits, misses) = cache.stats();
     Response::json(
         200,
         &json!({
             "status": "ok",
             "graphs": registry.len(),
-            "cached_responses": cached,
+            "cached_responses": cache.len(),
             "cache_hits": hits,
             "cache_misses": misses,
             "uptime_s": state.started.elapsed().as_secs(),
@@ -2013,9 +2018,44 @@ mod tests {
         assert_eq!(resp.body, first.body);
     }
 
-    /// Everything but a cached single select is left to a worker, and a
-    /// decline moves no counter — a miss included, which the worker then
-    /// counts once.
+    /// `GET /healthz` gets from the probe the body and counters a worker
+    /// gives it, uptime aside, and a decline while either lock is held.
+    #[test]
+    fn probe_answers_healthz_like_a_worker() {
+        let (worker, probe) = (state(), state());
+        for s in [&worker, &probe] {
+            register_er(s, "g", 60);
+            assert_eq!(
+                post(s, "/v1/select", r#"{"graph":"g","eta":15}"#).status,
+                200
+            );
+        }
+        let mut req = select_request("", &[]);
+        (req.method, req.path) = ("GET".into(), "/healthz".into());
+        {
+            let _held = probe.registry();
+            assert!(answer_cached(&probe, &req).is_none(), "registry held");
+        }
+        {
+            let _held = probe.cache();
+            assert!(answer_cached(&probe, &req).is_none(), "cache held");
+        }
+        let by_worker = handle(&worker, &req, 0);
+        let by_probe = answer_cached(&probe, &req).expect("the probe answers /healthz");
+        let uptime_cut = |r: &Response| {
+            let body = body_str(r);
+            body[..body.find("\"uptime_s\"").expect("uptime field")].to_string()
+        };
+        assert_eq!(by_probe.status, 200);
+        assert_eq!(uptime_cut(&by_probe), uptime_cut(&by_worker));
+        assert!(uptime_cut(&by_probe).contains(r#""graphs":1,"cached_responses":1"#));
+        assert_eq!(by_probe.headers, by_worker.headers);
+        assert_eq!(counters(&probe), counters(&worker));
+    }
+
+    /// Everything but `/healthz` and a cached single select is left to a
+    /// worker, and a decline moves no counter — a miss included, which the
+    /// worker then counts once.
     #[test]
     fn probe_declines_what_a_worker_must_answer() {
         let s = state();
@@ -2040,9 +2080,9 @@ mod tests {
         let mut batch = select_request(r#"{"graph":"g","items":[{"eta":15,"seed":1}]}"#, &[]);
         batch.path = "/v1/select-batch".into();
         assert!(answer_cached(&s, &batch).is_none());
-        let mut healthz = select_request("", &[]);
-        (healthz.method, healthz.path) = ("GET".into(), "/healthz".into());
-        assert!(answer_cached(&s, &healthz).is_none());
+        let mut graphs = select_request("", &[]);
+        (graphs.method, graphs.path) = ("GET".into(), "/v1/graphs".into());
+        assert!(answer_cached(&s, &graphs).is_none());
         assert_eq!(get(&s, "/metrics").body, before, "a decline moves nothing");
         // The padded body still hits on a worker: only the probe skips it.
         let resp = handle(&s, &select_request(&padded, &[]), 0);

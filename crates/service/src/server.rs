@@ -4,7 +4,8 @@
 //! (`event_loop`): one poll thread multiplexing every connection
 //! through per-connection state machines, plus a fixed pool of dispatch
 //! threads running the session layer ([`crate::routes::handle`]); cache
-//! hits are answered by the poll thread itself (`routes::answer_cached`).
+//! hits and `/healthz` are answered by the poll thread itself
+//! (`routes::answer_cached`).
 //! Concurrency costs a slab slot, not a thread. On targets without the
 //! raw epoll syscalls ([`crate::platform`]), [`Server::run`] fails with
 //! `Unsupported`.

@@ -658,6 +658,112 @@ fn cached_select_is_answered_while_the_only_worker_is_blocked() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `/healthz` is answered on the poll thread: with both workers held (each
+/// loading a FIFO, which blocks until the test closes its write end, so
+/// the hold lasts as long as the test needs), it answers within 100 ms with
+/// the registry and cache figures, its route counter and its trace line.
+#[test]
+fn healthz_is_answered_while_every_worker_is_busy() {
+    let dir = std::env::temp_dir().join("smin_wire_busy_healthz");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for fifo in ["fifo1", "fifo2"] {
+        let made = std::process::Command::new("mkfifo")
+            .arg(dir.join(fifo))
+            .status()
+            .expect("run mkfifo");
+        assert!(made.success(), "mkfifo failed");
+    }
+    let trace = dir.join("trace.jsonl");
+    let (graphs_dir, trace_log) = (dir.clone(), trace.clone());
+    let mut handle = spawn(move |c| {
+        c.workers = 2;
+        c.graphs_dir = Some(graphs_dir);
+        c.trace_log = Some(trace_log);
+    });
+    let addr = handle.addr().to_string();
+    let mut c = client(&handle);
+    assert_eq!(c.post("/v1/graphs", REGISTER).unwrap().status, 201);
+    let idle = c.get("/healthz").unwrap();
+    assert_eq!(idle.status, 200);
+
+    let blockers: Vec<_> = ["fifo1", "fifo2"]
+        .iter()
+        .map(|fifo| {
+            let addr = addr.clone();
+            let body = format!(r#"{{"id":"{fifo}","path":"{fifo}"}}"#);
+            std::thread::spawn(move || {
+                let mut b = Client::connect(&addr).expect("connect");
+                b.post("/v1/graphs", &body).map(|r| r.status)
+            })
+        })
+        .collect();
+    // Each open returns once a worker has that FIFO open: both are held.
+    let writers: Vec<_> = ["fifo1", "fifo2"]
+        .iter()
+        .map(|fifo| {
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(dir.join(fifo))
+                .expect("open a FIFO's write end")
+        })
+        .collect();
+
+    let mut s = TcpStream::connect(&addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let sent = Instant::now();
+    write!(
+        s,
+        "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
+    let mut out = Vec::new();
+    let read = s.read_to_end(&mut out);
+    let took = sent.elapsed();
+    drop(writers); // releases the workers: their reads see end of file
+    read.expect("/healthz is answered while both workers are busy");
+    assert!(took < Duration::from_millis(100), "/healthz took {took:?}");
+    let text = String::from_utf8_lossy(&out);
+    assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+    let body = &text[text.find("\r\n\r\n").expect("head ends") + 4..];
+    let figures = |b: &str| b[..b.find(r#","uptime_s""#).expect("uptime")].to_string();
+    assert_eq!(
+        figures(body),
+        figures(&idle.text()),
+        "the idle server's figures"
+    );
+
+    for blocker in blockers {
+        let status = blocker.join().expect("blocker thread").expect("FIFO load");
+        assert_eq!(status, 400, "an empty FIFO is not a graph");
+    }
+    let metrics = c.get("/metrics").unwrap().text();
+    assert!(
+        metrics.contains("smin_http_requests_total{route=\"healthz\"} 2\n"),
+        "{metrics}"
+    );
+    drop(c);
+    handle.shutdown(); // drops the state, flushing the log thread
+
+    let mut lines = Vec::new();
+    for _ in 0..200 {
+        let text = std::fs::read_to_string(&trace).unwrap_or_default();
+        lines = text
+            .lines()
+            .filter(|l| l.contains(r#""path":"/healthz""#))
+            .map(str::to_string)
+            .collect();
+        if lines.len() >= 2 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(lines.len(), 2, "one trace line per /healthz");
+    assert_eq!(lines[0], lines[1], "the idle server's trace line");
+    assert!(lines[0].contains(r#""status":200"#), "{}", lines[0]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn idle_connections_scale_beyond_the_dispatch_pool() {
     // 2 dispatch threads, 64 concurrently-open keep-alive connections:

@@ -371,6 +371,180 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The short-list greedy vs a plain greedy
+// ---------------------------------------------------------------------------
+
+/// The greedy written plainly: before every pick a full walk of all nodes
+/// for the largest marginal (ties toward the smaller id) and the `b`
+/// largest marginals, and after it a scan of every set's members for the
+/// pick's uncovered sets. No short list, no pre-check. With `target`, picks
+/// until `target` sets are covered (`select_until` with the identity bound);
+/// otherwise picks `b`, reports OPIM-C's `U` and asks `go` for the bound on
+/// the final coverage before each pick (`select_while`). Returns `None`
+/// when `go` declines, else the seeds, their coverage and `U` (`|R|` with a
+/// target).
+fn plain_greedy(
+    n: usize,
+    sets: &[Vec<NodeId>],
+    b: usize,
+    target: Option<u32>,
+    mut go: impl FnMut(u32) -> bool,
+) -> Option<(Vec<NodeId>, u32, u32)> {
+    let r = sets.len() as u64;
+    let mut marginal = vec![0u32; n];
+    for &v in sets.iter().flatten() {
+        marginal[v as usize] += 1;
+    }
+    let mut done = vec![false; sets.len()];
+    let (mut seeds, mut covered, mut upper) = (Vec::new(), 0u32, r as u32);
+    loop {
+        if target.is_some_and(|t| covered >= t) {
+            break;
+        }
+        if target.is_none() {
+            let mut sorted = marginal.clone();
+            sorted.sort_unstable_by(|x, y| y.cmp(x));
+            let bound = |k: usize| {
+                let top: u64 = sorted.iter().take(k).map(|&c| u64::from(c)).sum();
+                (u64::from(covered) + top).min(r) as u32
+            };
+            upper = upper.min(bound(b));
+            if seeds.len() == b {
+                break;
+            }
+            if !go(bound(b - seeds.len())) {
+                return None;
+            }
+        }
+        let best = (0..n as NodeId)
+            .filter(|&v| marginal[v as usize] > 0)
+            .max_by(|&x, &y| {
+                marginal[x as usize]
+                    .cmp(&marginal[y as usize])
+                    .then(y.cmp(&x))
+            });
+        let Some(v) = best else {
+            break;
+        };
+        seeds.push(v);
+        covered += marginal[v as usize];
+        for (s, members) in sets.iter().enumerate() {
+            if !done[s] && members.contains(&v) {
+                done[s] = true;
+                for &u in members {
+                    marginal[u as usize] -= 1;
+                }
+            }
+        }
+    }
+    Some((seeds, covered, upper))
+}
+
+/// Strategy: pools built to run the engine's short list dry. Every set
+/// holds 12 leaves of its own, so the pool touches 4 300–7 200 nodes, more
+/// than the engine puts on a whole list even at b = 64, and most marginals
+/// tie at 1, at the list's cut. A few overlapping hubs join most sets, so
+/// one hub's pick drops the others' marginals below the list's cap. Some
+/// sets add a run of shared nodes, long enough in one set of eight that
+/// the set is a bitmap (over 2·⌈n/64⌉ members) while the rest are id
+/// lists.
+fn short_list_pools() -> impl Strategy<Value = (usize, Vec<Vec<NodeId>>)> {
+    (360u32..600, 0u64..10_000).prop_map(|(sets, seed)| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let hubs = rng.random_range(2..12u32);
+        let shared = hubs..hubs + 600;
+        let n = (shared.end + 12 * sets) as usize;
+        let sets = (0..sets)
+            .map(|i| {
+                let mut s: Vec<NodeId> = (0..hubs)
+                    .filter(|_| rng.random_range(0..3u32) > 0)
+                    .collect();
+                let leaves = shared.end + 12 * i;
+                s.extend(leaves..leaves + 12);
+                let run = match rng.random_range(0..8u32) {
+                    0 => rng.random_range(300..590u32),
+                    1..=3 => rng.random_range(1..40u32),
+                    _ => 0,
+                };
+                let start = rng.random_range(shared.start..shared.end - run);
+                s.extend(start..start + run);
+                for i in (1..s.len()).rev() {
+                    s.swap(i, rng.random_range(0..i + 1));
+                }
+                s
+            })
+            .collect();
+        (n, sets)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `select`, `select_while` and `select_until` equal the plain greedy
+    /// (seeds, coverage and `U`) on pools whose short list runs dry, for
+    /// b ∈ {1, 2, 8, 9, 64}; a `select_while` whose `go` declines before
+    /// pick `i` returns `None` after asking exactly `i + 1` times, and a
+    /// call that gave up before pick 1 leaves no set covered. Two identical
+    /// calls leave the engine's heap the same size.
+    #[test]
+    fn short_list_greedy_matches_plain_greedy((n, sets) in short_list_pools()) {
+        let mut pool = SketchPool::new(n);
+        for s in &sets {
+            pool.add_set(s);
+        }
+        let mut engine = CoverageEngine::new();
+        for b in [1usize, 2, 8, 9, 64] {
+            let (seeds, covered, upper) = plain_greedy(n, &sets, b, None, |_| true).unwrap();
+            let got = engine.select(&pool, b);
+            prop_assert_eq!(&got.seeds, &seeds);
+            prop_assert_eq!(got.covered, covered);
+            prop_assert_eq!(got.upper, upper);
+            prop_assert_eq!(engine.covered_sets().count(), covered as usize);
+            let heap = engine.heap_bytes();
+            prop_assert_eq!(engine.select(&pool, b), got.clone());
+            prop_assert_eq!(engine.heap_bytes(), heap);
+
+            let mut bounds = Vec::new();
+            let kept = engine.select_while(&pool, b, |bound| {
+                bounds.push(bound);
+                true
+            });
+            prop_assert_eq!(kept.as_ref(), Some(&got));
+            let mut want = Vec::new();
+            plain_greedy(n, &sets, b, None, |bound| {
+                want.push(bound);
+                true
+            });
+            prop_assert_eq!(&bounds, &want);
+            for i in 0..bounds.len() {
+                let mut asked = 0;
+                let declined = engine.select_while(&pool, b, |_| {
+                    asked += 1;
+                    asked <= i
+                });
+                prop_assert!(declined.is_none());
+                prop_assert_eq!(asked, i + 1);
+                if i == 0 {
+                    prop_assert_eq!(engine.covered_sets().count(), 0);
+                }
+            }
+        }
+        for target in [1u32, 16, 64, sets.len() as u32, u32::MAX] {
+            let (seeds, covered, _) = plain_greedy(n, &sets, 0, Some(target), |_| true).unwrap();
+            let (got, reached) = engine.select_until(&pool, f64::from(target), |c| c);
+            prop_assert_eq!(&got.seeds, &seeds);
+            prop_assert_eq!(got.covered, covered);
+            prop_assert_eq!(got.upper, sets.len() as u32);
+            prop_assert_eq!(reached, covered >= target);
+            let heap = engine.heap_bytes();
+            prop_assert_eq!(engine.select_until(&pool, f64::from(target), |c| c).0, got);
+            prop_assert_eq!(engine.heap_bytes(), heap);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Thread-count identity through the kernelized engine
 // ---------------------------------------------------------------------------
 
