@@ -282,7 +282,7 @@ mod tests {
         );
         // WC weights: every edge into v carries 1/indeg(v)
         for v in 0..50u32 {
-            for (_, p, _) in g.in_edges(v) {
+            for (_, p) in g.in_edges(v) {
                 assert!((p - 1.0 / g.in_degree(v) as f64).abs() < 1e-12);
             }
         }
@@ -332,7 +332,7 @@ mod tests {
         assert_eq!(g.n(), 300);
         assert_eq!(g.m(), structural.m());
         for v in 0..g.n() as u32 {
-            for (_, p, _) in g.in_edges(v) {
+            for (_, p) in g.in_edges(v) {
                 assert!((p - 1.0 / g.in_degree(v) as f64).abs() < 1e-12);
             }
         }

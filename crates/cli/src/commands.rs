@@ -97,9 +97,10 @@ pub fn stats(args: &[String]) -> Result<(), String> {
         println!("log-log slope:    {slope:.2}");
     }
     println!("valid LT:         {}", g.is_valid_lt());
+    let bytes = g.memory_bytes();
     println!(
-        "memory:           {:.1} MiB",
-        g.memory_bytes() as f64 / (1024.0 * 1024.0)
+        "memory:           {:.1} MiB ({bytes} bytes)",
+        bytes as f64 / (1024.0 * 1024.0)
     );
     Ok(())
 }

@@ -60,7 +60,7 @@ pub fn for_each_lt_realization(g: &Graph, mut f: impl FnMut(&Realization, f64)) 
             "too many LT realizations to enumerate"
         );
     }
-    let mut chosen: Vec<Option<u32>> = vec![None; n];
+    let mut chosen: Vec<Option<NodeId>> = vec![None; n];
     enum_lt(g, 0, 1.0, &mut chosen, &mut f);
 }
 
@@ -68,7 +68,7 @@ fn enum_lt(
     g: &Graph,
     v: usize,
     acc: f64,
-    chosen: &mut Vec<Option<u32>>,
+    chosen: &mut Vec<Option<NodeId>>,
     f: &mut impl FnMut(&Realization, f64),
 ) {
     if acc == 0.0 {
@@ -80,9 +80,9 @@ fn enum_lt(
         return;
     }
     let mut none_mass = 1.0;
-    for (_, p, e) in g.in_edges(v as NodeId) {
+    for (u, p) in g.in_edges(v as NodeId) {
         none_mass -= p;
-        chosen[v] = Some(e);
+        chosen[v] = Some(u);
         enum_lt(g, v + 1, acc * p, chosen, f);
     }
     chosen[v] = None;

@@ -92,7 +92,7 @@ impl ForwardSim {
             let u = self.queue[head];
             head += 1;
             for (e, v, _) in g.out_edges_indexed(u) {
-                if !self.visited[v as usize] && !blocked(v) && phi.is_live(e, v) {
+                if !self.visited[v as usize] && !blocked(v) && phi.is_live(e, u, v) {
                     self.visited[v as usize] = true;
                     self.touched.push(v);
                     self.queue.push(v);
@@ -138,9 +138,10 @@ impl ForwardSim {
         // and for edge u -> v decide "did v choose u?" by drawing v's choice
         // once on first examination.
         let n = g.n();
-        // chosen[v]: u32::MAX - 1 = undrawn, u32::MAX = drew none, else edge id.
-        const UNDRAWN: u32 = u32::MAX - 1;
-        const NONE: u32 = u32::MAX;
+        // chosen[v]: u32::MAX - 1 = undrawn, u32::MAX = drew none, else the
+        // chosen in-edge's source.
+        const UNDRAWN: NodeId = NodeId::MAX - 1;
+        const NONE: NodeId = NodeId::MAX;
         let mut chosen = vec![UNDRAWN; n];
 
         self.reset();
@@ -155,22 +156,22 @@ impl ForwardSim {
         while head < self.queue.len() {
             let u = self.queue[head];
             head += 1;
-            for (e, v, _) in g.out_edges_indexed(u) {
+            for (v, _) in g.out_edges(u) {
                 if self.visited[v as usize] {
                     continue;
                 }
                 if chosen[v as usize] == UNDRAWN {
                     let mut r = rng.random::<f64>();
                     chosen[v as usize] = NONE;
-                    for (_, p, ein) in g.in_edges(v) {
+                    for (w, p) in g.in_edges(v) {
                         if r < p {
-                            chosen[v as usize] = ein;
+                            chosen[v as usize] = w;
                             break;
                         }
                         r -= p;
                     }
                 }
-                if chosen[v as usize] == e {
+                if chosen[v as usize] == u {
                     self.visited[v as usize] = true;
                     self.touched.push(v);
                     self.queue.push(v);

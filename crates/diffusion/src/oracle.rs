@@ -97,15 +97,16 @@ pub struct SimulationOracle<'g, R: Rng> {
     rng: R,
     /// IC: per-edge status, 0 = undrawn, 1 = live, 2 = blocked.
     edge_state: Vec<u8>,
-    /// LT: per-node chosen in-edge, `UNDRAWN`/`NONE` sentinels as below.
-    chosen: Vec<u32>,
+    /// LT: the source of each node's chosen in-edge, `UNDRAWN`/`NONE`
+    /// sentinels as below.
+    chosen: Vec<NodeId>,
     active: Vec<bool>,
     num_active: usize,
     queue: Vec<NodeId>,
 }
 
-const UNDRAWN: u32 = u32::MAX - 1;
-const NONE: u32 = u32::MAX;
+const UNDRAWN: NodeId = NodeId::MAX - 1;
+const NONE: NodeId = NodeId::MAX;
 
 impl<'g, R: Rng> SimulationOracle<'g, R> {
     /// New lazily-sampled world.
@@ -130,7 +131,7 @@ impl<'g, R: Rng> SimulationOracle<'g, R> {
         }
     }
 
-    fn edge_live(&mut self, e: u32, dst: NodeId, p: f64) -> bool {
+    fn edge_live(&mut self, e: u32, src: NodeId, dst: NodeId, p: f64) -> bool {
         match self.model {
             Model::IC => {
                 let s = &mut self.edge_state[e as usize];
@@ -143,15 +144,15 @@ impl<'g, R: Rng> SimulationOracle<'g, R> {
                 if self.chosen[dst as usize] == UNDRAWN {
                     let mut r = self.rng.random::<f64>();
                     self.chosen[dst as usize] = NONE;
-                    for (_, q, ein) in self.g.in_edges(dst) {
+                    for (w, q) in self.g.in_edges(dst) {
                         if r < q {
-                            self.chosen[dst as usize] = ein;
+                            self.chosen[dst as usize] = w;
                             break;
                         }
                         r -= q;
                     }
                 }
-                self.chosen[dst as usize] == e
+                self.chosen[dst as usize] == src
             }
         }
     }
@@ -175,7 +176,7 @@ impl<R: Rng> InfluenceOracle for SimulationOracle<'_, R> {
             // Collect the frontier first: `edge_live` needs `&mut self`.
             let out: Vec<(u32, NodeId, f64)> = self.g.out_edges_indexed(u).collect();
             for (e, v, p) in out {
-                if !self.active[v as usize] && self.edge_live(e, v, p) {
+                if !self.active[v as usize] && self.edge_live(e, u, v, p) {
                     self.active[v as usize] = true;
                     newly.push(v);
                     self.queue.push(v);

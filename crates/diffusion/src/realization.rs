@@ -3,7 +3,9 @@
 //! A realization fixes every random choice of the diffusion process:
 //!
 //! * under **IC**, each edge is independently live or blocked;
-//! * under **LT**, each node retains at most one live incoming edge.
+//! * under **LT**, each node retains at most one live incoming edge, which
+//!   the realization names by its source (a graph has at most one edge
+//!   `⟨u, v⟩` per pair).
 //!
 //! The spread of a seed set under a realization is plain reachability over
 //! live edges, which is what [`forward`](crate::forward) computes.
@@ -13,17 +15,18 @@ use rand::Rng;
 use smin_graph::cast::u32_of;
 use smin_graph::{Graph, NodeId};
 
-/// Sentinel for "node chose no incoming edge" in LT realizations.
-const LT_NONE: u32 = u32::MAX;
+/// Sentinel for "node chose no incoming edge" in LT realizations; no node
+/// has this id, since a graph has at most `u32::MAX` nodes.
+const LT_NONE: NodeId = NodeId::MAX;
 
 /// A fully materialized realization of a probabilistic graph.
 #[derive(Clone, Debug)]
 pub enum Realization {
     /// IC: `live[e]` is the status of forward edge `e`.
     Ic { live: Vec<bool> },
-    /// LT: `chosen[v]` is the forward edge index of the single live edge
+    /// LT: `chosen[v]` is the source `u` of the single live edge `⟨u, v⟩`
     /// into `v`, or `u32::MAX` when `v` kept none.
-    Lt { chosen: Vec<u32> },
+    Lt { chosen: Vec<NodeId> },
 }
 
 impl Realization {
@@ -50,9 +53,9 @@ impl Realization {
                         "node {v} has incoming probability mass > 1; not a valid LT instance"
                     );
                     let mut r = rng.random::<f64>();
-                    for (_, p, e) in g.in_edges(v) {
+                    for (u, p) in g.in_edges(v) {
                         if r < p {
-                            chosen[v as usize] = e;
+                            chosen[v as usize] = u;
                             break;
                         }
                         r -= p;
@@ -71,12 +74,13 @@ impl Realization {
         }
     }
 
-    /// Whether forward edge `e` (into node `dst`) is live.
+    /// Whether forward edge `e`, from `src` into `dst`, is live. IC reads
+    /// the edge's status, LT whether `dst` chose `src`.
     #[inline]
-    pub fn is_live(&self, e: u32, dst: NodeId) -> bool {
+    pub fn is_live(&self, e: u32, src: NodeId, dst: NodeId) -> bool {
         match self {
             Realization::Ic { live } => live[e as usize],
-            Realization::Lt { chosen } => chosen[dst as usize] == e,
+            Realization::Lt { chosen } => chosen[dst as usize] == src,
         }
     }
 
@@ -86,9 +90,9 @@ impl Realization {
         Realization::Ic { live }
     }
 
-    /// Builds an LT realization from per-node chosen forward edge ids
-    /// (`None` → no live in-edge).
-    pub fn from_lt_choices(chosen: Vec<Option<u32>>) -> Realization {
+    /// Builds an LT realization from the source each node chose (`None` →
+    /// no live in-edge).
+    pub fn from_lt_choices(chosen: Vec<Option<NodeId>>) -> Realization {
         Realization::Lt {
             chosen: chosen.into_iter().map(|c| c.unwrap_or(LT_NONE)).collect(),
         }
@@ -135,7 +139,7 @@ mod tests {
         let mut live0 = 0usize;
         for _ in 0..trials {
             let phi = Realization::sample(&g, Model::IC, &mut rng);
-            if phi.is_live(0, g.edge_dst(0)) {
+            if phi.is_live(0, 0, 1) {
                 live0 += 1;
             }
         }
@@ -160,6 +164,7 @@ mod tests {
                 Realization::Lt { chosen } => {
                     assert_ne!(chosen[2], LT_NONE, "mass sums to 1, must pick one");
                     if chosen[2] == 0 {
+                        // node 2 chose its in-edge from node 0
                         chose0 += 1;
                     }
                 }
@@ -190,9 +195,11 @@ mod tests {
 
     #[test]
     fn lt_is_live_matches_choice() {
-        let phi = Realization::from_lt_choices(vec![None, Some(0)]);
-        assert!(phi.is_live(0, 1));
-        assert!(!phi.is_live(1, 1));
-        assert!(!phi.is_live(0, 0));
+        // node 1 chose its in-edge from node 0; the edge id plays no part
+        let phi = Realization::from_lt_choices(vec![None, Some(0), None]);
+        assert!(phi.is_live(0, 0, 1));
+        assert!(phi.is_live(7, 0, 1));
+        assert!(!phi.is_live(0, 2, 1));
+        assert!(!phi.is_live(0, 1, 0));
     }
 }

@@ -33,7 +33,7 @@ pub fn weakly_connected_components(g: &Graph) -> WccSummary {
         while let Some(u) = queue.pop() {
             size += 1;
             let out = g.out_edges(u).map(|(v, _)| v);
-            for v in out.chain(g.in_edges(u).map(|(v, _, _)| v)) {
+            for v in out.chain(g.in_edges(u).map(|(v, _)| v)) {
                 if !seen[v as usize] {
                     seen[v as usize] = true;
                     queue.push(v);

@@ -1,12 +1,15 @@
 //! Immutable CSR graph with forward and reverse adjacency.
 //!
 //! Reverse adjacency is first-class because reverse reachable set sampling
-//! (the hot path of TRIM) traverses incoming edges. Each reverse slot also
-//! records the *forward edge index* of the same edge so that edge-level state
-//! (e.g. live/blocked status in an IC realization) can be shared between the
-//! two directions.
+//! (the hot path of TRIM) traverses incoming edges. A reverse slot holds only
+//! the edge's source, plus its probability on graphs where some node's
+//! in-edges carry different ones; edge-level state (an IC realization's
+//! live/blocked status) is indexed by forward edge, and an LT realization
+//! names each node's live in-edge by its source.
 
 use crate::cast::u32_of;
+use std::iter::{Copied, Repeat, Zip};
+use std::slice;
 
 /// Node identifier. Graphs are limited to `u32::MAX` nodes, which covers the
 /// largest dataset in the paper (LiveJournal, 4.85M nodes) with room to spare
@@ -35,11 +38,13 @@ pub(crate) fn build_workers(m: usize) -> usize {
 }
 
 /// Reverse adjacency of a [`Graph`] in columns: one 16-byte [`InRange`]
-/// record per node and its `none_live` entry, then the `src`, `eid`
-/// (forward edge id) and `prob` columns indexed by reverse slot. A reverse
-/// BFS over a node whose in-edges share one probability (every node under
-/// weighted cascade or uniform weights) loads its record once and then
-/// reads only `src`.
+/// record per node and its `none_live` entry, then the `src` column and,
+/// only on a graph with a node whose in-edges do not share one probability,
+/// the `prob` column, both indexed by reverse slot. A reverse BFS over a
+/// node whose in-edges share one probability (every node under weighted
+/// cascade or uniform weights) loads its record once and then reads only
+/// `src`. So a graph whose nodes all share stores 4 bytes per reverse slot
+/// and any other graph 12; `prob` is empty when every node shares.
 ///
 /// `none_live[v]` is `(1 − p)^d` for a node whose `d` in-edges share `p`:
 /// the probability that none of them is live when each is live
@@ -54,8 +59,38 @@ struct RevCsr {
     nodes: Vec<InRange>,
     none_live: Vec<f64>,
     src: Vec<NodeId>,
-    eid: Vec<u32>,
     prob: Vec<f64>,
+}
+
+/// The iterator [`Graph::in_edges`] returns: a node's sources zipped with
+/// its shared probability or with its slice of the per-slot column, the
+/// variant picked once per node. In an interleaved probe of an LT-style
+/// scan over every node on a 2-vCPU x86-64 VM, one `chain` of the column
+/// and a repeat in place of the two variants walked a weighted-cascade
+/// graph 1.04–1.18× and a trivalency graph 1.25–1.27× slower, and `perf`'s
+/// LT realization row read ~1.4× the time it took with per-slot columns.
+enum InEdges<'a> {
+    Shared(Zip<Copied<slice::Iter<'a, NodeId>>, Repeat<f64>>),
+    PerSlot(Zip<Copied<slice::Iter<'a, NodeId>>, Copied<slice::Iter<'a, f64>>>),
+}
+
+impl Iterator for InEdges<'_> {
+    type Item = (NodeId, f64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(NodeId, f64)> {
+        match self {
+            InEdges::Shared(it) => it.next(),
+            InEdges::PerSlot(it) => it.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            InEdges::Shared(it) => it.size_hint(),
+            InEdges::PerSlot(it) => it.size_hint(),
+        }
+    }
 }
 
 /// One node's reverse slots `start..end` and the probability all of its
@@ -179,17 +214,35 @@ impl Graph {
             .map(|((e, v), p)| (e, v, p))
     }
 
-    /// Incoming neighbors of `v`: `(source, probability, forward edge index)`.
+    /// Incoming neighbors of `v` as `(source, probability)`, sorted by
+    /// source. A node whose in-edges share one probability yields that one
+    /// from its record; only other nodes read the per-slot column.
     #[inline]
-    pub fn in_edges(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64, u32)> + '_ {
+    pub fn in_edges(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
         let rev = self.rev();
-        let r = rev.nodes[v as usize].slots();
-        rev.src[r.clone()]
-            .iter()
-            .copied()
-            .zip(rev.prob[r.clone()].iter().copied())
-            .zip(rev.eid[r].iter().copied())
-            .map(|((u, p), e)| (u, p, e))
+        let rec = rev.nodes[v as usize];
+        let srcs = rev.src[rec.slots()].iter().copied();
+        if rec.shared_p.is_nan() {
+            let probs = rev.prob.get(rec.slots()).unwrap_or_default();
+            InEdges::PerSlot(srcs.zip(probs.iter().copied()))
+        } else {
+            InEdges::Shared(srcs.zip(std::iter::repeat(rec.shared_p)))
+        }
+    }
+
+    /// The probability of each of `v`'s in-edges, in
+    /// [`in_sources`](Self::in_sources) order, where `in_sources` finds no
+    /// shared one; empty where it does. Only a graph with such a node
+    /// stores these.
+    #[inline]
+    pub fn in_probs(&self, v: NodeId) -> &[f64] {
+        let rev = self.rev();
+        let rec = rev.nodes[v as usize];
+        if rec.shared_p.is_nan() {
+            rev.prob.get(rec.slots()).unwrap_or_default()
+        } else {
+            &[]
+        }
     }
 
     /// Sources of `v`'s in-edges, in [`in_edges`](Self::in_edges) order,
@@ -217,12 +270,6 @@ impl Graph {
         (&rev.src[rec.slots()], shared)
     }
 
-    /// Destination of forward edge index `e`.
-    #[inline]
-    pub fn edge_dst(&self, e: u32) -> NodeId {
-        self.fwd_dst[e as usize]
-    }
-
     /// Iterates every edge as `(u, v, p)` in forward CSR order.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
         (0..self.n).flat_map(move |u| {
@@ -240,7 +287,7 @@ impl Graph {
     /// Sum of incoming probabilities of `v`; the LT model requires this to be
     /// at most 1 for every node.
     pub fn in_prob_sum(&self, v: NodeId) -> f64 {
-        self.in_edges(v).map(|(_, p, _)| p).sum()
+        self.in_edges(v).map(|(_, p)| p).sum()
     }
 
     /// The first node whose incoming probabilities sum to more than
@@ -274,16 +321,20 @@ impl Graph {
         Graph::from_csr(self.n, self.fwd_off.clone(), self.fwd_dst.clone(), fwd_prob)
     }
 
-    /// Memory footprint of the CSR arrays in bytes (diagnostics). Counts the
-    /// reverse CSR as if materialized — its size is implied by `n` and `m` —
-    /// so the figure is deterministic regardless of whether a reverse
-    /// traversal has happened yet.
+    /// Bytes held by the forward and reverse CSR columns (diagnostics),
+    /// counted from the columns themselves. Builds the reverse CSR if no
+    /// reverse traversal has yet, so the figure does not depend on whether
+    /// one has.
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.fwd_off.len() * size_of::<usize>()
-            + self.n * (size_of::<InRange>() + size_of::<f64>())
-            + self.fwd_dst.len()
-                * (size_of::<NodeId>() * 2 + size_of::<f64>() * 2 + size_of::<u32>())
+        use std::mem::size_of_val;
+        let rev = self.rev();
+        size_of_val(&self.fwd_off[..])
+            + size_of_val(&self.fwd_dst[..])
+            + size_of_val(&self.fwd_prob[..])
+            + size_of_val(&rev.nodes[..])
+            + size_of_val(&rev.none_live[..])
+            + size_of_val(&rev.src[..])
+            + size_of_val(&rev.prob[..])
     }
 
     /// In-degree of every node, counted in one pass over the forward
@@ -305,12 +356,15 @@ impl Graph {
 }
 
 /// Builds the reverse CSR from forward columns: a counting pass and a prefix
-/// sum into the node records, then the scatter, then the `none_live` column
-/// from the finished records. With `workers > 1` the target-id space is
-/// split into contiguous ranges of roughly equal in-edge mass and each
-/// worker scatters only its own range into its own disjoint slices of the
-/// records and columns — slot positions are a pure function of the input,
-/// so the result is bit-identical for every worker count.
+/// sum into the node records, then the scatter of `src`, which also records
+/// each node's shared probability, then the `none_live` column from the
+/// finished records. Only when some node with in-edges has no shared
+/// probability does a second scatter fill `prob`; otherwise the column is
+/// never allocated. With `workers > 1` the target-id space is split into
+/// contiguous ranges of roughly equal in-edge mass and each worker scatters
+/// only its own range into its own disjoint slices of the records and
+/// columns — slot positions are a pure function of the input, so the result
+/// is bit-identical for every worker count.
 fn build_reverse(
     fwd_off: &[usize],
     fwd_dst: &[NodeId],
@@ -338,37 +392,31 @@ fn build_reverse(
         rec.end = rec.start;
         acc += deg;
     }
+    let split = ScatterSplit::new(&nodes, m, workers);
     let mut src: Vec<NodeId> = vec![0; m];
-    let mut eid: Vec<u32> = vec![0; m];
-    let mut prob: Vec<f64> = vec![0.0; m];
-    if workers <= 1 {
-        scatter_reverse(
-            0, fwd_off, fwd_dst, fwd_prob, &mut nodes, &mut src, &mut eid, &mut prob,
-        );
-    } else {
-        let bounds = balance_bounds(&nodes, m, workers);
-        let slot_bounds: Vec<usize> = bounds
-            .iter()
-            .map(|&v| nodes.get(v).map_or(m, |r| r.start as usize))
-            .collect();
-        std::thread::scope(|scope| {
-            let mut nodes_rest: &mut [InRange] = &mut nodes;
-            let mut src_rest: &mut [NodeId] = &mut src;
-            let mut eid_rest: &mut [u32] = &mut eid;
-            let mut prob_rest: &mut [f64] = &mut prob;
-            for w in 0..workers {
-                let vlo = bounds[w];
-                let my_nodes = split_front(&mut nodes_rest, bounds[w + 1] - vlo);
-                let slots = slot_bounds[w + 1] - slot_bounds[w];
-                let my_src = split_front(&mut src_rest, slots);
-                let my_eid = split_front(&mut eid_rest, slots);
-                let my_prob = split_front(&mut prob_rest, slots);
-                scope.spawn(move || {
-                    scatter_reverse(
-                        vlo, fwd_off, fwd_dst, fwd_prob, my_nodes, my_src, my_eid, my_prob,
-                    );
-                });
+    split.run(&mut nodes, &mut src, |vlo, nodes, src| {
+        // The first in-edge sets the record's probability and any later one
+        // that differs bit for bit sets NaN, which no later edge undoes.
+        scatter_reverse(vlo, fwd_off, fwd_dst, nodes, |rec, slot, u, e| {
+            src[slot] = u;
+            let p = fwd_prob[e];
+            if rec.end != rec.start && p.to_bits() != rec.shared_p.to_bits() {
+                rec.shared_p = f64::NAN;
+            } else {
+                rec.shared_p = p;
             }
+        });
+    });
+    let mut prob = Vec::new();
+    if nodes.iter().any(|r| r.shared_p.is_nan() && r.end > r.start) {
+        prob = vec![0.0; m];
+        for rec in &mut nodes {
+            rec.end = rec.start;
+        }
+        split.run(&mut nodes, &mut prob, |vlo, nodes, prob| {
+            scatter_reverse(vlo, fwd_off, fwd_dst, nodes, |_, slot, _, e| {
+                prob[slot] = fwd_prob[e];
+            });
         });
     }
     let none_live = nodes
@@ -379,7 +427,6 @@ fn build_reverse(
         nodes,
         none_live,
         src,
-        eid,
         prob,
     }
 }
@@ -392,6 +439,53 @@ fn none_live_of(p: f64, d: usize) -> f64 {
     (d as f64 * (-p).ln_1p()).exp()
 }
 
+/// How a reverse scatter splits over workers: the target-id boundaries of
+/// each worker's range and the reverse-slot boundaries they imply.
+struct ScatterSplit {
+    bounds: Vec<usize>,
+    slot_bounds: Vec<usize>,
+}
+
+impl ScatterSplit {
+    fn new(nodes: &[InRange], m: usize, workers: usize) -> Self {
+        let bounds = balance_bounds(nodes, m, workers);
+        let slot_bounds = bounds
+            .iter()
+            .map(|&v| nodes.get(v).map_or(m, |r| r.start as usize))
+            .collect();
+        ScatterSplit {
+            bounds,
+            slot_bounds,
+        }
+    }
+
+    /// Calls `work(vlo, records, column)` once per worker range, on that
+    /// range's records and its slice of a slot-indexed column; inline for
+    /// one worker, on scoped threads otherwise.
+    fn run<T: Send>(
+        &self,
+        nodes: &mut [InRange],
+        column: &mut [T],
+        work: impl Fn(usize, &mut [InRange], &mut [T]) + Sync,
+    ) {
+        let workers = self.bounds.len() - 1;
+        if workers == 1 {
+            return work(0, nodes, column);
+        }
+        std::thread::scope(|scope| {
+            let (mut nodes_rest, mut column_rest) = (nodes, column);
+            for w in 0..workers {
+                let vlo = self.bounds[w];
+                let my_nodes = split_front(&mut nodes_rest, self.bounds[w + 1] - vlo);
+                let slots = self.slot_bounds[w + 1] - self.slot_bounds[w];
+                let my_column = split_front(&mut column_rest, slots);
+                let work = &work;
+                scope.spawn(move || work(vlo, my_nodes, my_column));
+            }
+        });
+    }
+}
+
 /// Splits the first `k` elements off `rest`.
 fn split_front<'a, T>(rest: &mut &'a mut [T], k: usize) -> &'a mut [T] {
     let (front, tail) = std::mem::take(rest).split_at_mut(k);
@@ -399,51 +493,35 @@ fn split_front<'a, T>(rest: &mut &'a mut [T], k: usize) -> &'a mut [T] {
     front
 }
 
-/// Scatters every forward edge whose target falls in
-/// `[vlo, vlo + nodes.len())` into the column slices, which cover exactly
-/// that range's reverse slots, then records each node's shared probability.
-/// On entry each record's `end` equals its `start` and serves as the node's
-/// cursor. Slot positions depend only on the input arrays (forward order
-/// within each target), so concurrent workers on disjoint ranges reproduce
-/// the sequential result.
-#[allow(clippy::too_many_arguments)]
+/// Walks every forward edge whose target falls in
+/// `[vlo, vlo + nodes.len())` and calls `put(record, slot, source, edge)`
+/// with the target's record and the edge's slot, relative to the first
+/// record's `start`, then advances the record's `end`. On entry each
+/// record's `end` equals its `start` and serves as the node's cursor. Slot
+/// positions depend only on the input arrays (forward order within each
+/// target), so concurrent workers on disjoint ranges reproduce the
+/// sequential result.
+#[inline]
 fn scatter_reverse(
     vlo: usize,
     fwd_off: &[usize],
     fwd_dst: &[NodeId],
-    fwd_prob: &[f64],
     nodes: &mut [InRange],
-    src: &mut [NodeId],
-    eid: &mut [u32],
-    prob: &mut [f64],
+    mut put: impl FnMut(&mut InRange, usize, NodeId, usize),
 ) {
     let base = nodes.first().map_or(0, |r| r.start as usize);
     let targets = vlo..vlo + nodes.len();
     let n = fwd_off.len() - 1;
     for u in 0..n {
-        for e in fwd_off[u]..fwd_off[u + 1] {
-            let v = fwd_dst[e] as usize;
+        let edges = fwd_off[u]..fwd_off[u + 1];
+        for (e, &v) in edges.clone().zip(&fwd_dst[edges]) {
+            let v = v as usize;
             if targets.contains(&v) {
                 let rec = &mut nodes[v - vlo];
-                let slot = rec.end as usize - base;
+                put(rec, rec.end as usize - base, u as NodeId, e);
                 rec.end += 1;
-                src[slot] = u as NodeId;
-                eid[slot] = u32_of(e);
-                prob[slot] = fwd_prob[e];
             }
         }
-    }
-    for rec in nodes {
-        rec.shared_p = shared_prob(&prob[rec.start as usize - base..rec.end as usize - base]);
-    }
-}
-
-/// The probability every entry of `probs` carries, compared bit for bit;
-/// NaN when two differ or `probs` is empty.
-fn shared_prob(probs: &[f64]) -> f64 {
-    match probs.split_first() {
-        Some((&p, rest)) if rest.iter().all(|q| q.to_bits() == p.to_bits()) => p,
-        _ => f64::NAN,
     }
 }
 
@@ -495,24 +573,25 @@ mod tests {
         let g = diamond();
         let out0: Vec<_> = g.out_edges(0).collect();
         assert_eq!(out0, vec![(1, 0.5), (2, 0.25)]);
-        let in3: Vec<_> = g.in_edges(3).map(|(u, p, _)| (u, p)).collect();
+        let in3: Vec<_> = g.in_edges(3).collect();
         assert_eq!(in3, vec![(1, 1.0), (2, 0.75)]);
     }
 
     #[test]
-    fn rev_edge_ids_point_back_to_forward_edges() {
+    fn per_slot_probabilities_only_where_a_node_does_not_share() {
         let g = diamond();
-        for v in 0..4u32 {
-            for (u, p, e) in g.in_edges(v) {
-                assert_eq!(g.edge_dst(e), v);
-                // edge e must appear in u's forward range, with the same p
-                let found = g
-                    .out_edges_indexed(u)
-                    .any(|(fe, fv, fp)| fe == e && fv == v && fp == p);
-                assert!(
-                    found,
-                    "edge ({u},{v}) id {e} missing from forward adjacency"
-                );
+        assert_eq!(g.rev().prob.len(), g.m(), "node 3 carries 1.0 and 0.75");
+        let halved = g.map_probabilities(|_, v, p| if v == 3 { 0.5 } else { p });
+        assert!(halved.rev().prob.is_empty());
+        // a node of either kind yields its in-edges with their probabilities
+        for h in [&g, &halved] {
+            for v in 0..4u32 {
+                for (u, p) in h.in_edges(v) {
+                    assert!(h
+                        .out_edges(u)
+                        .any(|(w, q)| w == v && q.to_bits() == p.to_bits()));
+                }
+                assert_eq!(h.in_edges(v).count(), h.in_degree(v));
             }
         }
     }
@@ -532,10 +611,16 @@ mod tests {
     fn memory_bytes_counts_the_node_records() {
         // forward: 5 offsets (8 B) + 4 targets (4 B) + 4 probabilities
         // (8 B); reverse: 4 node records (16 B) and `none_live` entries
-        // (8 B) + 4 slots of source (4 B), forward edge id (4 B) and
-        // probability (8 B).
+        // (8 B) + 4 slots of source (4 B), and of probability (8 B) only
+        // when a node's in-edges differ.
         assert_eq!(std::mem::size_of::<InRange>(), 16);
-        assert_eq!(diamond().memory_bytes(), 40 + 48 + 96 + 64);
+        let forward = 40 + 16 + 32;
+        let per_edge = diamond();
+        assert_eq!(per_edge.memory_bytes(), forward + 64 + 32 + 16 + 32);
+        let shared = per_edge.map_probabilities(|_, v, p| if v == 3 { 0.5 } else { p });
+        assert_eq!(shared.memory_bytes(), forward + 64 + 32 + 16);
+        let empty = GraphBuilder::new(0).build().unwrap();
+        assert_eq!(empty.memory_bytes(), 8);
     }
 
     #[test]
@@ -620,21 +705,27 @@ mod tests {
     fn parallel_reverse_scatter_matches_sequential() {
         let (off, dst, prob) = parallel_sized_columns();
         assert!(dst.len() > MIN_PARALLEL_EDGES);
-        let seq = build_reverse(&off, &dst, &prob, 1);
-        let par = build_reverse(&off, &dst, &prob, 3);
         let records = |nodes: &[InRange]| -> Vec<(u32, u32, u64)> {
             nodes
                 .iter()
                 .map(|r| (r.start, r.end, r.shared_p.to_bits()))
                 .collect()
         };
-        assert_eq!(records(&seq.nodes), records(&par.nodes));
         let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&seq.none_live), bits(&par.none_live));
-        assert_eq!(seq.src, par.src);
-        assert_eq!(seq.eid, par.eid);
-        assert_eq!(bits(&seq.prob), bits(&par.prob));
+        // every fifth source's out-edges carry their own probability, and
+        // then every one carries 0.25, so both layouts split
+        let shared = vec![0.25; prob.len()];
+        for (prob, layout_len) in [(&prob, dst.len()), (&shared, 0)] {
+            let seq = build_reverse(&off, &dst, prob, 1);
+            let par = build_reverse(&off, &dst, prob, 3);
+            assert_eq!(records(&seq.nodes), records(&par.nodes));
+            assert_eq!(bits(&seq.none_live), bits(&par.none_live));
+            assert_eq!(seq.src, par.src);
+            assert_eq!(bits(&seq.prob), bits(&par.prob));
+            assert_eq!(seq.prob.len(), layout_len);
+        }
         // both kinds of node occur, so both branches of the record are pinned
+        let seq = build_reverse(&off, &dst, &prob, 1);
         let with_in = seq.nodes.iter().filter(|r| r.end > r.start);
         let (shared, mixed): (Vec<&InRange>, Vec<_>) = with_in.partition(|r| !r.shared_p.is_nan());
         assert!(!shared.is_empty() && !mixed.is_empty());

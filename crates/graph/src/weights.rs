@@ -96,10 +96,10 @@ mod tests {
         let g = star();
         let mut rng = SmallRng::seed_from_u64(1);
         let wc = apply_weights(&g, WeightModel::WeightedCascade, &mut rng);
-        for (u, p, _) in wc.in_edges(3) {
+        for (u, p) in wc.in_edges(3) {
             assert!((p - 1.0 / 3.0).abs() < 1e-12, "edge from {u} has p = {p}");
         }
-        let (_, p, _) = wc.in_edges(0).next().unwrap();
+        let (_, p) = wc.in_edges(0).next().unwrap();
         assert_eq!(p, 1.0);
     }
 

@@ -72,7 +72,7 @@
 //! the sampler runs the scan on the same `r` instead (see `lt_shared`).
 //! Either way the node draws one coin, picks the same source and reports
 //! the edges the scan examines. Nodes without a shared probability read
-//! each edge's probability from [`Graph::in_edges`].
+//! each edge's probability from [`Graph::in_probs`].
 
 use rand::Rng;
 use smin_diffusion::Model;
@@ -182,8 +182,8 @@ impl ReverseSampler {
                     let in_edges = srcs.iter().map(|&u| (u, p));
                     ic_coins(visited, in_edges, is_alive, rng, out)
                 }
-                (_, None) => {
-                    let in_edges = g.in_edges(v).map(|(u, p, _)| (u, p));
+                (srcs, None) => {
+                    let in_edges = srcs.iter().copied().zip(g.in_probs(v).iter().copied());
                     ic_coins(visited, in_edges, is_alive, rng, out)
                 }
             };
@@ -209,8 +209,8 @@ impl ReverseSampler {
             let visited = &mut self.visited;
             edges_examined += match g.in_sources(v) {
                 (srcs, Some(p)) => lt_shared(visited, srcs, p, is_alive, rng.random(), out),
-                (_, None) => {
-                    let in_edges = g.in_edges(v).map(|(u, p, _)| (u, p));
+                (srcs, None) => {
+                    let in_edges = srcs.iter().copied().zip(g.in_probs(v).iter().copied());
                     lt_scan(visited, in_edges, is_alive, rng.random(), out)
                 }
             };

@@ -29,9 +29,10 @@ pub const MAX_GENERATED_NODES: usize = 1_000_000;
 /// WS's pair lists stay below that. Per node, Chung–Lu's permutations,
 /// weights and alias tables plus both graphs' offsets take < 128 B. So
 /// 10⁷ edges × 49 B + 10⁶ nodes × 128 B ≈ 0.62 GB. The first select on the
-/// kept graph then builds its reverse CSR: 16 B per edge and 24 B per node
-/// (a 16-B record and the 8-B `(1 − p)^d` entry), 0.18 GB more at the
-/// ceilings.
+/// kept graph then builds its reverse CSR: 24 B per node (a 16-B record and
+/// the 8-B `(1 − p)^d` entry) and 4 B per edge when every node's in-edges
+/// share one probability (weighted cascade, uniform), 12 B when some
+/// node's differ (trivalency): 0.06 GB more at the ceilings, or 0.14 GB.
 pub const MAX_GENERATED_EDGES: usize = 10_000_000;
 /// Largest accepted request/header line.
 pub const MAX_LINE_BYTES: usize = 8 << 10;

@@ -352,3 +352,115 @@ fn asti_differs_across_seeds() {
         "independent seeds produced identical runs"
     );
 }
+
+/// FNV-1a fold of one 64-bit word.
+fn fnv(h: u64, x: u64) -> u64 {
+    x.to_le_bytes()
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100000001b3))
+}
+
+/// `g` under weighted cascade, and a copy where the lowest-source in-edge
+/// of every third node of in-degree ≥ 2 carries half its probability: one
+/// graph whose nodes all share one in-probability and one that needs
+/// per-edge probabilities, both valid LT instances.
+fn both_layouts(g: &Graph) -> [Graph; 2] {
+    let mut rng = SmallRng::seed_from_u64(0);
+    let wc = seedmin::graph::weights::apply_weights(g, WeightModel::WeightedCascade, &mut rng);
+    let mut first_src = vec![u32::MAX; g.n()];
+    for (u, v, _) in wc.edges() {
+        first_src[v as usize] = first_src[v as usize].min(u);
+    }
+    let mixed = wc.map_probabilities(|u, v, p| {
+        if wc.in_degree(v) >= 2 && v % 3 == 0 && u == first_src[v as usize] {
+            p / 2.0
+        } else {
+            p
+        }
+    });
+    assert!(mixed.edges().zip(wc.edges()).any(|(a, b)| a.2 != b.2));
+    [wc, mixed]
+}
+
+/// Digests of `Realization::sample` (IC and LT, 64 worlds each, one bit per
+/// forward edge), of `ForwardSim::simulate_lt` spreads (256 runs) and of
+/// `exact_expected_truncated` (IC and LT on a 9-node graph), each pinned at
+/// the values the build with per-slot edge ids and probabilities gave, so
+/// that a realization or a spread that drifts fails here, with the layout
+/// it drifted on, before it reaches a golden.
+#[test]
+fn worlds_spreads_and_exact_values_match_pinned_digests() {
+    use seedmin::diffusion::exact::exact_expected_truncated;
+    let mut rng = SmallRng::seed_from_u64(0x1A70);
+    let pairs = erdos_renyi(300, 1_200, &mut rng);
+    let big = assemble(300, &pairs, true, WeightModel::Uniform(1.0), &mut rng).unwrap();
+    let mut b = GraphBuilder::new(9);
+    for (u, v) in [
+        (0, 1),
+        (0, 2),
+        (1, 2),
+        (1, 3),
+        (2, 3),
+        (4, 3),
+        (3, 5),
+        (2, 5),
+        (6, 5),
+        (5, 7),
+        (6, 7),
+        (1, 7),
+        (7, 2),
+    ] {
+        b.add_edge(u, v).unwrap();
+    }
+    let small = b.build().unwrap();
+    let mut got = Vec::new();
+    for (g, tiny) in both_layouts(&big).iter().zip(both_layouts(&small).iter()) {
+        let mut row = [0xcbf29ce484222325u64; 4];
+        for (model, h) in [(Model::IC, 0), (Model::LT, 1)] {
+            let mut rng = SmallRng::seed_from_u64(7);
+            for _ in 0..64 {
+                let phi = Realization::sample(g, model, &mut rng);
+                for u in 0..g.n() as u32 {
+                    for (e, v, _) in g.out_edges_indexed(u) {
+                        row[h] = fnv(row[h], u64::from(phi.is_live(e, u, v)));
+                    }
+                }
+            }
+        }
+        let mut sim = ForwardSim::new(g.n());
+        let mut rng = SmallRng::seed_from_u64(11);
+        for i in 0..256u32 {
+            let seeds = [i % 300, (i * 7 + 3) % 300];
+            row[2] = fnv(
+                row[2],
+                sim.simulate_lt(g, &seeds[..1 + i as usize % 2], &mut rng) as u64,
+            );
+        }
+        for model in [Model::IC, Model::LT] {
+            for seeds in [&[0u32][..], &[1, 6], &[4, 2, 6]] {
+                for eta in [1, 3, 9] {
+                    let x = exact_expected_truncated(tiny, model, seeds, eta);
+                    row[3] = fnv(row[3], x.to_bits());
+                }
+            }
+        }
+        got.push(row.map(|h| format!("{h:016x}")));
+    }
+    // rows: the shared graph, then the per-edge one; columns: IC worlds,
+    // LT worlds, `simulate_lt` spreads, exact values
+    let want = [
+        [
+            "57387a9606f30404",
+            "2d004b0476963f25",
+            "104a285177832d91",
+            "3dd1563273fa396f",
+        ],
+        [
+            "287e7919bcc12644",
+            "783bc6a01a576c04",
+            "a6ab1113c7588be4",
+            "17851aaedf4b9ffd",
+        ],
+    ];
+    assert_eq!(got, want);
+}

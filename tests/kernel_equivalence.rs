@@ -665,7 +665,7 @@ impl ReferenceSampler {
         while head < self.queue.len() {
             let v = self.queue[head];
             head += 1;
-            let in_edges: Vec<(NodeId, f64)> = g.in_edges(v).map(|(u, p, _)| (u, p)).collect();
+            let in_edges: Vec<(NodeId, f64)> = g.in_edges(v).collect();
             let d = in_edges.len();
             let shared = in_edges.first().map(|&(_, p)| p).filter(|p| {
                 !p.is_nan() && in_edges.iter().all(|&(_, q)| q.to_bits() == p.to_bits())
@@ -1229,7 +1229,7 @@ fn binomial_draw_edges() {
             assert_eq!(rng.random::<u64>(), untouched.clone().random::<u64>());
             let is_alive = |u: NodeId| alive.is_none_or(|a| a[u as usize]);
             for &v in &set {
-                for (u, _, _) in certain.in_edges(v) {
+                for (u, _) in certain.in_edges(v) {
                     assert!(!is_alive(u) || set.contains(&u), "p = 1 keeps {u}");
                 }
             }
