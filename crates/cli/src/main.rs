@@ -61,8 +61,7 @@ ASTI with per-request eta, model, eps, batch, seed, and POST
 /v1/select-batch runs many items against one graph resolution and one warm
 session. Same request body => byte-identical response, for every thread
 count. The service core is an epoll readiness event loop (one poll thread
-multiplexing every connection, --threads dispatch workers; Linux x86-64 and
-aarch64 only). --max-pending is the admission high-water mark: queued +
+multiplexing every connection, --threads dispatch workers; Linux only). --max-pending is the admission high-water mark: queued +
 running requests beyond it get a deterministic 429 (default 1024).
 Requests may carry X-Deadline-Millis; a request whose budget expires
 before dispatch gets a structured 504. --threads sets the worker count

@@ -6,17 +6,22 @@
 //! of thousands of times).
 
 use crate::model::Model;
-use crate::realization::Realization;
+use crate::realization::{draw_lt_choice, Realization, LT_UNDRAWN};
 use rand::Rng;
 use smin_graph::{Graph, NodeId};
 
 /// Reusable BFS scratch for forward spread computations over one graph.
 pub struct ForwardSim {
     visited: Vec<bool>,
-    /// Epoch trick: `visited` is only valid where `epoch_of == epoch`, so
-    /// clearing between runs is O(touched), not O(n).
+    /// The nodes the current run reached, in the order it reached them: the
+    /// run's BFS queue, and where the next run clears `visited`, so clearing
+    /// between runs is O(touched), not O(n).
     touched: Vec<NodeId>,
-    queue: Vec<NodeId>,
+    /// [`Self::simulate_lt`]'s choices, sized on its first call: each
+    /// node's drawn source, else `LT_UNDRAWN`.
+    chosen: Vec<NodeId>,
+    /// The nodes whose choice the current run drew, reset by the next run.
+    drawn: Vec<NodeId>,
 }
 
 impl ForwardSim {
@@ -25,28 +30,38 @@ impl ForwardSim {
         ForwardSim {
             visited: vec![false; n],
             touched: Vec::new(),
-            queue: Vec::new(),
+            chosen: Vec::new(),
+            drawn: Vec::new(),
         }
     }
 
-    fn reset(&mut self) {
+    fn visit(&mut self, v: NodeId) {
+        self.visited[v as usize] = true;
+        self.touched.push(v);
+    }
+
+    /// Clears the previous run, then reaches each of `seeds` once, except
+    /// those already `active`.
+    fn start(&mut self, seeds: &[NodeId], active: Option<&[bool]>) {
         for &u in &self.touched {
             self.visited[u as usize] = false;
         }
         self.touched.clear();
-        self.queue.clear();
+        for &v in &self.drawn {
+            self.chosen[v as usize] = LT_UNDRAWN;
+        }
+        self.drawn.clear();
+        for &s in seeds {
+            if !self.visited[s as usize] && !active.is_some_and(|a| a[s as usize]) {
+                self.visit(s);
+            }
+        }
     }
 
     /// Spread `I_ϕ(S)`: number of nodes reachable from `seeds` via live edges
     /// of `phi`.
     pub fn spread(&mut self, g: &Graph, phi: &Realization, seeds: &[NodeId]) -> usize {
         self.spread_restricted(g, phi, seeds, None)
-    }
-
-    /// Nodes reached (including the seeds), materialized.
-    pub fn reachable(&mut self, g: &Graph, phi: &Realization, seeds: &[NodeId]) -> Vec<NodeId> {
-        self.run(g, phi, seeds, None);
-        self.touched.clone()
     }
 
     /// Marginal spread `I_ϕ(S | S_active)`: live-edge reachability restricted
@@ -78,24 +93,15 @@ impl ForwardSim {
     }
 
     fn run(&mut self, g: &Graph, phi: &Realization, seeds: &[NodeId], active: Option<&[bool]>) {
-        self.reset();
+        self.start(seeds, active);
         let blocked = |u: NodeId| active.is_some_and(|a| a[u as usize]);
-        for &s in seeds {
-            if !self.visited[s as usize] && !blocked(s) {
-                self.visited[s as usize] = true;
-                self.touched.push(s);
-                self.queue.push(s);
-            }
-        }
         let mut head = 0;
-        while head < self.queue.len() {
-            let u = self.queue[head];
+        while head < self.touched.len() {
+            let u = self.touched[head];
             head += 1;
             for (e, v, _) in g.out_edges_indexed(u) {
                 if !self.visited[v as usize] && !blocked(v) && phi.is_live(e, u, v) {
-                    self.visited[v as usize] = true;
-                    self.touched.push(v);
-                    self.queue.push(v);
+                    self.visit(v);
                 }
             }
         }
@@ -105,76 +111,41 @@ impl ForwardSim {
     /// distribution to sampling a realization and running [`Self::spread`],
     /// but without materializing `O(m)` state).
     pub fn simulate_ic(&mut self, g: &Graph, seeds: &[NodeId], rng: &mut impl Rng) -> usize {
-        self.reset();
-        for &s in seeds {
-            if !self.visited[s as usize] {
-                self.visited[s as usize] = true;
-                self.touched.push(s);
-                self.queue.push(s);
-            }
-        }
+        self.start(seeds, None);
         let mut head = 0;
-        while head < self.queue.len() {
-            let u = self.queue[head];
+        while head < self.touched.len() {
+            let u = self.touched[head];
             head += 1;
             for (v, p) in g.out_edges(u) {
                 if !self.visited[v as usize] && rng.random::<f64>() < p {
-                    self.visited[v as usize] = true;
-                    self.touched.push(v);
-                    self.queue.push(v);
+                    self.visit(v);
                 }
             }
         }
         self.touched.len()
     }
 
-    /// Fresh-choice LT simulation via the live-edge equivalence: each
-    /// first-touched node draws its single live in-edge on demand.
+    /// Fresh-choice LT simulation via the live-edge equivalence (Kempe et
+    /// al. 2003): BFS forward, and for edge `u → v` decide whether `v`
+    /// chose `u`, drawing `v`'s single live in-edge on its first
+    /// examination.
     pub fn simulate_lt(&mut self, g: &Graph, seeds: &[NodeId], rng: &mut impl Rng) -> usize {
-        // LT forward simulation by thresholds requires tracking accumulated
-        // weight per node; the live-edge view is simpler and exactly
-        // equivalent (Kempe et al. 2003): sample each node's choice lazily
-        // and BFS forward over chosen edges. We do the reverse: BFS forward,
-        // and for edge u -> v decide "did v choose u?" by drawing v's choice
-        // once on first examination.
-        let n = g.n();
-        // chosen[v]: u32::MAX - 1 = undrawn, u32::MAX = drew none, else the
-        // chosen in-edge's source.
-        const UNDRAWN: NodeId = NodeId::MAX - 1;
-        const NONE: NodeId = NodeId::MAX;
-        let mut chosen = vec![UNDRAWN; n];
-
-        self.reset();
-        for &s in seeds {
-            if !self.visited[s as usize] {
-                self.visited[s as usize] = true;
-                self.touched.push(s);
-                self.queue.push(s);
-            }
-        }
+        self.start(seeds, None);
+        self.chosen.resize(g.n(), LT_UNDRAWN);
         let mut head = 0;
-        while head < self.queue.len() {
-            let u = self.queue[head];
+        while head < self.touched.len() {
+            let u = self.touched[head];
             head += 1;
             for (v, _) in g.out_edges(u) {
                 if self.visited[v as usize] {
                     continue;
                 }
-                if chosen[v as usize] == UNDRAWN {
-                    let mut r = rng.random::<f64>();
-                    chosen[v as usize] = NONE;
-                    for (w, p) in g.in_edges(v) {
-                        if r < p {
-                            chosen[v as usize] = w;
-                            break;
-                        }
-                        r -= p;
-                    }
+                if self.chosen[v as usize] == LT_UNDRAWN {
+                    self.chosen[v as usize] = draw_lt_choice(g, v, rng);
+                    self.drawn.push(v);
                 }
-                if chosen[v as usize] == u {
-                    self.visited[v as usize] = true;
-                    self.touched.push(v);
-                    self.queue.push(v);
+                if self.chosen[v as usize] == u {
+                    self.visit(v);
                 }
             }
         }
@@ -240,7 +211,7 @@ mod tests {
         let g = path3();
         let mut sim = ForwardSim::new(3);
         let phi = Realization::from_ic_statuses(vec![true, false]);
-        let mut r = sim.reachable(&g, &phi, &[0]);
+        let mut r = sim.reachable_restricted(&g, &phi, &[0], &[false; 3]);
         r.sort_unstable();
         assert_eq!(r, vec![0, 1]);
     }

@@ -13,7 +13,7 @@
 
 use crate::forward::ForwardSim;
 use crate::model::Model;
-use crate::realization::Realization;
+use crate::realization::{draw_lt_choice, Realization, LT_UNDRAWN};
 use rand::Rng;
 use smin_graph::{Graph, NodeId};
 
@@ -91,22 +91,20 @@ impl InfluenceOracle for RealizationOracle<'_> {
 }
 
 /// Oracle that draws the world lazily (deferred decisions).
+///
+/// IC keeps no record of its coins: an edge is examined only when its
+/// source is dequeued, and a node is dequeued only in the `observe` that
+/// activates it, so no coin is ever asked for twice.
 pub struct SimulationOracle<'g, R: Rng> {
     g: &'g Graph,
     model: Model,
     rng: R,
-    /// IC: per-edge status, 0 = undrawn, 1 = live, 2 = blocked.
-    edge_state: Vec<u8>,
-    /// LT: the source of each node's chosen in-edge, `UNDRAWN`/`NONE`
-    /// sentinels as below.
+    /// LT: the source of each node's chosen in-edge once drawn, else
+    /// `LT_UNDRAWN`; a choice persists across `observe` calls.
     chosen: Vec<NodeId>,
     active: Vec<bool>,
     num_active: usize,
-    queue: Vec<NodeId>,
 }
-
-const UNDRAWN: NodeId = NodeId::MAX - 1;
-const NONE: NodeId = NodeId::MAX;
 
 impl<'g, R: Rng> SimulationOracle<'g, R> {
     /// New lazily-sampled world.
@@ -115,71 +113,57 @@ impl<'g, R: Rng> SimulationOracle<'g, R> {
             g,
             model,
             rng,
-            edge_state: if model == Model::IC {
-                vec![0u8; g.m()]
-            } else {
-                Vec::new()
-            },
             chosen: if model == Model::LT {
-                vec![UNDRAWN; g.n()]
+                vec![LT_UNDRAWN; g.n()]
             } else {
                 Vec::new()
             },
             active: vec![false; g.n()],
             num_active: 0,
-            queue: Vec::new(),
-        }
-    }
-
-    fn edge_live(&mut self, e: u32, src: NodeId, dst: NodeId, p: f64) -> bool {
-        match self.model {
-            Model::IC => {
-                let s = &mut self.edge_state[e as usize];
-                if *s == 0 {
-                    *s = if self.rng.random::<f64>() < p { 1 } else { 2 };
-                }
-                *s == 1
-            }
-            Model::LT => {
-                if self.chosen[dst as usize] == UNDRAWN {
-                    let mut r = self.rng.random::<f64>();
-                    self.chosen[dst as usize] = NONE;
-                    for (w, q) in self.g.in_edges(dst) {
-                        if r < q {
-                            self.chosen[dst as usize] = w;
-                            break;
-                        }
-                        r -= q;
-                    }
-                }
-                self.chosen[dst as usize] == src
-            }
         }
     }
 }
 
 impl<R: Rng> InfluenceOracle for SimulationOracle<'_, R> {
     fn observe(&mut self, seeds: &[NodeId]) -> Vec<NodeId> {
-        self.queue.clear();
+        let SimulationOracle {
+            g,
+            model,
+            rng,
+            chosen,
+            active,
+            ..
+        } = self;
         let mut newly = Vec::new();
         for &s in seeds {
-            if !self.active[s as usize] {
-                self.active[s as usize] = true;
+            if !active[s as usize] {
+                active[s as usize] = true;
                 newly.push(s);
-                self.queue.push(s);
             }
         }
+        // `newly` is the BFS queue too: it receives every node in the order
+        // it is reached.
         let mut head = 0;
-        while head < self.queue.len() {
-            let u = self.queue[head];
+        while head < newly.len() {
+            let u = newly[head];
             head += 1;
-            // Collect the frontier first: `edge_live` needs `&mut self`.
-            let out: Vec<(u32, NodeId, f64)> = self.g.out_edges_indexed(u).collect();
-            for (e, v, p) in out {
-                if !self.active[v as usize] && self.edge_live(e, u, v, p) {
-                    self.active[v as usize] = true;
+            for (v, p) in g.out_edges(u) {
+                if active[v as usize] {
+                    continue;
+                }
+                let live = match model {
+                    Model::IC => rng.random::<f64>() < p,
+                    Model::LT => {
+                        let choice = &mut chosen[v as usize];
+                        if *choice == LT_UNDRAWN {
+                            *choice = draw_lt_choice(g, v, rng);
+                        }
+                        *choice == u
+                    }
+                };
+                if live {
+                    active[v as usize] = true;
                     newly.push(v);
-                    self.queue.push(v);
                 }
             }
         }
@@ -251,7 +235,7 @@ mod tests {
     #[test]
     fn simulation_oracle_draws_each_edge_once() {
         // One edge with p = 0.5: observing each endpoint repeatedly must
-        // never flip the coin twice (the status is remembered).
+        // never flip the coin twice (the edge is examined only once).
         let mut b = GraphBuilder::new(2);
         b.add_edge_p(0, 1, 0.5).unwrap();
         let g = b.build().unwrap();

@@ -17,7 +17,24 @@ use smin_graph::{Graph, NodeId};
 
 /// Sentinel for "node chose no incoming edge" in LT realizations; no node
 /// has this id, since a graph has at most `u32::MAX` nodes.
-const LT_NONE: NodeId = NodeId::MAX;
+pub(crate) const LT_NONE: NodeId = NodeId::MAX;
+
+/// Sentinel for "choice not drawn yet" where LT choices are drawn lazily
+/// (`ForwardSim::simulate_lt`, `SimulationOracle`).
+pub(crate) const LT_UNDRAWN: NodeId = NodeId::MAX - 1;
+
+/// Draws `v`'s LT choice from one uniform: the source `u` of in-edge
+/// `⟨u, v⟩` with probability `p(u, v)`, [`LT_NONE`] with the remaining mass.
+pub(crate) fn draw_lt_choice(g: &Graph, v: NodeId, rng: &mut impl Rng) -> NodeId {
+    let mut r = rng.random::<f64>();
+    for (u, p) in g.in_edges(v) {
+        if r < p {
+            return u;
+        }
+        r -= p;
+    }
+    LT_NONE
+}
 
 /// A fully materialized realization of a probabilistic graph.
 #[derive(Clone, Debug)]
@@ -46,21 +63,15 @@ impl Realization {
                 Realization::Ic { live }
             }
             Model::LT => {
-                let mut chosen = vec![LT_NONE; g.n()];
-                for v in 0..u32_of(g.n()) {
-                    debug_assert!(
-                        g.in_prob_sum(v) <= 1.0 + 1e-9,
-                        "node {v} has incoming probability mass > 1; not a valid LT instance"
-                    );
-                    let mut r = rng.random::<f64>();
-                    for (u, p) in g.in_edges(v) {
-                        if r < p {
-                            chosen[v as usize] = u;
-                            break;
-                        }
-                        r -= p;
-                    }
-                }
+                let chosen = (0..u32_of(g.n()))
+                    .map(|v| {
+                        debug_assert!(
+                            g.in_prob_sum(v) <= 1.0 + 1e-9,
+                            "node {v} has incoming probability mass > 1; not a valid LT instance"
+                        );
+                        draw_lt_choice(g, v, rng)
+                    })
+                    .collect();
                 Realization::Lt { chosen }
             }
         }

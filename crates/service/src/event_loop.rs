@@ -54,6 +54,7 @@ use crate::trace::TraceEvent;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -73,7 +74,7 @@ const READ_CHUNK: usize = 16 * 1024;
 const SYNC_RESPONSES_PER_DRIVE: usize = 64;
 /// Poller token of the accept listener.
 const TOKEN_LISTENER: u64 = u64::MAX;
-/// Poller token of the wake pipe (loopback socket pair).
+/// Poller token of the wake channel (a Unix socket pair).
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 
 /// Knobs the server resolves from [`crate::server::ServerConfig`].
@@ -336,7 +337,7 @@ fn now_ms(epoch: Instant) -> u64 {
 }
 
 /// Serves `listener` until `stop` turns true. Returns an error only for
-/// setup failures (epoll unavailable, wake-pair binding) — per-connection
+/// setup failures (epoll unavailable, no wake pair) — per-connection
 /// failures close that connection and keep the loop running.
 pub(crate) fn serve(
     listener: TcpListener,
@@ -348,13 +349,9 @@ pub(crate) fn serve(
     let poller = Poller::new()?;
     poller.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)?;
 
-    // Wake channel: a loopback socket pair (the std-only stand-in for
-    // eventfd). Dispatch threads write one byte to interrupt the poll wait
-    // as soon as a completion is queued.
-    let wake_bind = TcpListener::bind("127.0.0.1:0")?;
-    let wake_tx = TcpStream::connect(wake_bind.local_addr()?)?;
-    let (wake_rx, _) = wake_bind.accept()?;
-    drop(wake_bind);
+    // Wake channel: a Unix socket pair. Dispatch threads write one byte to
+    // interrupt the poll wait as soon as a completion is queued.
+    let (wake_rx, wake_tx) = UnixStream::pair()?;
     wake_rx.set_nonblocking(true)?;
     wake_tx.set_nonblocking(true)?;
     let wake_tx = Arc::new(wake_tx);
@@ -415,7 +412,7 @@ fn dispatch_loop(
     job_rx: &Mutex<mpsc::Receiver<Job>>,
     completions: &Mutex<Vec<Done>>,
     pending: &AtomicUsize,
-    wake_tx: &TcpStream,
+    wake_tx: &UnixStream,
     epoch: Instant,
 ) {
     loop {
@@ -461,7 +458,7 @@ fn dispatch_loop(
                 close: !job.keep_alive,
             });
         pending.fetch_sub(1, Ordering::SeqCst);
-        // A full wake pipe is fine: the poll thread already has a pending
+        // A full wake channel is fine: the poll thread already has a pending
         // wake-up it has not drained yet.
         let mut tx = wake_tx;
         let _ = tx.write(&[1u8]);
@@ -506,7 +503,7 @@ enum Dispatch {
 struct Loop<'a> {
     poller: Poller,
     listener: TcpListener,
-    wake_rx: TcpStream,
+    wake_rx: UnixStream,
     slab: Slab,
     wheel: DeadlineWheel,
     epoch: Instant,

@@ -19,8 +19,9 @@
 //!   memory read, answered on the poll thread without a dispatch handoff.
 //! * **Std-only HTTP/1.1** ([`http`], [`server`]): hand-rolled incremental
 //!   framing over `std::net`, keep-alive by default, served by an epoll
-//!   readiness event loop (`event_loop` over raw syscall shims in
-//!   [`platform`]) that multiplexes every connection on one poll thread.
+//!   readiness event loop (`event_loop` over the C library's epoll
+//!   functions, bound in [`platform`]) that multiplexes every connection
+//!   on one poll thread.
 //! * **Request-level protections**: `X-Deadline-Millis` budgets (504),
 //!   admission control at a pending-dispatch high-water mark (429), and
 //!   batched selection (`POST /v1/select-batch`) amortizing graph
@@ -41,7 +42,7 @@
 //! The CLI front end is `asm serve`; `svc_load` (in `smin-bench`) is the
 //! matching load generator.
 
-// Unsafe code is denied everywhere except the epoll syscall shims in
+// Unsafe code is denied everywhere except the epoll bindings in
 // `platform::sys`, which carry their own `#[allow]` and SAFETY comments.
 #![deny(unsafe_code)]
 

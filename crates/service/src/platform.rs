@@ -1,15 +1,15 @@
-//! Platform layer: `libc`-free raw `epoll` bindings for the readiness
-//! event loop.
+//! Platform layer: the `epoll` bindings of the readiness event loop.
 //!
-//! The offline build has no `libc`/`mio` crates, so the four syscalls the
-//! event loop needs (`epoll_create1`, `epoll_ctl`, `epoll_pwait`, `close`)
-//! are issued directly via inline assembly on Linux x86_64/aarch64 — the
-//! workspace's only `unsafe` surface, confined to the `sys` module. Every
-//! other target gets a stub whose [`Poller::new`] fails with
-//! `Unsupported`, so the crate still builds there but serving fails.
+//! `std` already links the C library, which exports the three functions
+//! the event loop needs (`epoll_create1`, `epoll_ctl`, `epoll_wait`). The
+//! `sys` module declares them in one `extern` block, the workspace's only
+//! `unsafe` surface, and [`Poller`] holds the epoll instance in an
+//! `OwnedFd`, whose drop closes it. Every target other than Linux gets a
+//! stub whose [`Poller::new`] fails with `Unsupported`, so the crate still
+//! builds there but serving fails.
 //!
-//! Only `epoll` itself needs raw syscalls: non-blocking mode, accept, read,
-//! and write all go through `std::net`, so the sockets stay ordinary
+//! Only `epoll` itself needs these bindings: non-blocking mode, accept,
+//! read, and write all go through `std::net`, so the sockets stay ordinary
 //! `TcpStream`s owned by safe code.
 
 /// Readable (or: a peer hung up and the final read will report it).
@@ -24,21 +24,13 @@ pub const EPOLLHUP: u32 = 0x010;
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
-const EPOLL_CLOEXEC: usize = 0x80000;
+const EPOLL_CLOEXEC: i32 = 0x80000;
 
-/// `struct epoll_event` exactly as the kernel ABI lays it out: packed on
-/// x86_64 (12 bytes, `data` unaligned), naturally aligned elsewhere.
-#[cfg(target_arch = "x86_64")]
-#[repr(C, packed)]
-#[derive(Clone, Copy, Default)]
-pub struct EpollEvent {
-    events: u32,
-    data: u64,
-}
-
-/// `struct epoll_event` exactly as the kernel ABI lays it out.
-#[cfg(not(target_arch = "x86_64"))]
-#[repr(C)]
+/// `struct epoll_event` as the C library lays it out: packed on x86_64
+/// (12 bytes, `data` unaligned, glibc's `__EPOLL_PACKED`), naturally
+/// aligned elsewhere.
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
 #[derive(Clone, Copy, Default)]
 pub struct EpollEvent {
     events: u32,
@@ -59,271 +51,133 @@ impl EpollEvent {
 }
 
 /// An epoll instance. Registered fds are identified by caller-chosen `u64`
-/// tokens; the fd is closed on drop.
+/// tokens; the instance's fd is an `OwnedFd` on Linux, closed on drop.
 pub struct Poller {
-    epfd: i32,
+    epfd: sys::Fd,
 }
 
 impl Poller {
     /// Creates an epoll instance (`EPOLL_CLOEXEC`). Fails with
-    /// `Unsupported` on targets without the raw-syscall shims.
+    /// `Unsupported` on targets without epoll.
     pub fn new() -> std::io::Result<Poller> {
-        let epfd = sys::epoll_create1(EPOLL_CLOEXEC)?;
+        let epfd = sys::create(EPOLL_CLOEXEC)?;
         Ok(Poller { epfd })
     }
 
     /// Registers `fd` for level-triggered notification under `token`.
     pub fn add(&self, fd: i32, token: u64, interest: u32) -> std::io::Result<()> {
-        sys::epoll_ctl(self.epfd, EPOLL_CTL_ADD, fd, interest, token)
+        sys::ctl(&self.epfd, EPOLL_CTL_ADD, fd, interest, token)
     }
 
     /// Replaces the interest mask (and token) of a registered `fd`.
     pub fn modify(&self, fd: i32, token: u64, interest: u32) -> std::io::Result<()> {
-        sys::epoll_ctl(self.epfd, EPOLL_CTL_MOD, fd, interest, token)
+        sys::ctl(&self.epfd, EPOLL_CTL_MOD, fd, interest, token)
     }
 
     /// Unregisters `fd`.
     pub fn del(&self, fd: i32) -> std::io::Result<()> {
-        sys::epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, 0, 0)
+        sys::ctl(&self.epfd, EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Blocks until readiness or `timeout_ms` (−1 = forever), filling
     /// `events`; returns how many entries are valid. `EINTR` reads as an
     /// empty wake-up so callers never see a spurious error from signals.
     pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> std::io::Result<usize> {
-        sys::epoll_pwait(self.epfd, events, timeout_ms)
+        match sys::wait(&self.epfd, events, timeout_ms) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Ok(0),
+            result => result,
+        }
     }
 }
 
-impl Drop for Poller {
-    fn drop(&mut self) {
-        sys::close(self.epfd);
-    }
-}
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
+#[cfg(target_os = "linux")]
 #[allow(unsafe_code)]
 mod sys {
-    //! The raw syscall shims. Register conventions per arch:
-    //! x86_64 — nr in `rax`, args in `rdi rsi rdx r10 r8 r9`, `syscall`
-    //! clobbers `rcx`/`r11`; aarch64 — nr in `x8`, args in `x0..x5`,
-    //! `svc 0`. Both return the result (or `-errno`) in the first register.
+    //! The C library's epoll functions. Each returns −1 and sets `errno`
+    //! on failure, which `io::Error::last_os_error` reads.
 
     use super::EpollEvent;
+    use std::io;
+    use std::os::fd::{AsRawFd, FromRawFd};
+    use std::os::raw::c_int;
 
-    #[cfg(target_arch = "x86_64")]
-    mod nr {
-        pub const CLOSE: usize = 3;
-        pub const EPOLL_CTL: usize = 233;
-        pub const EPOLL_PWAIT: usize = 281;
-        pub const EPOLL_CREATE1: usize = 291;
+    pub use std::os::fd::OwnedFd as Fd;
+
+    // SAFETY: the signatures match <sys/epoll.h>, and `EpollEvent` has the
+    // layout of its `struct epoll_event`.
+    unsafe extern "C" {
+        fn epoll_create1(flags: c_int) -> c_int;
+        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+        fn epoll_wait(epfd: c_int, events: *mut EpollEvent, max: c_int, timeout: c_int) -> c_int;
     }
 
-    #[cfg(target_arch = "aarch64")]
-    mod nr {
-        pub const EPOLL_CREATE1: usize = 20;
-        pub const EPOLL_CTL: usize = 21;
-        pub const EPOLL_PWAIT: usize = 22;
-        pub const CLOSE: usize = 57;
-    }
-
-    /// Issues one syscall with up to six arguments, returning the kernel's
-    /// raw result (negative = `-errno`).
-    ///
-    /// SAFETY: arguments must be valid for syscall `n` — live fds and, for
-    /// `epoll_pwait`, a caller-owned mutable `EpollEvent` buffer.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn syscall6(
-        n: usize,
-        a: usize,
-        b: usize,
-        c: usize,
-        d: usize,
-        e: usize,
-        f: usize,
-    ) -> isize {
-        let ret: isize;
-        // SAFETY: the `syscall` instruction with the Linux x86_64 register
-        // convention; rcx/r11 are declared clobbered as the ABI requires,
-        // and argument validity is the caller's contract (above).
-        unsafe {
-            core::arch::asm!(
-                "syscall",
-                inlateout("rax") n => ret,
-                in("rdi") a,
-                in("rsi") b,
-                in("rdx") c,
-                in("r10") d,
-                in("r8") e,
-                in("r9") f,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    /// Issues one syscall with up to six arguments, returning the kernel's
-    /// raw result (negative = `-errno`).
-    ///
-    /// SAFETY: same contract as the x86_64 variant — arguments must be
-    /// valid for syscall `n`.
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn syscall6(
-        n: usize,
-        a: usize,
-        b: usize,
-        c: usize,
-        d: usize,
-        e: usize,
-        f: usize,
-    ) -> isize {
-        let ret: isize;
-        // SAFETY: `svc 0` with the Linux aarch64 register convention;
-        // argument validity is the caller's contract (above).
-        unsafe {
-            core::arch::asm!(
-                "svc 0",
-                in("x8") n,
-                inlateout("x0") a => ret,
-                in("x1") b,
-                in("x2") c,
-                in("x3") d,
-                in("x4") e,
-                in("x5") f,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    /// Maps a raw kernel result onto `io::Result`.
-    fn check(ret: isize) -> std::io::Result<isize> {
+    /// The call's result, or the `errno` it left when it returned −1.
+    fn check(ret: c_int) -> io::Result<c_int> {
         if ret < 0 {
-            Err(std::io::Error::from_raw_os_error(-ret as i32))
+            Err(io::Error::last_os_error())
         } else {
             Ok(ret)
         }
     }
 
-    pub fn epoll_create1(flags: usize) -> std::io::Result<i32> {
+    pub fn create(flags: c_int) -> io::Result<Fd> {
         // SAFETY: epoll_create1 takes only a flags word; no pointers.
-        let ret = unsafe { syscall6(nr::EPOLL_CREATE1, flags, 0, 0, 0, 0, 0) };
-        check(ret).map(|fd| fd as i32)
+        let fd = check(unsafe { epoll_create1(flags) })?;
+        // SAFETY: `fd` is a descriptor epoll_create1 just opened, and nothing
+        // else owns it.
+        Ok(unsafe { Fd::from_raw_fd(fd) })
     }
 
-    pub fn epoll_ctl(
-        epfd: i32,
-        op: i32,
-        fd: i32,
-        interest: u32,
-        token: u64,
-    ) -> std::io::Result<()> {
+    pub fn ctl(epfd: &Fd, op: c_int, fd: c_int, interest: u32, token: u64) -> io::Result<()> {
         let mut ev = EpollEvent {
             events: interest,
             data: token,
         };
-        let ev_ptr = std::ptr::addr_of_mut!(ev);
-        // SAFETY: `ev` is a live, kernel-ABI epoll_event for the duration
-        // of this synchronous call; DEL ignores the pointer but gets a
-        // valid one anyway (pre-2.6.9 kernels required it).
-        let ret = unsafe {
-            syscall6(
-                nr::EPOLL_CTL,
-                epfd as usize,
-                op as usize,
-                fd as usize,
-                ev_ptr as usize,
-                0,
-                0,
-            )
-        };
-        check(ret).map(|_| ())
+        // SAFETY: `ev` is a live epoll_event for the duration of this
+        // synchronous call; DEL ignores the pointer but gets a valid one
+        // anyway (pre-2.6.9 kernels required it).
+        check(unsafe { epoll_ctl(epfd.as_raw_fd(), op, fd, &mut ev) }).map(|_| ())
     }
 
-    pub fn epoll_pwait(
-        epfd: i32,
-        events: &mut [EpollEvent],
-        timeout_ms: i32,
-    ) -> std::io::Result<usize> {
-        if events.is_empty() {
+    pub fn wait(epfd: &Fd, events: &mut [EpollEvent], timeout_ms: c_int) -> io::Result<usize> {
+        // epoll_wait rejects a buffer of no entries with EINVAL.
+        let max = c_int::try_from(events.len()).unwrap_or(c_int::MAX);
+        if max == 0 {
             return Ok(0);
         }
-        // epoll_pwait (aarch64 has no plain epoll_wait); a null sigmask
-        // means "don't touch the signal mask" and makes sigsetsize moot.
-        // SAFETY: the pointer/len pair describes the caller's live mutable
-        // slice, which the kernel fills up to `len` entries; no other
-        // pointers are passed (sigmask is null).
-        let ret = unsafe {
-            syscall6(
-                nr::EPOLL_PWAIT,
-                epfd as usize,
-                events.as_mut_ptr() as usize,
-                events.len(),
-                timeout_ms as usize,
-                0,
-                0,
-            )
-        };
-        match check(ret) {
-            Ok(count) => Ok(count as usize),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Ok(0),
-            Err(e) => Err(e),
-        }
-    }
-
-    pub fn close(fd: i32) {
-        // SAFETY: close takes only the fd; the caller (Poller::drop) owns
-        // it and never reuses it afterwards.
-        let _ = unsafe { syscall6(nr::CLOSE, fd as usize, 0, 0, 0, 0, 0) };
+        let (epfd, buf) = (epfd.as_raw_fd(), events.as_mut_ptr());
+        // SAFETY: the kernel fills at most `max` entries of the caller's
+        // live mutable slice, which holds at least that many.
+        let count = check(unsafe { epoll_wait(epfd, buf, max, timeout_ms) })?;
+        Ok(count as usize)
     }
 }
 
-#[cfg(not(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-)))]
+#[cfg(not(target_os = "linux"))]
 mod sys {
-    //! Stub for targets without the raw-syscall shims: every entry point
-    //! fails with `Unsupported`, so [`crate::server::Server::run`] returns
-    //! that error.
+    //! Stub for targets without epoll: creating a poller fails with
+    //! `Unsupported`, so [`crate::server::Server::run`] returns that error.
+    //! With no poller, the other entry points cannot be reached.
 
     use super::EpollEvent;
 
-    fn unsupported<T>() -> std::io::Result<T> {
+    /// The fd of an epoll instance, of which this target has none.
+    pub enum Fd {}
+
+    pub fn create(_flags: i32) -> std::io::Result<Fd> {
         Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
-            "epoll is only available on Linux x86_64/aarch64",
+            "epoll is only available on Linux",
         ))
     }
 
-    pub fn epoll_create1(_flags: usize) -> std::io::Result<i32> {
-        unsupported()
+    pub fn ctl(epfd: &Fd, _op: i32, _fd: i32, _interest: u32, _token: u64) -> std::io::Result<()> {
+        match *epfd {}
     }
 
-    pub fn epoll_ctl(
-        _epfd: i32,
-        _op: i32,
-        _fd: i32,
-        _interest: u32,
-        _token: u64,
-    ) -> std::io::Result<()> {
-        unsupported()
+    pub fn wait(epfd: &Fd, _events: &mut [EpollEvent], _timeout_ms: i32) -> std::io::Result<usize> {
+        match *epfd {}
     }
-
-    pub fn epoll_pwait(
-        _epfd: i32,
-        _events: &mut [EpollEvent],
-        _timeout_ms: i32,
-    ) -> std::io::Result<usize> {
-        unsupported()
-    }
-
-    pub fn close(_fd: i32) {}
 }
 
 #[cfg(test)]

@@ -269,11 +269,11 @@ fn replace_durably(
         .map_err(|e| format!("cannot sync directory {dir:?}: {e}"))
 }
 
-/// Rewrites `manifest.json` atomically and durably from the entries that
-/// carry snapshots. BTreeMap listing order makes the output deterministic.
-fn write_manifest(dir: &Path, registry: &Registry) -> Result<(), String> {
-    let entries: Vec<ManifestEntry> = registry
-        .list()
+/// Rewrites `manifest.json` atomically and durably from the `graphs` that
+/// carry snapshots. The registry lists them sorted by id, which makes the
+/// output deterministic.
+fn write_manifest(dir: &Path, graphs: &[Arc<GraphEntry>]) -> Result<(), String> {
+    let entries: Vec<ManifestEntry> = graphs
         .iter()
         .filter_map(|e| {
             e.snapshot.as_ref().map(|file| ManifestEntry {
@@ -583,8 +583,8 @@ fn load_graph_file(
             quoted(rel)
         )));
     }
-    // Content-sniffing loader: `.smg` snapshots, the legacy binary dump, and
-    // text edge lists all work regardless of extension.
+    // Content-sniffing loader: `.smg` snapshots and text edge lists both
+    // work regardless of extension.
     let g = io::load_auto(dir.join(rel_path), 1.0)?;
     Ok((g, format!("file:{rel}")))
 }
@@ -629,7 +629,7 @@ fn register_graph(state: &ServiceState, body: &[u8]) -> Result<Response, Service
             store::write_smg(&entry.graph, w)
                 .map_err(|e| format!("cannot write snapshot {rel:?}: {e}"))
         })
-        .and_then(|()| write_manifest(dir, &registry));
+        .and_then(|()| write_manifest(dir, &registry.list()));
         if let Err(message) = persisted {
             // Roll back so the in-memory registry never outlives its
             // manifest: a graph the manifest does not know about would
@@ -645,22 +645,26 @@ fn register_graph(state: &ServiceState, body: &[u8]) -> Result<Response, Service
 /// `DELETE /v1/graphs/{id}`
 fn delete_graph(state: &ServiceState, id: &str) -> Result<Response, ServiceError> {
     let mut registry = state.registry();
-    let snapshot = registry.get(id).and_then(|e| e.snapshot.clone());
-    if !registry.remove(id) {
+    let Some(entry) = registry.get(id) else {
         return Err(ServiceError::not_found(
             "unknown_graph",
             format!("graph {} is not registered", quoted(id)),
         ));
-    }
+    };
     if let Some(dir) = &state.state_dir {
-        write_manifest(dir, &registry)
+        // The manifest drops the graph before memory does: when the write
+        // fails, the graph stays served, as a restart would serve it.
+        let mut kept = registry.list();
+        kept.retain(|e| e.id != id);
+        write_manifest(dir, &kept)
             .map_err(|message| ServiceError::new(500, "persist_failed", message))?;
-        if let Some(rel) = snapshot {
+        if let Some(rel) = &entry.snapshot {
             // Best-effort: the manifest no longer references the snapshot,
             // so a leftover file is garbage, not a correctness problem.
             let _ = std::fs::remove_file(dir.join(rel));
         }
     }
+    registry.remove(id);
     Ok(Response::json(200, &json!({ "deleted": id })))
 }
 

@@ -6,9 +6,9 @@
 //! threads running the session layer ([`crate::routes::handle`]); cache
 //! hits and `/healthz` are answered by the poll thread itself
 //! (`routes::answer_cached`).
-//! Concurrency costs a slab slot, not a thread. On targets without the
-//! raw epoll syscalls ([`crate::platform`]), [`Server::run`] fails with
-//! `Unsupported`.
+//! Concurrency costs a slab slot, not a thread. On targets without
+//! epoll, that is every target but Linux ([`crate::platform`]),
+//! [`Server::run`] fails with `Unsupported`.
 
 use crate::routes::ServiceState;
 use crate::trace::TraceLog;
@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// only one; [`Server::run`] does not read this.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Transport {
-    /// The readiness event loop (Linux x86_64/aarch64).
+    /// The readiness event loop over the C library's epoll (Linux).
     #[default]
     Epoll,
 }

@@ -161,6 +161,54 @@ fn warm_restart_restores_graphs_tokens_and_select_bytes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A DELETE whose manifest write fails answers 500 and changes nothing:
+/// the graph stays listed and selectable, as the manifest and snapshot
+/// that a restart reads still hold it. A directory at `manifest.json.tmp`
+/// makes the write fail, whoever runs the test. Once it is gone, the
+/// DELETE succeeds and a restart lists nothing.
+#[test]
+fn failed_delete_keeps_the_graph_until_the_manifest_drops_it() {
+    let dir = std::env::temp_dir().join("smin_service_failed_delete");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut handle = spawn_server_with_state(Some(dir.clone()));
+    let mut c = client(&handle);
+    assert_eq!(c.post("/v1/graphs", REGISTER).unwrap().status, 201);
+    let select = c.post("/v1/select", SELECT_UNCACHED).unwrap();
+    assert_eq!(select.status, 200, "{}", select.text());
+    let listing = c.get("/v1/graphs").unwrap();
+
+    let blocker = dir.join("manifest.json.tmp");
+    std::fs::create_dir(&blocker).unwrap();
+    let failed = c.delete("/v1/graphs/g").unwrap();
+    assert_eq!(failed.status, 500, "{}", failed.text());
+    assert!(
+        failed.text().contains("\"code\":\"persist_failed\""),
+        "{}",
+        failed.text()
+    );
+    assert_eq!(
+        c.get("/v1/graphs").unwrap().text(),
+        listing.text(),
+        "a failed DELETE must leave the graph listed"
+    );
+    let again = c.post("/v1/select", SELECT_UNCACHED).unwrap();
+    assert_eq!(again.status, 200, "{}", again.text());
+    assert_eq!(again.body, select.body);
+
+    std::fs::remove_dir(&blocker).unwrap();
+    let deleted = c.delete("/v1/graphs/g").unwrap();
+    assert_eq!(deleted.status, 200, "{}", deleted.text());
+    drop(c);
+    handle.shutdown();
+
+    let mut handle = spawn_server_with_state(Some(dir.clone()));
+    let mut c = client(&handle);
+    assert_eq!(c.get("/v1/graphs").unwrap().text(), r#"{"graphs":[]}"#);
+    drop(c);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// An id names its snapshot file under a state dir, so one longer than the
 /// cap is a 400 before any file is made. Unchecked, a 300-byte id made a
 /// 500 (its file name was too long to create) and a 1 MiB id a 500 whose

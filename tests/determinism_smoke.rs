@@ -387,10 +387,16 @@ fn both_layouts(g: &Graph) -> [Graph; 2] {
 /// `exact_expected_truncated` (IC and LT on a 9-node graph), each pinned at
 /// the values the build with per-slot edge ids and probabilities gave, so
 /// that a realization or a spread that drifts fails here, with the layout
-/// it drifted on, before it reaches a golden.
+/// it drifted on, before it reaches a golden. The lazily drawn worlds are
+/// pinned beside them, at the values the build whose `SimulationOracle`
+/// memoized every IC coin and whose `simulate_lt` allocated its choices per
+/// run gave: the nodes each of six `SimulationOracle::observe` calls
+/// returns, in order, for 24 oracles per model (an LT node's choice must
+/// persist across the calls), and 256 `ForwardSim::simulate_ic` spreads.
 #[test]
 fn worlds_spreads_and_exact_values_match_pinned_digests() {
     use seedmin::diffusion::exact::exact_expected_truncated;
+    use seedmin::diffusion::InfluenceOracle;
     let mut rng = SmallRng::seed_from_u64(0x1A70);
     let pairs = erdos_renyi(300, 1_200, &mut rng);
     let big = assemble(300, &pairs, true, WeightModel::Uniform(1.0), &mut rng).unwrap();
@@ -415,7 +421,7 @@ fn worlds_spreads_and_exact_values_match_pinned_digests() {
     let small = b.build().unwrap();
     let mut got = Vec::new();
     for (g, tiny) in both_layouts(&big).iter().zip(both_layouts(&small).iter()) {
-        let mut row = [0xcbf29ce484222325u64; 4];
+        let mut row = [0xcbf29ce484222325u64; 7];
         for (model, h) in [(Model::IC, 0), (Model::LT, 1)] {
             let mut rng = SmallRng::seed_from_u64(7);
             for _ in 0..64 {
@@ -436,6 +442,29 @@ fn worlds_spreads_and_exact_values_match_pinned_digests() {
                 sim.simulate_lt(g, &seeds[..1 + i as usize % 2], &mut rng) as u64,
             );
         }
+        let mut rng = SmallRng::seed_from_u64(13);
+        for i in 0..256u32 {
+            let seeds = [(i * 5 + 1) % 300, (i * 11 + 7) % 300];
+            row[4] = fnv(
+                row[4],
+                sim.simulate_ic(g, &seeds[..1 + i as usize % 2], &mut rng) as u64,
+            );
+        }
+        for (model, h) in [(Model::IC, 5), (Model::LT, 6)] {
+            for k in 0..24u32 {
+                let world = SmallRng::seed_from_u64(0x5EED + u64::from(k));
+                let mut oracle = SimulationOracle::new(g, model, world);
+                for step in 0..6u32 {
+                    let seeds = [(k * 37 + step * 11) % 300, (k * 53 + step * 29 + 7) % 300];
+                    let newly = oracle.observe(&seeds[..1 + step as usize % 2]);
+                    row[h] = fnv(row[h], newly.len() as u64);
+                    for v in newly {
+                        row[h] = fnv(row[h], u64::from(v));
+                    }
+                }
+                row[h] = fnv(row[h], oracle.num_active() as u64);
+            }
+        }
         for model in [Model::IC, Model::LT] {
             for seeds in [&[0u32][..], &[1, 6], &[4, 2, 6]] {
                 for eta in [1, 3, 9] {
@@ -447,19 +476,26 @@ fn worlds_spreads_and_exact_values_match_pinned_digests() {
         got.push(row.map(|h| format!("{h:016x}")));
     }
     // rows: the shared graph, then the per-edge one; columns: IC worlds,
-    // LT worlds, `simulate_lt` spreads, exact values
+    // LT worlds, `simulate_lt` spreads, exact values, `simulate_ic`
+    // spreads, IC and LT `SimulationOracle` observations
     let want = [
         [
             "57387a9606f30404",
             "2d004b0476963f25",
             "104a285177832d91",
             "3dd1563273fa396f",
+            "3daf2ed7aac5d18b",
+            "23b68734cda36bc7",
+            "9db47419765877f0",
         ],
         [
             "287e7919bcc12644",
             "783bc6a01a576c04",
             "a6ab1113c7588be4",
             "17851aaedf4b9ffd",
+            "6dab340ad99812ab",
+            "7388c9226c0b3476",
+            "2b6c39c0571bbaa6",
         ],
     ];
     assert_eq!(got, want);
