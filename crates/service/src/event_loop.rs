@@ -2,13 +2,15 @@
 //! connection, a small fixed pool of dispatch threads running the
 //! transport-agnostic session layer.
 //!
-//! Connections live in a generation-tagged slab and move through a small
-//! state machine — reading (incremental [`RequestParser`]) → dispatching
-//! (deregistered from the poller while the algorithm runs) or answered in
-//! place (a cache hit, a `/healthz`, or a 400/429, produced by the poll
-//! thread itself)
+//! Open connections are keyed by an id that counts up from 0 and is never
+//! reused. The id is also the connection's poller token, so an event, a
+//! completion or a redrive for a connection that has since closed finds
+//! nothing. Each connection moves through a small state machine — reading
+//! (incremental [`RequestParser`]) → dispatching (deregistered from the
+//! poller while the algorithm runs) or answered in place (a cache hit, a
+//! `/healthz`, or a 400/429, produced by the poll thread itself)
 //! → writing (partial-write [`WriteBuf`]) → keep-alive idle. Concurrency
-//! therefore costs a slab slot, not a thread: ≥512 idle keep-alive
+//! therefore costs a map entry, not a thread: ≥512 idle keep-alive
 //! connections are served by `1 + dispatchers` threads total.
 //!
 //! A parsed request goes through framing, the `X-Deadline-Millis` parse,
@@ -21,11 +23,12 @@
 //! 8 KiB are not probed), and it declines everything else without moving
 //! a counter.
 //!
-//! Four protections keep the loop healthy under load:
+//! Five protections keep the loop healthy under load:
 //!
-//! * **Deadline wheel** — idle, mid-request (408 once the head was
-//!   parsed), and stuck-write timeouts, swept at [`WHEEL_SLOT_MS`]
-//!   granularity against one monotonic epoch.
+//! * **Connection deadlines** — each connection carries one deadline:
+//!   idle, mid-request (408 once the head was parsed), or stuck-write.
+//!   The loop sweeps every connection once per [`TICK_MS`] against one
+//!   monotonic epoch.
 //! * **Admission control** — when `pending` dispatches (queued + running)
 //!   reach the configured high-water mark, new requests are answered with
 //!   a deterministic 429 instead of queueing without bound.
@@ -41,6 +44,11 @@
 //!   poll-thread-answerable requests (cache hits, 429s under overload,
 //!   400s from bad deadline headers) can neither grow the poll thread's
 //!   stack nor monopolize it.
+//! * **Descriptor exhaustion** — an accept that fails for want of
+//!   descriptors takes the listener out of the poller until the next
+//!   sweep, so a server at its descriptor limit does not spin on the
+//!   listener's level-triggered readiness; queued connections wait in the
+//!   kernel's listen queue until descriptors free up.
 //!
 //! This loop is the service's only transport: every request is framed by
 //! [`RequestParser`], answered by [`handle`] (or, for a cache hit, by
@@ -50,46 +58,31 @@ use crate::error::{parse_deadline, ServiceError};
 use crate::http::{Request, RequestParser, Response, MAX_BUFFERED_BYTES};
 use crate::platform::{EpollEvent, Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::routes::{answer_cached, handle, ServiceState};
+use crate::server::ServerConfig;
 use crate::trace::TraceEvent;
+use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
-/// Deadline-wheel granularity, and the poll timeout that drives the sweep.
-const WHEEL_SLOT_MS: u64 = 100;
-/// Wheel circumference: deadlines further out than `SLOTS × SLOT_MS`
-/// survive extra rotations (entries are re-kept until actually due).
-const WHEEL_SLOTS: usize = 512;
+/// Deadline-sweep period, and the poll timeout that drives the sweep.
+const TICK_MS: u64 = 100;
 /// Socket read chunk.
 const READ_CHUNK: usize = 16 * 1024;
 /// How many responses the poll thread answers synchronously (cache hits,
 /// 400/408/429) on one connection per [`Loop::drive`] call before
 /// yielding; the connection is re-queued via the redrive list so other
-/// connections and timers run in between.
+/// connections and deadlines run in between.
 const SYNC_RESPONSES_PER_DRIVE: usize = 64;
 /// Poller token of the accept listener.
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Poller token of the wake channel (a Unix socket pair).
 const TOKEN_WAKE: u64 = u64::MAX - 1;
-
-/// Knobs the server resolves from [`crate::server::ServerConfig`].
-pub(crate) struct LoopConfig {
-    /// Dispatch threads running the session layer.
-    pub dispatchers: usize,
-    /// Admission high-water mark: queued + running dispatches beyond which
-    /// new requests get an immediate 429.
-    pub max_pending: usize,
-    /// Keep-alive idle timeout (silent close).
-    pub idle_timeout_ms: u64,
-    /// Mid-request read and response write timeout (408 when the head was
-    /// already parsed; silent close otherwise).
-    pub request_timeout_ms: u64,
-}
 
 /// A response being written out, tolerant of partial writes.
 #[derive(Default)]
@@ -150,174 +143,56 @@ enum TimerClass {
 /// One connection's state machine.
 struct Conn {
     stream: TcpStream,
-    fd: i32,
     parser: RequestParser,
     write: WriteBuf,
-    /// Registered with the poller (deregistered while a dispatch runs, so
-    /// a hung-up peer cannot spin the loop on unmaskable `EPOLLHUP`).
-    registered: bool,
+    /// The poller interest mask; 0 while deregistered (as during a
+    /// dispatch, so a hung-up peer cannot spin the loop on unmaskable
+    /// `EPOLLHUP`).
     interest: u32,
     busy: bool,
     close_after_write: bool,
     read_closed: bool,
     timer: TimerClass,
-    timer_gen: u64,
+    /// When `timer` fires, in milliseconds since the loop's epoch.
+    due_ms: u64,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, fd: i32) -> Conn {
+    fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            fd,
             parser: RequestParser::new(),
             write: WriteBuf::default(),
-            registered: false,
             interest: 0,
             busy: false,
             close_after_write: false,
             read_closed: false,
             timer: TimerClass::None,
-            timer_gen: 0,
-        }
-    }
-}
-
-/// Generation-tagged connection slab: tokens remain unambiguous across
-/// slot reuse because the generation is part of the token.
-struct Slab {
-    slots: Vec<Slot>,
-    free: Vec<usize>,
-}
-
-struct Slot {
-    conn: Option<Conn>,
-    gen: u64,
-}
-
-impl Slab {
-    fn new() -> Slab {
-        Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
+            due_ms: 0,
         }
     }
 
-    /// Stores `conn`, returning its `(idx, gen32)` token parts; `None` when
-    /// the index space is exhausted (2³² concurrent connections).
-    fn insert(&mut self, conn: Conn) -> Option<(usize, u64)> {
-        if let Some(idx) = self.free.pop() {
-            let slot = self.slots.get_mut(idx)?;
-            slot.conn = Some(conn);
-            return Some((idx, slot.gen & 0xFFFF_FFFF));
-        }
-        let idx = self.slots.len();
-        if idx as u64 >= 0xFFFF_FFFF {
-            return None;
-        }
-        self.slots.push(Slot {
-            conn: Some(conn),
-            gen: 0,
-        });
-        Some((idx, 0))
-    }
-
-    /// The live connection at `idx` if its generation still matches.
-    fn get_mut(&mut self, idx: usize, gen32: u64) -> Option<&mut Conn> {
-        let slot = self.slots.get_mut(idx)?;
-        if slot.gen & 0xFFFF_FFFF != gen32 {
-            return None;
-        }
-        slot.conn.as_mut()
-    }
-
-    /// Frees the slot, bumping its generation so stale tokens miss.
-    fn remove(&mut self, idx: usize, gen32: u64) -> Option<Conn> {
-        let slot = self.slots.get_mut(idx)?;
-        if slot.gen & 0xFFFF_FFFF != gen32 {
-            return None;
-        }
-        let conn = slot.conn.take()?;
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(idx);
-        Some(conn)
-    }
-}
-
-fn pack(idx: usize, gen32: u64) -> u64 {
-    (gen32 << 32) | (idx as u64 & 0xFFFF_FFFF)
-}
-
-fn unpack(token: u64) -> (usize, u64) {
-    ((token & 0xFFFF_FFFF) as usize, token >> 32)
-}
-
-/// Hashed-wheel timer over [`WHEEL_SLOTS`] buckets of [`WHEEL_SLOT_MS`].
-/// Entries carry their absolute due time; a sweep expires what is due and
-/// keeps what belongs to a later rotation. Stale entries (the connection
-/// re-armed or died) are filtered by the caller via `timer_gen`.
-struct DeadlineWheel {
-    slots: Vec<Vec<WheelEntry>>,
-    swept_ms: u64,
-}
-
-#[derive(Clone, Copy)]
-struct WheelEntry {
-    idx: usize,
-    gen32: u64,
-    timer_gen: u64,
-    due_ms: u64,
-}
-
-impl DeadlineWheel {
-    fn new() -> DeadlineWheel {
-        DeadlineWheel {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            swept_ms: 0,
-        }
-    }
-
-    fn slot_of(due_ms: u64) -> usize {
-        ((due_ms / WHEEL_SLOT_MS) % WHEEL_SLOTS as u64) as usize
-    }
-
-    fn insert(&mut self, entry: WheelEntry) {
-        if let Some(bucket) = self.slots.get_mut(Self::slot_of(entry.due_ms)) {
-            bucket.push(entry);
-        }
-    }
-
-    /// Sweeps every bucket between the last sweep and `now_ms`, pushing
-    /// due entries into `expired` and keeping future-rotation ones.
-    fn advance(&mut self, now_ms: u64, expired: &mut Vec<WheelEntry>) {
-        let from_tick = self.swept_ms / WHEEL_SLOT_MS;
-        let to_tick = now_ms / WHEEL_SLOT_MS;
-        if to_tick < from_tick {
+    /// Arms a `class` deadline `timeout_ms` after `now_ms`. `Request` and
+    /// `Write` windows are pinned — re-arming the same class is a no-op,
+    /// so a trickling peer cannot extend them — while `Idle` refreshes on
+    /// every arm.
+    fn arm(&mut self, class: TimerClass, now_ms: u64, timeout_ms: u64) {
+        if self.timer == class && class != TimerClass::Idle {
             return;
         }
-        // A gap longer than one rotation still only needs each bucket once.
-        let steps = (to_tick - from_tick + 1).min(WHEEL_SLOTS as u64);
-        for t in 0..steps {
-            let si = ((from_tick + t) % WHEEL_SLOTS as u64) as usize;
-            let Some(bucket) = self.slots.get_mut(si) else {
-                continue;
-            };
-            bucket.retain(|e| {
-                if e.due_ms <= now_ms {
-                    expired.push(*e);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        self.swept_ms = now_ms;
+        self.timer = class;
+        self.due_ms = now_ms.saturating_add(timeout_ms);
+    }
+
+    /// Whether an armed deadline has passed at `now_ms`.
+    fn is_due(&self, now_ms: u64) -> bool {
+        self.timer != TimerClass::None && self.due_ms <= now_ms
     }
 }
 
 /// A fully-parsed request handed to the dispatch pool.
 struct Job {
-    idx: usize,
-    gen32: u64,
+    id: u64,
     req: Request,
     keep_alive: bool,
     deadline_ms: Option<u64>,
@@ -326,8 +201,7 @@ struct Job {
 
 /// A serialized response handed back to the poll loop.
 struct Done {
-    idx: usize,
-    gen32: u64,
+    id: u64,
     bytes: Vec<u8>,
     close: bool,
 }
@@ -341,8 +215,8 @@ fn now_ms(epoch: Instant) -> u64 {
 /// failures close that connection and keep the loop running.
 pub(crate) fn serve(
     listener: TcpListener,
-    state: &Arc<ServiceState>,
-    cfg: &LoopConfig,
+    state: &ServiceState,
+    cfg: &ServerConfig,
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
@@ -354,47 +228,41 @@ pub(crate) fn serve(
     let (wake_rx, wake_tx) = UnixStream::pair()?;
     wake_rx.set_nonblocking(true)?;
     wake_tx.set_nonblocking(true)?;
-    let wake_tx = Arc::new(wake_tx);
     poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, EPOLLIN)?;
 
     // smin-lint: allow(no-wall-clock) -- the one monotonic epoch every deadline is measured against; never reaches a response body
     let epoch = Instant::now();
 
     let (job_tx, job_rx) = mpsc::channel::<Job>();
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let completions: Arc<Mutex<Vec<Done>>> = Arc::new(Mutex::new(Vec::new()));
-    let pending = Arc::new(AtomicUsize::new(0));
+    let job_rx = Mutex::new(job_rx);
+    let completions = Mutex::new(Vec::new());
+    let pending = AtomicUsize::new(0);
+    // The dispatch threads borrow these for the length of the scope.
+    let (job_rx, completions, pending, wake_tx) = (&job_rx, &completions, &pending, &wake_tx);
 
-    let mut el = Loop {
-        poller,
-        listener,
-        wake_rx,
-        slab: Slab::new(),
-        wheel: DeadlineWheel::new(),
-        epoch,
-        cfg,
-        state,
-        job_tx: Some(job_tx),
-        completions: Arc::clone(&completions),
-        pending: Arc::clone(&pending),
-        redrive: Vec::new(),
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..cfg.dispatchers.max(1) {
-            let job_rx = Arc::clone(&job_rx);
-            let completions = Arc::clone(&completions);
-            let pending = Arc::clone(&pending);
-            let wake_tx = Arc::clone(&wake_tx);
-            let state = Arc::clone(state);
-            scope.spawn(move || {
-                dispatch_loop(&state, &job_rx, &completions, &pending, &wake_tx, epoch)
-            });
+    std::thread::scope(move |scope| {
+        for _ in 0..cfg.workers.max(1) {
+            scope.spawn(move || dispatch_loop(state, job_rx, completions, pending, wake_tx, epoch));
         }
+        let mut el = Loop {
+            poller,
+            listener,
+            listening: true,
+            wake_rx,
+            conns: BTreeMap::new(),
+            next_id: 0,
+            epoch,
+            cfg,
+            state,
+            job_tx,
+            completions,
+            pending,
+            redrive: Vec::new(),
+        };
         let result = el.run(stop);
-        // Closing the job channel drains the dispatch pool; the scope then
-        // joins every dispatcher before returning.
-        el.job_tx = None;
+        // Dropping the loop closes the job channel, which drains the
+        // dispatch pool; the scope then joins every dispatcher.
+        drop(el);
         result
     })
 }
@@ -452,8 +320,7 @@ fn dispatch_loop(
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(Done {
-                idx: job.idx,
-                gen32: job.gen32,
+                id: job.id,
                 bytes,
                 close: !job.keep_alive,
             });
@@ -487,47 +354,41 @@ enum Parsed {
     Bad(String),
 }
 
-/// How [`Loop::begin_dispatch`] disposed of a parsed request.
-enum Dispatch {
-    /// Handed to the pool; the connection is deregistered until the
-    /// completion comes back.
-    Async,
-    /// Answered by the poll thread itself (a cache hit, 400, 429); the
-    /// response sits in the write buffer, not yet flushed.
-    Sync,
-    /// The connection was closed (shutdown race).
-    Closed,
-}
-
 /// The poll thread's whole mutable state.
 struct Loop<'a> {
     poller: Poller,
     listener: TcpListener,
+    /// Whether the listener is registered with the poller: an accept that
+    /// fails for want of descriptors takes it out until the next sweep.
+    listening: bool,
     wake_rx: UnixStream,
-    slab: Slab,
-    wheel: DeadlineWheel,
+    /// Open connections by id; an id is never reused.
+    conns: BTreeMap<u64, Conn>,
+    /// The next connection's id and poller token. Counting up from 0, it
+    /// never reaches the two reserved tokens at the top of the range.
+    next_id: u64,
     epoch: Instant,
-    cfg: &'a LoopConfig,
+    cfg: &'a ServerConfig,
     /// Shared state, for the loop-level metric series and trace log.
     state: &'a ServiceState,
-    /// `Some` while serving; dropped to release the dispatch pool.
-    job_tx: Option<mpsc::Sender<Job>>,
-    completions: Arc<Mutex<Vec<Done>>>,
-    pending: Arc<AtomicUsize>,
+    /// Dropped with the loop, which releases the dispatch pool.
+    job_tx: mpsc::Sender<Job>,
+    completions: &'a Mutex<Vec<Done>>,
+    pending: &'a AtomicUsize,
     /// Connections that exhausted their synchronous-response budget and
     /// still hold parseable backlog; resumed on the next loop iteration.
-    redrive: Vec<(usize, u64)>,
+    redrive: Vec<u64>,
 }
 
 impl Loop<'_> {
     fn run(&mut self, stop: &AtomicBool) -> std::io::Result<()> {
         let mut events = vec![EpollEvent::default(); 1024];
-        let mut expired = Vec::new();
+        let mut next_sweep_ms = 0;
         while !stop.load(Ordering::SeqCst) {
             // Pending redrives must not wait out the poll timeout: poll
             // without blocking, then resume them below.
             let timeout = if self.redrive.is_empty() {
-                WHEEL_SLOT_MS as i32
+                TICK_MS as i32
             } else {
                 0
             };
@@ -542,38 +403,50 @@ impl Loop<'_> {
                 match token {
                     TOKEN_LISTENER => self.accept_ready(),
                     TOKEN_WAKE => self.drain_wake(),
-                    t => {
-                        let (idx, gen32) = unpack(t);
-                        self.conn_ready(idx, gen32, ready);
-                    }
+                    id => self.conn_ready(id, ready),
                 }
             }
             self.apply_completions();
             // Resume connections that ran out of synchronous-response
-            // budget last cycle (stale entries miss harmlessly on the
-            // slab's generation check).
-            let redrive = std::mem::take(&mut self.redrive);
-            for (idx, gen32) in redrive {
-                self.drive(idx, gen32);
+            // budget last cycle (a closed one is simply gone).
+            for id in std::mem::take(&mut self.redrive) {
+                self.drive(id);
             }
-            expired.clear();
-            self.wheel.advance(now_ms(self.epoch), &mut expired);
-            for e in &expired {
-                self.expire(*e);
+            let now = now_ms(self.epoch);
+            if now >= next_sweep_ms {
+                next_sweep_ms = now.saturating_add(TICK_MS);
+                self.sweep(now);
             }
             // Loop-health gauges, sampled once per iteration: queued +
-            // running dispatches, occupied slab slots, and connections
+            // running dispatches, open connections, and connections
             // awaiting a redrive.
             let m = self.state.metrics();
             m.dispatch_queue_depth
                 .set(u64::try_from(self.pending.load(Ordering::SeqCst)).unwrap_or(u64::MAX));
-            let occupied = self.slab.slots.len().saturating_sub(self.slab.free.len());
             m.slab_connections
-                .set(u64::try_from(occupied).unwrap_or(u64::MAX));
+                .set(u64::try_from(self.conns.len()).unwrap_or(u64::MAX));
             m.redrive_queue_length
                 .set(u64::try_from(self.redrive.len()).unwrap_or(u64::MAX));
         }
         Ok(())
+    }
+
+    /// Once per tick: re-registers a listener that an accept failure took
+    /// out, and fires every deadline that has passed.
+    fn sweep(&mut self, now: u64) {
+        if !self.listening {
+            let fd = self.listener.as_raw_fd();
+            self.listening = self.poller.add(fd, TOKEN_LISTENER, EPOLLIN).is_ok();
+        }
+        let due: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, conn)| conn.is_due(now))
+            .map(|(&id, _)| id)
+            .collect();
+        for id in due {
+            self.expire(id);
+        }
     }
 
     fn accept_ready(&mut self) {
@@ -584,21 +457,27 @@ impl Loop<'_> {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    let fd = stream.as_raw_fd();
-                    let Some((idx, gen32)) = self.slab.insert(Conn::new(stream, fd)) else {
-                        continue; // slab exhausted: drop the connection
-                    };
-                    if self.set_interest(idx, gen32, EPOLLIN).is_err() {
-                        self.slab.remove(idx, gen32);
+                    let id = self.next_id;
+                    self.next_id += 1;
+                    self.conns.insert(id, Conn::new(stream));
+                    if self.set_interest(id, EPOLLIN).is_err() {
+                        self.close_conn(id);
                         continue;
                     }
-                    self.arm_timer(idx, gen32, TimerClass::Idle);
+                    self.arm_timer(id, TimerClass::Idle);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                // Transient accept failures (EMFILE, aborted handshakes):
-                // yield to the loop; level-triggering re-reports readiness.
-                Err(_) => break,
+                Err(e) if e.kind() == ErrorKind::ConnectionAborted => continue,
+                // Out of descriptors (EMFILE, ENFILE) or memory: the
+                // level-triggered listener would be reported again at once,
+                // so it leaves the poller until the next sweep.
+                Err(_) => {
+                    if self.poller.del(self.listener.as_raw_fd()).is_ok() {
+                        self.listening = false;
+                    }
+                    break;
+                }
             }
         }
     }
@@ -616,74 +495,48 @@ impl Loop<'_> {
     }
 
     /// Registers/modifies/deregisters the fd to match `interest` (0 = off).
-    fn set_interest(&mut self, idx: usize, gen32: u64, interest: u32) -> std::io::Result<()> {
-        let Some(conn) = self.slab.get_mut(idx, gen32) else {
+    fn set_interest(&mut self, id: u64, interest: u32) -> std::io::Result<()> {
+        let Some(conn) = self.conns.get_mut(&id) else {
             return Ok(());
         };
-        let (fd, registered, current) = (conn.fd, conn.registered, conn.interest);
-        let token = pack(idx, gen32);
-        let result = match (registered, interest) {
-            (false, 0) => Ok(()),
-            (false, i) => self.poller.add(fd, token, i),
-            (true, 0) => self.poller.del(fd),
-            (true, i) if i == current => Ok(()),
-            (true, i) => self.poller.modify(fd, token, i),
+        let fd = conn.stream.as_raw_fd();
+        let result = match (conn.interest, interest) {
+            (current, i) if current == i => Ok(()),
+            (0, i) => self.poller.add(fd, id, i),
+            (_, 0) => self.poller.del(fd),
+            (_, i) => self.poller.modify(fd, id, i),
         };
-        if let Some(conn) = self.slab.get_mut(idx, gen32) {
-            if result.is_ok() {
-                conn.registered = interest != 0;
-                conn.interest = interest;
-            }
+        if result.is_ok() {
+            conn.interest = interest;
         }
         result
     }
 
-    /// (Re-)arms the connection's deadline. `Request` and `Write` windows
-    /// are pinned — re-arming the same class is a no-op, so a trickling
-    /// peer cannot extend them — while `Idle` refreshes on every arm.
-    fn arm_timer(&mut self, idx: usize, gen32: u64, class: TimerClass) {
-        let due_ms = {
-            let Some(conn) = self.slab.get_mut(idx, gen32) else {
-                return;
-            };
-            if conn.timer == class && matches!(class, TimerClass::Request | TimerClass::Write) {
-                return;
-            }
-            conn.timer = class;
-            conn.timer_gen = conn.timer_gen.wrapping_add(1);
-            let timeout_ms = match class {
-                TimerClass::None => return, // busy: bounded by 504s instead
-                TimerClass::Idle => self.cfg.idle_timeout_ms,
-                TimerClass::Request | TimerClass::Write => self.cfg.request_timeout_ms,
-            };
-            now_ms(self.epoch).saturating_add(timeout_ms)
+    /// (Re-)arms the connection's deadline; see [`Conn::arm`].
+    fn arm_timer(&mut self, id: u64, class: TimerClass) {
+        let timeout_ms = match class {
+            TimerClass::Idle => self.cfg.idle_timeout_ms,
+            _ => self.cfg.request_timeout_ms,
         };
-        let timer_gen = match self.slab.get_mut(idx, gen32) {
-            Some(conn) => conn.timer_gen,
-            None => return,
-        };
-        self.wheel.insert(WheelEntry {
-            idx,
-            gen32,
-            timer_gen,
-            due_ms,
-        });
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.arm(class, now_ms(self.epoch), timeout_ms);
+        }
     }
 
-    fn conn_ready(&mut self, idx: usize, gen32: u64, ready: u32) {
+    fn conn_ready(&mut self, id: u64, ready: u32) {
         if ready & EPOLLERR != 0 {
-            self.close_conn(idx, gen32);
+            self.close_conn(id);
             return;
         }
         if ready & EPOLLOUT != 0 {
-            self.drive(idx, gen32);
+            self.drive(id);
         }
         if ready & (EPOLLIN | EPOLLHUP) != 0 {
-            self.read_ready(idx, gen32);
+            self.read_ready(id);
         }
     }
 
-    fn read_ready(&mut self, idx: usize, gen32: u64) {
+    fn read_ready(&mut self, id: u64) {
         enum After {
             Nothing,
             Close,
@@ -692,7 +545,7 @@ impl Loop<'_> {
         let mut buf = [0u8; READ_CHUNK];
         let mut nread = 0u64;
         let after = loop {
-            let Some(conn) = self.slab.get_mut(idx, gen32) else {
+            let Some(conn) = self.conns.get_mut(&id) else {
                 break After::Nothing;
             };
             if conn.busy {
@@ -734,8 +587,8 @@ impl Loop<'_> {
         }
         match after {
             After::Nothing => {}
-            After::Close => self.close_conn(idx, gen32),
-            After::Drive => self.drive(idx, gen32),
+            After::Close => self.close_conn(id),
+            After::Drive => self.drive(id),
         }
     }
 
@@ -747,12 +600,12 @@ impl Loop<'_> {
     /// re-queued on `redrive`). A flat loop rather than mutual recursion:
     /// a client pipelining thousands of poll-thread-answerable requests
     /// must not grow the stack per request.
-    fn drive(&mut self, idx: usize, gen32: u64) {
+    fn drive(&mut self, id: u64) {
         let mut sync_budget = SYNC_RESPONSES_PER_DRIVE;
         loop {
             // Phase 1: push out whatever is queued for writing.
             let (outcome, wrote) = {
-                let Some(conn) = self.slab.get_mut(idx, gen32) else {
+                let Some(conn) = self.conns.get_mut(&id) else {
                     return;
                 };
                 if conn.write.is_empty() {
@@ -769,27 +622,27 @@ impl Loop<'_> {
             }
             match outcome {
                 Some(WriteOutcome::Error) => {
-                    self.close_conn(idx, gen32);
+                    self.close_conn(id);
                     return;
                 }
                 Some(WriteOutcome::Pending) => {
-                    if self.set_interest(idx, gen32, EPOLLOUT).is_err() {
-                        self.close_conn(idx, gen32);
+                    if self.set_interest(id, EPOLLOUT).is_err() {
+                        self.close_conn(id);
                         return;
                     }
-                    self.arm_timer(idx, gen32, TimerClass::Write);
+                    self.arm_timer(id, TimerClass::Write);
                     return;
                 }
                 Some(WriteOutcome::Done) => {
                     let close = {
-                        let Some(conn) = self.slab.get_mut(idx, gen32) else {
+                        let Some(conn) = self.conns.get_mut(&id) else {
                             return;
                         };
                         conn.write.set(Vec::new());
                         conn.close_after_write
                     };
                     if close {
-                        self.close_conn(idx, gen32);
+                        self.close_conn(id);
                         return;
                     }
                 }
@@ -800,7 +653,7 @@ impl Loop<'_> {
             // One at a time: a response being computed or written blocks
             // the next pipelined request (natural backpressure).
             let parsed = {
-                let Some(conn) = self.slab.get_mut(idx, gen32) else {
+                let Some(conn) = self.conns.get_mut(&id) else {
                     return;
                 };
                 if conn.busy {
@@ -818,24 +671,24 @@ impl Loop<'_> {
                 }
             };
             match parsed {
-                Parsed::Req(req) => match self.begin_dispatch(idx, gen32, req) {
-                    // Deregistered until the pool answers; the completion
-                    // re-enters `drive`.
-                    Dispatch::Async => return,
-                    Dispatch::Closed => return,
+                Parsed::Req(req) => {
+                    // Handed to the pool (deregistered until the completion
+                    // re-enters `drive`), or closed.
+                    if !self.begin_dispatch(id, req) {
+                        return;
+                    }
                     // A hit, 400 or 429 was queued; loop back to flush it.
-                    Dispatch::Sync => {}
-                },
+                }
                 Parsed::Eof => {
-                    self.close_conn(idx, gen32);
+                    self.close_conn(id);
                     return;
                 }
                 Parsed::Wait(class) => {
-                    if self.set_interest(idx, gen32, EPOLLIN).is_err() {
-                        self.close_conn(idx, gen32);
+                    if self.set_interest(id, EPOLLIN).is_err() {
+                        self.close_conn(id);
                         return;
                     }
-                    self.arm_timer(idx, gen32, class);
+                    self.arm_timer(id, class);
                     return;
                 }
                 Parsed::Bad(message) => {
@@ -851,23 +704,25 @@ impl Loop<'_> {
                     }
                     let resp = ServiceError::bad_request(format!("malformed HTTP: {message}"))
                         .to_response();
-                    self.queue_response(idx, gen32, &resp, false);
+                    self.queue_response(id, &resp, false);
                 }
             }
             // A synchronous response was queued this iteration: spend
             // budget, and once it is gone yield so other connections and
-            // the timer wheel get the poll thread.
+            // the deadline sweep get the poll thread.
             sync_budget -= 1;
             if sync_budget == 0 {
-                self.redrive.push((idx, gen32));
+                self.redrive.push(id);
                 return;
             }
         }
     }
 
     /// Deadline parse, admission control and the cache probe, then
-    /// hand-off to the pool.
-    fn begin_dispatch(&mut self, idx: usize, gen32: u64, req: Request) -> Dispatch {
+    /// hand-off to the pool. Returns whether the poll thread answered the
+    /// request itself (a cache hit, 400, 429 or 500): the response then
+    /// sits in the write buffer, not yet flushed.
+    fn begin_dispatch(&mut self, id: u64, req: Request) -> bool {
         let keep_alive = req.keep_alive();
         let deadline_ms = match parse_deadline(&req) {
             Ok(d) => d,
@@ -881,8 +736,8 @@ impl Loop<'_> {
                         ..TraceEvent::default()
                     });
                 }
-                self.queue_response(idx, gen32, &e.to_response(), keep_alive);
-                return Dispatch::Sync;
+                self.queue_response(id, &e.to_response(), keep_alive);
+                return true;
             }
         };
         if self.pending.load(Ordering::SeqCst) >= self.cfg.max_pending {
@@ -896,13 +751,8 @@ impl Loop<'_> {
                     ..TraceEvent::default()
                 });
             }
-            self.queue_response(
-                idx,
-                gen32,
-                &ServiceError::overloaded().to_response(),
-                keep_alive,
-            );
-            return Dispatch::Sync;
+            self.queue_response(id, &ServiceError::overloaded().to_response(), keep_alive);
+            return true;
         }
         // A health probe or a cached select is answered here, without a
         // dispatch round trip.
@@ -916,47 +766,42 @@ impl Loop<'_> {
                 if resp.status == 500 {
                     self.state.metrics().errors_500.inc();
                 }
-                self.queue_response(idx, gen32, &resp, keep_alive);
-                return Dispatch::Sync;
+                self.queue_response(id, &resp, keep_alive);
+                return true;
             }
         }
         self.pending.fetch_add(1, Ordering::SeqCst);
         // Deregister while the dispatch runs: no read backpressure games,
         // and an unmaskable EPOLLHUP cannot spin the poll thread.
-        let _ = self.set_interest(idx, gen32, 0);
-        if let Some(conn) = self.slab.get_mut(idx, gen32) {
+        let _ = self.set_interest(id, 0);
+        if let Some(conn) = self.conns.get_mut(&id) {
             conn.busy = true;
             conn.timer = TimerClass::None;
-            conn.timer_gen = conn.timer_gen.wrapping_add(1);
         }
         let job = Job {
-            idx,
-            gen32,
+            id,
             req,
             keep_alive,
             deadline_ms,
             parsed_at_ms: now_ms(self.epoch),
         };
-        if let Some(tx) = &self.job_tx {
-            // Send only fails at shutdown, when the connection is going
-            // away with the whole loop anyway.
-            if tx.send(job).is_err() {
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                self.close_conn(idx, gen32);
-                return Dispatch::Closed;
-            }
+        // The receiver outlives the loop, so this send cannot fail; were it
+        // to, the connection would be closed rather than left busy.
+        if self.job_tx.send(job).is_err() {
+            self.pending.fetch_sub(1, Ordering::SeqCst);
+            self.close_conn(id);
         }
-        Dispatch::Async
+        false
     }
 
     /// Queues a response the poll thread produced itself (a cache hit,
     /// 400/408/429/500) into the connection's write buffer; `drive` flushes
     /// it.
-    fn queue_response(&mut self, idx: usize, gen32: u64, resp: &Response, keep_alive: bool) {
+    fn queue_response(&mut self, id: u64, resp: &Response, keep_alive: bool) {
         let mut bytes = Vec::new();
         // Writing into a Vec cannot fail.
         let _ = resp.write_to(&mut bytes, keep_alive);
-        let Some(conn) = self.slab.get_mut(idx, gen32) else {
+        let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
         conn.write.set(bytes);
@@ -970,43 +815,26 @@ impl Loop<'_> {
             std::mem::take(&mut *guard)
         };
         for d in done {
-            {
-                let Some(conn) = self.slab.get_mut(d.idx, d.gen32) else {
-                    continue; // connection died while its request ran
-                };
-                conn.busy = false;
-                conn.write.set(d.bytes);
-                conn.close_after_write = d.close;
-            }
-            self.drive(d.idx, d.gen32);
+            let Some(conn) = self.conns.get_mut(&d.id) else {
+                continue; // connection died while its request ran
+            };
+            conn.busy = false;
+            conn.write.set(d.bytes);
+            conn.close_after_write = d.close;
+            self.drive(d.id);
         }
     }
 
-    /// A deadline fired. Validate it is still current, then act on the
-    /// connection's state: stuck write / idle / pre-head stall close
+    /// A deadline passed: disarm it, then act on the connection's state.
+    /// A stuck write, an idle connection and a stall before the head close
     /// silently; a stall after the head was parsed earns a 408 (the peer
     /// committed to a request).
-    fn expire(&mut self, e: WheelEntry) {
-        enum Act {
-            Close,
-            Timeout408,
-        }
-        let (act, class) = {
-            let Some(conn) = self.slab.get_mut(e.idx, e.gen32) else {
-                return;
-            };
-            if conn.timer_gen != e.timer_gen || conn.busy {
-                return; // re-armed (or dispatching) since this was scheduled
-            }
-            let act = if !conn.write.is_empty() {
-                Act::Close
-            } else if conn.parser.head_parsed() {
-                Act::Timeout408
-            } else {
-                Act::Close
-            };
-            (act, conn.timer)
+    fn expire(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
         };
+        let class = std::mem::replace(&mut conn.timer, TimerClass::None);
+        let timeout_408 = conn.write.is_empty() && conn.parser.head_parsed();
         let m = self.state.metrics();
         match class {
             TimerClass::None => {}
@@ -1014,31 +842,30 @@ impl Loop<'_> {
             TimerClass::Request => m.timer_expirations_request.inc(),
             TimerClass::Write => m.timer_expirations_write.inc(),
         }
-        match act {
-            Act::Close => self.close_conn(e.idx, e.gen32),
-            Act::Timeout408 => {
-                m.errors_408.inc();
-                if let Some(trace) = self.state.trace() {
-                    // The wheel fired before a full request parsed:
-                    // method/path are null.
-                    trace.emit(&TraceEvent {
-                        status: 408,
-                        ..TraceEvent::default()
-                    });
-                }
-                let resp = ServiceError::request_timeout().to_response();
-                self.queue_response(e.idx, e.gen32, &resp, false);
-                self.drive(e.idx, e.gen32);
-            }
+        if !timeout_408 {
+            self.close_conn(id);
+            return;
         }
+        m.errors_408.inc();
+        if let Some(trace) = self.state.trace() {
+            // The deadline passed before a full request parsed: method/path
+            // are null.
+            trace.emit(&TraceEvent {
+                status: 408,
+                ..TraceEvent::default()
+            });
+        }
+        let resp = ServiceError::request_timeout().to_response();
+        self.queue_response(id, &resp, false);
+        self.drive(id);
     }
 
-    fn close_conn(&mut self, idx: usize, gen32: u64) {
-        let Some(conn) = self.slab.remove(idx, gen32) else {
+    fn close_conn(&mut self, id: u64) {
+        let Some(conn) = self.conns.remove(&id) else {
             return;
         };
-        if conn.registered {
-            let _ = self.poller.del(conn.fd);
+        if conn.interest != 0 {
+            let _ = self.poller.del(conn.stream.as_raw_fd());
         }
         // Dropping the stream closes the fd (and clears any leftover
         // registration kernel-side).
@@ -1118,78 +945,31 @@ mod tests {
     }
 
     #[test]
-    fn slab_tokens_are_generation_tagged() {
-        let mk = || {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            let s = TcpStream::connect(l.local_addr().unwrap()).unwrap();
-            let fd = s.as_raw_fd();
-            Conn::new(s, fd)
-        };
-        let mut slab = Slab::new();
-        let (idx, gen_a) = slab.insert(mk()).unwrap();
-        assert!(slab.get_mut(idx, gen_a).is_some());
-        assert!(slab.remove(idx, gen_a).is_some());
-        assert!(slab.get_mut(idx, gen_a).is_none(), "stale token must miss");
-        let (idx2, gen_b) = slab.insert(mk()).unwrap();
-        assert_eq!(idx2, idx, "slot is reused");
-        assert_ne!(gen_a, gen_b, "generation advanced");
-        assert!(slab.remove(idx, gen_a).is_none(), "stale remove must miss");
-        assert!(slab.get_mut(idx2, gen_b).is_some());
+    fn request_and_write_deadlines_are_pinned_and_idle_refreshes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = Conn::new(stream);
+        assert!(!conn.is_due(u64::MAX), "a new connection has no deadline");
 
-        let token = pack(idx2, gen_b);
-        assert_eq!(unpack(token), (idx2, gen_b));
-        let token = pack(7, 0xFFFF_FFFF);
-        assert_eq!(unpack(token), (7, 0xFFFF_FFFF));
-    }
+        conn.arm(TimerClass::Idle, 0, 500);
+        conn.arm(TimerClass::Idle, 300, 500);
+        assert!(!conn.is_due(799), "an idle window refreshes");
+        assert!(conn.is_due(800));
 
-    #[test]
-    fn wheel_expires_due_entries_and_keeps_future_rotations() {
-        let mut wheel = DeadlineWheel::new();
-        let horizon = WHEEL_SLOT_MS * WHEEL_SLOTS as u64;
-        let entry = |idx: usize, due_ms: u64| WheelEntry {
-            idx,
-            gen32: 0,
-            timer_gen: 1,
-            due_ms,
-        };
-        wheel.insert(entry(1, 250));
-        wheel.insert(entry(2, 250 + horizon)); // same bucket, next rotation
-        wheel.insert(entry(3, 900));
+        // The first byte of a request pins its window: more bytes later
+        // do not move it.
+        conn.arm(TimerClass::Request, 400, 200);
+        conn.arm(TimerClass::Request, 550, 200);
+        assert!(!conn.is_due(599));
+        assert!(conn.is_due(600), "a trickling peer cannot extend it");
 
-        let mut expired = Vec::new();
-        wheel.advance(100, &mut expired);
-        assert!(expired.is_empty());
+        // A blocked write pins a window of its own.
+        conn.arm(TimerClass::Write, 700, 200);
+        conn.arm(TimerClass::Write, 850, 200);
+        assert!(!conn.is_due(899));
+        assert!(conn.is_due(900));
 
-        wheel.advance(300, &mut expired);
-        let idxs: Vec<usize> = expired.iter().map(|e| e.idx).collect();
-        assert_eq!(idxs, vec![1], "due entry fires, future rotation survives");
-
-        expired.clear();
-        wheel.advance(1_000, &mut expired);
-        assert_eq!(expired.len(), 1);
-        assert_eq!(expired[0].idx, 3);
-
-        // The next-rotation entry fires once its own time arrives.
-        expired.clear();
-        wheel.advance(300 + horizon, &mut expired);
-        assert_eq!(expired.len(), 1);
-        assert_eq!(expired[0].idx, 2);
-    }
-
-    #[test]
-    fn wheel_handles_sweep_gaps_longer_than_one_rotation() {
-        let mut wheel = DeadlineWheel::new();
-        let horizon = WHEEL_SLOT_MS * WHEEL_SLOTS as u64;
-        for i in 0..10 {
-            wheel.insert(WheelEntry {
-                idx: i,
-                gen32: 0,
-                timer_gen: 1,
-                due_ms: (i as u64) * 777 % horizon,
-            });
-        }
-        let mut expired = Vec::new();
-        wheel.advance(3 * horizon, &mut expired);
-        assert_eq!(expired.len(), 10, "one full sweep visits every bucket");
+        conn.timer = TimerClass::None;
+        assert!(!conn.is_due(u64::MAX), "a running dispatch has no deadline");
     }
 }

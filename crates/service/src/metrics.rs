@@ -2,7 +2,7 @@
 //!
 //! One [`ServiceMetrics`] instance lives in [`ServiceState`]: the epoll
 //! event loop feeds the loop-level series
-//! (poll wait, queue depth, slab occupancy, timers, byte counters), the
+//! (poll wait, queue depth, open connections, timers, byte counters), the
 //! session layer feeds the per-route request counters, structured-error
 //! counters, and per-stage select histograms, and the registry/cache series
 //! are read live at scrape time. All cells are lock-free atomics
@@ -27,7 +27,7 @@ pub struct ServiceMetrics {
     pub epoll_wait_micros: Histogram,
     /// Dispatches queued + running (sampled once per loop iteration).
     pub dispatch_queue_depth: Gauge,
-    /// Connections occupying slab slots (sampled once per loop iteration).
+    /// Open connections (sampled once per loop iteration).
     pub slab_connections: Gauge,
     /// Connections awaiting a synchronous-response redrive (sampled once
     /// per loop iteration).
@@ -110,7 +110,7 @@ pub fn render(state: &ServiceState) -> String {
     expo::write_gauge(
         &mut out,
         "smin_slab_connections",
-        "Connections occupying event-loop slab slots.",
+        "Open connections held by the event loop.",
         m.slab_connections.get(),
     );
     expo::write_gauge(
@@ -122,7 +122,7 @@ pub fn render(state: &ServiceState) -> String {
     expo::write_counter_vec(
         &mut out,
         "smin_timer_expirations_total",
-        "Deadline-wheel expirations fired, by timer class.",
+        "Connection deadlines fired, by timer class.",
         &[
             ("class=\"idle\"", m.timer_expirations_idle.get()),
             ("class=\"request\"", m.timer_expirations_request.get()),

@@ -6,9 +6,9 @@
 //! threads running the session layer ([`crate::routes::handle`]); cache
 //! hits and `/healthz` are answered by the poll thread itself
 //! (`routes::answer_cached`).
-//! Concurrency costs a slab slot, not a thread. On targets without
-//! epoll, that is every target but Linux ([`crate::platform`]),
-//! [`Server::run`] fails with `Unsupported`.
+//! Concurrency costs an entry in the loop's connection map, not a thread.
+//! On targets without epoll, that is every target but Linux
+//! ([`crate::platform`]), [`Server::run`] fails with `Unsupported`.
 
 use crate::routes::ServiceState;
 use crate::trace::TraceLog;
@@ -74,7 +74,7 @@ impl Default for ServerConfig {
 /// A bound (not yet serving) server.
 pub struct Server {
     listener: TcpListener,
-    state: Arc<ServiceState>,
+    state: ServiceState,
     config: ServerConfig,
 }
 
@@ -99,7 +99,7 @@ impl Server {
         }
         Ok(Server {
             listener,
-            state: Arc::new(state),
+            state,
             config: config.clone(),
         })
     }
@@ -113,13 +113,7 @@ impl Server {
     /// calls this directly, tests use [`Server::spawn`].
     #[cfg(unix)]
     pub fn run(self, stop: &AtomicBool) -> std::io::Result<()> {
-        let cfg = crate::event_loop::LoopConfig {
-            dispatchers: self.config.workers.max(1),
-            max_pending: self.config.max_pending,
-            idle_timeout_ms: self.config.idle_timeout_ms,
-            request_timeout_ms: self.config.request_timeout_ms,
-        };
-        crate::event_loop::serve(self.listener, &self.state, &cfg, stop)
+        crate::event_loop::serve(self.listener, &self.state, &self.config, stop)
     }
 
     /// Serves until `stop` turns true: unavailable without epoll.

@@ -25,8 +25,9 @@
 //! `null` when no cache decision was made; `deadline_remaining_ms` is `null`
 //! when the request carried no `X-Deadline-Millis` header. `method`/`path` are
 //! `null` for failures with no parsed request (malformed HTTP, 408s fired
-//! by the deadline wheel). Timing appears only here and in response
-//! headers — never in a response body — so the determinism contract holds.
+//! by a connection's request deadline). Timing appears only here and in
+//! response headers — never in a response body — so the determinism
+//! contract holds.
 
 use serde_json::Value;
 use smin_core::AstiReport;

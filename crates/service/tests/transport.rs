@@ -3,7 +3,8 @@
 //! Real servers on ephemeral ports, driven over loopback: the batch
 //! endpoint against sequential selects, the exact bytes of the error
 //! shapes (429 admission, 504 deadline, 408 mid-body stall, 400 malformed
-//! bodies, 404s), pipelining, `/metrics`, and the trace log.
+//! bodies, 404s), the idle and stuck-write timeouts, pipelining,
+//! `/metrics`, and the trace log.
 
 use smin_service::{Client, Server, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
@@ -368,6 +369,11 @@ fn mid_body_stall_gets_408_before_close() {
         reply.contains("Connection: close"),
         "a timed-out request cannot keep the stream"
     );
+    let metrics = client(&handle).get("/metrics").unwrap().text();
+    assert!(
+        metrics.contains("smin_timer_expirations_total{class=\"request\"} 1\n"),
+        "{metrics}"
+    );
     handle.shutdown();
 }
 
@@ -386,6 +392,43 @@ fn idle_stall_before_any_request_closes_silently() {
         "idle connections close silently, got {:?}",
         String::from_utf8_lossy(&out)
     );
+    let metrics = client(&handle).get("/metrics").unwrap().text();
+    assert!(
+        metrics.contains("smin_timer_expirations_total{class=\"idle\"} 1\n"),
+        "{metrics}"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn a_peer_that_stops_reading_is_closed_at_the_write_timeout() {
+    let mut handle = spawn(|c| c.request_timeout_ms = 200);
+    // One connection pipelines far more /metrics responses than the socket
+    // buffers hold and never reads one, so the server's write blocks.
+    let stuck = TcpStream::connect(handle.addr()).expect("connect");
+    let mut writer = stuck.try_clone().expect("clone stream");
+    let flood = "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n".repeat(20_000);
+    // The write stalls once the server stops reading, and fails once the
+    // server closes the connection.
+    let w = std::thread::spawn(move || {
+        let _ = writer.write_all(flood.as_bytes());
+    });
+    let mut c = client(&handle);
+    let start = Instant::now();
+    loop {
+        let metrics = c.get("/metrics").unwrap().text();
+        if metrics.contains("smin_timer_expirations_total{class=\"write\"} 1\n") {
+            break;
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "the stuck write never timed out: {metrics}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(c.get("/healthz").unwrap().status, 200);
+    w.join().expect("writer thread");
+    drop(stuck);
     handle.shutdown();
 }
 
