@@ -128,8 +128,8 @@ impl Args {
     }
 }
 
-/// Usage string shared by all binaries.
-pub const USAGE: &str = "usage: <bin> [--smoke|--quick|--paper] [--dataset NAME]... \
+/// `reproduce_all`'s usage string.
+pub const USAGE: &str = "usage: reproduce_all [--smoke|--quick|--paper] [--dataset NAME]... \
 [--seed N] [--realizations N] [--eps F] [--snap DIR] [--out DIR]";
 
 #[cfg(test)]

@@ -1,38 +1,61 @@
-//! Runs every table and figure in sequence, writing all JSON artifacts to
-//! the output directory. `--smoke` finishes in ~a minute; `--quick` in tens
-//! of minutes; `--paper` reproduces the full §6 grid (hours).
+//! Reproduces every table and figure of the paper's §6 in one pass (see
+//! `smin_bench::figures`): each selected stand-in is built once, and every
+//! (η, algorithm) cell runs once per model. It prints Table 2 and Figure 3,
+//! Figures 4, 5 and 9 from the IC grid, Figures 6 and 7 from the LT grid,
+//! Table 3 and Figure 8 from both, and Figure 10 from IC ASTI at each
+//! dataset's largest η. It writes `table2_datasets.json`,
+//! `fig3_degree_dist.json`, `grid_ic.json` and `grid_lt.json` to `--out`.
+//! `--smoke` takes seconds, `--quick` tens of minutes and `--paper` hours.
 
-use std::process::Command;
+use smin_bench::figures::{
+    fig3_json, render_fig10, render_fig3, render_fig8, render_figure, render_table2, render_table3,
+    run_dataset, table2_json, Metric,
+};
+use smin_bench::{dataset_specs, write_json, Algo, Args};
+use smin_diffusion::Model;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let bins = [
-        "table2_datasets",
-        "fig3_degree_dist",
-        "fig4_seeds_ic",
-        "fig5_time_ic",
-        "fig6_seeds_lt",
-        "fig7_time_lt",
-        "table3_improvement",
-        "fig8_spread_dist",
-        "fig9_spread_vs_threshold",
-        "fig10_marginal_spread",
-    ];
-    let exe_dir = std::env::current_exe()
-        .expect("current exe")
-        .parent()
-        .expect("exe dir")
-        .to_path_buf();
-    for bin in bins {
-        println!("\n######## {bin} ########");
-        let status = Command::new(exe_dir.join(bin))
-            .args(&args)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e} (build with --bins first)"));
-        if !status.success() {
-            eprintln!("{bin} failed with {status}");
+    let args = match Args::from_env() {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
+    let algos = Algo::evaluation_set();
+    let runs: Vec<_> = dataset_specs(args.tier)
+        .iter()
+        .filter(|spec| args.selects(spec.name))
+        .map(|spec| run_dataset(spec, &args, &algos))
+        .collect();
+
+    let figure = |number, model, metric| render_figure(number, model, metric, &runs, &args);
+    for view in [
+        render_table2(&runs, &args),
+        render_fig3(&runs, &args),
+        figure(4, Model::IC, Metric::Seeds),
+        figure(5, Model::IC, Metric::TimeSecs),
+        figure(9, Model::IC, Metric::Spread),
+        figure(6, Model::LT, Metric::Seeds),
+        figure(7, Model::LT, Metric::TimeSecs),
+        render_table3(&runs, &args),
+        render_fig8(&runs, &args),
+        render_fig10(&runs, &args),
+    ] {
+        println!("{view}");
+    }
+
+    let (table2, fig3) = (table2_json(&runs), fig3_json(&runs));
+    let (ic, lt): (Vec<_>, Vec<_>) = runs.into_iter().map(|r| (r.ic, r.lt)).unzip();
+    for (name, value) in [
+        ("table2_datasets", table2),
+        ("fig3_degree_dist", fig3),
+        ("grid_ic", ic.concat().into()),
+        ("grid_lt", lt.concat().into()),
+    ] {
+        if let Err(e) = write_json(&args.out_dir, name, &value) {
+            eprintln!("error: {}/{name}.json: {e}", args.out_dir);
             std::process::exit(1);
         }
     }
-    println!("\nall experiments completed");
 }

@@ -20,14 +20,10 @@ use rand::SeedableRng;
 use smin_graph::generators::{assemble, chung_lu_directed};
 use smin_graph::{io, Graph, WeightModel};
 
-/// Which generator family backs the stand-in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GeneratorKind {
-    /// Directed Chung–Lu with the given power-law exponent.
-    ChungLu { gamma_milli: u32 },
-}
+/// Power-law exponent γ of every Chung–Lu stand-in.
+pub const GAMMA: f64 = 2.1;
 
-/// One evaluation dataset.
+/// One evaluation dataset at one tier.
 #[derive(Clone, Debug)]
 pub struct DatasetSpec {
     /// Stand-in name, e.g. `nethept-like`.
@@ -41,8 +37,6 @@ pub struct DatasetSpec {
     pub m: usize,
     /// Whether the original dataset is directed (Table 2's "Type").
     pub directed: bool,
-    /// Generator family.
-    pub kind: GeneratorKind,
     /// Threshold fractions `η/n` swept in the figures (§6.1: small-η setting
     /// for LiveJournal, large-η for the rest).
     pub eta_fracs: &'static [f64],
@@ -53,127 +47,65 @@ pub const LARGE_ETA: &[f64] = &[0.01, 0.05, 0.10, 0.15, 0.20];
 /// Small-η sweep (LiveJournal).
 pub const SMALL_ETA: &[f64] = &[0.01, 0.02, 0.03, 0.04, 0.05];
 
+/// A stand-in's `(n, m)` at the smoke, quick and paper tiers.
+type Sizes = [(usize, usize); 3];
+
+/// Table 2's datasets, each stated once: name, SNAP name, whether it is
+/// directed, η sweep, and its stand-in's sizes.
+const DATASETS: [(&str, &str, bool, &[f64], Sizes); 4] = [
+    (
+        "nethept-like",
+        "nethept",
+        false,
+        LARGE_ETA,
+        [(1_520, 6_280), (15_200, 62_800), (15_200, 62_800)],
+    ),
+    (
+        "epinions-like",
+        "epinions",
+        true,
+        LARGE_ETA,
+        [(2_640, 16_820), (26_400, 168_200), (132_000, 841_000)],
+    ),
+    (
+        "youtube-like",
+        "youtube",
+        false,
+        LARGE_ETA,
+        [(4_520, 23_920), (45_200, 239_200), (1_130_000, 5_980_000)],
+    ),
+    (
+        "livejournal-like",
+        "livejournal",
+        true,
+        SMALL_ETA,
+        [(4_850, 69_000), (48_500, 690_000), (4_850_000, 69_000_000)],
+    ),
+];
+
 /// The dataset list for a tier. Paper tier matches Table 2 exactly; quick
 /// and smoke tiers shrink `n`/`m` proportionally (the sweeps are in `η/n`,
 /// so every figure's shape is preserved).
 pub fn dataset_specs(tier: Tier) -> Vec<DatasetSpec> {
-    let gamma = GeneratorKind::ChungLu { gamma_milli: 2100 };
-    match tier {
-        Tier::Paper => vec![
+    let size = match tier {
+        Tier::Smoke => 0,
+        Tier::Quick => 1,
+        Tier::Paper => 2,
+    };
+    DATASETS
+        .iter()
+        .map(|&(name, snap_name, directed, eta_fracs, sizes)| {
+            let (n, m) = sizes[size];
             DatasetSpec {
-                name: "nethept-like",
-                snap_name: "nethept",
-                n: 15_200,
-                m: 62_800,
-                directed: false,
-                kind: gamma,
-                eta_fracs: LARGE_ETA,
-            },
-            DatasetSpec {
-                name: "epinions-like",
-                snap_name: "epinions",
-                n: 132_000,
-                m: 841_000,
-                directed: true,
-                kind: gamma,
-                eta_fracs: LARGE_ETA,
-            },
-            DatasetSpec {
-                name: "youtube-like",
-                snap_name: "youtube",
-                n: 1_130_000,
-                m: 5_980_000,
-                directed: false,
-                kind: gamma,
-                eta_fracs: LARGE_ETA,
-            },
-            DatasetSpec {
-                name: "livejournal-like",
-                snap_name: "livejournal",
-                n: 4_850_000,
-                m: 69_000_000,
-                directed: true,
-                kind: gamma,
-                eta_fracs: SMALL_ETA,
-            },
-        ],
-        Tier::Quick => vec![
-            DatasetSpec {
-                name: "nethept-like",
-                snap_name: "nethept",
-                n: 15_200,
-                m: 62_800,
-                directed: false,
-                kind: gamma,
-                eta_fracs: LARGE_ETA,
-            },
-            DatasetSpec {
-                name: "epinions-like",
-                snap_name: "epinions",
-                n: 26_400,
-                m: 168_200,
-                directed: true,
-                kind: gamma,
-                eta_fracs: LARGE_ETA,
-            },
-            DatasetSpec {
-                name: "youtube-like",
-                snap_name: "youtube",
-                n: 45_200,
-                m: 239_200,
-                directed: false,
-                kind: gamma,
-                eta_fracs: LARGE_ETA,
-            },
-            DatasetSpec {
-                name: "livejournal-like",
-                snap_name: "livejournal",
-                n: 48_500,
-                m: 690_000,
-                directed: true,
-                kind: gamma,
-                eta_fracs: SMALL_ETA,
-            },
-        ],
-        Tier::Smoke => vec![
-            DatasetSpec {
-                name: "nethept-like",
-                snap_name: "nethept",
-                n: 1_520,
-                m: 6_280,
-                directed: false,
-                kind: gamma,
-                eta_fracs: LARGE_ETA,
-            },
-            DatasetSpec {
-                name: "epinions-like",
-                snap_name: "epinions",
-                n: 2_640,
-                m: 16_820,
-                directed: true,
-                kind: gamma,
-                eta_fracs: LARGE_ETA,
-            },
-            DatasetSpec {
-                name: "youtube-like",
-                snap_name: "youtube",
-                n: 4_520,
-                m: 23_920,
-                directed: false,
-                kind: gamma,
-                eta_fracs: LARGE_ETA,
-            },
-            DatasetSpec {
-                name: "livejournal-like",
-                snap_name: "livejournal",
-                n: 4_850,
-                m: 69_000,
-                directed: true,
-                kind: gamma,
-                eta_fracs: SMALL_ETA,
-            },
-        ],
-    }
+                name,
+                snap_name,
+                n,
+                m,
+                directed,
+                eta_fracs,
+            }
+        })
+        .collect()
 }
 
 /// Materializes a dataset: from `--snap` when available (a packed
@@ -217,17 +149,15 @@ pub fn build_dataset(spec: &DatasetSpec, args: &Args) -> Graph {
     }
 
     let mut rng = SmallRng::seed_from_u64(args.seed ^ fxhash(spec.name));
-    let GeneratorKind::ChungLu { gamma_milli } = spec.kind;
-    let gamma = gamma_milli as f64 / 1000.0;
     // The generator produces directed pairs; undirected datasets are modeled
     // by mirroring half as many pairs.
     if spec.directed {
         let pairs =
-            chung_lu_directed(spec.n, spec.m, gamma, &mut rng).expect("dataset specs are sparse");
+            chung_lu_directed(spec.n, spec.m, GAMMA, &mut rng).expect("dataset specs are sparse");
         assemble(spec.n, &pairs, true, WeightModel::WeightedCascade, &mut rng)
             .expect("generator produces valid edges")
     } else {
-        let pairs = chung_lu_directed(spec.n, spec.m / 2, gamma, &mut rng)
+        let pairs = chung_lu_directed(spec.n, spec.m / 2, GAMMA, &mut rng)
             .expect("dataset specs are sparse");
         assemble(
             spec.n,

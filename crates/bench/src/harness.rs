@@ -249,7 +249,8 @@ pub fn run_algo(
     }
 }
 
-fn mean(it: impl Iterator<Item = f64>) -> f64 {
+/// The mean of `it`, summed in order; 0 when it is empty.
+pub(crate) fn mean(it: impl Iterator<Item = f64>) -> f64 {
     let (mut sum, mut count) = (0.0, 0usize);
     for x in it {
         sum += x;

@@ -1,24 +1,17 @@
 //! # smin-bench
 //!
 //! Experiment harness reproducing every table and figure of the paper's
-//! evaluation (§6). Each `src/bin/*` binary regenerates one artifact:
+//! evaluation (§6), plus the `perf` microbenchmarks and the `svc_load`
+//! service load generator:
 //!
-//! | binary | artifact |
+//! | binary | what it does |
 //! |---|---|
-//! | `table2_datasets` | Table 2 (dataset statistics) |
-//! | `fig3_degree_dist` | Figure 3 (degree distributions) |
-//! | `fig4_seeds_ic` | Figure 4 (#seeds vs η, IC) |
-//! | `fig5_time_ic` | Figure 5 (running time vs η, IC) |
-//! | `fig6_seeds_lt` | Figure 6 (#seeds vs η, LT) |
-//! | `fig7_time_lt` | Figure 7 (running time vs η, LT) |
-//! | `table3_improvement` | Table 3 (ASTI vs ATEUC improvement / N/A) |
-//! | `fig8_spread_dist` | Figure 8 (per-realization spread) |
-//! | `fig9_spread_vs_threshold` | Figure 9 (spread vs η, IC) |
-//! | `fig10_marginal_spread` | Figure 10 (marginal spread vs seed index) |
-//! | `reproduce_all` | everything above, writing JSON to `results/` |
+//! | `reproduce_all` | Table 2, Figure 3, Figures 4–10 and Table 3 in one pass ([`figures`]), writing JSON to `--out` |
+//! | `perf` | the kernel microbenchmarks behind `BENCH_coverage.json`, `BENCH_select.json` and `BENCH_graph_load.json` |
+//! | `svc_load` | a load generator for `asm serve`, behind `BENCH_svc_load.json` |
 //!
 //! The SNAP datasets are substituted by structurally matched Chung–Lu
-//! stand-ins (see `DESIGN.md` §3); pass `--snap <dir>` to run on real SNAP
+//! stand-ins (see [`datasets`]); pass `--snap <dir>` to run on real SNAP
 //! edge lists instead. Three size tiers: `--smoke` (seconds), `--quick`
 //! (default, minutes, scaled-down graphs), `--paper` (full Table 2 sizes and
 //! 20 realizations).
@@ -33,7 +26,7 @@ pub mod stats;
 pub mod table;
 
 pub use args::{Args, Tier};
-pub use datasets::{build_dataset, dataset_specs, DatasetSpec, GeneratorKind};
+pub use datasets::{build_dataset, dataset_specs, DatasetSpec};
 pub use harness::{run_algo, Algo, RealizationResult, RunResult};
 pub use stats::{percentile, summarize, LatencySummary};
 pub use table::{format_table, write_json};

@@ -175,21 +175,21 @@ pub fn bench_check(args: &[String]) -> Result<(), String> {
     let current = read(current_path)?;
 
     let report = compare(&baseline, &current, tol);
-    println!(
+    out!(
         "bench-check {baseline_path} vs {current_path} (tol {:.0}%)",
         tol * 100.0
     );
     for line in &report.lines {
-        println!("{line}");
+        out!("{line}");
     }
     if let Some((mean, k)) = report.geomean {
-        println!("geomean current/baseline: x{mean:.3} over {k} median(s)");
+        out!("geomean current/baseline: x{mean:.3} over {k} median(s)");
     }
     if report.checked == 0 {
         return Err(format!("{baseline_path}: no \"median\" leaves to compare"));
     }
     if report.failures.is_empty() {
-        println!("ok: {} median(s) within tolerance", report.checked);
+        out!("ok: {} median(s) within tolerance", report.checked);
         Ok(())
     } else {
         Err(format!(

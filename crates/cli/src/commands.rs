@@ -68,7 +68,7 @@ pub fn generate(args: &[String]) -> Result<(), String> {
         .generate(n, weights, &mut rng)
         .map_err(|e| format!("{kind}: {e}"))?;
     save_graph(&g, out)?;
-    println!("wrote {out}: {} nodes, {} directed edges", g.n(), g.m());
+    out!("wrote {out}: {} nodes, {} directed edges", g.n(), g.m());
     Ok(())
 }
 
@@ -80,25 +80,25 @@ pub fn stats(args: &[String]) -> Result<(), String> {
     let wcc = weakly_connected_components(&g);
     let dist = degree_distribution(&g, DegreeKind::Total);
     let max_deg = dist.last().map(|&(d, _)| d).unwrap_or(0);
-    println!("nodes:            {}", g.n());
-    println!("directed edges:   {}", g.m());
-    println!(
+    out!("nodes:            {}", g.n());
+    out!("directed edges:   {}", g.m());
+    out!(
         "avg out-degree:   {:.3}",
         g.m() as f64 / g.n().max(1) as f64
     );
-    println!("max total degree: {max_deg}");
-    println!("wcc count:        {}", wcc.count);
-    println!(
+    out!("max total degree: {max_deg}");
+    out!("wcc count:        {}", wcc.count);
+    out!(
         "largest wcc:      {} ({:.1}% of nodes)",
         wcc.largest,
         100.0 * wcc.largest as f64 / g.n().max(1) as f64
     );
     if let Some(slope) = log_log_slope(&dist) {
-        println!("log-log slope:    {slope:.2}");
+        out!("log-log slope:    {slope:.2}");
     }
-    println!("valid LT:         {}", g.is_valid_lt());
+    out!("valid LT:         {}", g.is_valid_lt());
     let bytes = g.memory_bytes();
-    println!(
+    out!(
         "memory:           {:.1} MiB ({bytes} bytes)",
         bytes as f64 / (1024.0 * 1024.0)
     );
@@ -154,7 +154,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         (Some(_), Some(_)) => return Err("give --eta or --eta-frac, not both".into()),
         (None, None) => return Err("missing --eta or --eta-frac".into()),
     };
-    println!(
+    out!(
         "graph: n = {}, m = {}; target η = {eta}; model {model}; {worlds} world(s)",
         g.n(),
         g.m()
@@ -195,9 +195,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
                     };
                     std::fs::write(&path, oracle.log().to_text())
                         .map_err(|e| format!("{path}: {e}"))?;
-                    println!("audit log -> {path} ({} steps)", oracle.log().steps.len());
+                    out!("audit log -> {path} ({} steps)", oracle.log().steps.len());
                 }
-                println!(
+                out!(
                     "world {:>2}: {} seeds, {} rounds, spread {}, {:.3}s{}",
                     w + 1,
                     report.num_seeds(),
@@ -213,7 +213,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 total_seeds += report.num_seeds();
                 total_time += secs;
             }
-            println!(
+            out!(
                 "mean: {:.1} seeds, {:.3}s",
                 total_seeds as f64 / worlds as f64,
                 total_time / worlds as f64
@@ -224,7 +224,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             let started = std::time::Instant::now();
             let out = ateuc(&g, model, eta, &mut rng).map_err(|e| e.to_string())?;
             let secs = started.elapsed().as_secs_f64();
-            println!(
+            out!(
                 "selected |S| = {} in {:.3}s (certified E[I(S)] ≥ η: {})",
                 out.seeds.len(),
                 secs,
@@ -241,13 +241,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 if spread < eta {
                     misses += 1;
                 }
-                println!(
+                out!(
                     "world {:>2}: spread {spread}{}",
                     w + 1,
                     if spread < eta { "  [MISS]" } else { "" }
                 );
             }
-            println!("missed η on {misses}/{worlds} worlds");
+            out!("missed η on {misses}/{worlds} worlds");
         }
         other => {
             return Err(format!(
@@ -311,7 +311,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     let server =
         smin_service::Server::bind(&config).map_err(|e| format!("{}: {e}", config.addr))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
-    println!(
+    out!(
         "asm serve: listening on http://{addr} ({workers} workers, graphs dir: {}, state dir: {}, cache: {cache_capacity}, max pending: {max_pending}, trace log: {})",
         graphs_dir
             .as_deref()
@@ -323,35 +323,15 @@ pub fn serve(args: &[String]) -> Result<(), String> {
             .as_deref()
             .map_or("off".to_string(), |p| p.display().to_string()),
     );
-    println!("endpoints: GET /healthz · GET /metrics · GET/POST /v1/graphs · DELETE /v1/graphs/{{id}} · POST /v1/select · POST /v1/select-batch");
+    out!("endpoints: GET /healthz · GET /metrics · GET/POST /v1/graphs · DELETE /v1/graphs/{{id}} · POST /v1/select · POST /v1/select-batch");
     static NEVER_STOP: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
     server.run(&NEVER_STOP).map_err(|e| e.to_string())
 }
 
 /// `asm lint` — the workspace determinism/robustness static-analysis pass
-/// (see `smin-analyze`). Exit is non-zero exactly when *new* (non-baseline)
-/// findings exist, so CI gates on regressions while grandfathered debt is
-/// paid down incrementally.
+/// (see `smin-analyze`). Exit is non-zero on any finding.
 pub fn lint(args: &[String]) -> Result<(), String> {
-    // Valueless switches, split off before the `--key value` parser runs.
-    let mut no_baseline = false;
-    let mut write_baseline = false;
-    let rest: Vec<String> = args
-        .iter()
-        .filter(|a| match a.as_str() {
-            "--no-baseline" => {
-                no_baseline = true;
-                false
-            }
-            "--write-baseline" => {
-                write_baseline = true;
-                false
-            }
-            _ => true,
-        })
-        .cloned()
-        .collect();
-    let f = Flags::parse(&rest, &["root", "format", "baseline"])?;
+    let f = Flags::parse(args, &["root", "format"])?;
     let root = std::path::PathBuf::from(f.get("root").unwrap_or("."));
     if !root.is_dir() {
         return Err(format!("--root {}: not a directory", root.display()));
@@ -360,39 +340,7 @@ pub fn lint(args: &[String]) -> Result<(), String> {
     if !matches!(format, "human" | "json") {
         return Err(format!("--format {format}: expected 'human' or 'json'"));
     }
-    let baseline_path = match f.get("baseline") {
-        Some(p) => std::path::PathBuf::from(p),
-        None => root.join("lint-baseline.json"),
-    };
-    // Explicit --baseline must exist; the default location is optional.
-    let baseline_text = if no_baseline {
-        None
-    } else if baseline_path.is_file() {
-        Some(
-            std::fs::read_to_string(&baseline_path)
-                .map_err(|e| format!("{}: {e}", baseline_path.display()))?,
-        )
-    } else if f.get("baseline").is_some() {
-        return Err(format!("--baseline {}: not found", baseline_path.display()));
-    } else {
-        None
-    };
-
-    let outcome = smin_analyze::run(&root, baseline_text.as_deref())?;
-
-    if write_baseline {
-        let findings: Vec<smin_analyze::Finding> =
-            outcome.reported.iter().map(|r| r.finding.clone()).collect();
-        let text = smin_analyze::baseline::write(&findings);
-        std::fs::write(&baseline_path, text)
-            .map_err(|e| format!("{}: {e}", baseline_path.display()))?;
-        println!(
-            "wrote {} ({} grandfathered finding(s))",
-            baseline_path.display(),
-            outcome.total()
-        );
-        return Ok(());
-    }
+    let outcome = smin_analyze::run(&root)?;
 
     // Informational: beside the JSON report it goes to stderr, so that the
     // report holds the findings alone.
@@ -400,15 +348,15 @@ pub fn lint(args: &[String]) -> Result<(), String> {
         smin_analyze::line_count_line(&root).map_err(|e| format!("{}: {e}", root.display()))?;
     match format {
         "json" => {
-            print!("{}", outcome.json());
+            crate::stdout(format_args!("{}", outcome.json()));
             eprint!("{counts}");
         }
-        _ => print!("{}{counts}", outcome.human()),
+        _ => crate::stdout(format_args!("{}{counts}", outcome.human())),
     }
-    if outcome.new_count() > 0 {
+    if outcome.total() > 0 {
         return Err(format!(
-            "{} new lint finding(s); fix them, annotate with `// smin-lint: allow(<rule>) -- <why>`, or regenerate the baseline",
-            outcome.new_count()
+            "{} lint finding(s); fix them or annotate with `// smin-lint: allow(<rule>) -- <why>`",
+            outcome.total()
         ));
     }
     Ok(())
@@ -423,7 +371,7 @@ pub fn pack(args: &[String]) -> Result<(), String> {
     let g = load_graph(input)?;
     store::write_smg_path(&g, output).map_err(|e| format!("{output}: {e}"))?;
     let checksum = store::content_checksum(&g);
-    println!(
+    out!(
         "packed {input} -> {output}: {} nodes, {} edges, checksum {checksum:016x}",
         g.n(),
         g.m()
@@ -439,23 +387,23 @@ pub fn inspect(args: &[String]) -> Result<(), String> {
     };
     let h = store::read_smg_header_path(path).map_err(|e| format!("{path}: {e}"))?;
     let actual = std::fs::metadata(path).map(|m| m.len()).ok();
-    println!("{path}: smg snapshot");
-    println!("  version:    {}", h.version);
-    println!("  flags:      {:#010x}", h.flags);
-    println!("  nodes:      {}", h.n);
-    println!("  edges:      {}", h.m);
-    println!("  crc off:    {:#010x}", h.crc_off);
-    println!("  crc dst:    {:#010x}", h.crc_dst);
-    println!("  crc prob:   {:#010x}", h.crc_prob);
-    println!("  crc header: {:#010x}", h.crc_header);
-    println!("  checksum:   {:016x}", h.content_checksum());
+    out!("{path}: smg snapshot");
+    out!("  version:    {}", h.version);
+    out!("  flags:      {:#010x}", h.flags);
+    out!("  nodes:      {}", h.n);
+    out!("  edges:      {}", h.m);
+    out!("  crc off:    {:#010x}", h.crc_off);
+    out!("  crc dst:    {:#010x}", h.crc_dst);
+    out!("  crc prob:   {:#010x}", h.crc_prob);
+    out!("  crc header: {:#010x}", h.crc_header);
+    out!("  checksum:   {:016x}", h.content_checksum());
     match actual {
-        Some(len) if len == h.file_len() => println!("  file size:  {len} bytes (matches header)"),
-        Some(len) => println!(
+        Some(len) if len == h.file_len() => out!("  file size:  {len} bytes (matches header)"),
+        Some(len) => out!(
             "  file size:  {len} bytes (HEADER SAYS {} — truncated or padded!)",
             h.file_len()
         ),
-        None => println!("  file size:  unknown"),
+        None => out!("  file size:  unknown"),
     }
     Ok(())
 }
@@ -468,7 +416,7 @@ pub fn convert(args: &[String]) -> Result<(), String> {
     };
     let g = load_graph(input)?;
     save_graph(&g, output)?;
-    println!(
+    out!(
         "converted {input} -> {output} ({} nodes, {} edges)",
         g.n(),
         g.m()

@@ -9,11 +9,39 @@
 
 #![forbid(unsafe_code)]
 
+/// `println!` for every command's output, through [`stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod bench_check;
 mod commands;
 mod flags;
 
+use std::io::Write;
 use std::process::ExitCode;
+
+/// Writes `args` to stdout, the one writer of every command's output. A
+/// reader that went away (`asm stats g.smg | head -1`) ends the process
+/// with exit 0 and nothing more printed; any other failure is exit 1.
+fn stdout(args: std::fmt::Arguments) {
+    // Unit tests run the commands in-process, where the harness captures
+    // `print!` and nothing else.
+    if cfg!(test) {
+        print!("{args}");
+        return;
+    }
+    match std::io::stdout().lock().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 const USAGE: &str = "\
 asm — adaptive seed minimization toolkit
@@ -28,8 +56,7 @@ USAGE:
           [--worlds K] [--threads T] [--audit FILE]
   asm serve [--addr HOST:PORT] [--graphs-dir DIR] [--state-dir DIR]
             [--threads T] [--cache N] [--max-pending N] [--trace-log FILE]
-  asm lint [--root DIR] [--format human|json] [--baseline FILE]
-           [--no-baseline] [--write-baseline]
+  asm lint [--root DIR] [--format human|json]
   asm bench-check --baseline FILE --current FILE [--tol F]
   asm pack <GRAPH> <OUT.smg>        # encode as a binary CSR snapshot
   asm inspect <FILE.smg>            # dump a snapshot header
@@ -82,9 +109,8 @@ improvements and extra current-only metrics never fail.
 lint runs the workspace determinism/robustness static analysis (smin-analyze)
 over every crate: no HashMap iteration or wall-clock reads in deterministic
 crates, no ambient RNG, no panics in the service request path, SAFETY
-comments on unsafe, checked index narrowing. Findings listed in
-<root>/lint-baseline.json are grandfathered; the exit code is non-zero only
-for NEW findings. Suppress a justified finding in code with
+comments on unsafe, checked index narrowing. The exit code is non-zero on
+any finding. Suppress a justified finding in code with
 `// smin-lint: allow(<rule>) -- <why>`.";
 
 fn main() -> ExitCode {
@@ -104,7 +130,7 @@ fn main() -> ExitCode {
         "inspect" => commands::inspect(rest),
         "convert" => commands::convert(rest),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            out!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         other => Err(format!("unknown command '{other}'\n{USAGE}")),

@@ -396,6 +396,18 @@ impl Loop<'_> {
                 let _span = self.state.metrics().epoll_wait_micros.start_span();
                 self.poller.wait(&mut events, timeout)?
             };
+            // Loop-health gauges, sampled once per iteration before its
+            // events are handled, so that a `/metrics` scrape this
+            // iteration dispatches does not count itself: queued + running
+            // dispatches, open connections, and connections awaiting a
+            // redrive.
+            let m = self.state.metrics();
+            m.dispatch_queue_depth
+                .set(u64::try_from(self.pending.load(Ordering::SeqCst)).unwrap_or(u64::MAX));
+            m.slab_connections
+                .set(u64::try_from(self.conns.len()).unwrap_or(u64::MAX));
+            m.redrive_queue_length
+                .set(u64::try_from(self.redrive.len()).unwrap_or(u64::MAX));
             for i in 0..n {
                 let Some((token, ready)) = events.get(i).map(|e| (e.token(), e.ready())) else {
                     break;
@@ -417,16 +429,6 @@ impl Loop<'_> {
                 next_sweep_ms = now.saturating_add(TICK_MS);
                 self.sweep(now);
             }
-            // Loop-health gauges, sampled once per iteration: queued +
-            // running dispatches, open connections, and connections
-            // awaiting a redrive.
-            let m = self.state.metrics();
-            m.dispatch_queue_depth
-                .set(u64::try_from(self.pending.load(Ordering::SeqCst)).unwrap_or(u64::MAX));
-            m.slab_connections
-                .set(u64::try_from(self.conns.len()).unwrap_or(u64::MAX));
-            m.redrive_queue_length
-                .set(u64::try_from(self.redrive.len()).unwrap_or(u64::MAX));
         }
         Ok(())
     }

@@ -554,6 +554,26 @@ fn metrics_are_exposed_on_both_transports() {
     handle.shutdown();
 }
 
+/// An idle server's scrape reads its own dispatch as absent: the poll
+/// thread samples the loop-health gauges before it handles the events
+/// that dispatch the scrape.
+#[test]
+fn an_idle_scrape_does_not_count_itself_in_the_queue_depth() {
+    let mut handle = spawn(|c| c.workers = 2);
+    let mut c = client(&handle);
+    for i in 0..50 {
+        let resp = c.get("/metrics").unwrap();
+        assert_eq!(resp.status, 200);
+        let text = resp.text();
+        assert!(
+            text.contains("\nsmin_dispatch_queue_depth 0\n"),
+            "scrape {i}: {text}"
+        );
+    }
+    drop(c);
+    handle.shutdown();
+}
+
 #[test]
 fn trace_log_records_one_line_per_request() {
     let path = std::env::temp_dir().join("smin_trace_wire.jsonl");
