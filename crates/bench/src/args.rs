@@ -36,7 +36,7 @@ pub struct Args {
     pub seed: u64,
     /// Override the number of realizations.
     pub realizations: Option<usize>,
-    /// Approximation parameter ε (default 0.5, §6.1).
+    /// Approximation parameter ε in (0, 1) (default 0.5, §6.1).
     pub eps: f64,
     /// Optional directory of real SNAP edge lists (named `<dataset>.txt`).
     pub snap_dir: Option<String>,
@@ -81,12 +81,15 @@ impl Args {
                         .map_err(|e| format!("bad --seed: {e}"))?;
                 }
                 "--realizations" | "-r" => {
-                    out.realizations = Some(
-                        it.next()
-                            .ok_or("--realizations needs a value")?
-                            .parse()
-                            .map_err(|e| format!("bad --realizations: {e}"))?,
-                    );
+                    let n: usize = it
+                        .next()
+                        .ok_or("--realizations needs a value")?
+                        .parse()
+                        .map_err(|e| format!("bad --realizations: {e}"))?;
+                    if n == 0 {
+                        return Err(format!("bad --realizations: needs at least 1\n{USAGE}"));
+                    }
+                    out.realizations = Some(n);
                 }
                 "--eps" => {
                     out.eps = it
@@ -94,6 +97,10 @@ impl Args {
                         .ok_or("--eps needs a value")?
                         .parse()
                         .map_err(|e| format!("bad --eps: {e}"))?;
+                    // The negation also rejects NaN.
+                    if !(out.eps > 0.0 && out.eps < 1.0) {
+                        return Err(format!("bad --eps: {} is outside (0, 1)\n{USAGE}", out.eps));
+                    }
                 }
                 "--snap" => out.snap_dir = Some(it.next().ok_or("--snap needs a directory")?),
                 "--out" => out.out_dir = it.next().ok_or("--out needs a directory")?,
@@ -169,6 +176,21 @@ mod tests {
         assert_eq!(a.seed, 7);
         assert_eq!(a.num_realizations(), 9);
         assert_eq!(a.eps, 0.25);
+    }
+
+    #[test]
+    fn rejects_out_of_range_values() {
+        for eps in ["0", "1", "1.5", "-0.5", "NaN", "inf"] {
+            let err = p(&["--eps", eps]).unwrap_err();
+            assert!(err.contains("--eps") && err.contains(USAGE), "{eps}: {err}");
+        }
+        let err = p(&["--realizations", "0"]).unwrap_err();
+        assert!(
+            err.contains("--realizations") && err.contains(USAGE),
+            "{err}"
+        );
+        let a = p(&["--eps", "0.999", "-r", "1"]).unwrap();
+        assert_eq!((a.eps, a.num_realizations()), (0.999, 1));
     }
 
     #[test]

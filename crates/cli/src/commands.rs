@@ -124,6 +124,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let eps: f64 = f.get_or("eps", 0.5)?;
     let seed: u64 = f.get_or("seed", 42)?;
     let worlds: usize = f.get_or("worlds", 1)?;
+    if worlds == 0 {
+        return Err("--worlds must be at least 1".into());
+    }
     // Sketch-generation worker threads; selections are identical for every
     // value, so this only changes wall-clock time. Default: SMIN_THREADS
     // env var, then available parallelism.
@@ -661,6 +664,25 @@ mod tests {
         .collect();
         let err = run(&bad).unwrap_err();
         assert!(err.contains("--threads"), "got: {err}");
+    }
+
+    #[test]
+    fn run_rejects_zero_worlds() {
+        let dir = std::env::temp_dir().join("smin_cli_zero_worlds");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.smg");
+        let path = path.to_str().unwrap();
+        let to_args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        generate(&to_args(&[
+            "--kind", "er", "--n", "50", "--m", "100", "--out", path,
+        ]))
+        .unwrap();
+        let bad = [
+            "--graph", path, "--algo", "asti", "--eta", "5", "--worlds", "0",
+        ];
+        let err = run(&to_args(&bad)).unwrap_err();
+        assert!(err.contains("--worlds"), "got: {err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

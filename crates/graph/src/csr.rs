@@ -21,20 +21,37 @@ pub type NodeId = u32;
 /// knob — the output is bit-identical either way.
 pub(crate) const MIN_PARALLEL_EDGES: usize = 1 << 18;
 
-/// Worker count for parallel graph construction/decoding: the `SMIN_THREADS`
-/// override first, then [`std::thread::available_parallelism`], capped at 8
-/// (the work is memory-bandwidth bound beyond that). Every result is
-/// bit-identical for every worker count; this only sets the wall-clock.
+/// Environment variable overriding the default worker count (used by CI to
+/// exercise both the one-thread and the multi-thread schedule).
+pub const THREADS_ENV: &str = "SMIN_THREADS";
+
+/// Resolves the worker count: an explicit request wins, then the
+/// [`THREADS_ENV`] override, then [`std::thread::available_parallelism`].
+/// Always at least 1. The one parse of [`THREADS_ENV`]: graph construction
+/// and sketch sampling (`smin_sampling::resolve_threads`) both call it.
+pub fn resolve_threads(explicit: Option<usize>) -> usize {
+    if let Some(t) = explicit {
+        return t.max(1);
+    }
+    if let Ok(v) = std::env::var(THREADS_ENV) {
+        if let Ok(t) = v.trim().parse::<usize>() {
+            if t >= 1 {
+                return t;
+            }
+        }
+    }
+    std::thread::available_parallelism().map_or(1, |t| t.get())
+}
+
+/// Worker count for parallel graph construction/decoding: [`resolve_threads`]
+/// capped at 8 (the work is memory-bandwidth bound beyond that). Every
+/// result is bit-identical for every worker count; this only sets the
+/// wall-clock.
 pub(crate) fn build_workers(m: usize) -> usize {
     if m < MIN_PARALLEL_EDGES {
         return 1;
     }
-    let t = std::env::var("SMIN_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |t| t.get()));
-    t.min(8)
+    resolve_threads(None).min(8)
 }
 
 /// Reverse adjacency of a [`Graph`] in columns: one 16-byte [`InRange`]

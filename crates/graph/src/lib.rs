@@ -45,7 +45,7 @@ pub mod weights;
 pub use bitset::{FixedBitSet, Ones};
 pub use builder::{DedupPolicy, GraphBuilder};
 pub use cast::u32_of;
-pub use csr::{Graph, NodeId};
+pub use csr::{resolve_threads, Graph, NodeId, THREADS_ENV};
 pub use error::{GraphError, StoreError};
 pub use stamp::GenStamp;
 pub use weights::WeightModel;

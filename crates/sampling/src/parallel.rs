@@ -47,12 +47,9 @@ use crate::rr::ReverseSampler;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use smin_diffusion::{DistinctDraw, Model, ResidualSnapshot};
+pub use smin_graph::{resolve_threads, THREADS_ENV};
 use smin_graph::{Graph, NodeId};
 use std::ops::Range;
-
-/// Environment variable overriding the default worker count (used by CI to
-/// exercise both the one-thread and the multi-thread schedule).
-pub const THREADS_ENV: &str = "SMIN_THREADS";
 
 /// Below this many sets the thread start-up outweighs the parallelism and
 /// the caller samples the whole call alone. Purely a performance knob: the
@@ -62,23 +59,6 @@ const MIN_PARALLEL_SETS: usize = 128;
 /// Most sets in one worker's share of a block: the bound on what a helper
 /// buffers before the caller appends it.
 const CHUNK: usize = 1024;
-
-/// Resolves the worker count: an explicit request wins, then the
-/// [`THREADS_ENV`] override, then [`std::thread::available_parallelism`].
-/// Always at least 1.
-pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    if let Some(t) = explicit {
-        return t.max(1);
-    }
-    if let Ok(v) = std::env::var(THREADS_ENV) {
-        if let Ok(t) = v.trim().parse::<usize>() {
-            if t >= 1 {
-                return t;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |t| t.get())
-}
 
 /// Everything a worker needs to sample one sketch, borrowed immutably so
 /// the whole job is `Sync` and shareable across the scope.

@@ -14,6 +14,7 @@
 use crate::http::{Request, Response};
 use smin_core::AsmError;
 use smin_graph::error::GraphError;
+use std::time::Instant;
 
 /// A service failure: HTTP status, stable code, human-readable message.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,19 +102,39 @@ impl ServiceError {
     }
 }
 
+/// A request's `X-Deadline-Millis` budget of `ms` milliseconds, stamped with
+/// the instant `since` it was parsed: the time spent since then
+/// (dispatch-queue wait included) counts against it wherever it is read.
+#[derive(Clone, Copy, Debug)]
+pub struct Deadline {
+    pub ms: u64,
+    pub since: Instant,
+}
+
+impl Deadline {
+    /// What is left of the budget, floored at zero.
+    pub fn remaining_ms(&self) -> u64 {
+        let spent = u64::try_from(self.since.elapsed().as_millis()).unwrap_or(u64::MAX);
+        self.ms.saturating_sub(spent)
+    }
+}
+
 /// Extracts the request's `X-Deadline-Millis` budget. `Ok(None)` when the
 /// header is absent; 400 when it is present but not a non-negative integer.
-/// The event loop calls this after parsing and before admission, so a bad
-/// header is a 400 even when the server is overloaded.
-pub fn parse_deadline(req: &Request) -> Result<Option<u64>, ServiceError> {
-    match req.header("x-deadline-millis") {
-        None => Ok(None),
-        Some(v) => v.trim().parse::<u64>().map(Some).map_err(|_| {
-            ServiceError::bad_request(format!(
-                "bad X-Deadline-Millis value {v:?}: expected a non-negative integer count of milliseconds"
-            ))
-        }),
-    }
+/// The event loop calls this once per request, after parsing and before
+/// admission, so a bad header is a 400 even when the server is overloaded.
+pub fn parse_deadline(req: &Request) -> Result<Option<Deadline>, ServiceError> {
+    let Some(v) = req.header("x-deadline-millis") else {
+        return Ok(None);
+    };
+    let ms = v.trim().parse::<u64>().map_err(|_| {
+        ServiceError::bad_request(format!(
+            "bad X-Deadline-Millis value {v:?}: expected a non-negative integer count of milliseconds"
+        ))
+    })?;
+    // smin-lint: allow(no-wall-clock) -- starts the request's deadline; feeds the 504 check and the trace line, never a body
+    let since = Instant::now();
+    Ok(Some(Deadline { ms, since }))
 }
 
 impl std::fmt::Display for ServiceError {

@@ -13,15 +13,12 @@
 //! therefore costs a map entry, not a thread: ≥512 idle keep-alive
 //! connections are served by `1 + dispatchers` threads total.
 //!
-//! A parsed request goes through framing, the `X-Deadline-Millis` parse,
-//! admission control, then the cache probe ([`answer_cached`]), and only
-//! then to a dispatch thread. The probe answers `GET /healthz` and a
-//! `/v1/select` whose body is already cached, so neither costs a handoff
-//! (no deregistration, no channel send, no completion lock or wake-up
-//! byte), and a liveness probe never waits behind running selects. It
-//! never blocks the poll thread (its locks are `try_lock`s; bodies over
-//! 8 KiB are not probed), and it declines everything else without moving
-//! a counter.
+//! A parsed request goes through framing, the `X-Deadline-Millis` parse
+//! (the only one: its [`Deadline`] travels with the request), admission
+//! control, then the cache probe ([`answer_cached`]), and only then to a
+//! dispatch thread. The probe answers `GET /healthz` and a cached
+//! `/v1/select` without a handoff (no deregistration, channel send,
+//! completion lock or wake-up byte) and without blocking the poll thread.
 //!
 //! Five protections keep the loop healthy under load:
 //!
@@ -52,14 +49,15 @@
 //!
 //! This loop is the service's only transport: every request is framed by
 //! [`RequestParser`], answered by [`handle`] (or, for a cache hit, by
-//! [`answer_cached`]), and serialized through [`Response::write_to`].
+//! [`answer_cached`]), and serialized through [`Response::write_to`]. Every
+//! response, the 400s, 408s, 429s, 504s and caught panics the loop gives
+//! itself included, is counted and traced once, by [`finish`].
 
-use crate::error::{parse_deadline, ServiceError};
+use crate::error::{parse_deadline, Deadline, ServiceError};
 use crate::http::{Request, RequestParser, Response, MAX_BUFFERED_BYTES};
 use crate::platform::{EpollEvent, Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
-use crate::routes::{answer_cached, handle, ServiceState};
+use crate::routes::{answer_cached, finish, handle, By, ServiceState};
 use crate::server::ServerConfig;
-use crate::trace::TraceEvent;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -195,8 +193,7 @@ struct Job {
     id: u64,
     req: Request,
     keep_alive: bool,
-    deadline_ms: Option<u64>,
-    parsed_at_ms: u64,
+    deadline: Option<Deadline>,
 }
 
 /// A serialized response handed back to the poll loop.
@@ -242,7 +239,7 @@ pub(crate) fn serve(
 
     std::thread::scope(move |scope| {
         for _ in 0..cfg.workers.max(1) {
-            scope.spawn(move || dispatch_loop(state, job_rx, completions, pending, wake_tx, epoch));
+            scope.spawn(move || dispatch_loop(state, job_rx, completions, pending, wake_tx));
         }
         let mut el = Loop {
             poller,
@@ -274,14 +271,13 @@ pub(crate) fn serve(
 /// worker: the unwind is caught, the completion goes back as usual, so
 /// `pending` is released and the connection is answered. A select's
 /// checked-out session unwinds with the handler and is dropped, not
-/// shelved. Every 500 counts in `smin_http_errors_total`.
+/// shelved.
 fn dispatch_loop(
     state: &ServiceState,
     job_rx: &Mutex<mpsc::Receiver<Job>>,
     completions: &Mutex<Vec<Done>>,
     pending: &AtomicUsize,
     wake_tx: &UnixStream,
-    epoch: Instant,
 ) {
     loop {
         // Hold the lock only while dequeuing so workers run in parallel.
@@ -292,27 +288,14 @@ fn dispatch_loop(
         let Ok(job) = job else {
             break; // channel closed: shutting down
         };
-        let elapsed = now_ms(epoch).saturating_sub(job.parsed_at_ms);
-        let resp = match job.deadline_ms {
-            Some(d) if elapsed >= d => {
-                state.metrics().errors_504.inc();
-                if let Some(trace) = state.trace() {
-                    trace.emit(&TraceEvent {
-                        method: Some(&job.req.method),
-                        path: Some(&job.req.path),
-                        status: 504,
-                        deadline_remaining_ms: Some(0),
-                        ..TraceEvent::default()
-                    });
-                }
-                ServiceError::deadline_exceeded(d).to_response()
-            }
-            _ => catch_unwind(AssertUnwindSafe(|| handle(state, &job.req, elapsed)))
-                .unwrap_or_else(|_| panicked(state, &job.req)),
+        let (req, deadline) = (&job.req, job.deadline);
+        let refuse =
+            |e: ServiceError| finish(state, By::Loop(Some(req)), deadline, e.to_response());
+        let resp = match deadline {
+            Some(d) if d.remaining_ms() == 0 => refuse(ServiceError::deadline_exceeded(d.ms)),
+            _ => catch_unwind(AssertUnwindSafe(|| handle(state, req, deadline)))
+                .unwrap_or_else(|_| refuse(ServiceError::handler_panicked())),
         };
-        if resp.status == 500 {
-            state.metrics().errors_500.inc();
-        }
         let mut bytes = Vec::new();
         // Writing into a Vec cannot fail.
         let _ = resp.write_to(&mut bytes, job.keep_alive);
@@ -330,20 +313,6 @@ fn dispatch_loop(
         let mut tx = wake_tx;
         let _ = tx.write(&[1u8]);
     }
-}
-
-/// The structured 500 (and its trace line) for a handler panic caught on
-/// either thread. The caller counts it in `smin_http_errors_total`.
-fn panicked(state: &ServiceState, req: &Request) -> Response {
-    if let Some(trace) = state.trace() {
-        trace.emit(&TraceEvent {
-            method: Some(&req.method),
-            path: Some(&req.path),
-            status: 500,
-            ..TraceEvent::default()
-        });
-    }
-    ServiceError::handler_panicked().to_response()
 }
 
 /// What the incremental parser produced for one connection.
@@ -696,17 +665,8 @@ impl Loop<'_> {
                 Parsed::Bad(message) => {
                     // Protocol violation: the stream position is
                     // unknowable, so answer once and close.
-                    self.state.metrics().errors_400.inc();
-                    if let Some(trace) = self.state.trace() {
-                        // No parsed request to name: method/path are null.
-                        trace.emit(&TraceEvent {
-                            status: 400,
-                            ..TraceEvent::default()
-                        });
-                    }
-                    let resp = ServiceError::bad_request(format!("malformed HTTP: {message}"))
-                        .to_response();
-                    self.queue_response(id, &resp, false);
+                    let e = ServiceError::bad_request(format!("malformed HTTP: {message}"));
+                    self.refuse(id, None, None, e);
                 }
             }
             // A synchronous response was queued this iteration: spend
@@ -726,34 +686,15 @@ impl Loop<'_> {
     /// sits in the write buffer, not yet flushed.
     fn begin_dispatch(&mut self, id: u64, req: Request) -> bool {
         let keep_alive = req.keep_alive();
-        let deadline_ms = match parse_deadline(&req) {
+        let deadline = match parse_deadline(&req) {
             Ok(d) => d,
             Err(e) => {
-                self.state.metrics().errors_400.inc();
-                if let Some(trace) = self.state.trace() {
-                    trace.emit(&TraceEvent {
-                        method: Some(&req.method),
-                        path: Some(&req.path),
-                        status: 400,
-                        ..TraceEvent::default()
-                    });
-                }
-                self.queue_response(id, &e.to_response(), keep_alive);
+                self.refuse(id, Some(&req), None, e);
                 return true;
             }
         };
         if self.pending.load(Ordering::SeqCst) >= self.cfg.max_pending {
-            self.state.metrics().errors_429.inc();
-            if let Some(trace) = self.state.trace() {
-                trace.emit(&TraceEvent {
-                    method: Some(&req.method),
-                    path: Some(&req.path),
-                    status: 429,
-                    deadline_remaining_ms: deadline_ms,
-                    ..TraceEvent::default()
-                });
-            }
-            self.queue_response(id, &ServiceError::overloaded().to_response(), keep_alive);
+            self.refuse(id, Some(&req), deadline, ServiceError::overloaded());
             return true;
         }
         // A health probe or a cached select is answered here, without a
@@ -761,13 +702,13 @@ impl Loop<'_> {
         // A zero budget is expired before any worker could start it, so it
         // goes on to the worker's 504. Like a worker, the probe survives a
         // panic with a structured 500.
-        if deadline_ms != Some(0) {
-            let answered = catch_unwind(AssertUnwindSafe(|| answer_cached(self.state, &req)))
-                .unwrap_or_else(|_| Some(panicked(self.state, &req)));
+        if deadline.is_none_or(|d| d.ms != 0) {
+            let probe = AssertUnwindSafe(|| answer_cached(self.state, &req, deadline));
+            let answered = catch_unwind(probe).unwrap_or_else(|_| {
+                let resp = ServiceError::handler_panicked().to_response();
+                Some(finish(self.state, By::Loop(Some(&req)), deadline, resp))
+            });
             if let Some(resp) = answered {
-                if resp.status == 500 {
-                    self.state.metrics().errors_500.inc();
-                }
                 self.queue_response(id, &resp, keep_alive);
                 return true;
             }
@@ -784,8 +725,7 @@ impl Loop<'_> {
             id,
             req,
             keep_alive,
-            deadline_ms,
-            parsed_at_ms: now_ms(self.epoch),
+            deadline,
         };
         // The receiver outlives the loop, so this send cannot fail; were it
         // to, the connection would be closed rather than left busy.
@@ -808,6 +748,13 @@ impl Loop<'_> {
         };
         conn.write.set(bytes);
         conn.close_after_write = !keep_alive;
+    }
+
+    /// Queues the loop's own answer `e` to `req`; with no parsed request
+    /// (`None`) the connection closes after it.
+    fn refuse(&mut self, id: u64, req: Option<&Request>, d: Option<Deadline>, e: ServiceError) {
+        let resp = finish(self.state, By::Loop(req), d, e.to_response());
+        self.queue_response(id, &resp, req.is_some_and(Request::keep_alive));
     }
 
     /// Applies responses the dispatch pool queued.
@@ -848,17 +795,9 @@ impl Loop<'_> {
             self.close_conn(id);
             return;
         }
-        m.errors_408.inc();
-        if let Some(trace) = self.state.trace() {
-            // The deadline passed before a full request parsed: method/path
-            // are null.
-            trace.emit(&TraceEvent {
-                status: 408,
-                ..TraceEvent::default()
-            });
-        }
-        let resp = ServiceError::request_timeout().to_response();
-        self.queue_response(id, &resp, false);
+        // The deadline passed before a full request parsed: no request to
+        // name.
+        self.refuse(id, None, None, ServiceError::request_timeout());
         self.drive(id);
     }
 

@@ -3,9 +3,10 @@
 //! One [`ServiceMetrics`] instance lives in [`ServiceState`]: the epoll
 //! event loop feeds the loop-level series
 //! (poll wait, queue depth, open connections, timers, byte counters), the
-//! session layer feeds the per-route request counters, structured-error
-//! counters, and per-stage select histograms, and the registry/cache series
-//! are read live at scrape time. All cells are lock-free atomics
+//! response epilogue (`routes::finish`) feeds the per-route request
+//! counters, structured-error counters, and per-stage select histograms,
+//! and the registry/cache series are read live at scrape time. All cells
+//! are lock-free atomics
 //! ([`smin_obs`]) — recording a metric never takes a lock and never
 //! allocates.
 //!
@@ -56,16 +57,9 @@ pub struct ServiceMetrics {
     pub requests_other: Counter,
 
     // --- structured transport errors ---
-    /// 400s from malformed HTTP or a bad `X-Deadline-Millis` header.
-    pub errors_400: Counter,
-    /// 408s: the peer committed to a request and stalled past the timeout.
-    pub errors_408: Counter,
-    /// 429s from admission control.
-    pub errors_429: Counter,
-    /// 504s: the request's deadline expired before dispatch.
-    pub errors_504: Counter,
-    /// 500s: a handler failed to persist state or panicked.
-    pub errors_500: Counter,
+    /// `smin_http_errors_total`, one counter per [`ERROR_STATUSES`] entry:
+    /// every response the event loop gives itself, and every 500.
+    pub errors: [Counter; ERROR_STATUSES.len()],
 
     // --- select pipeline stages ---
     /// Request parse + graph resolution against the registry.
@@ -80,10 +74,19 @@ pub struct ServiceMetrics {
     pub stage_serialize_micros: Histogram,
 }
 
+/// The statuses `smin_http_errors_total` counts, in exposition order.
+pub const ERROR_STATUSES: [u16; 5] = [400, 408, 429, 500, 504];
+
 impl ServiceMetrics {
     /// All-zero metrics.
     pub fn new() -> ServiceMetrics {
         ServiceMetrics::default()
+    }
+
+    /// The `smin_http_errors_total` counter of `status`, if it has one.
+    pub(crate) fn errors_of(&self, status: u16) -> Option<&Counter> {
+        let i = ERROR_STATUSES.iter().position(|&s| s == status)?;
+        self.errors.get(i)
     }
 }
 
@@ -155,17 +158,16 @@ pub fn render(state: &ServiceState) -> String {
             ("route=\"other\"", m.requests_other.get()),
         ],
     );
+    let errors: Vec<(String, u64)> = ERROR_STATUSES
+        .iter()
+        .zip(&m.errors)
+        .map(|(status, n)| (format!("status=\"{status}\""), n.get()))
+        .collect();
     expo::write_counter_vec(
         &mut out,
         "smin_http_errors_total",
         "Structured errors, by status: transport protection and 500s.",
-        &[
-            ("status=\"400\"", m.errors_400.get()),
-            ("status=\"408\"", m.errors_408.get()),
-            ("status=\"429\"", m.errors_429.get()),
-            ("status=\"500\"", m.errors_500.get()),
-            ("status=\"504\"", m.errors_504.get()),
-        ],
+        &borrow(&errors),
     );
 
     // Select pipeline stages.

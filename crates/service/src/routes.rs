@@ -26,18 +26,21 @@
 //!
 //! `answer_cached` is the poll thread's way in: it answers `GET /healthz`
 //! and a `/v1/select` whose body is already cached, with the parsing,
-//! cache key, response and epilogue (route counter, trace line) a dispatch
-//! worker uses, so each carries the same bytes, headers and counters on
-//! either thread, and a liveness probe never queues behind running
-//! selects. It never waits: it takes the registry and cache locks with
-//! `try_lock`, probes only bodies up to [`MAX_LINE_BYTES`], and declines
-//! everything else (misses, `"cache": false`, errors, other routes)
-//! without moving a counter, for a worker to answer.
+//! cache key, response and epilogue a dispatch worker uses, so each
+//! carries the same bytes, headers and counters on either thread, and a
+//! liveness probe never queues behind running selects. It never waits: it
+//! takes the registry and cache locks with `try_lock`, probes only bodies
+//! up to [`MAX_LINE_BYTES`], and declines everything else (misses,
+//! `"cache": false`, errors, other routes) without moving a counter, for a
+//! worker to answer. The epilogue, `finish`, is the only place a response
+//! is counted and traced, the event loop's own responses included; it
+//! reads the [`Deadline`] the loop parsed, the only `X-Deadline-Millis`
+//! parse.
 //!
 //! Integer fields must be below 2⁵³ (see [`json::opt_u64`]).
 
 use crate::cache::SelectCache;
-use crate::error::ServiceError;
+use crate::error::{Deadline, ServiceError};
 use crate::http::{Request, Response, MAX_GENERATED_EDGES, MAX_GENERATED_NODES, MAX_LINE_BYTES};
 use crate::json;
 use crate::metrics::ServiceMetrics;
@@ -299,17 +302,14 @@ fn write_manifest(dir: &Path, graphs: &[Arc<GraphEntry>]) -> Result<(), String> 
 pub(crate) const TEST_PANIC_PATH: &str = "/test/panic";
 
 /// Routes one request. Never panics on malformed input — every failure
-/// becomes a structured JSON error. `queued_ms` is how long the request
-/// waited for a dispatch thread; it counts against the trace log's
-/// `deadline_remaining_ms`.
-pub fn handle(state: &ServiceState, req: &Request, queued_ms: u64) -> Response {
+/// becomes a structured JSON error. `deadline` is the budget the event loop
+/// parsed; the epilogue reads it for the trace line.
+pub fn handle(state: &ServiceState, req: &Request, deadline: Option<Deadline>) -> Response {
     // Scrapes return before any counter or trace mutation, so two
     // back-to-back scrapes with no intervening traffic are byte-identical.
     if req.method == "GET" && req.path == "/metrics" {
         return metrics_response(state);
     }
-    // smin-lint: allow(no-wall-clock) -- feeds the trace log's deadline_remaining_ms only
-    let started = Instant::now();
     let mut traced: Option<SelectTrace> = None;
     let result = match (req.method.as_str(), req.path.as_str()) {
         #[cfg(test)]
@@ -341,87 +341,90 @@ pub fn handle(state: &ServiceState, req: &Request, queued_ms: u64) -> Response {
         )),
     };
     let resp = result.unwrap_or_else(|e| e.to_response());
-    finish(state, req, resp, traced, started, queued_ms)
+    finish(state, By::Route(req, traced), deadline, resp)
 }
 
 /// Answers `req` on the calling thread if it is a `GET /healthz` or a
 /// `/v1/select` whose body is already cached, with the bytes, headers,
-/// counters and trace line [`handle`] would give it (queue wait 0). `None`
-/// means "dispatch it": another route, a body over [`MAX_LINE_BYTES`], a
-/// parse error, a miss, `"cache": false`, or a registry or cache lock held
-/// by another thread. A `None` moves no counter; the worker that answers
-/// instead counts the request, and its miss, once.
-pub(crate) fn answer_cached(state: &ServiceState, req: &Request) -> Option<Response> {
+/// counters and trace line [`handle`] would give it. `None` means "dispatch
+/// it": another route, a body over [`MAX_LINE_BYTES`], a parse error, a
+/// miss, `"cache": false`, or a registry or cache lock held by another
+/// thread. A `None` moves no counter; the worker that answers instead
+/// counts the request, and its miss, once.
+pub(crate) fn answer_cached(
+    state: &ServiceState,
+    req: &Request,
+    deadline: Option<Deadline>,
+) -> Option<Response> {
     if req.method == "GET" && req.path == "/healthz" {
-        // smin-lint: allow(no-wall-clock) -- feeds the trace log's deadline_remaining_ms only
-        let started = Instant::now();
         let resp = {
             let registry = try_guard(&state.registry)?;
             healthz(state, &registry, &*try_guard(&state.cache)?)
         };
-        return Some(finish(state, req, resp, None, started, 0));
+        return Some(finish(state, By::Route(req, None), deadline, resp));
     }
     if req.method != "POST" || req.path != "/v1/select" || req.body.len() > MAX_LINE_BYTES {
         return None;
     }
-    let (sel, started, stages) =
+    let (sel, started, micros) =
         resolve_select(state, &req.body, |id| try_guard(&state.registry)?.get(id)).ok()?;
     if !sel.use_cache {
         return None;
     }
     let cached = try_guard(&state.cache)?.get_hit(&sel.cache_key())?;
     record_select(&sel.entry);
-    let mut traced = None;
-    let resp = select_response(
-        state,
-        req,
-        cached.to_vec(),
-        "HIT",
-        started,
-        SelectTrace {
-            micros: stages,
-            work: None,
-        },
-        &mut traced,
-    );
-    // The select clock times the trace line too: the probe adds no clock
-    // read, and its resolve is an at most 8 KiB parse.
-    Some(finish(state, req, resp, traced, started, 0))
+    let resp = select_response(req, cached.to_vec(), "HIT", started, &micros);
+    let trace = SelectTrace { micros, work: None };
+    Some(finish(state, By::Route(req, Some(trace)), deadline, resp))
 }
 
-/// The epilogue of every routed request, on either thread: counts it on
-/// its route and writes its trace line. `started` is when handling began;
-/// with `queued_ms` it counts against `deadline_remaining_ms`.
-fn finish(
+/// Who gave a response, for its epilogue ([`finish`]): a route's handler,
+/// with the stage timings and work a select adds, or the event loop itself
+/// (`None` when no request parsed).
+#[derive(Clone, Copy)]
+pub(crate) enum By<'a> {
+    Route(&'a Request, Option<SelectTrace>),
+    Loop(Option<&'a Request>),
+}
+
+/// The epilogue of every response the service gives, on either thread, and
+/// the only place one is counted and traced: a handler's answer counts on
+/// its route and feeds its select's stage histograms; the loop's own
+/// answers (400s for malformed HTTP or a bad deadline, 408, 429, 504, a
+/// caught panic's 500) and every 500 count in `smin_http_errors_total`;
+/// each gets one trace line, `deadline_remaining_ms` read off `deadline`.
+pub(crate) fn finish(
     state: &ServiceState,
-    req: &Request,
+    by: By,
+    deadline: Option<Deadline>,
     resp: Response,
-    traced: Option<SelectTrace>,
-    started: Instant,
-    queued_ms: u64,
 ) -> Response {
-    route_counter(state.metrics(), req.path.as_str()).inc();
+    let m = state.metrics();
+    let (req, traced) = match by {
+        By::Route(req, traced) => {
+            route_counter(m, &req.path).inc();
+            (Some(req), traced)
+        }
+        By::Loop(req) => (req, None),
+    };
+    if matches!(by, By::Loop(_)) || resp.status == 500 {
+        if let Some(errors) = m.errors_of(resp.status) {
+            errors.inc();
+        }
+    }
+    if let Some(t) = traced {
+        observe_stages(m, &t.micros);
+    }
     if let Some(trace) = state.trace() {
-        let cache = resp
-            .headers
-            .iter()
-            .find(|(k, _)| k == "X-Cache")
-            .map(|(_, v)| v.as_str());
-        let deadline_remaining_ms = req
-            .header("x-deadline-millis")
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map(|d| {
-                let handled = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-                d.saturating_sub(handled.saturating_add(queued_ms))
-            });
+        let cache = resp.headers.iter().find(|(k, _)| k == "X-Cache");
         trace.emit(&TraceEvent {
-            method: Some(&req.method),
-            path: Some(&req.path),
+            method: req.map(|r| r.method.as_str()),
+            path: req.map(|r| r.path.as_str()),
             status: resp.status,
             micros: traced.map(|t| t.micros),
             work: traced.and_then(|t| t.work),
-            cache,
-            deadline_remaining_ms,
+            cache: cache.map(|(_, v)| v.as_str()),
+            deadline_remaining_ms: deadline.map(|d| d.remaining_ms()),
         });
     }
     resp
@@ -967,22 +970,17 @@ fn run_items(
     Ok((ran.into_iter().map(|(body, _)| body).collect(), cache))
 }
 
-/// The 200 both select endpoints send: folds the stage splits into the
-/// histograms and attaches `X-Cache`, `X-Select-Micros` (measured from
-/// `started`) and, when the request asked, `X-Stage-Micros`. Timing
-/// travels in headers, never bodies, so instrumentation cannot perturb
-/// the byte-identity contract. `trace` goes to `traced` for the trace line.
+/// The 200 both select endpoints send: attaches `X-Cache`,
+/// `X-Select-Micros` (measured from `started`) and, when the request asked,
+/// `X-Stage-Micros`. Timing travels in headers, never bodies, so
+/// instrumentation cannot perturb the byte-identity contract.
 fn select_response(
-    state: &ServiceState,
     http_req: &Request,
     body: Vec<u8>,
     cache: &str,
     started: Instant,
-    trace: SelectTrace,
-    traced: &mut Option<SelectTrace>,
+    stages: &StageMicrosLine,
 ) -> Response {
-    let stages = trace.micros;
-    observe_stages(state.metrics(), &stages);
     let mut resp = Response {
         status: 200,
         headers: Vec::new(),
@@ -991,9 +989,8 @@ fn select_response(
     .with_header("X-Cache", cache)
     .with_header("X-Select-Micros", started.elapsed().as_micros().to_string());
     if http_req.header("x-stage-micros").is_some() {
-        resp = resp.with_header("X-Stage-Micros", format_stage_header(&stages));
+        resp = resp.with_header("X-Stage-Micros", format_stage_header(stages));
     }
-    *traced = Some(trace);
     resp
 }
 
@@ -1036,8 +1033,13 @@ fn select(
         |_, e| e,
     )?;
     let body = bodies.pop().unwrap_or_default();
+    *traced = Some(trace);
     Ok(select_response(
-        state, http_req, body, cache, started, trace, traced,
+        http_req,
+        body,
+        cache,
+        started,
+        &trace.micros,
     ))
 }
 
@@ -1132,8 +1134,13 @@ fn select_batch(
         body.extend_from_slice(item_body);
     }
     body.extend_from_slice(b"]}");
+    *traced = Some(trace);
     Ok(select_response(
-        state, http_req, body, cache, started, trace, traced,
+        http_req,
+        body,
+        cache,
+        started,
+        &trace.micros,
     ))
 }
 
@@ -1153,7 +1160,7 @@ mod tests {
             headers: Vec::new(),
             body: body.as_bytes().to_vec(),
         };
-        handle(state, &req, 0)
+        handle(state, &req, None)
     }
 
     fn get(state: &ServiceState, path: &str) -> Response {
@@ -1164,7 +1171,7 @@ mod tests {
             headers: Vec::new(),
             body: Vec::new(),
         };
-        handle(state, &req, 0)
+        handle(state, &req, None)
     }
 
     fn body_str(resp: &Response) -> String {
@@ -1222,9 +1229,9 @@ mod tests {
             headers: Vec::new(),
             body: Vec::new(),
         };
-        let resp = handle(&s, &req, 0);
+        let resp = handle(&s, &req, None);
         assert_eq!(resp.status, 200);
-        let resp = handle(&s, &req, 0);
+        let resp = handle(&s, &req, None);
         assert_eq!(resp.status, 404, "second delete is a 404");
     }
 
@@ -1376,14 +1383,14 @@ mod tests {
         // Tokens are content checksums: re-registering the *identical* graph
         // under the same id keeps its token, so the cached response (which is
         // still correct for those bytes) keeps hitting.
-        handle(&s, &delete, 0);
+        handle(&s, &delete, None);
         register_er(&s, "g", 60);
         let same = post(&s, "/v1/select", r#"{"graph":"g","eta":15,"seed":1}"#);
         assert_eq!(cache_of(&same).as_deref(), Some("HIT"));
         assert_eq!(same.body, a.body);
 
         // A *different* graph under the reused id changes the token: miss.
-        handle(&s, &delete, 0);
+        handle(&s, &delete, None);
         let resp = post(
             &s,
             "/v1/graphs",
@@ -1673,7 +1680,7 @@ mod tests {
             headers: Vec::new(),
             body: Vec::new(),
         };
-        assert_eq!(handle(&s, &req, 0).status, 200);
+        assert_eq!(handle(&s, &req, None).status, 200);
         assert!(!dir.join("graphs").join("web.smg").exists());
         drop(s);
         let s = ServiceState::with_state_dir(None, 8, Some(dir.clone())).unwrap();
@@ -1807,7 +1814,7 @@ mod tests {
             headers: vec![("x-stage-micros".into(), "1".into())],
             body: body.as_bytes().to_vec(),
         };
-        let traced = handle(&s, &req, 0);
+        let traced = handle(&s, &req, None);
         let header = traced
             .headers
             .iter()
@@ -1843,7 +1850,9 @@ mod tests {
             body: Vec::new(),
         };
         // 40 of the 50 ms went by in the dispatch queue.
-        assert_eq!(handle(&s, &req, 40).status, 200);
+        let since = Instant::now() - std::time::Duration::from_millis(40);
+        let deadline = Deadline { ms: 50, since };
+        assert_eq!(handle(&s, &req, Some(deadline)).status, 200);
         drop(s); // closes the trace channel; the writer flushes and exits
         let mut text = String::new();
         for _ in 0..200 {
@@ -1969,8 +1978,8 @@ mod tests {
         let first = warm(&worker);
         assert_eq!(warm(&probe).body, first.body);
 
-        let by_worker = handle(&worker, &req, 0);
-        let by_probe = answer_cached(&probe, &req).expect("a cached body is answered");
+        let by_worker = handle(&worker, &req, None);
+        let by_probe = answer_cached(&probe, &req, None).expect("a cached body is answered");
         for resp in [&by_worker, &by_probe] {
             assert_eq!(resp.status, 200);
             assert_eq!(resp.body, first.body);
@@ -2010,14 +2019,14 @@ mod tests {
         let before = get(&s, "/metrics").body;
         {
             let _held = s.registry();
-            assert!(answer_cached(&s, &req).is_none(), "registry held");
+            assert!(answer_cached(&s, &req, None).is_none(), "registry held");
         }
         {
             let _held = s.cache();
-            assert!(answer_cached(&s, &req).is_none(), "cache held");
+            assert!(answer_cached(&s, &req, None).is_none(), "cache held");
         }
         assert_eq!(get(&s, "/metrics").body, before, "a decline moves nothing");
-        let resp = answer_cached(&s, &req).expect("answers once the locks are free");
+        let resp = answer_cached(&s, &req, None).expect("answers once the locks are free");
         assert_eq!(header(&resp, "X-Cache"), Some("HIT"));
         assert_eq!(resp.body, first.body);
     }
@@ -2038,14 +2047,14 @@ mod tests {
         (req.method, req.path) = ("GET".into(), "/healthz".into());
         {
             let _held = probe.registry();
-            assert!(answer_cached(&probe, &req).is_none(), "registry held");
+            assert!(answer_cached(&probe, &req, None).is_none(), "registry held");
         }
         {
             let _held = probe.cache();
-            assert!(answer_cached(&probe, &req).is_none(), "cache held");
+            assert!(answer_cached(&probe, &req, None).is_none(), "cache held");
         }
-        let by_worker = handle(&worker, &req, 0);
-        let by_probe = answer_cached(&probe, &req).expect("the probe answers /healthz");
+        let by_worker = handle(&worker, &req, None);
+        let by_probe = answer_cached(&probe, &req, None).expect("the probe answers /healthz");
         let uptime_cut = |r: &Response| {
             let body = body_str(r);
             body[..body.find("\"uptime_s\"").expect("uptime field")].to_string()
@@ -2077,19 +2086,19 @@ mod tests {
             padded.as_str(), // a cached key, but too long to probe
         ] {
             assert!(
-                answer_cached(&s, &select_request(body, &[])).is_none(),
+                answer_cached(&s, &select_request(body, &[]), None).is_none(),
                 "{body}"
             );
         }
         let mut batch = select_request(r#"{"graph":"g","items":[{"eta":15,"seed":1}]}"#, &[]);
         batch.path = "/v1/select-batch".into();
-        assert!(answer_cached(&s, &batch).is_none());
+        assert!(answer_cached(&s, &batch, None).is_none());
         let mut graphs = select_request("", &[]);
         (graphs.method, graphs.path) = ("GET".into(), "/v1/graphs".into());
-        assert!(answer_cached(&s, &graphs).is_none());
+        assert!(answer_cached(&s, &graphs, None).is_none());
         assert_eq!(get(&s, "/metrics").body, before, "a decline moves nothing");
         // The padded body still hits on a worker: only the probe skips it.
-        let resp = handle(&s, &select_request(&padded, &[]), 0);
+        let resp = handle(&s, &select_request(&padded, &[]), None);
         assert_eq!(header(&resp, "X-Cache"), Some("HIT"));
         let miss = post(&s, "/v1/select", r#"{"graph":"g","eta":15,"seed":2}"#);
         assert_eq!(header(&miss, "X-Cache"), Some("MISS"));

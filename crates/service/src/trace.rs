@@ -1,7 +1,8 @@
-//! Structured request tracing: one JSON line per request.
+//! Structured request tracing: one JSON line per response.
 //!
-//! `asm serve --trace-log <path>` opens a [`TraceLog`]; the session layer
-//! and the event loop then emit one [`TraceEvent`] per request. Lines are
+//! `asm serve --trace-log <path>` opens a [`TraceLog`]; `routes::finish`,
+//! which every response goes through, the event loop's own included, then
+//! emits one [`TraceEvent`] per response. Lines are
 //! built on the emitting thread but written by a dedicated log thread that
 //! owns the file behind a buffered writer — request threads only push onto
 //! an unbounded channel, so tracing never blocks the request path on disk
@@ -17,16 +18,16 @@
 //!  "cache":"MISS","deadline_remaining_ms":238}
 //! ```
 //!
-//! `micros` is `null` for non-select routes and for transport-level errors
-//! (400/408/429/504) answered before the pipeline ran. `work` sums the
+//! `micros` is `null` for non-select routes and for the responses the
+//! event loop gives itself (400/408/429/500/504). `work` sums the
 //! algorithm work of the request's computed items ([`WorkTotals`]); it is
 //! `null` wherever `micros` is, and when the cache answered every item.
 //! It is deterministic: the same request computes the same work. `cache` is
 //! `null` when no cache decision was made; `deadline_remaining_ms` is `null`
-//! when the request carried no `X-Deadline-Millis` header. `method`/`path` are
-//! `null` for failures with no parsed request (malformed HTTP, 408s fired
-//! by a connection's request deadline). Timing appears only here and in
-//! response headers — never in a response body — so the determinism
+//! only when the request had no valid `X-Deadline-Millis` budget. `method`/
+//! `path` are `null` for failures with no parsed request (malformed HTTP,
+//! 408s fired by a connection's request deadline). Timing appears only here
+//! and in response headers — never in a response body — so the determinism
 //! contract holds.
 
 use serde_json::Value;
@@ -104,7 +105,8 @@ pub struct TraceEvent<'a> {
     /// `HIT` / `MISS` / `BYPASS` / `MIXED`, when a cache decision was made.
     pub cache: Option<&'a str>,
     /// `X-Deadline-Millis` minus the time already spent (dispatch-queue
-    /// wait included), floored at zero; `None` when the header was absent.
+    /// wait included), floored at zero; `None` when the request had no
+    /// valid budget.
     pub deadline_remaining_ms: Option<u64>,
 }
 
